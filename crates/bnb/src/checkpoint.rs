@@ -643,8 +643,10 @@ mod tests {
     use super::*;
 
     fn sample_snapshot() -> SearchSnapshot {
-        let mut degradation = DegradationStats::default();
-        degradation.recovered_solves = 2;
+        let mut degradation = DegradationStats {
+            recovered_solves: 2,
+            ..DegradationStats::default()
+        };
         degradation
             .solver_errors
             .insert("max-iterations".to_string(), 2);

@@ -1,4 +1,4 @@
-use crate::{Fx, FixedPointError, Result};
+use crate::{FixedPointError, Fx, InputScale, Result};
 use std::fmt;
 
 /// How a real value is mapped onto the fixed-point grid.
@@ -184,7 +184,9 @@ impl QFormat {
         Fx::from_raw_parts(self.quantize_raw(x, mode), *self)
     }
 
-    /// Raw-integer result of [`Self::quantize`].
+    /// Raw-integer result of [`Self::quantize`]: one value at a time,
+    /// through libm rounding. This is the scalar reference the fused
+    /// slice loop ([`Self::quantize_into`]) is tested against.
     pub fn quantize_raw(&self, x: f64, mode: RoundingMode) -> i64 {
         if x.is_nan() {
             return 0;
@@ -243,70 +245,27 @@ impl QFormat {
         (self.min_raw()..=self.max_raw()).map(move |raw| Fx::from_raw_parts(raw, fmt))
     }
 
-    /// Quantizes a slice of real values (saturating, shared rounding mode).
+    /// Quantizes a slice of real values (saturating, shared rounding
+    /// mode) through the fused loop of [`Self::quantize_into`].
     pub fn quantize_slice(&self, xs: &[f64], mode: RoundingMode) -> Vec<Fx> {
-        xs.iter().map(|&x| self.quantize(x, mode)).collect()
-    }
-
-    /// Allocation-free variant of [`Self::quantize_slice`]: clears `out`
-    /// and refills it, reusing its capacity. Hot inference loops (the
-    /// serving batch path) call this once per row with a scratch buffer.
-    ///
-    /// The `2^F` scale and the raw saturation bounds are hoisted out of
-    /// the element loop ([`Self::quantize`] recomputes them per value);
-    /// the multiply uses the identical precomputed factor, so the result
-    /// is bit-for-bit the same as the scalar path — the tests assert it.
-    pub fn quantize_slice_into(&self, xs: &[f64], mode: RoundingMode, out: &mut Vec<Fx>) {
-        out.clear();
-        let pow = (2.0f64).powi(self.f as i32);
-        let (lo, hi) = (self.min_raw(), self.max_raw());
-        let (lo_f, hi_f) = (lo as f64, hi as f64);
-        out.extend(xs.iter().map(|&x| {
-            let raw = if x.is_nan() {
-                0
-            } else {
-                let rounded = round_f64(x * pow, mode);
-                if rounded <= lo_f {
-                    lo
-                } else if rounded >= hi_f {
-                    hi
-                } else {
-                    rounded as i64
-                }
-            };
-            Fx::from_raw_parts(raw, *self)
-        }));
-    }
-
-    /// Raw-word variant of [`Self::quantize_slice_into`] for
-    /// structure-of-arrays batches: quantizes `xs` and **appends** the
-    /// raw grid words to `out` (append, not clear-refill, because batch
-    /// builders accumulate many rows into one contiguous buffer). The
-    /// same hoisted `2^F` factor and saturation bounds, so every word is
-    /// bit-for-bit `Self::quantize(x, mode).raw()` — the tests pin it.
-    pub fn quantize_slice_raw_append(&self, xs: &[f64], mode: RoundingMode, out: &mut Vec<i64>) {
-        let pow = (2.0f64).powi(self.f as i32);
-        let (lo, hi) = (self.min_raw(), self.max_raw());
-        let (lo_f, hi_f) = (lo as f64, hi as f64);
-        out.extend(xs.iter().map(|&x| {
-            if x.is_nan() {
-                0
-            } else {
-                let rounded = round_f64(x * pow, mode);
-                if rounded <= lo_f {
-                    lo
-                } else if rounded >= hi_f {
-                    hi
-                } else {
-                    rounded as i64
-                }
-            }
-        }));
+        self.quantize_words(xs, mode)
+            .into_iter()
+            .map(|raw| Fx::from_raw_parts(raw, *self))
+            .collect()
     }
 
     /// Value-level grid rounding for a slice.
     pub fn round_slice_to_grid(&self, xs: &[f64], mode: RoundingMode) -> Vec<f64> {
-        xs.iter().map(|&x| self.round_to_grid(x, mode)).collect()
+        self.quantize_words(xs, mode)
+            .into_iter()
+            .map(|raw| Fx::from_raw_parts(raw, *self).to_f64())
+            .collect()
+    }
+
+    fn quantize_words(&self, xs: &[f64], mode: RoundingMode) -> Vec<i64> {
+        let mut raws = vec![0; xs.len()];
+        self.quantize_into(xs, InputScale::Identity, mode, &mut raws);
+        raws
     }
 }
 
@@ -355,8 +314,8 @@ mod tests {
 
     #[test]
     fn slice_quantization_is_bit_identical_to_scalar() {
-        // The slice path hoists `2^F` and the saturation bounds out of the
-        // loop; it must agree with `quantize` on every input class —
+        // The fused slice loop rounds without libm and clamps before
+        // rounding; it must agree with `quantize` on every input class —
         // in-range values, exact ties, both saturation sides, NaN, ±inf.
         let inputs: Vec<f64> = vec![
             0.0, 0.5, -0.5, 0.078125, -0.078125, 0.15625, 1.999, -2.0, 100.0, -100.0,
@@ -371,8 +330,7 @@ mod tests {
                 RoundingMode::Ceil,
                 RoundingMode::TowardZero,
             ] {
-                let mut fast = Vec::new();
-                q.quantize_slice_into(&inputs, mode, &mut fast);
+                let fast = q.quantize_slice(&inputs, mode);
                 for (x, got) in inputs.iter().zip(&fast) {
                     assert_eq!(
                         got.raw(),
@@ -380,13 +338,11 @@ mod tests {
                         "Q{k}.{f} {mode:?} x={x}"
                     );
                 }
-                // The raw-word batch variant appends (never clears) and
-                // lands on the identical words.
-                let mut raws = vec![-1i64];
-                q.quantize_slice_raw_append(&inputs, mode, &mut raws);
-                assert_eq!(raws[0], -1, "append must not clear Q{k}.{f} {mode:?}");
-                let appended: Vec<i64> = fast.iter().map(Fx::raw).collect();
-                assert_eq!(raws[1..], appended[..], "Q{k}.{f} {mode:?}");
+                // The fused raw-word loop lands on the identical words.
+                let mut raws = vec![-1i64; inputs.len()];
+                q.quantize_into(&inputs, InputScale::Identity, mode, &mut raws);
+                let expected: Vec<i64> = fast.iter().map(Fx::raw).collect();
+                assert_eq!(raws, expected, "Q{k}.{f} {mode:?}");
             }
         }
     }

@@ -35,6 +35,7 @@ pub mod analysis;
 mod dot;
 mod error;
 mod format;
+mod quantize;
 mod value;
 
 pub use dot::{
@@ -43,6 +44,7 @@ pub use dot::{
 };
 pub use error::FixedPointError;
 pub use format::{QFormat, RoundingMode};
+pub use quantize::InputScale;
 pub use value::Fx;
 
 /// Convenience alias for results returned by this crate.

@@ -2,7 +2,7 @@
 //! paper's §3 claim that intermediate accumulator overflow is harmless under
 //! two's-complement wrapping.
 
-use ldafp_fixedpoint::{mac_dot, mac_dot_traced, wide_dot, Fx, QFormat, RoundingMode};
+use ldafp_fixedpoint::{mac_dot, mac_dot_traced, wide_dot, Fx, InputScale, QFormat, RoundingMode};
 use ldafp_stats::rng::{check, CASES};
 use ldafp_stats::Rng;
 
@@ -301,4 +301,131 @@ fn for_range_covers_and_is_minimal() {
             }
         },
     );
+}
+
+/// How a fused-quantizer case scales its inputs.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum ScaleKind {
+    Identity,
+    Uniform,
+    PerFeature,
+}
+
+/// Any `QK.F` the crate accepts: `1 ≤ K`, `K + F ≤ 31`.
+fn any_format(rng: &mut Rng) -> QFormat {
+    let k = rng.range_i64(1..=31) as u32;
+    let f = rng.range_i64(0..=(31 - i64::from(k))) as u32;
+    QFormat::new(k, f).expect("K + F ≤ 31")
+}
+
+/// A scale factor: exact powers of two keep ties ties after scaling,
+/// the others land anywhere.
+fn scale_factor(rng: &mut Rng) -> f64 {
+    match rng.below(4) {
+        0 => 0.5,
+        1 => 2.0,
+        2 => 0.75,
+        _ => rng.range_f64(0.01..4.0),
+    }
+}
+
+/// Inputs aimed at every edge of the fused loop: exact ties
+/// `±(n+½)·2⁻ᶠ` and one ulp either side, grid points, one ulp either side
+/// of both range ends, ±0, subnormals, ±inf, NaN, ±1e300, values whose
+/// `x·2^F` overflows, and plain draws across twice the range.
+fn adversarial_inputs(rng: &mut Rng, fmt: QFormat) -> Vec<f64> {
+    let subnormal = f64::MIN_POSITIVE / 8.0;
+    let mut xs = vec![
+        0.0,
+        -0.0,
+        subnormal,
+        -subnormal,
+        f64::from_bits(1),
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        f64::NAN,
+        1e300,
+        -1e300,
+        f64::MAX,
+        -f64::MAX,
+        f64::MAX / 2.0,
+        -f64::MAX / 2.0,
+    ];
+    for end in [fmt.min_value(), fmt.max_value()] {
+        xs.extend([end, end.next_up(), end.next_down()]);
+    }
+    let res = fmt.resolution();
+    for _ in 0..6 {
+        let n = rng.range_i64(fmt.min_raw()..=fmt.max_raw()) as f64;
+        let tie = (n + 0.5) * res;
+        for x in [n * res, tie, tie.next_up(), tie.next_down()] {
+            xs.extend([x, -x]);
+        }
+    }
+    let (lo, hi) = (2.0 * fmt.min_value(), 2.0 * fmt.max_value());
+    xs.extend((0..8).map(|_| rng.range_f64(lo..hi)));
+    xs
+}
+
+/// The fused loop against the scalar reference: every word equals
+/// `quantize_raw(x·s)`, and the count equals `#{x·s ∉ [min, max]}`.
+fn check_fused_quantizer(kind: ScaleKind) {
+    check(
+        CASES,
+        |rng| {
+            let fmt = any_format(rng);
+            let xs = adversarial_inputs(rng, fmt);
+            let scales: Vec<f64> = match kind {
+                ScaleKind::Identity => vec![1.0],
+                ScaleKind::Uniform => vec![scale_factor(rng)],
+                ScaleKind::PerFeature => xs.iter().map(|_| scale_factor(rng)).collect(),
+            };
+            (fmt, mode(rng), xs, scales)
+        },
+        |(fmt, mode, xs, scales)| {
+            let scale = match kind {
+                ScaleKind::Identity => InputScale::Identity,
+                ScaleKind::Uniform => InputScale::Uniform(scales[0]),
+                ScaleKind::PerFeature => InputScale::PerFeature(scales),
+            };
+            let factor = |i: usize| scales[if kind == ScaleKind::PerFeature { i } else { 0 }];
+            let mut out = vec![i64::MIN; xs.len()];
+            let saturated = fmt.quantize_into(xs, scale, *mode, &mut out);
+            let mut expected_saturated = 0;
+            for (i, (&x, &got)) in xs.iter().zip(&out).enumerate() {
+                let y = x * factor(i);
+                assert_eq!(
+                    got,
+                    fmt.quantize_raw(y, *mode),
+                    "{fmt} {mode:?} x={x:e} s={}",
+                    factor(i)
+                );
+                expected_saturated += u64::from(y < fmt.min_value() || y > fmt.max_value());
+            }
+            assert_eq!(saturated, expected_saturated, "{fmt} {mode:?}");
+        },
+    );
+}
+
+#[test]
+fn fused_quantizer_matches_scalar_reference_unscaled() {
+    check_fused_quantizer(ScaleKind::Identity);
+}
+
+#[test]
+fn fused_quantizer_matches_scalar_reference_uniform_scale() {
+    check_fused_quantizer(ScaleKind::Uniform);
+}
+
+#[test]
+fn fused_quantizer_matches_scalar_reference_per_feature_scale() {
+    check_fused_quantizer(ScaleKind::PerFeature);
+}
+
+#[test]
+fn input_scale_reads_the_artifact_convention() {
+    assert_eq!(InputScale::from_slice(&[1.0]), InputScale::Identity);
+    assert_eq!(InputScale::from_slice(&[0.5]), InputScale::Uniform(0.5));
+    let per = [1.0, 2.0];
+    assert_eq!(InputScale::from_slice(&per), InputScale::PerFeature(&per));
 }

@@ -7,7 +7,7 @@
 //! format exactly once at the boundary.
 
 use crate::KernelError;
-use ldafp_fixedpoint::{Fx, QFormat, RoundingMode};
+use ldafp_fixedpoint::{Fx, InputScale, QFormat, RoundingMode};
 
 /// A borrowed row-major SoA batch: `rows × features` raw words.
 ///
@@ -40,7 +40,7 @@ impl<'a> QBatch<'a> {
                 got: 0,
             });
         }
-        if words.len() % features != 0 {
+        if !words.len().is_multiple_of(features) {
             return Err(KernelError::TornRows {
                 features,
                 full_rows: words.len() / features,
@@ -85,14 +85,18 @@ impl<'a> QBatch<'a> {
     }
 }
 
-/// An owned SoA batch builder: rows are appended (from floats already on
-/// the caller's scale, or from `Fx` slices) into one contiguous word
-/// buffer that is quantized **once** at this boundary.
+/// An owned SoA batch builder: rows are appended (from floats, or from
+/// `Fx` slices) into one contiguous word buffer that is quantized
+/// **once** at this boundary.
 #[derive(Debug, Clone)]
 pub struct QBatchBuf {
     format: QFormat,
     features: usize,
+    /// Backing buffer; only `words[..len]` holds rows. It keeps its
+    /// high-water length across [`Self::clear`], so a reused builder
+    /// overwrites rows in place instead of zero-filling them first.
     words: Vec<i64>,
+    len: usize,
 }
 
 impl QBatchBuf {
@@ -102,23 +106,37 @@ impl QBatchBuf {
             format,
             features,
             words: Vec::new(),
+            len: 0,
         }
     }
 
     /// Drops all rows, keeping the allocation — the per-batch reuse the
     /// serving engine's scratch depends on.
     pub fn clear(&mut self) {
-        self.words.clear();
+        self.len = 0;
     }
 
     /// Rows currently held.
     pub fn rows(&self) -> usize {
-        self.words.len() / self.features.max(1)
+        self.len / self.features.max(1)
     }
 
     /// Reserves capacity for `rows` additional rows.
     pub fn reserve_rows(&mut self, rows: usize) {
-        self.words.reserve(rows * self.features);
+        let need = self.len + rows * self.features;
+        self.words.reserve(need.saturating_sub(self.words.len()));
+    }
+
+    /// The next row's slot, growing the backing buffer only past its
+    /// high-water length.
+    fn next_row(&mut self) -> &mut [i64] {
+        let end = self.len + self.features;
+        if self.words.len() < end {
+            self.words.resize(end, 0);
+        }
+        let row = &mut self.words[self.len..end];
+        self.len = end;
+        row
     }
 
     /// Quantizes one float row (saturating, the format's grid) and
@@ -130,6 +148,23 @@ impl QBatchBuf {
     ///
     /// [`KernelError::ShapeMismatch`] on a row of the wrong width.
     pub fn push_row_f64(&mut self, row: &[f64], mode: RoundingMode) -> Result<u64, KernelError> {
+        self.push_row_scaled(row, InputScale::Identity, mode)
+    }
+
+    /// [`Self::push_row_f64`] of the row scaled by `scale`, in the same
+    /// single pass: each input enters the grid as `(x·s)·2^F`, and the
+    /// saturation count is taken after scaling.
+    ///
+    /// # Errors
+    ///
+    /// [`KernelError::ShapeMismatch`] on a row of the wrong width or a
+    /// per-feature scale of the wrong length.
+    pub fn push_row_scaled(
+        &mut self,
+        row: &[f64],
+        scale: InputScale<'_>,
+        mode: RoundingMode,
+    ) -> Result<u64, KernelError> {
         if row.len() != self.features {
             return Err(KernelError::ShapeMismatch {
                 context: "row length",
@@ -137,10 +172,17 @@ impl QBatchBuf {
                 got: row.len(),
             });
         }
-        let (lo, hi) = (self.format.min_value(), self.format.max_value());
-        let saturated = row.iter().filter(|x| **x < lo || **x > hi).count() as u64;
-        self.format.quantize_slice_raw_append(row, mode, &mut self.words);
-        Ok(saturated)
+        if let InputScale::PerFeature(s) = scale {
+            if s.len() != self.features {
+                return Err(KernelError::ShapeMismatch {
+                    context: "input scale",
+                    expected: self.features,
+                    got: s.len(),
+                });
+            }
+        }
+        let format = self.format;
+        Ok(format.quantize_into(row, scale, mode, self.next_row()))
     }
 
     /// Appends an already-quantized row, checking each element's format.
@@ -166,7 +208,9 @@ impl QBatchBuf {
                 });
             }
         }
-        self.words.extend(row.iter().map(Fx::raw));
+        for (word, v) in self.next_row().iter_mut().zip(row) {
+            *word = v.raw();
+        }
         Ok(())
     }
 
@@ -176,7 +220,7 @@ impl QBatchBuf {
             format: self.format,
             features: self.features,
             rows: self.rows(),
-            words: &self.words,
+            words: &self.words[..self.len],
         }
     }
 }

@@ -44,7 +44,7 @@ mod simd;
 pub use batch::{QBatch, QBatchBuf};
 
 use ldafp_fixedpoint::{Fx, QFormat, RoundingMode};
-use scalar::{mode_code, MacSpec};
+use scalar::{mode_code, GemmOut, MacSpec};
 use std::fmt;
 
 /// Errors reported by batch construction and kernel entry points.
@@ -214,21 +214,32 @@ pub fn mac_gemm_into(
     wraps.resize(rows * heads, 0);
     let spec = MacSpec::new(batch.format());
     let code = mode_code(mode, batch.format().f());
-    let x = batch.words();
+    let dst = GemmOut { out, wraps };
     match kernel {
-        KernelKind::Reference => {
-            dispatch_reference(&spec, code, x, rows, features, weights, heads, out, wraps)
+        KernelKind::Reference => dispatch_reference(&spec, code, batch, weights, heads, dst),
+        KernelKind::Blocked => {
+            dispatch_blocked(&spec, code, batch, weights, heads, dst, &mut scratch.pack)
         }
-        KernelKind::Blocked => dispatch_blocked(&spec, code, x, rows, features, weights, heads, out, wraps, &mut scratch.pack),
         KernelKind::Simd => {
             #[cfg(feature = "simd")]
             {
                 if simd::detected() {
-                    simd::gemm_simd(&spec, code, x, rows, features, weights, heads, out, wraps, &mut scratch.pack);
+                    simd::gemm_simd(
+                        &spec,
+                        code,
+                        batch.words(),
+                        rows,
+                        features,
+                        weights,
+                        heads,
+                        dst.out,
+                        dst.wraps,
+                        &mut scratch.pack,
+                    );
                     return Ok(());
                 }
             }
-            dispatch_blocked(&spec, code, x, rows, features, weights, heads, out, wraps, &mut scratch.pack)
+            dispatch_blocked(&spec, code, batch, weights, heads, dst, &mut scratch.pack)
         }
     }
     Ok(())
@@ -251,21 +262,17 @@ pub fn mac_gemv_into(
     mac_gemm_into(kernel, batch, weights, 1, mode, scratch, out, wraps)
 }
 
-#[allow(clippy::too_many_arguments)]
 fn dispatch_reference(
     spec: &MacSpec,
     code: u8,
-    x: &[i64],
-    rows: usize,
-    features: usize,
+    batch: &QBatch<'_>,
     w: &[i64],
     heads: usize,
-    out: &mut [i64],
-    wraps: &mut [u32],
+    dst: GemmOut<'_>,
 ) {
     macro_rules! run {
         ($m:expr) => {
-            scalar::gemm_reference::<{ $m }>(spec, x, rows, features, w, heads, out, wraps)
+            scalar::gemm_reference::<{ $m }>(spec, batch, w, heads, dst)
         };
     }
     match code {
@@ -278,22 +285,18 @@ fn dispatch_reference(
     }
 }
 
-#[allow(clippy::too_many_arguments)]
 fn dispatch_blocked(
     spec: &MacSpec,
     code: u8,
-    x: &[i64],
-    rows: usize,
-    features: usize,
+    batch: &QBatch<'_>,
     w: &[i64],
     heads: usize,
-    out: &mut [i64],
-    wraps: &mut [u32],
+    dst: GemmOut<'_>,
     pack: &mut Vec<i64>,
 ) {
     macro_rules! run {
         ($m:expr) => {
-            scalar::gemm_blocked::<{ $m }>(spec, x, rows, features, w, heads, out, wraps, pack)
+            scalar::gemm_blocked::<{ $m }>(spec, batch, w, heads, dst, pack)
         };
     }
     match code {
@@ -377,7 +380,7 @@ impl WrapCtx {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ldafp_fixedpoint::{mac_dot_counted, mac_dot_traced};
+    use ldafp_fixedpoint::{mac_dot_counted, mac_dot_traced, InputScale};
     use ldafp_stats::Rng;
 
     const ALL_MODES: [RoundingMode; 5] = [
@@ -573,9 +576,9 @@ mod tests {
     }
 
     /// `QBatchBuf::push_row_f64` lands on the exact same raw words as the
-    /// engine's `quantize_slice_into` float path, and counts saturating
-    /// inputs the way the engine's counter does (outside `[min, max]`
-    /// before clipping).
+    /// scalar `quantize_raw` reference, and counts saturating inputs the
+    /// way the engine's counter does (outside `[min, max]` before
+    /// clipping).
     #[test]
     fn batch_buf_quantizes_like_the_row_path() {
         let format = q(2, 6);
@@ -584,12 +587,13 @@ mod tests {
         let mut expect_words = Vec::new();
         let mut expect_sat = 0u64;
         let mut total_sat = 0u64;
-        let mut fx_scratch = Vec::new();
         for _ in 0..13 {
             let row: Vec<f64> = (0..4).map(|_| rng.range_f64(-4.0..4.0)).collect();
             total_sat += buf.push_row_f64(&row, RoundingMode::NearestEven).unwrap();
-            format.quantize_slice_into(&row, RoundingMode::NearestEven, &mut fx_scratch);
-            expect_words.extend(fx_scratch.iter().map(Fx::raw));
+            expect_words.extend(
+                row.iter()
+                    .map(|&x| format.quantize_raw(x, RoundingMode::NearestEven)),
+            );
             expect_sat += row
                 .iter()
                 .filter(|x| **x < format.min_value() || **x > format.max_value())
@@ -599,6 +603,14 @@ mod tests {
         assert_eq!(total_sat, expect_sat);
         assert!(total_sat > 0, "amplitude 4.0 must exercise saturation in Q2.6");
         assert_eq!(buf.rows(), 13);
+
+        // A cleared builder overwrites its old rows in place; none of
+        // the 13 earlier rows leak into the new batch.
+        buf.clear();
+        buf.push_row_f64(&[0.5, -0.25, 9.0, 0.0], RoundingMode::NearestEven)
+            .unwrap();
+        assert_eq!(buf.rows(), 1);
+        assert_eq!(buf.as_batch().words(), &[32, -16, 127, 0]);
     }
 
     #[test]
@@ -608,6 +620,19 @@ mod tests {
         assert_eq!(
             buf.push_row_f64(&[0.0; 4], RoundingMode::Floor).unwrap_err(),
             KernelError::ShapeMismatch { context: "row length", expected: 3, got: 4 }
+        );
+        assert_eq!(
+            buf.push_row_scaled(
+                &[0.0; 3],
+                InputScale::PerFeature(&[1.0; 2]),
+                RoundingMode::Floor
+            )
+            .unwrap_err(),
+            KernelError::ShapeMismatch {
+                context: "input scale",
+                expected: 3,
+                got: 2
+            }
         );
         assert_eq!(
             buf.push_row_fx(&[format.zero(); 2]).unwrap_err(),

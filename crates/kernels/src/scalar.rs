@@ -8,6 +8,7 @@
 //! (Fixflow's observation: per-element rounding dispatch, not the MAC
 //! itself, dominates light-weight fixed-point inference loops).
 
+use crate::QBatch;
 use ldafp_fixedpoint::{QFormat, RoundingMode};
 
 /// Rows per tile in the blocked kernels. Eight independent accumulator
@@ -115,22 +116,27 @@ fn step<const MODE: u8>(spec: &MacSpec, acc: i64, w: i64, x: i64) -> (i64, u32) 
     (next, u32::from(next != unbounded))
 }
 
+/// Where a GEMM writes: `out[r·H + h]` and `wraps[r·H + h]` for row `r`
+/// and head `h`, both `rows × heads` long.
+pub(crate) struct GemmOut<'a> {
+    pub(crate) out: &'a mut [i64],
+    pub(crate) wraps: &'a mut [u32],
+}
+
 /// Row-at-a-time reference: the exact PR-3 `mac_dot_counted` loop lifted
 /// onto raw words. Used as the in-crate baseline the blocked and SIMD
 /// kernels are benchmarked against, and as the remainder path nothing
 /// here actually needs (tiles zero-pad instead).
 pub(crate) fn gemm_reference<const MODE: u8>(
     spec: &MacSpec,
-    x: &[i64],
-    rows: usize,
-    features: usize,
+    batch: &QBatch<'_>,
     w: &[i64],
     heads: usize,
-    out: &mut [i64],
-    wraps: &mut [u32],
+    dst: GemmOut<'_>,
 ) {
-    for r in 0..rows {
-        let row = &x[r * features..(r + 1) * features];
+    let features = batch.features();
+    for r in 0..batch.rows() {
+        let row = batch.row(r);
         for h in 0..heads {
             let wrow = &w[h * features..(h + 1) * features];
             let mut acc = 0i64;
@@ -140,8 +146,8 @@ pub(crate) fn gemm_reference<const MODE: u8>(
                 acc = next;
                 nwraps += wrapped;
             }
-            out[r * heads + h] = acc;
-            wraps[r * heads + h] = nwraps;
+            dst.out[r * heads + h] = acc;
+            dst.wraps[r * heads + h] = nwraps;
         }
     }
 }
@@ -171,15 +177,13 @@ fn pack_tile(spec: &MacSpec, x: &[i64], features: usize, r0: usize, nr: usize, p
 /// [`gemm_reference`]; the tests and proptests pin it.
 pub(crate) fn gemm_blocked<const MODE: u8>(
     spec: &MacSpec,
-    x: &[i64],
-    rows: usize,
-    features: usize,
+    batch: &QBatch<'_>,
     w: &[i64],
     heads: usize,
-    out: &mut [i64],
-    wraps: &mut [u32],
+    dst: GemmOut<'_>,
     pack: &mut Vec<i64>,
 ) {
+    let (x, rows, features) = (batch.words(), batch.rows(), batch.features());
     pack.clear();
     pack.resize(features * TILE, 0);
     let mut r0 = 0;
@@ -198,8 +202,8 @@ pub(crate) fn gemm_blocked<const MODE: u8>(
                 }
             }
             for lane in 0..nr {
-                out[(r0 + lane) * heads + h] = acc[lane];
-                wraps[(r0 + lane) * heads + h] = wr[lane];
+                dst.out[(r0 + lane) * heads + h] = acc[lane];
+                dst.wraps[(r0 + lane) * heads + h] = wr[lane];
             }
         }
         r0 += nr;

@@ -14,8 +14,6 @@
 //! exact `i64` product. The missing 64-bit arithmetic right shift is
 //! emulated with a logical shift plus a sign-selected high-bit mask.
 
-#![allow(unsafe_code)]
-
 use crate::scalar::{
     MacSpec, MODE_CEIL, MODE_EXACT, MODE_FLOOR, MODE_NEAREST_AWAY, MODE_NEAREST_EVEN,
     MODE_TOWARD_ZERO, TILE,

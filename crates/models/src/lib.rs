@@ -34,7 +34,7 @@ mod oselm;
 pub use naive_bayes::{NaiveBayesModel, NaiveBayesTrainer};
 pub use oselm::{choose_format, wrap_free_output_bound, OsElmConfig, OsElmModel, OsElmTrainer};
 
-use ldafp_fixedpoint::{Fx, QFormat, RoundingMode};
+use ldafp_fixedpoint::{Fx, InputScale, QFormat, RoundingMode};
 use std::fmt;
 
 /// Convenience alias for results returned by this crate.
@@ -206,11 +206,7 @@ pub trait FixedPointModel {
     ///
     /// Same conditions as [`Self::classify_quantized`].
     fn classify(&self, x: &[f64]) -> Result<Decision> {
-        let format = self.format();
-        let mode = self.rounding();
-        let mut xq = Vec::with_capacity(x.len());
-        format.quantize_slice_into(x, mode, &mut xq);
-        self.classify_quantized(&xq)
+        self.classify_quantized(&self.format().quantize_slice(x, self.rounding()))
     }
 
     /// Classifies a batch, accumulating overflow statistics.
@@ -221,15 +217,17 @@ pub trait FixedPointModel {
     fn classify_batch(&self, rows: &[Vec<f64>]) -> Result<BatchOutcome> {
         let format = self.format();
         let mode = self.rounding();
-        let (lo, hi) = (format.min_value(), format.max_value());
         let mut out = BatchOutcome {
             decisions: Vec::with_capacity(rows.len()),
             ..BatchOutcome::default()
         };
-        let mut xq = Vec::new();
+        let (mut words, mut xq) = (Vec::new(), Vec::new());
         for row in rows {
-            out.saturated_inputs += row.iter().filter(|v| **v < lo || **v > hi).count() as u64;
-            format.quantize_slice_into(row, mode, &mut xq);
+            words.resize(row.len(), 0);
+            out.saturated_inputs +=
+                format.quantize_into(row, InputScale::Identity, mode, &mut words);
+            xq.clear();
+            xq.extend(words.iter().map(|&w| format.from_raw(w)));
             let d = self.classify_quantized(&xq)?;
             out.accumulator_wraps += d.accumulator_wraps;
             out.decisions.push(d);

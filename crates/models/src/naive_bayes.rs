@@ -15,7 +15,7 @@
 
 use crate::{Decision, FixedPointModel, ModelError, ModelFamily, Result};
 use ldafp_datasets::{BinaryDataset, ClassLabel};
-use ldafp_fixedpoint::{Fx, QFormat, RoundingMode};
+use ldafp_fixedpoint::{Fx, InputScale, QFormat, RoundingMode};
 use ldafp_linalg::Matrix;
 use ldafp_obs as obs;
 use std::time::Instant;
@@ -382,24 +382,21 @@ impl NaiveBayesTrainer {
         }
         let scale = if worst > 0.0 { budget / worst } else { 1.0 };
 
+        let quantize = |values: &[f64]| {
+            let mut words = vec![0; values.len()];
+            format.quantize_into(
+                values,
+                InputScale::Uniform(scale),
+                self.rounding,
+                &mut words,
+            );
+            words
+        };
         let tables: Vec<Vec<Vec<i64>>> = float_tables
             .iter()
-            .map(|table| {
-                table
-                    .iter()
-                    .map(|feature| {
-                        feature
-                            .iter()
-                            .map(|v| format.quantize_raw(v * scale, self.rounding))
-                            .collect()
-                    })
-                    .collect()
-            })
+            .map(|table| table.iter().map(|feature| quantize(feature)).collect())
             .collect();
-        let priors: Vec<i64> = float_priors
-            .iter()
-            .map(|v| format.quantize_raw(v * scale, self.rounding))
-            .collect();
+        let priors = quantize(&float_priors);
 
         let model = NaiveBayesModel {
             format,

@@ -281,8 +281,7 @@ impl OsElmModel {
                 ),
             });
         }
-        let mut xq = Vec::with_capacity(x.len());
-        self.format.quantize_slice_into(x, self.rounding, &mut xq);
+        let xq = self.format.quantize_slice(x, self.rounding);
         let decision = self.classify_quantized(&xq)?;
         let predicted = decision.class_index;
         if predicted != target_class {
@@ -387,7 +386,7 @@ impl Default for OsElmConfig {
             hidden_units: 8,
             epochs: 3,
             lr_shift: 3,
-            seed: 0x5EED_1DA_F,
+            seed: 0x5EED_1DAF,
             rho: 0.95,
         }
     }
@@ -518,9 +517,7 @@ impl OsElmTrainer {
         let hidden_floats = |class: &Matrix| -> Option<Matrix> {
             let mut rows = Vec::with_capacity(class.rows());
             for i in 0..class.rows() {
-                let mut xq = Vec::new();
-                self.format
-                    .quantize_slice_into(class.row(i), self.rounding, &mut xq);
+                let xq = self.format.quantize_slice(class.row(i), self.rounding);
                 let (hidden, _) = model.hidden_of(&xq).ok()?;
                 rows.push(hidden.iter().map(|h| h.to_f64()).collect::<Vec<f64>>());
             }

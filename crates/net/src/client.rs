@@ -19,7 +19,7 @@ use crate::binwire::{
     STATUS_OVERLOADED,
 };
 use crate::error::{NetError, Result};
-use ldafp_fixedpoint::{QFormat, RoundingMode};
+use ldafp_fixedpoint::{InputScale, QFormat, RoundingMode};
 use ldafp_serve::json::{self, Value};
 use ldafp_serve::wire::DEFAULT_MAX_FRAME;
 use std::io::{Read, Write};
@@ -27,14 +27,24 @@ use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
 /// Client-side quantization for the raw-word predict mode: maps float
-/// rows onto the model's `QK.F` grid exactly as the server's float path
-/// would, producing the flat word buffer [`NetClient::predict_raw`]
-/// ships. Shipping words instead of floats moves the quantization cost
-/// to the client and halves the payload (4 bytes/element vs 8).
+/// rows onto the model's `QK.F` grid, producing the flat word buffer
+/// [`NetClient::predict_raw`] ships. Shipping words instead of floats
+/// moves the quantization cost to the client and halves the payload
+/// (4 bytes/element vs 8).
+///
+/// The server's float path multiplies each row by the artifact's
+/// `input_scale` before it quantizes. For a model whose scale is not the
+/// identity, apply `input_scale` to the rows first; only then do these
+/// words equal the float path's.
 pub fn quantize_rows(format: QFormat, rounding: RoundingMode, rows: &[Vec<f64>]) -> Vec<i64> {
-    rows.iter()
-        .flat_map(|row| row.iter().map(|&x| format.quantize(x, rounding).raw()))
-        .collect()
+    let mut words = vec![0; rows.iter().map(Vec::len).sum()];
+    let mut start = 0;
+    for row in rows {
+        let end = start + row.len();
+        format.quantize_into(row, InputScale::Identity, rounding, &mut words[start..end]);
+        start = end;
+    }
+    words
 }
 
 /// A blocking connection to an evented server, speaking binary frames.
@@ -132,7 +142,8 @@ impl NetClient {
     }
 
     /// Classifies pre-quantized raw `QK.F` words (flat row-major; see
-    /// [`quantize_rows`]).
+    /// [`quantize_rows`]). The server applies no input scaling to raw
+    /// words: apply the artifact's `input_scale` to the rows first.
     ///
     /// # Errors
     ///

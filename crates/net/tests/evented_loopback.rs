@@ -139,6 +139,58 @@ fn evented_predictions_match_in_process_for_all_families() {
     }
 }
 
+/// The raw-word path applies no input scaling, so a client serving a
+/// scaled model must multiply by `input_scale` before it quantizes. With
+/// that done, raw words decide exactly as the float path does; without
+/// it, they land on a different grid point.
+#[test]
+fn raw_words_from_pre_scaled_rows_match_the_float_path() {
+    let lda = FixedPointClassifier::from_float(
+        &[0.875, -1.25, 0.375],
+        0.1875,
+        QFormat::new(3, 8).unwrap(),
+    )
+    .unwrap();
+    let mut artifact = ModelArtifact::binary(lda);
+    artifact.input_scale = vec![0.5, 2.0, 0.75];
+    let rows = random_rows(64, 3, 0x5CA1E);
+    let engine = engine_from(&artifact);
+    let reference = engine.predict_batch(&rows).unwrap();
+
+    let scaled: Vec<Vec<f64>> = rows
+        .iter()
+        .map(|row| {
+            row.iter()
+                .zip(&artifact.input_scale)
+                .map(|(x, s)| x * s)
+                .collect()
+        })
+        .collect();
+    let format = artifact.model.format();
+    let words = quantize_rows(format, engine.rounding(), &scaled);
+    let unscaled = engine
+        .predict_raw_batch(&quantize_rows(format, engine.rounding(), &rows))
+        .unwrap();
+    assert!(
+        unscaled
+            .predictions
+            .iter()
+            .zip(&reference.predictions)
+            .any(|(u, p)| u.score != p.score),
+        "unscaled words must miss the float path somewhere"
+    );
+
+    let mut handle = evented(&artifact, EventedConfig::default());
+    let mut bin = NetClient::connect(&handle.addr().to_string(), CLIENT_TIMEOUT).unwrap();
+    let raw = bin.predict_raw(None, 3, &words).unwrap();
+    for (i, p) in reference.predictions.iter().enumerate() {
+        assert_eq!(raw.classes[i] as usize, p.class_index, "row {i}");
+        assert_eq!(raw.scores[i], p.score, "row {i}");
+    }
+    assert_eq!(raw.accumulator_wraps, reference.stats.accumulator_wraps);
+    handle.shutdown();
+}
+
 /// Cross-family kernel equivalence: for every served family the SoA
 /// batch kernels (`predict_batch`), the single-row kernel path
 /// (`predict_row`) and both wire codecs agree **byte-for-byte** — class

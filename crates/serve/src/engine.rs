@@ -22,25 +22,23 @@
 //! Floats appear in exactly two advisory places, never in a decision:
 //! the reported `score` (a human-readable margin) and the one-vs-rest
 //! margin calibration, which mirrors the in-memory ensemble verbatim.
+//!
+//! [`FixedPointClassifier::classify`]: ldafp_core::FixedPointClassifier::classify
+//! [`OneVsRestClassifier::classify`]: ldafp_core::multiclass::OneVsRestClassifier::classify
 
 use crate::artifact::{ModelArtifact, ServedModel};
 use crate::error::{Result, ServeError};
-use ldafp_core::multiclass::OneVsRestClassifier;
-use ldafp_core::FixedPointClassifier;
-use ldafp_fixedpoint::{Fx, QFormat, RoundingMode};
-use ldafp_kernels::{mac_gemm_into, mac_row_fx, GemmScratch, KernelKind, QBatch, QBatchBuf};
+use ldafp_fixedpoint::{Fx, InputScale, QFormat, RoundingMode};
+use ldafp_kernels::{mac_gemm_into, mac_row, GemmScratch, KernelKind, QBatch, QBatchBuf};
 use ldafp_models::FixedPointModel;
 use std::sync::{Arc, Mutex, TryLockError};
 
-/// Reusable per-row working buffers for the single-row path.
-///
-/// Scaling and quantization each need a row-sized buffer; allocating them
-/// per row made prediction *slower* than necessary (allocator pressure
-/// dominated the MAC work). The batch paths use the engine-owned
-/// [`EngineScratch`] instead.
+/// Working buffers for the single-row path: the row's raw words and the
+/// `Fx` view the table-driven families take. The batch paths use the
+/// engine-owned [`EngineScratch`] instead.
 #[derive(Debug, Default)]
 struct RowScratch {
-    scaled: Vec<f64>,
+    words: Vec<i64>,
     quantized: Vec<Fx>,
 }
 
@@ -53,25 +51,21 @@ struct RowScratch {
 /// lock.
 #[derive(Debug)]
 struct EngineScratch {
-    scaled: Vec<f64>,
     quantized: Vec<Fx>,
     batch: QBatchBuf,
     gemm: GemmScratch,
     out: Vec<i64>,
     wraps: Vec<u32>,
-    row_sat: Vec<u64>,
 }
 
 impl EngineScratch {
     fn new(format: QFormat, features: usize) -> Self {
         EngineScratch {
-            scaled: Vec::new(),
             quantized: Vec::new(),
             batch: QBatchBuf::new(format, features),
             gemm: GemmScratch::default(),
             out: Vec::new(),
             wraps: Vec::new(),
-            row_sat: Vec::new(),
         }
     }
 }
@@ -124,12 +118,9 @@ impl KernelPlan {
 struct RowContext<'a> {
     format: QFormat,
     rounding: RoundingMode,
-    min_value: f64,
-    max_value: f64,
     num_features: usize,
-    /// Input scaling vector; `None` when scaling is the identity, in which
-    /// case rows are classified in place without copying into scratch.
-    scale: Option<&'a [f64]>,
+    /// The artifact's input scaling, applied inside the quantizer's pass.
+    scale: InputScale<'a>,
     model: &'a ServedModel,
 }
 
@@ -248,10 +239,11 @@ impl InferenceEngine {
         self.artifact.model.num_classes()
     }
 
-    /// The rounding mode the served model quantizes inputs with. Paired
-    /// with [`ServedModel::format`], this is what a client needs to
-    /// pre-quantize rows for the raw-word predict path and land on the
-    /// exact same grid the float path would.
+    /// The rounding mode the served model quantizes inputs with. A client
+    /// that pre-quantizes rows for the raw-word predict path lands on the
+    /// exact grid the float path would when it first multiplies each row
+    /// by the artifact's `input_scale` (one factor, or one per feature),
+    /// then quantizes with [`ServedModel::format`] and this mode.
     pub fn rounding(&self) -> RoundingMode {
         match &self.artifact.model {
             ServedModel::Binary(clf) => clf.rounding(),
@@ -286,55 +278,37 @@ impl InferenceEngine {
         self.with_scratch(|scratch| self.predict_batch_in(&ctx, rows, scratch))
     }
 
-    /// The float batch hot path: validate + scale + quantize every row
-    /// into the SoA buffer (tracking per-row saturation), then decide the
-    /// whole batch.
+    /// The float batch hot path: validate every row, then scale, quantize
+    /// and count its saturated inputs into the SoA buffer in one pass,
+    /// then decide the whole batch.
     fn predict_batch_in(
         &self,
         ctx: &RowContext<'_>,
         rows: &[Vec<f64>],
         scratch: &mut EngineScratch,
     ) -> Result<BatchOutput> {
-        {
-            let EngineScratch {
-                scaled,
-                batch,
-                row_sat,
-                ..
-            } = scratch;
-            batch.clear();
-            batch.reserve_rows(rows.len());
-            row_sat.clear();
-            for (i, row) in rows.iter().enumerate() {
-                if row.len() != ctx.num_features {
-                    return Err(ServeError::FeatureMismatch {
-                        expected: ctx.num_features,
-                        got: row.len(),
-                        row: i,
-                    });
-                }
-                let scaled_row: &[f64] = match ctx.scale {
-                    None => row,
-                    Some(scale) => {
-                        scale_row_into(row, scale, scaled);
-                        scaled
-                    }
-                };
-                let sat = batch
-                    .push_row_f64(scaled_row, ctx.rounding)
-                    .expect("row width validated above");
-                row_sat.push(sat);
-            }
-        }
-        let saturated_inputs = scratch.row_sat.iter().sum();
         let EngineScratch {
             quantized,
             batch,
             gemm,
             out,
             wraps,
-            ..
         } = scratch;
+        batch.clear();
+        batch.reserve_rows(rows.len());
+        let mut saturated_inputs = 0;
+        for (i, row) in rows.iter().enumerate() {
+            if row.len() != ctx.num_features {
+                return Err(ServeError::FeatureMismatch {
+                    expected: ctx.num_features,
+                    got: row.len(),
+                    row: i,
+                });
+            }
+            saturated_inputs += batch
+                .push_row_scaled(row, ctx.scale, ctx.rounding)
+                .expect("row width and scale length validated");
+        }
         Ok(self.decide_rows(
             ctx,
             &batch.as_batch(),
@@ -385,28 +359,12 @@ impl InferenceEngine {
                 .expect("plan shapes match the validated artifact");
                 let resolution = ctx.format.resolution();
                 for r in 0..n {
-                    let (class_index, score) = match scales {
-                        None => {
-                            let margin_raw = out[r] - thresholds[0];
-                            (
-                                usize::from(margin_raw < 0),
-                                margin_raw as f64 * resolution,
-                            )
-                        }
-                        Some(scales) => {
-                            let mut best_class = 0usize;
-                            let mut best_margin = f64::NEG_INFINITY;
-                            for h in 0..*heads {
-                                let margin =
-                                    (out[r * heads + h] - thresholds[h]) as f64 * scales[h];
-                                if margin > best_margin {
-                                    best_margin = margin;
-                                    best_class = h;
-                                }
-                            }
-                            (best_class, best_margin)
-                        }
-                    };
+                    let (class_index, score) = linear_decision(
+                        out[r * heads..(r + 1) * heads].iter().copied(),
+                        thresholds,
+                        scales.as_deref(),
+                        resolution,
+                    );
                     accumulator_wraps += wraps[r * heads..(r + 1) * heads]
                         .iter()
                         .map(|&w| u64::from(w))
@@ -422,7 +380,7 @@ impl InferenceEngine {
                 for r in 0..n {
                     quantized.clear();
                     quantized.extend(batch.row(r).iter().map(|&w| ctx.format.from_raw(w)));
-                    let (class_index, score, w) = decide(ctx.model, quantized);
+                    let (class_index, score, w) = family_decision(ctx.model, quantized);
                     accumulator_wraps += w;
                     predictions.push(Prediction {
                         class_index,
@@ -446,23 +404,16 @@ impl InferenceEngine {
         self.predict_row_with(&self.row_context(), row, index, &mut RowScratch::default())
     }
 
-    /// Snapshots everything row-invariant — format bounds (each a `powi`
-    /// behind the accessor), rounding mode, the model-kind dispatch — so
-    /// the batch path pays for them once per batch instead of once per
-    /// row. The single-row path rebuilds it per call, as a one-shot API
-    /// must.
+    /// Snapshots everything row-invariant — format, rounding mode, input
+    /// scale, the model-kind dispatch — so the batch path pays for them
+    /// once per batch instead of once per row. The single-row path
+    /// rebuilds it per call, as a one-shot API must.
     fn row_context(&self) -> RowContext<'_> {
-        let format = self.artifact.model.format();
-        let rounding = self.rounding();
-        let scale = self.artifact.input_scale.as_slice();
-        let identity = matches!(scale, [s] if *s == 1.0);
         RowContext {
-            format,
-            rounding,
-            min_value: format.min_value(),
-            max_value: format.max_value(),
+            format: self.artifact.model.format(),
+            rounding: self.rounding(),
             num_features: self.num_features(),
-            scale: if identity { None } else { Some(scale) },
+            scale: InputScale::from_slice(&self.artifact.input_scale),
             model: &self.artifact.model,
         }
     }
@@ -481,20 +432,34 @@ impl InferenceEngine {
                 row: index,
             });
         }
-        let scaled: &[f64] = match ctx.scale {
-            None => row,
-            Some(scale) => {
-                scale_row_into(row, scale, &mut scratch.scaled);
-                &scratch.scaled
+        let RowScratch { words, quantized } = scratch;
+        words.resize(ctx.num_features, 0);
+        let saturated_inputs = ctx
+            .format
+            .quantize_into(row, ctx.scale, ctx.rounding, words);
+        let (class_index, score, wraps) = match &*self.plan {
+            KernelPlan::Linear {
+                weights,
+                thresholds,
+                scales,
+                ..
+            } => {
+                let mut wraps = 0u64;
+                let acc = weights.chunks_exact(ctx.num_features).map(|w| {
+                    let (y, w) = mac_row(ctx.format, ctx.rounding, w, words);
+                    wraps += u64::from(w);
+                    y
+                });
+                let (class_index, score) =
+                    linear_decision(acc, thresholds, scales.as_deref(), ctx.format.resolution());
+                (class_index, score, wraps)
+            }
+            KernelPlan::Family => {
+                quantized.clear();
+                quantized.extend(words.iter().map(|&w| ctx.format.from_raw(w)));
+                family_decision(ctx.model, quantized)
             }
         };
-        let saturated_inputs = scaled
-            .iter()
-            .filter(|x| **x < ctx.min_value || **x > ctx.max_value)
-            .count() as u64;
-        ctx.format
-            .quantize_slice_into(scaled, ctx.rounding, &mut scratch.quantized);
-        let (class_index, score, wraps) = decide(ctx.model, &scratch.quantized);
         let prediction = Prediction {
             class_index,
             label: Arc::clone(&self.labels[class_index]),
@@ -589,7 +554,7 @@ impl InferenceEngine {
         scratch: &mut EngineScratch,
     ) -> Result<BatchOutput> {
         let m = ctx.num_features;
-        if m == 0 || words.len() % m != 0 {
+        if m == 0 || !words.len().is_multiple_of(m) {
             return Err(ServeError::FeatureMismatch {
                 expected: m,
                 got: words.len() % m.max(1),
@@ -609,73 +574,53 @@ impl InferenceEngine {
     }
 }
 
-/// Dispatches an already-quantized row to the model's integer decision
-/// path. Shared by the float path (after scaling + quantization) and the
-/// raw-word path, so both are one and the same datapath.
-fn decide(model: &ServedModel, xq: &[Fx]) -> (usize, f64, u64) {
-    match model {
-        ServedModel::Binary(clf) => binary_decision(clf, xq),
-        ServedModel::OneVsRest(clf) => one_vs_rest_decision(clf, xq),
-        ServedModel::NaiveBayes(m) => family_decision(m, xq),
-        ServedModel::OsElm(m) => family_decision(m, xq),
-    }
-}
-
-/// Applies a non-identity input scaling (broadcast scalar or per-feature
-/// vector) into `out`. The identity case never reaches here — rows are
-/// classified in place without a copy.
-fn scale_row_into(row: &[f64], scale: &[f64], out: &mut Vec<f64>) {
-    out.clear();
-    if scale.len() == 1 {
-        out.extend(row.iter().map(|x| x * scale[0]));
-        return;
-    }
-    out.extend(row.iter().zip(scale).map(|(x, s)| x * s));
-}
-
-/// Binary decision on the wrapping MAC over an already-quantized row.
-/// Identical comparison to [`FixedPointClassifier::classify`]:
-/// `y.raw ≥ T.raw` picks class 0.
-fn binary_decision(clf: &FixedPointClassifier, xq: &[Fx]) -> (usize, f64, u64) {
-    let format = clf.format();
-    let (y_raw, wraps) = mac_row_fx(format, clf.rounding(), clf.weights(), xq);
-    let margin_raw = y_raw - clf.threshold().raw();
-    let class_index = usize::from(margin_raw < 0);
-    (
-        class_index,
-        margin_raw as f64 * format.resolution(),
-        u64::from(wraps),
-    )
-}
-
-/// One-vs-rest decision mirroring [`OneVsRestClassifier::classify`] over an
-/// already-quantized row: per-head raw margin, calibrated by
-/// `margin_scale`, argmax with ties to the lowest class index.
-fn one_vs_rest_decision(clf: &OneVsRestClassifier, xq: &[Fx]) -> (usize, f64, u64) {
-    let rounding = clf.heads()[0].rounding();
-    let format = clf.heads()[0].format();
-    let mut best_class = 0usize;
-    let mut best_margin = f64::NEG_INFINITY;
-    let mut wraps = 0u64;
-    for (c, (head, scale)) in clf.heads().iter().zip(clf.margin_scales()).enumerate() {
-        let (y_raw, w) = mac_row_fx(format, rounding, head.weights(), xq);
-        wraps += u64::from(w);
-        let margin = (y_raw - head.threshold().raw()) as f64 * scale;
-        if margin > best_margin {
-            best_margin = margin;
-            best_class = c;
+/// The linear epilogue shared by the batch and single-row paths: one
+/// row's per-head accumulators, in head order, to `(class, advisory
+/// score)`. Binary
+/// (no margin scales) mirrors `FixedPointClassifier::classify`:
+/// `y.raw ≥ T.raw` picks class 0, and the score is the raw margin in
+/// value units. One-vs-rest mirrors `OneVsRestClassifier::classify`:
+/// per-head raw margins calibrated by `margin_scale`, argmax with ties
+/// to the lowest class index.
+fn linear_decision(
+    mut acc: impl Iterator<Item = i64>,
+    thresholds: &[i64],
+    scales: Option<&[f64]>,
+    resolution: f64,
+) -> (usize, f64) {
+    match scales {
+        None => {
+            let y = acc.next().expect("a binary plan has one head");
+            let margin_raw = y - thresholds[0];
+            (usize::from(margin_raw < 0), margin_raw as f64 * resolution)
+        }
+        Some(scales) => {
+            let mut best_class = 0usize;
+            let mut best_margin = f64::NEG_INFINITY;
+            for (h, ((y, &t), &scale)) in acc.zip(thresholds).zip(scales).enumerate() {
+                let margin = (y - t) as f64 * scale;
+                if margin > best_margin {
+                    best_margin = margin;
+                    best_class = h;
+                }
+            }
+            (best_class, best_margin)
         }
     }
-    (best_class, best_margin, wraps)
 }
 
-/// Decision for a [`FixedPointModel`] family over an already-quantized row.
+/// Decision for a table-driven family over an already-quantized row.
 /// The model's own integer datapath decides; the advisory score is the
 /// winning class's raw score converted to value units.
-fn family_decision<M: FixedPointModel>(model: &M, xq: &[Fx]) -> (usize, f64, u64) {
-    let d = model
-        .classify_quantized(xq)
-        .expect("row length and format are validated by the engine");
+fn family_decision(model: &ServedModel, xq: &[Fx]) -> (usize, f64, u64) {
+    let d = match model {
+        ServedModel::NaiveBayes(m) => m.classify_quantized(xq),
+        ServedModel::OsElm(m) => m.classify_quantized(xq),
+        ServedModel::Binary(_) | ServedModel::OneVsRest(_) => {
+            unreachable!("linear models run on the kernel plan")
+        }
+    }
+    .expect("row length and format are validated by the engine");
     (
         d.class_index,
         d.score_raw as f64 * model.format().resolution(),
@@ -686,6 +631,7 @@ fn family_decision<M: FixedPointModel>(model: &M, xq: &[Fx]) -> (usize, f64, u64
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ldafp_core::FixedPointClassifier;
     use ldafp_fixedpoint::QFormat;
     use ldafp_stats::Rng;
 

@@ -264,6 +264,9 @@ cargo test -q -p ldafp-kernels
 cargo test -q -p ldafp-kernels --test proptests
 cargo build -q -p ldafp-kernels --no-default-features
 cargo run --release -q -p ldafp-bench --bin kernels_bench -- --quick > /dev/null
+# The fused slice quantizer every f64 row takes into the kernels lives
+# in `ldafp-fixedpoint`; lint it beside them.
+cargo clippy -p ldafp-fixedpoint --all-targets -- -D warnings
 cargo clippy -p ldafp-kernels --all-targets -- -D warnings
 
 # Benchmark smoke: both workloads at --quick scale, built offline from

@@ -394,9 +394,11 @@ pub fn predict(artifact_json: &str, csv_text: &str) -> Result<String> {
 /// starts the epoll-based evented server (`ldafp-net`) and returns its
 /// handle; `main` blocks on [`ldafp_net::EventedHandle::join`], tests
 /// drive the handle directly. One port, both codecs (JSON and binary,
-/// negotiated per frame), cross-connection micro-batching, and a
-/// hot-reloadable model registry seeded with the `--model` artifact as
-/// `default` plus any `--models name=path` extras.
+/// negotiated per frame), cross-connection micro-batching of whatever
+/// each read pass collected (`--batch-deadline-us` > 0 opts into a
+/// linger, at millisecond resolution), and a hot-reloadable model
+/// registry seeded with the `--model` artifact as `default` plus any
+/// `--models name=path` extras.
 ///
 /// # Errors
 ///

@@ -12,7 +12,7 @@
 //!                  [--wire binary|json]
 //! ldafp serve      --model model.ldafp.json --addr 127.0.0.1:7878
 //!                  [--models name=path,...] [--batch-rows 256]
-//!                  [--batch-deadline-us 500] [--max-inflight 32]
+//!                  [--batch-deadline-us 0] [--max-inflight 32]
 //!                  [--max-pending-rows 16384] [--read-deadline-ms 5000]
 //! ldafp reload     --addr 127.0.0.1:7878 --model new.ldafp.json [--name model]
 //!                  [--wire binary|json]
@@ -70,7 +70,9 @@ commands:
               [--batch-deadline-us n] [--max-inflight n]
               [--max-pending-rows n] [--read-deadline-ms n]
               (epoll event loop, Linux x86-64/aarch64: both codecs on one
-               port, cross-connection micro-batching, hot-reload registry)
+               port, cross-connection micro-batching of each read pass,
+               --batch-deadline-us > 0 lingers for more, hot-reload
+               registry)
   reload      --addr <host:port> --model <artifact.json> [--name model]
               [--wire binary|json]
   info        --model <model.json>

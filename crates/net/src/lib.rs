@@ -12,8 +12,9 @@
 //!   port, both codecs, byte-identical predictions.
 //! * **[`server`]** — a single-threaded event loop multiplexing every
 //!   connection, with *cross-connection micro-batching*: predict rows
-//!   from many sockets coalesce into one
-//!   [`ldafp_serve::InferenceEngine`] dispatch under a latency budget.
+//!   from many sockets, read in one pass of the loop, coalesce into one
+//!   [`ldafp_serve::InferenceEngine`] dispatch (an optional linger
+//!   waits for more).
 //!   Backpressure is explicit — bounded per-connection inflight, a
 //!   global pending-row cap, and a typed `overloaded` reply instead of
 //!   silent queueing — and models live in a hot-reloadable

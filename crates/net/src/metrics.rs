@@ -7,11 +7,12 @@ use ldafp_obs as obs;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Latency bucket edges (µs), roughly logarithmic from 50 µs to 5 s; the
-/// last bucket is open-ended.
-const BUCKET_EDGES_US: [u64; 14] = [
-    50, 100, 250, 500, 1_000, 2_500, 5_000, 10_000, 25_000, 50_000, 100_000, 500_000, 1_000_000,
-    5_000_000,
+/// Latency bucket edges (µs), roughly logarithmic from 1 µs to 5 s; the
+/// last bucket is open-ended. The low edges resolve a request that is
+/// dispatched in the read pass that decoded it (a few µs in the server).
+const BUCKET_EDGES_US: [u64; 19] = [
+    1, 2, 5, 10, 25, 50, 100, 250, 500, 1_000, 2_500, 5_000, 10_000, 25_000, 50_000, 100_000,
+    500_000, 1_000_000, 5_000_000,
 ];
 
 /// Live metrics for one evented server.
@@ -50,6 +51,9 @@ pub struct NetMetrics {
     pub batch_rows: Arc<obs::Histogram>,
     /// Enqueue→reply latency per predict request.
     pub latency_us: Arc<obs::Histogram>,
+    /// Enqueue→engine dispatch wait per predict request (the queue stage
+    /// of `latency_us`).
+    pub queue_wait_us: Arc<obs::Histogram>,
     started: Instant,
 }
 
@@ -88,6 +92,10 @@ pub struct NetSnapshot {
     pub p50_us: u64,
     /// 99th-percentile request latency (upper bucket edge), µs.
     pub p99_us: u64,
+    /// Median queue wait before dispatch (upper bucket edge), µs.
+    pub queue_wait_p50_us: u64,
+    /// 99th-percentile queue wait before dispatch (upper bucket edge), µs.
+    pub queue_wait_p99_us: u64,
     /// Median rows per dispatch (upper bucket edge).
     pub batch_rows_p50: u64,
     /// Time since server start, ms.
@@ -115,6 +123,7 @@ impl NetMetrics {
             saturated_inputs: registry.counter("net.saturated_inputs"),
             batch_rows: registry.histogram("net.batch_rows"),
             latency_us: registry.histogram_with_edges("net.latency_us", &BUCKET_EDGES_US),
+            queue_wait_us: registry.histogram_with_edges("net.queue_wait_us", &BUCKET_EDGES_US),
             registry,
             started: Instant::now(),
         }
@@ -130,8 +139,12 @@ impl NetMetrics {
         self.rows.add(rows);
         self.accumulator_wraps.add(wraps);
         self.saturated_inputs.add(saturated);
-        self.latency_us
-            .record(u64::try_from(latency.as_micros()).unwrap_or(u64::MAX));
+        self.latency_us.record(micros(latency));
+    }
+
+    /// Records how long one predict request queued before its dispatch.
+    pub fn record_queue_wait(&self, wait: Duration) {
+        self.queue_wait_us.record(micros(wait));
     }
 
     /// Copies the counters and derives percentiles.
@@ -153,10 +166,17 @@ impl NetMetrics {
             saturated_inputs: self.saturated_inputs.get(),
             p50_us: self.latency_us.value_at_quantile(0.50),
             p99_us: self.latency_us.value_at_quantile(0.99),
+            queue_wait_p50_us: self.queue_wait_us.value_at_quantile(0.50),
+            queue_wait_p99_us: self.queue_wait_us.value_at_quantile(0.99),
             batch_rows_p50: self.batch_rows.value_at_quantile(0.50),
             uptime_ms: u64::try_from(self.started.elapsed().as_millis()).unwrap_or(u64::MAX),
         }
     }
+}
+
+/// `d` in whole microseconds, saturating.
+pub(crate) fn micros(d: Duration) -> u64 {
+    u64::try_from(d.as_micros()).unwrap_or(u64::MAX)
 }
 
 impl Default for NetMetrics {
@@ -185,5 +205,17 @@ mod tests {
         assert!(dump.contains("\"net.requests\":1"), "{dump}");
         assert!(dump.contains("\"net.shed\":1"), "{dump}");
         assert!(dump.contains("\"net.latency_us\""), "{dump}");
+        assert!(dump.contains("\"net.queue_wait_us\""), "{dump}");
+    }
+
+    #[test]
+    fn latency_histograms_resolve_microseconds() {
+        let m = NetMetrics::new();
+        m.record_request(1, 0, 0, Duration::from_micros(3));
+        m.record_queue_wait(Duration::from_micros(1));
+        let s = m.snapshot();
+        assert!(s.p50_us <= 5, "p50_us = {}", s.p50_us);
+        assert!(s.p99_us <= 5, "p99_us = {}", s.p99_us);
+        assert_eq!((s.queue_wait_p50_us, s.queue_wait_p99_us), (1, 1));
     }
 }

@@ -9,16 +9,21 @@
 //!   sockets ──► read → scan_frame ─┬─► admin ops (answered inline)
 //!                                  └─► predict → shed? → pending queue
 //!                                                          │
-//!                      batch_deadline / batch_max_rows ────┤
+//!  read pass done (+ batch_deadline) / batch_max_rows ─────┤
 //!                                                          ▼
 //!                     one predict_[raw_]segmented() per engine-run
 //!                                                          │
 //!   sockets ◄── write ◄─ per-request replies (codec of the request) ◄┘
 //! ```
 //!
-//! Requests decoded from *different* sockets land in one FIFO queue; a
-//! flush fires when the oldest entry has waited `batch_deadline` or the
-//! queue holds `batch_max_rows` rows. A flush takes the longest front run
+//! Requests decoded from *different* sockets land in one FIFO queue.
+//! Batching is *natural* by default: each `epoll_wait` pass reads every
+//! ready socket to `WouldBlock`, then flushes the queue, so requests that
+//! arrived together form one batch and a request that arrived alone is
+//! dispatched at once instead of waiting for company. A nonzero
+//! `batch_deadline` is an opt-in linger: the flush then waits until the
+//! oldest entry has waited that long or the queue holds `batch_max_rows`
+//! rows. A flush takes the longest front run
 //! sharing an engine (and payload kind) and classifies it as **one**
 //! engine dispatch via [`InferenceEngine::predict_segmented`] (float
 //! rows) or [`InferenceEngine::predict_raw_segmented`] (binary-protocol
@@ -59,7 +64,7 @@
 
 use crate::binwire::{self, BinRequest, RowsPayload};
 use crate::error::{NetError, Result};
-use crate::metrics::NetMetrics;
+use crate::metrics::{micros, NetMetrics};
 use crate::sys::{self, Epoll, EpollEvent, EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT, EPOLLRDHUP};
 use ldafp_obs as obs;
 use ldafp_serve::json::Value;
@@ -82,8 +87,11 @@ pub struct EventedConfig {
     pub max_frame: usize,
     /// Queue-depth trigger: flush once this many rows are pending.
     pub batch_max_rows: usize,
-    /// Latency budget: flush once the oldest pending request has waited
-    /// this long, even if the batch is small.
+    /// Linger before a flush. Zero (the default) flushes whatever each
+    /// read pass collected, once every ready socket has been read. A
+    /// nonzero value holds the queue until its oldest request has waited
+    /// this long (or `batch_max_rows` rows are pending), at millisecond
+    /// resolution, because `epoll_wait` takes its timeout in ms.
     pub batch_deadline: Duration,
     /// Decoded-but-unreplied predicts allowed per connection before the
     /// shedder answers `overloaded`.
@@ -102,7 +110,7 @@ impl Default for EventedConfig {
         EventedConfig {
             max_frame: wire::DEFAULT_MAX_FRAME,
             batch_max_rows: 256,
-            batch_deadline: Duration::from_micros(500),
+            batch_deadline: Duration::ZERO,
             max_inflight_per_conn: 32,
             max_pending_rows: 16_384,
             read_deadline: Duration::from_secs(5),
@@ -355,19 +363,16 @@ impl EventLoop {
         }
     }
 
-    /// Epoll timeout: tight when a batch deadline is pending, lazy
-    /// otherwise (shutdown wakes the loop via a self-connection).
+    /// Epoll timeout: tight when a linger is pending, lazy otherwise
+    /// (shutdown wakes the loop via a self-connection).
     fn poll_timeout_ms(&self) -> i32 {
         match self.pending.front() {
             Some(front) => {
-                let waited = front.enqueued.elapsed();
-                if waited >= self.config.batch_deadline {
-                    0
-                } else {
-                    let left = self.config.batch_deadline - waited;
-                    // Round up so we never spin at 0ms before the deadline.
-                    i32::try_from(left.as_millis() as u64 + 1).unwrap_or(IDLE_TIMEOUT_MS)
-                }
+                let left = self
+                    .config
+                    .batch_deadline
+                    .saturating_sub(front.enqueued.elapsed());
+                ceil_ms(left).min(IDLE_TIMEOUT_MS)
             }
             None => IDLE_TIMEOUT_MS,
         }
@@ -878,11 +883,19 @@ impl EventLoop {
         let engine = Arc::clone(&group[0].engine);
         self.metrics.batches.inc();
         self.metrics.batch_rows.record(batch_rows as u64);
+        let dispatched = Instant::now();
+        for req in &group {
+            self.metrics
+                .record_queue_wait(dispatched.duration_since(req.enqueued));
+        }
         if obs::enabled() {
+            // FIFO queue: the first member has waited longest.
+            let oldest = dispatched.duration_since(group[0].enqueued);
             obs::emit(
                 obs::Event::new("net.batch")
                     .with("requests", group.len() as u64)
-                    .with("rows", batch_rows as u64),
+                    .with("rows", batch_rows as u64)
+                    .with("queue_wait_us", micros(oldest)),
             );
         }
         let outputs: Vec<std::result::Result<BatchOutput, ServeError>> = match group[0].rows {
@@ -1011,6 +1024,8 @@ impl EventLoop {
                     ("saturated_inputs", Value::from(s.saturated_inputs)),
                     ("p50_us", Value::from(s.p50_us)),
                     ("p99_us", Value::from(s.p99_us)),
+                    ("queue_wait_p50_us", Value::from(s.queue_wait_p50_us)),
+                    ("queue_wait_p99_us", Value::from(s.queue_wait_p99_us)),
                     ("batch_rows_p50", Value::from(s.batch_rows_p50)),
                     ("uptime_ms", Value::from(s.uptime_ms)),
                 ]),
@@ -1197,8 +1212,32 @@ impl EventLoop {
     }
 }
 
+/// `left` rounded up to whole milliseconds, so the loop never wakes
+/// before a linger ends (and never spins at 0 ms while one is pending);
+/// saturates at `i32::MAX`.
+fn ceil_ms(left: Duration) -> i32 {
+    i32::try_from(left.as_nanos().div_ceil(1_000_000)).unwrap_or(i32::MAX)
+}
+
 /// `ServeError` is not `Clone` (it owns `io::Error`); batch-level
 /// failures are re-rendered per member through its `Display` form.
 fn clone_err(e: &ServeError) -> ServeError {
     ServeError::Protocol(e.to_string())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn ceil_ms_rounds_up_to_whole_milliseconds() {
+        assert_eq!(ceil_ms(Duration::ZERO), 0);
+        assert_eq!(ceil_ms(Duration::from_micros(1)), 1);
+        assert_eq!(ceil_ms(Duration::from_micros(999)), 1);
+        assert_eq!(ceil_ms(Duration::from_millis(1)), 1);
+        assert_eq!(ceil_ms(Duration::from_micros(1_001)), 2);
+        assert_eq!(ceil_ms(Duration::from_nanos(1_000_001)), 2);
+        assert_eq!(ceil_ms(Duration::from_millis(50)), 50);
+        assert_eq!(ceil_ms(Duration::from_secs(u64::from(u32::MAX))), i32::MAX);
+    }
 }

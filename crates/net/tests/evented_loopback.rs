@@ -393,6 +393,64 @@ fn pipelined_predicts_coalesce_into_micro_batches() {
     );
 }
 
+/// Natural batching under the default zero linger: frames that arrive in
+/// one read pass still share engine dispatches, and every reply matches
+/// the reference bit-for-bit in request order.
+#[test]
+fn frames_read_in_one_pass_batch_without_a_linger() {
+    let (_, artifact) = &family_artifacts()[0];
+    let handle = evented(artifact, EventedConfig::default());
+    let reference_engine = engine_from(artifact);
+    let mut stream = TcpStream::connect(handle.addr()).unwrap();
+    stream.set_read_timeout(Some(CLIENT_TIMEOUT)).unwrap();
+
+    const REQUESTS: usize = 16;
+    let batches: Vec<Vec<Vec<f64>>> = (0..REQUESTS)
+        .map(|i| random_rows(3, 3, 9_000 + i as u64))
+        .collect();
+    let mut frames = Vec::new();
+    for rows in &batches {
+        frames.extend(binwire::encode_request(&binwire::BinRequest::Predict {
+            model: String::new(),
+            payload: binwire::RowsPayload::F64 {
+                features: 3,
+                values: rows.concat(),
+            },
+        }));
+    }
+    stream.write_all(&frames).unwrap();
+
+    for rows in &batches {
+        let mut hdr = [0u8; binwire::HEADER_LEN];
+        stream.read_exact(&mut hdr).unwrap();
+        assert_eq!(hdr[3], binwire::STATUS_OK);
+        let len = u32::from_le_bytes([hdr[4], hdr[5], hdr[6], hdr[7]]) as usize;
+        let mut body = vec![0u8; len];
+        stream.read_exact(&mut body).unwrap();
+        let reply = binwire::decode_predict_reply(&body).unwrap();
+        let expected = reference_engine.predict_batch(rows).unwrap();
+        assert_eq!(reply.classes.len(), rows.len());
+        for (i, p) in expected.predictions.iter().enumerate() {
+            assert_eq!(reply.classes[i] as usize, p.class_index);
+            assert_eq!(reply.scores[i].to_bits(), p.score.to_bits());
+        }
+    }
+
+    let stats = handle.metrics().snapshot();
+    assert_eq!(stats.requests, REQUESTS as u64);
+    assert!(
+        stats.batches < stats.requests,
+        "{REQUESTS} frames read in one pass should share engine dispatches, \
+         got {} dispatches",
+        stats.batches
+    );
+    assert_eq!(
+        handle.metrics().queue_wait_us.count(),
+        REQUESTS as u64,
+        "one queue-wait record per request"
+    );
+}
+
 /// The load-shedder: beyond `max_inflight_per_conn`, requests get the
 /// typed overloaded reply while every admitted request still completes
 /// with bit-identical output — overload never corrupts in-flight work.

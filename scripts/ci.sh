@@ -245,6 +245,10 @@ for event in net.listen net.accept net.batch net.reload net.close net.shutdown; 
     grep -q "\"event\":\"$event\"" "$net_tmp/net.ndjson" \
         || { echo "missing $event in evented trace" >&2; exit 1; }
 done
+# Every dispatch reports how long its oldest request queued.
+if grep '"event":"net.batch"' "$net_tmp/net.ndjson" | grep -v '"queue_wait_us":[0-9]' > /dev/null; then
+    echo "a net.batch event lacks queue_wait_us" >&2; exit 1
+fi
 
 # Throughput + overload gate: net_bench exits nonzero when the shedder
 # fails to engage or corrupts an admitted reply; the full (non-quick)

@@ -377,9 +377,11 @@ pub fn predict(artifact_json: &str, csv_text: &str) -> Result<String> {
     let rows = csv::parse_features(csv_text)?;
     let engine = InferenceEngine::new(artifact)?;
     let out = engine.predict_batch(&rows)?;
+    let labels = &engine.artifact().class_labels;
     let mut text = String::from("row,class,label,score\n");
     for (i, p) in out.predictions.iter().enumerate() {
-        text.push_str(&format!("{i},{},{},{}\n", p.class_index, p.label, p.score));
+        let label = &labels[p.class_index];
+        text.push_str(&format!("{i},{},{label},{}\n", p.class_index, p.score));
     }
     text.push_str(&format!(
         "# rows: {}, accumulator wraps: {}, saturated inputs: {}\n",

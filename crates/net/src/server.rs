@@ -939,7 +939,7 @@ impl EventLoop {
                     );
                     match req.codec {
                         ReplyCodec::Json => {
-                            let v = predict_response(&out);
+                            let v = predict_response(&out, labels);
                             self.queue_json(req.token, &v);
                         }
                         ReplyCodec::Binary => {

@@ -45,7 +45,9 @@ fn family_dataset() -> ldafp_datasets::BinaryDataset {
 }
 
 /// One artifact per model family, all over 3 features so a single row set
-/// exercises every one of them.
+/// exercises every one of them. Each carries its own non-default labels,
+/// so a reply that names classes from a defaulted, swapped or another
+/// model's label table fails the label asserts.
 fn family_artifacts() -> Vec<(&'static str, ModelArtifact)> {
     let lda = FixedPointClassifier::from_float(
         &[0.875, -1.25, 0.375],
@@ -66,10 +68,20 @@ fn family_artifacts() -> Vec<(&'static str, ModelArtifact)> {
     );
     elm_trainer.config.hidden_units = 4;
     let elm = elm_trainer.train(&family_dataset()).unwrap();
+    let labelled = |mut artifact: ModelArtifact, labels: [&str; 2]| {
+        artifact.class_labels = labels.map(String::from).to_vec();
+        artifact
+    };
     vec![
-        ("lda", ModelArtifact::binary(lda)),
-        ("naive-bayes", ModelArtifact::naive_bayes(nb)),
-        ("os-elm", ModelArtifact::os_elm(elm)),
+        ("lda", labelled(ModelArtifact::binary(lda), ["lda-hit", "lda-miss"])),
+        (
+            "naive-bayes",
+            labelled(ModelArtifact::naive_bayes(nb), ["nb-spike", "nb-rest"]),
+        ),
+        (
+            "os-elm",
+            labelled(ModelArtifact::os_elm(elm), ["elm-up", "elm-down"]),
+        ),
     ]
 }
 
@@ -113,15 +125,16 @@ fn evented_predictions_match_in_process_for_all_families() {
         let words = quantize_rows(artifact.model.format(), engine.rounding(), &rows);
         let evented_raw = bin.predict_raw(None, 3, &words).unwrap();
 
+        let labels = &artifact.class_labels;
         for (i, p) in reference.predictions.iter().enumerate() {
             let tag = format!("{name} row {i}");
             // evented JSON
             assert_eq!(evented_json.predictions[i].class_index, p.class_index, "{tag}");
-            assert_eq!(evented_json.predictions[i].label, *p.label, "{tag}");
+            assert_eq!(evented_json.predictions[i].label, labels[p.class_index], "{tag}");
             assert_eq!(evented_json.predictions[i].score, p.score, "{tag}");
             // evented binary f64
             assert_eq!(evented_f64.classes[i] as usize, p.class_index, "{tag}");
-            assert_eq!(evented_f64.label(i), &*p.label, "{tag}");
+            assert_eq!(evented_f64.label(i), labels[p.class_index], "{tag}");
             assert_eq!(evented_f64.scores[i], p.score, "{tag}");
             // evented raw words
             assert_eq!(evented_raw.classes[i] as usize, p.class_index, "{tag}");
@@ -204,12 +217,17 @@ fn kernel_batch_row_and_both_codecs_agree_byte_for_byte() {
         let engine = engine_from(&artifact);
 
         // Row-at-a-time kernel path vs the batched SoA kernels.
+        let labels = &artifact.class_labels;
         let batch = engine.predict_batch(&rows).unwrap();
         for (i, row) in rows.iter().enumerate() {
             let tag = format!("{name} row {i} (row path)");
             let (p, _) = engine.predict_row(row).unwrap();
             assert_eq!(p.class_index, batch.predictions[i].class_index, "{tag}");
-            assert_eq!(*p.label, *batch.predictions[i].label, "{tag}");
+            assert_eq!(
+                labels[p.class_index],
+                labels[batch.predictions[i].class_index],
+                "{tag}"
+            );
             assert_eq!(
                 p.score.to_bits(),
                 batch.predictions[i].score.to_bits(),
@@ -228,14 +246,14 @@ fn kernel_batch_row_and_both_codecs_agree_byte_for_byte() {
             let want = &batch.predictions[i];
             let tag = format!("{name} row {i} (codecs)");
             assert_eq!(via_json.predictions[i].class_index, want.class_index, "{tag}");
-            assert_eq!(via_json.predictions[i].label, *want.label, "{tag}");
+            assert_eq!(via_json.predictions[i].label, labels[want.class_index], "{tag}");
             assert_eq!(
                 via_json.predictions[i].score.to_bits(),
                 want.score.to_bits(),
                 "{tag}"
             );
             assert_eq!(via_bin.classes[i] as usize, want.class_index, "{tag}");
-            assert_eq!(via_bin.label(i), &*want.label, "{tag}");
+            assert_eq!(via_bin.label(i), labels[want.class_index], "{tag}");
             assert_eq!(via_bin.scores[i].to_bits(), want.score.to_bits(), "{tag}");
         }
         handle.shutdown();

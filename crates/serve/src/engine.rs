@@ -124,15 +124,14 @@ struct RowContext<'a> {
     model: &'a ServedModel,
 }
 
-/// One classified row.
-#[derive(Debug, Clone, PartialEq)]
+/// One classified row: plain data, so a batch's epilogue writes two
+/// words per row and nothing else. The label is not carried per row;
+/// replies read it once from the artifact's `class_labels`, indexed by
+/// `class_index`.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Prediction {
     /// Winning class index (binary: 0 = `y ≥ T`, 1 otherwise).
     pub class_index: usize,
-    /// The artifact's label for that class, shared with the engine's
-    /// interned label table — cloning a prediction (and emitting one per
-    /// row in a batch) is a refcount bump, not a heap allocation.
-    pub label: Arc<str>,
     /// Advisory decision margin in value units (binary: `(y − T)·2⁻ᶠ`;
     /// one-vs-rest: the winner's calibrated margin). Not used to decide.
     pub score: f64,
@@ -165,14 +164,11 @@ pub struct BatchOutput {
 ///
 /// Cheap to clone (the artifact is behind an `Arc`), `Send + Sync`, and
 /// stateless between calls — clones may predict concurrently on
-/// different threads.
+/// different threads. Predictions name classes by index; the label text
+/// stays in the artifact's `class_labels`, read once per reply.
 #[derive(Debug, Clone)]
 pub struct InferenceEngine {
     artifact: Arc<ModelArtifact>,
-    /// Class labels interned once at construction so per-row predictions
-    /// never allocate label strings (the artifact keeps its own `String`
-    /// copies for serialization).
-    labels: Arc<[Arc<str>]>,
     /// Flattened linear weights (or the family marker), built once.
     plan: Arc<KernelPlan>,
     /// The fastest bit-identical kernel on this build/CPU, probed once.
@@ -189,11 +185,6 @@ impl InferenceEngine {
     /// Propagates [`ModelArtifact::validate`] failures.
     pub fn new(artifact: ModelArtifact) -> Result<Self> {
         artifact.validate()?;
-        let labels = artifact
-            .class_labels
-            .iter()
-            .map(|l| Arc::from(l.as_str()))
-            .collect();
         let plan = Arc::new(KernelPlan::of(&artifact.model));
         let scratch = Arc::new(Mutex::new(EngineScratch::new(
             artifact.model.format(),
@@ -201,7 +192,6 @@ impl InferenceEngine {
         )));
         Ok(InferenceEngine {
             artifact: Arc::new(artifact),
-            labels,
             plan,
             kernel: KernelKind::best(),
             scratch,
@@ -369,11 +359,7 @@ impl InferenceEngine {
                         .iter()
                         .map(|&w| u64::from(w))
                         .sum::<u64>();
-                    predictions.push(Prediction {
-                        class_index,
-                        label: Arc::clone(&self.labels[class_index]),
-                        score,
-                    });
+                    predictions.push(Prediction { class_index, score });
                 }
             }
             KernelPlan::Family => {
@@ -382,11 +368,7 @@ impl InferenceEngine {
                     quantized.extend(batch.row(r).iter().map(|&w| ctx.format.from_raw(w)));
                     let (class_index, score, w) = family_decision(ctx.model, quantized);
                     accumulator_wraps += w;
-                    predictions.push(Prediction {
-                        class_index,
-                        label: Arc::clone(&self.labels[class_index]),
-                        score,
-                    });
+                    predictions.push(Prediction { class_index, score });
                 }
             }
         }
@@ -460,11 +442,7 @@ impl InferenceEngine {
                 family_decision(ctx.model, quantized)
             }
         };
-        let prediction = Prediction {
-            class_index,
-            label: Arc::clone(&self.labels[class_index]),
-            score,
-        };
+        let prediction = Prediction { class_index, score };
         let stats = BatchStats {
             rows: 1,
             accumulator_wraps: wraps,

@@ -164,8 +164,10 @@ impl Request {
     }
 }
 
-/// Renders a classified batch as the wire's JSON predict response.
-pub fn predict_response(out: &BatchOutput) -> Value {
+/// Renders a classified batch as the wire's JSON predict response,
+/// naming each row's class from `labels` (the served artifact's
+/// `class_labels`).
+pub fn predict_response(out: &BatchOutput, labels: &[String]) -> Value {
     Value::object([
         ("ok", Value::from(true)),
         (
@@ -176,7 +178,7 @@ pub fn predict_response(out: &BatchOutput) -> Value {
                     .map(|p| {
                         Value::object([
                             ("class", Value::from(p.class_index)),
-                            ("label", Value::from(&*p.label)),
+                            ("label", Value::from(labels[p.class_index].as_str())),
                             ("score", Value::from(p.score)),
                         ])
                     })

@@ -9,7 +9,7 @@ cd "$(dirname "$0")/.."
 # generated lockfile names no registry.
 offline_home="$(mktemp -d)"
 CARGO_HOME="$offline_home" cargo build --release --offline
-CARGO_HOME="$offline_home" cargo test -q --offline
+CARGO_HOME="$offline_home" cargo test -q --offline --workspace
 rm -rf "$offline_home"
 if grep -q '^source = "registry+' Cargo.lock; then
     echo "Cargo.lock names a registry package; the workspace must stay path-only" >&2
@@ -75,7 +75,7 @@ cargo run --release -q -p ldafp-bench --bin obs_bench -- --quick > /dev/null
 # solver pool (results must be bit-identical, so everything still passes),
 # then the speedup gate: bnb_par_bench exits nonzero when the 4-thread
 # latency-sim search fails to reach 1.5x over serial.
-LDAFP_SOLVER_THREADS=4 cargo test -q
+LDAFP_SOLVER_THREADS=4 cargo test -q --workspace
 cargo run --release -q -p ldafp-bench --bin bnb_par_bench -- --quick > /dev/null
 
 # Checkpoint/resume layer: snapshot codec + bit-identical-resume property

@@ -14,7 +14,7 @@
 
 use ldafp_net::{serve_evented, EventedConfig, NetClient, NetError};
 use ldafp_serve::json::Value;
-use ldafp_serve::{Client, InferenceEngine, ModelArtifact, ModelRegistry};
+use ldafp_serve::{InferenceEngine, ModelArtifact, ModelRegistry};
 use std::sync::Barrier;
 use std::time::{Duration, Instant};
 
@@ -198,10 +198,11 @@ pub fn run_net_throughput(config: &NetBenchConfig) -> NetThroughputReport {
                     assert_eq!(reply.classes.len(), rows.len());
                 }
             } else {
-                let mut client = Client::connect(addr, CLIENT_TIMEOUT).expect("connect");
+                let mut client =
+                    NetClient::connect_json(&addr.to_string(), CLIENT_TIMEOUT).expect("connect");
                 for _ in 0..config.requests_per_client {
-                    let reply = client.predict(&rows).expect("evented json predict");
-                    assert_eq!(reply.predictions.len(), rows.len());
+                    let reply = client.predict_rows(None, &rows).expect("evented json predict");
+                    assert_eq!(reply.classes.len(), rows.len());
                 }
             }
         });

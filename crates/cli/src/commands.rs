@@ -12,6 +12,7 @@ use ldafp_core::{
 use ldafp_datasets::BinaryDataset;
 use ldafp_hwmodel::power::MacPowerModel;
 use ldafp_models::ModelFamily;
+use ldafp_net::{Codec, NetClient, RetryPolicy};
 use ldafp_hwmodel::rtl::{generate_verilog, RtlConfig};
 use ldafp_serve::{InferenceEngine, ModelArtifact, TrainingInfo};
 use std::time::Duration;
@@ -442,18 +443,28 @@ pub fn serve_evented_start(
     Ok(ldafp_net::serve_evented(registry, addr, config)?)
 }
 
-/// How a remote command talks to the server: the compact binary protocol
-/// (default) or the length-prefixed JSON framing.
-fn wire_choice(args: &ParsedArgs) -> Result<&str> {
-    match args.get("wire").unwrap_or("binary") {
-        w @ ("binary" | "json") => Ok(w),
-        other => Err(CliError(format!(
-            "--wire must be 'binary' or 'json', got '{other}'"
-        ))),
-    }
-}
-
 const REMOTE_TIMEOUT: Duration = Duration::from_secs(10);
+
+/// Dials the server for a remote command in the codec `--wire` names:
+/// the compact binary protocol (default) or the length-prefixed JSON
+/// framing. The dial retries with the client's default backoff.
+fn remote_client(args: &ParsedArgs, addr: &str) -> Result<NetClient> {
+    let codec = match args.get("wire").unwrap_or("binary") {
+        "binary" => Codec::Binary,
+        "json" => Codec::Json,
+        other => {
+            return Err(CliError(format!(
+                "--wire must be 'binary' or 'json', got '{other}'"
+            )))
+        }
+    };
+    Ok(NetClient::connect_with_retry(
+        addr,
+        REMOTE_TIMEOUT,
+        codec,
+        &RetryPolicy::default(),
+    )?)
+}
 
 /// `ldafp reload --addr <host:port> --model <artifact> [--name <model>]
 /// [--wire binary|json]` — atomically installs (or replaces) a model in a
@@ -466,12 +477,7 @@ const REMOTE_TIMEOUT: Duration = Duration::from_secs(10);
 /// fails validation.
 pub fn reload_cmd(args: &ParsedArgs, artifact_json: &str, addr: &str) -> Result<String> {
     let name = args.get("name").unwrap_or(ldafp_serve::DEFAULT_MODEL_NAME);
-    let reply = match wire_choice(args)? {
-        "binary" => {
-            ldafp_net::NetClient::connect(addr, REMOTE_TIMEOUT)?.reload(name, artifact_json)?
-        }
-        _ => ldafp_serve::Client::connect(addr, REMOTE_TIMEOUT)?.reload(name, artifact_json)?,
-    };
+    let reply = remote_client(args, addr)?.reload(name, artifact_json)?;
     let field = |key: &str| match reply.get(key) {
         Some(v) => v
             .as_str()
@@ -499,29 +505,16 @@ pub fn reload_cmd(args: &ParsedArgs, artifact_json: &str, addr: &str) -> Result<
 /// unknown route, overload).
 pub fn predict_remote(args: &ParsedArgs, csv_text: &str, addr: &str) -> Result<String> {
     let rows = csv::parse_features(csv_text)?;
-    let model = args.get("name");
+    let reply = remote_client(args, addr)?.predict_rows(args.get("name"), &rows)?;
     let mut text = String::from("row,class,label,score\n");
-    let (wraps, saturated) = match wire_choice(args)? {
-        "binary" => {
-            let mut client = ldafp_net::NetClient::connect(addr, REMOTE_TIMEOUT)?;
-            let reply = client.predict_rows(model, &rows)?;
-            for (i, (class, score)) in reply.classes.iter().zip(&reply.scores).enumerate() {
-                text.push_str(&format!("{i},{class},{},{score}\n", reply.label(i)));
-            }
-            (reply.accumulator_wraps, reply.saturated_inputs)
-        }
-        _ => {
-            let mut client = ldafp_serve::Client::connect(addr, REMOTE_TIMEOUT)?;
-            let reply = client.predict_routed(model, &rows)?;
-            for (i, p) in reply.predictions.iter().enumerate() {
-                text.push_str(&format!("{i},{},{},{}\n", p.class_index, p.label, p.score));
-            }
-            (reply.accumulator_wraps, reply.saturated_inputs)
-        }
-    };
+    for (i, (class, score)) in reply.classes.iter().zip(&reply.scores).enumerate() {
+        text.push_str(&format!("{i},{class},{},{score}\n", reply.label(i)));
+    }
     text.push_str(&format!(
-        "# rows: {}, accumulator wraps: {wraps}, saturated inputs: {saturated}\n",
-        rows.len()
+        "# rows: {}, accumulator wraps: {}, saturated inputs: {}\n",
+        rows.len(),
+        reply.accumulator_wraps,
+        reply.saturated_inputs
     ));
     Ok(text)
 }

@@ -6,7 +6,8 @@
 #![cfg(all(target_os = "linux", any(target_arch = "x86_64", target_arch = "aarch64")))]
 
 use ldafp_cli::{commands, csv, model_json};
-use ldafp_serve::{Client, ModelArtifact};
+use ldafp_net::NetClient;
+use ldafp_serve::ModelArtifact;
 use std::path::PathBuf;
 use std::time::Duration;
 
@@ -76,27 +77,27 @@ fn train_save_serve_round_trip_is_bit_identical_to_in_process_eval() {
 
     // 3. Predict the training rows over TCP.
     let rows = csv::parse_features(&csv_text).unwrap();
-    let mut client = Client::connect(handle.addr(), Duration::from_secs(5)).unwrap();
-    let reply = client.predict(&rows).unwrap();
-    assert_eq!(reply.predictions.len(), rows.len());
+    let mut client =
+        NetClient::connect_json(&handle.addr().to_string(), Duration::from_secs(5)).unwrap();
+    let reply = client.predict_rows(None, &rows).unwrap();
+    assert_eq!(reply.classes.len(), rows.len());
 
     // 4. Bit-identical to the in-process decision rule, row for row.
-    for (row, p) in rows.iter().zip(&reply.predictions) {
+    for (row, &class) in rows.iter().zip(&reply.classes) {
         let expected = usize::from(!doc.classifier.classify(row));
         assert_eq!(
-            p.class_index, expected,
+            class as usize, expected,
             "wire decision diverged from in-process classify on {row:?}"
         );
     }
 
     // 5. The CLI `predict` path agrees with the wire path too.
     let text = commands::predict(&artifact_json, &csv_text).unwrap();
-    for (i, p) in reply.predictions.iter().enumerate() {
+    for (i, class) in reply.classes.iter().enumerate() {
         let line = text.lines().nth(i + 1).unwrap();
         assert!(
-            line.starts_with(&format!("{i},{},", p.class_index)),
-            "line {line:?} vs wire class {}",
-            p.class_index
+            line.starts_with(&format!("{i},{class},")),
+            "line {line:?} vs wire class {class}"
         );
     }
 

@@ -38,11 +38,9 @@ pub struct MacTrace {
 /// * [`FixedPointError::FormatMismatch`] if any element's format differs
 ///   from the first element's.
 ///
-/// An empty input is an error here: there is no format to attach to the
-/// zero result, so empty inputs report [`FixedPointError::LengthMismatch`]
-/// against an expected length of 1. When the caller *does* know the
-/// format, [`mac_dot_in`] accepts empty inputs and returns that format's
-/// zero.
+/// An empty input is an error: there is no format to attach to the zero
+/// result, so empty inputs report [`FixedPointError::LengthMismatch`]
+/// against an expected length of 1.
 ///
 /// # Example
 ///
@@ -128,54 +126,6 @@ pub fn mac_dot_counted(w: &[Fx], x: &[Fx], mode: RoundingMode) -> Result<(Fx, us
         acc = next;
     }
     Ok((fmt.from_raw(acc), overflows))
-}
-
-/// [`mac_dot`] with the format supplied by the caller: `w` and `x` must
-/// both be in `format`, and — unlike [`mac_dot`] — an **empty** input is
-/// legal and returns the format-carrying zero (an empty dot product is
-/// exactly zero, and with the format in hand there is no ambiguity about
-/// which grid that zero lives on).
-///
-/// # Errors
-///
-/// * [`FixedPointError::LengthMismatch`] if the slices differ in length.
-/// * [`FixedPointError::FormatMismatch`] if any element's format differs
-///   from `format`.
-pub fn mac_dot_in(format: QFormat, w: &[Fx], x: &[Fx], mode: RoundingMode) -> Result<Fx> {
-    Ok(mac_dot_counted_in(format, w, x, mode)?.0)
-}
-
-/// Like [`mac_dot_in`] but also returns the accumulator wrap count —
-/// the format-supplied analogue of [`mac_dot_counted`]. Empty inputs
-/// return `(format.zero(), 0)`.
-///
-/// # Errors
-///
-/// Same failure modes as [`mac_dot_in`].
-pub fn mac_dot_counted_in(
-    format: QFormat,
-    w: &[Fx],
-    x: &[Fx],
-    mode: RoundingMode,
-) -> Result<(Fx, usize)> {
-    if w.len() != x.len() {
-        return Err(FixedPointError::LengthMismatch {
-            left: w.len(),
-            right: x.len(),
-        });
-    }
-    for v in w.iter().chain(x) {
-        if v.format() != format {
-            return Err(FixedPointError::FormatMismatch {
-                left: (format.k(), format.f()),
-                right: (v.format().k(), v.format().f()),
-            });
-        }
-    }
-    if w.is_empty() {
-        return Ok((format.zero(), 0));
-    }
-    mac_dot_counted(w, x, mode)
 }
 
 /// Like [`mac_dot`] but also returns the full [`MacTrace`].
@@ -448,57 +398,6 @@ mod tests {
         assert!(matches!(
             mac_dot(&mixed, &xs, RoundingMode::Floor),
             Err(FixedPointError::FormatMismatch { .. })
-        ));
-    }
-
-    #[test]
-    fn mac_dot_in_accepts_empty_inputs_with_format_carrying_zero() {
-        let fmt = q(3, 4);
-        let y = mac_dot_in(fmt, &[], &[], RoundingMode::NearestEven).unwrap();
-        assert_eq!(y, fmt.zero());
-        assert_eq!(y.format(), fmt);
-        let (y, wraps) = mac_dot_counted_in(fmt, &[], &[], RoundingMode::Floor).unwrap();
-        assert_eq!((y, wraps), (fmt.zero(), 0));
-        // Contrast: the format-less entry point cannot attach a format to
-        // zero and keeps reporting the length mismatch against 1.
-        assert!(matches!(
-            mac_dot(&[], &[], RoundingMode::Floor),
-            Err(FixedPointError::LengthMismatch { left: 0, right: 1 })
-        ));
-    }
-
-    #[test]
-    fn mac_dot_in_matches_mac_dot_on_nonempty_inputs() {
-        let fmt = q(2, 6);
-        let w = fmt.quantize_slice(&[0.75, -0.5, 0.25], RoundingMode::NearestEven);
-        let x = fmt.quantize_slice(&[1.0, 0.5, -1.5], RoundingMode::NearestEven);
-        for mode in [
-            RoundingMode::NearestEven,
-            RoundingMode::NearestAway,
-            RoundingMode::Floor,
-            RoundingMode::Ceil,
-            RoundingMode::TowardZero,
-        ] {
-            assert_eq!(
-                mac_dot_counted_in(fmt, &w, &x, mode).unwrap(),
-                mac_dot_counted(&w, &x, mode).unwrap()
-            );
-        }
-    }
-
-    #[test]
-    fn mac_dot_in_rejects_foreign_formats_and_length_mismatches() {
-        let fmt = q(2, 6);
-        let other = q(3, 1);
-        let w = fmt.quantize_slice(&[0.5, 0.5], RoundingMode::Floor);
-        let x = [other.zero(), other.zero()];
-        assert!(matches!(
-            mac_dot_in(fmt, &w, &x, RoundingMode::Floor),
-            Err(FixedPointError::FormatMismatch { .. })
-        ));
-        assert!(matches!(
-            mac_dot_in(fmt, &w, &w[..1], RoundingMode::Floor),
-            Err(FixedPointError::LengthMismatch { left: 2, right: 1 })
         ));
     }
 

@@ -38,10 +38,7 @@ mod format;
 mod quantize;
 mod value;
 
-pub use dot::{
-    exact_dot_value, mac_dot, mac_dot_counted, mac_dot_counted_in, mac_dot_in, mac_dot_traced,
-    wide_dot, MacTrace,
-};
+pub use dot::{exact_dot_value, mac_dot, mac_dot_counted, mac_dot_traced, wide_dot, MacTrace};
 pub use error::FixedPointError;
 pub use format::{QFormat, RoundingMode};
 pub use quantize::InputScale;

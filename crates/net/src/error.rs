@@ -1,4 +1,4 @@
-//! Error vocabulary for the evented tier and its binary-protocol client.
+//! Error vocabulary for the evented tier and its client.
 //!
 //! The shape mirrors [`ldafp_serve::ServeError`] but adds the two outcomes
 //! that only exist on this tier: a typed **overloaded** rejection (the

@@ -19,8 +19,10 @@
 //!   global pending-row cap, and a typed `overloaded` reply instead of
 //!   silent queueing — and models live in a hot-reloadable
 //!   [`ldafp_serve::ModelRegistry`] with per-request routing.
-//! * **[`client`]** — a blocking [`NetClient`] for the binary protocol,
-//!   with a split send/recv API for pipelined load generation.
+//! * **[`client`]** — the workspace's one blocking client,
+//!   [`NetClient`]: either [`Codec`] over one transport with dial retry
+//!   and backoff ([`RetryPolicy`]), reconnect-and-replay-once, typed
+//!   errors, and a split send/recv API for pipelined load generation.
 //! * **[`metrics`]** — the `net.*` counter/histogram families on a
 //!   private `ldafp-obs` registry, plus `net.*` trace events for
 //!   `--trace` runs.
@@ -28,7 +30,7 @@
 //! This is the only server in the workspace (`ldafp serve` starts it).
 //! The loop is implemented for Linux on x86-64 and aarch64 (the asm
 //! syscall shims); everywhere else [`serve_evented`] returns
-//! [`NetError::Unsupported`] while the codecs and clients remain fully
+//! [`NetError::Unsupported`] while the codecs and the client remain fully
 //! portable.
 
 #![warn(missing_docs)]
@@ -42,7 +44,7 @@ pub mod server;
 pub mod sys;
 
 pub use binwire::PredictReplyBin;
-pub use client::{quantize_rows, NetClient};
+pub use client::{quantize_rows, Codec, NetClient, RetryPolicy};
 pub use error::{NetError, Result};
 pub use metrics::{NetMetrics, NetSnapshot};
 pub use server::{serve_evented, EventedConfig, EventedHandle};

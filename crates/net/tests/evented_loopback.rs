@@ -11,9 +11,10 @@ use ldafp_core::multiclass::OneVsRestClassifier;
 use ldafp_core::FixedPointClassifier;
 use ldafp_fixedpoint::{QFormat, RoundingMode};
 use ldafp_net::{
-    binwire, quantize_rows, serve_evented, EventedConfig, EventedHandle, NetClient, NetError,
+    binwire, quantize_rows, serve_evented, Codec, EventedConfig, EventedHandle, NetClient,
+    NetError, RetryPolicy,
 };
-use ldafp_serve::{Client, InferenceEngine, ModelArtifact, ModelRegistry, ServeError};
+use ldafp_serve::{InferenceEngine, ModelArtifact, ModelRegistry};
 use ldafp_stats::Rng;
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -115,8 +116,8 @@ fn evented_predictions_match_in_process_for_all_families() {
         let mut handle = evented(&artifact, EventedConfig::default());
         let addr = handle.addr().to_string();
 
-        let mut json_client = Client::connect(handle.addr(), CLIENT_TIMEOUT).unwrap();
-        let evented_json = json_client.predict(&rows).unwrap();
+        let mut json_client = NetClient::connect_json(&addr, CLIENT_TIMEOUT).unwrap();
+        let evented_json = json_client.predict_rows(None, &rows).unwrap();
 
         let mut bin = NetClient::connect(&addr, CLIENT_TIMEOUT).unwrap();
         let evented_f64 = bin.predict_rows(None, &rows).unwrap();
@@ -129,9 +130,9 @@ fn evented_predictions_match_in_process_for_all_families() {
         for (i, p) in reference.predictions.iter().enumerate() {
             let tag = format!("{name} row {i}");
             // evented JSON
-            assert_eq!(evented_json.predictions[i].class_index, p.class_index, "{tag}");
-            assert_eq!(evented_json.predictions[i].label, labels[p.class_index], "{tag}");
-            assert_eq!(evented_json.predictions[i].score, p.score, "{tag}");
+            assert_eq!(evented_json.classes[i] as usize, p.class_index, "{tag}");
+            assert_eq!(evented_json.label(i), labels[p.class_index], "{tag}");
+            assert_eq!(evented_json.scores[i], p.score, "{tag}");
             // evented binary f64
             assert_eq!(evented_f64.classes[i] as usize, p.class_index, "{tag}");
             assert_eq!(evented_f64.label(i), labels[p.class_index], "{tag}");
@@ -238,20 +239,16 @@ fn kernel_batch_row_and_both_codecs_agree_byte_for_byte() {
         // Both wire codecs against the same served engine.
         let mut handle = evented(&artifact, EventedConfig::default());
         let addr = handle.addr().to_string();
-        let mut json_client = Client::connect(handle.addr(), CLIENT_TIMEOUT).unwrap();
-        let via_json = json_client.predict(&rows).unwrap();
+        let mut json_client = NetClient::connect_json(&addr, CLIENT_TIMEOUT).unwrap();
+        let via_json = json_client.predict_rows(None, &rows).unwrap();
         let mut bin = NetClient::connect(&addr, CLIENT_TIMEOUT).unwrap();
         let via_bin = bin.predict_rows(None, &rows).unwrap();
         for i in 0..rows.len() {
             let want = &batch.predictions[i];
             let tag = format!("{name} row {i} (codecs)");
-            assert_eq!(via_json.predictions[i].class_index, want.class_index, "{tag}");
-            assert_eq!(via_json.predictions[i].label, labels[want.class_index], "{tag}");
-            assert_eq!(
-                via_json.predictions[i].score.to_bits(),
-                want.score.to_bits(),
-                "{tag}"
-            );
+            assert_eq!(via_json.classes[i] as usize, want.class_index, "{tag}");
+            assert_eq!(via_json.label(i), labels[want.class_index], "{tag}");
+            assert_eq!(via_json.scores[i].to_bits(), want.score.to_bits(), "{tag}");
             assert_eq!(via_bin.classes[i] as usize, want.class_index, "{tag}");
             assert_eq!(via_bin.label(i), labels[want.class_index], "{tag}");
             assert_eq!(via_bin.scores[i].to_bits(), want.score.to_bits(), "{tag}");
@@ -338,10 +335,10 @@ fn hot_reload_installs_routable_models_atomically() {
             assert_eq!(routed.scores[i], p.score, "{name} row {i}");
         }
         // The JSON codec routes through the same registry.
-        let mut jc = Client::connect(handle.addr(), CLIENT_TIMEOUT).unwrap();
-        let json_routed = jc.predict_routed(Some(name), &rows).unwrap();
+        let mut jc = NetClient::connect_json(&addr, CLIENT_TIMEOUT).unwrap();
+        let json_routed = jc.predict_rows(Some(name), &rows).unwrap();
         for (i, p) in reference.predictions.iter().enumerate() {
-            assert_eq!(json_routed.predictions[i].class_index, p.class_index);
+            assert_eq!(json_routed.classes[i] as usize, p.class_index);
         }
     }
 
@@ -471,53 +468,62 @@ fn frames_read_in_one_pass_batch_without_a_linger() {
 
 /// The load-shedder: beyond `max_inflight_per_conn`, requests get the
 /// typed overloaded reply while every admitted request still completes
-/// with bit-identical output — overload never corrupts in-flight work.
+/// with bit-identical output — overload never corrupts in-flight work,
+/// and the shed reply is typed over either codec.
 #[test]
 fn load_shedding_sheds_typed_replies_without_corrupting_admitted_work() {
     let (_, artifact) = &family_artifacts()[0];
-    let handle = evented(
-        artifact,
-        EventedConfig {
-            max_inflight_per_conn: 4,
-            batch_deadline: Duration::from_millis(200),
-            batch_max_rows: 1 << 14,
-            ..EventedConfig::default()
-        },
-    );
-    let addr = handle.addr().to_string();
-    let reference_engine = engine_from(artifact);
-    let mut bin = NetClient::connect(&addr, CLIENT_TIMEOUT).unwrap();
+    for codec in [Codec::Binary, Codec::Json] {
+        let handle = evented(
+            artifact,
+            EventedConfig {
+                max_inflight_per_conn: 4,
+                batch_deadline: Duration::from_millis(200),
+                batch_max_rows: 1 << 14,
+                ..EventedConfig::default()
+            },
+        );
+        let addr = handle.addr().to_string();
+        let reference_engine = engine_from(artifact);
+        let mut client =
+            NetClient::connect_with_retry(&addr, CLIENT_TIMEOUT, codec, &RetryPolicy::default())
+                .unwrap();
 
-    const SENT: usize = 12;
-    let rows: Vec<Vec<Vec<f64>>> = (0..SENT)
-        .map(|i| random_rows(1, 3, 31_000 + i as u64))
-        .collect();
-    for r in &rows {
-        bin.send_predict_rows(None, r).unwrap();
+        const SENT: usize = 12;
+        let rows: Vec<Vec<Vec<f64>>> = (0..SENT)
+            .map(|i| random_rows(1, 3, 31_000 + i as u64))
+            .collect();
+        for r in &rows {
+            client.send_predict_rows(None, r).unwrap();
+        }
+        let outcomes: Vec<_> = (0..SENT).map(|_| client.recv_predict()).collect();
+
+        let admitted: Vec<_> = outcomes.iter().filter(|o| o.is_ok()).collect();
+        let shed = outcomes
+            .iter()
+            .filter(|o| matches!(o, Err(NetError::Overloaded)))
+            .count();
+        assert_eq!(admitted.len(), 4, "{codec:?}: inflight cap admits exactly 4");
+        assert_eq!(
+            shed,
+            SENT - 4,
+            "{codec:?}: the rest get the typed overloaded reply"
+        );
+
+        // Replies preserve per-connection request order among admitted
+        // work, so the k-th OK reply answers the k-th sent request.
+        for (k, ok) in admitted.iter().enumerate() {
+            let reply = ok.as_ref().unwrap();
+            let expected = reference_engine.predict_batch(&rows[k]).unwrap();
+            assert_eq!(reply.classes[0] as usize, expected.predictions[0].class_index);
+            assert_eq!(reply.scores[0], expected.predictions[0].score);
+        }
+
+        let stats = client.stats().unwrap();
+        let stats = stats.get("stats").unwrap();
+        assert_eq!(stats.get("shed").and_then(|v| v.as_i64()), Some(8), "{codec:?}");
+        assert_eq!(stats.get("requests").and_then(|v| v.as_i64()), Some(4), "{codec:?}");
     }
-    let outcomes: Vec<_> = (0..SENT).map(|_| bin.recv_predict()).collect();
-
-    let admitted: Vec<_> = outcomes.iter().filter(|o| o.is_ok()).collect();
-    let shed = outcomes
-        .iter()
-        .filter(|o| matches!(o, Err(NetError::Overloaded)))
-        .count();
-    assert_eq!(admitted.len(), 4, "inflight cap admits exactly 4");
-    assert_eq!(shed, SENT - 4, "the rest get the typed overloaded reply");
-
-    // Replies preserve per-connection request order among admitted work,
-    // so the k-th OK reply answers the k-th sent request.
-    for (k, ok) in admitted.iter().enumerate() {
-        let reply = ok.as_ref().unwrap();
-        let expected = reference_engine.predict_batch(&rows[k]).unwrap();
-        assert_eq!(reply.classes[0] as usize, expected.predictions[0].class_index);
-        assert_eq!(reply.scores[0], expected.predictions[0].score);
-    }
-
-    let stats = bin.stats().unwrap();
-    let stats = stats.get("stats").unwrap();
-    assert_eq!(stats.get("shed").and_then(|v| v.as_i64()), Some(8));
-    assert_eq!(stats.get("requests").and_then(|v| v.as_i64()), Some(4));
 }
 
 /// Slowloris: a partial frame that never completes is closed at the read
@@ -689,11 +695,12 @@ fn concurrent_mixed_codec_clients_get_their_own_answers() {
                         assert_eq!(reply.scores[i], p.score, "worker {w}");
                     }
                 } else {
-                    let mut c = Client::connect(addr, CLIENT_TIMEOUT).unwrap();
-                    let reply = c.predict_routed(route, &rows).unwrap();
+                    let mut c =
+                        NetClient::connect_json(&addr.to_string(), CLIENT_TIMEOUT).unwrap();
+                    let reply = c.predict_rows(route, &rows).unwrap();
                     for (i, p) in expected.predictions.iter().enumerate() {
-                        assert_eq!(reply.predictions[i].class_index, p.class_index, "worker {w}");
-                        assert_eq!(reply.predictions[i].score, p.score, "worker {w}");
+                        assert_eq!(reply.classes[i] as usize, p.class_index, "worker {w}");
+                        assert_eq!(reply.scores[i], p.score, "worker {w}");
                     }
                 }
             })
@@ -727,22 +734,22 @@ fn multiclass_round_trip_is_bit_identical_over_json() {
     artifact.class_labels = vec!["ant".into(), "bee".into(), "wasp".into()];
 
     let mut handle = evented(&artifact, EventedConfig::default());
-    let mut client = Client::connect(handle.addr(), CLIENT_TIMEOUT).unwrap();
+    let mut client = NetClient::connect_json(&handle.addr().to_string(), CLIENT_TIMEOUT).unwrap();
 
-    let health = client.health().unwrap();
+    let health = client.health(None).unwrap();
     let model = health.get("model").expect("health carries a model block");
     assert_eq!(model.get("kind").and_then(|v| v.as_str()), Some("one-vs-rest"));
     assert_eq!(model.get("features").and_then(|v| v.as_i64()), Some(3));
     assert_eq!(model.get("classes").and_then(|v| v.as_i64()), Some(3));
 
     let rows = random_rows(90, 3, 7);
-    let reply = client.predict(&rows).unwrap();
-    assert_eq!(reply.predictions.len(), rows.len());
+    let reply = client.predict_rows(None, &rows).unwrap();
+    assert_eq!(reply.classes.len(), rows.len());
     let labels = ["ant", "bee", "wasp"];
-    for (row, p) in rows.iter().zip(&reply.predictions) {
+    for (i, (row, &class)) in rows.iter().zip(&reply.classes).enumerate() {
         let expected = clf.classify(row);
-        assert_eq!(p.class_index, expected, "row {row:?}");
-        assert_eq!(p.label, labels[expected]);
+        assert_eq!(class as usize, expected, "row {row:?}");
+        assert_eq!(reply.label(i), labels[expected]);
     }
 
     client.shutdown_server().unwrap();
@@ -756,17 +763,17 @@ fn multiclass_round_trip_is_bit_identical_over_json() {
 fn feature_mismatch_is_reported_and_the_connection_survives() {
     let (_, artifact) = &family_artifacts()[0];
     let mut handle = evented(artifact, EventedConfig::default());
-    let mut client = Client::connect(handle.addr(), CLIENT_TIMEOUT).unwrap();
+    let mut client = NetClient::connect_json(&handle.addr().to_string(), CLIENT_TIMEOUT).unwrap();
 
-    match client.predict(&[vec![1.0, 2.0]]).unwrap_err() {
-        ServeError::Protocol(msg) => {
+    match client.predict_rows(None, &[vec![1.0, 2.0]]).unwrap_err() {
+        NetError::Server(msg) => {
             assert!(msg.contains("2 features"), "{msg}");
             assert!(msg.contains("expects 3"), "{msg}");
         }
         other => panic!("expected a server-reported error, got {other:?}"),
     }
-    let ok = client.predict(&[vec![0.0; 3]]).unwrap();
-    assert_eq!(ok.predictions.len(), 1);
+    let ok = client.predict_rows(None, &[vec![0.0; 3]]).unwrap();
+    assert_eq!(ok.classes.len(), 1);
 
     let stats = client.stats().unwrap();
     let stats = stats.get("stats").unwrap();
@@ -795,8 +802,8 @@ fn handle_shutdown_is_prompt_and_idempotent() {
     assert!(handle.is_shutting_down());
     // The listener is gone: a fresh connection is refused (or at best
     // accepted by the OS backlog and closed — either way, no reply).
-    if let Ok(mut client) = Client::connect(addr, Duration::from_millis(500)) {
-        assert!(client.health().is_err());
+    if let Ok(mut client) = NetClient::connect_json(&addr.to_string(), Duration::from_millis(500)) {
+        assert!(client.health(None).is_err());
     }
 }
 

@@ -10,15 +10,16 @@
 //!    format, rounding mode, class labels, input-scaling metadata, and the
 //!    training outcome. Save → load → predict is bit-identical to the
 //!    in-memory model.
-//! 2. **[`engine`]** — batched inference over the same wrapping-MAC
-//!    datapath used at training time ([`ldafp_fixedpoint::mac_dot_counted`]),
-//!    with per-batch overflow/saturation counters and deterministic
+//! 2. **[`engine`]** — batched inference on the `ldafp-kernels` GEMM,
+//!    which runs the same wrapping-MAC datapath training uses, with
+//!    per-batch overflow/saturation counters and deterministic
 //!    input-order results.
-//! 3. **[`wire`]/[`client`]** — a minimal length-prefixed JSON-over-TCP
-//!    protocol on `std::net`, with bounded request frames, and a blocking
-//!    keep-alive [`Client`] for it. The server is the evented loop in
-//!    `ldafp-net`, which speaks this protocol beside its binary codec and
-//!    hosts engines in a hot-reloadable [`registry`].
+//! 3. **[`wire`]** — the vocabulary and framing of a minimal
+//!    length-prefixed JSON-over-TCP protocol, with bounded frames. The
+//!    server is the evented loop in `ldafp-net`, which speaks this
+//!    protocol beside its binary codec and hosts engines in a
+//!    hot-reloadable [`registry`]; its `NetClient` is the client for
+//!    both codecs.
 //!
 //! JSON is hand-rolled in [`json`] (object-key-sorted, shortest-roundtrip
 //! floats) so the serving stack has zero dependencies beyond the
@@ -28,7 +29,6 @@
 #![warn(missing_docs)]
 
 pub mod artifact;
-pub mod client;
 pub mod engine;
 pub mod error;
 pub mod json;
@@ -36,7 +36,6 @@ pub mod registry;
 pub mod wire;
 
 pub use artifact::{ModelArtifact, ServedModel, TrainingInfo, FORMAT_VERSION};
-pub use client::{Client, PredictReply, RemotePrediction, RetryPolicy};
 pub use engine::{BatchOutput, BatchStats, InferenceEngine, Prediction};
 pub use error::{Result, ServeError};
 pub use registry::{ModelRegistry, ReloadOutcome, DEFAULT_MODEL_NAME};

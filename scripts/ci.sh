@@ -225,11 +225,13 @@ for pid in "${client_pids[@]}"; do
     wait "$pid" || { echo "a concurrent evented client failed" >&2; exit 1; }
 done
 # Hot reload while the server is up, then predict through the new route
-# with a binary client that dials the server by host name.
+# with a binary and a JSON client that dial the server by host name.
 "$ldafp" reload --addr "$eaddr" --model "$fam_tmp/naive-bayes.ldafp.json" \
     --name reloaded > /dev/null
 "$ldafp" predict --addr "localhost:${eaddr#*:}" --wire binary --name reloaded \
     --input "$obs_tmp/train.csv" > "$net_tmp/reloaded.evented"
+"$ldafp" predict --addr "localhost:${eaddr#*:}" --wire json --name reloaded \
+    --input "$obs_tmp/train.csv" > "$net_tmp/reloaded.evented.json"
 printf '\x00\x00\x00\x12{"op": "shutdown"}' > "/dev/tcp/${eaddr%:*}/${eaddr#*:}"
 wait "$evented_pid"
 for family in lda naive-bayes os-elm; do
@@ -240,6 +242,8 @@ for family in lda naive-bayes os-elm; do
 done
 cmp "$net_tmp/naive-bayes.local" "$net_tmp/reloaded.evented" \
     || { echo "reloaded model served different predictions" >&2; exit 1; }
+cmp "$net_tmp/naive-bayes.local" "$net_tmp/reloaded.evented.json" \
+    || { echo "reloaded model served different predictions over JSON" >&2; exit 1; }
 "$ldafp" trace-check --input "$net_tmp/net.ndjson" > /dev/null
 for event in net.listen net.accept net.batch net.reload net.close net.shutdown; do
     grep -q "\"event\":\"$event\"" "$net_tmp/net.ndjson" \

@@ -14,9 +14,9 @@
 //! * [`hwmodel`] — power/area/energy models and gate-level datapath
 //!   simulation.
 //! * [`serve`] — model artifacts, integer-only batched inference, the
-//!   JSON wire protocol and its client.
-//! * [`net`] — the server: epoll loop, binary wire codec, micro-batching,
-//!   and the hot-reload model registry.
+//!   hot-reload model registry and the JSON wire vocabulary.
+//! * [`net`] — the server (epoll loop, binary wire codec, micro-batching)
+//!   and `NetClient`, the one client for both codecs.
 //! * [`models`] — pluggable fixed-point model families (naive Bayes,
 //!   OS-ELM) on the wrapping-MAC datapath.
 //! * [`explore`] — parallel design-space exploration with warm-started

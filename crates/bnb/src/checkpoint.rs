@@ -14,8 +14,8 @@
 //!
 //! # On-disk format
 //!
-//! Hand-rolled binary, zero dependencies (same discipline as `model_json`
-//! and the explore result cache):
+//! Hand-rolled binary, zero dependencies (same discipline as the serving
+//! artifact and the explore result cache):
 //!
 //! ```text
 //! magic        8 bytes   b"LDFPSNAP"

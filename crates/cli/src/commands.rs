@@ -4,39 +4,19 @@
 //! contents) to an output string, so the test suite drives them without a
 //! process boundary. The binary's `main` only does I/O.
 
-use crate::{args::ParsedArgs, csv, model_json, CliError, Result};
+use crate::{args::ParsedArgs, csv, CliError, Result};
 use ldafp_core::{
     eval, DegradationStats, FixedPointClassifier, LdaFpConfig, LdaFpTrainer, LdaModel,
     TrainingOutcome,
 };
 use ldafp_datasets::BinaryDataset;
+use ldafp_fixedpoint::RoundingMode;
 use ldafp_hwmodel::power::MacPowerModel;
 use ldafp_models::ModelFamily;
 use ldafp_net::{Codec, NetClient, RetryPolicy};
 use ldafp_hwmodel::rtl::{generate_verilog, RtlConfig};
-use ldafp_serve::{InferenceEngine, ModelArtifact, TrainingInfo};
+use ldafp_serve::{InferenceEngine, ModelArtifact, ServedModel, TrainingInfo};
 use std::time::Duration;
-
-/// The on-disk model document produced by `train` and consumed by `eval`,
-/// `info` and `export-rtl`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ModelDocument {
-    /// Tool + format version tag.
-    pub version: String,
-    /// Which trainer produced the model (`"lda-fp"` or `"lda-rounded"`).
-    pub algorithm: String,
-    /// The deployable classifier.
-    pub classifier: FixedPointClassifier,
-    /// Discrete Fisher cost at the trained weights (`None` for the
-    /// rounded baseline, which does not optimize it).
-    pub fisher_cost: Option<f64>,
-    /// Training-set error at save time.
-    pub training_error: f64,
-    /// How the LDA-FP search ended (certified / budget-exhausted /
-    /// degraded / fallback-rounded). `None` for the rounded baseline and
-    /// for documents written by older versions of this tool.
-    pub outcome: Option<TrainingOutcome>,
-}
 
 /// Maps a training outcome to the process exit code contract:
 /// `0` certified, `2` budget-exhausted or degraded, `3` fallback-rounded.
@@ -51,13 +31,13 @@ pub fn exit_code(outcome: &TrainingOutcome) -> u8 {
 }
 
 /// `ldafp train --data <csv> --bits <n> [--family lda|naive-bayes|os-elm]
-/// [--k <n>] [--rho <p>] [--baseline]
+/// [--k <n>] [--rho <p>] [--baseline] [--rounding <mode>]
 /// [--budget-secs <n>] [--max-solver-retries <n>] [--solver-threads <n>]
-/// [--quick]` — trains a
-/// classifier and returns the model document as JSON plus the training
-/// outcome and the search's degradation counters (both `None` for the
-/// baseline, which involves no search). Non-LDA families return the
-/// serving artifact JSON instead — see [`train_family`].
+/// [--quick]` — trains a classifier and returns its model file: the
+/// serving artifact JSON that `predict`, `serve`, `eval`, `info` and
+/// `export-rtl` read, for every family. Also returns the training outcome
+/// and the search's degradation counters (both `None` for the baseline
+/// and the non-LDA families, which run no search).
 ///
 /// # Errors
 ///
@@ -75,54 +55,52 @@ pub fn train(
         return Err(CliError(format!("--bits must be in 1..=31, got {bits}")));
     }
 
-    // `--family naive-bayes|os-elm` routes to the pluggable-family path:
-    // those models serialize directly as serving artifacts (their
-    // parameters are quantized tables, not an LDA weight vector), so the
-    // model-document machinery below is LDA-only by design.
     let family = parse_family(args)?;
-    if family != ModelFamily::Lda {
-        return train_family(family, args, &data, bits, max_k, rho);
-    }
-
-    let (algorithm, classifier, fisher_cost, outcome, degradation) = if args.has_flag("baseline") {
-        let (clf, _format) = eval::quantized_lda_auto(&data, bits, max_k)?;
-        ("lda-rounded".to_string(), clf, None, None, None)
+    let (mut artifact, training, outcome, degradation) = if family != ModelFamily::Lda {
+        let (artifact, training) = train_family(family, args, &data, bits, max_k, rho)?;
+        (artifact, training, None, None)
     } else {
-        let mut cfg = if args.has_flag("quick") {
-            LdaFpConfig::fast()
-        } else {
-            LdaFpConfig::default()
+        let (algorithm, classifier, fisher_cost, outcome, degradation) =
+            if args.has_flag("baseline") {
+                let (clf, _format) = eval::quantized_lda_auto(&data, bits, max_k)?;
+                ("lda-rounded", clf, None, None, None)
+            } else {
+                let mut cfg = if args.has_flag("quick") {
+                    LdaFpConfig::fast()
+                } else {
+                    LdaFpConfig::default()
+                };
+                cfg.rho = rho;
+                cfg.bnb.time_budget = Some(Duration::from_secs(budget_secs));
+                apply_recovery_args(args, &mut cfg)?;
+                let trainer = LdaFpTrainer::new(cfg);
+                let (model, _format) = trainer.train_auto(&data, bits, max_k)?;
+                (
+                    "lda-fp",
+                    model.classifier().clone(),
+                    Some(model.fisher_cost()),
+                    Some(model.outcome().clone()),
+                    Some(model.stats().degradation.clone()),
+                )
+            };
+        let mut training = TrainingInfo {
+            algorithm: Some(algorithm.to_string()),
+            training_error: Some(eval::error_rate(&classifier, &data)),
+            fisher_cost,
+            ..TrainingInfo::default()
         };
-        cfg.rho = rho;
-        cfg.bnb.time_budget = Some(Duration::from_secs(budget_secs));
-        apply_recovery_args(args, &mut cfg)?;
-        let trainer = LdaFpTrainer::new(cfg);
-        let (model, _format) = trainer.train_auto(&data, bits, max_k)?;
+        if let Some(o) = &outcome {
+            training = training.with_outcome(o);
+        }
         (
-            "lda-fp".to_string(),
-            model.classifier().clone(),
-            Some(model.fisher_cost()),
-            Some(model.outcome().clone()),
-            Some(model.stats().degradation.clone()),
+            ModelArtifact::binary(classifier),
+            training,
+            outcome,
+            degradation,
         )
     };
-
-    let doc = ModelDocument {
-        version: format!("ldafp-cli {}", env!("CARGO_PKG_VERSION")),
-        training_error: eval::error_rate(&classifier, &data),
-        algorithm,
-        classifier,
-        fisher_cost,
-        outcome: outcome.clone(),
-    };
-
-    // `--save-model <path>` additionally writes the deployment artifact —
-    // the checksummed, serve-ready envelope consumed by `predict`/`serve`.
-    if let Some(path) = args.get("save-model") {
-        save_artifact(&doc, path)?;
-    }
-
-    Ok((model_json::to_json_string(&doc), outcome, degradation))
+    artifact.training = training;
+    Ok((artifact.to_json_string(), outcome, degradation))
 }
 
 /// Parses `--family` into a [`ModelFamily`] (default `lda`).
@@ -138,15 +116,14 @@ fn parse_family(args: &ParsedArgs) -> Result<ModelFamily> {
 }
 
 /// `ldafp train --family naive-bayes|os-elm` — trains a non-LDA model
-/// family and returns the serving artifact JSON directly (these families
-/// have no intermediate model document). `--bits` fixes the word length;
-/// for naive Bayes `--k` fixes the integer-bit split, while OS-ELM derives
-/// its split from the wrap-free output bound ([`ldafp_models::choose_format`]).
-/// `--rounding` takes a single mode (default nearest-even). `--save-model`
-/// writes the same artifact to disk.
+/// family into its serving artifact and provenance. `--bits` fixes the
+/// word length; for naive Bayes `--k` fixes the integer-bit split, while
+/// OS-ELM derives its split from the wrap-free output bound
+/// ([`ldafp_models::choose_format`]). `--rounding` takes a single mode
+/// (default nearest-even).
 ///
-/// No training outcome or degradation stats are returned — there is no
-/// branch-and-bound search to certify. Certification status lands in the
+/// There is no branch-and-bound search to certify, so no training outcome
+/// or degradation stats exist. Certification status lands in the
 /// artifact's `training.outcome` field instead: `"certified"` for naive
 /// Bayes (wrap-free by construction) and for OS-ELM models that pass the
 /// eq. 18 output-layer check, `"uncertified"` otherwise.
@@ -157,18 +134,14 @@ fn train_family(
     bits: u32,
     k: u32,
     rho: f64,
-) -> Result<(String, Option<TrainingOutcome>, Option<DegradationStats>)> {
+) -> Result<(ModelArtifact, TrainingInfo)> {
     use ldafp_models::{choose_format, NaiveBayesTrainer, OsElmConfig, OsElmTrainer};
 
     let rounding = match args.get("rounding") {
-        None => ldafp_fixedpoint::RoundingMode::NearestEven,
-        Some(name) => ldafp_explore::grid::rounding_from_name(name.trim()).ok_or_else(|| {
-            CliError(format!(
-                "--rounding expects nearest-even|nearest-away|floor|ceil|toward-zero, got {name:?}"
-            ))
-        })?,
+        None => RoundingMode::NearestEven,
+        Some(name) => rounding_arg(name)?,
     };
-    let (mut artifact, training_error, label) = match family {
+    let (artifact, training_error, label) = match family {
         ModelFamily::NaiveBayes => {
             // `--k` is the exact integer-bit count here (the LDA trainer
             // treats it as a search ceiling); clamp it into the word.
@@ -195,19 +168,24 @@ fn train_family(
             };
             (ModelArtifact::os_elm(model), err, label)
         }
-        ModelFamily::Lda => unreachable!("LDA takes the model-document path"),
+        ModelFamily::Lda => unreachable!("LDA trains in `train`"),
     };
-    artifact.training = TrainingInfo {
+    let training = TrainingInfo {
         algorithm: Some(family.name().to_string()),
         outcome: Some(label.to_string()),
         training_error: Some(training_error),
         ..TrainingInfo::default()
     };
-    let json = artifact.to_json_string();
-    if let Some(path) = args.get("save-model") {
-        std::fs::write(path, &json)?;
-    }
-    Ok((json, None, None))
+    Ok((artifact, training))
+}
+
+/// Parses one `--rounding` mode name.
+fn rounding_arg(name: &str) -> Result<RoundingMode> {
+    RoundingMode::from_name(name.trim()).ok_or_else(|| {
+        CliError(format!(
+            "--rounding expects nearest-even|nearest-away|floor|ceil|toward-zero, got {name:?}"
+        ))
+    })
 }
 
 /// One human-readable line summarizing non-clean [`DegradationStats`],
@@ -340,28 +318,6 @@ pub fn trace_check(text: &str) -> Result<String> {
         }
     }
     Ok(out)
-}
-
-/// Converts a training-side model document into the serving artifact and
-/// writes it to `path`.
-///
-/// # Errors
-///
-/// Propagates artifact validation and I/O failures.
-pub fn save_artifact(doc: &ModelDocument, path: &str) -> Result<()> {
-    let mut artifact = ModelArtifact::binary(doc.classifier.clone());
-    let mut training = TrainingInfo {
-        algorithm: Some(doc.algorithm.clone()),
-        training_error: Some(doc.training_error),
-        fisher_cost: doc.fisher_cost,
-        ..TrainingInfo::default()
-    };
-    if let Some(o) = &doc.outcome {
-        training = training.with_outcome(o);
-    }
-    artifact.training = training;
-    artifact.save(path)?;
-    Ok(())
 }
 
 /// `ldafp predict --model <artifact> --input <csv>` — integer-only batch
@@ -529,60 +485,84 @@ fn apply_recovery_args(args: &ParsedArgs, cfg: &mut LdaFpConfig) -> Result<()> {
     Ok(())
 }
 
-/// `ldafp eval --model <json> --data <csv>` — classification report.
+/// Parses a model file and returns its binary LDA classifier with the
+/// training provenance: the one kind `eval`, `info` and `export-rtl`
+/// describe. Any other kind is refused with an error naming it.
+fn binary_model(
+    artifact_json: &str,
+    command: &str,
+) -> Result<(FixedPointClassifier, TrainingInfo)> {
+    let artifact = ModelArtifact::from_json_str(artifact_json)?;
+    match artifact.model {
+        ServedModel::Binary(clf) => Ok((clf, artifact.training)),
+        other => Err(CliError(format!(
+            "{command} reads binary LDA models only; this model file is of kind '{}'",
+            other.kind_name()
+        ))),
+    }
+}
+
+/// `ldafp eval --model <model.ldafp.json> --data <csv>` — classification
+/// report.
 ///
 /// # Errors
 ///
-/// Propagates parse failures and feature-count mismatches.
-pub fn eval_cmd(model_json: &str, csv_text: &str) -> Result<String> {
-    let doc = model_json::from_json_str(model_json)?;
+/// Propagates parse failures and feature-count mismatches, and refuses
+/// non-binary models.
+pub fn eval_cmd(artifact_json: &str, csv_text: &str) -> Result<String> {
+    let (clf, training) = binary_model(artifact_json, "eval")?;
     let data = csv::parse(csv_text)?;
-    if data.num_features() != doc.classifier.num_features() {
+    if data.num_features() != clf.num_features() {
         return Err(CliError(format!(
             "model expects {} features but data has {}",
-            doc.classifier.num_features(),
+            clf.num_features(),
             data.num_features()
         )));
     }
-    let err = eval::error_rate(&doc.classifier, &data);
+    let err = eval::error_rate(&clf, &data);
     let (n_a, n_b) = data.class_sizes();
     let pm = MacPowerModel::default();
     Ok(format!(
         "model: {} ({} @ {} bits)\nsamples: {} class A, {} class B\n\
          error rate: {:.2}%\naccuracy:   {:.2}%\n\
          estimated energy/classification (normalized): {:.1}\n",
-        doc.algorithm,
-        doc.classifier.format(),
-        doc.classifier.word_length(),
+        training.algorithm.as_deref().unwrap_or("binary"),
+        clf.format(),
+        clf.word_length(),
         n_a,
         n_b,
         100.0 * err,
         100.0 * (1.0 - err),
-        pm.energy_per_classification(doc.classifier.word_length(), doc.classifier.num_features()),
+        pm.energy_per_classification(clf.word_length(), clf.num_features()),
     ))
 }
 
-/// `ldafp info --model <json>` — human-readable model summary.
+/// `ldafp info --model <model.ldafp.json>` — human-readable model summary.
+/// Provenance the file does not record is left out.
 ///
 /// # Errors
 ///
-/// Propagates JSON parse failures.
-pub fn info(model_json: &str) -> Result<String> {
-    let doc = model_json::from_json_str(model_json)?;
-    let clf = &doc.classifier;
+/// Propagates parse failures and refuses non-binary models.
+pub fn info(artifact_json: &str) -> Result<String> {
+    let (clf, training) = binary_model(artifact_json, "info")?;
     let mut out = format!(
         "{} model, format {} ({} bits/word), {} features\n",
-        doc.algorithm,
+        training.algorithm.as_deref().unwrap_or("binary"),
         clf.format(),
         clf.word_length(),
         clf.num_features()
     );
-    out.push_str(&format!("training error: {:.2}%\n", 100.0 * doc.training_error));
-    if let Some(j) = doc.fisher_cost {
+    if let Some(e) = training.training_error {
+        out.push_str(&format!("training error: {:.2}%\n", 100.0 * e));
+    }
+    if let Some(j) = training.fisher_cost {
         out.push_str(&format!("fisher cost: {j:.6}\n"));
     }
-    if let Some(o) = &doc.outcome {
-        out.push_str(&format!("training outcome: {} — {}\n", o.label(), o.summary()));
+    if let Some(label) = &training.outcome {
+        match &training.outcome_summary {
+            Some(summary) => out.push_str(&format!("training outcome: {label} — {summary}\n")),
+            None => out.push_str(&format!("training outcome: {label}\n")),
+        }
     }
     out.push_str(&format!("threshold: {}\n", clf.threshold().to_f64()));
     out.push_str("weights:\n");
@@ -597,23 +577,20 @@ pub fn info(model_json: &str) -> Result<String> {
     Ok(out)
 }
 
-/// `ldafp export-rtl --model <json> [--module <name>] [--testbench]` —
-/// emits synthesizable Verilog.
+/// `ldafp export-rtl --model <model.ldafp.json> [--module <name>]
+/// [--testbench]` — emits synthesizable Verilog.
 ///
 /// # Errors
 ///
-/// Propagates JSON parse and RTL generation failures.
-pub fn export_rtl(args: &ParsedArgs, model_json: &str) -> Result<String> {
-    let doc = model_json::from_json_str(model_json)?;
+/// Propagates parse and RTL generation failures, and refuses non-binary
+/// models.
+pub fn export_rtl(args: &ParsedArgs, artifact_json: &str) -> Result<String> {
+    let (clf, _) = binary_model(artifact_json, "export-rtl")?;
     let cfg = RtlConfig {
         module_name: args.get("module").unwrap_or("ldafp_classifier").to_string(),
         with_testbench: args.has_flag("testbench"),
     };
-    Ok(generate_verilog(
-        doc.classifier.weights(),
-        doc.classifier.threshold(),
-        &cfg,
-    )?)
+    Ok(generate_verilog(clf.weights(), clf.threshold(), &cfg)?)
 }
 
 /// `ldafp demo [--bits <n>]` — self-contained demonstration on the paper's
@@ -814,7 +791,6 @@ pub fn explore(
     csv_text: Option<&str>,
     interrupt: Option<std::sync::Arc<std::sync::atomic::AtomicBool>>,
 ) -> Result<(String, u8)> {
-    use ldafp_explore::grid::rounding_from_name;
     use ldafp_explore::{
         holdout_split, json_report, markdown_report, ExploreConfig, ExploreGrid, Explorer,
     };
@@ -848,17 +824,8 @@ pub fn explore(
             .collect::<Result<_>>()?,
     };
     let roundings = match args.get("rounding") {
-        None => vec![ldafp_fixedpoint::RoundingMode::NearestEven],
-        Some(spec) => spec
-            .split(',')
-            .map(|s| {
-                rounding_from_name(s.trim()).ok_or_else(|| {
-                    CliError(format!(
-                        "--rounding expects nearest-even|nearest-away|floor|ceil|toward-zero, got {s:?}"
-                    ))
-                })
-            })
-            .collect::<Result<_>>()?,
+        None => vec![RoundingMode::NearestEven],
+        Some(spec) => spec.split(',').map(rounding_arg).collect::<Result<_>>()?,
     };
     let families: Vec<ModelFamily> = match args.get("family") {
         None => vec![ModelFamily::Lda],
@@ -984,7 +951,7 @@ mod tests {
             raw.iter().copied(),
             &[
                 "data", "bits", "k", "rho", "budget-secs", "max-solver-retries", "module",
-                "model", "out", "target", "min-bits", "max-bits", "save-model", "input",
+                "model", "out", "target", "min-bits", "max-bits", "input",
                 "addr", "threads", "solver-threads", "holdout", "rounding", "cache-dir",
                 "json", "trace", "resume", "pareto", "checkpoint-nodes", "family",
             ],
@@ -1008,22 +975,34 @@ mod tests {
         assert!(err.to_string().contains("solver-threads"), "got: {err}");
     }
 
+    /// Parses `train`'s output and returns the binary classifier and its
+    /// provenance.
+    fn trained_binary(artifact_json: &str) -> (FixedPointClassifier, TrainingInfo) {
+        let artifact = ModelArtifact::from_json_str(artifact_json).unwrap();
+        match artifact.model {
+            ServedModel::Binary(clf) => (clf, artifact.training),
+            other => panic!("expected a binary model, got {}", other.kind_name()),
+        }
+    }
+
     #[test]
     fn train_eval_info_roundtrip() {
         let csv_text = easy_csv();
-        let (model_json, outcome, _) =
+        let (artifact_json, outcome, _) =
             train(&parsed(&["--bits", "6", "--quick"]), &csv_text).unwrap();
-        let doc = model_json::from_json_str(&model_json).unwrap();
-        assert_eq!(doc.algorithm, "lda-fp");
-        assert_eq!(doc.classifier.word_length(), 6);
-        assert!(doc.training_error <= 0.1, "error {}", doc.training_error);
-        assert_eq!(doc.outcome, outcome);
-        assert!(outcome.is_some(), "lda-fp training must report an outcome");
+        let (clf, training) = trained_binary(&artifact_json);
+        assert_eq!(training.algorithm.as_deref(), Some("lda-fp"));
+        assert_eq!(clf.word_length(), 6);
+        let error = training.training_error.unwrap();
+        assert!(error <= 0.1, "error {error}");
+        let outcome = outcome.expect("lda-fp training must report an outcome");
+        assert_eq!(training.outcome.as_deref(), Some(outcome.label()));
+        assert_eq!(training.outcome_summary, Some(outcome.summary()));
 
-        let report = eval_cmd(&model_json, &csv_text).unwrap();
+        let report = eval_cmd(&artifact_json, &csv_text).unwrap();
         assert!(report.contains("error rate"), "{report}");
 
-        let summary = info(&model_json).unwrap();
+        let summary = info(&artifact_json).unwrap();
         assert!(summary.contains("lda-fp model"), "{summary}");
         assert!(summary.contains("w[  0]"), "{summary}");
         assert!(summary.contains("training outcome:"), "{summary}");
@@ -1031,23 +1010,30 @@ mod tests {
 
     #[test]
     fn baseline_flag_trains_rounded_lda() {
-        let (model_json, outcome, _) =
+        let (artifact_json, outcome, _) =
             train(&parsed(&["--bits", "8", "--baseline"]), &easy_csv()).unwrap();
-        let doc = model_json::from_json_str(&model_json).unwrap();
-        assert_eq!(doc.algorithm, "lda-rounded");
-        assert!(doc.fisher_cost.is_none());
+        let (_, training) = trained_binary(&artifact_json);
+        assert_eq!(training.algorithm.as_deref(), Some("lda-rounded"));
+        assert!(training.fisher_cost.is_none());
+        assert!(training.outcome.is_none() && training.outcome_summary.is_none());
         assert!(outcome.is_none(), "baseline has no search outcome");
+
+        // `info` leaves out what the baseline does not record.
+        let summary = info(&artifact_json).unwrap();
+        assert!(summary.starts_with("lda-rounded model"), "{summary}");
+        assert!(!summary.contains("fisher cost"), "{summary}");
+        assert!(!summary.contains("training outcome"), "{summary}");
     }
 
     #[test]
     fn train_accepts_max_solver_retries() {
-        let (model_json, _, _) = train(
+        let (artifact_json, _, _) = train(
             &parsed(&["--bits", "6", "--quick", "--max-solver-retries", "0"]),
             &easy_csv(),
         )
         .unwrap();
-        let doc = model_json::from_json_str(&model_json).unwrap();
-        assert_eq!(doc.algorithm, "lda-fp");
+        let (_, training) = trained_binary(&artifact_json);
+        assert_eq!(training.algorithm.as_deref(), Some("lda-fp"));
     }
 
     #[test]
@@ -1113,53 +1099,62 @@ mod tests {
     }
 
     #[test]
-    fn model_document_without_outcome_field_still_parses() {
-        // Documents written before the outcome field existed must load.
-        let (model_json, _, _) = train(&parsed(&["--bits", "6", "--quick"]), &easy_csv()).unwrap();
-        let mut doc = model_json::from_json_str(&model_json).unwrap();
-        doc.outcome = None;
-        let text = model_json::to_json_string(&doc);
-        // Delete the field entirely (keys are sorted; `fisher_cost` precedes).
-        let stripped = text.replace(",\n  \"outcome\": null", "");
-        assert_ne!(stripped, text, "outcome field not found in {text}");
-        let reparsed = model_json::from_json_str(&stripped).unwrap();
-        assert!(reparsed.outcome.is_none());
-        assert_eq!(reparsed.classifier, doc.classifier);
-    }
-
-    #[test]
-    fn save_model_writes_a_loadable_artifact_that_predicts_identically() {
-        let dir = std::env::temp_dir().join(format!(
-            "ldafp-cli-save-model-{}",
-            std::process::id()
-        ));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("model.ldafp.json");
+    fn train_output_is_a_loadable_artifact_that_predicts_identically() {
         let csv_text = easy_csv();
-        let (model_json, _, _) = train(
-            &parsed(&[
-                "--bits",
-                "6",
-                "--quick",
-                "--save-model",
-                path.to_str().unwrap(),
-            ]),
-            &csv_text,
-        )
-        .unwrap();
-
-        let artifact = ModelArtifact::load(&path).unwrap();
-        let doc = model_json::from_json_str(&model_json).unwrap();
+        let (artifact_json, _, _) = train(&parsed(&["--bits", "6", "--quick"]), &csv_text).unwrap();
+        let (clf, _) = trained_binary(&artifact_json);
         let rows = csv::parse_features(&csv_text).unwrap();
-        let engine = InferenceEngine::new(artifact).unwrap();
+        let engine =
+            InferenceEngine::new(ModelArtifact::from_json_str(&artifact_json).unwrap()).unwrap();
         let out = engine.predict_batch(&rows).unwrap();
         assert_eq!(out.predictions.len(), rows.len());
         for (row, p) in rows.iter().zip(&out.predictions) {
             // Artifact inference must agree bit-for-bit with the trained
             // classifier's own decision rule.
-            assert_eq!(p.class_index, usize::from(!doc.classifier.classify(row)));
+            assert_eq!(p.class_index, usize::from(!clf.classify(row)));
         }
-        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn model_readers_refuse_non_binary_models_by_kind() {
+        use ldafp_core::multiclass::OneVsRestClassifier;
+
+        let csv_text = easy_csv();
+        let (nb_json, _, _) = train(
+            &parsed(&["--bits", "8", "--family", "naive-bayes"]),
+            &csv_text,
+        )
+        .unwrap();
+        let (elm_json, _, _) =
+            train(&parsed(&["--bits", "10", "--family", "os-elm"]), &csv_text).unwrap();
+        let format = ldafp_fixedpoint::QFormat::new(2, 5).unwrap();
+        let heads = [[0.5, -0.25], [-0.5, 0.25], [0.25, 0.5]]
+            .iter()
+            .map(|w| FixedPointClassifier::from_float(w, 0.0, format).unwrap())
+            .collect();
+        let ovr = OneVsRestClassifier::from_parts(heads, vec![1.0; 3]).unwrap();
+        let ovr_json = ModelArtifact::one_vs_rest(ovr).to_json_string();
+
+        let rtl_args = parsed(&[]);
+        for (json, kind) in [
+            (&nb_json, "naive-bayes"),
+            (&elm_json, "os-elm"),
+            (&ovr_json, "one-vs-rest"),
+        ] {
+            for (command, result) in [
+                ("eval", eval_cmd(json, &csv_text)),
+                ("info", info(json)),
+                ("export-rtl", export_rtl(&rtl_args, json)),
+            ] {
+                let err = result.unwrap_err();
+                assert!(err.0.starts_with(command), "{command} on {kind}: {}", err.0);
+                assert!(
+                    err.0.contains(&format!("kind '{kind}'")),
+                    "{command}: {}",
+                    err.0
+                );
+            }
+        }
     }
 
     #[test]
@@ -1204,8 +1199,9 @@ mod tests {
 
     #[test]
     fn export_rtl_produces_verilog() {
-        let (model_json, _, _) = train(&parsed(&["--bits", "6", "--quick"]), &easy_csv()).unwrap();
-        let v = export_rtl(&parsed(&["--module", "demo_clf", "--testbench"]), &model_json)
+        let (artifact_json, _, _) =
+            train(&parsed(&["--bits", "6", "--quick"]), &easy_csv()).unwrap();
+        let v = export_rtl(&parsed(&["--module", "demo_clf", "--testbench"]), &artifact_json)
             .unwrap();
         assert!(v.contains("module demo_clf ("), "{v}");
         assert!(v.contains("module demo_clf_tb;"), "{v}");
@@ -1213,8 +1209,9 @@ mod tests {
 
     #[test]
     fn eval_rejects_feature_mismatch() {
-        let (model_json, _, _) = train(&parsed(&["--bits", "6", "--quick"]), &easy_csv()).unwrap();
-        let err = eval_cmd(&model_json, "0.1,0.2,0.3,A\n0.2,0.1,0.0,B\n").unwrap_err();
+        let (artifact_json, _, _) =
+            train(&parsed(&["--bits", "6", "--quick"]), &easy_csv()).unwrap();
+        let err = eval_cmd(&artifact_json, "0.1,0.2,0.3,A\n0.2,0.1,0.0,B\n").unwrap_err();
         assert!(err.0.contains("features"), "{}", err.0);
     }
 
@@ -1384,30 +1381,14 @@ mod tests {
 
     #[test]
     fn train_family_naive_bayes_roundtrips_through_predict() {
-        let dir = std::env::temp_dir().join(format!(
-            "ldafp-cli-family-nb-{}",
-            std::process::id()
-        ));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("nb.ldafp.json");
         let csv_text = easy_csv();
         let (json, outcome, degradation) = train(
-            &parsed(&[
-                "--bits",
-                "8",
-                "--k",
-                "3",
-                "--family",
-                "naive-bayes",
-                "--save-model",
-                path.to_str().unwrap(),
-            ]),
+            &parsed(&["--bits", "8", "--k", "3", "--family", "naive-bayes"]),
             &csv_text,
         )
         .unwrap();
         assert!(outcome.is_none(), "family training runs no LDA search");
         assert!(degradation.is_none());
-        assert_eq!(std::fs::read_to_string(&path).unwrap(), json);
 
         let artifact = ModelArtifact::from_json_str(&json).unwrap();
         assert_eq!(artifact.model.family(), ModelFamily::NaiveBayes);
@@ -1418,7 +1399,6 @@ mod tests {
         let out = predict(&json, &csv_text).unwrap();
         assert!(out.starts_with("row,class,label,score\n"), "{out}");
         assert!(out.contains("rows: 40"), "{out}");
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

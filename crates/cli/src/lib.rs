@@ -6,11 +6,11 @@
 //!   (hand-rolled: the offline dependency set has no CSV crate, and the
 //!   format needed here is trivial — comma-separated floats plus a label);
 //! * [`args`] — a small flag parser (`--key value` / `--flag`);
-//! * [`model_json`] — the model-document codec (parsed with positional
-//!   error reporting);
 //! * [`commands`] — the `train`, `eval`, `predict`, `serve`, `export-rtl`,
 //!   `info` and `demo` subcommand implementations, each returning its
-//!   output as a `String` so tests can assert on it.
+//!   output as a `String` so tests can assert on it. The one model file
+//!   they share is the serving artifact (`ldafp_serve::ModelArtifact`):
+//!   `train` writes it, every other model-reading command parses it.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -18,7 +18,6 @@
 pub mod args;
 pub mod commands;
 pub mod csv;
-pub mod model_json;
 
 /// CLI-level errors: user-facing messages, one per failure.
 #[derive(Debug)]

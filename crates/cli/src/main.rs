@@ -4,9 +4,8 @@
 //! ldafp train      --data train.csv --bits 6 [--family lda|naive-bayes|os-elm]
 //!                  [--k 4] [--rho 0.99]
 //!                  [--baseline] [--quick] [--budget-secs 30]
-//!                  [--max-solver-retries 3] [--out model.json]
-//!                  [--save-model model.ldafp.json]
-//! ldafp eval       --model model.json --data test.csv
+//!                  [--max-solver-retries 3] [--out model.ldafp.json]
+//! ldafp eval       --model model.ldafp.json --data test.csv
 //! ldafp predict    --model model.ldafp.json --input rows.csv
 //! ldafp predict    --addr 127.0.0.1:7878 --input rows.csv [--name model]
 //!                  [--wire binary|json]
@@ -16,8 +15,8 @@
 //!                  [--max-pending-rows 16384] [--read-deadline-ms 5000]
 //! ldafp reload     --addr 127.0.0.1:7878 --model new.ldafp.json [--name model]
 //!                  [--wire binary|json]
-//! ldafp info       --model model.json
-//! ldafp export-rtl --model model.json [--module name] [--testbench] [--out clf.v]
+//! ldafp info       --model model.ldafp.json
+//! ldafp export-rtl --model model.ldafp.json [--module name] [--testbench] [--out clf.v]
 //! ldafp wordlength --data train.csv --target 0.2 [--min-bits 3] [--max-bits 16]
 //! ldafp explore    [--data train.csv] [--holdout 0.25] [--min-bits 3] [--max-bits 8]
 //!                  [--k 2] [--rho 0.9,0.99] [--rounding nearest-even,floor]
@@ -28,6 +27,10 @@
 //! ldafp demo       [--bits 6]
 //! ldafp trace-check --input trace.ndjson
 //! ```
+//!
+//! `train` prints one model file for every family, the checksummed serving
+//! artifact; `--out` writes it to disk. `eval`, `info` and `export-rtl`
+//! read binary LDA models from it, `predict`, `serve` and `reload` any kind.
 //!
 //! Every command also accepts the observability options `--trace <file>`
 //! (stream solver/server events as NDJSON while the command runs, closing
@@ -57,11 +60,12 @@ commands:
   train       --data <csv> --bits <n> [--family lda|naive-bayes|os-elm]
               [--k n] [--rho p] [--baseline] [--quick]
               [--budget-secs n] [--max-solver-retries n] [--solver-threads n]
-              [--out model.json] [--save-model model.ldafp.json]
-              (non-LDA families write the serving artifact directly; exit 0
-               on success, 1 on error; LDA exits by training outcome: 0
-               certified, 2 budget-exhausted/degraded, 3 fallback-rounded)
-  eval        --model <model.json> --data <csv>
+              [--out model.ldafp.json]
+              (prints the model file, the serving artifact, for every
+               family; non-LDA families exit 0 on success, 1 on error; LDA
+               exits by training outcome: 0 certified, 2
+               budget-exhausted/degraded, 3 fallback-rounded)
+  eval        --model <model.ldafp.json> --data <csv>
   predict     --model <model.ldafp.json> --input <csv>
               (remote: --addr <host:port> instead of --model, plus
                [--name model] [--wire binary|json])
@@ -75,8 +79,8 @@ commands:
                registry)
   reload      --addr <host:port> --model <artifact.json> [--name model]
               [--wire binary|json]
-  info        --model <model.json>
-  export-rtl  --model <model.json> [--module name] [--testbench] [--out clf.v]
+  info        --model <model.ldafp.json>
+  export-rtl  --model <model.ldafp.json> [--module name] [--testbench] [--out clf.v]
   wordlength  --data <csv> --target <error> [--min-bits n] [--max-bits n]
   explore     [--data <csv>] [--holdout f] [--min-bits n] [--max-bits n] [--k n]
               [--rho p,...] [--rounding mode,...] [--family name,...]
@@ -122,7 +126,7 @@ fn run() -> ldafp_cli::Result<(String, u8)> {
         raw,
         &[
             "data", "bits", "k", "rho", "budget-secs", "max-solver-retries", "module",
-            "model", "out", "target", "min-bits", "max-bits", "save-model", "input",
+            "model", "out", "target", "min-bits", "max-bits", "input",
             "addr", "threads", "solver-threads", "holdout", "rounding", "cache-dir",
             "json", "trace", "resume", "pareto", "checkpoint-nodes", "family",
             "name", "wire", "models", "batch-rows", "batch-deadline-us", "max-inflight",
@@ -152,7 +156,7 @@ fn run() -> ldafp_cli::Result<(String, u8)> {
         "train" => {
             let data_path = args.get("data").ok_or_else(|| {
                 CliError(
-                    "train needs --data <csv>\nusage: ldafp train --data <csv> --bits <n> [--save-model model.ldafp.json]"
+                    "train needs --data <csv>\nusage: ldafp train --data <csv> --bits <n> [--out model.ldafp.json]"
                         .to_string(),
                 )
             })?;
@@ -172,7 +176,7 @@ fn run() -> ldafp_cli::Result<(String, u8)> {
             let model = read_required_for(&args, "eval", "model")?;
             let data_path = args.get("data").ok_or_else(|| {
                 CliError(
-                    "eval needs --data <csv>\nusage: ldafp eval --model <model.json> --data <csv>"
+                    "eval needs --data <csv>\nusage: ldafp eval --model <model.ldafp.json> --data <csv>"
                         .to_string(),
                 )
             })?;

@@ -1,4 +1,4 @@
-//! CLI-layer acceptance for the server: `train --save-model` →
+//! CLI-layer acceptance for the server: `train` →
 //! `serve` (with a routed second family in the registry) →
 //! remote `predict` over both wire codecs — every output must be
 //! byte-identical to the local `predict` command — plus `reload` and the
@@ -41,7 +41,6 @@ fn parsed(raw: &[&str]) -> ParsedArgs {
         raw.iter().copied(),
         &[
             "bits",
-            "save-model",
             "family",
             "name",
             "wire",
@@ -57,17 +56,12 @@ fn parsed(raw: &[&str]) -> ParsedArgs {
 #[test]
 fn evented_cli_round_trip_matches_local_predict_byte_for_byte() {
     let dir = TempDir::new();
-    let lda_path = dir.0.join("lda.ldafp.json");
     let csv_text = training_csv();
 
     // Train both families through the CLI: LDA as the default model, a
     // naive-Bayes artifact for the registry route.
-    commands::train(
-        &parsed(&["--bits", "6", "--quick", "--save-model", lda_path.to_str().unwrap()]),
-        &csv_text,
-    )
-    .unwrap();
-    let lda_json = std::fs::read_to_string(&lda_path).unwrap();
+    let (lda_json, _, _) =
+        commands::train(&parsed(&["--bits", "6", "--quick"]), &csv_text).unwrap();
     let (nb_json, _, _) =
         commands::train(&parsed(&["--bits", "6", "--family", "naive-bayes"]), &csv_text).unwrap();
     let nb_path = dir.0.join("nb.ldafp.json");

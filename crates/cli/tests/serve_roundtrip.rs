@@ -1,34 +1,14 @@
 //! End-to-end acceptance path for the serving subsystem, driven through
-//! the CLI layer: `train --save-model` → `ModelArtifact::load` → `serve`
-//! → JSON-codec TCP client — the decisions coming back over the wire must
-//! be bit-identical to evaluating the trained classifier in-process.
+//! the CLI layer: `train` → its artifact JSON → `serve` → JSON-codec TCP
+//! client — the decisions coming back over the wire must be bit-identical
+//! to evaluating the trained classifier in-process.
 
 #![cfg(all(target_os = "linux", any(target_arch = "x86_64", target_arch = "aarch64")))]
 
-use ldafp_cli::{commands, csv, model_json};
+use ldafp_cli::{commands, csv};
 use ldafp_net::NetClient;
-use ldafp_serve::ModelArtifact;
-use std::path::PathBuf;
+use ldafp_serve::{ModelArtifact, ServedModel};
 use std::time::Duration;
-
-struct TempDir(PathBuf);
-
-impl TempDir {
-    fn new() -> Self {
-        let dir = std::env::temp_dir().join(format!(
-            "ldafp-cli-serve-roundtrip-{}",
-            std::process::id()
-        ));
-        std::fs::create_dir_all(&dir).unwrap();
-        TempDir(dir)
-    }
-}
-
-impl Drop for TempDir {
-    fn drop(&mut self) {
-        std::fs::remove_dir_all(&self.0).ok();
-    }
-}
 
 fn training_csv() -> String {
     let mut s = String::new();
@@ -43,7 +23,7 @@ fn training_csv() -> String {
 fn parsed(raw: &[&str]) -> ldafp_cli::args::ParsedArgs {
     ldafp_cli::args::ParsedArgs::parse(
         raw.iter().copied(),
-        &["bits", "save-model", "addr", "input", "model", "data"],
+        &["bits", "addr", "input", "model", "data"],
         &["quick", "baseline"],
     )
     .unwrap()
@@ -51,27 +31,18 @@ fn parsed(raw: &[&str]) -> ldafp_cli::args::ParsedArgs {
 
 #[test]
 fn train_save_serve_round_trip_is_bit_identical_to_in_process_eval() {
-    let dir = TempDir::new();
-    let artifact_path = dir.0.join("model.ldafp.json");
     let csv_text = training_csv();
 
-    // 1. Train with --save-model: writes the serving artifact.
-    let (doc_json, _outcome, _degradation) = commands::train(
-        &parsed(&[
-            "--bits",
-            "6",
-            "--quick",
-            "--save-model",
-            artifact_path.to_str().unwrap(),
-        ]),
-        &csv_text,
-    )
-    .unwrap();
-    let doc = model_json::from_json_str(&doc_json).unwrap();
+    // 1. Train: the output is the serving artifact.
+    let (artifact_json, _outcome, _degradation) =
+        commands::train(&parsed(&["--bits", "6", "--quick"]), &csv_text).unwrap();
+    let ServedModel::Binary(classifier) =
+        ModelArtifact::from_json_str(&artifact_json).unwrap().model
+    else {
+        panic!("LDA training must produce a binary model");
+    };
 
-    // 2. Load the artifact back and serve it on an ephemeral port.
-    let artifact = ModelArtifact::load(&artifact_path).unwrap();
-    let artifact_json = artifact.to_json_string();
+    // 2. Serve it on an ephemeral port.
     let mut handle =
         commands::serve_evented_start(&parsed(&[]), &artifact_json, "127.0.0.1:0").unwrap();
 
@@ -84,7 +55,7 @@ fn train_save_serve_round_trip_is_bit_identical_to_in_process_eval() {
 
     // 4. Bit-identical to the in-process decision rule, row for row.
     for (row, &class) in rows.iter().zip(&reply.classes) {
-        let expected = usize::from(!doc.classifier.classify(row));
+        let expected = usize::from(!classifier.classify(row));
         assert_eq!(
             class as usize, expected,
             "wire decision diverged from in-process classify on {row:?}"

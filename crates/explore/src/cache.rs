@@ -24,7 +24,7 @@
 //! leaves either the old entry or no entry.
 
 use crate::error::ExploreError;
-use crate::grid::{rounding_name, DesignPoint};
+use crate::grid::DesignPoint;
 use crate::Result;
 use ldafp_core::LdaFpConfig;
 use ldafp_datasets::BinaryDataset;
@@ -103,7 +103,7 @@ pub fn problem_key(
         point.k,
         point.f,
         point.rho,
-        rounding_name(point.rounding),
+        point.rounding.name(),
     );
     format!("fnv1a64:{:016x}", fnv1a64(canonical.into_bytes(), FNV_OFFSET))
 }

@@ -28,7 +28,7 @@
 
 use crate::cache::{config_digest, dataset_digest, problem_key, ResultCache};
 use crate::error::ExploreError;
-use crate::grid::{are_neighbors, rounding_from_name, rounding_name, DesignPoint, ExploreGrid};
+use crate::grid::{are_neighbors, DesignPoint, ExploreGrid};
 use crate::journal::SweepJournal;
 use crate::pareto::pareto_frontier;
 use crate::Result;
@@ -36,6 +36,7 @@ use ldafp_core::{
     eval, snapshot_fingerprint, CheckpointPolicy, CoreError, LdaFpConfig, LdaFpTrainer,
 };
 use ldafp_datasets::BinaryDataset;
+use ldafp_fixedpoint::RoundingMode;
 use ldafp_hwmodel::power::MacPowerModel;
 use ldafp_models::{ModelFamily, NaiveBayesTrainer, OsElmTrainer};
 use ldafp_obs as obs;
@@ -165,10 +166,7 @@ impl DesignOutcome {
             ("k", Value::from(self.point.k)),
             ("f", Value::from(self.point.f)),
             ("rho", Value::from(self.point.rho)),
-            (
-                "rounding",
-                Value::from(rounding_name(self.point.rounding)),
-            ),
+            ("rounding", Value::from(self.point.rounding.name())),
             ("metrics", metrics),
             (
                 "failure",
@@ -192,7 +190,7 @@ impl DesignOutcome {
             k: u32::try_from(v.get("k")?.as_i64()?).ok()?,
             f: u32::try_from(v.get("f")?.as_i64()?).ok()?,
             rho: v.get("rho")?.as_f64()?,
-            rounding: rounding_from_name(v.get("rounding")?.as_str()?)?,
+            rounding: RoundingMode::from_name(v.get("rounding")?.as_str()?)?,
         };
         let metrics = match v.get("metrics")? {
             Value::Null => None,
@@ -358,7 +356,7 @@ fn record_point(outcome: &DesignOutcome) {
             .with("k", outcome.point.k)
             .with("f", outcome.point.f)
             .with("rho", outcome.point.rho)
-            .with("rounding", rounding_name(outcome.point.rounding))
+            .with("rounding", outcome.point.rounding.name())
             .with("from_cache", outcome.from_cache)
             .with("warm_seeded", outcome.warm_seeded)
             .with("nodes_assessed", outcome.nodes_assessed)
@@ -915,7 +913,6 @@ fn family_outcome(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ldafp_fixedpoint::RoundingMode;
     use ldafp_linalg::Matrix;
 
     fn easy_data(n: usize, offset: f64, seed: u64) -> BinaryDataset {

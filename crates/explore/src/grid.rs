@@ -60,33 +60,8 @@ impl DesignPoint {
             self.k,
             self.f,
             self.rho,
-            rounding_name(self.rounding)
+            self.rounding.name()
         )
-    }
-}
-
-/// Stable lowercase name for a rounding mode (report/cache vocabulary).
-#[must_use]
-pub fn rounding_name(mode: RoundingMode) -> &'static str {
-    match mode {
-        RoundingMode::NearestEven => "nearest-even",
-        RoundingMode::NearestAway => "nearest-away",
-        RoundingMode::Floor => "floor",
-        RoundingMode::Ceil => "ceil",
-        RoundingMode::TowardZero => "toward-zero",
-    }
-}
-
-/// Parses a rounding-mode name produced by [`rounding_name`].
-#[must_use]
-pub fn rounding_from_name(name: &str) -> Option<RoundingMode> {
-    match name {
-        "nearest-even" => Some(RoundingMode::NearestEven),
-        "nearest-away" => Some(RoundingMode::NearestAway),
-        "floor" => Some(RoundingMode::Floor),
-        "ceil" => Some(RoundingMode::Ceil),
-        "toward-zero" => Some(RoundingMode::TowardZero),
-        _ => None,
     }
 }
 
@@ -323,19 +298,5 @@ mod tests {
             !are_neighbors(&p(2, 4), &r),
             "different family breaks adjacency"
         );
-    }
-
-    #[test]
-    fn rounding_names_round_trip() {
-        for mode in [
-            RoundingMode::NearestEven,
-            RoundingMode::NearestAway,
-            RoundingMode::Floor,
-            RoundingMode::Ceil,
-            RoundingMode::TowardZero,
-        ] {
-            assert_eq!(rounding_from_name(rounding_name(mode)), Some(mode));
-        }
-        assert_eq!(rounding_from_name("bogus"), None);
     }
 }

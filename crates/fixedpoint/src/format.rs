@@ -16,6 +16,35 @@ pub enum RoundingMode {
     TowardZero,
 }
 
+impl RoundingMode {
+    /// Stable kebab-case name: the spelling artifacts, explore cache keys,
+    /// reports and the CLI's `--rounding` option all use.
+    #[must_use]
+    pub fn name(self) -> &'static str {
+        match self {
+            RoundingMode::NearestEven => "nearest-even",
+            RoundingMode::NearestAway => "nearest-away",
+            RoundingMode::Floor => "floor",
+            RoundingMode::Ceil => "ceil",
+            RoundingMode::TowardZero => "toward-zero",
+        }
+    }
+
+    /// Parses a stable name; `None` for anything unknown (callers turn
+    /// that into their own diagnostic).
+    #[must_use]
+    pub fn from_name(name: &str) -> Option<Self> {
+        match name {
+            "nearest-even" => Some(RoundingMode::NearestEven),
+            "nearest-away" => Some(RoundingMode::NearestAway),
+            "floor" => Some(RoundingMode::Floor),
+            "ceil" => Some(RoundingMode::Ceil),
+            "toward-zero" => Some(RoundingMode::TowardZero),
+            _ => None,
+        }
+    }
+}
+
 /// A `QK.F` two's-complement fixed-point format (paper §3, Figure 3).
 ///
 /// `K` integer bits — **including** the sign bit — and `F` fractional bits,
@@ -303,6 +332,24 @@ fn round_f64(x: f64, mode: RoundingMode) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn rounding_mode_names_roundtrip() {
+        // The spellings are on-disk vocabulary (artifact `rounding`, explore
+        // cache keys): pin them so a rename cannot silently break old files.
+        for (mode, name) in [
+            (RoundingMode::NearestEven, "nearest-even"),
+            (RoundingMode::NearestAway, "nearest-away"),
+            (RoundingMode::Floor, "floor"),
+            (RoundingMode::Ceil, "ceil"),
+            (RoundingMode::TowardZero, "toward-zero"),
+        ] {
+            assert_eq!(mode.name(), name);
+            assert_eq!(RoundingMode::from_name(name), Some(mode));
+        }
+        assert_eq!(RoundingMode::from_name("stochastic"), None);
+        assert_eq!(RoundingMode::from_name("NearestEven"), None);
+    }
 
     #[test]
     fn construction_validates() {

@@ -1,5 +1,5 @@
 //! Exporters: hand-rolled JSON (no runtime serde, matching the
-//! `model_json` convention), a human-readable text dump, and the
+//! `serve::json` convention), a human-readable text dump, and the
 //! [`NdjsonWriter`] subscriber behind the CLI's `--trace`.
 
 use crate::metrics::{HistogramSnapshot, MetricValue, Registry};

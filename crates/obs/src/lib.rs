@@ -14,7 +14,7 @@
 //!   and a predictable branch — cheap enough for the branch-and-bound
 //!   hot loop.
 //! * [`export`] — hand-rolled JSON/text exporters (same no-runtime-serde
-//!   convention as `model_json`) and [`NdjsonWriter`], a subscriber that
+//!   convention as `serve::json`) and [`NdjsonWriter`], a subscriber that
 //!   streams one JSON object per line to a file (the CLI's `--trace`).
 //!
 //! The crate deliberately has **zero dependencies** so every other crate

@@ -408,14 +408,11 @@ impl ModelArtifact {
         fields.push(("kind", Value::from(self.model.kind_name())));
         match &self.model {
             ServedModel::Binary(clf) => {
-                fields.push(("rounding", Value::from(rounding_name(clf.rounding()))));
+                fields.push(("rounding", Value::from(clf.rounding().name())));
                 fields.push(("binary", head_json(clf)));
             }
             ServedModel::OneVsRest(clf) => {
-                fields.push((
-                    "rounding",
-                    Value::from(rounding_name(clf.heads()[0].rounding())),
-                ));
+                fields.push(("rounding", Value::from(clf.heads()[0].rounding().name())));
                 fields.push((
                     "heads",
                     Value::Array(clf.heads().iter().map(head_json).collect()),
@@ -426,7 +423,7 @@ impl ModelArtifact {
                 ));
             }
             ServedModel::NaiveBayes(m) => {
-                fields.push(("rounding", Value::from(rounding_name(m.rounding()))));
+                fields.push(("rounding", Value::from(m.rounding().name())));
                 fields.push((
                     "naive_bayes",
                     Value::object([
@@ -452,7 +449,7 @@ impl ModelArtifact {
                 ));
             }
             ServedModel::OsElm(m) => {
-                fields.push(("rounding", Value::from(rounding_name(m.rounding()))));
+                fields.push(("rounding", Value::from(m.rounding().name())));
                 fields.push((
                     "os_elm",
                     Value::object([
@@ -477,7 +474,12 @@ impl ModelArtifact {
             context: "payload.qformat".to_string(),
             message: e.to_string(),
         })?;
-        let rounding = parse_rounding(require_str(payload, "rounding")?)?;
+        let rounding_text = require_str(payload, "rounding")?;
+        let rounding =
+            RoundingMode::from_name(rounding_text).ok_or_else(|| ServeError::Schema {
+                context: "payload.rounding".to_string(),
+                message: format!("unknown rounding mode '{rounding_text}'"),
+            })?;
         let class_labels: Vec<String> = require_array(payload, "class_labels")?
             .iter()
             .enumerate()
@@ -746,36 +748,6 @@ fn model_schema_err(ctx: &str, e: ModelError) -> ServeError {
     }
 }
 
-/// Stable on-disk name of a rounding mode.
-pub fn rounding_name(mode: RoundingMode) -> &'static str {
-    match mode {
-        RoundingMode::NearestEven => "nearest-even",
-        RoundingMode::NearestAway => "nearest-away",
-        RoundingMode::Floor => "floor",
-        RoundingMode::Ceil => "ceil",
-        RoundingMode::TowardZero => "toward-zero",
-    }
-}
-
-/// Inverse of [`rounding_name`].
-///
-/// # Errors
-///
-/// Returns [`ServeError::Schema`] for unknown names.
-pub fn parse_rounding(name: &str) -> Result<RoundingMode> {
-    match name {
-        "nearest-even" => Ok(RoundingMode::NearestEven),
-        "nearest-away" => Ok(RoundingMode::NearestAway),
-        "floor" => Ok(RoundingMode::Floor),
-        "ceil" => Ok(RoundingMode::Ceil),
-        "toward-zero" => Ok(RoundingMode::TowardZero),
-        other => Err(ServeError::Schema {
-            context: "payload.rounding".to_string(),
-            message: format!("unknown rounding mode '{other}'"),
-        }),
-    }
-}
-
 /// FNV-1a/64 checksum of a payload value's canonical serialization, in the
 /// artifact's `fnv1a64:<16 hex digits>` spelling.
 pub fn checksum_of(payload: &Value) -> String {
@@ -960,20 +932,6 @@ mod tests {
     }
 
     #[test]
-    fn rounding_names_roundtrip() {
-        for mode in [
-            RoundingMode::NearestEven,
-            RoundingMode::NearestAway,
-            RoundingMode::Floor,
-            RoundingMode::Ceil,
-            RoundingMode::TowardZero,
-        ] {
-            assert_eq!(parse_rounding(rounding_name(mode)).unwrap(), mode);
-        }
-        assert!(parse_rounding("stochastic").is_err());
-    }
-
-    #[test]
     fn save_load_roundtrip_on_disk() {
         let artifact = sample_binary();
         let dir = std::env::temp_dir().join(format!(
@@ -1063,6 +1021,22 @@ mod tests {
                 assert_eq!(context, "payload.family");
                 assert!(message.contains("quantum-forest"), "{message}");
                 assert!(message.contains("known:"), "{message}");
+            }
+            other => panic!("expected Schema error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn unknown_rounding_rejected_positionally() {
+        let text = with_edited_payload(&sample_binary(), |payload| {
+            if let Value::Object(map) = payload {
+                map.insert("rounding".to_string(), Value::from("stochastic"));
+            }
+        });
+        match ModelArtifact::from_json_str(&text) {
+            Err(ServeError::Schema { context, message }) => {
+                assert_eq!(context, "payload.rounding");
+                assert!(message.contains("stochastic"), "{message}");
             }
             other => panic!("expected Schema error, got {other:?}"),
         }

@@ -119,7 +119,7 @@ cmp "$chaos_tmp/base.md" "$chaos_tmp/chaos.md" \
     || { echo "rerun changed the pareto report" >&2; exit 1; }
 
 # Model-family layer: trainer/classify units and proptests for the
-# pluggable families, then a per-family train→save→predict round-trip
+# pluggable families, then a per-family train→--out→predict round-trip
 # through the real binary (naive Bayes and OS-ELM exit 0 on success;
 # LDA keys its exit on the training-outcome contract), a family sweep
 # smoke with tracing on (validated by trace-check, and the family-tagged
@@ -133,7 +133,7 @@ for family in lda naive-bayes os-elm; do
     fam_status=0
     cargo run --release -q -p ldafp-cli -- train --data "$obs_tmp/train.csv" \
         --bits 8 --quick --family "$family" \
-        --save-model "$fam_tmp/$family.ldafp.json" > /dev/null || fam_status=$?
+        --out "$fam_tmp/$family.ldafp.json" > /dev/null || fam_status=$?
     case "$family:$fam_status" in
         lda:0|lda:2|lda:3|naive-bayes:0|os-elm:0) ;;
         *) echo "train --family $family failed with status $fam_status" >&2; exit 1 ;;
@@ -143,6 +143,25 @@ for family in lda naive-bayes os-elm; do
         | grep -q '^# rows: 40' \
         || { echo "predict --family $family round-trip failed" >&2; exit 1; }
 done
+# The same model file feeds the describing commands: info, eval and
+# export-rtl read the LDA artifact and refuse other kinds with exit 1.
+cargo run --release -q -p ldafp-cli -- info --model "$fam_tmp/lda.ldafp.json" \
+    > "$fam_tmp/lda.info"
+grep -qF 'w[  0]' "$fam_tmp/lda.info" \
+    || { echo "info on the lda artifact printed no weights" >&2; exit 1; }
+cargo run --release -q -p ldafp-cli -- eval --model "$fam_tmp/lda.ldafp.json" \
+    --data "$obs_tmp/train.csv" > "$fam_tmp/lda.eval"
+grep -qF 'error rate' "$fam_tmp/lda.eval" \
+    || { echo "eval on the lda artifact printed no error rate" >&2; exit 1; }
+cargo run --release -q -p ldafp-cli -- export-rtl --model "$fam_tmp/lda.ldafp.json" \
+    --testbench > "$fam_tmp/lda.v"
+grep -qF 'module ldafp_classifier (' "$fam_tmp/lda.v" \
+    || { echo "export-rtl on the lda artifact emitted no module" >&2; exit 1; }
+info_status=0
+cargo run --release -q -p ldafp-cli -- info --model "$fam_tmp/naive-bayes.ldafp.json" \
+    > /dev/null 2>&1 || info_status=$?
+[ "$info_status" -eq 1 ] \
+    || { echo "info on a naive-bayes artifact exited $info_status, not 1" >&2; exit 1; }
 fam_args=(explore --threads 1 --min-bits 6 --max-bits 8 --family naive-bayes,os-elm
           --data "$obs_tmp/train.csv")
 sweep_status=0

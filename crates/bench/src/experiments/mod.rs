@@ -1,30 +1,16 @@
 //! Experiment runners (library side of the `table1`/`table2`/`fig2`/`fig4`/
-//! `power`/`ablation` binaries).
+//! `power`/`ablation`/`tradeoff` binaries).
 
 mod ablation;
 mod bci;
-mod bnb_par;
-mod explore;
 mod fig2;
-mod kernels;
-mod net;
-mod obs;
 mod power;
-mod serve;
 mod synthetic;
 mod tradeoff;
 
 pub use ablation::{run_ablation, AblationConfig, AblationRow};
 pub use bci::{run_table2, Table2Config, Table2Row};
-pub use bnb_par::{run_bnb_par, BnbParConfig, BnbParReport};
-pub use explore::{run_explore_bench, ExploreBenchConfig, ExploreBenchReport};
 pub use fig2::{run_fig2, BoundaryRobustness, Fig2Config, Fig2Report};
-pub use kernels::{run_kernels_bench, KernelsBenchConfig, KernelsBenchReport};
-pub use net::{run_net_throughput, NetBenchConfig, NetThroughputReport};
-pub use obs::{run_obs_overhead, ObsBenchConfig, ObsOverheadReport};
 pub use power::{run_power, PowerConfig, PowerRow};
-pub use serve::{
-    run_serve_throughput, serve_fixture, ServeBenchConfig, ServeThroughputReport,
-};
 pub use synthetic::{run_synthetic_sweep, SyntheticSweepConfig, SyntheticSweepRow};
 pub use tradeoff::{iso_accuracy_savings, run_tradeoff, TradeoffConfig, TradeoffPoint};

@@ -37,6 +37,7 @@
 use crate::search::SearchOrder;
 use crate::{BnbStats, BoxNode, DegradationStats};
 use ldafp_obs as obs;
+use ldafp_stats::{fnv1a64, FNV1A64_OFFSET};
 use std::collections::BTreeMap;
 use std::fs;
 use std::io::Write;
@@ -51,20 +52,6 @@ pub const SNAPSHOT_MAGIC: [u8; 8] = *b"LDFPSNAP";
 /// Current snapshot format version. Readers reject anything newer.
 pub const SNAPSHOT_VERSION: u16 = 1;
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-/// FNV-1a/64 over `bytes`, continuing from `seed` (use [`FNV_OFFSET`] via
-/// [`snapshot_fingerprint`] for a fresh hash).
-fn fnv1a64(bytes: &[u8], seed: u64) -> u64 {
-    let mut hash = seed;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(FNV_PRIME);
-    }
-    hash
-}
-
 /// Hashes an arbitrary identity string into a snapshot fingerprint.
 ///
 /// Callers derive this from whatever uniquely identifies the search
@@ -73,7 +60,7 @@ fn fnv1a64(bytes: &[u8], seed: u64) -> u64 {
 /// can never resume a *different* problem.
 #[must_use]
 pub fn snapshot_fingerprint(identity: &[u8]) -> u64 {
-    fnv1a64(identity, FNV_OFFSET)
+    fnv1a64(identity, FNV1A64_OFFSET)
 }
 
 /// One open box on the serialized frontier.
@@ -217,7 +204,7 @@ pub fn encode_snapshot(snapshot: &SearchSnapshot, fingerprint: u64) -> Vec<u8> {
     out.extend_from_slice(&fingerprint.to_le_bytes());
     out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
     out.extend_from_slice(&payload);
-    let checksum = fnv1a64(&out, FNV_OFFSET);
+    let checksum = fnv1a64(&out, FNV1A64_OFFSET);
     out.extend_from_slice(&checksum.to_le_bytes());
     out
 }
@@ -382,7 +369,7 @@ pub fn decode_snapshot(bytes: &[u8], fingerprint: u64) -> Result<SearchSnapshot,
     let stored_sum = u64::from_le_bytes(
         bytes[bytes.len() - 8..].try_into().expect("8 bytes"),
     );
-    if fnv1a64(body, FNV_OFFSET) != stored_sum {
+    if fnv1a64(body, FNV1A64_OFFSET) != stored_sum {
         return Err("checksum: snapshot is corrupt".to_string());
     }
     let payload_len = u64::from_le_bytes(bytes[18..26].try_into().expect("8 bytes"));
@@ -708,7 +695,7 @@ mod tests {
         bytes[8..10].copy_from_slice(&newer);
         // Re-seal the checksum so only the version gate can reject it.
         let body_len = bytes.len() - 8;
-        let sum = fnv1a64(&bytes[..body_len], FNV_OFFSET);
+        let sum = fnv1a64(&bytes[..body_len], FNV1A64_OFFSET);
         bytes[body_len..].copy_from_slice(&sum.to_le_bytes());
         let err = decode_snapshot(&bytes, 1).unwrap_err();
         assert!(err.starts_with("version:"), "{err}");

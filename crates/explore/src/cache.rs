@@ -30,6 +30,7 @@ use ldafp_core::LdaFpConfig;
 use ldafp_datasets::BinaryDataset;
 use ldafp_serve::artifact::checksum_of;
 use ldafp_serve::json::{self, Value};
+use ldafp_stats::{fnv1a64, FNV1A64_OFFSET};
 use std::fs;
 use std::path::{Path, PathBuf};
 
@@ -37,35 +38,18 @@ use std::path::{Path, PathBuf};
 /// v3 added the model-family axis to keys and payloads.
 pub const CACHE_FORMAT_VERSION: i64 = 3;
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-fn fnv1a64(bytes: impl IntoIterator<Item = u8>, seed: u64) -> u64 {
-    let mut hash = seed;
-    for b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(FNV_PRIME);
-    }
-    hash
-}
-
 /// FNV-1a/64 digest of a dataset: dimensions plus the exact bit pattern
 /// of every sample, both classes. Bit-level equality is the right notion
 /// here — two datasets that differ only in float noise train differently.
 #[must_use]
 pub fn dataset_digest(data: &BinaryDataset) -> u64 {
-    let mut hash = FNV_OFFSET;
+    let mut hash = FNV1A64_OFFSET;
     for matrix in [&data.class_a, &data.class_b] {
-        hash = fnv1a64(
-            (matrix.rows() as u64)
-                .to_le_bytes()
-                .into_iter()
-                .chain((matrix.cols() as u64).to_le_bytes()),
-            hash,
-        );
+        hash = fnv1a64(&(matrix.rows() as u64).to_le_bytes(), hash);
+        hash = fnv1a64(&(matrix.cols() as u64).to_le_bytes(), hash);
         for i in 0..matrix.rows() {
             for &x in matrix.row(i) {
-                hash = fnv1a64(x.to_bits().to_le_bytes(), hash);
+                hash = fnv1a64(&x.to_bits().to_le_bytes(), hash);
             }
         }
     }
@@ -86,7 +70,7 @@ pub fn dataset_digest(data: &BinaryDataset) -> u64 {
 pub fn config_digest(config: &LdaFpConfig) -> u64 {
     let mut canonical = config.clone();
     canonical.solver_threads = 1;
-    fnv1a64(format!("{canonical:?}").into_bytes(), FNV_OFFSET)
+    fnv1a64(format!("{canonical:?}").as_bytes(), FNV1A64_OFFSET)
 }
 
 /// Content key for one (dataset, point, config) problem instance.
@@ -105,7 +89,7 @@ pub fn problem_key(
         point.rho,
         point.rounding.name(),
     );
-    format!("fnv1a64:{:016x}", fnv1a64(canonical.into_bytes(), FNV_OFFSET))
+    format!("fnv1a64:{:016x}", fnv1a64(canonical.as_bytes(), FNV1A64_OFFSET))
 }
 
 /// A directory of checksummed outcome envelopes.

@@ -112,9 +112,10 @@ pub type Result<T> = std::result::Result<T, KernelError>;
 /// they differ only in speed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum KernelKind {
-    /// The row-at-a-time PR-3 loop lifted onto raw words — the baseline
-    /// the blocked and SIMD kernels are benchmarked (and ≥2x-gated)
-    /// against.
+    /// The row-at-a-time `mac_dot_counted` loop lifted onto raw words.
+    /// The ≥2x throughput gate (`crates/bench/tests/kernels_gate.rs`)
+    /// times every kind, this one included, against one
+    /// `mac_dot_counted` call per row, not against this kind.
     Reference,
     /// Cache-blocked scalar tiles (8 rows, column-major packed scratch).
     /// Always available; pure safe code.

@@ -123,10 +123,11 @@ pub(crate) struct GemmOut<'a> {
     pub(crate) wraps: &'a mut [u32],
 }
 
-/// Row-at-a-time reference: the exact PR-3 `mac_dot_counted` loop lifted
-/// onto raw words. Used as the in-crate baseline the blocked and SIMD
-/// kernels are benchmarked against, and as the remainder path nothing
-/// here actually needs (tiles zero-pad instead).
+/// Row-at-a-time reference: the exact `mac_dot_counted` loop lifted onto
+/// raw words, and the remainder path nothing here actually needs
+/// (tiles zero-pad instead). The ≥2x throughput gate
+/// (`crates/bench/tests/kernels_gate.rs`) measures every kernel, this one
+/// included, against `mac_dot_counted` itself, not against this loop.
 pub(crate) fn gemm_reference<const MODE: u8>(
     spec: &MacSpec,
     batch: &QBatch<'_>,

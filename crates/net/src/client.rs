@@ -29,6 +29,7 @@ use ldafp_obs as obs;
 use ldafp_serve::json::{self, Value};
 use ldafp_serve::wire::{self, Request, DEFAULT_MAX_FRAME};
 use ldafp_serve::ServeError;
+use ldafp_stats::{fnv1a64, FNV1A64_OFFSET};
 use std::io::{ErrorKind, Read, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
@@ -110,11 +111,8 @@ impl RetryPolicy {
             .saturating_mul(1u32 << doublings)
             .min(self.max_delay);
         // FNV-1a over (addr, attempt) → jitter in [0.75, 1.25).
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for byte in addr.bytes().chain(attempt.to_le_bytes()) {
-            h ^= u64::from(byte);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
+        let h = fnv1a64(addr.as_bytes(), FNV1A64_OFFSET);
+        let h = fnv1a64(&attempt.to_le_bytes(), h);
         let jitter = 0.75 + (h >> 11) as f64 / (1u64 << 53) as f64 * 0.5;
         raw.mul_f64(jitter).min(self.max_delay)
     }

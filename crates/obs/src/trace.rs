@@ -3,8 +3,9 @@
 //! Cost model: with no subscriber installed (the default), every
 //! emission site — `if obs::enabled() { obs::emit(...) }` — is a single
 //! relaxed atomic load plus an untaken branch; no event is built, no
-//! field is formatted, no lock is touched. The `<2%` overhead gate in
-//! `BENCH_obs.json` holds the solver hot path to that promise.
+//! field is formatted, no lock is touched. The `<2%` overhead gate
+//! (`crates/bench/tests/obs_gate.rs`, a release-mode test) holds the
+//! solver hot path to that promise.
 //!
 //! Only one subscriber can be installed at a time; installing replaces
 //! the previous one. That keeps dispatch to one `RwLock` read and matches

@@ -56,6 +56,7 @@ use ldafp_core::multiclass::OneVsRestClassifier;
 use ldafp_core::{FixedPointClassifier, TrainingOutcome};
 use ldafp_fixedpoint::{QFormat, RoundingMode};
 use ldafp_models::{FixedPointModel, ModelError, ModelFamily, NaiveBayesModel, OsElmModel};
+use ldafp_stats::{fnv1a64, FNV1A64_OFFSET};
 use std::path::Path;
 
 /// Newest artifact format version this runtime reads and writes.
@@ -751,12 +752,7 @@ fn model_schema_err(ctx: &str, e: ModelError) -> ServeError {
 /// FNV-1a/64 checksum of a payload value's canonical serialization, in the
 /// artifact's `fnv1a64:<16 hex digits>` spelling.
 pub fn checksum_of(payload: &Value) -> String {
-    let canonical = payload.to_compact_string();
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in canonical.bytes() {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
+    let hash = fnv1a64(payload.to_compact_string().as_bytes(), FNV1A64_OFFSET);
     format!("fnv1a64:{hash:016x}")
 }
 

@@ -14,7 +14,8 @@
 //! polished with one step of Halley's method, sampling via
 //! Cholesky-transformed standard normals drawn from the workspace's one
 //! seeded generator ([`Rng`], SplitMix64). The [`rng`] module also holds the
-//! seeded case loop ([`rng::check`]) that the property suites run on.
+//! seeded case loop ([`rng::check`]) that the property suites run on, and
+//! [`fnv1a64`] is the one content hash behind every checksum and cache key.
 //!
 //! # Example
 //!
@@ -32,6 +33,7 @@
 mod crossval;
 pub mod descriptive;
 mod error;
+mod fnv;
 /// Multivariate Gaussian distributions and standard-normal sampling.
 pub mod mvn;
 pub mod normal;
@@ -39,6 +41,7 @@ pub mod rng;
 
 pub use crossval::{KFoldSplit, StratifiedKFold};
 pub use error::StatsError;
+pub use fnv::{fnv1a64, FNV1A64_OFFSET};
 pub use mvn::MultivariateGaussian;
 pub use rng::Rng;
 

@@ -41,8 +41,8 @@ cargo run --release -q -p ldafp-bench --bin ablation -- --quick > /dev/null
 # tracing-soundness test (subscriber must not change training results),
 # then an end-to-end --trace smoke: train with the NDJSON stream on,
 # validate every line with trace-check, and assert the expected solver
-# instrumentation actually fired. Finally the overhead gate: obs_bench
-# exits nonzero when the disabled facade costs >= 2% of solver wall time.
+# instrumentation actually fired. Finally the overhead gate, a release-mode
+# test that fails when the disabled facade costs >= 2% of solver wall time.
 cargo test -q -p ldafp-obs
 cargo test -q -p ldafp-core --test obs_soundness
 cargo clippy -p ldafp-obs --all-targets -- -D warnings
@@ -67,16 +67,17 @@ for event in bnb.expand bnb.prune bnb.incumbent solver.solved registry.dump; do
 done
 grep -q 'bnb.solves' "$obs_tmp/train.err" \
     || { echo "--metrics-summary printed no registry" >&2; exit 1; }
-cargo run --release -q -p ldafp-bench --bin obs_bench -- --quick > /dev/null
+cargo test --release -q -p ldafp-bench --test obs_gate
 
 # Parallel search layer: bit-identity proptests, worker-span obs contract
 # and fault-injected degradation parity run as part of the suites above;
 # here the whole workspace test suite is repeated once with a 4-thread
 # solver pool (results must be bit-identical, so everything still passes),
-# then the speedup gate: bnb_par_bench exits nonzero when the 4-thread
-# latency-sim search fails to reach 1.5x over serial.
+# then the speedup gate, a release-mode test that fails when any timed
+# outcome differs from serial or the 4-thread latency-sim search fails to
+# reach 1.5x over serial.
 LDAFP_SOLVER_THREADS=4 cargo test -q --workspace
-cargo run --release -q -p ldafp-bench --bin bnb_par_bench -- --quick > /dev/null
+cargo test --release -q -p ldafp-bench --test bnb_par_gate
 
 # Checkpoint/resume layer: snapshot codec + bit-identical-resume property
 # tests run in the suites above; the in-process kill–resume chaos harness
@@ -273,24 +274,25 @@ if grep '"event":"net.batch"' "$net_tmp/net.ndjson" | grep -v '"queue_wait_us":[
     echo "a net.batch event lacks queue_wait_us" >&2; exit 1
 fi
 
-# Throughput + overload gate: net_bench exits nonzero when the shedder
-# fails to engage or corrupts an admitted reply; the full (non-quick)
-# shape additionally requires the binary codec >= 2x the JSON codec on
-# the same server at 16 clients.
-cargo run --release -q -p ldafp-bench --bin net_bench -- --quick > /dev/null
+# Throughput + overload gate, a release-mode test: it fails unless the
+# binary codec reaches >= 2x the JSON codec on the same server at 16
+# clients, the shedder engages under overload, and every admitted reply
+# equals the in-process predict_batch.
+cargo test --release -q -p ldafp-bench --test net_gate
 
 # Kernel datapath (`ldafp-kernels`): unit tests + the bit-equivalence
 # proptests (every KernelKind vs the traced scalar mac_dot reference,
 # values and wrap counts, all rounding modes), the scalar-fallback build
 # (--no-default-features drops the intrinsic path and must still compile
-# under forbid(unsafe_code)), and the throughput gate: kernels_bench
-# exits nonzero unless the best kernel clears 2x the PR-3 scalar path at
-# the paper's F=42 / batch=256 shape. The cross-family serve/net
+# under forbid(unsafe_code)), and the throughput gate, a release-mode test
+# that asserts every kernel bit-identical to mac_dot_counted and then fails
+# unless the best kernel clears 2x one mac_dot_counted call per row at the
+# paper's F=42 / batch=256 shape. The cross-family serve/net
 # equivalence suite rides the ldafp-net loopback tests above.
 cargo test -q -p ldafp-kernels
 cargo test -q -p ldafp-kernels --test proptests
 cargo build -q -p ldafp-kernels --no-default-features
-cargo run --release -q -p ldafp-bench --bin kernels_bench -- --quick > /dev/null
+cargo test --release -q -p ldafp-bench --test kernels_gate
 # The fused slice quantizer every f64 row takes into the kernels lives
 # in `ldafp-fixedpoint`; lint it beside them.
 cargo clippy -p ldafp-fixedpoint --all-targets -- -D warnings

@@ -677,9 +677,8 @@ pub fn wordlength(args: &ParsedArgs, csv_text: &str) -> Result<String> {
     let trainer = LdaFpTrainer::new(cfg.clone());
 
     let pm = MacPowerModel::default();
-    // The sweep itself runs on the explore engine (warm-started, one
-    // worker per core); `core::wordlength::sweep` remains only as the
-    // deprecated serial fallback.
+    // The sweep itself runs on the explore engine (one worker per core,
+    // one branch-and-bound search per design point).
     let grid = ExploreGrid {
         min_bits: search.min_bits.max(2),
         max_bits: search.max_bits,
@@ -690,7 +689,6 @@ pub fn wordlength(args: &ParsedArgs, csv_text: &str) -> Result<String> {
     };
     let summary = Explorer::new(ExploreConfig {
         threads: args.get_parsed("threads", 0usize)?,
-        warm_start: true,
         cache_dir: None,
         trainer: cfg,
         ..ExploreConfig::default()
@@ -760,7 +758,7 @@ no word length in {}..={} reaches {:.2}% error
 /// [--k n] [--rho p[,p...]] [--rounding mode[,mode...]]
 /// [--family name[,name...]] [--threads n]
 /// [--budget-secs n] [--cache-dir dir] [--no-cache is implied without
-/// --cache-dir] [--cold] [--json report.json] [--quick] [--resume dir]
+/// --cache-dir] [--json report.json] [--quick] [--resume dir]
 /// [--checkpoint-nodes n] [--pareto report.md]` — sweeps the design
 /// space, reports every point plus the (error, power) Pareto frontier as
 /// Markdown, and optionally writes the JSON report.
@@ -879,7 +877,6 @@ pub fn explore(
     };
     let summary = match Explorer::new(ExploreConfig {
         threads: args.get_parsed("threads", 0usize)?,
-        warm_start: !args.has_flag("cold"),
         cache_dir,
         trainer,
         state_dir,
@@ -955,7 +952,7 @@ mod tests {
                 "addr", "threads", "solver-threads", "holdout", "rounding", "cache-dir",
                 "json", "trace", "resume", "pareto", "checkpoint-nodes", "family",
             ],
-            &["baseline", "quick", "testbench", "cold", "no-cache", "metrics-summary"],
+            &["baseline", "quick", "testbench", "no-cache", "metrics-summary"],
         )
         .unwrap()
     }

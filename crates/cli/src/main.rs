@@ -22,7 +22,7 @@
 //!                  [--k 2] [--rho 0.9,0.99] [--rounding nearest-even,floor]
 //!                  [--family lda,naive-bayes,os-elm]
 //!                  [--threads 4] [--budget-secs 30] [--cache-dir .ldafp-cache]
-//!                  [--no-cache] [--cold] [--json report.json] [--quick]
+//!                  [--no-cache] [--json report.json] [--quick]
 //!                  [--resume state-dir] [--checkpoint-nodes 256] [--pareto report.md]
 //! ldafp demo       [--bits 6]
 //! ldafp trace-check --input trace.ndjson
@@ -85,7 +85,7 @@ commands:
   explore     [--data <csv>] [--holdout f] [--min-bits n] [--max-bits n] [--k n]
               [--rho p,...] [--rounding mode,...] [--family name,...]
               [--threads n] [--solver-threads n]
-              [--budget-secs n] [--cache-dir dir] [--no-cache] [--cold]
+              [--budget-secs n] [--cache-dir dir] [--no-cache]
               [--json report.json] [--quick] [--resume dir]
               [--checkpoint-nodes n] [--pareto report.md]
               (^C interrupts cooperatively: checkpoints flush, exit code 4,
@@ -132,7 +132,7 @@ fn run() -> ldafp_cli::Result<(String, u8)> {
             "name", "wire", "models", "batch-rows", "batch-deadline-us", "max-inflight",
             "max-pending-rows", "read-deadline-ms",
         ],
-        &["baseline", "quick", "testbench", "cold", "no-cache", "metrics-summary"],
+        &["baseline", "quick", "testbench", "no-cache", "metrics-summary"],
     )?;
     let command = args
         .positional()

@@ -10,9 +10,11 @@
 //! resumable path (code 4) leaving state a later run can finish from.
 //!
 //! The sweep runs the built-in demo2d workload (seeded, deterministic) so
-//! the harness needs no data files; `--threads 1` keeps the warm-start
-//! publication order identical across crashed and uninterrupted runs,
-//! which is what makes byte-identity a fair assertion.
+//! the harness needs no data files. Every design point runs its own
+//! search and a resumed search replays bit-identically, which is what
+//! makes byte-identity a fair assertion at any worker count; `--threads 1`
+//! only keeps the crash schedule (the order of snapshot writes)
+//! reproducible.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;

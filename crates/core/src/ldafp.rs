@@ -285,11 +285,8 @@ impl LdaFpModel {
 
     /// The grid point the *search* settled on, before any empirical
     /// deployment rescale — the weights a certificate actually covers.
-    ///
-    /// This is the right vector to warm-start a neighboring design point
-    /// with: [`Self::weights`] may carry an empirically re-selected scale
-    /// that is good for deployment but lies off the Fisher optimum, and
-    /// re-rounding it onto a neighbor's grid yields a poor incumbent.
+    /// [`Self::weights`] may carry an empirically re-selected scale that is
+    /// good for deployment but lies off the Fisher optimum.
     pub fn search_weights(&self) -> &[f64] {
         &self.search_weights
     }
@@ -370,52 +367,18 @@ impl LdaFpTrainer {
     ///   Fisher cost satisfies the overflow constraints.
     /// * Solver/statistics failures are propagated.
     pub fn train(&self, data: &BinaryDataset, format: QFormat) -> Result<LdaFpModel> {
-        self.train_seeded(data, format, &[])
+        self.train_checkpointed(data, format, None)
     }
 
-    /// [`Self::train`] warm-started with externally supplied candidate
-    /// weight vectors — typically the optima of neighboring design points in
-    /// a word-length sweep (see `ldafp-explore`).
-    ///
-    /// Each seed is re-rounded onto *this* format's grid, orientation-
-    /// canonicalized and checked for feasibility and finite Fisher cost
-    /// before adoption, exactly like any other incumbent candidate. Seeds
-    /// are considered *in addition to* the full cold-start heuristic
-    /// battery (rounded LDA, scaled-rounding sweep, polish), so the warm
-    /// incumbent entering branch-and-bound is never worse than the cold
-    /// one — and the best-first search, whose node order is
-    /// incumbent-independent, can only certify earlier and prune more.
-    ///
-    /// **Soundness:** seeds only ever strengthen the *incumbent* side of the
-    /// search — bounds, pruning rules and termination tests are untouched,
-    /// and an incumbent is only adopted after its exact discrete cost is
-    /// verified. A certificate from a warm-started run therefore proves the
-    /// same global optimality (within the configured gaps) as a cold run's.
-    ///
-    /// Seeds with the wrong dimensionality or non-finite entries are
-    /// silently ignored.
-    ///
-    /// # Errors
-    ///
-    /// Same failure modes as [`Self::train`].
-    pub fn train_seeded(
-        &self,
-        data: &BinaryDataset,
-        format: QFormat,
-        seeds: &[Vec<f64>],
-    ) -> Result<LdaFpModel> {
-        self.train_seeded_checkpointed(data, format, seeds, None)
-    }
-
-    /// [`Self::train_seeded`] with crash-safe checkpointing of the
+    /// [`Self::train`] with crash-safe checkpointing of the
     /// branch-and-bound search.
     ///
     /// With a [`CheckpointPolicy`], the search periodically snapshots its
     /// full state to the policy's path, resumes from a valid snapshot when
     /// one exists, and honors the policy's cooperative interrupt flag. A
     /// resumed run replays to a model bit-identical to the uninterrupted
-    /// one **provided the same `data`, `format` and `seeds` are passed**
-    /// (the snapshot carries the search state, not the training inputs —
+    /// one **provided the same `data` and `format` are passed** (the
+    /// snapshot carries the search state, not the training inputs —
     /// callers bind them together via [`ldafp_bnb::snapshot_fingerprint`]).
     ///
     /// # Errors
@@ -424,11 +387,10 @@ impl LdaFpTrainer {
     /// [`CoreError::Interrupted`] when the cooperative interrupt flag stops
     /// the search: the final snapshot is flushed first, so the next call
     /// resumes where this one stopped.
-    pub fn train_seeded_checkpointed(
+    pub fn train_checkpointed(
         &self,
         data: &BinaryDataset,
         format: QFormat,
-        seeds: &[Vec<f64>],
         ckpt: Option<&CheckpointPolicy>,
     ) -> Result<LdaFpModel> {
         let start = Instant::now();
@@ -440,21 +402,13 @@ impl LdaFpTrainer {
                     .with("family", "lda")
                     .with("format", format.to_string())
                     .with("features", tp.num_features())
-                    .with("rows", na + nb)
-                    .with("seeds", seeds.len()),
+                    .with("rows", na + nb),
             );
         }
         let lda = LdaModel::from_moments(tp.moments())?;
 
         // ---- Incumbent seeding (DESIGN.md §5 heuristics) ----------------
         let mut best: Option<(Vec<f64>, f64)> = None;
-        for seed in seeds {
-            if seed.len() != tp.num_features() || seed.iter().any(|v| !v.is_finite()) {
-                continue;
-            }
-            let w = format.round_slice_to_grid(seed, self.config.rounding);
-            self.consider(&tp, &w, &mut best);
-        }
         self.consider(&tp, &format.round_slice_to_grid(lda.weights(), self.config.rounding), &mut best);
         if self.config.scaled_rounding {
             self.scaled_rounding_sweep(&tp, lda.weights(), &mut best);

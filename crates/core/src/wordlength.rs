@@ -11,6 +11,12 @@
 //! paper notes this about its own Table 2), so the search is a linear scan
 //! from the smallest candidate upward — each step is itself a full LDA-FP
 //! training run, which dominates the cost anyway.
+//!
+//! Sweeping a whole range (the data behind accuracy-vs-power trade-off
+//! curves) is the `ldafp-explore` engine's job: it trains every design
+//! point with its own branch-and-bound search, in parallel, and caches the
+//! results on disk. [`SweepPoint`] is the row type of that sweep's
+//! word-length view.
 
 use crate::{eval, LdaFpModel, LdaFpTrainer, Result};
 use ldafp_datasets::BinaryDataset;
@@ -95,43 +101,6 @@ pub fn minimal_word_length(
     Ok(None)
 }
 
-/// Sweeps every word length in the range, reporting the validation error of
-/// each — the data behind accuracy-vs-power tradeoff curves.
-///
-/// This is the serial fallback implementation, kept for no-thread targets
-/// and as the semantic reference. The `ldafp-explore` crate owns the real
-/// sweep engine: it covers the same grid in parallel with warm-started
-/// branch-and-bound, caches results on disk, and scores points with the
-/// hardware power model. Prefer `ldafp_explore::Explorer` (or the
-/// `ldafp explore` CLI subcommand) for anything beyond a quick in-process
-/// scan.
-#[deprecated(
-    since = "0.2.0",
-    note = "use ldafp_explore::Explorer (the `ldafp explore` subcommand); \
-            this serial scan is kept only as a no-thread fallback"
-)]
-pub fn sweep(
-    trainer: &LdaFpTrainer,
-    train: &BinaryDataset,
-    validation: &BinaryDataset,
-    search: &WordLengthSearch,
-) -> Vec<SweepPoint> {
-    (search.min_bits..=search.max_bits)
-        .map(|bits| match trainer.train_auto(train, bits, search.max_k) {
-            Ok((model, format)) => SweepPoint {
-                word_length: bits,
-                format: format.to_string(),
-                validation_error: eval::error_rate(model.classifier(), validation),
-            },
-            Err(_) => SweepPoint {
-                word_length: bits,
-                format: "-".to_string(),
-                validation_error: 0.5,
-            },
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -203,26 +172,5 @@ mod tests {
         )
         .unwrap();
         assert!(out.is_none());
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn sweep_covers_range_and_is_eventually_good() {
-        let train = easy_data(30, 0.4, 5);
-        let val = easy_data(30, 0.4, 6);
-        let trainer = LdaFpTrainer::new(LdaFpConfig::fast());
-        let points = sweep(
-            &trainer,
-            &train,
-            &val,
-            &WordLengthSearch {
-                min_bits: 3,
-                max_bits: 8,
-                max_k: 2,
-            },
-        );
-        assert_eq!(points.len(), 6);
-        assert!(points.iter().all(|p| (3..=8).contains(&p.word_length)));
-        assert!(points.last().unwrap().validation_error < 0.1);
     }
 }

@@ -8,7 +8,7 @@
 //!
 //! ```json
 //! {
-//!   "version": 1,
+//!   "version": 4,
 //!   "key": "fnv1a64:0123456789abcdef",
 //!   "payload": { ... outcome ... },
 //!   "checksum": "fnv1a64:..."
@@ -35,8 +35,10 @@ use std::fs;
 use std::path::{Path, PathBuf};
 
 /// Envelope format version; bump on any incompatible payload change.
-/// v3 added the model-family axis to keys and payloads.
-pub const CACHE_FORMAT_VERSION: i64 = 3;
+/// v3 added the model-family axis to keys and payloads; v4 dropped the
+/// warm-start provenance (the seeded flag and search weights) from
+/// payloads.
+pub const CACHE_FORMAT_VERSION: i64 = 4;
 
 /// FNV-1a/64 digest of a dataset: dimensions plus the exact bit pattern
 /// of every sample, both classes. Bit-level equality is the right notion

@@ -1,5 +1,5 @@
 //! The exploration engine: a work-stealing worker pool over the design
-//! grid, with warm-started solves and cache integration.
+//! grid, with cache integration.
 //!
 //! ## Scheduling
 //!
@@ -13,22 +13,17 @@
 //! With one worker (or one point) the engine runs inline on the calling
 //! thread — the serial fallback for no-thread targets.
 //!
-//! ## Warm-starting
+//! ## One search per point
 //!
-//! Finished points publish their optimum weights to a shared solution
-//! board. Before training, each point collects the published optima of
-//! its grid neighbors (same ρ/rounding, Chebyshev distance 1 in `(K, F)`)
-//! and passes them to
-//! [`LdaFpTrainer::train_seeded`](ldafp_core::LdaFpTrainer::train_seeded),
-//! which re-rounds them onto the point's grid and adopts any feasible one
-//! as the starting incumbent. Because points are dispatched smallest word
-//! length first, most points find at least one solved neighbor. The
-//! soundness argument lives on `train_seeded`: seeds strengthen only the
-//! incumbent side of branch-and-bound, so certificates are unaffected.
+//! Every design point runs its own branch-and-bound search, the same one
+//! a single `ldafp train` runs for that format; no point reads another's
+//! result. A sweep's outcomes therefore do not depend on
+//! how points are scheduled across workers: any thread count reproduces
+//! the serial sweep bit for bit (timings aside).
 
 use crate::cache::{config_digest, dataset_digest, problem_key, ResultCache};
 use crate::error::ExploreError;
-use crate::grid::{are_neighbors, DesignPoint, ExploreGrid};
+use crate::grid::{DesignPoint, ExploreGrid};
 use crate::journal::SweepJournal;
 use crate::pareto::pareto_frontier;
 use crate::Result;
@@ -53,8 +48,6 @@ pub struct ExploreConfig {
     /// Worker threads (`0` = one per core via
     /// [`std::thread::available_parallelism`]).
     pub threads: usize,
-    /// Seed each point's search from solved neighbors.
-    pub warm_start: bool,
     /// Persistent result cache directory (`None` = no caching).
     pub cache_dir: Option<PathBuf>,
     /// Durable sweep state directory — the fsync'd journal plus per-point
@@ -78,7 +71,6 @@ impl Default for ExploreConfig {
     fn default() -> Self {
         ExploreConfig {
             threads: 0,
-            warm_start: true,
             cache_dir: None,
             state_dir: None,
             checkpoint_nodes: 256,
@@ -95,11 +87,6 @@ pub struct TrainedPointMetrics {
     pub format: String,
     /// Continuous-relaxation weights behind the deployed classifier.
     pub weights: Vec<f64>,
-    /// The search incumbent before any empirical deployment rescale —
-    /// the vector published to the warm-start solution board. Re-rounding
-    /// the *deployed* weights onto a neighbor's grid seeds it with an
-    /// off-optimum scaling; the search optimum transfers cleanly.
-    pub search_weights: Vec<f64>,
     /// Held-out classification error.
     pub validation_error: f64,
     /// Training-set classification error.
@@ -130,8 +117,6 @@ pub struct DesignOutcome {
     pub nodes_assessed: usize,
     /// Wall time spent on this point, milliseconds.
     pub elapsed_ms: f64,
-    /// Whether a neighbor seed was offered to the trainer.
-    pub warm_seeded: bool,
     /// Whether the outcome was served from the persistent cache.
     pub from_cache: bool,
 }
@@ -147,10 +132,6 @@ impl DesignOutcome {
                 (
                     "weights",
                     Value::Array(m.weights.iter().map(|&w| Value::from(w)).collect()),
-                ),
-                (
-                    "search_weights",
-                    Value::Array(m.search_weights.iter().map(|&w| Value::from(w)).collect()),
                 ),
                 ("validation_error", Value::from(m.validation_error)),
                 ("training_error", Value::from(m.training_error)),
@@ -176,7 +157,6 @@ impl DesignOutcome {
             ),
             ("nodes_assessed", Value::from(self.nodes_assessed)),
             ("elapsed_ms", Value::from(self.elapsed_ms)),
-            ("warm_seeded", Value::from(self.warm_seeded)),
             ("from_cache", Value::from(self.from_cache)),
         ])
     }
@@ -202,12 +182,6 @@ impl DesignOutcome {
                     .iter()
                     .map(Value::as_f64)
                     .collect::<Option<Vec<f64>>>()?,
-                search_weights: m
-                    .get("search_weights")?
-                    .as_array()?
-                    .iter()
-                    .map(Value::as_f64)
-                    .collect::<Option<Vec<f64>>>()?,
                 validation_error: m.get("validation_error")?.as_f64()?,
                 training_error: m.get("training_error")?.as_f64()?,
                 fisher_cost: m.get("fisher_cost")?.as_f64()?,
@@ -227,7 +201,6 @@ impl DesignOutcome {
             failure,
             nodes_assessed: usize::try_from(v.get("nodes_assessed")?.as_i64()?).ok()?,
             elapsed_ms: v.get("elapsed_ms")?.as_f64()?,
-            warm_seeded: v.get("warm_seeded")?.as_bool()?,
             from_cache: v.get("from_cache")?.as_bool()?,
         })
     }
@@ -247,8 +220,6 @@ pub struct ExploreSummary {
     pub total_elapsed_ms: f64,
     /// Points served from the persistent cache.
     pub cache_hits: usize,
-    /// Points that were offered at least one warm seed.
-    pub warm_seeded_points: usize,
     /// Worker threads the sweep actually used.
     pub threads: usize,
 }
@@ -310,7 +281,6 @@ struct SweepMetrics {
     points: Arc<obs::Counter>,
     cache_hits: Arc<obs::Counter>,
     cache_misses: Arc<obs::Counter>,
-    warm_seeded: Arc<obs::Counter>,
     failures: Arc<obs::Counter>,
     resume_skipped: Arc<obs::Counter>,
     point_us: Arc<obs::Histogram>,
@@ -324,7 +294,6 @@ fn sweep_metrics() -> &'static SweepMetrics {
             points: r.counter("explore.points"),
             cache_hits: r.counter("explore.cache_hits"),
             cache_misses: r.counter("explore.cache_misses"),
-            warm_seeded: r.counter("explore.warm_seeded_points"),
             failures: r.counter("explore.failed_points"),
             resume_skipped: r.counter("explore.resume_skipped"),
             point_us: r.histogram("explore.point_us"),
@@ -344,9 +313,6 @@ fn record_point(outcome: &DesignOutcome) {
         m.point_us
             .record((outcome.elapsed_ms * 1e3).max(0.0) as u64);
     }
-    if outcome.warm_seeded {
-        m.warm_seeded.inc();
-    }
     if outcome.failure.is_some() {
         m.failures.inc();
     }
@@ -358,7 +324,6 @@ fn record_point(outcome: &DesignOutcome) {
             .with("rho", outcome.point.rho)
             .with("rounding", outcome.point.rounding.name())
             .with("from_cache", outcome.from_cache)
-            .with("warm_seeded", outcome.warm_seeded)
             .with("nodes_assessed", outcome.nodes_assessed)
             .with("elapsed_ms", outcome.elapsed_ms);
         match (&outcome.metrics, &outcome.failure) {
@@ -383,7 +348,6 @@ pub struct Explorer {
     config: ExploreConfig,
 }
 
-/// Shared state visible to every worker during a sweep.
 /// Nested-parallelism budget: the sweep already occupies one core per
 /// worker, so each B&B solve gets at most its share of the remaining
 /// parallelism (`0` = auto defers to that share entirely).
@@ -414,19 +378,16 @@ impl SweepState {
     }
 }
 
-struct SweepShared<'a> {
-    points: &'a [DesignPoint],
+/// Shared state visible to every worker during a sweep.
+struct SweepShared {
     /// Intra-solve thread budget for each trainer, chosen so that
     /// `sweep workers × solver threads` never exceeds the core count.
     intra_threads: usize,
     queues: Vec<Mutex<VecDeque<usize>>>,
-    /// `(point index, optimum weights)` of finished, successfully trained
-    /// points — the warm-start solution board.
-    solved: Mutex<Vec<(usize, Vec<f64>)>>,
     results: Mutex<Vec<Option<DesignOutcome>>>,
 }
 
-impl SweepShared<'_> {
+impl SweepShared {
     /// Pop own queue front, else steal another queue's back.
     fn next_point(&self, me: usize) -> Option<usize> {
         if let Some(i) = self.queues[me].lock().unwrap_or_else(|e| e.into_inner()).pop_front() {
@@ -445,30 +406,7 @@ impl SweepShared<'_> {
         None
     }
 
-    /// Published optima of `point`'s grid neighbors (capped at 8 — the
-    /// `(K, F)` Chebyshev-1 neighborhood size — so seed verification stays
-    /// O(1) per point).
-    fn neighbor_seeds(&self, point: &DesignPoint) -> Vec<Vec<f64>> {
-        let solved = self.solved.lock().unwrap_or_else(|e| e.into_inner());
-        solved
-            .iter()
-            .filter(|(i, _)| are_neighbors(&self.points[*i], point))
-            .take(8)
-            .map(|(_, w)| w.clone())
-            .collect()
-    }
-
     fn publish(&self, index: usize, outcome: DesignOutcome) {
-        // Family points carry no LDA weight vector; an empty seed would be
-        // meaningless to re-round, so only real optima reach the board.
-        if let Some(m) = &outcome.metrics {
-            if !m.search_weights.is_empty() {
-                self.solved
-                    .lock()
-                    .unwrap_or_else(|e| e.into_inner())
-                    .push((index, m.search_weights.clone()));
-            }
-        }
         self.results.lock().unwrap_or_else(|e| e.into_inner())[index] = Some(outcome);
     }
 }
@@ -544,10 +482,8 @@ impl Explorer {
         let cores =
             std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
         let shared = SweepShared {
-            points: &points,
             intra_threads: (cores / threads).max(1),
             queues: (0..threads).map(|_| Mutex::new(VecDeque::new())).collect(),
-            solved: Mutex::new(Vec::new()),
             results: Mutex::new(vec![None; points.len()]),
         };
         // Deal round-robin so every worker starts on a small word length
@@ -634,14 +570,12 @@ impl Explorer {
         let pareto = pareto_frontier(&outcomes);
         let total_nodes = outcomes.iter().map(|o| o.nodes_assessed).sum();
         let cache_hits = outcomes.iter().filter(|o| o.from_cache).count();
-        let warm_seeded_points = outcomes.iter().filter(|o| o.warm_seeded).count();
         Ok(ExploreSummary {
             outcomes,
             pareto,
             total_nodes,
             total_elapsed_ms: started.elapsed().as_secs_f64() * 1e3,
             cache_hits,
-            warm_seeded_points,
             threads,
         })
     }
@@ -667,7 +601,7 @@ impl Explorer {
         validation_digest: u64,
         cache: Option<&ResultCache>,
         state: Option<&SweepState>,
-        shared: &SweepShared<'_>,
+        shared: &SweepShared,
     ) -> Option<DesignOutcome> {
         let mut trainer_config = self.config.trainer.clone();
         trainer_config.rho = point.rho;
@@ -735,12 +669,6 @@ impl Explorer {
             ]));
         }
         let outcome = if point.family == ModelFamily::Lda {
-            let seeds = if self.config.warm_start {
-                shared.neighbor_seeds(point)
-            } else {
-                Vec::new()
-            };
-            let warm_seeded = !seeds.is_empty();
             let trainer = LdaFpTrainer::new(trainer_config);
             let policy = ckpt_path.as_ref().map(|path| {
                 let mut policy = CheckpointPolicy::every_nodes(
@@ -756,8 +684,7 @@ impl Explorer {
             let trained = match point.format() {
                 Err(e) => Err(e.to_string()),
                 Ok(format) => {
-                    match trainer.train_seeded_checkpointed(train, format, &seeds, policy.as_ref())
-                    {
+                    match trainer.train_checkpointed(train, format, policy.as_ref()) {
                         Err(CoreError::Interrupted) => return None,
                         other => other.map_err(|e| e.to_string()),
                     }
@@ -773,7 +700,6 @@ impl Explorer {
                         metrics: Some(TrainedPointMetrics {
                             format: model.classifier().format().to_string(),
                             weights: model.weights().to_vec(),
-                            search_weights: model.search_weights().to_vec(),
                             validation_error: eval::error_rate(model.classifier(), validation),
                             training_error: eval::error_rate(model.classifier(), train),
                             fisher_cost: model.fisher_cost(),
@@ -785,7 +711,6 @@ impl Explorer {
                         failure: None,
                         nodes_assessed: model.stats().nodes_assessed,
                         elapsed_ms: started.elapsed().as_secs_f64() * 1e3,
-                        warm_seeded,
                         from_cache: false,
                     }
                 }
@@ -795,7 +720,6 @@ impl Explorer {
                     failure: Some(detail),
                     nodes_assessed: 0,
                     elapsed_ms: started.elapsed().as_secs_f64() * 1e3,
-                    warm_seeded,
                     from_cache: false,
                 },
             }
@@ -882,7 +806,6 @@ fn family_outcome(
                 metrics: Some(TrainedPointMetrics {
                     format: format!("Q{}.{}", point.k, point.f),
                     weights: Vec::new(),
-                    search_weights: Vec::new(),
                     validation_error,
                     training_error,
                     fisher_cost: 0.0,
@@ -894,7 +817,6 @@ fn family_outcome(
                 failure: None,
                 nodes_assessed: 0,
                 elapsed_ms,
-                warm_seeded: false,
                 from_cache: false,
             }
         }
@@ -904,7 +826,6 @@ fn family_outcome(
             failure: Some(detail),
             nodes_assessed: 0,
             elapsed_ms,
-            warm_seeded: false,
             from_cache: false,
         },
     }
@@ -983,11 +904,9 @@ mod tests {
     fn parallel_and_serial_sweeps_agree_on_metrics() {
         let train = easy_data(25, 0.4, 3);
         let validation = easy_data(25, 0.4, 4);
-        // Cold runs so worker interleaving cannot change seeding.
         let run = |threads| {
             Explorer::new(ExploreConfig {
                 threads,
-                warm_start: false,
                 ..ExploreConfig::default()
             })
             .run(&train, &validation, &small_grid())
@@ -1002,6 +921,19 @@ mod tests {
                 s.metrics.as_ref().map(|m| m.validation_error),
                 p.metrics.as_ref().map(|m| m.validation_error)
             );
+            assert_eq!(
+                s.metrics.as_ref().map(|m| m.fisher_cost.to_bits()),
+                p.metrics.as_ref().map(|m| m.fisher_cost.to_bits()),
+                "fisher cost at {:?}",
+                s.point
+            );
+            assert_eq!(
+                s.metrics.as_ref().map(|m| m.outcome.as_str()),
+                p.metrics.as_ref().map(|m| m.outcome.as_str()),
+                "outcome label at {:?}",
+                s.point
+            );
+            assert_eq!(s.nodes_assessed, p.nodes_assessed, "nodes at {:?}", s.point);
         }
         assert_eq!(serial.pareto, parallel.pareto);
     }
@@ -1049,7 +981,6 @@ mod tests {
             metrics: Some(TrainedPointMetrics {
                 format: "Q2.3".to_string(),
                 weights: vec![0.5, -0.25],
-                search_weights: vec![0.5, -0.375],
                 validation_error: 0.125,
                 training_error: 0.0625,
                 fisher_cost: -1.5,
@@ -1061,7 +992,6 @@ mod tests {
             failure: None,
             nodes_assessed: 42,
             elapsed_ms: 3.5,
-            warm_seeded: true,
             from_cache: false,
         };
         assert_eq!(DesignOutcome::from_value(&outcome.to_value()), Some(outcome));
@@ -1078,7 +1008,6 @@ mod tests {
             failure: Some("no feasible grid point".to_string()),
             nodes_assessed: 0,
             elapsed_ms: 0.1,
-            warm_seeded: false,
             from_cache: false,
         };
         assert_eq!(DesignOutcome::from_value(&failed.to_value()), Some(failed));

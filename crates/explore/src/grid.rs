@@ -188,19 +188,6 @@ impl ExploreGrid {
     }
 }
 
-/// Whether two points are warm-start neighbors: same family, ρ and
-/// rounding, and within Chebyshev distance 1 in the `(K, F)` plane. A
-/// neighbor's optimum lives on an adjacent grid, so re-rounding it onto
-/// this point's grid is the cheapest high-quality incumbent probe
-/// available. Cross-family points never seed each other — their raw words
-/// mean different things.
-#[must_use]
-pub fn are_neighbors(a: &DesignPoint, b: &DesignPoint) -> bool {
-    let dk = a.k.abs_diff(b.k);
-    let df = a.f.abs_diff(b.f);
-    a.family == b.family && a.rho == b.rho && a.rounding == b.rounding && dk.max(df) == 1
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -274,29 +261,5 @@ mod tests {
             grid.design_points(),
             Err(ExploreError::InvalidParameter { name: "rho", .. })
         ));
-    }
-
-    #[test]
-    fn neighborhood_is_chebyshev_one_with_matching_hyperparams() {
-        let p = |k, f| DesignPoint {
-            family: ModelFamily::Lda,
-            k,
-            f,
-            rho: 0.99,
-            rounding: RoundingMode::NearestEven,
-        };
-        assert!(are_neighbors(&p(2, 4), &p(2, 5)));
-        assert!(are_neighbors(&p(2, 4), &p(1, 3)));
-        assert!(!are_neighbors(&p(2, 4), &p(2, 4)), "a point is not its own seed");
-        assert!(!are_neighbors(&p(2, 4), &p(2, 6)));
-        let mut q = p(2, 5);
-        q.rho = 0.9;
-        assert!(!are_neighbors(&p(2, 4), &q), "different rho breaks adjacency");
-        let mut r = p(2, 5);
-        r.family = ModelFamily::NaiveBayes;
-        assert!(
-            !are_neighbors(&p(2, 4), &r),
-            "different family breaks adjacency"
-        );
     }
 }

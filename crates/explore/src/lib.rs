@@ -9,11 +9,9 @@
 //! * [`Explorer`] fans the grid across a work-stealing `std::thread`
 //!   worker pool, training every point through the recovering solver
 //!   path and scoring it with held-out accuracy plus the `ldafp-hwmodel`
-//!   energy/area/power models;
-//! * **warm-starting** seeds each point's branch-and-bound search with
-//!   the optima of already-solved neighboring formats, pruning the
-//!   search without weakening its certificates (see
-//!   [`LdaFpTrainer::train_seeded`](ldafp_core::LdaFpTrainer::train_seeded));
+//!   energy/area/power models. Every point runs its own
+//!   branch-and-bound search, so a sweep's outcomes are the same at any
+//!   worker count;
 //! * [`ResultCache`] persists outcomes on disk keyed by a content hash
 //!   of (dataset, design point, trainer config), corruption-safe in the
 //!   same style as the serving artifact loader, so repeated sweeps are

@@ -62,7 +62,6 @@ mod tests {
             metrics: Some(TrainedPointMetrics {
                 format: "Q2.4".to_string(),
                 weights: vec![],
-                search_weights: vec![],
                 validation_error: error,
                 training_error: error,
                 fisher_cost: 0.0,
@@ -74,7 +73,6 @@ mod tests {
             failure: None,
             nodes_assessed: 0,
             elapsed_ms: 0.0,
-            warm_seeded: false,
             from_cache: false,
         }
     }

@@ -28,13 +28,11 @@ pub fn markdown_report(summary: &ExploreSummary) -> String {
     let _ = writeln!(
         out,
         "{} design point(s), {} trained, {} failed; {} cache hit(s), \
-         {} warm-seeded, {} worker thread(s), {:.1} ms total, \
-         {} B&B node(s) assessed.\n",
+         {} worker thread(s), {:.1} ms total, {} B&B node(s) assessed.\n",
         summary.outcomes.len(),
         summary.trained(),
         summary.failed(),
         summary.cache_hits,
-        summary.warm_seeded_points,
         summary.threads,
         summary.total_elapsed_ms,
         summary.total_nodes,
@@ -50,14 +48,7 @@ pub fn markdown_report(summary: &ExploreSummary) -> String {
         "|---|---:|---:|---:|---:|---:|---|---:|---:|---|"
     );
     for o in &summary.outcomes {
-        let mut flags = Vec::new();
-        if o.from_cache {
-            flags.push("cache");
-        }
-        if o.warm_seeded {
-            flags.push("warm");
-        }
-        let flags = if flags.is_empty() { "-".to_string() } else { flags.join("+") };
+        let flags = if o.from_cache { "cache" } else { "-" };
         match &o.metrics {
             Some(m) => {
                 let _ = writeln!(
@@ -120,7 +111,7 @@ pub fn markdown_report(summary: &ExploreSummary) -> String {
 }
 
 /// A **deterministic** Markdown Pareto report: only run-independent fields
-/// — no timings, node counts, cache/warm flags or thread counts — so two
+/// — no timings, node counts, cache flags or thread counts — so two
 /// sweeps over the same problem render byte-identical reports, whether one
 /// of them was crashed and resumed or not. This is the artifact the
 /// kill–resume chaos gate byte-compares.
@@ -193,7 +184,6 @@ pub fn json_report(summary: &ExploreSummary) -> Value {
         ("trained", Value::from(summary.trained())),
         ("failed", Value::from(summary.failed())),
         ("cache_hits", Value::from(summary.cache_hits)),
-        ("warm_seeded_points", Value::from(summary.warm_seeded_points)),
         ("threads", Value::from(summary.threads)),
         ("total_nodes", Value::from(summary.total_nodes)),
         ("total_elapsed_ms", Value::from(summary.total_elapsed_ms)),
@@ -230,7 +220,6 @@ mod tests {
                 failure: Some("grid erased separation".to_string()),
                 nodes_assessed: 0,
                 elapsed_ms: 0.3,
-                warm_seeded: false,
                 from_cache: false,
             },
             DesignOutcome {
@@ -244,7 +233,6 @@ mod tests {
                 metrics: Some(TrainedPointMetrics {
                     format: "Q2.4".to_string(),
                     weights: vec![0.5, -0.25],
-                    search_weights: vec![0.5, -0.25],
                     validation_error: 0.05,
                     training_error: 0.04,
                     fisher_cost: -2.0,
@@ -256,7 +244,6 @@ mod tests {
                 failure: None,
                 nodes_assessed: 37,
                 elapsed_ms: 12.5,
-                warm_seeded: true,
                 from_cache: false,
             },
         ];
@@ -264,7 +251,6 @@ mod tests {
         ExploreSummary {
             total_nodes: outcomes.iter().map(|o| o.nodes_assessed).sum(),
             cache_hits: 0,
-            warm_seeded_points: 1,
             threads: 2,
             total_elapsed_ms: 12.8,
             pareto,
@@ -279,7 +265,6 @@ mod tests {
         assert!(text.contains("failed: grid erased separation"));
         assert!(text.contains("Pareto frontier"));
         assert!(text.contains("certified"));
-        assert!(text.contains("warm"));
     }
 
     #[test]

@@ -31,7 +31,7 @@ use crate::error::{Result, ServeError};
 use ldafp_fixedpoint::{Fx, InputScale, QFormat, RoundingMode};
 use ldafp_kernels::{mac_gemm_into, mac_row, GemmScratch, KernelKind, QBatch, QBatchBuf};
 use ldafp_models::FixedPointModel;
-use std::sync::{Arc, Mutex, TryLockError};
+use std::sync::{Arc, Mutex};
 
 /// Working buffers for the single-row path: the row's raw words and the
 /// `Fx` view the table-driven families take. The batch paths use the
@@ -45,10 +45,9 @@ struct RowScratch {
 /// Engine-owned working memory for the batch paths, reused across
 /// batches (not just across the rows of one batch): the SoA word buffer,
 /// the kernel tile scratch, and the output/wrap vectors all keep their
-/// allocations between calls. Shared across engine clones behind a
-/// `try_lock` — a batch that runs while a clone on another thread holds
-/// the scratch falls back to a fresh one rather than serializing on the
-/// lock.
+/// allocations between calls. Shared across engine clones behind one
+/// lock, so clones serialize their batch calls: a batch on one thread
+/// waits while a clone on another thread holds the scratch.
 #[derive(Debug)]
 struct EngineScratch {
     quantized: Vec<Fx>,
@@ -163,9 +162,10 @@ pub struct BatchOutput {
 /// The inference runtime around one loaded artifact.
 ///
 /// Cheap to clone (the artifact is behind an `Arc`), `Send + Sync`, and
-/// stateless between calls — clones may predict concurrently on
-/// different threads. Predictions name classes by index; the label text
-/// stays in the artifact's `class_labels`, read once per reply.
+/// stateless between calls. Clones share one batch scratch, so their
+/// batch calls serialize; single-row calls never touch it. Predictions
+/// name classes by index; the label text stays in the artifact's
+/// `class_labels`, read once per reply.
 #[derive(Debug, Clone)]
 pub struct InferenceEngine {
     artifact: Arc<ModelArtifact>,
@@ -198,20 +198,11 @@ impl InferenceEngine {
         })
     }
 
-    /// Runs `f` with the engine-owned scratch, or a fresh one when
-    /// another batch holds the lock (clones of the engine share this
-    /// scratch and may predict concurrently on different threads;
-    /// serializing them would make one wait on the other). A poisoned
-    /// lock is recovered — scratch holds no invariants between calls.
+    /// Runs `f` with the engine-owned scratch, waiting while a clone
+    /// holds it. A poisoned lock is recovered — scratch holds no
+    /// invariants between calls.
     fn with_scratch<R>(&self, f: impl FnOnce(&mut EngineScratch) -> R) -> R {
-        match self.scratch.try_lock() {
-            Ok(mut guard) => f(&mut guard),
-            Err(TryLockError::Poisoned(poisoned)) => f(&mut poisoned.into_inner()),
-            Err(TryLockError::WouldBlock) => f(&mut EngineScratch::new(
-                self.artifact.model.format(),
-                self.artifact.num_features(),
-            )),
-        }
+        f(&mut self.scratch.lock().unwrap_or_else(|e| e.into_inner()))
     }
 
     /// The artifact being served.

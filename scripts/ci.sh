@@ -27,12 +27,26 @@ cargo test -q -p ldafp-serve
 cargo test -q -p ldafp-cli --test serve_roundtrip
 cargo clippy -p ldafp-serve --all-targets -- -D warnings
 
-# Exploration layer: engine/cache/pareto units, warm-start and cache
-# property tests, then a CLI smoke sweep on the built-in demo workload
+# Exploration layer: engine/cache/pareto units and the end-to-end sweep
+# and cache tests, then a CLI smoke sweep on the built-in demo workload
 # (exit 0 requires the frontier's best point to train to certification).
 cargo build --release -p ldafp-explore
 cargo test -q -p ldafp-explore
 cargo run --release -q -p ldafp-cli -- explore --quick --threads 2 --max-bits 5 > /dev/null
+
+# Every design point runs its own search, so the thread count must not
+# change a sweep: the Pareto reports at one and two workers are
+# byte-equal. Exit 2 (an uncertified best point) is tolerated; the cmp
+# is the check.
+det_tmp="$(mktemp -d)"
+trap 'rm -rf "$det_tmp"' EXIT
+for t in 1 2; do
+    cargo run --release -q -p ldafp-cli -- explore --quick --max-bits 5 \
+        --threads "$t" --pareto "$det_tmp/t$t.md" > /dev/null || true
+done
+cmp "$det_tmp/t1.md" "$det_tmp/t2.md" \
+    || { echo "explore --pareto differs between 1 and 2 threads" >&2; exit 1; }
+rm -rf "$det_tmp"
 
 # Ablation harness: every trainer variant it lists still builds and trains.
 cargo run --release -q -p ldafp-bench --bin ablation -- --quick > /dev/null

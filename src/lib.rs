@@ -19,8 +19,8 @@
 //!   and `NetClient`, the one client for both codecs.
 //! * [`models`] — pluggable fixed-point model families (naive Bayes,
 //!   OS-ELM) on the wrapping-MAC datapath.
-//! * [`explore`] — parallel design-space exploration with warm-started
-//!   solves, a persistent result cache, and Pareto reporting.
+//! * [`explore`] — parallel design-space exploration (one search per
+//!   design point), a persistent result cache, and Pareto reporting.
 //! * [`obs`] — zero-cost-when-off tracing and metrics facade.
 
 #![forbid(unsafe_code)]

@@ -4,8 +4,9 @@
 //! This experiment traces the whole curve: for every word length, train
 //! LDA-FP and the rounded baseline, and report test error against the
 //! normalized power of the resulting engine — the data a designer actually
-//! needs to pick an operating point, and the natural companion to the
-//! `core::wordlength` optimizer.
+//! needs to pick an operating point. `ldafp wordlength` answers the
+//! narrower question (the smallest word length meeting a training-error
+//! target) from one explore sweep.
 
 use ldafp_core::{eval, LdaFpConfig, LdaFpTrainer};
 use ldafp_datasets::synthetic::{generate, SyntheticConfig};

@@ -485,6 +485,25 @@ fn apply_recovery_args(args: &ParsedArgs, cfg: &mut LdaFpConfig) -> Result<()> {
     Ok(())
 }
 
+/// The trainer configuration of a sweep (`explore`, `wordlength`):
+/// `--quick` picks the fast budgets, `--budget-secs` caps each point's
+/// search (no cap without it), then the recovery flags.
+fn sweep_trainer(args: &ParsedArgs) -> Result<LdaFpConfig> {
+    let mut cfg = if args.has_flag("quick") {
+        LdaFpConfig::fast()
+    } else {
+        LdaFpConfig::default()
+    };
+    if let Some(budget) = args.get("budget-secs") {
+        let secs: u64 = budget
+            .parse()
+            .map_err(|_| CliError(format!("--budget-secs expects an integer, got {budget:?}")))?;
+        cfg.bnb.time_budget = Some(Duration::from_secs(secs));
+    }
+    apply_recovery_args(args, &mut cfg)?;
+    Ok(cfg)
+}
+
 /// Parses a model file and returns its binary LDA classifier with the
 /// training provenance: the one kind `eval`, `info` and `export-rtl`
 /// describe. Any other kind is refused with an error naming it.
@@ -644,110 +663,85 @@ pub fn demo(args: &ParsedArgs) -> Result<String> {
 }
 
 /// `ldafp wordlength --data <csv> --target <error> [--min-bits n]
-/// [--max-bits n] [--k n] [--quick]` — finds the minimal word length whose
-/// LDA-FP classifier meets the target error on the training data, and
-/// reports the accuracy/power tradeoff curve.
+/// [--max-bits n] [--k n] [--quick] [--threads n] [--solver-threads n]
+/// [--budget-secs n] [--max-solver-retries n]` — sweeps every `QK.F`
+/// split from `--min-bits` to `--max-bits` on the explore engine, prints
+/// the best split per word length against its relative power, and
+/// answers with the first row whose training error meets the target.
 ///
 /// # Errors
 ///
 /// Propagates CSV, argument and training failures.
 pub fn wordlength(args: &ParsedArgs, csv_text: &str) -> Result<String> {
-    use ldafp_core::wordlength::{minimal_word_length, SweepPoint, WordLengthSearch};
-    use ldafp_explore::{ExploreConfig, ExploreGrid, Explorer};
+    use ldafp_explore::{ExploreConfig, ExploreGrid, Explorer, TrainedPointMetrics};
 
     let data = csv::parse(csv_text)?;
     let target: f64 = args.get_parsed("target", 0.2)?;
-    let search = WordLengthSearch {
-        min_bits: args.get_parsed("min-bits", 3u32)?,
-        max_bits: args.get_parsed("max-bits", 16u32)?,
-        max_k: args.get_parsed("k", 4u32)?,
-    };
-    if search.min_bits == 0 || search.max_bits > 31 || search.min_bits > search.max_bits {
+    let min_bits: u32 = args.get_parsed("min-bits", 3)?;
+    let max_bits: u32 = args.get_parsed("max-bits", 16)?;
+    if min_bits == 0 || max_bits > 31 || min_bits > max_bits {
         return Err(CliError(format!(
-            "invalid search range {}..={}",
-            search.min_bits, search.max_bits
+            "invalid search range {min_bits}..={max_bits}"
         )));
     }
-    let mut cfg = if args.has_flag("quick") {
-        LdaFpConfig::fast()
-    } else {
-        LdaFpConfig::default()
-    };
-    apply_recovery_args(args, &mut cfg)?;
-    let trainer = LdaFpTrainer::new(cfg.clone());
-
-    let pm = MacPowerModel::default();
-    // The sweep itself runs on the explore engine (one worker per core,
-    // one branch-and-bound search per design point).
+    let trainer = sweep_trainer(args)?;
+    // One worker per core by default, one branch-and-bound search per
+    // design point. The grid keeps a fraction bit, so it starts at 2 bits.
     let grid = ExploreGrid {
-        min_bits: search.min_bits.max(2),
-        max_bits: search.max_bits,
-        max_k: search.max_k,
-        rhos: vec![cfg.rho],
-        roundings: vec![cfg.rounding],
+        min_bits: min_bits.max(2),
+        max_bits,
+        max_k: args.get_parsed("k", 4)?,
+        rhos: vec![trainer.rho],
+        roundings: vec![trainer.rounding],
         ..ExploreGrid::default()
     };
     let summary = Explorer::new(ExploreConfig {
         threads: args.get_parsed("threads", 0usize)?,
         cache_dir: None,
-        trainer: cfg,
+        trainer,
         ..ExploreConfig::default()
     })
     .run(&data, &data, &grid)
     .map_err(|e| CliError(e.to_string()))?;
-    // One row per word length, like the historical serial sweep: the best
-    // (K, F) split by validation error, `-` when nothing trained.
-    let points: Vec<SweepPoint> = (search.min_bits..=search.max_bits)
+    // One row per word length: the best trained split by validation error,
+    // `None` when no split trained.
+    let rows: Vec<(u32, Option<&TrainedPointMetrics>)> = (min_bits..=max_bits)
         .map(|bits| {
-            summary
+            let best = summary
                 .outcomes
                 .iter()
                 .filter(|o| o.point.word_length() == bits)
                 .filter_map(|o| o.metrics.as_ref())
-                .min_by(|a, b| a.validation_error.total_cmp(&b.validation_error))
-                .map_or(
-                    SweepPoint {
-                        word_length: bits,
-                        format: "-".to_string(),
-                        validation_error: 0.5,
-                    },
-                    |m| SweepPoint {
-                        word_length: bits,
-                        format: m.format.clone(),
-                        validation_error: m.validation_error,
-                    },
-                )
+                .min_by(|a, b| a.validation_error.total_cmp(&b.validation_error));
+            (bits, best)
         })
         .collect();
-    let mut out = String::from("bits | format | training error | relative power
-");
-    let ref_power = pm.power(search.max_bits, data.num_features());
-    for p in &points {
+
+    let pm = MacPowerModel::default();
+    let ref_power = pm.power(max_bits, data.num_features());
+    let mut out = String::from("bits | format | training error | relative power\n");
+    for &(bits, best) in &rows {
+        let (format, error) = best.map_or(("-", 0.5), |m| (m.format.as_str(), m.validation_error));
         out.push_str(&format!(
-            "{:>4} | {:>6} | {:>13.2}% | {:>13.3}
-",
-            p.word_length,
-            p.format,
-            100.0 * p.validation_error,
-            pm.power(p.word_length, data.num_features()) / ref_power,
+            "{bits:>4} | {format:>6} | {:>13.2}% | {:>13.3}\n",
+            100.0 * error,
+            pm.power(bits, data.num_features()) / ref_power,
         ));
     }
-    match minimal_word_length(&trainer, &data, &data, target, &search)? {
-        Some(o) => out.push_str(&format!(
-            "
-minimal word length for ≤{:.2}% error: {} bits ({}), achieved {:.2}%
-",
+    // Only a row that trained can answer; the 50 % placeholder never does.
+    let answer = rows.iter().find_map(|&(bits, best)| match best {
+        Some(m) if m.validation_error <= target => Some((bits, m)),
+        _ => None,
+    });
+    match answer {
+        Some((bits, m)) => out.push_str(&format!(
+            "\nminimal word length for ≤{:.2}% error: {bits} bits ({}), achieved {:.2}%\n",
             100.0 * target,
-            o.word_length,
-            o.format,
-            100.0 * o.validation_error
+            m.format,
+            100.0 * m.validation_error
         )),
         None => out.push_str(&format!(
-            "
-no word length in {}..={} reaches {:.2}% error
-",
-            search.min_bits,
-            search.max_bits,
+            "\nno word length in {min_bits}..={max_bits} reaches {:.2}% error\n",
             100.0 * target
         )),
     }
@@ -847,18 +841,7 @@ pub fn explore(
         families,
     };
 
-    let mut trainer = if args.has_flag("quick") {
-        LdaFpConfig::fast()
-    } else {
-        LdaFpConfig::default()
-    };
-    if let Some(budget) = args.get("budget-secs") {
-        let secs: u64 = budget
-            .parse()
-            .map_err(|_| CliError(format!("--budget-secs expects an integer, got {budget:?}")))?;
-        trainer.bnb.time_budget = Some(Duration::from_secs(secs));
-    }
-    apply_recovery_args(args, &mut trainer)?;
+    let trainer = sweep_trainer(args)?;
 
     let state_dir = args.get("resume").map(std::path::PathBuf::from);
     let cache_dir = if args.has_flag("no-cache") {
@@ -1218,6 +1201,16 @@ mod tests {
         assert!(err.0.contains("--bits"), "{}", err.0);
     }
 
+    /// The answer line's word length and its format's `(K, F)`.
+    fn wordlength_answer(out: &str) -> Option<(u32, u32, u32)> {
+        let line = out.lines().find(|l| l.starts_with("minimal word length"))?;
+        let (_, rest) = line.split_once(": ")?;
+        let (bits, rest) = rest.split_once(" bits (Q")?;
+        let (format, _) = rest.split_once(')')?;
+        let (k, f) = format.split_once('.')?;
+        Some((bits.parse().ok()?, k.parse().ok()?, f.parse().ok()?))
+    }
+
     #[test]
     fn wordlength_finds_minimal_bits() {
         let out = wordlength(
@@ -1225,28 +1218,30 @@ mod tests {
             &easy_csv(),
         )
         .unwrap();
-        assert!(out.contains("minimal word length"), "{out}");
         assert!(out.contains("relative power"), "{out}");
+        let (bits, k, f) = wordlength_answer(&out).expect("easy data must be solvable");
+        assert!(bits <= 5, "needed {bits} bits\n{out}");
+        assert_eq!(k + f, bits, "{out}");
     }
 
     #[test]
     fn wordlength_reports_unreachable() {
-        // Target of exactly 0 on overlapping data within a tiny bit range.
+        // Overlapping classes on which no 3- or 4-bit split trains: every
+        // row is the 50 % placeholder, which must not answer even a 50 %
+        // target.
         let mut noisy = String::new();
         for i in 0..30 {
             let v = (i % 7) as f64 * 0.05 - 0.15;
             noisy.push_str(&format!("{v},{},A\n", -v * 0.3));
             noisy.push_str(&format!("{},{},B\n", v * 0.9, v * 0.31));
         }
-        let out = wordlength(
-            &parsed(&["--target", "0.0", "--min-bits", "3", "--max-bits", "4", "--quick"]),
-            &noisy,
-        );
-        if let Ok(text) = out {
-            assert!(
-                text.contains("no word length") || text.contains("minimal word length"),
-                "{text}"
-            );
+        for target in ["0.0", "0.5"] {
+            let out = wordlength(
+                &parsed(&["--target", target, "--min-bits", "3", "--max-bits", "4", "--quick"]),
+                &noisy,
+            )
+            .unwrap();
+            assert!(out.contains("no word length"), "target {target}:\n{out}");
         }
     }
 

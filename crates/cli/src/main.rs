@@ -18,6 +18,8 @@
 //! ldafp info       --model model.ldafp.json
 //! ldafp export-rtl --model model.ldafp.json [--module name] [--testbench] [--out clf.v]
 //! ldafp wordlength --data train.csv --target 0.2 [--min-bits 3] [--max-bits 16]
+//!                  [--k 4] [--quick] [--threads 4] [--solver-threads 1]
+//!                  [--budget-secs 30] [--max-solver-retries 3]
 //! ldafp explore    [--data train.csv] [--holdout 0.25] [--min-bits 3] [--max-bits 8]
 //!                  [--k 2] [--rho 0.9,0.99] [--rounding nearest-even,floor]
 //!                  [--family lda,naive-bayes,os-elm]
@@ -82,6 +84,8 @@ commands:
   info        --model <model.ldafp.json>
   export-rtl  --model <model.ldafp.json> [--module name] [--testbench] [--out clf.v]
   wordlength  --data <csv> --target <error> [--min-bits n] [--max-bits n]
+              [--k n] [--quick] [--threads n] [--solver-threads n]
+              [--budget-secs n] [--max-solver-retries n]
   explore     [--data <csv>] [--holdout f] [--min-bits n] [--max-bits n] [--k n]
               [--rho p,...] [--rounding mode,...] [--family name,...]
               [--threads n] [--solver-threads n]

@@ -15,22 +15,6 @@ use ldafp_solver::{
 };
 use std::time::{Duration, Instant};
 
-/// How a word length is mapped to a `QK.F` split.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FormatPolicy {
-    /// Use exactly this format.
-    Fixed(QFormat),
-    /// Try every `K ∈ 1..=max_k` for the given word length and keep the
-    /// trained model with the lowest training-set error (ties: lower Fisher
-    /// cost). The paper fixes one `QK.F` per experiment but does not state
-    /// the split; the auto policy reproduces "pick the best split" fairly
-    /// for both LDA and LDA-FP.
-    AutoK {
-        /// Largest integer-bit count to consider.
-        max_k: u32,
-    },
-}
-
 /// Tuning knobs for the LDA-FP trainer (Algorithm 1 plus the heuristics
 /// documented in DESIGN.md §5).
 #[derive(Debug, Clone, PartialEq)]
@@ -555,30 +539,11 @@ impl LdaFpTrainer {
         })
     }
 
-    /// Trains under a [`FormatPolicy`]: either one fixed `QK.F` or an
-    /// automatic search over integer-bit splits at a given word length.
-    ///
-    /// # Errors
-    ///
-    /// Same failure modes as [`Self::train`] / [`Self::train_auto`].
-    pub fn train_with_policy(
-        &self,
-        data: &BinaryDataset,
-        word_length: u32,
-        policy: FormatPolicy,
-    ) -> Result<(LdaFpModel, QFormat)> {
-        match policy {
-            FormatPolicy::Fixed(format) => {
-                let model = self.train(data, format)?;
-                Ok((model, format))
-            }
-            FormatPolicy::AutoK { max_k } => self.train_auto(data, word_length, max_k),
-        }
-    }
-
-    /// Trains at a total word length, searching over the `K`/`F` split per
-    /// [`FormatPolicy::AutoK`]. Returns the best model and its format,
-    /// judged by training-set error (ties broken by Fisher cost).
+    /// Trains at a total word length, trying every split `QK.F` with
+    /// `K ∈ 1..=max_k`. Returns the best model and its format, judged by
+    /// training-set error (ties broken by Fisher cost). The paper fixes one
+    /// `QK.F` per experiment but does not state the split; picking the best
+    /// one reproduces it fairly for both LDA and LDA-FP.
     ///
     /// # Errors
     ///
@@ -1547,24 +1512,6 @@ mod tests {
             model.fisher_cost(),
             best
         );
-    }
-
-    #[test]
-    fn policy_fixed_and_auto_agree_with_direct_calls() {
-        let trainer = LdaFpTrainer::new(LdaFpConfig::fast());
-        let format = QFormat::new(2, 3).unwrap();
-        let (via_policy, f1) = trainer
-            .train_with_policy(&easy_data(), 5, FormatPolicy::Fixed(format))
-            .unwrap();
-        assert_eq!(f1, format);
-        let direct = trainer.train(&easy_data(), format).unwrap();
-        assert_eq!(via_policy.weights(), direct.weights());
-
-        let (auto_model, f2) = trainer
-            .train_with_policy(&easy_data(), 5, FormatPolicy::AutoK { max_k: 3 })
-            .unwrap();
-        assert_eq!(f2.word_length(), 5);
-        assert!(auto_model.fisher_cost().is_finite());
     }
 
     #[test]

@@ -58,7 +58,6 @@ mod lda;
 mod ldafp;
 pub mod multiclass;
 mod problem;
-pub mod wordlength;
 
 pub use classifier::FixedPointClassifier;
 pub use error::CoreError;
@@ -69,7 +68,7 @@ pub use ldafp_bnb::{
     snapshot_fingerprint, BnbConfig, CheckpointPolicy, DegradationStats, SearchOrder,
 };
 pub use lda::LdaModel;
-pub use ldafp::{FormatPolicy, LdaFpConfig, LdaFpModel, LdaFpTrainer, TrainingOutcome};
+pub use ldafp::{LdaFpConfig, LdaFpModel, LdaFpTrainer, TrainingOutcome};
 pub use problem::TrainingProblem;
 
 /// Convenience alias for results returned by this crate.

@@ -98,10 +98,10 @@ impl Default for ExploreGrid {
 
 impl ExploreGrid {
     /// Enumerates the grid as concrete design points, **sorted by word
-    /// length ascending** (then `K`, then ρ, then rounding). The ordering
-    /// matters: the explorer dispatches points in this order so cheap
-    /// small-word-length solves finish first and seed their larger
-    /// neighbors' searches.
+    /// length ascending** (then `K`, then ρ, then rounding). The explorer
+    /// deals points to its workers in this order, so cheap small-word-length
+    /// solves start first, and reports them in it. Outcomes do not depend
+    /// on the order: every point runs its own search.
     ///
     /// # Errors
     ///

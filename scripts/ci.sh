@@ -28,11 +28,19 @@ cargo test -q -p ldafp-cli --test serve_roundtrip
 cargo clippy -p ldafp-serve --all-targets -- -D warnings
 
 # Exploration layer: engine/cache/pareto units and the end-to-end sweep
-# and cache tests, then a CLI smoke sweep on the built-in demo workload
-# (exit 0 requires the frontier's best point to train to certification).
+# and cache tests, then a CLI smoke sweep on the built-in demo workload.
+# The smoke checks the exit-code contract, not certification: 0 (the
+# frontier's best point certified) and 2 (it ended budget-exhausted or
+# degraded) both pass; any other status fails.
 cargo build --release -p ldafp-explore
 cargo test -q -p ldafp-explore
-cargo run --release -q -p ldafp-cli -- explore --quick --threads 2 --max-bits 5 > /dev/null
+smoke_status=0
+cargo run --release -q -p ldafp-cli -- explore --quick --threads 2 --max-bits 5 \
+    > /dev/null || smoke_status=$?
+case "$smoke_status" in
+    0|2) ;;
+    *) echo "explore smoke failed with status $smoke_status" >&2; exit 1 ;;
+esac
 
 # Every design point runs its own search, so the thread count must not
 # change a sweep: the Pareto reports at one and two workers are

@@ -43,7 +43,13 @@ fn main() {
     println!(
         "{}",
         table::render(
-            &["variant", "Fisher cost", "test error", "runtime (s)", "b&b nodes"],
+            &[
+                "variant",
+                "Fisher cost",
+                "test error",
+                "runtime (s)",
+                "b&b nodes"
+            ],
             &cells,
         )
     );

@@ -36,10 +36,7 @@ fn main() {
         .collect();
     println!(
         "{}",
-        table::render(
-            &["Word Length (Bit)", "QK.F", "w1", "w2", "w3"],
-            &cells,
-        )
+        table::render(&["Word Length (Bit)", "QK.F", "w1", "w2", "w3"], &cells,)
     );
     println!(
         "Paper reference (Figure 4): at large word lengths w1 ≈ 0 with large \

@@ -99,13 +99,12 @@ pub fn run_table2(config: &Table2Config) -> Vec<Table2Row> {
         .unwrap_or(0.5);
 
         let start = Instant::now();
-        let ldafp_error =
-            eval::cross_validate(&data, config.folds, &mut fold_rng_b, |train| {
-                let (model, _) = trainer.train_auto(train, w, config.max_k)?;
-                Ok(model.classifier().clone())
-            })
-            .map(|r| r.mean_error)
-            .unwrap_or(0.5);
+        let ldafp_error = eval::cross_validate(&data, config.folds, &mut fold_rng_b, |train| {
+            let (model, _) = trainer.train_auto(train, w, config.max_k)?;
+            Ok(model.classifier().clone())
+        })
+        .map(|r| r.mean_error)
+        .unwrap_or(0.5);
         let ldafp_runtime = start.elapsed().as_secs_f64();
 
         rows.push(Table2Row {

@@ -151,8 +151,8 @@ fn perturbation_analysis(
             if w[m] == weights[m] {
                 continue; // clamped back: not a distinct boundary
             }
-            let p = FixedPointClassifier::from_float(&w, threshold, format)
-                .expect("non-empty weights");
+            let p =
+                FixedPointClassifier::from_float(&w, threshold, format).expect("non-empty weights");
             perturbed.push(eval::error_rate(&p, data));
         }
     }
@@ -184,7 +184,11 @@ mod tests {
         };
         let report = run_fig2(&cfg);
         // Float LDA is near the Bayes floor (≈19.4%).
-        assert!(report.float_lda_error < 0.25, "float error {}", report.float_lda_error);
+        assert!(
+            report.float_lda_error < 0.25,
+            "float error {}",
+            report.float_lda_error
+        );
         // Rounded LDA collapses at 6 bits (the Figure 2a story).
         assert!(
             report.lda.nominal_error > 0.40,

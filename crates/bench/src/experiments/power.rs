@@ -28,8 +28,18 @@ impl Default for PowerConfig {
     fn default() -> Self {
         PowerConfig {
             comparisons: vec![
-                (12, 4, 3, "Table 1: synthetic, 12-bit LDA vs 4-bit LDA-FP".to_string()),
-                (8, 6, 42, "Table 2: BCI, 8-bit LDA vs 6-bit LDA-FP".to_string()),
+                (
+                    12,
+                    4,
+                    3,
+                    "Table 1: synthetic, 12-bit LDA vs 4-bit LDA-FP".to_string(),
+                ),
+                (
+                    8,
+                    6,
+                    42,
+                    "Table 2: BCI, 8-bit LDA vs 6-bit LDA-FP".to_string(),
+                ),
             ],
             gate_level_trials: 200,
             seed: 7,
@@ -109,8 +119,16 @@ mod tests {
             ..PowerConfig::default()
         });
         assert_eq!(rows.len(), 2);
-        assert!((rows[0].analytic_reduction - 9.0).abs() < 1.5, "9× claim: {}", rows[0].analytic_reduction);
-        assert!((rows[1].analytic_reduction - 1.8).abs() < 0.3, "1.8× claim: {}", rows[1].analytic_reduction);
+        assert!(
+            (rows[0].analytic_reduction - 9.0).abs() < 1.5,
+            "9× claim: {}",
+            rows[0].analytic_reduction
+        );
+        assert!(
+            (rows[1].analytic_reduction - 1.8).abs() < 0.3,
+            "1.8× claim: {}",
+            rows[1].analytic_reduction
+        );
     }
 
     #[test]

@@ -164,6 +164,10 @@ mod tests {
         );
         // At 12 bits both approach the Bayes floor (≈19.4%).
         let r12 = &rows[1];
-        assert!(r12.ldafp_error < 0.30, "12-bit LDA-FP error {}", r12.ldafp_error);
+        assert!(
+            r12.ldafp_error < 0.30,
+            "12-bit LDA-FP error {}",
+            r12.ldafp_error
+        );
     }
 }

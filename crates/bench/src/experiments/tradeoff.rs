@@ -178,6 +178,9 @@ mod tests {
         let savings = iso_accuracy_savings(&points);
         let twelve = savings.iter().find(|(b, _)| *b == 12).unwrap();
         let factor = twelve.1.expect("some LDA-FP point matches 12-bit LDA");
-        assert!(factor > 4.0, "iso-accuracy saving at 12 bits only {factor}x");
+        assert!(
+            factor > 4.0,
+            "iso-accuracy saving at 12 bits only {factor}x"
+        );
     }
 }

@@ -366,9 +366,7 @@ pub fn decode_snapshot(bytes: &[u8], fingerprint: u64) -> Result<SearchSnapshot,
         return Err("fingerprint: snapshot belongs to a different problem".to_string());
     }
     let body = &bytes[..bytes.len() - 8];
-    let stored_sum = u64::from_le_bytes(
-        bytes[bytes.len() - 8..].try_into().expect("8 bytes"),
-    );
+    let stored_sum = u64::from_le_bytes(bytes[bytes.len() - 8..].try_into().expect("8 bytes"));
     if fnv1a64(body, FNV1A64_OFFSET) != stored_sum {
         return Err("checksum: snapshot is corrupt".to_string());
     }
@@ -390,7 +388,11 @@ pub fn decode_snapshot(bytes: &[u8], fingerprint: u64) -> Result<SearchSnapshot,
 /// # Errors
 ///
 /// Propagates I/O failures; the previous snapshot (if any) is untouched.
-pub fn write_snapshot(path: &Path, snapshot: &SearchSnapshot, fingerprint: u64) -> std::io::Result<()> {
+pub fn write_snapshot(
+    path: &Path,
+    snapshot: &SearchSnapshot,
+    fingerprint: u64,
+) -> std::io::Result<()> {
     let bytes = encode_snapshot(snapshot, fingerprint);
     let tmp = path.with_extension("ckpt.tmp");
     {
@@ -731,10 +733,7 @@ mod tests {
 
     #[test]
     fn load_missing_and_rejected_and_ok() {
-        let dir = std::env::temp_dir().join(format!(
-            "ldafp-ckpt-test-{}",
-            std::process::id()
-        ));
+        let dir = std::env::temp_dir().join(format!("ldafp-ckpt-test-{}", std::process::id()));
         fs::create_dir_all(&dir).unwrap();
         let path = dir.join("solve.ckpt");
         let _ = fs::remove_file(&path);

@@ -116,8 +116,8 @@ impl FaultPlan {
             return Some(kind.clone());
         }
         // Uniform [0, 1) from a hash of (seed, index).
-        let u = (splitmix64(self.seed ^ (index as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15))
-            >> 11) as f64
+        let u = (splitmix64(self.seed ^ (index as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15)) >> 11)
+            as f64
             / (1u64 << 53) as f64;
         if u < self.numerical_rate {
             Some(FaultKind::Numerical)
@@ -347,7 +347,9 @@ mod tests {
 
     #[test]
     fn rates_roughly_respected() {
-        let p = FaultPlan::new(7).with_numerical_rate(0.25).with_infeasible_rate(0.25);
+        let p = FaultPlan::new(7)
+            .with_numerical_rate(0.25)
+            .with_infeasible_rate(0.25);
         let hits = (0..1000).filter(|&i| p.fault_for(i).is_some()).count();
         assert!(
             (350..=650).contains(&hits),

@@ -44,7 +44,9 @@
 //! match the serial run one-for-one.
 
 use crate::checkpoint::{self, CheckpointPolicy, LoadOutcome};
-use crate::search::{run_search, run_search_from, AssessmentSource, HeapNode, SearchStart, SerialSource};
+use crate::search::{
+    run_search, run_search_from, AssessmentSource, HeapNode, SearchStart, SerialSource,
+};
 use crate::{BnbConfig, BnbOutcome, BoundingProblem, BoxNode, NodeAssessment};
 use ldafp_obs as obs;
 use std::cmp::Ordering as CmpOrdering;
@@ -350,11 +352,7 @@ impl<P: SharedBoundingProblem> AssessmentSource for ParallelSource<'_, P> {
                     guard.done.insert(task.key, (assessment, None));
                     self.pool.task_done.notify_all();
                 } else {
-                    guard = self
-                        .pool
-                        .task_done
-                        .wait(guard)
-                        .expect("pool lock poisoned");
+                    guard = self.pool.task_done.wait(guard).expect("pool lock poisoned");
                 }
                 continue;
             }

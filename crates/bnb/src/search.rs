@@ -578,7 +578,12 @@ pub(crate) fn run_search_from<S: AssessmentSource>(
             let (root_raw, root_worker) = source.assess_next(&root);
             let root_assessment = sanitize(root_raw, &mut stats);
             stats.nodes_assessed += 1;
-            if adopt_candidate(&mut incumbent, root_assessment.candidate, &mut stats, root_worker) {
+            if adopt_candidate(
+                &mut incumbent,
+                root_assessment.candidate,
+                &mut stats,
+                root_worker,
+            ) {
                 source.publish_incumbent(incumbent.as_ref().expect("just adopted").1);
             }
             match root_assessment.lower_bound {
@@ -665,7 +670,13 @@ pub(crate) fn run_search_from<S: AssessmentSource>(
                 driver.write(&snapshot);
             }
         }
-        let Some(HeapNode { lower_bound, node, seq, .. }) = heap.pop() else {
+        let Some(HeapNode {
+            lower_bound,
+            node,
+            seq,
+            ..
+        }) = heap.pop()
+        else {
             break;
         };
         // Global optimality test against the incumbent. Under best-first
@@ -1073,9 +1084,13 @@ mod tests {
             max_nodes: 40,
             ..BnbConfig::default()
         };
-        let mut p1 = GridQuadratic { target: vec![101.3, -77.8] };
+        let mut p1 = GridQuadratic {
+            target: vec![101.3, -77.8],
+        };
         let best = solve(&mut p1, root.clone(), &budget);
-        let mut p2 = GridQuadratic { target: vec![101.3, -77.8] };
+        let mut p2 = GridQuadratic {
+            target: vec![101.3, -77.8],
+        };
         let dfs = solve(
             &mut p2,
             root,

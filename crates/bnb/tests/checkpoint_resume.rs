@@ -100,10 +100,8 @@ static DIR_COUNTER: AtomicUsize = AtomicUsize::new(0);
 
 fn scratch_path(tag: &str) -> PathBuf {
     let n = DIR_COUNTER.fetch_add(1, Ordering::SeqCst);
-    let dir = std::env::temp_dir().join(format!(
-        "ldafp-ckpt-test-{}-{tag}-{n}",
-        std::process::id()
-    ));
+    let dir =
+        std::env::temp_dir().join(format!("ldafp-ckpt-test-{}-{tag}-{n}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("create scratch dir");
     dir.join("search.ckpt")
 }
@@ -133,7 +131,10 @@ fn assert_bit_identical(expected: &BnbOutcome, got: &BnbOutcome, label: &str) {
         got.best_lower_bound.to_bits(),
         "{label}: lower bound bits differ"
     );
-    assert_eq!(expected.certified, got.certified, "{label}: certificate differs");
+    assert_eq!(
+        expected.certified, got.certified,
+        "{label}: certificate differs"
+    );
     assert_eq!(expected.stats, got.stats, "{label}: stats differ");
     assert!(!got.interrupted, "{label}: final outcome still interrupted");
 }
@@ -185,8 +186,14 @@ fn resume_is_bit_identical_across_interrupts_and_threads() {
                 policy = policy.with_interrupt(flag.clone());
             }
             let threads = 1 + rng.below(3);
-            let outcome =
-                solve_parallel_checkpointed(&wrapped, root.clone(), &config, None, threads, &policy);
+            let outcome = solve_parallel_checkpointed(
+                &wrapped,
+                root.clone(),
+                &config,
+                None,
+                threads,
+                &policy,
+            );
             if last {
                 finished = Some(outcome);
             } else if outcome.interrupted {
@@ -244,7 +251,10 @@ fn corrupt_or_foreign_snapshots_cold_start_identically() {
     let policy = CheckpointPolicy::every_nodes(path2.clone(), 1, fingerprint).with_interrupt(flag);
     let interrupted =
         solve_parallel_checkpointed(&wrapped, root.clone(), &config, None, 1, &policy);
-    assert!(interrupted.interrupted, "setup: expected an interrupted run");
+    assert!(
+        interrupted.interrupted,
+        "setup: expected an interrupted run"
+    );
     let bytes = std::fs::read(&path2).unwrap();
     std::fs::write(&path2, &bytes[..bytes.len() / 2]).unwrap();
     assert_bit_identical(&baseline, &run(&path2), "truncated snapshot");
@@ -262,7 +272,10 @@ fn corrupt_or_foreign_snapshots_cold_start_identically() {
     let policy = CheckpointPolicy::every_nodes(path3.clone(), 1, other_fp).with_interrupt(flag);
     let interrupted =
         solve_parallel_checkpointed(&wrapped, root.clone(), &config, None, 1, &policy);
-    assert!(interrupted.interrupted, "setup: expected an interrupted run");
+    assert!(
+        interrupted.interrupted,
+        "setup: expected an interrupted run"
+    );
     assert_bit_identical(&baseline, &run(&path3), "foreign snapshot");
 
     for p in [&path, &path2, &path3] {

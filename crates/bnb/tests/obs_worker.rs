@@ -5,9 +5,7 @@
 //! Single test function: the obs subscriber is process-global, so the two
 //! phases must run sequentially in one binary.
 
-use ldafp_bnb::{
-    solve_parallel, BnbConfig, BoxNode, NodeAssessment, SharedBoundingProblem,
-};
+use ldafp_bnb::{solve_parallel, BnbConfig, BoxNode, NodeAssessment, SharedBoundingProblem};
 use ldafp_obs as obs;
 use std::sync::{Arc, Mutex};
 
@@ -17,13 +15,10 @@ struct Collector {
 
 impl obs::Subscriber for Collector {
     fn event(&self, event: &obs::Event) {
-        self.events
-            .lock()
-            .unwrap()
-            .push((
-                event.name.to_string(),
-                event.fields.iter().map(|(k, _)| (*k).to_string()).collect(),
-            ));
+        self.events.lock().unwrap().push((
+            event.name.to_string(),
+            event.fields.iter().map(|(k, _)| (*k).to_string()).collect(),
+        ));
     }
 }
 
@@ -37,13 +32,21 @@ impl SharedBoundingProblem for Quad {
             .zip(node.lower.iter().zip(&node.upper))
             .map(|(&t, (&l, &u))| t.clamp(l, u))
             .collect();
-        let lb: f64 = proj.iter().zip(&target).map(|(a, b)| (a - b) * (a - b)).sum();
+        let lb: f64 = proj
+            .iter()
+            .zip(&target)
+            .map(|(a, b)| (a - b) * (a - b))
+            .sum();
         let cand: Vec<f64> = proj
             .iter()
             .zip(node.lower.iter().zip(&node.upper))
             .map(|(&p, (&l, &u))| p.round().clamp(l.ceil(), u.floor()))
             .collect();
-        let c: f64 = cand.iter().zip(&target).map(|(a, b)| (a - b) * (a - b)).sum();
+        let c: f64 = cand
+            .iter()
+            .zip(&target)
+            .map(|(a, b)| (a - b) * (a - b))
+            .sum();
         NodeAssessment::feasible(lb, Some((cand, c)))
     }
 

@@ -68,7 +68,9 @@ impl BoundingProblem for GridQuadratic {
 
 #[test]
 fn node_budget_binds_before_generous_time_budget() {
-    let mut p = GridQuadratic { target: vec![0.3; 5] };
+    let mut p = GridQuadratic {
+        target: vec![0.3; 5],
+    };
     let root = BoxNode::new(vec![-64.0; 5], vec![64.0; 5]).unwrap();
     let cfg = BnbConfig {
         max_nodes: 9,
@@ -77,13 +79,21 @@ fn node_budget_binds_before_generous_time_budget() {
     };
     let out = solve(&mut p, root, &cfg);
     assert!(!out.certified);
-    assert!(out.incumbent.is_some(), "anytime: incumbent survives budget");
-    assert!(out.stats.nodes_assessed <= 11, "root + one expansion batch past the limit");
+    assert!(
+        out.incumbent.is_some(),
+        "anytime: incumbent survives budget"
+    );
+    assert!(
+        out.stats.nodes_assessed <= 11,
+        "root + one expansion batch past the limit"
+    );
 }
 
 #[test]
 fn time_budget_binds_before_generous_node_budget() {
-    let mut p = GridQuadratic { target: vec![0.5; 4] };
+    let mut p = GridQuadratic {
+        target: vec![0.5; 4],
+    };
     let root = BoxNode::new(vec![-1000.0; 4], vec![1000.0; 4]).unwrap();
     let cfg = BnbConfig {
         max_nodes: usize::MAX,
@@ -97,7 +107,9 @@ fn time_budget_binds_before_generous_node_budget() {
 
 #[test]
 fn both_budgets_generous_still_certifies() {
-    let mut p = GridQuadratic { target: vec![2.7, -1.1] };
+    let mut p = GridQuadratic {
+        target: vec![2.7, -1.1],
+    };
     let root = BoxNode::new(vec![-16.0; 2], vec![16.0; 2]).unwrap();
     let cfg = BnbConfig {
         max_nodes: 1_000_000,
@@ -112,7 +124,9 @@ fn both_budgets_generous_still_certifies() {
 
 #[test]
 fn budget_exhaustion_keeps_valid_global_bound() {
-    let mut p = GridQuadratic { target: vec![0.3, 0.7, -0.2] };
+    let mut p = GridQuadratic {
+        target: vec![0.3, 0.7, -0.2],
+    };
     let root = BoxNode::new(vec![-32.0; 3], vec![32.0; 3]).unwrap();
     let cfg = BnbConfig {
         max_nodes: 15,
@@ -161,7 +175,9 @@ impl BoundingProblem for NanBounds {
 #[test]
 fn nan_bounds_are_sanitized_not_heaped() {
     let mut p = NanBounds {
-        inner: GridQuadratic { target: vec![2.7, -1.4] },
+        inner: GridQuadratic {
+            target: vec![2.7, -1.4],
+        },
         count: 0,
         nan_bound_every: 3,
         nan_candidate_every: 0,
@@ -172,7 +188,10 @@ fn nan_bounds_are_sanitized_not_heaped() {
     let (x, _) = out.incumbent.expect("feasible");
     assert_eq!(x, vec![3.0, -1.0]);
     assert!(out.stats.degradation.rejected_bounds > 0);
-    assert!(!out.certified, "sanitized data must downgrade certification");
+    assert!(
+        !out.certified,
+        "sanitized data must downgrade certification"
+    );
 }
 
 #[test]
@@ -194,7 +213,9 @@ fn nan_candidates_are_dropped_not_adopted() {
 #[test]
 fn nan_bounds_under_depth_first_stay_sound() {
     let mut p = NanBounds {
-        inner: GridQuadratic { target: vec![2.7, -1.4] },
+        inner: GridQuadratic {
+            target: vec![2.7, -1.4],
+        },
         count: 0,
         nan_bound_every: 2,
         nan_candidate_every: 0,
@@ -218,10 +239,12 @@ struct AlwaysRecovered(GridQuadratic);
 
 impl BoundingProblem for AlwaysRecovered {
     fn assess(&mut self, node: &BoxNode) -> NodeAssessment {
-        self.0.assess(node).with_degradation(NodeDegradation::Recovered {
-            attempts: 2,
-            error_kind: "numerical-failure".to_string(),
-        })
+        self.0
+            .assess(node)
+            .with_degradation(NodeDegradation::Recovered {
+                attempts: 2,
+                error_kind: "numerical-failure".to_string(),
+            })
     }
     fn is_terminal(&self, node: &BoxNode) -> bool {
         self.0.is_terminal(node)
@@ -238,7 +261,10 @@ fn recovered_solves_are_counted_and_downgrade_certification() {
     assert_eq!(x, vec![3.0]);
     // …but the run is accounted degraded, not certified.
     assert!(!out.certified);
-    assert_eq!(out.stats.degradation.recovered_solves, out.stats.nodes_assessed);
+    assert_eq!(
+        out.stats.degradation.recovered_solves,
+        out.stats.nodes_assessed
+    );
     assert_eq!(
         out.stats.degradation.solver_errors.get("numerical-failure"),
         Some(&out.stats.nodes_assessed)
@@ -258,9 +284,12 @@ mod faulted {
     use ldafp_stats::Rng;
 
     fn optimum(target: &[f64]) -> (Vec<f64>, f64) {
-        let p = GridQuadratic { target: target.to_vec() };
+        let p = GridQuadratic {
+            target: target.to_vec(),
+        };
         let dim = target.len();
-        p.best_integer_in(&vec![-8.0; dim], &vec![8.0; dim]).unwrap()
+        p.best_integer_in(&vec![-8.0; dim], &vec![8.0; dim])
+            .unwrap()
     }
 
     #[test]
@@ -270,7 +299,9 @@ mod faulted {
         let plan = FaultPlan::new(1)
             .with_forced(0, FaultKind::Infeasible)
             .with_forced(1, FaultKind::Infeasible);
-        let inner = GridQuadratic { target: target.clone() };
+        let inner = GridQuadratic {
+            target: target.clone(),
+        };
         let mut p = FaultyProblem::new(inner, plan, 0.0);
         let root = BoxNode::new(vec![-8.0; 2], vec![8.0; 2]).unwrap();
         let out = solve(&mut p, root, &BnbConfig::default());
@@ -297,7 +328,9 @@ mod faulted {
             let root = BoxNode::new(vec![-8.0; dim], vec![8.0; dim]).unwrap();
 
             // Fault-free reference run.
-            let mut clean = GridQuadratic { target: target.clone() };
+            let mut clean = GridQuadratic {
+                target: target.clone(),
+            };
             let reference = solve(&mut clean, root.clone(), &BnbConfig::default());
             let (_, ref_cost) = reference.incumbent.clone().expect("feasible");
             assert!(reference.certified);
@@ -306,14 +339,19 @@ mod faulted {
             let plan = FaultPlan::new(*seed)
                 .with_numerical_rate(0.15)
                 .with_infeasible_rate(0.10);
-            let inner = GridQuadratic { target: target.clone() };
+            let inner = GridQuadratic {
+                target: target.clone(),
+            };
             let mut faulty = FaultyProblem::new(inner, plan, 0.0);
             let out = solve(&mut faulty, root, &BnbConfig::default());
 
             // Soundness: the incumbent cost matches the fault-free optimum
             // exactly — the optimum was never pruned.
             let (_, cost) = out.incumbent.clone().expect("incumbent still returned");
-            assert!((cost - ref_cost).abs() < 1e-12, "faulted cost {cost} vs fault-free {ref_cost}");
+            assert!(
+                (cost - ref_cost).abs() < 1e-12,
+                "faulted cost {cost} vs fault-free {ref_cost}"
+            );
             assert!((cost - optimum(target).1).abs() < 1e-12);
 
             // Accounting: injected faults show up in the stats, and any
@@ -331,13 +369,17 @@ mod faulted {
     /// that "≥20% of assessments" in the acceptance criteria is real).
     #[test]
     fn plans_hit_configured_rate() {
-        check(CASES, |rng| rng.below(1_000) as u64, |&seed| {
-            let plan = FaultPlan::new(seed)
-                .with_numerical_rate(0.15)
-                .with_infeasible_rate(0.10);
-            let hits = (0..2_000).filter(|&i| plan.fault_for(i).is_some()).count();
-            // 25% ± generous slack over 2000 draws.
-            assert!((400..=600).contains(&hits), "{hits} hits");
-        });
+        check(
+            CASES,
+            |rng| rng.below(1_000) as u64,
+            |&seed| {
+                let plan = FaultPlan::new(seed)
+                    .with_numerical_rate(0.15)
+                    .with_infeasible_rate(0.10);
+                let hits = (0..2_000).filter(|&i| plan.fault_for(i).is_some()).count();
+                // 25% ± generous slack over 2000 draws.
+                assert!((400..=600).contains(&hits), "{hits} hits");
+            },
+        );
     }
 }

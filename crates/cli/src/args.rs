@@ -36,9 +36,9 @@ impl ParsedArgs {
                 if switches.contains(&name) {
                     out.flags.push(name.to_string());
                 } else if valued.contains(&name) {
-                    let value = iter.next().ok_or_else(|| {
-                        CliError(format!("option --{name} expects a value"))
-                    })?;
+                    let value = iter
+                        .next()
+                        .ok_or_else(|| CliError(format!("option --{name} expects a value")))?;
                     out.options.insert(name.to_string(), value);
                 } else {
                     return Err(CliError(format!("unknown option --{name}")));
@@ -85,7 +85,11 @@ mod tests {
     use super::*;
 
     fn parse(args: &[&str]) -> Result<ParsedArgs> {
-        ParsedArgs::parse(args.iter().copied(), &["data", "bits"], &["quick", "testbench"])
+        ParsedArgs::parse(
+            args.iter().copied(),
+            &["data", "bits"],
+            &["quick", "testbench"],
+        )
     }
 
     #[test]

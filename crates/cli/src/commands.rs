@@ -12,9 +12,9 @@ use ldafp_core::{
 use ldafp_datasets::BinaryDataset;
 use ldafp_fixedpoint::RoundingMode;
 use ldafp_hwmodel::power::MacPowerModel;
+use ldafp_hwmodel::rtl::{generate_verilog, RtlConfig};
 use ldafp_models::ModelFamily;
 use ldafp_net::{Codec, NetClient, RetryPolicy};
-use ldafp_hwmodel::rtl::{generate_verilog, RtlConfig};
 use ldafp_serve::{InferenceEngine, ModelArtifact, ServedModel, TrainingInfo};
 use std::time::Duration;
 
@@ -801,8 +801,7 @@ pub fn explore(
         }
     };
     let holdout: f64 = args.get_parsed("holdout", 0.25)?;
-    let (train, validation) =
-        holdout_split(&data, holdout).map_err(|e| CliError(e.to_string()))?;
+    let (train, validation) = holdout_split(&data, holdout).map_err(|e| CliError(e.to_string()))?;
 
     let rhos: Vec<f64> = match args.get("rho") {
         None => vec![0.99],
@@ -930,12 +929,39 @@ mod tests {
         ParsedArgs::parse(
             raw.iter().copied(),
             &[
-                "data", "bits", "k", "rho", "budget-secs", "max-solver-retries", "module",
-                "model", "out", "target", "min-bits", "max-bits", "input",
-                "addr", "threads", "solver-threads", "holdout", "rounding", "cache-dir",
-                "json", "trace", "resume", "pareto", "checkpoint-nodes", "family",
+                "data",
+                "bits",
+                "k",
+                "rho",
+                "budget-secs",
+                "max-solver-retries",
+                "module",
+                "model",
+                "out",
+                "target",
+                "min-bits",
+                "max-bits",
+                "input",
+                "addr",
+                "threads",
+                "solver-threads",
+                "holdout",
+                "rounding",
+                "cache-dir",
+                "json",
+                "trace",
+                "resume",
+                "pareto",
+                "checkpoint-nodes",
+                "family",
             ],
-            &["baseline", "quick", "testbench", "no-cache", "metrics-summary"],
+            &[
+                "baseline",
+                "quick",
+                "testbench",
+                "no-cache",
+                "metrics-summary",
+            ],
         )
         .unwrap()
     }
@@ -943,15 +969,22 @@ mod tests {
     #[test]
     fn solver_threads_flag_is_parsed_and_bit_identical_to_serial() {
         let csv_text = easy_csv();
-        let (serial, _, _) =
-            train(&parsed(&["--bits", "5", "--quick", "--solver-threads", "1"]), &csv_text)
-                .unwrap();
-        let (parallel, _, _) =
-            train(&parsed(&["--bits", "5", "--quick", "--solver-threads", "3"]), &csv_text)
-                .unwrap();
+        let (serial, _, _) = train(
+            &parsed(&["--bits", "5", "--quick", "--solver-threads", "1"]),
+            &csv_text,
+        )
+        .unwrap();
+        let (parallel, _, _) = train(
+            &parsed(&["--bits", "5", "--quick", "--solver-threads", "3"]),
+            &csv_text,
+        )
+        .unwrap();
         assert_eq!(serial, parallel, "thread count must not change the model");
-        let err = train(&parsed(&["--bits", "5", "--solver-threads", "zap"]), &csv_text)
-            .unwrap_err();
+        let err = train(
+            &parsed(&["--bits", "5", "--solver-threads", "zap"]),
+            &csv_text,
+        )
+        .unwrap_err();
         assert!(err.to_string().contains("solver-threads"), "got: {err}");
     }
 
@@ -1041,7 +1074,8 @@ mod tests {
         assert!(report.contains("bnb.expand"), "{report}");
         assert!(report.contains('2'), "{report}");
 
-        let err = trace_check("{\"event\":\"a\",\"t_us\":1}\nnot json\n{\"t_us\":2}\n").unwrap_err();
+        let err =
+            trace_check("{\"event\":\"a\",\"t_us\":1}\nnot json\n{\"t_us\":2}\n").unwrap_err();
         assert!(err.0.contains("2 invalid line(s)"), "{}", err.0);
         assert!(err.0.contains("line 2"), "{}", err.0);
         assert!(err.0.contains("line 3"), "{}", err.0);
@@ -1140,10 +1174,8 @@ mod tests {
     #[test]
     fn predict_emits_one_line_per_row_plus_counters() {
         let format = ldafp_fixedpoint::QFormat::new(2, 5).unwrap();
-        let clf =
-            FixedPointClassifier::from_float(&[0.5, -0.25], 0.0, format).unwrap();
-        let artifact_json =
-            ModelArtifact::binary(clf.clone()).to_json_string();
+        let clf = FixedPointClassifier::from_float(&[0.5, -0.25], 0.0, format).unwrap();
+        let artifact_json = ModelArtifact::binary(clf.clone()).to_json_string();
         let out = predict(&artifact_json, "0.4,0.1\n-0.4,0.1,B\n").unwrap();
         let lines: Vec<&str> = out.lines().collect();
         assert_eq!(lines[0], "row,class,label,score");
@@ -1165,14 +1197,16 @@ mod tests {
         assert!(err.0.contains('2') && err.0.contains('3'), "{}", err.0);
     }
 
-    #[cfg(all(target_os = "linux", any(target_arch = "x86_64", target_arch = "aarch64")))]
+    #[cfg(all(
+        target_os = "linux",
+        any(target_arch = "x86_64", target_arch = "aarch64")
+    ))]
     #[test]
     fn serve_evented_start_binds_and_shuts_down() {
         let format = ldafp_fixedpoint::QFormat::new(2, 5).unwrap();
         let clf = FixedPointClassifier::from_float(&[0.5, -0.25], 0.0, format).unwrap();
         let artifact_json = ModelArtifact::binary(clf).to_json_string();
-        let mut handle =
-            serve_evented_start(&parsed(&[]), &artifact_json, "127.0.0.1:0").unwrap();
+        let mut handle = serve_evented_start(&parsed(&[]), &artifact_json, "127.0.0.1:0").unwrap();
         assert_ne!(handle.addr().port(), 0);
         handle.shutdown();
     }
@@ -1181,8 +1215,11 @@ mod tests {
     fn export_rtl_produces_verilog() {
         let (artifact_json, _, _) =
             train(&parsed(&["--bits", "6", "--quick"]), &easy_csv()).unwrap();
-        let v = export_rtl(&parsed(&["--module", "demo_clf", "--testbench"]), &artifact_json)
-            .unwrap();
+        let v = export_rtl(
+            &parsed(&["--module", "demo_clf", "--testbench"]),
+            &artifact_json,
+        )
+        .unwrap();
         assert!(v.contains("module demo_clf ("), "{v}");
         assert!(v.contains("module demo_clf_tb;"), "{v}");
     }
@@ -1214,7 +1251,15 @@ mod tests {
     #[test]
     fn wordlength_finds_minimal_bits() {
         let out = wordlength(
-            &parsed(&["--target", "0.05", "--min-bits", "3", "--max-bits", "8", "--quick"]),
+            &parsed(&[
+                "--target",
+                "0.05",
+                "--min-bits",
+                "3",
+                "--max-bits",
+                "8",
+                "--quick",
+            ]),
             &easy_csv(),
         )
         .unwrap();
@@ -1237,7 +1282,15 @@ mod tests {
         }
         for target in ["0.0", "0.5"] {
             let out = wordlength(
-                &parsed(&["--target", target, "--min-bits", "3", "--max-bits", "4", "--quick"]),
+                &parsed(&[
+                    "--target",
+                    target,
+                    "--min-bits",
+                    "3",
+                    "--max-bits",
+                    "4",
+                    "--quick",
+                ]),
                 &noisy,
             )
             .unwrap();
@@ -1254,7 +1307,15 @@ mod tests {
     #[test]
     fn explore_sweeps_csv_data_and_reports_a_frontier() {
         let (report, code) = explore(
-            &parsed(&["--min-bits", "3", "--max-bits", "5", "--quick", "--threads", "1"]),
+            &parsed(&[
+                "--min-bits",
+                "3",
+                "--max-bits",
+                "5",
+                "--quick",
+                "--threads",
+                "1",
+            ]),
             Some(&easy_csv()),
             None,
         )
@@ -1308,8 +1369,12 @@ mod tests {
 
     #[test]
     fn explore_rejects_bad_rounding_and_holdout() {
-        let err =
-            explore(&parsed(&["--rounding", "sideways"]), Some(&easy_csv()), None).unwrap_err();
+        let err = explore(
+            &parsed(&["--rounding", "sideways"]),
+            Some(&easy_csv()),
+            None,
+        )
+        .unwrap_err();
         assert!(err.0.contains("--rounding"), "{}", err.0);
         let err = explore(&parsed(&["--holdout", "2.0"]), Some(&easy_csv()), None).unwrap_err();
         assert!(err.0.contains("holdout"), "{}", err.0);
@@ -1324,10 +1389,8 @@ mod tests {
 
     #[test]
     fn explore_resume_writes_state_and_deterministic_pareto() {
-        let dir = std::env::temp_dir().join(format!(
-            "ldafp-cli-explore-resume-{}",
-            std::process::id()
-        ));
+        let dir =
+            std::env::temp_dir().join(format!("ldafp-cli-explore-resume-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let state = dir.join("state");
         let pareto_a = dir.join("a.md");
@@ -1395,8 +1458,11 @@ mod tests {
 
     #[test]
     fn train_family_os_elm_emits_artifact_with_certification_label() {
-        let (json, outcome, _) =
-            train(&parsed(&["--bits", "10", "--family", "os-elm"]), &easy_csv()).unwrap();
+        let (json, outcome, _) = train(
+            &parsed(&["--bits", "10", "--family", "os-elm"]),
+            &easy_csv(),
+        )
+        .unwrap();
         assert!(outcome.is_none());
         let artifact = ModelArtifact::from_json_str(&json).unwrap();
         assert_eq!(artifact.model.family(), ModelFamily::OsElm);
@@ -1411,8 +1477,11 @@ mod tests {
 
     #[test]
     fn train_rejects_unknown_family() {
-        let err = train(&parsed(&["--bits", "6", "--family", "perceptron"]), &easy_csv())
-            .unwrap_err();
+        let err = train(
+            &parsed(&["--bits", "6", "--family", "perceptron"]),
+            &easy_csv(),
+        )
+        .unwrap_err();
         assert!(err.0.contains("--family"), "{}", err.0);
         assert!(err.0.contains("perceptron"), "{}", err.0);
     }
@@ -1450,7 +1519,15 @@ mod tests {
         // A pre-tripped flag: workers stop before claiming any point.
         let flag = Arc::new(AtomicBool::new(true));
         let (msg, code) = explore(
-            &parsed(&["--min-bits", "3", "--max-bits", "4", "--quick", "--threads", "1"]),
+            &parsed(&[
+                "--min-bits",
+                "3",
+                "--max-bits",
+                "4",
+                "--quick",
+                "--threads",
+                "1",
+            ]),
             Some(&easy_csv()),
             Some(flag),
         )
@@ -1474,7 +1551,11 @@ mod tests {
         assert!(report.contains("(family total)"), "{report}");
 
         let err = trace_check("{\"event\":\"resume.sideways\",\"t_us\":1}\n").unwrap_err();
-        assert!(err.0.contains("unknown checkpoint/resume/net event"), "{}", err.0);
+        assert!(
+            err.0.contains("unknown checkpoint/resume/net event"),
+            "{}",
+            err.0
+        );
         assert!(err.0.contains("resume.sideways"), "{}", err.0);
         let err = trace_check("{\"event\":\"checkpoint.wrote\",\"t_us\":1}\n").unwrap_err();
         assert!(err.0.contains("checkpoint.wrote"), "{}", err.0);

@@ -43,9 +43,9 @@ pub fn parse(text: &str) -> Result<BinaryDataset> {
 
         let mut features = Vec::with_capacity(feature_fields.len());
         for f in feature_fields {
-            let v = f.parse::<f64>().map_err(|_| {
-                CliError(format!("line {}: '{}' is not a number", lineno + 1, f))
-            })?;
+            let v = f
+                .parse::<f64>()
+                .map_err(|_| CliError(format!("line {}: '{}' is not a number", lineno + 1, f)))?;
             // `"NaN".parse::<f64>()` succeeds, so finiteness needs its own
             // check — non-finite features would poison the scatter moments.
             if !v.is_finite() {
@@ -129,9 +129,9 @@ pub fn parse_features(text: &str) -> Result<Vec<Vec<f64>>> {
         }
         let mut features = Vec::with_capacity(fields.len());
         for f in fields {
-            let v = f.parse::<f64>().map_err(|_| {
-                CliError(format!("line {}: '{}' is not a number", lineno + 1, f))
-            })?;
+            let v = f
+                .parse::<f64>()
+                .map_err(|_| CliError(format!("line {}: '{}' is not a number", lineno + 1, f)))?;
             if !v.is_finite() {
                 return Err(CliError(format!(
                     "line {}: feature value '{}' is not finite",

@@ -129,14 +129,47 @@ fn run() -> ldafp_cli::Result<(String, u8)> {
     let args = ParsedArgs::parse(
         raw,
         &[
-            "data", "bits", "k", "rho", "budget-secs", "max-solver-retries", "module",
-            "model", "out", "target", "min-bits", "max-bits", "input",
-            "addr", "threads", "solver-threads", "holdout", "rounding", "cache-dir",
-            "json", "trace", "resume", "pareto", "checkpoint-nodes", "family",
-            "name", "wire", "models", "batch-rows", "batch-deadline-us", "max-inflight",
-            "max-pending-rows", "read-deadline-ms",
+            "data",
+            "bits",
+            "k",
+            "rho",
+            "budget-secs",
+            "max-solver-retries",
+            "module",
+            "model",
+            "out",
+            "target",
+            "min-bits",
+            "max-bits",
+            "input",
+            "addr",
+            "threads",
+            "solver-threads",
+            "holdout",
+            "rounding",
+            "cache-dir",
+            "json",
+            "trace",
+            "resume",
+            "pareto",
+            "checkpoint-nodes",
+            "family",
+            "name",
+            "wire",
+            "models",
+            "batch-rows",
+            "batch-deadline-us",
+            "max-inflight",
+            "max-pending-rows",
+            "read-deadline-ms",
         ],
-        &["baseline", "quick", "testbench", "no-cache", "metrics-summary"],
+        &[
+            "baseline",
+            "quick",
+            "testbench",
+            "no-cache",
+            "metrics-summary",
+        ],
     )?;
     let command = args
         .positional()
@@ -219,8 +252,8 @@ fn run() -> ldafp_cli::Result<(String, u8)> {
             eprintln!("ldafp: serving on {}", handle.addr());
             let metrics = Arc::clone(handle.metrics());
             handle.join(); // returns when a client sends `shutdown`
-            // The server keeps its counters in a private registry; fold it
-            // into the observability outputs after shutdown.
+                           // The server keeps its counters in a private registry; fold it
+                           // into the observability outputs after shutdown.
             if let Some(writer) = &trace_writer {
                 writer.dump_registry(metrics.registry());
             }

@@ -25,10 +25,7 @@ struct TempDir(PathBuf);
 
 impl TempDir {
     fn new(tag: &str) -> Self {
-        let dir = std::env::temp_dir().join(format!(
-            "ldafp-chaos-{tag}-{}",
-            std::process::id()
-        ));
+        let dir = std::env::temp_dir().join(format!("ldafp-chaos-{tag}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
         TempDir(dir)
@@ -119,14 +116,16 @@ fn sigkill_mid_sweep_then_resume_reproduces_the_baseline_pareto_byte_for_byte() 
             "sweep never completed within the chaos budget ({crashes} crashes)"
         );
     }
-    assert!(crashes > 0, "chaos schedule never actually crashed the sweep");
+    assert!(
+        crashes > 0,
+        "chaos schedule never actually crashed the sweep"
+    );
 
     // The resumed run must have loaded at least one mid-solve snapshot;
     // prove it from a traced final pass over the same state.
     let trace = dir.path("resume-trace.ndjson");
-    let out = run_ok(
-        explore_cmd(&chaos_state, &chaos_pareto).args(["--trace", trace.to_str().unwrap()]),
-    );
+    let out =
+        run_ok(explore_cmd(&chaos_state, &chaos_pareto).args(["--trace", trace.to_str().unwrap()]));
     drop(out);
     let trace_text = std::fs::read_to_string(&trace).unwrap();
     assert!(

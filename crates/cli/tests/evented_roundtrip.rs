@@ -52,7 +52,10 @@ fn parsed(raw: &[&str]) -> ParsedArgs {
     .unwrap()
 }
 
-#[cfg(all(target_os = "linux", any(target_arch = "x86_64", target_arch = "aarch64")))]
+#[cfg(all(
+    target_os = "linux",
+    any(target_arch = "x86_64", target_arch = "aarch64")
+))]
 #[test]
 fn evented_cli_round_trip_matches_local_predict_byte_for_byte() {
     let dir = TempDir::new();
@@ -62,8 +65,11 @@ fn evented_cli_round_trip_matches_local_predict_byte_for_byte() {
     // naive-Bayes artifact for the registry route.
     let (lda_json, _, _) =
         commands::train(&parsed(&["--bits", "6", "--quick"]), &csv_text).unwrap();
-    let (nb_json, _, _) =
-        commands::train(&parsed(&["--bits", "6", "--family", "naive-bayes"]), &csv_text).unwrap();
+    let (nb_json, _, _) = commands::train(
+        &parsed(&["--bits", "6", "--family", "naive-bayes"]),
+        &csv_text,
+    )
+    .unwrap();
     let nb_path = dir.0.join("nb.ldafp.json");
     std::fs::write(&nb_path, &nb_json).unwrap();
 
@@ -86,14 +92,16 @@ fn evented_cli_round_trip_matches_local_predict_byte_for_byte() {
 
     // The routed naive-Bayes model answers with its own (local) output.
     let nb_local = commands::predict(&nb_json, &csv_text).unwrap();
-    let nb_remote =
-        commands::predict_remote(&parsed(&["--name", "nb"]), &csv_text, &addr).unwrap();
+    let nb_remote = commands::predict_remote(&parsed(&["--name", "nb"]), &csv_text, &addr).unwrap();
     assert_eq!(nb_remote, nb_local);
 
     // `reload` installs a new route which then serves immediately.
-    let report =
-        commands::reload_cmd(&parsed(&["--name", "nb2", "--wire", "json"]), &nb_json, &addr)
-            .unwrap();
+    let report = commands::reload_cmd(
+        &parsed(&["--name", "nb2", "--wire", "json"]),
+        &nb_json,
+        &addr,
+    )
+    .unwrap();
     assert!(report.contains("reloaded model nb2"), "{report}");
     assert!(report.contains("family naive-bayes"), "{report}");
     let nb2_remote =
@@ -121,6 +129,10 @@ fn trace_check_validates_the_net_event_vocabulary() {
 
     let typo = r#"{"event": "net.bogus_event", "t_us": 1.0}"#;
     let err = commands::trace_check(typo).unwrap_err();
-    assert!(err.0.contains("unknown checkpoint/resume/net event"), "{}", err.0);
+    assert!(
+        err.0.contains("unknown checkpoint/resume/net event"),
+        "{}",
+        err.0
+    );
     assert!(err.0.contains("net.bogus_event"), "{}", err.0);
 }

@@ -19,7 +19,10 @@ fn train_rejects_the_removed_save_model_option() {
 
 #[test]
 fn explore_rejects_the_removed_cold_option() {
-    let out = Command::new(BIN).args(["explore", "--cold"]).output().unwrap();
+    let out = Command::new(BIN)
+        .args(["explore", "--cold"])
+        .output()
+        .unwrap();
     assert_eq!(out.status.code(), Some(1), "{out:?}");
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("unknown option --cold"), "{stderr}");

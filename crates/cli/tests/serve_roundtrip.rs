@@ -3,7 +3,10 @@
 //! client — the decisions coming back over the wire must be bit-identical
 //! to evaluating the trained classifier in-process.
 
-#![cfg(all(target_os = "linux", any(target_arch = "x86_64", target_arch = "aarch64")))]
+#![cfg(all(
+    target_os = "linux",
+    any(target_arch = "x86_64", target_arch = "aarch64")
+))]
 
 use ldafp_cli::{commands, csv};
 use ldafp_net::NetClient;

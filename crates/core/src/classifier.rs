@@ -233,8 +233,10 @@ mod tests {
     #[test]
     fn from_raw_parts_rejects_out_of_range_and_empty() {
         let format = fmt(2, 2); // raw range [-8, 7]
-        assert!(FixedPointClassifier::from_raw_parts(format, &[], 0, RoundingMode::NearestEven)
-            .is_err());
+        assert!(
+            FixedPointClassifier::from_raw_parts(format, &[], 0, RoundingMode::NearestEven)
+                .is_err()
+        );
         assert!(
             FixedPointClassifier::from_raw_parts(format, &[8], 0, RoundingMode::NearestEven)
                 .is_err()
@@ -243,10 +245,13 @@ mod tests {
             FixedPointClassifier::from_raw_parts(format, &[0], -9, RoundingMode::NearestEven)
                 .is_err()
         );
-        assert!(
-            FixedPointClassifier::from_raw_parts(format, &[-8, 7], 3, RoundingMode::NearestEven)
-                .is_ok()
-        );
+        assert!(FixedPointClassifier::from_raw_parts(
+            format,
+            &[-8, 7],
+            3,
+            RoundingMode::NearestEven
+        )
+        .is_ok());
     }
 
     #[test]
@@ -306,8 +311,7 @@ mod tests {
         // At 20+ bits the datapath agrees with the float rule on
         // comfortably-scaled data.
         let format = fmt(4, 20);
-        let clf =
-            FixedPointClassifier::from_float(&[0.37, -0.81, 0.22], 0.05, format).unwrap();
+        let clf = FixedPointClassifier::from_float(&[0.37, -0.81, 0.22], 0.05, format).unwrap();
         for i in 0..200 {
             let t = i as f64 / 200.0;
             let x = [t - 0.5, 0.3 * t, 0.9 - t];

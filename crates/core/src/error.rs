@@ -43,7 +43,10 @@ impl fmt::Display for CoreError {
                 write!(f, "invalid training data: {reason}")
             }
             CoreError::NoFeasibleClassifier => {
-                write!(f, "no fixed-point weight vector satisfies the overflow constraints")
+                write!(
+                    f,
+                    "no fixed-point weight vector satisfies the overflow constraints"
+                )
             }
             CoreError::AutoFormatSearchFailed { failures } => {
                 write!(f, "automatic format search failed for every split:")?;

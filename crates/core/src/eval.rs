@@ -5,8 +5,8 @@ use crate::{FixedPointClassifier, LdaModel, Result};
 use ldafp_datasets::{BinaryDataset, ClassLabel};
 use ldafp_fixedpoint::{Fx, QFormat};
 use ldafp_kernels::{mac_gemv_into, GemmScratch, KernelKind, QBatchBuf};
-use ldafp_stats::StratifiedKFold;
 use ldafp_stats::Rng;
+use ldafp_stats::StratifiedKFold;
 
 /// Rows per kernel dispatch inside [`error_rate`] — bounds the SoA
 /// staging buffer while keeping each GEMV large enough to tile well.
@@ -184,14 +184,12 @@ mod tests {
         let d = data();
         // A good classifier: w = (1, 0) classifies B (positive x) as A…
         // wait: class A has negative feature 0, so w = (−1, 0), T = 0.
-        let good =
-            FixedPointClassifier::from_float(&[-1.0, 0.0], 0.0, QFormat::new(2, 6).unwrap())
-                .unwrap();
+        let good = FixedPointClassifier::from_float(&[-1.0, 0.0], 0.0, QFormat::new(2, 6).unwrap())
+            .unwrap();
         assert_eq!(error_rate(&good, &d), 0.0);
         // Inverted weights: 100% error.
-        let bad =
-            FixedPointClassifier::from_float(&[1.0, 0.0], 0.0, QFormat::new(2, 6).unwrap())
-                .unwrap();
+        let bad = FixedPointClassifier::from_float(&[1.0, 0.0], 0.0, QFormat::new(2, 6).unwrap())
+            .unwrap();
         assert_eq!(error_rate(&bad, &d), 1.0);
     }
 

@@ -161,8 +161,7 @@ mod tests {
     fn separable() -> BinaryDataset {
         // Class A around (−1, 0), class B around (1, 0).
         BinaryDataset::new(
-            Matrix::from_rows(&[&[-1.2, 0.1], &[-0.8, -0.2], &[-1.0, 0.3], &[-1.1, -0.1]])
-                .unwrap(),
+            Matrix::from_rows(&[&[-1.2, 0.1], &[-0.8, -0.2], &[-1.0, 0.3], &[-1.1, -0.1]]).unwrap(),
             Matrix::from_rows(&[&[1.2, 0.2], &[0.8, -0.1], &[1.0, -0.3], &[0.9, 0.1]]).unwrap(),
         )
         .unwrap()
@@ -282,7 +281,10 @@ mod tests {
         let m = BinaryClassMoments::from_samples(&data.class_a, &data.class_b).unwrap();
         for probe in [[1.0, 0.0], [0.0, 1.0], [0.7, -0.7], [-0.9, 0.1]] {
             let j = m.fisher_cost(&probe).unwrap();
-            assert!(j >= lda.fisher_cost() - 1e-9, "probe {probe:?} has lower cost");
+            assert!(
+                j >= lda.fisher_cost() - 1e-9,
+                "probe {probe:?} has lower cost"
+            );
         }
     }
 }

@@ -1,17 +1,16 @@
 use crate::{CoreError, FixedPointClassifier, LdaModel, Result, TrainingProblem};
-#[cfg(feature = "fault-injection")]
-use ldafp_bnb::{FaultKind, FaultPlan};
 use ldafp_bnb::{
     BnbConfig, BnbStats, BoxNode, CheckpointPolicy, NodeAssessment, NodeDegradation,
     SharedBoundingProblem,
 };
+#[cfg(feature = "fault-injection")]
+use ldafp_bnb::{FaultKind, FaultPlan};
 use ldafp_datasets::BinaryDataset;
 use ldafp_fixedpoint::{QFormat, RoundingMode};
 use ldafp_linalg::vecops;
 use ldafp_obs as obs;
 use ldafp_solver::{
-    error_kind, solve_with_recovery_checked, RecoveryConfig, SocpProblem, SolverConfig,
-    SolverError,
+    error_kind, solve_with_recovery_checked, RecoveryConfig, SocpProblem, SolverConfig, SolverError,
 };
 use std::time::{Duration, Instant};
 
@@ -378,7 +377,8 @@ impl LdaFpTrainer {
         ckpt: Option<&CheckpointPolicy>,
     ) -> Result<LdaFpModel> {
         let start = Instant::now();
-        let tp = TrainingProblem::from_dataset(data, format, self.config.rho, self.config.rounding)?;
+        let tp =
+            TrainingProblem::from_dataset(data, format, self.config.rho, self.config.rounding)?;
         if obs::enabled() {
             let (na, nb) = data.class_sizes();
             obs::emit(
@@ -393,7 +393,11 @@ impl LdaFpTrainer {
 
         // ---- Incumbent seeding (DESIGN.md §5 heuristics) ----------------
         let mut best: Option<(Vec<f64>, f64)> = None;
-        self.consider(&tp, &format.round_slice_to_grid(lda.weights(), self.config.rounding), &mut best);
+        self.consider(
+            &tp,
+            &format.round_slice_to_grid(lda.weights(), self.config.rounding),
+            &mut best,
+        );
         if self.config.scaled_rounding {
             self.scaled_rounding_sweep(&tp, lda.weights(), &mut best);
         }
@@ -408,7 +412,11 @@ impl LdaFpTrainer {
         let (lo, hi) = tp.value_range();
         let m = tp.num_features();
         let (t_lo, t_hi) = tp.initial_t_interval();
-        let t_lo = if self.config.restrict_t_positive { t_lo.max(0.0) } else { t_lo };
+        let t_lo = if self.config.restrict_t_positive {
+            t_lo.max(0.0)
+        } else {
+            t_lo
+        };
         let mut lower = vec![lo; m];
         let mut upper = vec![hi; m];
         lower.push(t_lo);
@@ -507,9 +515,7 @@ impl LdaFpTrainer {
             tp.threshold_for(&weights)
         };
         let classifier = FixedPointClassifier::from_float(&weights, threshold, format)?;
-        obs::Registry::global()
-            .counter("train.sessions")
-            .inc();
+        obs::Registry::global().counter("train.sessions").inc();
         if obs::enabled() {
             obs::emit(
                 obs::Event::new("train.done")
@@ -608,12 +614,7 @@ impl LdaFpTrainer {
         unit_w: &[f64],
         best: &mut Option<(Vec<f64>, f64)>,
     ) {
-        self.scaled_rounding_sweep_with_steps(
-            tp,
-            unit_w,
-            self.config.scaled_rounding_steps,
-            best,
-        );
+        self.scaled_rounding_sweep_with_steps(tp, unit_w, self.config.scaled_rounding_steps, best);
     }
 
     /// [`Self::scaled_rounding_sweep`] with an explicit step count (the
@@ -722,10 +723,8 @@ impl LdaFpTrainer {
         let ratio = (lambda_max.max(lo * 1.01) / lo).powf(1.0 / steps as f64);
         let mut lambda = lo;
         for _ in 0..=steps {
-            let cand = format.round_slice_to_grid(
-                &vecops::scale(&weights, lambda),
-                self.config.rounding,
-            );
+            let cand =
+                format.round_slice_to_grid(&vecops::scale(&weights, lambda), self.config.rounding);
             if candidates.last() != Some(&cand) && !candidates.contains(&cand) {
                 candidates.push(cand);
             }
@@ -741,8 +740,7 @@ impl LdaFpTrainer {
             let Some(cand) = tp.canonicalize_orientation(&cand) else {
                 continue;
             };
-            let clf =
-                FixedPointClassifier::from_float(&cand, tp.threshold_for(&cand), format)?;
+            let clf = FixedPointClassifier::from_float(&cand, tp.threshold_for(&cand), format)?;
             let err = crate::eval::error_rate(&clf, data);
             let norm = vecops::norm2(&cand);
             let better = match &best {
@@ -796,10 +794,7 @@ impl LdaFpTrainer {
         cands.sort_unstable();
         cands.dedup();
 
-        let default_raw = format.quantize_raw(
-            tp.threshold_for(weights),
-            self.config.rounding,
-        );
+        let default_raw = format.quantize_raw(tp.threshold_for(weights), self.config.rounding);
         let total = (proj_a.len() + proj_b.len()) as f64;
         let mut best_raw = default_raw;
         let mut best_err = f64::INFINITY;
@@ -1122,11 +1117,8 @@ impl NodeProblem<'_> {
                 if rec.recovered() {
                     bound -= rec.solution.duality_gap_bound;
                     if rec.lambda > 0.0 {
-                        let max_norm_sq: f64 = lo
-                            .iter()
-                            .zip(&hi)
-                            .map(|(&l, &h)| (l * l).max(h * h))
-                            .sum();
+                        let max_norm_sq: f64 =
+                            lo.iter().zip(&hi).map(|(&l, &h)| (l * l).max(h * h)).sum();
                         bound -= 0.5 * rec.lambda * max_norm_sq;
                     }
                 }
@@ -1244,8 +1236,9 @@ mod tests {
         let trainer = LdaFpTrainer::new(LdaFpConfig::fast());
         let format = QFormat::new(2, 3).unwrap();
         let model = trainer.train(&easy_data(), format).unwrap();
-        let tp = TrainingProblem::from_dataset(&easy_data(), format, 0.99, RoundingMode::NearestEven)
-            .unwrap();
+        let tp =
+            TrainingProblem::from_dataset(&easy_data(), format, 0.99, RoundingMode::NearestEven)
+                .unwrap();
         assert!(tp.is_feasible(model.weights()));
         assert!(model.fisher_cost().is_finite());
         // Weights are on the grid.
@@ -1299,7 +1292,10 @@ mod tests {
         );
         let bits = |a: &NodeAssessment| {
             a.candidate.as_ref().map(|(w, c)| {
-                (w.iter().map(|v| v.to_bits()).collect::<Vec<_>>(), c.to_bits())
+                (
+                    w.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                    c.to_bits(),
+                )
             })
         };
         assert_eq!(bits(fast), bits(slow));
@@ -1336,8 +1332,12 @@ mod tests {
             for index in 0..120 {
                 let widths = widths(&mut rng);
                 let node = seeded_box(&mut rng, &tp, &widths);
-                let Some((lo, hi)) = np.snapped_bounds(&node) else { continue };
-                let Some((t_lo, t_hi)) = np.tightened_t(&node, &lo, &hi) else { continue };
+                let Some((lo, hi)) = np.snapped_bounds(&node) else {
+                    continue;
+                };
+                let Some((t_lo, t_hi)) = np.tightened_t(&node, &lo, &hi) else {
+                    continue;
+                };
                 let eta = t_lo.abs().max(t_hi.abs()).powi(2);
                 if eta == 0.0 {
                     continue;
@@ -1360,7 +1360,10 @@ mod tests {
                 settled += 1;
                 kept += usize::from(fast.lower_bound.is_some());
             }
-            assert!(settled >= 40, "{name}: only {settled} boxes reached the solver");
+            assert!(
+                settled >= 40,
+                "{name}: only {settled} boxes reached the solver"
+            );
             assert!(kept > 0, "{name}: all {settled} boxes were pruned");
         }
     }
@@ -1394,11 +1397,18 @@ mod tests {
         let plan = FaultPlan::new(1)
             .with_forced(0, FaultKind::Numerical)
             .with_persist_attempts(usize::MAX);
-        let np = NodeProblem { tp: &tp, config: &config, fault: Some(plan) };
+        let np = NodeProblem {
+            tp: &tp,
+            config: &config,
+            fault: Some(plan),
+        };
         // Node 0 has a planned fault: the recovering solve runs and fails.
         let faulted = np.assess(&node, 0, true);
         assert!(
-            matches!(faulted.degradation, Some(NodeDegradation::TrivialBound { .. })),
+            matches!(
+                faulted.degradation,
+                Some(NodeDegradation::TrivialBound { .. })
+            ),
             "{faulted:?}"
         );
         // Node 1 has none: the thin box is settled by the grid probe.
@@ -1419,8 +1429,12 @@ mod tests {
         let mut compared = 0;
         for index in 0..80 {
             let node = seeded_box(&mut rng, &tp, &[None, None]);
-            let Some((lo, hi)) = np.snapped_bounds(&node) else { continue };
-            let Some((t_lo, t_hi)) = np.tightened_t(&node, &lo, &hi) else { continue };
+            let Some((lo, hi)) = np.snapped_bounds(&node) else {
+                continue;
+            };
+            let Some((t_lo, t_hi)) = np.tightened_t(&node, &lo, &hi) else {
+                continue;
+            };
             let eta = t_lo.abs().max(t_hi.abs()).powi(2);
             let eta_inf = if t_lo <= 0.0 { 0.0 } else { t_lo.powi(2) };
             if eta_inf <= 0.0 || eta_inf >= eta {
@@ -1462,9 +1476,8 @@ mod tests {
         for f in 1..=6u32 {
             let format = QFormat::new(2, f).unwrap();
             let trainer = LdaFpTrainer::new(LdaFpConfig::fast());
-            let tp =
-                TrainingProblem::from_dataset(&data, format, 0.99, RoundingMode::NearestEven)
-                    .unwrap();
+            let tp = TrainingProblem::from_dataset(&data, format, 0.99, RoundingMode::NearestEven)
+                .unwrap();
             let lda = LdaModel::from_moments(tp.moments()).unwrap();
             let rounded = format.round_slice_to_grid(lda.weights(), RoundingMode::NearestEven);
             let model = trainer.train(&data, format).unwrap();
@@ -1494,8 +1507,8 @@ mod tests {
         let trainer = LdaFpTrainer::new(cfg);
         let model = trainer.train(&data, format).unwrap();
 
-        let tp = TrainingProblem::from_dataset(&data, format, 0.99, RoundingMode::NearestEven)
-            .unwrap();
+        let tp =
+            TrainingProblem::from_dataset(&data, format, 0.99, RoundingMode::NearestEven).unwrap();
         let mut best = f64::INFINITY;
         for a in format.enumerate() {
             for b in format.enumerate() {
@@ -1525,7 +1538,9 @@ mod tests {
     #[test]
     fn model_reports_provenance() {
         let trainer = LdaFpTrainer::new(LdaFpConfig::fast());
-        let model = trainer.train(&easy_data(), QFormat::new(2, 2).unwrap()).unwrap();
+        let model = trainer
+            .train(&easy_data(), QFormat::new(2, 2).unwrap())
+            .unwrap();
         assert!(model.stats().nodes_assessed >= 1);
         assert!(model.elapsed() > Duration::ZERO);
         // The classifier's weights match the reported weights.
@@ -1548,11 +1563,11 @@ mod tests {
         let trainer = LdaFpTrainer::new(cfg);
         for f in 1..=4u32 {
             let format = QFormat::new(2, f).unwrap();
-            let Ok(model) = trainer.train(&data, format) else { continue };
-            let tp = TrainingProblem::from_dataset(
-                &data, format, 0.99, RoundingMode::NearestEven,
-            )
-            .unwrap();
+            let Ok(model) = trainer.train(&data, format) else {
+                continue;
+            };
+            let tp = TrainingProblem::from_dataset(&data, format, 0.99, RoundingMode::NearestEven)
+                .unwrap();
             let t = ldafp_linalg::vecops::dot(&tp.moments().mean_diff, model.weights());
             assert!(t > 0.0, "F={f}: deployed weights have t = {t} <= 0");
             // And the classifier is actually better than chance on its own
@@ -1590,7 +1605,9 @@ mod tests {
     #[test]
     fn model_outcome_consistent_with_certified() {
         let trainer = LdaFpTrainer::new(LdaFpConfig::fast());
-        let model = trainer.train(&easy_data(), QFormat::new(2, 2).unwrap()).unwrap();
+        let model = trainer
+            .train(&easy_data(), QFormat::new(2, 2).unwrap())
+            .unwrap();
         assert_eq!(model.certified(), model.outcome().is_certified());
         // A clean training run on easy data never needs the fallback.
         assert_ne!(model.outcome(), &TrainingOutcome::FallbackRounded);
@@ -1604,7 +1621,9 @@ mod tests {
         cfg.bnb.relative_gap = 0.0;
         let trainer = LdaFpTrainer::new(cfg);
         // A large grid the search cannot exhaust in 2 nodes with zero gaps.
-        let model = trainer.train(&easy_data(), QFormat::new(2, 6).unwrap()).unwrap();
+        let model = trainer
+            .train(&easy_data(), QFormat::new(2, 6).unwrap())
+            .unwrap();
         assert!(!model.certified());
         assert!(matches!(
             model.outcome(),
@@ -1621,7 +1640,10 @@ mod tests {
         let err = trainer.train_auto(&data, 6, 3).unwrap_err();
         match err {
             CoreError::AutoFormatSearchFailed { failures } => {
-                assert!(failures.len() >= 2, "expected every split recorded, got {failures:?}");
+                assert!(
+                    failures.len() >= 2,
+                    "expected every split recorded, got {failures:?}"
+                );
                 // Each entry names its format.
                 assert!(failures.iter().all(|(f, _)| f.starts_with('Q')));
             }

@@ -88,10 +88,7 @@ impl OneVsRestClassifier {
     /// heads, the scale count disagrees with the head count, a scale is not
     /// finite, or the heads disagree on format or feature count (one shared
     /// datapath serves every head).
-    pub fn from_parts(
-        heads: Vec<FixedPointClassifier>,
-        margin_scales: Vec<f64>,
-    ) -> Result<Self> {
+    pub fn from_parts(heads: Vec<FixedPointClassifier>, margin_scales: Vec<f64>) -> Result<Self> {
         let invalid = |reason: String| crate::CoreError::InvalidTrainingData { reason };
         if heads.is_empty() {
             return Err(invalid("ensemble needs at least one head".to_string()));
@@ -292,11 +289,9 @@ mod tests {
         let trainer = LdaFpTrainer::new(LdaFpConfig::fast());
         let format = QFormat::new(2, 4).unwrap();
         let (clf, _) = train_one_vs_rest(&trainer, &data, format).unwrap();
-        let back = OneVsRestClassifier::from_parts(
-            clf.heads().to_vec(),
-            clf.margin_scales().to_vec(),
-        )
-        .unwrap();
+        let back =
+            OneVsRestClassifier::from_parts(clf.heads().to_vec(), clf.margin_scales().to_vec())
+                .unwrap();
         assert_eq!(back, clf);
         for (x, _) in data.iter_labeled().take(20) {
             assert_eq!(back.classify(x), clf.classify(x));

@@ -128,8 +128,14 @@ impl TrainingProblem {
         for m in 0..self.num_features() {
             let wm = w[m];
             for (mu, sigma) in [
-                (self.moments.mu_a[m], self.moments.sigma_a[(m, m)].max(0.0).sqrt()),
-                (self.moments.mu_b[m], self.moments.sigma_b[(m, m)].max(0.0).sqrt()),
+                (
+                    self.moments.mu_a[m],
+                    self.moments.sigma_a[(m, m)].max(0.0).sqrt(),
+                ),
+                (
+                    self.moments.mu_b[m],
+                    self.moments.sigma_b[(m, m)].max(0.0).sqrt(),
+                ),
             ] {
                 let spread = self.beta * wm.abs() * sigma;
                 if wm * mu - spread < lo - FEAS_EPS || wm * mu + spread > hi + FEAS_EPS {
@@ -221,8 +227,14 @@ impl TrainingProblem {
         let (lo, hi) = self.value_range();
         for m in 0..n {
             for (mu, sigma) in [
-                (self.moments.mu_a[m], self.moments.sigma_a[(m, m)].max(0.0).sqrt()),
-                (self.moments.mu_b[m], self.moments.sigma_b[(m, m)].max(0.0).sqrt()),
+                (
+                    self.moments.mu_a[m],
+                    self.moments.sigma_a[(m, m)].max(0.0).sqrt(),
+                ),
+                (
+                    self.moments.mu_b[m],
+                    self.moments.sigma_b[(m, m)].max(0.0).sqrt(),
+                ),
             ] {
                 let plus = mu + self.beta * sigma;
                 let minus = mu - self.beta * sigma;
@@ -283,8 +295,7 @@ mod tests {
     fn toy_data() -> BinaryDataset {
         // Two comfortably-scaled 2-D classes.
         BinaryDataset::new(
-            Matrix::from_rows(&[&[-0.4, 0.1], &[-0.2, -0.1], &[-0.3, 0.0], &[-0.5, 0.05]])
-                .unwrap(),
+            Matrix::from_rows(&[&[-0.4, 0.1], &[-0.2, -0.1], &[-0.3, 0.0], &[-0.5, 0.05]]).unwrap(),
             Matrix::from_rows(&[&[0.4, 0.0], &[0.2, 0.1], &[0.3, -0.05], &[0.5, -0.1]]).unwrap(),
         )
         .unwrap()
@@ -312,8 +323,8 @@ mod tests {
     fn moments_come_from_quantized_data() {
         // With a very coarse grid the quantized means differ from raw means.
         let coarse = problem(2, 1); // resolution 0.5
-        let raw = BinaryClassMoments::from_samples(&toy_data().class_a, &toy_data().class_b)
-            .unwrap();
+        let raw =
+            BinaryClassMoments::from_samples(&toy_data().class_a, &toy_data().class_b).unwrap();
         assert_ne!(coarse.moments().mu_a, raw.mu_a);
         // With a fine grid they nearly agree.
         let fine = problem(2, 20);
@@ -395,7 +406,10 @@ mod tests {
                 }
             }
         }
-        assert!(disagreements <= 3, "{disagreements} cone/exact disagreements");
+        assert!(
+            disagreements <= 3,
+            "{disagreements} cone/exact disagreements"
+        );
     }
 
     #[test]
@@ -406,13 +420,10 @@ mod tests {
         let (lo, hi) = p.value_range();
         let (t_lo, t_hi) = p.initial_t_interval();
         let eta = t_lo.abs().max(t_hi.abs()).powi(2);
-        let mut socp = SocpProblem::new(
-            p.moments().s_w.scaled(2.0 / eta),
-            vec![0.0; 2],
-        )
-        .unwrap();
+        let mut socp = SocpProblem::new(p.moments().s_w.scaled(2.0 / eta), vec![0.0; 2]).unwrap();
         socp.add_box(&[lo, lo], &[hi, hi]).unwrap();
-        socp.add_linear(p.moments().mean_diff.clone(), t_hi).unwrap();
+        socp.add_linear(p.moments().mean_diff.clone(), t_hi)
+            .unwrap();
         socp.add_linear(p.moments().mean_diff.iter().map(|v| -v).collect(), -t_lo)
             .unwrap();
         p.add_elementwise_constraints(&mut socp).unwrap();

@@ -10,8 +10,8 @@ use ldafp_core::{LdaFpConfig, LdaFpTrainer};
 use ldafp_datasets::BinaryDataset;
 use ldafp_fixedpoint::QFormat;
 use ldafp_linalg::Matrix;
-use ldafp_stats::Rng;
 use ldafp_obs as obs;
+use ldafp_stats::Rng;
 use std::sync::Arc;
 
 struct NoopSubscriber;

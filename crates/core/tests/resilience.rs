@@ -79,7 +79,10 @@ fn faulted_training_matches_fault_free_incumbent() {
             faulted.fisher_cost(),
             clean.fisher_cost()
         );
-        assert!(!faulted.certified(), "seed {seed}: faults must void the certificate");
+        assert!(
+            !faulted.certified(),
+            "seed {seed}: faults must void the certificate"
+        );
         assert!(
             matches!(faulted.outcome(), TrainingOutcome::Degraded { .. }),
             "seed {seed}: expected Degraded, got {:?}",
@@ -118,7 +121,10 @@ fn transient_faults_are_recovered_and_reported() {
     match model.outcome() {
         TrainingOutcome::Degraded {
             recovered_solves, ..
-        } => assert!(*recovered_solves > 0, "expected recovered solves to be counted"),
+        } => assert!(
+            *recovered_solves > 0,
+            "expected recovered solves to be counted"
+        ),
         other => panic!("expected Degraded with recovered solves, got {other:?}"),
     }
 }

@@ -258,7 +258,10 @@ mod tests {
         for (j, &s) in shift.iter().enumerate() {
             let observed = mu_b[j] - mu_a[j];
             if s == 0.0 {
-                assert!(observed.abs() < 0.05, "feature {j}: spurious shift {observed}");
+                assert!(
+                    observed.abs() < 0.05,
+                    "feature {j}: spurious shift {observed}"
+                );
             }
         }
         // The strongest features show the largest shifts.

@@ -104,7 +104,12 @@ impl BinaryDataset {
             for row in 0..m.rows() {
                 for (col, &value) in m.row(row).iter().enumerate() {
                     if !value.is_finite() {
-                        return Err(DatasetError::NonFiniteFeature { class, row, col, value });
+                        return Err(DatasetError::NonFiniteFeature {
+                            class,
+                            row,
+                            col,
+                            value,
+                        });
                     }
                 }
             }
@@ -192,9 +197,8 @@ impl BinaryDataset {
             }
             factors[j] = if worst == 0.0 { 1.0 } else { limit / worst };
         }
-        let scale = |mat: &Matrix| {
-            Matrix::from_fn(mat.rows(), mat.cols(), |i, j| mat[(i, j)] * factors[j])
-        };
+        let scale =
+            |mat: &Matrix| Matrix::from_fn(mat.rows(), mat.cols(), |i, j| mat[(i, j)] * factors[j]);
         (
             BinaryDataset {
                 class_a: scale(&self.class_a),
@@ -238,16 +242,32 @@ mod tests {
     #[test]
     fn validated_reports_shape_mismatch() {
         let err = BinaryDataset::validated(Matrix::zeros(2, 3), Matrix::zeros(2, 4)).unwrap_err();
-        assert_eq!(err, DatasetError::ShapeMismatch { a_cols: 3, b_cols: 4 });
+        assert_eq!(
+            err,
+            DatasetError::ShapeMismatch {
+                a_cols: 3,
+                b_cols: 4
+            }
+        );
         assert!(err.to_string().contains("feature count"));
     }
 
     #[test]
     fn validated_reports_empty_class() {
         let err = BinaryDataset::validated(Matrix::zeros(0, 3), Matrix::zeros(2, 3)).unwrap_err();
-        assert_eq!(err, DatasetError::EmptyClass { class: ClassLabel::A });
+        assert_eq!(
+            err,
+            DatasetError::EmptyClass {
+                class: ClassLabel::A
+            }
+        );
         let err = BinaryDataset::validated(Matrix::zeros(2, 3), Matrix::zeros(0, 3)).unwrap_err();
-        assert_eq!(err, DatasetError::EmptyClass { class: ClassLabel::B });
+        assert_eq!(
+            err,
+            DatasetError::EmptyClass {
+                class: ClassLabel::B
+            }
+        );
         assert!(err.to_string().contains("no samples"));
     }
 
@@ -257,7 +277,12 @@ mod tests {
         let b = Matrix::from_rows(&[&[0.0, 0.0]]).unwrap();
         let err = BinaryDataset::validated(a, b).unwrap_err();
         match err {
-            DatasetError::NonFiniteFeature { class, row, col, value } => {
+            DatasetError::NonFiniteFeature {
+                class,
+                row,
+                col,
+                value,
+            } => {
                 assert_eq!(class, ClassLabel::A);
                 assert_eq!((row, col), (1, 1));
                 assert!(value.is_nan());
@@ -270,7 +295,12 @@ mod tests {
         let err = BinaryDataset::validated(a, b).unwrap_err();
         assert!(matches!(
             err,
-            DatasetError::NonFiniteFeature { class: ClassLabel::B, row: 0, col: 1, .. }
+            DatasetError::NonFiniteFeature {
+                class: ClassLabel::B,
+                row: 0,
+                col: 1,
+                ..
+            }
         ));
         assert!(err.to_string().contains("must be finite"));
     }

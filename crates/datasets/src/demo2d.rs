@@ -57,10 +57,7 @@ pub fn rounding_sensitive(config: &Demo2dConfig, rng: &mut Rng) -> BinaryDataset
     ])
     .expect("fixed shape");
     // Means displaced along the (rotated) short axis.
-    let offset = [
-        -s * 0.5 * config.separation,
-        c * 0.5 * config.separation,
-    ];
+    let offset = [-s * 0.5 * config.separation, c * 0.5 * config.separation];
     let mu_a = vec![-offset[0], -offset[1]];
     let mu_b = vec![offset[0], offset[1]];
     sample_pair(mu_a, mu_b, cov, config.n_per_class, rng)
@@ -125,11 +122,7 @@ mod tests {
         // Count training errors of the float LDA rule.
         let mut errors = 0usize;
         for (x, label) in d.iter_labeled() {
-            let score: f64 = x
-                .iter()
-                .zip(&w)
-                .map(|(a, b)| a * b)
-                .sum::<f64>()
+            let score: f64 = x.iter().zip(&w).map(|(a, b)| a * b).sum::<f64>()
                 - mid.iter().zip(&w).map(|(a, b)| a * b).sum::<f64>();
             let predicted_a = score >= 0.0;
             // mean_diff = μ_A − μ_B, so class A scores positive.

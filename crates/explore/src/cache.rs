@@ -91,7 +91,10 @@ pub fn problem_key(
         point.rho,
         point.rounding.name(),
     );
-    format!("fnv1a64:{:016x}", fnv1a64(canonical.as_bytes(), FNV1A64_OFFSET))
+    format!(
+        "fnv1a64:{:016x}",
+        fnv1a64(canonical.as_bytes(), FNV1A64_OFFSET)
+    )
 }
 
 /// A directory of checksummed outcome envelopes.
@@ -201,10 +204,8 @@ mod tests {
     use ldafp_fixedpoint::RoundingMode;
 
     fn temp_dir(tag: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!(
-            "ldafp-explore-cache-{tag}-{}",
-            std::process::id()
-        ));
+        let dir =
+            std::env::temp_dir().join(format!("ldafp-explore-cache-{tag}-{}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
         dir
     }
@@ -264,7 +265,10 @@ mod tests {
         assert!(cache.load(&key).is_none());
 
         // Valid JSON, flipped payload value → checksum mismatch → miss.
-        assert!(good.contains("0.125"), "fixture must render the payload value");
+        assert!(
+            good.contains("0.125"),
+            "fixture must render the payload value"
+        );
         fs::write(&path, good.replace("0.125", "0.625")).unwrap();
         assert!(cache.load(&key).is_none());
 
@@ -328,6 +332,10 @@ mod tests {
             problem_key(1, 2, &p4, 3),
             "family must separate cache entries"
         );
-        assert_eq!(base, problem_key(1, 2, &point(), 3), "keys are deterministic");
+        assert_eq!(
+            base,
+            problem_key(1, 2, &point(), 3),
+            "keys are deterministic"
+        );
     }
 }

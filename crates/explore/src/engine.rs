@@ -151,9 +151,7 @@ impl DesignOutcome {
             ("metrics", metrics),
             (
                 "failure",
-                self.failure
-                    .as_deref()
-                    .map_or(Value::Null, Value::from),
+                self.failure.as_deref().map_or(Value::Null, Value::from),
             ),
             ("nodes_assessed", Value::from(self.nodes_assessed)),
             ("elapsed_ms", Value::from(self.elapsed_ms)),
@@ -258,18 +256,15 @@ pub fn holdout_split(
         });
     }
     let period = (1.0 / fraction).round().max(2.0) as usize;
-    let split = |n: usize| -> (Vec<usize>, Vec<usize>) {
-        (0..n).partition(|i| i % period != period - 1)
-    };
+    let split =
+        |n: usize| -> (Vec<usize>, Vec<usize>) { (0..n).partition(|i| i % period != period - 1) };
     let (na, nb) = data.class_sizes();
     let (train_a, val_a) = split(na);
     let (train_b, val_b) = split(nb);
     if train_a.is_empty() || train_b.is_empty() || val_a.is_empty() || val_b.is_empty() {
         return Err(ExploreError::InvalidParameter {
             name: "holdout",
-            detail: format!(
-                "classes of sizes {na}/{nb} cannot support a 1-in-{period} holdout"
-            ),
+            detail: format!("classes of sizes {na}/{nb} cannot support a 1-in-{period} holdout"),
         });
     }
     Ok((data.select(&train_a, &train_b), data.select(&val_a, &val_b)))
@@ -390,7 +385,11 @@ struct SweepShared {
 impl SweepShared {
     /// Pop own queue front, else steal another queue's back.
     fn next_point(&self, me: usize) -> Option<usize> {
-        if let Some(i) = self.queues[me].lock().unwrap_or_else(|e| e.into_inner()).pop_front() {
+        if let Some(i) = self.queues[me]
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .pop_front()
+        {
             return Some(i);
         }
         for offset in 1..self.queues.len() {
@@ -458,7 +457,9 @@ impl Explorer {
                 std::fs::create_dir_all(&ckpt_dir).map_err(state_err)?;
                 let resumed = journal.resumed();
                 if resumed {
-                    obs::Registry::global().counter("explore.resumed_sweeps").inc();
+                    obs::Registry::global()
+                        .counter("explore.resumed_sweeps")
+                        .inc();
                 }
                 Some(SweepState {
                     journal: Mutex::new(journal),
@@ -479,8 +480,7 @@ impl Explorer {
         let validation_digest = dataset_digest(validation);
         let started = Instant::now();
 
-        let cores =
-            std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+        let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
         let shared = SweepShared {
             intra_threads: (cores / threads).max(1),
             queues: (0..threads).map(|_| Mutex::new(VecDeque::new())).collect(),
@@ -622,7 +622,11 @@ impl Explorer {
             s.ckpt_dir.join(format!("{tail}.ckpt"))
         });
         if let Some(cache) = cache {
-            if let Some(hit) = cache.load(&key).as_ref().and_then(DesignOutcome::from_value) {
+            if let Some(hit) = cache
+                .load(&key)
+                .as_ref()
+                .and_then(DesignOutcome::from_value)
+            {
                 if hit.point == *point {
                     if let (Some(state), Some(path)) = (state, &ckpt_path) {
                         if state.resumed {
@@ -683,12 +687,10 @@ impl Explorer {
             });
             let trained = match point.format() {
                 Err(e) => Err(e.to_string()),
-                Ok(format) => {
-                    match trainer.train_checkpointed(train, format, policy.as_ref()) {
-                        Err(CoreError::Interrupted) => return None,
-                        other => other.map_err(|e| e.to_string()),
-                    }
-                }
+                Ok(format) => match trainer.train_checkpointed(train, format, policy.as_ref()) {
+                    Err(CoreError::Interrupted) => return None,
+                    other => other.map_err(|e| e.to_string()),
+                },
             };
             match trained {
                 Ok(model) => {
@@ -895,7 +897,13 @@ mod tests {
         let errs: Vec<f64> = summary
             .pareto
             .iter()
-            .map(|&i| summary.outcomes[i].metrics.as_ref().unwrap().validation_error)
+            .map(|&i| {
+                summary.outcomes[i]
+                    .metrics
+                    .as_ref()
+                    .unwrap()
+                    .validation_error
+            })
             .collect();
         assert!(errs.windows(2).all(|w| w[0] <= w[1]));
     }
@@ -940,10 +948,8 @@ mod tests {
 
     #[test]
     fn cache_makes_second_sweep_incremental() {
-        let dir = std::env::temp_dir().join(format!(
-            "ldafp-explore-sweep-cache-{}",
-            std::process::id()
-        ));
+        let dir =
+            std::env::temp_dir().join(format!("ldafp-explore-sweep-cache-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let train = easy_data(25, 0.4, 5);
         let validation = easy_data(25, 0.4, 6);
@@ -994,7 +1000,10 @@ mod tests {
             elapsed_ms: 3.5,
             from_cache: false,
         };
-        assert_eq!(DesignOutcome::from_value(&outcome.to_value()), Some(outcome));
+        assert_eq!(
+            DesignOutcome::from_value(&outcome.to_value()),
+            Some(outcome)
+        );
 
         let failed = DesignOutcome {
             point: DesignPoint {
@@ -1016,10 +1025,8 @@ mod tests {
 
     #[test]
     fn family_sweep_trains_caches_and_reloads_deterministically() {
-        let dir = std::env::temp_dir().join(format!(
-            "ldafp-explore-family-cache-{}",
-            std::process::id()
-        ));
+        let dir =
+            std::env::temp_dir().join(format!("ldafp-explore-family-cache-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let train = easy_data(30, 0.5, 9);
         let validation = easy_data(30, 0.5, 10);

@@ -36,9 +36,15 @@ impl SweepJournal {
     pub fn open(state_dir: &Path) -> std::io::Result<SweepJournal> {
         std::fs::create_dir_all(state_dir)?;
         let path = state_dir.join(JOURNAL_FILE);
-        let resumed = std::fs::metadata(&path).map(|m| m.len() > 0).unwrap_or(false);
+        let resumed = std::fs::metadata(&path)
+            .map(|m| m.len() > 0)
+            .unwrap_or(false);
         let file = OpenOptions::new().create(true).append(true).open(&path)?;
-        Ok(SweepJournal { file, path, resumed })
+        Ok(SweepJournal {
+            file,
+            path,
+            resumed,
+        })
     }
 
     /// The journal file path.
@@ -105,10 +111,16 @@ mod tests {
         drop(j);
 
         let j2 = SweepJournal::open(&dir).unwrap();
-        assert!(j2.resumed(), "existing events mark the next open as a resume");
+        assert!(
+            j2.resumed(),
+            "existing events mark the next open as a resume"
+        );
         let events = read_journal(j2.path());
         assert_eq!(events.len(), 2);
-        assert_eq!(events[0].get("event").unwrap().as_str(), Some("sweep.start"));
+        assert_eq!(
+            events[0].get("event").unwrap().as_str(),
+            Some("sweep.start")
+        );
         assert_eq!(events[1].get("index").unwrap().as_i64(), Some(3));
     }
 

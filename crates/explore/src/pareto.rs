@@ -18,8 +18,11 @@ pub fn pareto_frontier(outcomes: &[DesignOutcome]) -> Vec<usize> {
         .enumerate()
         .filter_map(|(i, o)| {
             let m = o.metrics.as_ref()?;
-            (m.validation_error.is_finite() && m.power.is_finite())
-                .then_some((i, m.validation_error, m.power))
+            (m.validation_error.is_finite() && m.power.is_finite()).then_some((
+                i,
+                m.validation_error,
+                m.power,
+            ))
         })
         .collect();
     // Error ascending, then power ascending, then grid order: the scan

@@ -43,10 +43,7 @@ pub fn markdown_report(summary: &ExploreSummary) -> String {
         out,
         "| point | bits | val err | train err | power | energy/class | outcome | nodes | ms | flags |"
     );
-    let _ = writeln!(
-        out,
-        "|---|---:|---:|---:|---:|---:|---|---:|---:|---|"
-    );
+    let _ = writeln!(out, "|---|---:|---:|---:|---:|---:|---|---:|---:|---|");
     for o in &summary.outcomes {
         let flags = if o.from_cache { "cache" } else { "-" };
         match &o.metrics {
@@ -275,11 +272,17 @@ mod tests {
         assert_eq!(parsed.get("points").and_then(Value::as_i64), Some(2));
         assert_eq!(parsed.get("trained").and_then(Value::as_i64), Some(1));
         assert_eq!(
-            parsed.get("outcomes").and_then(Value::as_array).map(<[Value]>::len),
+            parsed
+                .get("outcomes")
+                .and_then(Value::as_array)
+                .map(<[Value]>::len),
             Some(2)
         );
         assert_eq!(
-            parsed.get("pareto").and_then(Value::as_array).map(<[Value]>::len),
+            parsed
+                .get("pareto")
+                .and_then(Value::as_array)
+                .map(<[Value]>::len),
             Some(1)
         );
     }

@@ -33,10 +33,7 @@ fn grid() -> ExploreGrid {
 
 #[test]
 fn cache_persists_across_engine_instances() {
-    let dir = std::env::temp_dir().join(format!(
-        "ldafp-explore-e2e-cache-{}",
-        std::process::id()
-    ));
+    let dir = std::env::temp_dir().join(format!("ldafp-explore-e2e-cache-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let (train, validation) = demo_data();
     let run = || {

@@ -113,7 +113,9 @@ mod tests {
     fn uniform_noise_model_holds_for_nearest() {
         let format = QFormat::new(2, 6).unwrap();
         // A dense in-range ramp exercises all rounding offsets.
-        let values: Vec<f64> = (0..20_000).map(|i| -1.8 + 3.6 * i as f64 / 20_000.0).collect();
+        let values: Vec<f64> = (0..20_000)
+            .map(|i| -1.8 + 3.6 * i as f64 / 20_000.0)
+            .collect();
         let stats = quantization_error_stats(format, &values, RoundingMode::NearestEven);
         assert!(stats.mean.abs() < 1e-4, "bias {}", stats.mean);
         let ratio = stats.variance / stats.uniform_model_variance;
@@ -124,17 +126,22 @@ mod tests {
     #[test]
     fn floor_mode_has_negative_bias() {
         let format = QFormat::new(2, 4).unwrap();
-        let values: Vec<f64> = (0..5_000).map(|i| -1.5 + 3.0 * i as f64 / 5_000.0).collect();
+        let values: Vec<f64> = (0..5_000)
+            .map(|i| -1.5 + 3.0 * i as f64 / 5_000.0)
+            .collect();
         let stats = quantization_error_stats(format, &values, RoundingMode::Floor);
         // Floor always rounds down: mean error ≈ −q/2.
-        assert!(stats.mean < -0.4 * format.resolution(), "bias {}", stats.mean);
+        assert!(
+            stats.mean < -0.4 * format.resolution(),
+            "bias {}",
+            stats.mean
+        );
     }
 
     #[test]
     fn saturation_shows_as_outlier() {
         let format = QFormat::new(1, 3).unwrap(); // range [−1, 0.875]
-        let stats =
-            quantization_error_stats(format, &[5.0], RoundingMode::NearestEven);
+        let stats = quantization_error_stats(format, &[5.0], RoundingMode::NearestEven);
         assert!(stats.max_abs > 4.0);
     }
 

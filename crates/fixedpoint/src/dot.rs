@@ -15,7 +15,7 @@
 //! final sum is representable. The test suite checks this exhaustively for
 //! narrow formats.
 
-use crate::{Fx, FixedPointError, QFormat, Result, RoundingMode};
+use crate::{FixedPointError, Fx, QFormat, Result, RoundingMode};
 
 /// Per-step record of a MAC execution, for datapath inspection and the
 /// hardware energy model.
@@ -251,7 +251,15 @@ mod tests {
         // spanning the full raw range so wraps and ties both occur.
         use ldafp_stats::Rng;
         let mut rng = ldafp_stats::Rng::new(2014);
-        for (k, f) in [(3u32, 0u32), (2, 6), (1, 12), (16, 15), (1, 30), (31, 0), (4, 1)] {
+        for (k, f) in [
+            (3u32, 0u32),
+            (2, 6),
+            (1, 12),
+            (16, 15),
+            (1, 30),
+            (31, 0),
+            (4, 1),
+        ] {
             let fmt = q(k, f);
             let (lo, hi) = (fmt.min_raw(), fmt.max_raw());
             for mode in [
@@ -263,7 +271,9 @@ mod tests {
             ] {
                 for len in [1usize, 2, 7, 42] {
                     let gen = |rng: &mut Rng| -> Vec<Fx> {
-                        (0..len).map(|_| fmt.from_raw(rng.range_i64(lo..=hi))).collect()
+                        (0..len)
+                            .map(|_| fmt.from_raw(rng.range_i64(lo..=hi)))
+                            .collect()
                     };
                     let w = gen(&mut rng);
                     let x = gen(&mut rng);
@@ -313,10 +323,10 @@ mod tests {
                 for &c in &vals {
                     let w = [a, b, c];
                     let x = [vals[7], vals[2], vals[5]]; // arbitrary fixed features
-                    // Products of F-bit values are exact in 2F bits; with
-                    // Floor rounding, per-step rounding == final rounding
-                    // iff each product is on the F grid. Use F such that
-                    // products stay exact: choose integers only.
+                                                         // Products of F-bit values are exact in 2F bits; with
+                                                         // Floor rounding, per-step rounding == final rounding
+                                                         // iff each product is on the F grid. Use F such that
+                                                         // products stay exact: choose integers only.
                     let exact = exact_dot_value(&w, &x);
                     if exact >= fmt.min_value() && exact <= fmt.max_value() {
                         let wide = wide_dot(&w, &x, RoundingMode::Floor).unwrap();
@@ -360,13 +370,16 @@ mod tests {
                 }
             }
         }
-        assert!(checked > 100, "exhaustive sweep actually ran ({checked} cases)");
+        assert!(
+            checked > 100,
+            "exhaustive sweep actually ran ({checked} cases)"
+        );
     }
 
     #[test]
     fn wide_dot_rounds_once() {
         let fmt = q(3, 1); // resolution 0.5
-        // Products: 0.5*0.5 = 0.25 (needs rounding), three of them = 0.75.
+                           // Products: 0.5*0.5 = 0.25 (needs rounding), three of them = 0.75.
         let w = fmt.quantize_slice(&[0.5, 0.5, 0.5], RoundingMode::NearestEven);
         let x = fmt.quantize_slice(&[0.5, 0.5, 0.5], RoundingMode::NearestEven);
         // Wide: sum = 0.75 exactly representable? grid is 0.5 steps → 0.75

@@ -365,8 +365,22 @@ mod tests {
         // rounding; it must agree with `quantize` on every input class —
         // in-range values, exact ties, both saturation sides, NaN, ±inf.
         let inputs: Vec<f64> = vec![
-            0.0, 0.5, -0.5, 0.078125, -0.078125, 0.15625, 1.999, -2.0, 100.0, -100.0,
-            f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 1e-12, -1e-12, 0.9999999,
+            0.0,
+            0.5,
+            -0.5,
+            0.078125,
+            -0.078125,
+            0.15625,
+            1.999,
+            -2.0,
+            100.0,
+            -100.0,
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            1e-12,
+            -1e-12,
+            0.9999999,
         ];
         for (k, f) in [(2u32, 6u32), (3, 0), (1, 10), (4, 4)] {
             let q = QFormat::new(k, f).unwrap();
@@ -480,14 +494,23 @@ mod tests {
         let q = QFormat::new(2, 2).unwrap(); // range [-2, 1.75]
         assert_eq!(q.quantize(10.0, RoundingMode::NearestEven).to_f64(), 1.75);
         assert_eq!(q.quantize(-10.0, RoundingMode::NearestEven).to_f64(), -2.0);
-        assert_eq!(q.quantize(f64::INFINITY, RoundingMode::Floor).to_f64(), 1.75);
-        assert_eq!(q.quantize(f64::NEG_INFINITY, RoundingMode::Ceil).to_f64(), -2.0);
+        assert_eq!(
+            q.quantize(f64::INFINITY, RoundingMode::Floor).to_f64(),
+            1.75
+        );
+        assert_eq!(
+            q.quantize(f64::NEG_INFINITY, RoundingMode::Ceil).to_f64(),
+            -2.0
+        );
     }
 
     #[test]
     fn nan_quantizes_to_zero() {
         let q = QFormat::new(4, 4).unwrap();
-        assert_eq!(q.quantize(f64::NAN, RoundingMode::NearestEven).to_f64(), 0.0);
+        assert_eq!(
+            q.quantize(f64::NAN, RoundingMode::NearestEven).to_f64(),
+            0.0
+        );
     }
 
     #[test]

@@ -125,7 +125,9 @@ impl Fx {
     /// Returns [`FixedPointError::FormatMismatch`] when formats differ.
     pub fn saturating_add(&self, other: Fx) -> Result<Fx> {
         self.check_format(&other, "saturating_add")?;
-        let raw = self.format.saturate_raw(self.raw as i128 + other.raw as i128);
+        let raw = self
+            .format
+            .saturate_raw(self.raw as i128 + other.raw as i128);
         Ok(Fx::from_raw_parts(raw, self.format))
     }
 
@@ -140,9 +142,7 @@ impl Fx {
     /// Returns [`FixedPointError::FormatMismatch`] when formats differ.
     pub fn wrapping_mul(&self, other: Fx, mode: RoundingMode) -> Result<Fx> {
         self.check_format(&other, "wrapping_mul")?;
-        let raw = self
-            .format
-            .wrap_raw(self.mul_rounded_raw(other, mode));
+        let raw = self.format.wrap_raw(self.mul_rounded_raw(other, mode));
         Ok(Fx::from_raw_parts(raw, self.format))
     }
 
@@ -153,9 +153,7 @@ impl Fx {
     /// Returns [`FixedPointError::FormatMismatch`] when formats differ.
     pub fn saturating_mul(&self, other: Fx, mode: RoundingMode) -> Result<Fx> {
         self.check_format(&other, "saturating_mul")?;
-        let raw = self
-            .format
-            .saturate_raw(self.mul_rounded_raw(other, mode));
+        let raw = self.format.saturate_raw(self.mul_rounded_raw(other, mode));
         Ok(Fx::from_raw_parts(raw, self.format))
     }
 
@@ -306,7 +304,12 @@ mod tests {
         let fmt = q(2, 6);
         let a = fmt.quantize(0.75, RoundingMode::NearestEven);
         let b = fmt.quantize(0.5, RoundingMode::NearestEven);
-        assert_eq!(a.wrapping_mul(b, RoundingMode::NearestEven).unwrap().to_f64(), 0.375);
+        assert_eq!(
+            a.wrapping_mul(b, RoundingMode::NearestEven)
+                .unwrap()
+                .to_f64(),
+            0.375
+        );
     }
 
     #[test]
@@ -314,9 +317,20 @@ mod tests {
         let fmt = q(2, 2); // resolution 0.25
         let a = fmt.quantize(0.75, RoundingMode::NearestEven);
         // 0.75 * 0.75 = 0.5625; floor→0.5, ceil→0.75, nearest→0.5 (0.5625 closer to 0.5)
-        assert_eq!(a.wrapping_mul(a, RoundingMode::Floor).unwrap().to_f64(), 0.5);
-        assert_eq!(a.wrapping_mul(a, RoundingMode::Ceil).unwrap().to_f64(), 0.75);
-        assert_eq!(a.wrapping_mul(a, RoundingMode::NearestEven).unwrap().to_f64(), 0.5);
+        assert_eq!(
+            a.wrapping_mul(a, RoundingMode::Floor).unwrap().to_f64(),
+            0.5
+        );
+        assert_eq!(
+            a.wrapping_mul(a, RoundingMode::Ceil).unwrap().to_f64(),
+            0.75
+        );
+        assert_eq!(
+            a.wrapping_mul(a, RoundingMode::NearestEven)
+                .unwrap()
+                .to_f64(),
+            0.5
+        );
     }
 
     #[test]
@@ -325,9 +339,20 @@ mod tests {
         let a = fmt.quantize(-1.5, RoundingMode::NearestEven);
         let b = fmt.quantize(0.5, RoundingMode::NearestEven);
         // -0.75: floor → -1.0, toward zero → -0.5, ceil → -0.5
-        assert_eq!(a.wrapping_mul(b, RoundingMode::Floor).unwrap().to_f64(), -1.0);
-        assert_eq!(a.wrapping_mul(b, RoundingMode::TowardZero).unwrap().to_f64(), -0.5);
-        assert_eq!(a.wrapping_mul(b, RoundingMode::Ceil).unwrap().to_f64(), -0.5);
+        assert_eq!(
+            a.wrapping_mul(b, RoundingMode::Floor).unwrap().to_f64(),
+            -1.0
+        );
+        assert_eq!(
+            a.wrapping_mul(b, RoundingMode::TowardZero)
+                .unwrap()
+                .to_f64(),
+            -0.5
+        );
+        assert_eq!(
+            a.wrapping_mul(b, RoundingMode::Ceil).unwrap().to_f64(),
+            -0.5
+        );
     }
 
     #[test]

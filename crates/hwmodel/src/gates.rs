@@ -87,7 +87,13 @@ impl BitWord {
         assert!(width > 0 && width <= 63, "width {width} out of range");
         let sign = *self.bits.last().expect("non-empty word");
         let bits = (0..width)
-            .map(|i| if i < self.bits.len() { self.bits[i] } else { sign })
+            .map(|i| {
+                if i < self.bits.len() {
+                    self.bits[i]
+                } else {
+                    sign
+                }
+            })
             .collect();
         BitWord { bits }
     }
@@ -223,10 +229,7 @@ impl ShiftAddMultiplier {
                 if is_sign_cycle {
                     // Two's complement: the MSB of b has weight −2^(W−1);
                     // subtract by adding the negation.
-                    let neg = BitWord::from_raw(
-                        shifted_a.to_raw().wrapping_neg(),
-                        wide,
-                    );
+                    let neg = BitWord::from_raw(shifted_a.to_raw().wrapping_neg(), wide);
                     acc = self.adder.add(&acc, &neg);
                 } else {
                     acc = self.adder.add(&acc, &shifted_a);
@@ -412,8 +415,14 @@ mod tests {
         }
         let ratio_1 = per_width[1] / per_width[0]; // 8 vs 4 bits
         let ratio_2 = per_width[2] / per_width[1]; // 16 vs 8 bits
-        assert!(ratio_1 > 2.0, "4→8 bit activity ratio {ratio_1} not superlinear");
-        assert!(ratio_2 > 2.0, "8→16 bit activity ratio {ratio_2} not superlinear");
+        assert!(
+            ratio_1 > 2.0,
+            "4→8 bit activity ratio {ratio_1} not superlinear"
+        );
+        assert!(
+            ratio_2 > 2.0,
+            "8→16 bit activity ratio {ratio_2} not superlinear"
+        );
     }
 
     #[test]

@@ -12,7 +12,6 @@
 //! function of the word length" — the rule behind the paper's 9× and 1.8×
 //! claims, which [`MacPowerModel::power_reduction`] reproduces.
 
-
 /// Normalized energy model of a MAC-based linear classifier.
 ///
 /// All coefficients are in arbitrary energy units per operation; only
@@ -85,7 +84,10 @@ impl MacPowerModel {
     ///
     /// Panics if either word length is zero.
     pub fn power_reduction(&self, from_bits: u32, to_bits: u32, num_features: usize) -> f64 {
-        assert!(from_bits > 0 && to_bits > 0, "word lengths must be positive");
+        assert!(
+            from_bits > 0 && to_bits > 0,
+            "word lengths must be positive"
+        );
         self.power(from_bits, num_features) / self.power(to_bits, num_features)
     }
 
@@ -119,7 +121,10 @@ mod tests {
         // length, equivalent to 9× power reduction".
         let m = MacPowerModel::default();
         let r = m.power_reduction(12, 4, 3);
-        assert!((r - 9.0).abs() < 1.2, "12→4 bit reduction {r} (expected ≈9)");
+        assert!(
+            (r - 9.0).abs() < 1.2,
+            "12→4 bit reduction {r} (expected ≈9)"
+        );
     }
 
     #[test]
@@ -127,7 +132,10 @@ mod tests {
         // Table 2: 8-bit LDA vs 6-bit LDA-FP → "power reduced by 1.8×".
         let m = MacPowerModel::default();
         let r = m.power_reduction(8, 6, 42);
-        assert!((r - 1.78).abs() < 0.15, "8→6 bit reduction {r} (expected ≈1.8)");
+        assert!(
+            (r - 1.78).abs() < 0.15,
+            "8→6 bit reduction {r} (expected ≈1.8)"
+        );
     }
 
     #[test]

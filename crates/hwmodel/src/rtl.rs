@@ -11,7 +11,7 @@
 //! (hardware truncation) and a wrapping accumulator — the semantics whose
 //! harmlessness the paper proves for in-range final sums.
 
-use ldafp_fixedpoint::{Fx, FixedPointError, QFormat};
+use ldafp_fixedpoint::{FixedPointError, Fx, QFormat};
 use std::fmt::Write as _;
 
 /// Configuration of the emitted RTL module.
@@ -78,7 +78,10 @@ pub fn generate_verilog(
         "// Auto-generated by ldafp-hwmodel: {m}-feature linear classifier"
     );
     let _ = writeln!(v, "// Format: {format} ({w_bits}-bit two's complement)");
-    let _ = writeln!(v, "// Semantics: truncating multiplier, wrapping accumulator (DAC'14 LDA-FP)");
+    let _ = writeln!(
+        v,
+        "// Semantics: truncating multiplier, wrapping accumulator (DAC'14 LDA-FP)"
+    );
     let _ = writeln!(v, "module {} (", config.module_name);
     let _ = writeln!(v, "    input  wire                  clk,");
     let _ = writeln!(v, "    input  wire                  rst_n,");
@@ -116,7 +119,10 @@ pub fn generate_verilog(
     let _ = writeln!(v, "    reg  [{}:0] idx;", idx_bits - 1);
     let _ = writeln!(v, "    reg  signed [W-1:0] acc;");
     let _ = writeln!(v, "    wire signed [2*W-1:0] product = rom[idx] * x_in;");
-    let _ = writeln!(v, "    // Truncate F fractional bits (floor), keep low W bits (wrap).");
+    let _ = writeln!(
+        v,
+        "    // Truncate F fractional bits (floor), keep low W bits (wrap)."
+    );
     let _ = writeln!(v, "    wire signed [W-1:0] product_q = product[W+F-1:F];");
     let _ = writeln!(v);
     let _ = writeln!(v, "    always @(posedge clk or negedge rst_n) begin");
@@ -126,7 +132,10 @@ pub fn generate_verilog(
     let _ = writeln!(v, "            done    <= 1'b0;");
     let _ = writeln!(v, "            class_a <= 1'b0;");
     let _ = writeln!(v, "        end else if (x_valid && !done) begin");
-    let _ = writeln!(v, "            acc <= acc + product_q; // wraps in W bits by construction");
+    let _ = writeln!(
+        v,
+        "            acc <= acc + product_q; // wraps in W bits by construction"
+    );
     let _ = writeln!(v, "            if (idx == M-1) begin");
     let _ = writeln!(v, "                done    <= 1'b1;");
     let _ = writeln!(
@@ -155,7 +164,10 @@ fn generate_testbench(module_name: &str, format: QFormat, m: usize) -> String {
     let _ = writeln!(v, "    reg clk = 0, rst_n = 0, x_valid = 0;");
     let _ = writeln!(v, "    reg  signed [{}:0] x_in = 0;", w_bits - 1);
     let _ = writeln!(v, "    wire done, class_a;");
-    let _ = writeln!(v, "    {module_name} dut (.clk(clk), .rst_n(rst_n), .x_valid(x_valid),");
+    let _ = writeln!(
+        v,
+        "    {module_name} dut (.clk(clk), .rst_n(rst_n), .x_valid(x_valid),"
+    );
     let _ = writeln!(v, "        .x_in(x_in), .done(done), .class_a(class_a));");
     let _ = writeln!(v, "    always #5 clk = ~clk;");
     let _ = writeln!(v, "    integer i;");
@@ -167,7 +179,10 @@ fn generate_testbench(module_name: &str, format: QFormat, m: usize) -> String {
     let _ = writeln!(v, "            @(posedge clk);");
     let _ = writeln!(v, "        end");
     let _ = writeln!(v, "        @(posedge clk);");
-    let _ = writeln!(v, "        $display(\"done=%b class_a=%b\", done, class_a);");
+    let _ = writeln!(
+        v,
+        "        $display(\"done=%b class_a=%b\", done, class_a);"
+    );
     let _ = writeln!(v, "        $finish;");
     let _ = writeln!(v, "    end");
     let _ = writeln!(v, "endmodule");

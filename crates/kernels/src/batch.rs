@@ -32,7 +32,11 @@ impl<'a> QBatch<'a> {
     /// [`KernelError::ShapeMismatch`] when `features` is zero;
     /// [`KernelError::TornRows`] when `words.len()` is not a whole number
     /// of rows.
-    pub fn from_words(format: QFormat, features: usize, words: &'a [i64]) -> Result<Self, KernelError> {
+    pub fn from_words(
+        format: QFormat,
+        features: usize,
+        words: &'a [i64],
+    ) -> Result<Self, KernelError> {
         if features == 0 {
             return Err(KernelError::ShapeMismatch {
                 context: "features",

@@ -93,7 +93,10 @@ impl fmt::Display for KernelError {
                 context,
                 expected,
                 got,
-            } => write!(f, "shape mismatch: {context} expected {expected}, got {got}"),
+            } => write!(
+                f,
+                "shape mismatch: {context} expected {expected}, got {got}"
+            ),
             KernelError::FormatMismatch { expected, got } => write!(
                 f,
                 "format mismatch: batch is Q{}.{}, element is Q{}.{}",
@@ -339,7 +342,11 @@ pub fn mac_row_fx(format: QFormat, mode: RoundingMode, w: &[Fx], x: &[Fx]) -> (i
     assert_eq!(w.len(), x.len(), "mac_row_fx operand lengths differ");
     let spec = MacSpec::new(format);
     let code = mode_code(mode, format.f());
-    scalar::mac_row_pairs(&spec, code, w.iter().zip(x).map(|(a, b)| (a.raw(), b.raw())))
+    scalar::mac_row_pairs(
+        &spec,
+        code,
+        w.iter().zip(x).map(|(a, b)| (a.raw(), b.raw())),
+    )
 }
 
 /// The branchless two's-complement wrap/accumulate primitive shared with
@@ -444,9 +451,13 @@ mod tests {
         assert!(kinds.contains(&KernelKind::Blocked));
         for (k, f) in [(2u32, 6u32), (3, 0), (1, 12), (16, 15), (4, 1)] {
             let format = q(k, f);
-            for &(rows, features, heads) in
-                &[(1usize, 1usize, 1usize), (7, 3, 2), (8, 5, 1), (9, 4, 3), (17, 11, 2)]
-            {
+            for &(rows, features, heads) in &[
+                (1usize, 1usize, 1usize),
+                (7, 3, 2),
+                (8, 5, 1),
+                (9, 4, 3),
+                (17, 11, 2),
+            ] {
                 let words = random_words(format, rows * features, &mut rng);
                 let weights = random_words(format, heads * features, &mut rng);
                 let batch = QBatch::from_words(format, features, &words).unwrap();
@@ -457,7 +468,13 @@ mod tests {
                         let mut scratch = GemmScratch::default();
                         let (mut out, mut wraps) = (Vec::new(), Vec::new());
                         mac_gemm_into(
-                            kind, &batch, &weights, heads, mode, &mut scratch, &mut out,
+                            kind,
+                            &batch,
+                            &weights,
+                            heads,
+                            mode,
+                            &mut scratch,
+                            &mut out,
                             &mut wraps,
                         )
                         .unwrap();
@@ -492,10 +509,23 @@ mod tests {
                     for &kind in &kinds {
                         let mut scratch = GemmScratch::default();
                         let (mut out, mut wraps) = (Vec::new(), Vec::new());
-                        mac_gemv_into(kind, &batch, &weights, mode, &mut scratch, &mut out, &mut wraps)
-                            .unwrap();
+                        mac_gemv_into(
+                            kind,
+                            &batch,
+                            &weights,
+                            mode,
+                            &mut scratch,
+                            &mut out,
+                            &mut wraps,
+                        )
+                        .unwrap();
                         assert_eq!(out, [want.raw()], "kernel={} {mode:?}", kind.name());
-                        assert_eq!(wraps, [want_wraps as u32], "kernel={} {mode:?}", kind.name());
+                        assert_eq!(
+                            wraps,
+                            [want_wraps as u32],
+                            "kernel={} {mode:?}",
+                            kind.name()
+                        );
                     }
                     let (row_y, row_w) = mac_row(format, mode, &weights, &words);
                     assert_eq!((row_y, row_w), (want.raw(), want_wraps as u32));
@@ -526,10 +556,26 @@ mod tests {
             let raw_batch = QBatch::from_words(format, features, &words).unwrap();
             let pre_batch = QBatch::from_words(format, features, &wrapped).unwrap();
             let mode = RoundingMode::NearestEven;
-            mac_gemv_into(kind, &raw_batch, &weights, mode, &mut scratch, &mut out_a, &mut wraps_a)
-                .unwrap();
-            mac_gemv_into(kind, &pre_batch, &weights, mode, &mut scratch, &mut out_b, &mut wraps_b)
-                .unwrap();
+            mac_gemv_into(
+                kind,
+                &raw_batch,
+                &weights,
+                mode,
+                &mut scratch,
+                &mut out_a,
+                &mut wraps_a,
+            )
+            .unwrap();
+            mac_gemv_into(
+                kind,
+                &pre_batch,
+                &weights,
+                mode,
+                &mut scratch,
+                &mut out_b,
+                &mut wraps_b,
+            )
+            .unwrap();
             assert_eq!((out_a, wraps_a), (out_b, wraps_b), "kernel={}", kind.name());
         }
     }
@@ -539,11 +585,19 @@ mod tests {
         let format = q(2, 6);
         assert_eq!(
             QBatch::from_words(format, 0, &[1, 2, 3]).unwrap_err(),
-            KernelError::ShapeMismatch { context: "features", expected: 1, got: 0 }
+            KernelError::ShapeMismatch {
+                context: "features",
+                expected: 1,
+                got: 0
+            }
         );
         assert_eq!(
             QBatch::from_words(format, 4, &[1, 2, 3, 4, 5]).unwrap_err(),
-            KernelError::TornRows { features: 4, full_rows: 1, trailing: 1 }
+            KernelError::TornRows {
+                features: 4,
+                full_rows: 1,
+                trailing: 1
+            }
         );
         let words = [1i64, 2, 3, 4];
         let batch = QBatch::from_words(format, 2, &words).unwrap();
@@ -553,11 +607,21 @@ mod tests {
         let (mut out, mut wraps) = (Vec::new(), Vec::new());
         assert_eq!(
             mac_gemm_into(
-                KernelKind::Blocked, &batch, &[1, 2, 3], 2, RoundingMode::Floor, &mut scratch,
-                &mut out, &mut wraps,
+                KernelKind::Blocked,
+                &batch,
+                &[1, 2, 3],
+                2,
+                RoundingMode::Floor,
+                &mut scratch,
+                &mut out,
+                &mut wraps,
             )
             .unwrap_err(),
-            KernelError::ShapeMismatch { context: "weights", expected: 4, got: 3 }
+            KernelError::ShapeMismatch {
+                context: "weights",
+                expected: 4,
+                got: 3
+            }
         );
     }
 
@@ -570,8 +634,16 @@ mod tests {
         let mut out = vec![99];
         let mut wraps = vec![99];
         for kind in KernelKind::available() {
-            mac_gemv_into(kind, &batch, &[1, 2, 3], RoundingMode::Floor, &mut scratch, &mut out, &mut wraps)
-                .unwrap();
+            mac_gemv_into(
+                kind,
+                &batch,
+                &[1, 2, 3],
+                RoundingMode::Floor,
+                &mut scratch,
+                &mut out,
+                &mut wraps,
+            )
+            .unwrap();
             assert!(out.is_empty() && wraps.is_empty(), "kernel={}", kind.name());
         }
     }
@@ -602,7 +674,10 @@ mod tests {
         }
         assert_eq!(buf.as_batch().words(), expect_words.as_slice());
         assert_eq!(total_sat, expect_sat);
-        assert!(total_sat > 0, "amplitude 4.0 must exercise saturation in Q2.6");
+        assert!(
+            total_sat > 0,
+            "amplitude 4.0 must exercise saturation in Q2.6"
+        );
         assert_eq!(buf.rows(), 13);
 
         // A cleared builder overwrites its old rows in place; none of
@@ -619,8 +694,13 @@ mod tests {
         let format = q(2, 6);
         let mut buf = QBatchBuf::new(format, 3);
         assert_eq!(
-            buf.push_row_f64(&[0.0; 4], RoundingMode::Floor).unwrap_err(),
-            KernelError::ShapeMismatch { context: "row length", expected: 3, got: 4 }
+            buf.push_row_f64(&[0.0; 4], RoundingMode::Floor)
+                .unwrap_err(),
+            KernelError::ShapeMismatch {
+                context: "row length",
+                expected: 3,
+                got: 4
+            }
         );
         assert_eq!(
             buf.push_row_scaled(
@@ -637,12 +717,19 @@ mod tests {
         );
         assert_eq!(
             buf.push_row_fx(&[format.zero(); 2]).unwrap_err(),
-            KernelError::ShapeMismatch { context: "row length", expected: 3, got: 2 }
+            KernelError::ShapeMismatch {
+                context: "row length",
+                expected: 3,
+                got: 2
+            }
         );
         let other = q(3, 1);
         assert_eq!(
             buf.push_row_fx(&[other.zero(); 3]).unwrap_err(),
-            KernelError::FormatMismatch { expected: (2, 6), got: (3, 1) }
+            KernelError::FormatMismatch {
+                expected: (2, 6),
+                got: (3, 1)
+            }
         );
         buf.push_row_fx(&[format.zero(); 3]).unwrap();
         assert_eq!(buf.rows(), 1);
@@ -689,16 +776,35 @@ mod tests {
         let (mut out_s, mut wraps_s) = (Vec::new(), Vec::new());
         let (mut out_b, mut wraps_b) = (Vec::new(), Vec::new());
         mac_gemm_into(
-            KernelKind::Simd, &batch, &weights, 2, RoundingMode::NearestAway, &mut scratch,
-            &mut out_s, &mut wraps_s,
+            KernelKind::Simd,
+            &batch,
+            &weights,
+            2,
+            RoundingMode::NearestAway,
+            &mut scratch,
+            &mut out_s,
+            &mut wraps_s,
         )
         .unwrap();
         mac_gemm_into(
-            KernelKind::Blocked, &batch, &weights, 2, RoundingMode::NearestAway, &mut scratch,
-            &mut out_b, &mut wraps_b,
+            KernelKind::Blocked,
+            &batch,
+            &weights,
+            2,
+            RoundingMode::NearestAway,
+            &mut scratch,
+            &mut out_b,
+            &mut wraps_b,
         )
         .unwrap();
         assert_eq!((out_s, wraps_s), (out_b, wraps_b));
-        assert_eq!(KernelKind::best().name(), if KernelKind::simd_available() { "simd" } else { "blocked" });
+        assert_eq!(
+            KernelKind::best().name(),
+            if KernelKind::simd_available() {
+                "simd"
+            } else {
+                "blocked"
+            }
+        );
     }
 }

@@ -57,12 +57,24 @@ pub(crate) fn gemm_simd(
             // shape invariants (x = rows×features, w = heads×features,
             // out/wraps = rows×heads) are enforced by `mac_gemm_into`.
             match code {
-                MODE_FLOOR => unsafe { $m::$f::<MODE_FLOOR>(spec, x, rows, features, w, heads, out, wraps, pack) },
-                MODE_CEIL => unsafe { $m::$f::<MODE_CEIL>(spec, x, rows, features, w, heads, out, wraps, pack) },
-                MODE_TOWARD_ZERO => unsafe { $m::$f::<MODE_TOWARD_ZERO>(spec, x, rows, features, w, heads, out, wraps, pack) },
-                MODE_NEAREST_AWAY => unsafe { $m::$f::<MODE_NEAREST_AWAY>(spec, x, rows, features, w, heads, out, wraps, pack) },
-                MODE_NEAREST_EVEN => unsafe { $m::$f::<MODE_NEAREST_EVEN>(spec, x, rows, features, w, heads, out, wraps, pack) },
-                _ => unsafe { $m::$f::<MODE_EXACT>(spec, x, rows, features, w, heads, out, wraps, pack) },
+                MODE_FLOOR => unsafe {
+                    $m::$f::<MODE_FLOOR>(spec, x, rows, features, w, heads, out, wraps, pack)
+                },
+                MODE_CEIL => unsafe {
+                    $m::$f::<MODE_CEIL>(spec, x, rows, features, w, heads, out, wraps, pack)
+                },
+                MODE_TOWARD_ZERO => unsafe {
+                    $m::$f::<MODE_TOWARD_ZERO>(spec, x, rows, features, w, heads, out, wraps, pack)
+                },
+                MODE_NEAREST_AWAY => unsafe {
+                    $m::$f::<MODE_NEAREST_AWAY>(spec, x, rows, features, w, heads, out, wraps, pack)
+                },
+                MODE_NEAREST_EVEN => unsafe {
+                    $m::$f::<MODE_NEAREST_EVEN>(spec, x, rows, features, w, heads, out, wraps, pack)
+                },
+                _ => unsafe {
+                    $m::$f::<MODE_EXACT>(spec, x, rows, features, w, heads, out, wraps, pack)
+                },
             }
         }};
     }
@@ -93,7 +105,10 @@ fn pack_tile(spec: &MacSpec, x: &[i64], features: usize, r0: usize, nr: usize, p
 
 #[cfg(target_arch = "x86_64")]
 mod x86 {
-    use super::{pack_tile, MacSpec, MODE_CEIL, MODE_EXACT, MODE_NEAREST_AWAY, MODE_NEAREST_EVEN, MODE_TOWARD_ZERO, TILE};
+    use super::{
+        pack_tile, MacSpec, MODE_CEIL, MODE_EXACT, MODE_NEAREST_AWAY, MODE_NEAREST_EVEN,
+        MODE_TOWARD_ZERO, TILE,
+    };
     use core::arch::x86_64::*;
 
     /// AVX2 tile kernel: two 4-lane `i64` vectors per 8-row tile.
@@ -137,7 +152,10 @@ mod x86 {
         // v mod 2^wl, sign-extended: (v & mask) ^ 2^(wl-1) − 2^(wl-1).
         #[inline(always)]
         unsafe fn wrapv(v: __m256i, maskv: __m256i, halfmodv: __m256i) -> __m256i {
-            _mm256_sub_epi64(_mm256_xor_si256(_mm256_and_si256(v, maskv), halfmodv), halfmodv)
+            _mm256_sub_epi64(
+                _mm256_xor_si256(_mm256_and_si256(v, maskv), halfmodv),
+                halfmodv,
+            )
         }
 
         let mut r0 = 0usize;
@@ -219,7 +237,10 @@ mod x86 {
 
 #[cfg(target_arch = "aarch64")]
 mod aarch64 {
-    use super::{pack_tile, MacSpec, MODE_CEIL, MODE_EXACT, MODE_NEAREST_AWAY, MODE_NEAREST_EVEN, MODE_TOWARD_ZERO, TILE};
+    use super::{
+        pack_tile, MacSpec, MODE_CEIL, MODE_EXACT, MODE_NEAREST_AWAY, MODE_NEAREST_EVEN,
+        MODE_TOWARD_ZERO, TILE,
+    };
     use core::arch::aarch64::*;
 
     /// NEON tile kernel: four 2-lane `i64` vectors per 8-row tile. NEON
@@ -279,10 +300,9 @@ mod aarch64 {
                             let q = vshlq_s64(wide, neg_f);
                             let r = vandq_s64(wide, fracv);
                             let incr = match MODE {
-                                MODE_CEIL => vandq_s64(
-                                    vreinterpretq_s64_u64(vcgtq_s64(r, zero)),
-                                    one,
-                                ),
+                                MODE_CEIL => {
+                                    vandq_s64(vreinterpretq_s64_u64(vcgtq_s64(r, zero)), one)
+                                }
                                 MODE_TOWARD_ZERO => vandq_s64(
                                     vandq_s64(
                                         vreinterpretq_s64_u64(vcgtq_s64(zero, wide)),
@@ -301,15 +321,9 @@ mod aarch64 {
                                     one,
                                 ),
                                 MODE_NEAREST_EVEN => vaddq_s64(
+                                    vandq_s64(vreinterpretq_s64_u64(vcgtq_s64(r, halfv)), one),
                                     vandq_s64(
-                                        vreinterpretq_s64_u64(vcgtq_s64(r, halfv)),
-                                        one,
-                                    ),
-                                    vandq_s64(
-                                        vandq_s64(
-                                            vreinterpretq_s64_u64(vceqq_s64(r, halfv)),
-                                            q,
-                                        ),
+                                        vandq_s64(vreinterpretq_s64_u64(vceqq_s64(r, halfv)), q),
                                         one,
                                     ),
                                 ),

@@ -43,7 +43,9 @@ impl Cholesky {
         let asym = a.max_asymmetry()?;
         let tol = 1e-8 * a.max_abs().max(1.0);
         if asym > tol {
-            return Err(LinalgError::NotSymmetric { max_asymmetry: asym });
+            return Err(LinalgError::NotSymmetric {
+                max_asymmetry: asym,
+            });
         }
         let n = a.rows();
         let mut l = Matrix::zeros(n, n);
@@ -95,7 +97,10 @@ impl Cholesky {
         if ridge == 0.0 {
             ridge = 1e-12 * scale;
         }
-        let mut last_err = LinalgError::NotPositiveDefinite { pivot: 0, value: 0.0 };
+        let mut last_err = LinalgError::NotPositiveDefinite {
+            pivot: 0,
+            value: 0.0,
+        };
         for _ in 0..8 {
             let mut shifted = a.clone();
             shifted.add_ridge(ridge)?;
@@ -241,7 +246,9 @@ impl CholeskyWorkspace {
         let asym = a.max_asymmetry()?;
         let tol = 1e-8 * a.max_abs().max(1.0);
         if asym > tol {
-            return Err(LinalgError::NotSymmetric { max_asymmetry: asym });
+            return Err(LinalgError::NotSymmetric {
+                max_asymmetry: asym,
+            });
         }
         let n = a.rows();
         if self.l.dims() != (n, n) {
@@ -302,7 +309,10 @@ impl CholeskyWorkspace {
         if ridge == 0.0 {
             ridge = 1e-12 * scale;
         }
-        let mut last_err = LinalgError::NotPositiveDefinite { pivot: 0, value: 0.0 };
+        let mut last_err = LinalgError::NotPositiveDefinite {
+            pivot: 0,
+            value: 0.0,
+        };
         for _ in 0..8 {
             scratch.copy_from(a);
             scratch.add_ridge(ridge)?;
@@ -371,12 +381,7 @@ mod tests {
     use super::*;
 
     fn spd3() -> Matrix {
-        Matrix::from_rows(&[
-            &[4.0, 2.0, 0.6],
-            &[2.0, 5.0, 1.0],
-            &[0.6, 1.0, 3.0],
-        ])
-        .unwrap()
+        Matrix::from_rows(&[&[4.0, 2.0, 0.6], &[2.0, 5.0, 1.0], &[0.6, 1.0, 3.0]]).unwrap()
     }
 
     #[test]
@@ -416,13 +421,19 @@ mod tests {
     #[test]
     fn rejects_asymmetric() {
         let a = Matrix::from_rows(&[&[1.0, 2.0], &[0.0, 1.0]]).unwrap();
-        assert!(matches!(Cholesky::new(&a), Err(LinalgError::NotSymmetric { .. })));
+        assert!(matches!(
+            Cholesky::new(&a),
+            Err(LinalgError::NotSymmetric { .. })
+        ));
     }
 
     #[test]
     fn rejects_non_square() {
         let a = Matrix::zeros(2, 3);
-        assert!(matches!(Cholesky::new(&a), Err(LinalgError::NotSquare { .. })));
+        assert!(matches!(
+            Cholesky::new(&a),
+            Err(LinalgError::NotSquare { .. })
+        ));
     }
 
     #[test]
@@ -515,7 +526,10 @@ mod tests {
             Err(LinalgError::NotPositiveDefinite { .. })
         ));
         let asym = Matrix::from_rows(&[&[1.0, 2.0], &[0.0, 1.0]]).unwrap();
-        assert!(matches!(ws.factorize(&asym), Err(LinalgError::NotSymmetric { .. })));
+        assert!(matches!(
+            ws.factorize(&asym),
+            Err(LinalgError::NotSymmetric { .. })
+        ));
         assert!(matches!(
             ws.factorize(&Matrix::zeros(2, 3)),
             Err(LinalgError::NotSquare { .. })

@@ -60,7 +60,9 @@ impl SymmetricEigen {
         let asym = a.max_asymmetry()?;
         let tol = 1e-8 * a.max_abs().max(1.0);
         if asym > tol {
-            return Err(LinalgError::NotSymmetric { max_asymmetry: asym });
+            return Err(LinalgError::NotSymmetric {
+                max_asymmetry: asym,
+            });
         }
 
         let n = a.rows();
@@ -123,9 +125,7 @@ impl SymmetricEigen {
         }
 
         // Extract and sort descending.
-        let mut pairs: Vec<(f64, Vec<f64>)> = (0..n)
-            .map(|j| (m[(j, j)], v.col(j)))
-            .collect();
+        let mut pairs: Vec<(f64, Vec<f64>)> = (0..n).map(|j| (m[(j, j)], v.col(j))).collect();
         pairs.sort_by(|a, b| b.0.partial_cmp(&a.0).expect("finite eigenvalues"));
 
         let eigenvalues: Vec<f64> = pairs.iter().map(|p| p.0).collect();
@@ -244,12 +244,8 @@ mod tests {
 
     #[test]
     fn reconstruction_matches_input() {
-        let a = Matrix::from_rows(&[
-            &[4.0, 1.0, -0.5],
-            &[1.0, 3.0, 0.7],
-            &[-0.5, 0.7, 2.0],
-        ])
-        .unwrap();
+        let a =
+            Matrix::from_rows(&[&[4.0, 1.0, -0.5], &[1.0, 3.0, 0.7], &[-0.5, 0.7, 2.0]]).unwrap();
         let e = a.symmetric_eigen().unwrap();
         let r = reconstruct(&e);
         for i in 0..3 {
@@ -261,12 +257,8 @@ mod tests {
 
     #[test]
     fn eigenvectors_are_orthonormal() {
-        let a = Matrix::from_rows(&[
-            &[4.0, 1.0, -0.5],
-            &[1.0, 3.0, 0.7],
-            &[-0.5, 0.7, 2.0],
-        ])
-        .unwrap();
+        let a =
+            Matrix::from_rows(&[&[4.0, 1.0, -0.5], &[1.0, 3.0, 0.7], &[-0.5, 0.7, 2.0]]).unwrap();
         let v = a.symmetric_eigen().unwrap().eigenvectors().clone();
         let vtv = v.transpose().mul(&v).unwrap();
         for i in 0..3 {
@@ -297,7 +289,10 @@ mod tests {
     #[test]
     fn rejects_asymmetric_and_non_square() {
         let a = Matrix::from_rows(&[&[1.0, 2.0], &[0.0, 1.0]]).unwrap();
-        assert!(matches!(a.symmetric_eigen(), Err(LinalgError::NotSymmetric { .. })));
+        assert!(matches!(
+            a.symmetric_eigen(),
+            Err(LinalgError::NotSymmetric { .. })
+        ));
         assert!(matches!(
             Matrix::zeros(2, 3).symmetric_eigen(),
             Err(LinalgError::NotSquare { .. })
@@ -308,7 +303,10 @@ mod tests {
     fn rejects_non_finite() {
         let mut a = Matrix::identity(2);
         a[(0, 0)] = f64::NAN;
-        assert!(matches!(a.symmetric_eigen(), Err(LinalgError::InvalidInput { .. })));
+        assert!(matches!(
+            a.symmetric_eigen(),
+            Err(LinalgError::InvalidInput { .. })
+        ));
     }
 
     #[test]

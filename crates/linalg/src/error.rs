@@ -56,7 +56,10 @@ impl fmt::Display for LinalgError {
                 write!(f, "matrix must be square, got {}x{}", dims.0, dims.1)
             }
             LinalgError::NotSymmetric { max_asymmetry } => {
-                write!(f, "matrix is not symmetric (max asymmetry {max_asymmetry:e})")
+                write!(
+                    f,
+                    "matrix is not symmetric (max asymmetry {max_asymmetry:e})"
+                )
             }
             LinalgError::NotPositiveDefinite { pivot, value } => write!(
                 f,

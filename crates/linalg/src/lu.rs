@@ -79,7 +79,11 @@ impl Lu {
                 }
             }
         }
-        Ok(Lu { lu, perm, perm_sign })
+        Ok(Lu {
+            lu,
+            perm,
+            perm_sign,
+        })
     }
 
     /// Dimension of the factorized matrix.
@@ -163,18 +167,18 @@ mod tests {
 
     #[test]
     fn inverse_times_matrix_is_identity() {
-        let a = Matrix::from_rows(&[
-            &[2.0, 1.0, 0.0],
-            &[1.0, 3.0, 1.0],
-            &[0.5, -1.0, 4.0],
-        ])
-        .unwrap();
+        let a =
+            Matrix::from_rows(&[&[2.0, 1.0, 0.0], &[1.0, 3.0, 1.0], &[0.5, -1.0, 4.0]]).unwrap();
         let inv = a.inverse().unwrap();
         let id = a.mul(&inv).unwrap();
         for i in 0..3 {
             for j in 0..3 {
                 let expect = if i == j { 1.0 } else { 0.0 };
-                assert!((id[(i, j)] - expect).abs() < 1e-12, "({i},{j}) = {}", id[(i, j)]);
+                assert!(
+                    (id[(i, j)] - expect).abs() < 1e-12,
+                    "({i},{j}) = {}",
+                    id[(i, j)]
+                );
             }
         }
     }
@@ -200,7 +204,10 @@ mod tests {
 
     #[test]
     fn non_square_rejected() {
-        assert!(matches!(Matrix::zeros(2, 3).lu(), Err(LinalgError::NotSquare { .. })));
+        assert!(matches!(
+            Matrix::zeros(2, 3).lu(),
+            Err(LinalgError::NotSquare { .. })
+        ));
     }
 
     #[test]
@@ -213,7 +220,10 @@ mod tests {
     fn identity_roundtrip() {
         let lu = Matrix::identity(4).lu().unwrap();
         assert_eq!(lu.det(), 1.0);
-        assert_eq!(lu.solve(&[1.0, 2.0, 3.0, 4.0]).unwrap(), vec![1.0, 2.0, 3.0, 4.0]);
+        assert_eq!(
+            lu.solve(&[1.0, 2.0, 3.0, 4.0]).unwrap(),
+            vec![1.0, 2.0, 3.0, 4.0]
+        );
     }
 
     #[test]

@@ -195,7 +195,9 @@ impl Matrix {
     /// Panics if `j >= self.cols()`.
     pub fn col(&self, j: usize) -> Vec<f64> {
         assert!(j < self.cols, "col index {j} out of bounds ({})", self.cols);
-        (0..self.rows).map(|i| self.data[i * self.cols + j]).collect()
+        (0..self.rows)
+            .map(|i| self.data[i * self.cols + j])
+            .collect()
     }
 
     /// Copies the main diagonal into a new vector.
@@ -505,14 +507,20 @@ impl Index<(usize, usize)> for Matrix {
     type Output = f64;
 
     fn index(&self, (i, j): (usize, usize)) -> &f64 {
-        assert!(i < self.rows && j < self.cols, "index ({i},{j}) out of bounds");
+        assert!(
+            i < self.rows && j < self.cols,
+            "index ({i},{j}) out of bounds"
+        );
         &self.data[i * self.cols + j]
     }
 }
 
 impl IndexMut<(usize, usize)> for Matrix {
     fn index_mut(&mut self, (i, j): (usize, usize)) -> &mut f64 {
-        assert!(i < self.rows && j < self.cols, "index ({i},{j}) out of bounds");
+        assert!(
+            i < self.rows && j < self.cols,
+            "index ({i},{j}) out of bounds"
+        );
         &mut self.data[i * self.cols + j]
     }
 }
@@ -579,7 +587,10 @@ mod tests {
         let a = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]).unwrap();
         let b = Matrix::from_rows(&[&[5.0, 6.0], &[7.0, 8.0]]).unwrap();
         let c = a.mul(&b).unwrap();
-        assert_eq!(c, Matrix::from_rows(&[&[19.0, 22.0], &[43.0, 50.0]]).unwrap());
+        assert_eq!(
+            c,
+            Matrix::from_rows(&[&[19.0, 22.0], &[43.0, 50.0]]).unwrap()
+        );
     }
 
     #[test]
@@ -614,7 +625,10 @@ mod tests {
     #[test]
     fn quad_form_requires_square() {
         let a = Matrix::zeros(2, 3);
-        assert!(matches!(a.quad_form(&[1.0, 2.0, 3.0]), Err(LinalgError::NotSquare { .. })));
+        assert!(matches!(
+            a.quad_form(&[1.0, 2.0, 3.0]),
+            Err(LinalgError::NotSquare { .. })
+        ));
     }
 
     #[test]

@@ -122,7 +122,10 @@ impl fmt::Display for ModelError {
                 write!(f, "invalid parameter {context}: {message}")
             }
             ModelError::FeatureMismatch { expected, got } => {
-                write!(f, "feature mismatch: model expects {expected}, row has {got}")
+                write!(
+                    f,
+                    "feature mismatch: model expects {expected}, row has {got}"
+                )
             }
             ModelError::Train(msg) => write!(f, "training failed: {msg}"),
             ModelError::FixedPoint(e) => write!(f, "fixed-point error: {e}"),
@@ -235,7 +238,6 @@ pub trait FixedPointModel {
         Ok(out)
     }
 }
-
 
 #[cfg(test)]
 mod tests {

@@ -503,9 +503,8 @@ mod tests {
         let tables = vec![vec![vec![0; 64]; 1], vec![vec![0; 64]; 1]];
         let mut corrupt = tables.clone();
         corrupt[1][0][3] = bad;
-        let err =
-            NaiveBayesModel::from_raw_parts(q, RoundingMode::Floor, 6, corrupt, vec![0, 0])
-                .unwrap_err();
+        let err = NaiveBayesModel::from_raw_parts(q, RoundingMode::Floor, 6, corrupt, vec![0, 0])
+            .unwrap_err();
         match err {
             ModelError::InvalidParameter { context, .. } => {
                 assert_eq!(context, "tables[1][0][3]");

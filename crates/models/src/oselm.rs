@@ -292,11 +292,9 @@ impl OsElmModel {
                 // i64 cannot overflow since |β| ≤ bound ≤ max_raw and
                 // |Δ| ≤ max_raw.
                 let delta = h.raw() / (1i64 << self.lr_shift);
-                let up = (self.output_weights[target_class][i].raw() + delta)
-                    .clamp(-bound, bound);
+                let up = (self.output_weights[target_class][i].raw() + delta).clamp(-bound, bound);
                 self.output_weights[target_class][i] = self.format.from_raw(up);
-                let down = (self.output_weights[predicted][i].raw() - delta)
-                    .clamp(-bound, bound);
+                let down = (self.output_weights[predicted][i].raw() - delta).clamp(-bound, bound);
                 self.output_weights[predicted][i] = self.format.from_raw(down);
             }
         }
@@ -531,9 +529,12 @@ impl OsElmTrainer {
         let Some(hidden_data) = BinaryDataset::new(a, b) else {
             return false;
         };
-        let Ok(problem) =
-            TrainingProblem::from_dataset(&hidden_data, self.format, self.config.rho, self.rounding)
-        else {
+        let Ok(problem) = TrainingProblem::from_dataset(
+            &hidden_data,
+            self.format,
+            self.config.rho,
+            self.rounding,
+        ) else {
             return false;
         };
         model.output_weights.iter().all(|beta| {
@@ -572,8 +573,7 @@ mod tests {
                 // Maximality: b+1 must violate the cap.
                 let per_term_next = (((b + 1) as i128 * q.max_raw() as i128) >> q.f()) + 1;
                 assert!(
-                    per_term_next * hidden as i128 > q.max_raw() as i128
-                        || b + 1 > q.max_raw(),
+                    per_term_next * hidden as i128 > q.max_raw() as i128 || b + 1 > q.max_raw(),
                     "bound {b} not maximal for Q{k}.{f} x{hidden}"
                 );
             }
@@ -624,8 +624,16 @@ mod tests {
         let mut trainer = OsElmTrainer::new(QFormat::new(k, f).unwrap(), RoundingMode::NearestEven);
         trainer.config.seed = seed;
         let model = trainer.train(&toy_data()).unwrap();
-        assert_eq!(model.input_weights_raw(), input.map(Vec::from).to_vec(), "Q{k}.{f}");
-        assert_eq!(model.output_weights_raw(), output.map(Vec::from).to_vec(), "Q{k}.{f}");
+        assert_eq!(
+            model.input_weights_raw(),
+            input.map(Vec::from).to_vec(),
+            "Q{k}.{f}"
+        );
+        assert_eq!(
+            model.output_weights_raw(),
+            output.map(Vec::from).to_vec(),
+            "Q{k}.{f}"
+        );
     }
 
     #[test]
@@ -637,14 +645,32 @@ mod tests {
             2,
             6,
             0x5EED_1DAF,
-            [[94, 78], [74, 73], [-87, 120], [-80, -113], [-115, 102], [-87, 53], [2, -105], [-120, -119]],
+            [
+                [94, 78],
+                [74, 73],
+                [-87, 120],
+                [-80, -113],
+                [-115, 102],
+                [-87, 53],
+                [2, -105],
+                [-120, -119],
+            ],
             [[-3, -1, 0, 0, 0, 0, -4, 0], [3, 1, 0, 0, 0, 0, 4, 0]],
         );
         assert_trains_to(
             3,
             5,
             7,
-            [[-25, -103], [89, 71], [-18, 38], [-24, -10], [-17, -122], [66, -51], [53, 102], [-67, -22]],
+            [
+                [-25, -103],
+                [89, 71],
+                [-18, 38],
+                [-24, -10],
+                [-17, -122],
+                [66, -51],
+                [53, 102],
+                [-67, -22],
+            ],
             [[-2, -2, 0, 0, -3, -3, 0, 0], [2, 2, 0, 0, 3, 3, 0, 0]],
         );
     }

@@ -339,8 +339,7 @@ pub fn encode_request(req: &BinRequest) -> Vec<u8> {
                     (ENC_RAW, *features, words.len() / features.max(&1), 4)
                 }
             };
-            let mut body =
-                Vec::with_capacity(2 + model.len() + 10 + rows * features * elem_bytes);
+            let mut body = Vec::with_capacity(2 + model.len() + 10 + rows * features * elem_bytes);
             body.extend_from_slice(&(model.len() as u16).to_le_bytes());
             body.extend_from_slice(model.as_bytes());
             body.push(enc);
@@ -696,10 +695,7 @@ mod tests {
             status: 0,
             len: u32::MAX,
         });
-        assert!(matches!(
-            scan_frame(&hdr, 1024),
-            Err(NetError::Protocol(_))
-        ));
+        assert!(matches!(scan_frame(&hdr, 1024), Err(NetError::Protocol(_))));
         // "JSON" whose first byte is garbage implies a ≥32 MiB length.
         let garbage = [0x7Bu8, 0x22, 0x6F, 0x70, 0x22]; // literally '{"op"'
         assert!(matches!(

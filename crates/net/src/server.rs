@@ -267,10 +267,7 @@ enum PendingRows {
     /// width, shape-validated against the routed model at admission —
     /// grouped runs go through `predict_raw_segmented`, which wraps each
     /// buffer as a zero-copy SoA batch.
-    Raw {
-        features: usize,
-        words: Vec<i64>,
-    },
+    Raw { features: usize, words: Vec<i64> },
 }
 
 impl PendingRows {
@@ -387,9 +384,7 @@ impl EventLoop {
                         // handshake never completed at the protocol level.
                         self.metrics.shed.inc();
                         if obs::enabled() {
-                            obs::emit(
-                                obs::Event::new("net.shed").with("reason", "connections"),
-                            );
+                            obs::emit(obs::Event::new("net.shed").with("reason", "connections"));
                         }
                         drop(stream);
                         continue;
@@ -643,9 +638,7 @@ impl EventLoop {
                             );
                             return;
                         }
-                        PendingRows::Nested(
-                            values.chunks(features).map(<[f64]>::to_vec).collect(),
-                        )
+                        PendingRows::Nested(values.chunks(features).map(<[f64]>::to_vec).collect())
                     }
                     RowsPayload::Raw { features, words } => {
                         if features == 0 {
@@ -670,10 +663,7 @@ impl EventLoop {
                         let v = self.health_value(&engine);
                         self.queue_binary(
                             token,
-                            binwire::encode_json_reply(
-                                binwire::OP_HEALTH,
-                                &v.to_compact_string(),
-                            ),
+                            binwire::encode_json_reply(binwire::OP_HEALTH, &v.to_compact_string()),
                         );
                     }
                     Err(e) => {
@@ -756,25 +746,26 @@ impl EventLoop {
         };
         let m = engine.num_features();
         let shape_err = match &rows {
-            PendingRows::Nested(rs) => rs
-                .iter()
-                .enumerate()
-                .find(|(_, r)| r.len() != m)
-                .map(|(i, r)| ServeError::FeatureMismatch {
-                    expected: m,
-                    got: r.len(),
-                    row: i,
-                }),
+            PendingRows::Nested(rs) => {
+                rs.iter()
+                    .enumerate()
+                    .find(|(_, r)| r.len() != m)
+                    .map(|(i, r)| ServeError::FeatureMismatch {
+                        expected: m,
+                        got: r.len(),
+                        row: i,
+                    })
+            }
             // The decoder guaranteed `words.len() = rows × features`; a
             // claimed width differing from the model's must not be
             // silently re-chunked into a different row count.
-            PendingRows::Raw { features, words } => (*features != m).then(|| {
-                ServeError::FeatureMismatch {
+            PendingRows::Raw { features, words } => {
+                (*features != m).then(|| ServeError::FeatureMismatch {
                     expected: m,
                     got: *features,
                     row: words.len() / features.max(&1),
-                }
-            }),
+                })
+            }
         };
         if let Some(e) = shape_err {
             self.metrics.errors.inc();
@@ -819,10 +810,9 @@ impl EventLoop {
                     ]);
                     self.queue_json(token, &v);
                 }
-                ReplyCodec::Binary => self.queue_binary(
-                    token,
-                    binwire::encode_overloaded_reply(binwire::OP_PREDICT),
-                ),
+                ReplyCodec::Binary => {
+                    self.queue_binary(token, binwire::encode_overloaded_reply(binwire::OP_PREDICT))
+                }
             }
             return;
         }
@@ -989,13 +979,7 @@ impl EventLoop {
             ("default", Value::from(self.registry.default_name())),
             (
                 "models",
-                Value::Array(
-                    self.registry
-                        .names()
-                        .into_iter()
-                        .map(Value::from)
-                        .collect(),
-                ),
+                Value::Array(self.registry.names().into_iter().map(Value::from).collect()),
             ),
             ("generation", Value::from(self.registry.generation())),
         ])
@@ -1199,9 +1183,7 @@ impl EventLoop {
             if let Some(conn) = self.conns.get_mut(&token) {
                 if conn.has_backlog() {
                     let _ = conn.stream.set_nonblocking(false);
-                    let _ = conn
-                        .stream
-                        .set_write_timeout(Some(Duration::from_secs(2)));
+                    let _ = conn.stream.set_write_timeout(Some(Duration::from_secs(2)));
                     let span = conn.wpos..;
                     let _ = conn.stream.write_all(&conn.wbuf[span]);
                     conn.wpos = conn.wbuf.len();

@@ -190,7 +190,10 @@ mod imp {
     }
 }
 
-#[cfg(not(all(target_os = "linux", any(target_arch = "x86_64", target_arch = "aarch64"))))]
+#[cfg(not(all(
+    target_os = "linux",
+    any(target_arch = "x86_64", target_arch = "aarch64")
+)))]
 mod imp {
     //! Stub so the crate still builds where the loop cannot run; callers
     //! gate on [`super::supported`] before constructing an [`super::Epoll`].
@@ -307,7 +310,11 @@ impl Epoll {
     }
 }
 
-#[cfg(all(test, target_os = "linux", any(target_arch = "x86_64", target_arch = "aarch64")))]
+#[cfg(all(
+    test,
+    target_os = "linux",
+    any(target_arch = "x86_64", target_arch = "aarch64")
+))]
 mod tests {
     use super::*;
     use std::io::Write;

@@ -5,7 +5,10 @@
 //! families, through JSON floats, binary floats and raw `QK.F` words
 //! alike.
 
-#![cfg(all(target_os = "linux", any(target_arch = "x86_64", target_arch = "aarch64")))]
+#![cfg(all(
+    target_os = "linux",
+    any(target_arch = "x86_64", target_arch = "aarch64")
+))]
 
 use ldafp_core::multiclass::OneVsRestClassifier;
 use ldafp_core::FixedPointClassifier;
@@ -74,7 +77,10 @@ fn family_artifacts() -> Vec<(&'static str, ModelArtifact)> {
         artifact
     };
     vec![
-        ("lda", labelled(ModelArtifact::binary(lda), ["lda-hit", "lda-miss"])),
+        (
+            "lda",
+            labelled(ModelArtifact::binary(lda), ["lda-hit", "lda-miss"]),
+        ),
         (
             "naive-bayes",
             labelled(ModelArtifact::naive_bayes(nb), ["nb-spike", "nb-rest"]),
@@ -89,8 +95,7 @@ fn family_artifacts() -> Vec<(&'static str, ModelArtifact)> {
 fn engine_from(artifact: &ModelArtifact) -> InferenceEngine {
     // Duplicate through the serialization layer so every tier serves the
     // exact artifact a deployment would load from disk.
-    InferenceEngine::new(ModelArtifact::from_json_str(&artifact.to_json_string()).unwrap())
-        .unwrap()
+    InferenceEngine::new(ModelArtifact::from_json_str(&artifact.to_json_string()).unwrap()).unwrap()
 }
 
 fn evented(artifact: &ModelArtifact, config: EventedConfig) -> EventedHandle {
@@ -225,8 +230,7 @@ fn kernel_batch_row_and_both_codecs_agree_byte_for_byte() {
             let (p, _) = engine.predict_row(row).unwrap();
             assert_eq!(p.class_index, batch.predictions[i].class_index, "{tag}");
             assert_eq!(
-                labels[p.class_index],
-                labels[batch.predictions[i].class_index],
+                labels[p.class_index], labels[batch.predictions[i].class_index],
                 "{tag}"
             );
             assert_eq!(
@@ -347,7 +351,10 @@ fn hot_reload_installs_routable_models_atomically() {
         Err(NetError::Server(msg)) => assert!(msg.contains("unknown model"), "{msg}"),
         other => panic!("expected a typed server error, got {other:?}"),
     }
-    assert!(bin.health(None).is_ok(), "connection survives the rejection");
+    assert!(
+        bin.health(None).is_ok(),
+        "connection survives the rejection"
+    );
 
     // Replacing the default is atomic and visible in the generation.
     let before = bin.health(None).unwrap();
@@ -503,7 +510,11 @@ fn load_shedding_sheds_typed_replies_without_corrupting_admitted_work() {
             .iter()
             .filter(|o| matches!(o, Err(NetError::Overloaded)))
             .count();
-        assert_eq!(admitted.len(), 4, "{codec:?}: inflight cap admits exactly 4");
+        assert_eq!(
+            admitted.len(),
+            4,
+            "{codec:?}: inflight cap admits exactly 4"
+        );
         assert_eq!(
             shed,
             SENT - 4,
@@ -515,14 +526,25 @@ fn load_shedding_sheds_typed_replies_without_corrupting_admitted_work() {
         for (k, ok) in admitted.iter().enumerate() {
             let reply = ok.as_ref().unwrap();
             let expected = reference_engine.predict_batch(&rows[k]).unwrap();
-            assert_eq!(reply.classes[0] as usize, expected.predictions[0].class_index);
+            assert_eq!(
+                reply.classes[0] as usize,
+                expected.predictions[0].class_index
+            );
             assert_eq!(reply.scores[0], expected.predictions[0].score);
         }
 
         let stats = client.stats().unwrap();
         let stats = stats.get("stats").unwrap();
-        assert_eq!(stats.get("shed").and_then(|v| v.as_i64()), Some(8), "{codec:?}");
-        assert_eq!(stats.get("requests").and_then(|v| v.as_i64()), Some(4), "{codec:?}");
+        assert_eq!(
+            stats.get("shed").and_then(|v| v.as_i64()),
+            Some(8),
+            "{codec:?}"
+        );
+        assert_eq!(
+            stats.get("requests").and_then(|v| v.as_i64()),
+            Some(4),
+            "{codec:?}"
+        );
     }
 }
 
@@ -554,7 +576,10 @@ fn slowloris_partial_frames_are_closed_at_the_read_deadline() {
     let mut bin = NetClient::connect(&addr, CLIENT_TIMEOUT).unwrap();
     let stats = bin.stats().unwrap();
     let stats = stats.get("stats").unwrap();
-    assert_eq!(stats.get("deadline_closes").and_then(|v| v.as_i64()), Some(1));
+    assert_eq!(
+        stats.get("deadline_closes").and_then(|v| v.as_i64()),
+        Some(1)
+    );
     assert!(bin.health(None).is_ok(), "server is still serving");
 }
 
@@ -643,7 +668,10 @@ fn client_shutdown_drains_admitted_predicts() {
     }
     // Shutdown acks first (admin ops answer inline)...
     let ack = bin.shutdown_server().unwrap();
-    assert_eq!(ack.get("shutting_down").and_then(|v| v.as_bool()), Some(true));
+    assert_eq!(
+        ack.get("shutting_down").and_then(|v| v.as_bool()),
+        Some(true)
+    );
     // ...and the queued predicts still come back, correct.
     for r in &rows {
         let reply = bin.recv_predict().unwrap();
@@ -695,8 +723,7 @@ fn concurrent_mixed_codec_clients_get_their_own_answers() {
                         assert_eq!(reply.scores[i], p.score, "worker {w}");
                     }
                 } else {
-                    let mut c =
-                        NetClient::connect_json(&addr.to_string(), CLIENT_TIMEOUT).unwrap();
+                    let mut c = NetClient::connect_json(&addr.to_string(), CLIENT_TIMEOUT).unwrap();
                     let reply = c.predict_rows(route, &rows).unwrap();
                     for (i, p) in expected.predictions.iter().enumerate() {
                         assert_eq!(reply.classes[i] as usize, p.class_index, "worker {w}");
@@ -738,7 +765,10 @@ fn multiclass_round_trip_is_bit_identical_over_json() {
 
     let health = client.health(None).unwrap();
     let model = health.get("model").expect("health carries a model block");
-    assert_eq!(model.get("kind").and_then(|v| v.as_str()), Some("one-vs-rest"));
+    assert_eq!(
+        model.get("kind").and_then(|v| v.as_str()),
+        Some("one-vs-rest")
+    );
     assert_eq!(model.get("features").and_then(|v| v.as_i64()), Some(3));
     assert_eq!(model.get("classes").and_then(|v| v.as_i64()), Some(3));
 

@@ -277,7 +277,10 @@ mod tests {
             json.contains("\"h.lat\":{\"count\":1,\"sum\":7,\"mean\":7,\"p50\":10"),
             "{json}"
         );
-        assert!(json.contains("\"buckets\":[{\"le\":10,\"count\":1}]"), "{json}");
+        assert!(
+            json.contains("\"buckets\":[{\"le\":10,\"count\":1}]"),
+            "{json}"
+        );
     }
 
     #[test]

@@ -393,7 +393,10 @@ impl Registry {
     /// Number of registered metrics.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.metrics.lock().expect("metrics registry poisoned").len()
+        self.metrics
+            .lock()
+            .expect("metrics registry poisoned")
+            .len()
     }
 
     /// Whether no metric has been registered yet.
@@ -432,7 +435,13 @@ mod tests {
         let le = |b: &BucketCount| b.le;
         assert_eq!(le(&snap.buckets[0]), Some(0));
         assert_eq!(le(&snap.buckets[1]), Some(1));
-        assert_eq!(snap.buckets[2], BucketCount { le: Some(3), count: 2 });
+        assert_eq!(
+            snap.buckets[2],
+            BucketCount {
+                le: Some(3),
+                count: 2
+            }
+        );
         assert_eq!(le(&snap.buckets[3]), Some(7));
         assert_eq!(le(&snap.buckets[4]), Some(1023));
         // u64::MAX exceeds the last edge (2^62−1) → open bucket.

@@ -146,10 +146,7 @@ pub fn set_subscriber(subscriber: Arc<dyn Subscriber>) {
 /// return to the one-atomic-load disabled path.
 pub fn clear_subscriber() {
     ENABLED.store(false, Ordering::Relaxed);
-    let previous = SUBSCRIBER
-        .write()
-        .expect("subscriber slot poisoned")
-        .take();
+    let previous = SUBSCRIBER.write().expect("subscriber slot poisoned").take();
     if let Some(p) = previous {
         p.flush();
     }
@@ -214,8 +211,10 @@ impl Span {
 impl Drop for Span {
     fn drop(&mut self) {
         if let Some(t0) = self.started {
-            let mut event = Event::new(self.name)
-                .with("duration_us", u64::try_from(t0.elapsed().as_micros()).unwrap_or(u64::MAX));
+            let mut event = Event::new(self.name).with(
+                "duration_us",
+                u64::try_from(t0.elapsed().as_micros()).unwrap_or(u64::MAX),
+            );
             event.fields.append(&mut self.fields);
             emit(event);
         }

@@ -375,7 +375,10 @@ impl ModelArtifact {
         let mut fields: Vec<(&'static str, Value)> = vec![
             (
                 "qformat",
-                Value::object([("k", Value::from(format.k())), ("f", Value::from(format.f()))]),
+                Value::object([
+                    ("k", Value::from(format.k())),
+                    ("f", Value::from(format.f())),
+                ]),
             ),
             (
                 "class_labels",
@@ -390,9 +393,8 @@ impl ModelArtifact {
         ];
         if !self.training.is_empty() {
             let t = &self.training;
-            let opt_str = |v: &Option<String>| {
-                v.as_ref().map_or(Value::Null, |s| Value::from(s.as_str()))
-            };
+            let opt_str =
+                |v: &Option<String>| v.as_ref().map_or(Value::Null, |s| Value::from(s.as_str()));
             let opt_num = |v: &Option<f64>| v.map_or(Value::Null, Value::from);
             fields.push((
                 "training",
@@ -418,10 +420,7 @@ impl ModelArtifact {
                     "heads",
                     Value::Array(clf.heads().iter().map(head_json).collect()),
                 ));
-                fields.push((
-                    "margin_scales",
-                    Value::from(clf.margin_scales().to_vec()),
-                ));
+                fields.push(("margin_scales", Value::from(clf.margin_scales().to_vec())));
             }
             ServedModel::NaiveBayes(m) => {
                 fields.push(("rounding", Value::from(m.rounding().name())));
@@ -485,10 +484,12 @@ impl ModelArtifact {
             .iter()
             .enumerate()
             .map(|(i, v)| {
-                v.as_str().map(str::to_string).ok_or_else(|| ServeError::Schema {
-                    context: format!("payload.class_labels[{i}]"),
-                    message: "expected a string".to_string(),
-                })
+                v.as_str()
+                    .map(str::to_string)
+                    .ok_or_else(|| ServeError::Schema {
+                        context: format!("payload.class_labels[{i}]"),
+                        message: "expected a string".to_string(),
+                    })
             })
             .collect::<Result<_>>()?;
         let input_scale = f64_array(payload, "input_scale")?;
@@ -559,10 +560,12 @@ impl ModelArtifact {
                 ServedModel::OneVsRest(OneVsRestClassifier::from_parts(heads, margin_scales)?)
             }
             "naive-bayes" => {
-                let body = payload.get("naive_bayes").ok_or_else(|| ServeError::Schema {
-                    context: "payload.naive_bayes".to_string(),
-                    message: "missing for kind 'naive-bayes'".to_string(),
-                })?;
+                let body = payload
+                    .get("naive_bayes")
+                    .ok_or_else(|| ServeError::Schema {
+                        context: "payload.naive_bayes".to_string(),
+                        message: "missing for kind 'naive-bayes'".to_string(),
+                    })?;
                 let ctx = "payload.naive_bayes";
                 let index_bits = require_u32_in(body, ctx, "index_bits")?;
                 let priors = i64_array_in(body, ctx, "priors")?;
@@ -781,7 +784,12 @@ fn require_u32_at(v: &Value, outer: &str, key: &str) -> Result<u32> {
         .and_then(|o| o.get(key))
         .and_then(Value::as_i64)
         .and_then(|n| u32::try_from(n).ok())
-        .ok_or_else(|| schema_err(&format!("payload.{outer}.{key}"), "expected a non-negative integer"))
+        .ok_or_else(|| {
+            schema_err(
+                &format!("payload.{outer}.{key}"),
+                "expected a non-negative integer",
+            )
+        })
 }
 
 fn require_array<'a>(v: &'a Value, key: &str) -> Result<&'a [Value]> {
@@ -795,9 +803,8 @@ fn f64_array(v: &Value, key: &str) -> Result<Vec<f64>> {
         .iter()
         .enumerate()
         .map(|(i, x)| {
-            x.as_f64().ok_or_else(|| {
-                schema_err(&format!("payload.{key}[{i}]"), "expected a number")
-            })
+            x.as_f64()
+                .ok_or_else(|| schema_err(&format!("payload.{key}[{i}]"), "expected a number"))
         })
         .collect()
 }
@@ -816,8 +823,7 @@ mod tests {
 
     fn sample_binary() -> ModelArtifact {
         let format = QFormat::new(2, 5).unwrap();
-        let clf =
-            FixedPointClassifier::from_float(&[0.5, -0.25, 1.0], -0.125, format).unwrap();
+        let clf = FixedPointClassifier::from_float(&[0.5, -0.25, 1.0], -0.125, format).unwrap();
         let mut artifact = ModelArtifact::binary(clf);
         artifact.training = TrainingInfo {
             algorithm: Some("lda-fp".to_string()),
@@ -856,12 +862,10 @@ mod tests {
 
     #[test]
     fn newer_version_rejected() {
-        let text = sample_binary()
-            .to_json_string()
-            .replace(
-                &format!("\"format_version\": {FORMAT_VERSION}"),
-                &format!("\"format_version\": {}", FORMAT_VERSION + 7),
-            );
+        let text = sample_binary().to_json_string().replace(
+            &format!("\"format_version\": {FORMAT_VERSION}"),
+            &format!("\"format_version\": {}", FORMAT_VERSION + 7),
+        );
         match ModelArtifact::from_json_str(&text) {
             Err(ServeError::UnsupportedVersion { found, supported }) => {
                 assert_eq!(found, FORMAT_VERSION + 7);
@@ -930,10 +934,7 @@ mod tests {
     #[test]
     fn save_load_roundtrip_on_disk() {
         let artifact = sample_binary();
-        let dir = std::env::temp_dir().join(format!(
-            "ldafp-serve-artifact-{}",
-            std::process::id()
-        ));
+        let dir = std::env::temp_dir().join(format!("ldafp-serve-artifact-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("model.json");
         artifact.save(&path).unwrap();
@@ -959,8 +960,7 @@ mod tests {
 
     fn sample_naive_bayes() -> ModelArtifact {
         let format = QFormat::new(2, 6).unwrap();
-        let trainer =
-            ldafp_models::NaiveBayesTrainer::new(format, RoundingMode::NearestEven, 0.95);
+        let trainer = ldafp_models::NaiveBayesTrainer::new(format, RoundingMode::NearestEven, 0.95);
         ModelArtifact::naive_bayes(trainer.train(&toy_dataset()).unwrap())
     }
 

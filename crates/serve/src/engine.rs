@@ -530,8 +530,7 @@ impl InferenceEngine {
                 row: words.len() / m.max(1),
             });
         }
-        let batch =
-            QBatch::from_words(ctx.format, m, words).expect("whole rows validated above");
+        let batch = QBatch::from_words(ctx.format, m, words).expect("whole rows validated above");
         let EngineScratch {
             quantized,
             gemm,
@@ -606,12 +605,8 @@ mod tests {
 
     fn binary_engine() -> (InferenceEngine, FixedPointClassifier) {
         let format = QFormat::new(2, 6).unwrap();
-        let clf = FixedPointClassifier::from_float(
-            &[0.75, -0.5, 0.25, 1.0],
-            0.125,
-            format,
-        )
-        .unwrap();
+        let clf =
+            FixedPointClassifier::from_float(&[0.75, -0.5, 0.25, 1.0], 0.125, format).unwrap();
         let engine = InferenceEngine::new(ModelArtifact::binary(clf.clone())).unwrap();
         (engine, clf)
     }
@@ -703,8 +698,7 @@ mod tests {
     #[test]
     fn naive_bayes_engine_matches_in_memory_model_bit_for_bit() {
         let format = QFormat::new(3, 6).unwrap();
-        let trainer =
-            ldafp_models::NaiveBayesTrainer::new(format, RoundingMode::NearestEven, 0.95);
+        let trainer = ldafp_models::NaiveBayesTrainer::new(format, RoundingMode::NearestEven, 0.95);
         let model = trainer.train(&family_dataset()).unwrap();
         let engine = InferenceEngine::new(ModelArtifact::naive_bayes(model.clone())).unwrap();
         let rows = random_rows(120, 3, 29, 1.5);

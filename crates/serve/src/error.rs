@@ -83,10 +83,9 @@ impl fmt::Display for ServeError {
                 "artifact format version {found} is newer than supported version {supported}; \
                  upgrade the serving runtime"
             ),
-            ServeError::WrongMagic { found } => write!(
-                f,
-                "not an ldafp model artifact (format field is {found})"
-            ),
+            ServeError::WrongMagic { found } => {
+                write!(f, "not an ldafp model artifact (format field is {found})")
+            }
             ServeError::ChecksumMismatch { stored, computed } => write!(
                 f,
                 "artifact checksum mismatch: stored {stored}, computed {computed} — \

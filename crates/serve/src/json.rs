@@ -63,12 +63,7 @@ impl std::error::Error for JsonError {}
 impl Value {
     /// Builds an object from key/value pairs.
     pub fn object<I: IntoIterator<Item = (&'static str, Value)>>(pairs: I) -> Value {
-        Value::Object(
-            pairs
-                .into_iter()
-                .map(|(k, v)| (k.to_string(), v))
-                .collect(),
-        )
+        Value::Object(pairs.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
     }
 
     /// The value under `key`, if this is an object containing it.
@@ -384,9 +379,7 @@ impl<'a> Parser<'a> {
             Some(b'f') => self.parse_keyword("false", Value::Bool(false)),
             Some(b'n') => self.parse_keyword("null", Value::Null),
             Some(b'-' | b'0'..=b'9') => self.parse_number(),
-            Some(other) => {
-                Err(self.error(&format!("unexpected character '{}'", other as char)))
-            }
+            Some(other) => Err(self.error(&format!("unexpected character '{}'", other as char))),
         }
     }
 
@@ -425,11 +418,7 @@ impl<'a> Parser<'a> {
         let mut out = String::new();
         loop {
             match self.peek() {
-                None => {
-                    return Err(
-                        self.error("unterminated string (document truncated?)")
-                    )
-                }
+                None => return Err(self.error("unterminated string (document truncated?)")),
                 Some(b'"') => {
                     self.pos += 1;
                     return Ok(out);
@@ -453,9 +442,8 @@ impl<'a> Parser<'a> {
                             if self.pos + 4 > self.bytes.len() {
                                 return Err(self.error("truncated \\u escape"));
                             }
-                            let hex =
-                                std::str::from_utf8(&self.bytes[self.pos..self.pos + 4])
-                                    .map_err(|_| self.error("non-ascii \\u escape"))?;
+                            let hex = std::str::from_utf8(&self.bytes[self.pos..self.pos + 4])
+                                .map_err(|_| self.error("non-ascii \\u escape"))?;
                             let code = u32::from_str_radix(hex, 16)
                                 .map_err(|_| self.error("invalid \\u escape"))?;
                             // Surrogates are not paired; artifacts never
@@ -467,10 +455,8 @@ impl<'a> Parser<'a> {
                         }
                         other => {
                             self.pos -= 1;
-                            return Err(self.error(&format!(
-                                "invalid escape character '{}'",
-                                other as char
-                            )));
+                            return Err(self
+                                .error(&format!("invalid escape character '{}'", other as char)));
                         }
                     }
                 }
@@ -511,9 +497,7 @@ impl<'a> Parser<'a> {
                 }
                 Some(_) => return Err(self.error("expected ',' or ']' in array")),
                 None => {
-                    return Err(
-                        self.error("unexpected end of input in array (document truncated?)")
-                    )
+                    return Err(self.error("unexpected end of input in array (document truncated?)"))
                 }
             }
         }
@@ -598,7 +582,12 @@ mod tests {
 
     #[test]
     fn f64_shortest_form_roundtrips_exactly() {
-        for &x in &[0.1, 1.0 / 3.0, 2.2250738585072014e-308, -1.7976931348623157e308] {
+        for &x in &[
+            0.1,
+            1.0 / 3.0,
+            2.2250738585072014e-308,
+            -1.7976931348623157e308,
+        ] {
             let text = Value::Number(x).to_compact_string();
             let back = parse(&text).unwrap().as_f64().unwrap();
             assert_eq!(back.to_bits(), x.to_bits(), "{x} reserialized as {text}");

@@ -244,7 +244,10 @@ mod tests {
         let outcome = reg.reload("second", &doc).unwrap();
         assert!(!outcome.replaced);
         assert_eq!(outcome.family, ldafp_models::ModelFamily::Lda);
-        assert_eq!(reg.names(), vec!["default".to_string(), "second".to_string()]);
+        assert_eq!(
+            reg.names(),
+            vec!["default".to_string(), "second".to_string()]
+        );
         assert!(reg.route(Some("second")).is_ok());
         let err = reg.route(Some("third")).unwrap_err();
         assert!(err.to_string().contains("unknown model 'third'"), "{err}");

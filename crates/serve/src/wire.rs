@@ -59,11 +59,7 @@ impl Request {
                     ("op", Value::from("predict")),
                     (
                         "rows",
-                        Value::Array(
-                            rows.iter()
-                                .map(|r| Value::from(r.clone()))
-                                .collect(),
-                        ),
+                        Value::Array(rows.iter().map(|r| Value::from(r.clone())).collect()),
                     ),
                 ];
                 if let Some(name) = model {
@@ -88,12 +84,13 @@ impl Request {
     ///
     /// [`ServeError::Schema`] for unknown ops or malformed rows.
     pub fn from_json(v: &Value) -> Result<Self> {
-        let op = v.get("op").and_then(Value::as_str).ok_or_else(|| {
-            ServeError::Schema {
+        let op = v
+            .get("op")
+            .and_then(Value::as_str)
+            .ok_or_else(|| ServeError::Schema {
                 context: "op".to_string(),
                 message: "expected a string naming the operation".to_string(),
-            }
-        })?;
+            })?;
         match op {
             "predict" => {
                 let rows = v
@@ -186,7 +183,10 @@ pub fn predict_response(out: &BatchOutput, labels: &[String]) -> Value {
             ),
         ),
         ("rows", Value::from(out.stats.rows)),
-        ("accumulator_wraps", Value::from(out.stats.accumulator_wraps)),
+        (
+            "accumulator_wraps",
+            Value::from(out.stats.accumulator_wraps),
+        ),
         ("saturated_inputs", Value::from(out.stats.saturated_inputs)),
     ])
 }

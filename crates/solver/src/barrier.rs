@@ -220,7 +220,10 @@ fn center(
             }
         }
         let Workspace {
-            chol, neg_grad, delta, ..
+            chol,
+            neg_grad,
+            delta,
+            ..
         } = &mut *ws;
         chol.solve_into(neg_grad, delta)?;
         steps += 1;
@@ -432,7 +435,8 @@ mod tests {
         let mut ws = Workspace::new();
         let q1 = SocpProblem::new(Matrix::identity(3).scaled(2.0), vec![-1.0, 0.0, 0.0]).unwrap();
         barrier_minimize(&q1, vec![0.0; 3], &cfg(), &mut ws).unwrap();
-        let (x_reuse, st_r, ns_r, t_r) = barrier_minimize(&p, vec![0.0, 0.0], &cfg(), &mut ws).unwrap();
+        let (x_reuse, st_r, ns_r, t_r) =
+            barrier_minimize(&p, vec![0.0, 0.0], &cfg(), &mut ws).unwrap();
 
         assert_eq!(x_fresh.len(), x_reuse.len());
         for (a, b) in x_fresh.iter().zip(&x_reuse) {

@@ -124,8 +124,14 @@ fn problem(rng: &mut Rng, n: usize) -> (SocpProblem, Vec<f64>) {
     let x0 = uniform_vec(rng, n, -0.5, 0.5);
     let slack = |rng: &mut Rng| rng.range_f64(0.05..1.0);
 
-    let lo: Vec<f64> = x0.iter().map(|v| v - 0.5 - rng.range_f64(0.0..1.0)).collect();
-    let hi: Vec<f64> = x0.iter().map(|v| v + 0.5 + rng.range_f64(0.0..1.0)).collect();
+    let lo: Vec<f64> = x0
+        .iter()
+        .map(|v| v - 0.5 - rng.range_f64(0.0..1.0))
+        .collect();
+    let hi: Vec<f64> = x0
+        .iter()
+        .map(|v| v + 0.5 + rng.range_f64(0.0..1.0))
+        .collect();
     p.add_box(&lo, &hi).unwrap();
     for _ in 0..3 {
         let mut g = vec![0.0; n];
@@ -159,7 +165,9 @@ fn problem(rng: &mut Rng, n: usize) -> (SocpProblem, Vec<f64>) {
     let rows = 3;
     let mut dense = Matrix::zeros(rows, n);
     for r in 1..rows {
-        dense.row_mut(r).copy_from_slice(&uniform_vec(rng, n, -1.0, 1.0));
+        dense
+            .row_mut(r)
+            .copy_from_slice(&uniform_vec(rng, n, -1.0, 1.0));
     }
     let off = uniform_vec(rng, rows, -0.5, 0.5);
     let d = uniform_vec(rng, n, -0.5, 0.5);

@@ -31,7 +31,10 @@ impl fmt::Display for SolverError {
         match self {
             SolverError::InvalidProblem { reason } => write!(f, "invalid problem: {reason}"),
             SolverError::Infeasible { max_violation } => {
-                write!(f, "problem is infeasible (best max violation {max_violation:e})")
+                write!(
+                    f,
+                    "problem is infeasible (best max violation {max_violation:e})"
+                )
             }
             SolverError::NumericalFailure { reason } => {
                 write!(f, "numerical failure: {reason}")

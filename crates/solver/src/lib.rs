@@ -56,12 +56,14 @@ mod recovery;
 mod workspace;
 
 pub use error::SolverError;
-pub use problem::{KktReport, LinearConstraint, SocConstraint, SocpProblem, Solution, SolverConfig};
-pub use workspace::Workspace;
+pub use problem::{
+    KktReport, LinearConstraint, SocConstraint, SocpProblem, Solution, SolverConfig,
+};
 pub use recovery::{
     error_kind, is_recoverable, solve_with_recovery, solve_with_recovery_checked,
     RecoveredSolution, RecoveryAttempt, RecoveryConfig,
 };
+pub use workspace::Workspace;
 
 /// Convenience alias for results returned by this crate.
 pub type Result<T> = std::result::Result<T, SolverError>;

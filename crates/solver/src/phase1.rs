@@ -70,7 +70,9 @@ pub(crate) fn find_strictly_feasible(
     if p.is_strictly_feasible(&x, margin) {
         return Ok((x, steps));
     }
-    Err(SolverError::Infeasible { max_violation: s.max(p.max_violation(&x)) })
+    Err(SolverError::Infeasible {
+        max_violation: s.max(p.max_violation(&x)),
+    })
 }
 
 #[cfg(test)]
@@ -132,7 +134,8 @@ mod tests {
     fn warm_start_used_when_feasible() {
         let mut p = SocpProblem::new(Matrix::identity(1), vec![0.0]).unwrap();
         p.add_linear(vec![-1.0], -3.0).unwrap(); // x ≥ 3
-        let (x, steps) = find_strictly_feasible(&p, Some(vec![10.0]), &cfg(), &mut Workspace::new()).unwrap();
+        let (x, steps) =
+            find_strictly_feasible(&p, Some(vec![10.0]), &cfg(), &mut Workspace::new()).unwrap();
         assert_eq!(x, vec![10.0]);
         assert_eq!(steps, 0);
     }

@@ -268,7 +268,11 @@ impl SocpProblem {
     pub fn add_linear(&mut self, g: Vec<f64>, h: f64) -> Result<()> {
         if g.len() != self.n {
             return Err(SolverError::InvalidProblem {
-                reason: format!("linear constraint has {} coefficients, expected {}", g.len(), self.n),
+                reason: format!(
+                    "linear constraint has {} coefficients, expected {}",
+                    g.len(),
+                    self.n
+                ),
             });
         }
         if !vecops::is_finite(&g) || !h.is_finite() {
@@ -461,12 +465,15 @@ impl SocpProblem {
         let mut ws = crate::Workspace::new();
         let mut phase1_steps = 0usize;
         let start = match x0 {
-            Some(x) if x.len() == self.n && self.is_strictly_feasible(x, config.feasibility_margin) => {
+            Some(x)
+                if x.len() == self.n && self.is_strictly_feasible(x, config.feasibility_margin) =>
+            {
                 x.to_vec()
             }
             _ => {
                 let warm = x0.filter(|x| x.len() == self.n).map(|x| x.to_vec());
-                let (x, steps) = crate::phase1::find_strictly_feasible(self, warm, config, &mut ws)?;
+                let (x, steps) =
+                    crate::phase1::find_strictly_feasible(self, warm, config, &mut ws)?;
                 phase1_steps = steps;
                 x
             }

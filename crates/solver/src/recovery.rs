@@ -232,7 +232,10 @@ pub fn solve_with_recovery_checked(
     mut inject: impl FnMut(usize) -> Option<SolverError>,
 ) -> Result<RecoveredSolution> {
     let started = Instant::now();
-    let run = |p: &SocpProblem, start: Option<&[f64]>, cfg: &SolverConfig, attempt: usize,
+    let run = |p: &SocpProblem,
+               start: Option<&[f64]>,
+               cfg: &SolverConfig,
+               attempt: usize,
                inject: &mut dyn FnMut(usize) -> Option<SolverError>| {
         match inject(attempt) {
             Some(e) => Err(e),
@@ -464,24 +467,22 @@ mod tests {
         };
         let timed = failed_solves_timed();
         let mut calls = 0usize;
-        let err = solve_with_recovery_checked(
-            &p,
-            None,
-            &SolverConfig::default(),
-            &recovery,
-            |_| {
+        let err =
+            solve_with_recovery_checked(&p, None, &SolverConfig::default(), &recovery, |_| {
                 calls += 1;
                 Some(SolverError::NumericalFailure {
                     reason: format!("injected #{calls}"),
                 })
-            },
-        )
-        .unwrap_err();
+            })
+            .unwrap_err();
         // Initial attempt + 2 retries, all injected.
         assert_eq!(calls, 3);
         assert!(matches!(err, SolverError::NumericalFailure { .. }));
         assert!(err.to_string().contains("#3"), "{err}");
-        assert!(failed_solves_timed() > timed, "exhausted solve left untimed");
+        assert!(
+            failed_solves_timed() > timed,
+            "exhausted solve left untimed"
+        );
     }
 
     /// Solves timed into `solver.failed_solve_us` so far (the registry is
@@ -508,7 +509,10 @@ mod tests {
         .unwrap_err();
         assert_eq!(calls, 1);
         assert!(matches!(err, SolverError::Infeasible { .. }));
-        assert!(failed_solves_timed() > timed, "infeasible solve left untimed");
+        assert!(
+            failed_solves_timed() > timed,
+            "infeasible solve left untimed"
+        );
     }
 
     #[test]
@@ -572,7 +576,9 @@ mod tests {
             "infeasible"
         );
         assert_eq!(
-            error_kind(&SolverError::NumericalFailure { reason: String::new() }),
+            error_kind(&SolverError::NumericalFailure {
+                reason: String::new()
+            }),
             "numerical-failure"
         );
     }

@@ -92,7 +92,8 @@ fn many_redundant_constraints() {
     let mut p = SocpProblem::new(Matrix::identity(3).scaled(2.0), vec![-2.0, 0.0, 2.0]).unwrap();
     for i in 0..200 {
         // 200 parallel copies of x0 ≤ 2 with slightly different rhs.
-        p.add_linear(vec![1.0, 0.0, 0.0], 2.0 + (i as f64) * 1e-3).unwrap();
+        p.add_linear(vec![1.0, 0.0, 0.0], 2.0 + (i as f64) * 1e-3)
+            .unwrap();
     }
     p.add_box(&[-3.0; 3], &[3.0; 3]).unwrap();
     let sol = p.solve(&cfg()).unwrap();

@@ -72,7 +72,10 @@ fn infeasible_box_reported() {
     let mut p = SocpProblem::new(Matrix::identity(2), vec![0.0; 2]).unwrap();
     p.add_linear(vec![1.0, 0.0], -5.0).unwrap(); // x ≤ −5
     p.add_linear(vec![-1.0, 0.0], -5.0).unwrap(); // x ≥ 5
-    assert!(matches!(p.solve(&cfg()), Err(SolverError::Infeasible { .. })));
+    assert!(matches!(
+        p.solve(&cfg()),
+        Err(SolverError::Infeasible { .. })
+    ));
 }
 
 #[test]
@@ -94,7 +97,8 @@ fn lda_fp_shaped_relaxation_solves() {
     // box, |w|-split linear overflow constraints, two covariance cones.
     let s_w = Matrix::from_rows(&[&[1.0, 0.2, 0.0], &[0.2, 2.0, 0.1], &[0.0, 0.1, 1.5]]).unwrap();
     let mut p = SocpProblem::new(s_w.scaled(2.0), vec![0.0; 3]).unwrap();
-    p.add_box(&[-2.0, -2.0, -2.0], &[1.875, 1.875, 1.875]).unwrap();
+    p.add_box(&[-2.0, -2.0, -2.0], &[1.875, 1.875, 1.875])
+        .unwrap();
     // t-interval: d = (1, 0.5, −0.25), 0.05 ≤ t ≤ 3.
     let d = [1.0, 0.5, -0.25];
     p.add_linear(d.to_vec(), 3.0).unwrap();
@@ -107,11 +111,21 @@ fn lda_fp_shaped_relaxation_solves() {
         ch.factor().transpose().scaled(beta)
     };
     let mu = [0.3, -0.2, 0.1];
-    p.add_soc(l_t.clone(), vec![0.0; 3], mu.iter().map(|x| -x).collect(), 2.0)
+    p.add_soc(
+        l_t.clone(),
+        vec![0.0; 3],
+        mu.iter().map(|x| -x).collect(),
+        2.0,
+    )
+    .unwrap();
+    p.add_soc(l_t, vec![0.0; 3], mu.to_vec(), 2.0 - 2.0f64.powi(-4))
         .unwrap();
-    p.add_soc(l_t, vec![0.0; 3], mu.to_vec(), 2.0 - 2.0f64.powi(-4)).unwrap();
     let sol = p.solve(&cfg()).unwrap();
-    assert!(p.max_violation(&sol.x) < 1e-7, "violation {}", p.max_violation(&sol.x));
+    assert!(
+        p.max_violation(&sol.x) < 1e-7,
+        "violation {}",
+        p.max_violation(&sol.x)
+    );
     // Objective is ≥ 0 (PSD) and the solution should push t toward its
     // minimum, keeping w small.
     assert!(sol.objective >= -1e-9);
@@ -176,7 +190,8 @@ fn beats_random_feasible_points() {
         let radius = *radius;
         let mut p = SocpProblem::new(Matrix::from_diag(qdiag), c.clone()).unwrap();
         p.add_box(&[-1.0; 3], &[1.0; 3]).unwrap();
-        p.add_soc(Matrix::identity(3), vec![0.0; 3], vec![0.0; 3], radius).unwrap();
+        p.add_soc(Matrix::identity(3), vec![0.0; 3], vec![0.0; 3], radius)
+            .unwrap();
         let sol = p.solve(&cfg()).unwrap();
         assert!(p.max_violation(&sol.x) < 1e-6);
         // Scale the probe into the ball if needed.
@@ -200,18 +215,22 @@ fn beats_random_feasible_points() {
 /// Warm starting from a feasible point must not change the optimum.
 #[test]
 fn warm_start_agrees_with_cold_start() {
-    check(48, |rng| floats(rng, 2, -2.0, 2.0), |c| {
-        let mut p = SocpProblem::new(Matrix::identity(2).scaled(2.0), c.clone()).unwrap();
-        p.add_box(&[-1.0; 2], &[1.0; 2]).unwrap();
-        let cold = p.solve(&cfg()).unwrap();
-        let warm = p.solve_from(Some(&[0.5, -0.5]), &cfg()).unwrap();
-        assert!(
-            (cold.objective - warm.objective).abs() < 1e-6,
-            "cold {} vs warm {}",
-            cold.objective,
-            warm.objective
-        );
-    });
+    check(
+        48,
+        |rng| floats(rng, 2, -2.0, 2.0),
+        |c| {
+            let mut p = SocpProblem::new(Matrix::identity(2).scaled(2.0), c.clone()).unwrap();
+            p.add_box(&[-1.0; 2], &[1.0; 2]).unwrap();
+            let cold = p.solve(&cfg()).unwrap();
+            let warm = p.solve_from(Some(&[0.5, -0.5]), &cfg()).unwrap();
+            assert!(
+                (cold.objective - warm.objective).abs() < 1e-6,
+                "cold {} vs warm {}",
+                cold.objective,
+                warm.objective
+            );
+        },
+    );
 }
 
 #[test]
@@ -232,7 +251,11 @@ fn kkt_report_certifies_barrier_solution() {
     assert!(report.duality_gap_bound <= 1e-6);
     // An interior non-optimal point is NOT centered: residual is large.
     let bad = p.kkt_report(&[0.0, 0.0], sol.barrier_t).unwrap();
-    assert!(bad.stationarity_residual > 1.0, "bad point residual {}", bad.stationarity_residual);
+    assert!(
+        bad.stationarity_residual > 1.0,
+        "bad point residual {}",
+        bad.stationarity_residual
+    );
 }
 
 #[test]

@@ -57,10 +57,9 @@ impl MultivariateGaussian {
                 reason: "non-finite mean or covariance entries".to_string(),
             });
         }
-        let (chol, _ridge) =
-            Cholesky::new_with_ridge(&covariance, 0.0).or_else(|_| {
-                Cholesky::new_with_ridge(&covariance, 1e-12)
-            }).map_err(|e| StatsError::InvalidDistribution {
+        let (chol, _ridge) = Cholesky::new_with_ridge(&covariance, 0.0)
+            .or_else(|_| Cholesky::new_with_ridge(&covariance, 1e-12))
+            .map_err(|e| StatsError::InvalidDistribution {
                 reason: format!("covariance is not positive semi-definite: {e}"),
             })?;
         Ok(MultivariateGaussian {

@@ -284,10 +284,16 @@ mod tests {
     fn erfc_tail_accuracy() {
         // erfc(5) = 1.5374597944280349e-12 — must keep relative accuracy.
         let v = erfc(5.0);
-        assert!((v / 1.537_459_794_428_035e-12 - 1.0).abs() < 1e-10, "erfc(5) = {v:e}");
+        assert!(
+            (v / 1.537_459_794_428_035e-12 - 1.0).abs() < 1e-10,
+            "erfc(5) = {v:e}"
+        );
         // erfc(10) = 2.0884875837625446e-45
         let v = erfc(10.0);
-        assert!((v / 2.0884875837625446e-45 - 1.0).abs() < 1e-9, "erfc(10) = {v:e}");
+        assert!(
+            (v / 2.0884875837625446e-45 - 1.0).abs() < 1e-9,
+            "erfc(10) = {v:e}"
+        );
     }
 
     #[test]

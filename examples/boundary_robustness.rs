@@ -19,14 +19,13 @@ fn perturbation_report(name: &str, clf: &FixedPointClassifier, data: &BinaryData
     for m in 0..w0.len() {
         for (label, sign) in [("+1 ulp", 1.0), ("-1 ulp", -1.0)] {
             let mut w = w0.clone();
-            w[m] = (w[m] + sign * format.resolution())
-                .clamp(format.min_value(), format.max_value());
+            w[m] =
+                (w[m] + sign * format.resolution()).clamp(format.min_value(), format.max_value());
             if w[m] == w0[m] {
                 continue;
             }
-            let perturbed =
-                FixedPointClassifier::from_float(&w, clf.threshold().to_f64(), format)
-                    .expect("non-empty weights");
+            let perturbed = FixedPointClassifier::from_float(&w, clf.threshold().to_f64(), format)
+                .expect("non-empty weights");
             println!(
                 "  w[{m}] {label}: error {:.2}%",
                 100.0 * eval::error_rate(&perturbed, data)

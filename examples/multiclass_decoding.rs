@@ -29,7 +29,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     let trainer = LdaFpTrainer::new(LdaFpConfig::fast());
-    println!("\n{:>5} | {:>14} | {:>14}", "bits", "rounded LDA OvR", "LDA-FP OvR");
+    println!(
+        "\n{:>5} | {:>14} | {:>14}",
+        "bits", "rounded LDA OvR", "LDA-FP OvR"
+    );
     println!("{}", "-".repeat(42));
     for bits in [3u32, 4, 5, 6, 8] {
         let format = QFormat::new(1, bits - 1)?;
@@ -39,7 +42,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let fp = train_one_vs_rest(&trainer, &train_set, format)
             .map(|(clf, _)| clf.error_rate(&test_set))
             .unwrap_or(0.75);
-        println!("{bits:>5} | {:>13.2}% | {:>13.2}%", 100.0 * base, 100.0 * fp);
+        println!(
+            "{bits:>5} | {:>13.2}% | {:>13.2}%",
+            100.0 * base,
+            100.0 * fp
+        );
     }
     println!("\n(chance level for 4 classes: 75% error)");
     println!(

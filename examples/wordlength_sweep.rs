@@ -35,7 +35,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     let trainer = LdaFpTrainer::new(LdaFpConfig::fast());
-    println!("{:>5} | {:>9} | {:>9} | weights (LDA-FP)", "bits", "LDA", "LDA-FP");
+    println!(
+        "{:>5} | {:>9} | {:>9} | weights (LDA-FP)",
+        "bits", "LDA", "LDA-FP"
+    );
     println!("{}", "-".repeat(64));
     for word in [4u32, 6, 8, 10, 12, 14, 16] {
         let lda_err = match eval::quantized_lda_auto(&train, word, 5) {

@@ -45,14 +45,19 @@ fn table1_headline_ldafp_beats_lda_at_4_bits() {
         ldafp_err + 0.05 < lda_err,
         "LDA-FP {ldafp_err} should beat rounded LDA {lda_err} at 4 bits"
     );
-    assert!(ldafp_err < 0.40, "LDA-FP should be far below chance, got {ldafp_err}");
+    assert!(
+        ldafp_err < 0.40,
+        "LDA-FP should be far below chance, got {ldafp_err}"
+    );
 }
 
 #[test]
 fn large_word_lengths_converge_to_float_performance() {
     let (train, test) = synthetic_pair(400, 2_000, 2);
     let trainer = LdaFpTrainer::new(LdaFpConfig::fast());
-    let (model, _) = trainer.train_auto(&train, 16, 3).expect("training succeeds");
+    let (model, _) = trainer
+        .train_auto(&train, 16, 3)
+        .expect("training succeeds");
     let fp16 = eval::error_rate(model.classifier(), &test);
     let (lda_clf, _) = eval::quantized_lda_auto(&train, 16, 3).expect("baseline succeeds");
     let lda16 = eval::error_rate(&lda_clf, &test);
@@ -80,7 +85,11 @@ fn bci_pipeline_runs_end_to_end() {
     assert_eq!(report.fold_errors.len(), 3);
     // 30 train trials/class for 42 features is brutally small-sample; the
     // pipeline check asks for "clearly informative", not Table-2 accuracy.
-    assert!(report.mean_error < 0.45, "better than chance: {}", report.mean_error);
+    assert!(
+        report.mean_error < 0.45,
+        "better than chance: {}",
+        report.mean_error
+    );
 }
 
 #[test]
@@ -146,7 +155,10 @@ fn overflow_constraints_prevent_projection_wraps_in_practice() {
         total += 1;
     }
     let rate = wraps as f64 / total as f64;
-    assert!(rate < 0.05, "projection wrap rate {rate} too high for rho=0.99");
+    assert!(
+        rate < 0.05,
+        "projection wrap rate {rate} too high for rho=0.99"
+    );
 }
 
 #[test]

@@ -49,7 +49,9 @@ fn constant_feature_columns() {
         Matrix::from_rows(&[&[0.5, 0.3], &[0.4, 0.3], &[0.6, 0.3]]).unwrap(),
     )
     .unwrap();
-    let model = trainer().train(&d, fmt()).expect("constant features are benign");
+    let model = trainer()
+        .train(&d, fmt())
+        .expect("constant features are benign");
     assert!(model.fisher_cost().is_finite());
 }
 
@@ -76,15 +78,15 @@ fn saturating_outlier_features() {
         Matrix::from_rows(&[&[0.5, -0.1], &[0.4, 0.1], &[0.6, -1000.0]]).unwrap(),
     )
     .unwrap();
-    let model = trainer().train(&d, fmt()).expect("saturated outliers are survivable");
+    let model = trainer()
+        .train(&d, fmt())
+        .expect("saturated outliers are survivable");
     assert!(model.fisher_cost().is_finite());
 }
 
 #[test]
 fn heavily_unbalanced_classes() {
-    let big = Matrix::from_fn(60, 2, |i, j| {
-        -0.4 + 0.01 * ((i * 2 + j) % 7) as f64
-    });
+    let big = Matrix::from_fn(60, 2, |i, j| -0.4 + 0.01 * ((i * 2 + j) % 7) as f64);
     let tiny = Matrix::from_rows(&[&[0.5, 0.5]]).unwrap();
     let d = BinaryDataset::new(big, tiny).unwrap();
     match trainer().train(&d, fmt()) {

@@ -3,14 +3,17 @@
 //! same words, at the paper's 42-feature / 256-row serving shape.
 //!
 //! ```text
-//! cargo test --release -p ldafp-bench --test kernels_gate
+//! cargo test --release -p ldafp-bench --test kernels_gate -- --nocapture
 //! ```
 //!
-//! Bit-identity (accumulator values and wrap counts, every row, every
-//! kernel) is asserted before anything is timed, so a speedup can never
-//! come from a diverged datapath.
+//! (`--nocapture` shows each kernel's speedup.)
+//!
+//! Bit-identity is asserted before anything is timed, so a speedup can
+//! never come from a diverged datapath: on every row, every kernel's word
+//! equals `mac_dot_counted`'s, and its overflow flag is 1 exactly when the
+//! traced reference's exact rounded-product sum left the word range.
 
-use ldafp_fixedpoint::{mac_dot_counted, Fx, QFormat, RoundingMode};
+use ldafp_fixedpoint::{mac_dot_counted, mac_dot_traced, Fx, QFormat, RoundingMode};
 use ldafp_kernels::{mac_gemv_into, GemmScratch, KernelKind, QBatch};
 use ldafp_stats::Rng;
 use std::time::Instant;
@@ -45,11 +48,16 @@ fn best_kernel_at_least_doubles_mac_dot_counted() {
         .map(|row| row.iter().map(|&v| format.from_raw(v)).collect())
         .collect();
 
-    let expected: Vec<(i64, usize)> = rows_fx
+    let (lo, hi) = (i128::from(lo), i128::from(hi));
+    let expected: Vec<(i64, u32)> = rows_fx
         .iter()
         .map(|row| {
-            let (y, wraps) = mac_dot_counted(&wfx, row, mode).expect("formats agree");
-            (y.raw(), wraps)
+            let (y, _) = mac_dot_counted(&wfx, row, mode).expect("formats agree");
+            let (_, trace) = mac_dot_traced(&wfx, row, mode).expect("formats agree");
+            (
+                y.raw(),
+                u32::from(trace.exact_sum < lo || trace.exact_sum > hi),
+            )
         })
         .collect();
     let kinds = KernelKind::available();
@@ -69,9 +77,9 @@ fn best_kernel_at_least_doubles_mac_dot_counted() {
         .expect("fixture shapes agree");
         for (r, &want) in expected.iter().enumerate() {
             assert_eq!(
-                (out[r], wraps[r] as usize),
+                (out[r], wraps[r]),
                 want,
-                "kernel {} diverged from mac_dot_counted on row {r}",
+                "kernel {} diverged from the reference on row {r}",
                 kind.name()
             );
         }
@@ -123,6 +131,10 @@ fn best_kernel_at_least_doubles_mac_dot_counted() {
         }
     }
 
+    // Shown with `-- --nocapture`.
+    for (kind, s) in kinds.iter().zip(&best[1..]) {
+        eprintln!("{}: {:.2}x mac_dot_counted", kind.name(), best[0] / s);
+    }
     let (best_kind, best_s) = kinds
         .iter()
         .zip(&best[1..])

@@ -341,7 +341,7 @@ pub fn predict(artifact_json: &str, csv_text: &str) -> Result<String> {
         text.push_str(&format!("{i},{},{label},{}\n", p.class_index, p.score));
     }
     text.push_str(&format!(
-        "# rows: {}, accumulator wraps: {}, saturated inputs: {}\n",
+        "# rows: {}, overflowed sums: {}, saturated inputs: {}\n",
         out.stats.rows, out.stats.accumulator_wraps, out.stats.saturated_inputs
     ));
     Ok(text)
@@ -467,7 +467,7 @@ pub fn predict_remote(args: &ParsedArgs, csv_text: &str, addr: &str) -> Result<S
         text.push_str(&format!("{i},{class},{},{score}\n", reply.label(i)));
     }
     text.push_str(&format!(
-        "# rows: {}, accumulator wraps: {}, saturated inputs: {}\n",
+        "# rows: {}, overflowed sums: {}, saturated inputs: {}\n",
         rows.len(),
         reply.accumulator_wraps,
         reply.saturated_inputs
@@ -663,15 +663,18 @@ pub fn demo(args: &ParsedArgs) -> Result<String> {
 }
 
 /// `ldafp wordlength --data <csv> --target <error> [--min-bits n]
-/// [--max-bits n] [--k n] [--quick] [--threads n] [--solver-threads n]
-/// [--budget-secs n] [--max-solver-retries n]` — sweeps every `QK.F`
-/// split from `--min-bits` to `--max-bits` on the explore engine, prints
-/// the best split per word length against its relative power, and
-/// answers with the first row whose training error meets the target.
+/// [--max-bits n] [--k n] [--rho p] [--rounding mode] [--quick]
+/// [--threads n] [--solver-threads n] [--budget-secs n]
+/// [--max-solver-retries n]` — sweeps every `QK.F` split from
+/// `--min-bits` to `--max-bits` on the explore engine, at one `--rho` and
+/// one `--rounding` (defaults 0.99 and nearest-even), prints the best
+/// split per word length against its relative power, and answers with the
+/// first row whose training error meets the target.
 ///
 /// # Errors
 ///
-/// Propagates CSV, argument and training failures.
+/// Propagates CSV, argument and training failures; a `--family` other
+/// than `lda` is a usage error (the sweep trains LDA only).
 pub fn wordlength(args: &ParsedArgs, csv_text: &str) -> Result<String> {
     use ldafp_explore::{ExploreConfig, ExploreGrid, Explorer, TrainedPointMetrics};
 
@@ -684,15 +687,27 @@ pub fn wordlength(args: &ParsedArgs, csv_text: &str) -> Result<String> {
             "invalid search range {min_bits}..={max_bits}"
         )));
     }
+    if parse_family(args)? != ModelFamily::Lda {
+        return Err(CliError(
+            "wordlength sweeps the lda family only; drop --family or use \
+             `ldafp explore --family`\nusage: ldafp wordlength --data <csv> --target <error>"
+                .to_string(),
+        ));
+    }
     let trainer = sweep_trainer(args)?;
+    let rho: f64 = args.get_parsed("rho", trainer.rho)?;
+    let rounding = match args.get("rounding") {
+        None => trainer.rounding,
+        Some(name) => rounding_arg(name)?,
+    };
     // One worker per core by default, one branch-and-bound search per
     // design point. The grid keeps a fraction bit, so it starts at 2 bits.
     let grid = ExploreGrid {
         min_bits: min_bits.max(2),
         max_bits,
         max_k: args.get_parsed("k", 4)?,
-        rhos: vec![trainer.rho],
-        roundings: vec![trainer.rounding],
+        rhos: vec![rho],
+        roundings: vec![rounding],
         ..ExploreGrid::default()
     };
     let summary = Explorer::new(ExploreConfig {

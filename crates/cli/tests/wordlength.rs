@@ -113,3 +113,60 @@ fn wordlength_trains_once_and_answers_from_its_table() {
         "{stdout}"
     );
 }
+
+/// `--rounding` and `--rho` reach every design point of the sweep: each
+/// `explore.point` event names the requested mode and confidence.
+#[test]
+fn wordlength_sweeps_the_requested_rounding_and_rho() {
+    let dir = TempDir::new("rounding");
+    let data = dir.path("train.csv");
+    let trace = dir.path("t.ndjson");
+    std::fs::write(&data, fixture_csv()).unwrap();
+    let out = Command::new(BIN)
+        .arg("wordlength")
+        .arg("--data")
+        .arg(&data)
+        .args(["--target", "0.2", "--quick", "--max-bits", "4"])
+        .args(["--threads", "1", "--rounding", "floor", "--rho", "0.9"])
+        .arg("--trace")
+        .arg(&trace)
+        .output()
+        .unwrap();
+    assert!(
+        out.status.success(),
+        "status {:?}\n{}",
+        out.status,
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let trace = std::fs::read_to_string(&trace).unwrap();
+    let points: Vec<&str> = trace
+        .lines()
+        .filter(|l| l.contains("\"event\":\"explore.point\""))
+        .collect();
+    assert!(!points.is_empty(), "no explore.point events in the trace");
+    for point in points {
+        assert!(point.contains("\"rounding\":\"floor\""), "{point}");
+        assert!(point.contains("\"rho\":0.9"), "{point}");
+    }
+}
+
+/// The sweep trains LDA only, so another `--family` is a usage error
+/// rather than a silently ignored flag.
+#[test]
+fn wordlength_rejects_a_non_lda_family() {
+    let dir = TempDir::new("family");
+    let data = dir.path("train.csv");
+    std::fs::write(&data, fixture_csv()).unwrap();
+    let out = Command::new(BIN)
+        .arg("wordlength")
+        .arg("--data")
+        .arg(&data)
+        .args(["--target", "0.2", "--quick", "--max-bits", "4"])
+        .args(["--family", "naive-bayes"])
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(1));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("lda family only"), "{stderr}");
+    assert!(stderr.contains("usage: ldafp wordlength"), "{stderr}");
+}

@@ -27,6 +27,11 @@ pub struct MacTrace {
     pub accumulator: Vec<Fx>,
     /// Number of steps where the running sum wrapped past the range.
     pub intermediate_overflows: usize,
+    /// Exact sum of the rounded products, before any wrap. The final
+    /// accumulator is this sum wrapped once into the word length, and it
+    /// differs from it exactly when the sum lies outside `[min, max]` —
+    /// the one overflow that can change a decision (paper §3).
+    pub exact_sum: i128,
 }
 
 /// Computes `wᵀx` on the hardware-faithful datapath: same-width multiplier
@@ -139,7 +144,9 @@ pub fn mac_dot_traced(w: &[Fx], x: &[Fx], mode: RoundingMode) -> Result<(Fx, Mac
     let mut products = Vec::with_capacity(w.len());
     let mut accumulator = Vec::with_capacity(w.len());
     let mut overflows = 0usize;
+    let mut exact_sum = 0i128;
     for (wi, xi) in w.iter().zip(x) {
+        exact_sum += wi.mul_rounded_raw(*xi, mode);
         let p = wi.wrapping_mul(*xi, mode)?;
         // Detect wrap by comparing against the unbounded sum of raws.
         let unbounded = acc.raw() as i128 + p.raw() as i128;
@@ -157,6 +164,7 @@ pub fn mac_dot_traced(w: &[Fx], x: &[Fx], mode: RoundingMode) -> Result<(Fx, Mac
             products,
             accumulator,
             intermediate_overflows: overflows,
+            exact_sum,
         },
     ))
 }
@@ -284,6 +292,8 @@ mod tests {
                         (slow.raw(), trace.intermediate_overflows),
                         "Q{k}.{f} {mode:?} len={len} w={w:?} x={x:?}"
                     );
+                    // Wrapping once at the end lands on the same word.
+                    assert_eq!(fmt.wrap_raw(trace.exact_sum), slow.raw());
                 }
             }
         }
@@ -309,6 +319,8 @@ mod tests {
         // Both the 3+3 step and the −2+(−4) step wrap (the second wrap is
         // what restores correctness — the discarded carry in 110+100=010).
         assert_eq!(trace.intermediate_overflows, 2);
+        // The exact sum is in range, so no overflow reached the output.
+        assert_eq!(trace.exact_sum, 2);
         assert_eq!(trace.accumulator[1].to_f64(), -2.0); // the first wrapped step
     }
 

@@ -159,7 +159,7 @@ impl Fx {
 
     /// Full product re-scaled to `F` fractional bits with rounding, before
     /// any range reduction. The result may exceed the format's raw range.
-    fn mul_rounded_raw(&self, other: Fx, mode: RoundingMode) -> i128 {
+    pub(crate) fn mul_rounded_raw(&self, other: Fx, mode: RoundingMode) -> i128 {
         let wide = self.raw as i128 * other.raw as i128; // 2F fractional bits
         let f = self.format.f();
         if f == 0 {

@@ -1,35 +1,36 @@
-//! Structure-of-arrays batches and vectorized wrapping-MAC kernels.
+//! Structure-of-arrays batches and wrap-once MAC kernels.
 //!
 //! The paper's datapath is `y = wᵀx` on a fixed-width wrapping MAC
-//! (§1/§3); at serving time that product *is* the hot loop. The
-//! row-at-a-time path carries `(raw, format)` pairs per element and
-//! re-dispatches the rounding mode per product. This crate restructures
-//! the batch side of that loop:
+//! (§1/§3); at serving time that product *is* the hot loop. Two's-
+//! complement wrapping is arithmetic mod `2^wl`, so the served word
+//! `wrap(Σ wrap(pᵢ))` of the rounded products `pᵢ` equals `wrap(Σ pᵢ)`:
+//! intermediate wraps are harmless, and the only overflow that can flip a
+//! decision is the exact sum leaving `[min, max]` — the event eq. 20
+//! bounds with confidence ρ. Every kernel here therefore sums the rounded
+//! products exactly and wraps once per (row, head):
 //!
 //! * [`QBatch`] / [`QBatchBuf`] — one contiguous row-major `i64` word
 //!   buffer plus a single [`QFormat`] tag, converted once at the
 //!   boundary (floats are quantized on append; raw wire words are
-//!   borrowed **zero-copy** and wrapped on load).
-//! * [`mac_gemm_into`] / [`mac_gemv_into`] — cache-blocked tile kernels
-//!   (8 rows per tile, column-major packed scratch, 8 independent
-//!   accumulator chains) monomorphized per rounding mode, with an
-//!   optional `core::arch` path (x86_64 AVX2 / aarch64 NEON, behind
-//!   runtime detection and the `simd` cargo feature). Every kernel
-//!   returns per-row/per-head accumulator-wrap counts, so the serving
-//!   engine's counters and `predict_segmented` attribution are exactly
-//!   preserved.
-//! * [`mac_row`] / [`mac_row_fx`] and [`WrapCtx`] — the same
-//!   monomorphized scalar datapath for row-at-a-time callers
-//!   (`ldafp-models`' families), so every tier executes one rounding /
-//!   wrap implementation.
+//!   borrowed **zero-copy** and wrapped on load by their low bits).
+//! * [`mac_gemm_into`] / [`mac_gemv_into`] — the batch kernels,
+//!   monomorphized per rounding mode: a row-at-a-time reference, a
+//!   cache-blocked scalar tile kernel, and an optional x86_64 AVX2 path
+//!   (behind runtime detection and the `simd` cargo feature) in 32-bit
+//!   lanes, used when they are exact. Each returns per-(row, head) words
+//!   and a 0/1 overflow flag in the `wraps` output — 1 when that exact
+//!   sum left the word range — so the serving engine's counters and
+//!   `predict_segmented` attribution count rows whose sum overflowed.
+//! * [`mac_row`] / [`mac_row_fx`] and [`WrapCtx`] — the scalar twin of
+//!   the same contract for row-at-a-time callers (`ldafp-models`'
+//!   families), so every tier serves the same words and flags.
 //!
-//! Bit-identity is the crate's contract: all kernels — scalar blocked,
-//! AVX2, NEON — reproduce `ldafp_fixedpoint::mac_dot_counted` (itself
-//! pinned to the element-wise traced reference) value-for-value and
-//! wrap-count-for-wrap-count. The exhaustive tests and the proptests in
-//! `tests/proptests.rs` enforce it for every rounding mode; the scalar
-//! fallback is therefore always a safe drop-in when no SIMD path is
-//! compiled or detected.
+//! Bit-identity is the crate's contract: every kernel's word equals
+//! `ldafp_fixedpoint::mac_dot_counted`'s, and its flag equals "the traced
+//! reference's `exact_sum` lies outside the range". The exhaustive tests
+//! and the proptests in `tests/proptests.rs` enforce both for every
+//! rounding mode; the scalar fallback is therefore always a safe drop-in
+//! when no SIMD path is compiled, detected or exact.
 
 #![cfg_attr(not(feature = "simd"), forbid(unsafe_code))]
 #![deny(unsafe_code)]
@@ -111,22 +112,26 @@ impl std::error::Error for KernelError {}
 /// Convenience alias for results returned by this crate.
 pub type Result<T> = std::result::Result<T, KernelError>;
 
-/// Which kernel implementation to run. All variants are bit-identical;
-/// they differ only in speed.
+/// Which kernel implementation to run. All variants are bit-identical —
+/// served word and overflow flag — and differ only in speed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum KernelKind {
-    /// The row-at-a-time `mac_dot_counted` loop lifted onto raw words.
+    /// One exact sum per (row, head), feature by feature, in `i64` (or
+    /// `i128` where `i64` could overflow).
     /// The ≥2x throughput gate (`crates/bench/tests/kernels_gate.rs`)
     /// times every kind, this one included, against one
     /// `mac_dot_counted` call per row, not against this kind.
     Reference,
-    /// Cache-blocked scalar tiles (8 rows, column-major packed scratch).
-    /// Always available; pure safe code.
+    /// Cache-blocked scalar tiles (8 rows, column-major packed scratch,
+    /// eight exact-sum chains). Always available; pure safe code.
     Blocked,
-    /// The `core::arch` intrinsic tile kernel (AVX2 on x86_64, NEON on
-    /// aarch64). Falls back to [`KernelKind::Blocked`] when the `simd`
-    /// feature is off or the CPU lacks the instructions — silently,
-    /// because the outputs are bit-identical either way.
+    /// The x86_64 AVX2 kernel in 32-bit lanes: row-major for rows of at
+    /// least 8 features, an 8-row column tile for narrower ones. Runs
+    /// [`KernelKind::Blocked`] instead — silently, because the outputs
+    /// are bit-identical — when the `simd` feature is off, the CPU lacks
+    /// AVX2 (aarch64 has no intrinsic path), or 32-bit lanes are not
+    /// exact for the format and row width (word length above 16 bits,
+    /// or `features · 2^(2·wl−2−F) ≥ 2^31`).
     Simd,
 }
 
@@ -177,12 +182,19 @@ impl KernelKind {
 /// thread); reusing it removes the only allocation in the kernel path.
 #[derive(Debug, Default, Clone)]
 pub struct GemmScratch {
+    /// The blocked kernel's column-major tile.
     pack: Vec<i64>,
+    /// The AVX2 kernel's 32-bit weight chunks or column tile.
+    #[cfg(feature = "simd")]
+    lanes: Vec<i32>,
 }
 
-/// Multi-head wrapping-MAC GEMM: `out[r·H + h] = wrap-MAC(w_h, x_r)`,
-/// `wraps[r·H + h]` the per-step accumulator wrap count of that MAC —
-/// exactly [`ldafp_fixedpoint::mac_dot_counted`] per (row, head) pair.
+/// Multi-head wrap-once MAC GEMM: `out[r·H + h]` is the served word of
+/// `w_h · x_r` — the rounded products summed exactly and wrapped once into
+/// the word length, which equals [`ldafp_fixedpoint::mac_dot_counted`]'s
+/// per-step wrapping result — and `wraps[r·H + h]` is 1 when that exact
+/// sum left `[min, max]`, 0 otherwise (the overflow eq. 20 bounds with
+/// confidence ρ; intermediate wraps are harmless and not counted).
 ///
 /// `weights` is row-major `heads × features` raw words on the batch's
 /// grid (model parameters, i.e. `Fx::raw` values — in range by
@@ -218,32 +230,35 @@ pub fn mac_gemm_into(
     wraps.resize(rows * heads, 0);
     let spec = MacSpec::new(batch.format());
     let code = mode_code(mode, batch.format().f());
+    let fits_i64 = spec.sum_fits(features, 64);
     let dst = GemmOut { out, wraps };
     match kernel {
-        KernelKind::Reference => dispatch_reference(&spec, code, batch, weights, heads, dst),
-        KernelKind::Blocked => {
-            dispatch_blocked(&spec, code, batch, weights, heads, dst, &mut scratch.pack)
+        #[cfg(feature = "simd")]
+        KernelKind::Simd if simd::detected() && simd::lanes32_exact(&spec, features) => {
+            simd::gemm_simd(&spec, code, batch, weights, heads, dst, &mut scratch.lanes)
         }
-        KernelKind::Simd => {
-            #[cfg(feature = "simd")]
-            {
-                if simd::detected() {
-                    simd::gemm_simd(
+        KernelKind::Reference => {
+            macro_rules! run {
+                ($m:expr, $s:ty) => {
+                    scalar::gemm_reference::<{ $m }, $s>(&spec, batch, weights, heads, dst)
+                };
+            }
+            scalar::dispatch!(code, fits_i64, run)
+        }
+        KernelKind::Blocked | KernelKind::Simd => {
+            macro_rules! run {
+                ($m:expr, $s:ty) => {
+                    scalar::gemm_blocked::<{ $m }, $s>(
                         &spec,
-                        code,
-                        batch.words(),
-                        rows,
-                        features,
+                        batch,
                         weights,
                         heads,
-                        dst.out,
-                        dst.wraps,
+                        dst,
                         &mut scratch.pack,
-                    );
-                    return Ok(());
-                }
+                    )
+                };
             }
-            dispatch_blocked(&spec, code, batch, weights, heads, dst, &mut scratch.pack)
+            scalar::dispatch!(code, fits_i64, run)
         }
     }
     Ok(())
@@ -266,58 +281,12 @@ pub fn mac_gemv_into(
     mac_gemm_into(kernel, batch, weights, 1, mode, scratch, out, wraps)
 }
 
-fn dispatch_reference(
-    spec: &MacSpec,
-    code: u8,
-    batch: &QBatch<'_>,
-    w: &[i64],
-    heads: usize,
-    dst: GemmOut<'_>,
-) {
-    macro_rules! run {
-        ($m:expr) => {
-            scalar::gemm_reference::<{ $m }>(spec, batch, w, heads, dst)
-        };
-    }
-    match code {
-        scalar::MODE_FLOOR => run!(scalar::MODE_FLOOR),
-        scalar::MODE_CEIL => run!(scalar::MODE_CEIL),
-        scalar::MODE_TOWARD_ZERO => run!(scalar::MODE_TOWARD_ZERO),
-        scalar::MODE_NEAREST_AWAY => run!(scalar::MODE_NEAREST_AWAY),
-        scalar::MODE_NEAREST_EVEN => run!(scalar::MODE_NEAREST_EVEN),
-        _ => run!(scalar::MODE_EXACT),
-    }
-}
-
-fn dispatch_blocked(
-    spec: &MacSpec,
-    code: u8,
-    batch: &QBatch<'_>,
-    w: &[i64],
-    heads: usize,
-    dst: GemmOut<'_>,
-    pack: &mut Vec<i64>,
-) {
-    macro_rules! run {
-        ($m:expr) => {
-            scalar::gemm_blocked::<{ $m }>(spec, batch, w, heads, dst, pack)
-        };
-    }
-    match code {
-        scalar::MODE_FLOOR => run!(scalar::MODE_FLOOR),
-        scalar::MODE_CEIL => run!(scalar::MODE_CEIL),
-        scalar::MODE_TOWARD_ZERO => run!(scalar::MODE_TOWARD_ZERO),
-        scalar::MODE_NEAREST_AWAY => run!(scalar::MODE_NEAREST_AWAY),
-        scalar::MODE_NEAREST_EVEN => run!(scalar::MODE_NEAREST_EVEN),
-        _ => run!(scalar::MODE_EXACT),
-    }
-}
-
-/// Single-row wrapping-MAC dot product over raw words, on the same
-/// monomorphized datapath as the tile kernels. `x` words are wrapped
-/// into range on load; `w` holds in-range grid words. Returns the final
-/// wrapped accumulator and the per-step wrap count — exactly
-/// [`ldafp_fixedpoint::mac_dot_counted`].
+/// Single-row wrap-once MAC dot product over raw words: the scalar twin
+/// of [`mac_gemm_into`]'s contract. `x` words are wrapped into range on
+/// load; `w` holds in-range grid words. Returns the served word (equal to
+/// [`ldafp_fixedpoint::mac_dot_counted`]'s) and a 0/1 flag: 1 when the
+/// exact sum of the rounded products left `[min, max]`. The sum is exact
+/// in `i64`, or in `i128` where `i64` could overflow.
 ///
 /// # Panics
 ///
@@ -327,13 +296,18 @@ pub fn mac_row(format: QFormat, mode: RoundingMode, w: &[i64], x: &[i64]) -> (i6
     assert_eq!(w.len(), x.len(), "mac_row operand lengths differ");
     let spec = MacSpec::new(format);
     let code = mode_code(mode, format.f());
-    scalar::mac_row_pairs(&spec, code, w.iter().copied().zip(x.iter().copied()))
+    scalar::mac_row_pairs(
+        &spec,
+        code,
+        w.len(),
+        w.iter().copied().zip(x.iter().copied()),
+    )
 }
 
 /// [`mac_row`] over `Fx` slices whose formats the caller has already
 /// validated against `format` (the models crate validates per its own
 /// error taxonomy before dispatching here). Zero-allocation: the raws
-/// stream straight into the shared monomorphized step.
+/// stream straight into the same scalar loop.
 ///
 /// # Panics
 ///
@@ -345,43 +319,41 @@ pub fn mac_row_fx(format: QFormat, mode: RoundingMode, w: &[Fx], x: &[Fx]) -> (i
     scalar::mac_row_pairs(
         &spec,
         code,
+        w.len(),
         w.iter().zip(x).map(|(a, b)| (a.raw(), b.raw())),
     )
 }
 
-/// The branchless two's-complement wrap/accumulate primitive shared with
-/// the table-driven families (naive Bayes gathers table words instead of
-/// computing products, but wraps and counts identically).
+/// The branchless two's-complement wrap shared with the table-driven
+/// families: naive Bayes gathers table words instead of computing
+/// products, sums them exactly, and wraps and flags once like the MAC
+/// kernels.
 #[derive(Debug, Clone, Copy)]
 pub struct WrapCtx {
-    mask: i64,
-    half_modulus: i64,
+    spec: MacSpec,
 }
 
 impl WrapCtx {
     /// Wrap context for a format.
     pub fn new(format: QFormat) -> Self {
-        let spec = MacSpec::new(format);
         WrapCtx {
-            mask: spec.mask,
-            half_modulus: spec.half_modulus,
+            spec: MacSpec::new(format),
         }
     }
 
     /// Two's-complement wrap into the word length — identical to
-    /// [`QFormat::wrap_raw`] for any in-kernel magnitude.
+    /// [`QFormat::wrap_raw`] for every `i64`.
     #[inline]
     pub fn wrap(&self, v: i64) -> i64 {
-        ((v & self.mask) ^ self.half_modulus) - self.half_modulus
+        self.spec.wrap(v)
     }
 
-    /// One wrapping accumulator step over in-range words: returns the
-    /// wrapped sum and whether it wrapped.
+    /// The served word of an exact sum — the sum wrapped once — and
+    /// whether the sum overflowed, i.e. lay outside `[min, max]`.
     #[inline]
-    pub fn acc_step(&self, acc: i64, term: i64) -> (i64, bool) {
-        let unbounded = acc + term;
-        let next = self.wrap(unbounded);
-        (next, next != unbounded)
+    pub fn wrap_once(&self, sum: i64) -> (i64, bool) {
+        let word = self.wrap(sum);
+        (word, word != sum)
     }
 }
 
@@ -408,8 +380,17 @@ mod tests {
         (0..n).map(|_| rng.range_i64(lo..=hi)).collect()
     }
 
-    /// Per-(row, head) expected `(value, wraps)` via the element-wise
-    /// traced reference — the slowest, most independent oracle.
+    /// The overflow flag the kernels must return for a traced MAC: 1 when
+    /// the exact rounded-product sum lies outside the word range.
+    fn overflow_flag(format: QFormat, exact_sum: i128) -> u32 {
+        let (lo, hi) = (format.min_raw() as i128, format.max_raw() as i128);
+        u32::from(exact_sum < lo || exact_sum > hi)
+    }
+
+    /// Per-(row, head) expected `(word, flag)` via the element-wise
+    /// traced reference — the slowest, most independent oracle: the word
+    /// is its per-step wrapping result, the flag its exact sum out of
+    /// range.
     fn traced_expectation(
         format: QFormat,
         mode: RoundingMode,
@@ -420,7 +401,7 @@ mod tests {
     ) -> (Vec<i64>, Vec<u32>) {
         let rows = words.len() / features;
         let mut out = Vec::with_capacity(rows * heads);
-        let mut wraps = Vec::with_capacity(rows * heads);
+        let mut flags = Vec::with_capacity(rows * heads);
         for r in 0..rows {
             let x: Vec<Fx> = words[r * features..(r + 1) * features]
                 .iter()
@@ -433,65 +414,107 @@ mod tests {
                     .collect();
                 let (y, trace) = mac_dot_traced(&w, &x, mode).unwrap();
                 out.push(y.raw());
-                wraps.push(trace.intermediate_overflows as u32);
+                flags.push(overflow_flag(format, trace.exact_sum));
             }
         }
-        (out, wraps)
+        (out, flags)
     }
 
     /// Every kernel variant that runs on this build/CPU reproduces the
-    /// traced element-wise reference — final value *and* wrap count — for
-    /// every rounding mode, across formats (fraction-heavy, integer-only,
-    /// wide) and shapes crossing the 8-row tile boundary.
+    /// traced element-wise reference — served word *and* overflow flag —
+    /// for every rounding mode, across formats on both sides of the
+    /// 32-bit-lane bound (`wl ≤ 16` and `M·2^(2·wl−2−F) < 2^31`) and of
+    /// the `i64` exact-sum bound, row widths on both sides of the
+    /// row-major threshold (and not multiples of 8), 1–3 heads, and 0, 1
+    /// and 257 rows. Batch words span up to ±2^40 and are wrapped on
+    /// load; each case scales its words down by a random shift so both
+    /// flag values occur.
     #[test]
     fn all_kernels_match_traced_reference_all_modes() {
         let mut rng = Rng::new(2014);
         let kinds = KernelKind::available();
         assert!(kinds.contains(&KernelKind::Reference));
         assert!(kinds.contains(&KernelKind::Blocked));
-        for (k, f) in [(2u32, 6u32), (3, 0), (1, 12), (16, 15), (4, 1)] {
+        let formats = [
+            (1u32, 5u32), // bci42's Q1.5
+            (2, 6),
+            (3, 0),
+            (1, 12),
+            (4, 1),
+            (8, 8),   // wl = 16: lanes hold any M < 512
+            (12, 4),  // wl = 16: lanes hold M < 32 only
+            (16, 0),  // wl = 16: lanes hold M = 1 only
+            (9, 8),   // wl = 17: never in lanes
+            (16, 15), // wl = 31, i64 sums
+            (30, 1),  // i64 holds M < 16 only
+            (31, 0),  // i64 holds M < 8 only
+        ];
+        let mut seen = [0usize; 2];
+        for (k, f) in formats {
             let format = q(k, f);
-            for &(rows, features, heads) in &[
-                (1usize, 1usize, 1usize),
-                (7, 3, 2),
-                (8, 5, 1),
-                (9, 4, 3),
-                (17, 11, 2),
-            ] {
-                let words = random_words(format, rows * features, &mut rng);
-                let weights = random_words(format, heads * features, &mut rng);
-                let batch = QBatch::from_words(format, features, &words).unwrap();
-                for mode in ALL_MODES {
-                    let (want_out, want_wraps) =
-                        traced_expectation(format, mode, &words, features, &weights, heads);
-                    for &kind in &kinds {
-                        let mut scratch = GemmScratch::default();
-                        let (mut out, mut wraps) = (Vec::new(), Vec::new());
-                        mac_gemm_into(
-                            kind,
-                            &batch,
-                            &weights,
-                            heads,
-                            mode,
-                            &mut scratch,
-                            &mut out,
-                            &mut wraps,
-                        )
-                        .unwrap();
-                        assert_eq!(
-                            (out, wraps),
-                            (want_out.clone(), want_wraps.clone()),
-                            "kernel={} Q{k}.{f} {mode:?} rows={rows} m={features} heads={heads}",
-                            kind.name()
-                        );
+            for (i, features) in [1usize, 3, 7, 8, 9, 42, 50].into_iter().enumerate() {
+                let heads = 1 + i % 3;
+                for rows in [0usize, 1, 257] {
+                    let shift = rng.below(format.word_length() as usize) as u32;
+                    let words: Vec<i64> = (0..rows * features)
+                        .map(|_| {
+                            let v = rng.range_i64(-(1i64 << 40)..=(1i64 << 40));
+                            // Scale an in-range draw down, or keep a wide one.
+                            if rng.below(4) == 0 {
+                                v
+                            } else {
+                                format.from_raw(v).raw() >> shift
+                            }
+                        })
+                        .collect();
+                    let weights = random_words(format, heads * features, &mut rng);
+                    let batch = QBatch::from_words(format, features, &words).unwrap();
+                    for mode in ALL_MODES {
+                        let (want_out, want_flags) =
+                            traced_expectation(format, mode, &words, features, &weights, heads);
+                        for flag in &want_flags {
+                            seen[*flag as usize] += 1;
+                        }
+                        for &kind in &kinds {
+                            let mut scratch = GemmScratch::default();
+                            let (mut out, mut flags) = (Vec::new(), Vec::new());
+                            mac_gemm_into(
+                                kind,
+                                &batch,
+                                &weights,
+                                heads,
+                                mode,
+                                &mut scratch,
+                                &mut out,
+                                &mut flags,
+                            )
+                            .unwrap();
+                            assert_eq!(
+                                (out, flags),
+                                (want_out.clone(), want_flags.clone()),
+                                "kernel={} Q{k}.{f} {mode:?} rows={rows} m={features} \
+                                 heads={heads}",
+                                kind.name()
+                            );
+                        }
+                        for r in 0..rows {
+                            let (word, flag) =
+                                mac_row(format, mode, &weights[..features], batch.row(r));
+                            assert_eq!((word, flag), (want_out[r * heads], want_flags[r * heads]));
+                        }
                     }
                 }
             }
         }
+        assert!(
+            seen[0] > 1000 && seen[1] > 1000,
+            "both flag values occur: {seen:?}"
+        );
     }
 
     /// Exhaustive small-format sweep: every (w, x) pair of a Q2.2 grid
-    /// through every kernel and mode equals `mac_dot_counted`.
+    /// through every kernel and mode serves `mac_dot_counted`'s word, and
+    /// flags exactly the sums the traced reference puts out of range.
     #[test]
     fn exhaustive_small_format_all_pairs() {
         let format = q(2, 2);
@@ -505,10 +528,12 @@ mod tests {
                 let xfx: Vec<Fx> = words.iter().map(|&v| format.from_raw(v)).collect();
                 let batch = QBatch::from_words(format, 3, &words).unwrap();
                 for mode in ALL_MODES {
-                    let (want, want_wraps) = mac_dot_counted(&wfx, &xfx, mode).unwrap();
+                    let (want, _) = mac_dot_counted(&wfx, &xfx, mode).unwrap();
+                    let (_, trace) = mac_dot_traced(&wfx, &xfx, mode).unwrap();
+                    let want = (want.raw(), overflow_flag(format, trace.exact_sum));
                     for &kind in &kinds {
                         let mut scratch = GemmScratch::default();
-                        let (mut out, mut wraps) = (Vec::new(), Vec::new());
+                        let (mut out, mut flags) = (Vec::new(), Vec::new());
                         mac_gemv_into(
                             kind,
                             &batch,
@@ -516,23 +541,58 @@ mod tests {
                             mode,
                             &mut scratch,
                             &mut out,
-                            &mut wraps,
+                            &mut flags,
                         )
                         .unwrap();
-                        assert_eq!(out, [want.raw()], "kernel={} {mode:?}", kind.name());
-                        assert_eq!(
-                            wraps,
-                            [want_wraps as u32],
-                            "kernel={} {mode:?}",
-                            kind.name()
-                        );
+                        assert_eq!((out[0], flags[0]), want, "kernel={} {mode:?}", kind.name());
                     }
-                    let (row_y, row_w) = mac_row(format, mode, &weights, &words);
-                    assert_eq!((row_y, row_w), (want.raw(), want_wraps as u32));
-                    let (fx_y, fx_w) = mac_row_fx(format, mode, &wfx, &xfx);
-                    assert_eq!((fx_y, fx_w), (want.raw(), want_wraps as u32));
+                    assert_eq!(mac_row(format, mode, &weights, &words), want);
+                    assert_eq!(mac_row_fx(format, mode, &wfx, &xfx), want);
                 }
             }
+        }
+    }
+
+    /// An exact sum can need more than 64 bits: in Q31.0 sixteen products
+    /// of two minimum words sum to `16 · 2^60 = 2^64`, which wraps an
+    /// `i64` to 0 — inside the word range — while the true sum is far
+    /// outside it. Every kernel must still flag it.
+    #[test]
+    fn exact_sums_wider_than_i64_are_flagged() {
+        let format = q(31, 0);
+        let min = format.min_raw();
+        for features in [8usize, 16] {
+            let words = vec![min; 3 * features];
+            let weights = vec![min; features];
+            let batch = QBatch::from_words(format, features, &words).unwrap();
+            let want = traced_expectation(
+                format,
+                RoundingMode::NearestEven,
+                &words,
+                features,
+                &weights,
+                1,
+            );
+            assert_eq!(want, (vec![0; 3], vec![1; 3]), "m={features}");
+            for kind in KernelKind::available() {
+                let mut scratch = GemmScratch::default();
+                let (mut out, mut flags) = (Vec::new(), Vec::new());
+                mac_gemv_into(
+                    kind,
+                    &batch,
+                    &weights,
+                    RoundingMode::NearestEven,
+                    &mut scratch,
+                    &mut out,
+                    &mut flags,
+                )
+                .unwrap();
+                assert_eq!((out, flags), want, "kernel={} m={features}", kind.name());
+            }
+            assert_eq!(
+                mac_row(format, RoundingMode::Floor, &weights, batch.row(0)),
+                (0, 1)
+            );
         }
     }
 
@@ -737,9 +797,8 @@ mod tests {
         assert_eq!(buf.rows(), 0);
     }
 
-    /// `WrapCtx::wrap` is `QFormat::wrap_raw` over the kernel-intermediate
-    /// magnitude range, and `acc_step` reports wraps exactly like the
-    /// reference accumulator.
+    /// `WrapCtx::wrap` is `QFormat::wrap_raw` over the whole `i64`
+    /// range, and `wrap_once` flags exactly the sums outside the range.
     #[test]
     fn wrap_ctx_matches_wrap_raw() {
         for (k, f) in [(2u32, 6u32), (3, 0), (1, 12)] {
@@ -749,15 +808,14 @@ mod tests {
             for _ in 0..2_000 {
                 let v = rng.range_i64(-(1i64 << 60)..=(1i64 << 60));
                 assert_eq!(ctx.wrap(v), format.wrap_raw(v as i128), "Q{k}.{f} v={v}");
-            }
-            let (lo, hi) = (format.min_raw(), format.max_raw());
-            for _ in 0..500 {
-                let acc = rng.range_i64(lo..=hi);
-                let term = rng.range_i64(lo..=hi);
-                let (next, wrapped) = ctx.acc_step(acc, term);
-                let unbounded = acc + term;
-                assert_eq!(next, format.wrap_raw(unbounded as i128));
-                assert_eq!(wrapped, next != unbounded);
+                let sum = v >> rng.below(62);
+                assert_eq!(
+                    ctx.wrap_once(sum),
+                    (
+                        format.wrap_raw(sum as i128),
+                        overflow_flag(format, sum as i128) == 1
+                    )
+                );
             }
         }
     }

@@ -1,8 +1,13 @@
-//! The scalar wrapping-MAC kernels: the portable reference and the
-//! cache-blocked, autovectorization-friendly tile kernel.
+//! The scalar wrap-once MAC kernels: the row-at-a-time reference and the
+//! cache-blocked tile kernel.
 //!
-//! Both reproduce `ldafp_fixedpoint::mac_dot_counted` bit for bit — final
-//! accumulator value *and* per-step wrap count — for every rounding mode.
+//! Two's-complement wrapping is arithmetic mod `2^wl`, so the served word
+//! `wrap(Σ wrap(pᵢ))` equals `wrap(Σ pᵢ)` over the rounded products `pᵢ`
+//! (paper §3). Both kernels therefore sum the rounded products exactly —
+//! in `i64`, or in `i128` when the format and row width could overflow
+//! `i64` — and wrap once per (row, head). The overflow flag they return is
+//! 1 exactly when that sum lies outside the word range: the event eq. 20
+//! bounds with confidence ρ, and the only one that can change a decision.
 //! The rounding mode is monomorphized via a `const MODE: u8` parameter so
 //! the per-element increment compiles to straight-line branch-free code
 //! (Fixflow's observation: per-element rounding dispatch, not the MAC
@@ -10,11 +15,38 @@
 
 use crate::QBatch;
 use ldafp_fixedpoint::{QFormat, RoundingMode};
+use std::ops::Add;
 
-/// Rows per tile in the blocked kernels. Eight independent accumulator
-/// chains hide the add latency on scalar cores and map exactly onto two
-/// 4×64-bit AVX2 vectors / four 2×64-bit NEON vectors.
+/// Rows per tile in the blocked kernels: eight independent accumulator
+/// chains hide the add latency on scalar cores and fill one 8×32-bit
+/// AVX2 vector.
 pub(crate) const TILE: usize = 8;
+
+/// Expands `$run!(MODE, S)` for a rounding code and an exact-sum width:
+/// `S = i64` when `$fits_i64`, `i128` otherwise.
+macro_rules! dispatch {
+    ($code:expr, $fits_i64:expr, $run:ident) => {{
+        use $crate::scalar::{
+            MODE_CEIL, MODE_EXACT, MODE_FLOOR, MODE_NEAREST_AWAY, MODE_NEAREST_EVEN,
+            MODE_TOWARD_ZERO,
+        };
+        match ($code, $fits_i64) {
+            (MODE_FLOOR, true) => $run!(MODE_FLOOR, i64),
+            (MODE_FLOOR, false) => $run!(MODE_FLOOR, i128),
+            (MODE_CEIL, true) => $run!(MODE_CEIL, i64),
+            (MODE_CEIL, false) => $run!(MODE_CEIL, i128),
+            (MODE_TOWARD_ZERO, true) => $run!(MODE_TOWARD_ZERO, i64),
+            (MODE_TOWARD_ZERO, false) => $run!(MODE_TOWARD_ZERO, i128),
+            (MODE_NEAREST_AWAY, true) => $run!(MODE_NEAREST_AWAY, i64),
+            (MODE_NEAREST_AWAY, false) => $run!(MODE_NEAREST_AWAY, i128),
+            (MODE_NEAREST_EVEN, true) => $run!(MODE_NEAREST_EVEN, i64),
+            (MODE_NEAREST_EVEN, false) => $run!(MODE_NEAREST_EVEN, i128),
+            (_, true) => $run!(MODE_EXACT, i64),
+            (_, false) => $run!(MODE_EXACT, i128),
+        }
+    }};
+}
+pub(crate) use dispatch;
 
 /// Monomorphization codes for [`RoundingMode`], plus `MODE_EXACT` for
 /// `F = 0` formats where products carry no fractional bits and rounding
@@ -41,12 +73,12 @@ pub(crate) fn mode_code(mode: RoundingMode, f: u32) -> u8 {
     }
 }
 
-/// Precomputed per-format constants for the shift/mask datapath. All the
-/// magnitudes the kernels manipulate fit comfortably in `i64`: word
-/// lengths are ≤ 31 bits, so raws are bounded by `2^30`, products by
-/// `2^60`, and accumulator partial sums by `2^31`.
+/// Precomputed per-format constants for the shift/mask datapath. Word
+/// lengths are ≤ 31 bits, so raws are bounded by `2^30` and every product
+/// and rounded product fits `i64`; only their sum may need `i128`.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct MacSpec {
+    pub(crate) wl: u32,
     pub(crate) f: u32,
     /// `2^wl − 1`: the word-selection mask.
     pub(crate) mask: i64,
@@ -63,6 +95,7 @@ impl MacSpec {
         let wl = format.word_length();
         let f = format.f();
         MacSpec {
+            wl,
             f,
             mask: (1i64 << wl) - 1,
             half_modulus: 1i64 << (wl - 1),
@@ -73,47 +106,75 @@ impl MacSpec {
 
     /// Two's-complement wrap into the word length, branch-free:
     /// `(v mod 2^wl)` sign-extended via the xor/sub trick. Identical to
-    /// `QFormat::wrap_raw` for any `i64` whose magnitude fits (all kernel
-    /// intermediates do).
+    /// `QFormat::wrap_raw` for every `i64`.
     #[inline(always)]
     pub(crate) fn wrap(&self, v: i64) -> i64 {
         ((v & self.mask) ^ self.half_modulus) - self.half_modulus
     }
-}
 
-/// Branch-free rounding increment for a product `wide` with quotient `q`
-/// and remainder `r` (`wide = q·2^F + r`, `0 ≤ r < 2^F`). Mirrors the
-/// `mac_dot_counted` match arm for arm; `MODE` resolves at compile time.
-#[inline(always)]
-fn incr<const MODE: u8>(q: i64, r: i64, wide: i64, half: i64) -> i64 {
-    match MODE {
-        MODE_FLOOR | MODE_EXACT => 0,
-        MODE_CEIL => i64::from(r > 0),
-        MODE_TOWARD_ZERO => i64::from(wide < 0) & i64::from(r > 0),
-        MODE_NEAREST_AWAY => i64::from(r > half) | (i64::from(r == half) & i64::from(wide >= 0)),
-        // `r > half` and `r == half` are mutually exclusive, so `+` is `|`.
-        _ => i64::from(r > half) + (i64::from(r == half) & q & 1),
+    /// Whether the exact sum of `features` rounded products always fits a
+    /// signed `bits`-bit integer. Each rounded product of two in-range
+    /// words has magnitude at most `2^(2·wl−2−F)` (the product of two
+    /// minimum words, which needs no rounding), so the sum — and every
+    /// partial sum in any order — is bounded by `features · 2^(2·wl−2−F)`.
+    pub(crate) fn sum_fits(&self, features: usize, bits: u32) -> bool {
+        let product_bits = 2 * self.wl - 2 - self.f;
+        (features as u128) << product_bits < 1u128 << (bits - 1)
     }
 }
 
-/// One MAC step: round the product `w·x` to `F` bits, wrap it to the word
-/// length, accumulate with wrap, and report whether the accumulator
-/// wrapped. `x` must already be wrapped into range; `w` is in range by
-/// the crate contract (model parameters come off the `Fx` grid).
+/// The product `w·x` rounded to `F` bits, before any wrap: a per-mode
+/// bias added below the binary point, then an arithmetic (flooring)
+/// shift. `x` must already be wrapped into range; `w` is in range by the
+/// crate contract (model parameters come off the `Fx` grid). `MODE`
+/// resolves at compile time; `MODE_EXACT` has `F = 0`, so its shift is
+/// the identity.
 #[inline(always)]
-fn step<const MODE: u8>(spec: &MacSpec, acc: i64, w: i64, x: i64) -> (i64, u32) {
+fn rounded_product<const MODE: u8>(spec: &MacSpec, w: i64, x: i64) -> i64 {
     let wide = w * x;
-    let p_scaled = if MODE == MODE_EXACT {
-        wide
-    } else {
-        let q = wide >> spec.f;
-        let r = wide & spec.frac_mask;
-        q + incr::<MODE>(q, r, wide, spec.half)
+    // `wide >> 63` is −1 for a negative product, 0 otherwise.
+    let bias = match MODE {
+        MODE_FLOOR | MODE_EXACT => 0,
+        MODE_CEIL => spec.frac_mask,
+        MODE_TOWARD_ZERO => (wide >> 63) & spec.frac_mask,
+        // Ties go up for a non-negative product, down for a negative one.
+        MODE_NEAREST_AWAY => spec.half + (wide >> 63),
+        // Ties go up exactly when the floor quotient is odd.
+        _ => spec.half - 1 + ((wide >> spec.f) & 1),
     };
-    let p = spec.wrap(p_scaled);
-    let unbounded = acc + p;
-    let next = spec.wrap(unbounded);
-    (next, u32::from(next != unbounded))
+    (wide + bias) >> spec.f
+}
+
+/// An exact accumulator for rounded products: `i64` when
+/// [`MacSpec::sum_fits`] holds at 64 bits, `i128` otherwise.
+pub(crate) trait ExactSum:
+    Copy + Default + Add<Output = Self> + From<i64> + PartialEq
+{
+    /// The low 64 bits: all the final wrap reads (word lengths ≤ 31).
+    fn low64(self) -> i64;
+}
+
+impl ExactSum for i64 {
+    #[inline(always)]
+    fn low64(self) -> i64 {
+        self
+    }
+}
+
+impl ExactSum for i128 {
+    #[inline(always)]
+    fn low64(self) -> i64 {
+        self as i64
+    }
+}
+
+/// The served word and overflow flag of an exact sum: the sum wrapped
+/// once into the word length, and 1 when wrapping moved it (the sum lay
+/// outside `[min, max]`).
+#[inline(always)]
+fn finish<S: ExactSum>(spec: &MacSpec, sum: S) -> (i64, u32) {
+    let word = spec.wrap(sum.low64());
+    (word, u32::from(S::from(word) != sum))
 }
 
 /// Where a GEMM writes: `out[r·H + h]` and `wraps[r·H + h]` for row `r`
@@ -123,12 +184,24 @@ pub(crate) struct GemmOut<'a> {
     pub(crate) wraps: &'a mut [u32],
 }
 
-/// Row-at-a-time reference: the exact `mac_dot_counted` loop lifted onto
-/// raw words, and the remainder path nothing here actually needs
-/// (tiles zero-pad instead). The ≥2x throughput gate
-/// (`crates/bench/tests/kernels_gate.rs`) measures every kernel, this one
-/// included, against `mac_dot_counted` itself, not against this loop.
-pub(crate) fn gemm_reference<const MODE: u8>(
+/// One dot product over `(w, x)` pairs: the scalar twin of every kernel,
+/// and the loop the reference kernel runs per (row, head). `x` words are
+/// wrapped on load.
+#[inline(always)]
+fn dot<const MODE: u8, S: ExactSum, I>(spec: &MacSpec, pairs: I) -> (i64, u32)
+where
+    I: Iterator<Item = (i64, i64)>,
+{
+    let mut sum = S::default();
+    for (w, x) in pairs {
+        sum = sum + S::from(rounded_product::<MODE>(spec, w, spec.wrap(x)));
+    }
+    finish(spec, sum)
+}
+
+/// Row-at-a-time reference: one exact [`dot`] per (row, head), in feature
+/// order.
+pub(crate) fn gemm_reference<const MODE: u8, S: ExactSum>(
     spec: &MacSpec,
     batch: &QBatch<'_>,
     w: &[i64],
@@ -140,15 +213,10 @@ pub(crate) fn gemm_reference<const MODE: u8>(
         let row = batch.row(r);
         for h in 0..heads {
             let wrow = &w[h * features..(h + 1) * features];
-            let mut acc = 0i64;
-            let mut nwraps = 0u32;
-            for (&wj, &xj) in wrow.iter().zip(row) {
-                let (next, wrapped) = step::<MODE>(spec, acc, wj, spec.wrap(xj));
-                acc = next;
-                nwraps += wrapped;
-            }
-            dst.out[r * heads + h] = acc;
-            dst.wraps[r * heads + h] = nwraps;
+            let (word, flag) =
+                dot::<MODE, S, _>(spec, wrow.iter().copied().zip(row.iter().copied()));
+            dst.out[r * heads + h] = word;
+            dst.wraps[r * heads + h] = flag;
         }
     }
 }
@@ -157,8 +225,8 @@ pub(crate) fn gemm_reference<const MODE: u8>(
 /// (`pack[j·TILE + lane]`), wrapping each word into range on load —
 /// identity for grid words, the hardware register wrap for raw wire
 /// words. Missing lanes are zero-padded: a zero word yields an exactly
-/// zero product under every rounding mode, never moves the accumulator
-/// and never wraps, so padded lanes are inert and simply not stored.
+/// zero product under every rounding mode, so padded lanes are inert and
+/// simply not stored.
 fn pack_tile(spec: &MacSpec, x: &[i64], features: usize, r0: usize, nr: usize, pack: &mut [i64]) {
     for (j, col) in pack.chunks_exact_mut(TILE).enumerate() {
         for (lane, slot) in col.iter_mut().enumerate() {
@@ -173,10 +241,10 @@ fn pack_tile(spec: &MacSpec, x: &[i64], features: usize, r0: usize, nr: usize, p
 
 /// The cache-blocked scalar kernel: tiles of [`TILE`] rows are packed
 /// column-major into an L1-resident scratch, then each head streams its
-/// weight row once across the tile with eight independent
-/// accumulator/wrap-counter chains. Bit-identical to
-/// [`gemm_reference`]; the tests and proptests pin it.
-pub(crate) fn gemm_blocked<const MODE: u8>(
+/// weight row once across the tile with eight independent exact-sum
+/// chains. Bit-identical to [`gemm_reference`]; the tests and proptests
+/// pin both to the traced reference.
+pub(crate) fn gemm_blocked<const MODE: u8, S: ExactSum>(
     spec: &MacSpec,
     batch: &QBatch<'_>,
     w: &[i64],
@@ -193,51 +261,33 @@ pub(crate) fn gemm_blocked<const MODE: u8>(
         pack_tile(spec, x, features, r0, nr, pack);
         for h in 0..heads {
             let wrow = &w[h * features..(h + 1) * features];
-            let mut acc = [0i64; TILE];
-            let mut wr = [0u32; TILE];
+            let mut acc = [S::default(); TILE];
             for (&wj, col) in wrow.iter().zip(pack.chunks_exact(TILE)) {
                 for lane in 0..TILE {
-                    let (next, wrapped) = step::<MODE>(spec, acc[lane], wj, col[lane]);
-                    acc[lane] = next;
-                    wr[lane] += wrapped;
+                    acc[lane] = acc[lane] + S::from(rounded_product::<MODE>(spec, wj, col[lane]));
                 }
             }
-            for lane in 0..nr {
-                dst.out[(r0 + lane) * heads + h] = acc[lane];
-                dst.wraps[(r0 + lane) * heads + h] = wr[lane];
+            for (lane, &sum) in acc[..nr].iter().enumerate() {
+                let (word, flag) = finish(spec, sum);
+                dst.out[(r0 + lane) * heads + h] = word;
+                dst.wraps[(r0 + lane) * heads + h] = flag;
             }
         }
         r0 += nr;
     }
 }
 
-/// Single-row dot product on the monomorphized datapath over pairs of
-/// raw words: the shared scalar routine `ldafp-models` and other
-/// row-at-a-time callers run so that every tier — row or batch, scalar
-/// or SIMD — executes the same rounding/wrap code. `x` words are
-/// wrapped on load.
-pub(crate) fn mac_row_pairs<I>(spec: &MacSpec, code: u8, pairs: I) -> (i64, u32)
+/// [`dot`] dispatched on the rounding code and on the sum width that
+/// `features` pairs need: the shared scalar routine `ldafp-models` and
+/// other row-at-a-time callers run.
+pub(crate) fn mac_row_pairs<I>(spec: &MacSpec, code: u8, features: usize, pairs: I) -> (i64, u32)
 where
     I: Iterator<Item = (i64, i64)>,
 {
     macro_rules! run {
-        ($m:expr, $it:expr) => {{
-            let mut acc = 0i64;
-            let mut nwraps = 0u32;
-            for (wj, xj) in $it {
-                let (next, wrapped) = step::<{ $m }>(spec, acc, wj, spec.wrap(xj));
-                acc = next;
-                nwraps += wrapped;
-            }
-            (acc, nwraps)
-        }};
+        ($m:expr, $s:ty) => {
+            dot::<{ $m }, $s, _>(spec, pairs)
+        };
     }
-    match code {
-        MODE_FLOOR => run!(MODE_FLOOR, pairs),
-        MODE_CEIL => run!(MODE_CEIL, pairs),
-        MODE_TOWARD_ZERO => run!(MODE_TOWARD_ZERO, pairs),
-        MODE_NEAREST_AWAY => run!(MODE_NEAREST_AWAY, pairs),
-        MODE_NEAREST_EVEN => run!(MODE_NEAREST_EVEN, pairs),
-        _ => run!(MODE_EXACT, pairs),
-    }
+    dispatch!(code, spec.sum_fits(features, 64), run)
 }

@@ -1,23 +1,28 @@
 //! `core::arch` intrinsic kernels behind runtime feature detection.
 //!
-//! The SIMD tile kernels mirror [`crate::scalar::gemm_blocked`] lane for
-//! lane: the same column-major packed tile, the same branch-free
-//! rounding increments (compare masks and a `set1(1)` AND replace the
-//! scalar booleans), the same xor/sub two's-complement wrap, the same
-//! per-lane wrap counters. Bit-identity with the scalar kernels — value
-//! and wrap counts — is pinned by the crate's exhaustive tests and
-//! proptests, so the scalar fallback is always a safe drop-in.
+//! The AVX2 kernels compute the same wrap-once contract as the scalar
+//! kernels — rounded products summed exactly, wrapped once per (row,
+//! head), a 0/1 overflow flag — in eight 32-bit lanes. The lanes are
+//! exact only when [`lanes32_exact`] holds (every product and every
+//! partial sum fits `i32`); `mac_gemm_into` runs the blocked scalar
+//! kernel for any other format. Because the sum no longer depends on
+//! order, rows of at least [`TILE`] features are read row-major straight
+//! from the batch words, eight features per step with no packing; only
+//! narrower rows are packed into an 8-row column tile. Bit-identity with
+//! the scalar kernels — word and flag — is pinned by the crate's
+//! exhaustive tests and proptests.
 //!
-//! Word lengths ≤ 31 are what make the x86 path work at all: AVX2 has no
-//! 64×64 multiply, but every wrapped word fits `i32`, so
-//! `_mm256_mul_epi32` (signed 32×32→64 on the low dwords) produces the
-//! exact `i64` product. The missing 64-bit arithmetic right shift is
-//! emulated with a logical shift plus a sign-selected high-bit mask.
+//! Raw words wrap on load by their low bits, exactly as
+//! `QFormat::from_raw` does: the low `wl` bits of each `i64` word are
+//! shifted to the top of a 16-bit half-lane, and `vpmaddwd` multiplies
+//! that half exactly (see `Lanes`), so no copy of the words is made.
+//!
+//! Only x86_64 has an intrinsic path. On aarch64 the `Simd` kind runs the
+//! blocked kernel until a wrap-once NEON port can be checked on an
+//! aarch64 host.
 
-use crate::scalar::{
-    MacSpec, MODE_CEIL, MODE_EXACT, MODE_FLOOR, MODE_NEAREST_AWAY, MODE_NEAREST_EVEN,
-    MODE_TOWARD_ZERO, TILE,
-};
+use crate::scalar::{GemmOut, MacSpec, TILE};
+use crate::QBatch;
 
 /// Whether a SIMD kernel is compiled in *and* supported by this CPU.
 pub(crate) fn detected() -> bool {
@@ -25,331 +30,332 @@ pub(crate) fn detected() -> bool {
     {
         std::arch::is_x86_feature_detected!("avx2")
     }
-    #[cfg(target_arch = "aarch64")]
-    {
-        std::arch::is_aarch64_feature_detected!("neon")
-    }
-    #[cfg(not(any(target_arch = "x86_64", target_arch = "aarch64")))]
+    #[cfg(not(target_arch = "x86_64"))]
     {
         false
     }
 }
 
-/// Dispatches to the detected intrinsic kernel. Callers guarantee
-/// [`detected`] returned `true`; shapes are validated by the safe entry
-/// points in `lib.rs`.
-#[allow(clippy::too_many_arguments)]
+/// Whether 32-bit lanes compute `features`-wide rows exactly: raws fit
+/// 16 bits, so every product of two words fits `i32`, and the bound on
+/// the exact sum does too. Holds for every Table 1–2 format.
+pub(crate) fn lanes32_exact(spec: &MacSpec, features: usize) -> bool {
+    spec.wl <= 16 && spec.sum_fits(features, 32)
+}
+
+/// Runs the detected intrinsic kernel. Callers guarantee [`detected`]
+/// and [`lanes32_exact`] returned `true`; shapes are validated by
+/// `mac_gemm_into`.
 pub(crate) fn gemm_simd(
     spec: &MacSpec,
     code: u8,
-    x: &[i64],
-    rows: usize,
-    features: usize,
+    batch: &QBatch<'_>,
     w: &[i64],
     heads: usize,
-    out: &mut [i64],
-    wraps: &mut [u32],
-    pack: &mut Vec<i64>,
+    dst: GemmOut<'_>,
+    lanes: &mut Vec<i32>,
 ) {
-    macro_rules! dispatch {
-        ($m:ident :: $f:ident) => {{
-            // SAFETY: `detected()` was checked by the caller, and the
-            // shape invariants (x = rows×features, w = heads×features,
-            // out/wraps = rows×heads) are enforced by `mac_gemm_into`.
-            match code {
-                MODE_FLOOR => unsafe {
-                    $m::$f::<MODE_FLOOR>(spec, x, rows, features, w, heads, out, wraps, pack)
-                },
-                MODE_CEIL => unsafe {
-                    $m::$f::<MODE_CEIL>(spec, x, rows, features, w, heads, out, wraps, pack)
-                },
-                MODE_TOWARD_ZERO => unsafe {
-                    $m::$f::<MODE_TOWARD_ZERO>(spec, x, rows, features, w, heads, out, wraps, pack)
-                },
-                MODE_NEAREST_AWAY => unsafe {
-                    $m::$f::<MODE_NEAREST_AWAY>(spec, x, rows, features, w, heads, out, wraps, pack)
-                },
-                MODE_NEAREST_EVEN => unsafe {
-                    $m::$f::<MODE_NEAREST_EVEN>(spec, x, rows, features, w, heads, out, wraps, pack)
-                },
-                _ => unsafe {
-                    $m::$f::<MODE_EXACT>(spec, x, rows, features, w, heads, out, wraps, pack)
-                },
-            }
-        }};
-    }
     #[cfg(target_arch = "x86_64")]
-    dispatch!(x86::gemm_avx2);
-    #[cfg(target_arch = "aarch64")]
-    dispatch!(aarch64::gemm_neon);
-    #[cfg(not(any(target_arch = "x86_64", target_arch = "aarch64")))]
     {
-        let _ = (spec, code, x, rows, features, w, heads, out, wraps, pack);
-        unreachable!("gemm_simd called without a compiled intrinsic path");
-    }
-}
-
-/// Packs a tile exactly like the scalar kernel (wrap on load, zero-pad
-/// missing lanes); the vector loads then read the columns contiguously.
-fn pack_tile(spec: &MacSpec, x: &[i64], features: usize, r0: usize, nr: usize, pack: &mut [i64]) {
-    for (j, col) in pack.chunks_exact_mut(TILE).enumerate() {
-        for (lane, slot) in col.iter_mut().enumerate() {
-            *slot = if lane < nr {
-                spec.wrap(x[(r0 + lane) * features + j])
-            } else {
-                0
+        // The lanes are 32-bit, so `run!` ignores the scalar sum width.
+        macro_rules! run {
+            ($m:expr, $s:ty) => {
+                // SAFETY: the caller checked `detected()` (AVX2) and
+                // `lanes32_exact`, and `mac_gemm_into` enforces the shape
+                // invariants (words = rows×features, w = heads×features,
+                // out/wraps = rows×heads).
+                unsafe { x86::gemm_avx2::<{ $m }>(spec, batch, w, heads, dst, lanes) }
             };
         }
+        crate::scalar::dispatch!(code, true, run)
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        let _ = (spec, code, batch, w, heads, dst, lanes);
+        unreachable!("gemm_simd called without a compiled intrinsic path");
     }
 }
 
 #[cfg(target_arch = "x86_64")]
 mod x86 {
-    use super::{
-        pack_tile, MacSpec, MODE_CEIL, MODE_EXACT, MODE_NEAREST_AWAY, MODE_NEAREST_EVEN,
-        MODE_TOWARD_ZERO, TILE,
-    };
+    use super::{GemmOut, MacSpec, QBatch, TILE};
+    use crate::scalar::{MODE_CEIL, MODE_EXACT, MODE_FLOOR, MODE_NEAREST_AWAY, MODE_TOWARD_ZERO};
     use core::arch::x86_64::*;
 
-    /// AVX2 tile kernel: two 4-lane `i64` vectors per 8-row tile.
+    /// Per-format vector constants.
+    ///
+    /// Products run on `vpmaddwd`, which multiplies the signed low 16-bit
+    /// halves of two lanes exactly into 32 bits and adds the product of
+    /// the high halves. Weights carry 0 in their high half, so whatever an
+    /// input lane holds there drops out. An input enters as its low `wl`
+    /// bits shifted to the top of the 16-bit half — one shift wraps it,
+    /// scaled by `2^s` with `s = 16 − wl` — so every product is scaled by
+    /// `2^s` too, and rounding shifts by `F + s` instead of `F`. Scaling by
+    /// a power of two changes neither the floor quotient nor how a
+    /// remainder compares with the half, so the rounded products are the
+    /// scalar kernel's exactly.
+    #[derive(Clone, Copy)]
+    struct Lanes {
+        /// `s = 16 − wl`: the wrap-on-load shift.
+        load_shift: __m128i,
+        /// `32 − wl`: the final wrap's shift pair.
+        word_shift: __m128i,
+        /// `F + s`: the rounding shift.
+        round_shift: __m128i,
+        /// `2^(F+s) − 1`.
+        frac: __m256i,
+        /// `2^(F+s−1)`.
+        half: __m256i,
+        /// `2^(F+s−1) − 1`.
+        half_minus_one: __m256i,
+        one: __m256i,
+    }
+
+    impl Lanes {
+        #[target_feature(enable = "avx2")]
+        #[inline]
+        unsafe fn new(spec: &MacSpec) -> Lanes {
+            let s = 16 - spec.wl as i32;
+            let shift = spec.f as i32 + s;
+            // Every mode but `Floor`/`EXACT` has `F ≥ 1`, so `shift ≥ 1`
+            // wherever `half` is read.
+            let half = (1i32 << shift) >> 1;
+            Lanes {
+                load_shift: _mm_cvtsi32_si128(s),
+                word_shift: _mm_cvtsi32_si128(32 - spec.wl as i32),
+                round_shift: _mm_cvtsi32_si128(shift),
+                frac: _mm256_set1_epi32((1i32 << shift) - 1),
+                half: _mm256_set1_epi32(half),
+                half_minus_one: _mm256_set1_epi32(half - 1),
+                one: _mm256_set1_epi32(1),
+            }
+        }
+    }
+
+    /// A weight lane for `vpmaddwd`: the word in the low 16-bit half, 0
+    /// in the high half.
+    fn weight_lane(w: i64) -> i32 {
+        (w as i32) & 0xFFFF
+    }
+
+    /// The input lanes' low `wl` bits, wrapped and scaled by `2^s` in the
+    /// low 16-bit halves (see [`Lanes`]).
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    unsafe fn load_wrap(v: __m256i, c: &Lanes) -> __m256i {
+        _mm256_sll_epi16(v, c.load_shift)
+    }
+
+    /// Two's-complement wrap of each lane's low `wl` bits.
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    unsafe fn wrap(v: __m256i, c: &Lanes) -> __m256i {
+        _mm256_sra_epi32(_mm256_sll_epi32(v, c.word_shift), c.word_shift)
+    }
+
+    /// The eight products `w·x` rounded to `F` bits: the scalar kernel's
+    /// bias-then-floor-shift, lane for lane, on products scaled by `2^s`.
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    unsafe fn rounded_products<const MODE: u8>(w: __m256i, x: __m256i, c: &Lanes) -> __m256i {
+        let wide = _mm256_madd_epi16(w, x);
+        // `srai 31` is −1 in a lane with a negative product, 0 otherwise.
+        let bias = match MODE {
+            // `EXACT` has `F = 0`: the shift only removes the `2^s` scale.
+            MODE_FLOOR | MODE_EXACT => return _mm256_sra_epi32(wide, c.round_shift),
+            MODE_CEIL => c.frac,
+            MODE_TOWARD_ZERO => _mm256_and_si256(_mm256_srai_epi32(wide, 31), c.frac),
+            MODE_NEAREST_AWAY => _mm256_add_epi32(c.half, _mm256_srai_epi32(wide, 31)),
+            // MODE_NEAREST_EVEN
+            _ => _mm256_add_epi32(
+                c.half_minus_one,
+                _mm256_and_si256(_mm256_sra_epi32(wide, c.round_shift), c.one),
+            ),
+        };
+        _mm256_sra_epi32(_mm256_add_epi32(wide, bias), c.round_shift)
+    }
+
+    /// The low 32 bits of eight consecutive `i64` words at `p`, in the
+    /// lane order `[0, 1, 4, 5, 2, 3, 6, 7]` — one in-lane shuffle, no
+    /// cross-lane permute. The weight chunks are stored in the same
+    /// order, and a sum does not depend on it.
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    unsafe fn load8_low32(p: *const i64) -> __m256i {
+        let a = _mm256_castsi256_ps(_mm256_loadu_si256(p.cast()));
+        let b = _mm256_castsi256_ps(_mm256_loadu_si256(p.add(4).cast()));
+        _mm256_castps_si256(_mm256_shuffle_ps::<0b10_00_10_00>(a, b))
+    }
+
+    /// Source feature of each lane of a [`load8_low32`] chunk.
+    const CHUNK_ORDER: [usize; TILE] = [0, 1, 4, 5, 2, 3, 6, 7];
+
+    /// Lane `i` of the result is the sum of the eight lanes of `acc[i]`.
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    unsafe fn reduce8(acc: &[__m256i; TILE]) -> __m256i {
+        // Per 128-bit half, `hadd` sums adjacent pairs of its two inputs.
+        let s01 = _mm256_hadd_epi32(acc[0], acc[1]);
+        let s23 = _mm256_hadd_epi32(acc[2], acc[3]);
+        let s45 = _mm256_hadd_epi32(acc[4], acc[5]);
+        let s67 = _mm256_hadd_epi32(acc[6], acc[7]);
+        // Rows 0–3 (then 4–7): sums of lanes 0–3 low, of lanes 4–7 high.
+        let t0 = _mm256_hadd_epi32(s01, s23);
+        let t1 = _mm256_hadd_epi32(s45, s67);
+        _mm256_add_epi32(
+            _mm256_permute2x128_si256::<0x20>(t0, t1),
+            _mm256_permute2x128_si256::<0x31>(t0, t1),
+        )
+    }
+
+    /// Wraps the exact sums of rows `r0..r0 + nr` (one per lane) once and
+    /// stores their words and overflow flags for head `h`.
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    unsafe fn store_tile(
+        sums: __m256i,
+        c: &Lanes,
+        (r0, nr): (usize, usize),
+        (h, heads): (usize, usize),
+        dst: &mut GemmOut<'_>,
+    ) {
+        let word = wrap(sums, c);
+        // −1 where the word equals the sum, so +1 leaves the flag.
+        let flag = _mm256_add_epi32(_mm256_cmpeq_epi32(word, sums), c.one);
+        let lo = _mm256_cvtepi32_epi64(_mm256_castsi256_si128(word));
+        let hi = _mm256_cvtepi32_epi64(_mm256_extracti128_si256::<1>(word));
+        if heads == 1 && nr == TILE {
+            let out = dst.out[r0..r0 + TILE].as_mut_ptr();
+            _mm256_storeu_si256(out.cast(), lo);
+            _mm256_storeu_si256(out.add(4).cast(), hi);
+            _mm256_storeu_si256(dst.wraps[r0..r0 + TILE].as_mut_ptr().cast(), flag);
+            return;
+        }
+        let mut words = [0i64; TILE];
+        let mut flags = [0u32; TILE];
+        _mm256_storeu_si256(words.as_mut_ptr().cast(), lo);
+        _mm256_storeu_si256(words.as_mut_ptr().add(4).cast(), hi);
+        _mm256_storeu_si256(flags.as_mut_ptr().cast(), flag);
+        for lane in 0..nr {
+            dst.out[(r0 + lane) * heads + h] = words[lane];
+            dst.wraps[(r0 + lane) * heads + h] = flags[lane];
+        }
+    }
+
+    /// AVX2 wrap-once kernel over tiles of eight rows: row-major for rows
+    /// of at least [`TILE`] features, column-major for narrower ones.
     ///
     /// # Safety
     ///
-    /// Requires AVX2 (callers check `is_x86_feature_detected!`) and the
-    /// shape invariants documented on `gemm_simd`.
+    /// Requires AVX2, `lanes32_exact(spec, features)`, and the shape
+    /// invariants documented on `gemm_simd`.
     #[target_feature(enable = "avx2")]
-    #[allow(clippy::too_many_arguments)]
     pub(super) unsafe fn gemm_avx2<const MODE: u8>(
         spec: &MacSpec,
-        x: &[i64],
-        rows: usize,
-        features: usize,
+        batch: &QBatch<'_>,
         w: &[i64],
         heads: usize,
-        out: &mut [i64],
-        wraps: &mut [u32],
-        pack: &mut Vec<i64>,
+        dst: GemmOut<'_>,
+        lanes: &mut Vec<i32>,
     ) {
-        pack.clear();
-        pack.resize(features * TILE, 0);
-        let zero = _mm256_setzero_si256();
-        let ones = _mm256_set1_epi64x(-1);
-        let one = _mm256_set1_epi64x(1);
-        let minus_one = ones;
-        let maskv = _mm256_set1_epi64x(spec.mask);
-        let halfmodv = _mm256_set1_epi64x(spec.half_modulus);
-        let fracv = _mm256_set1_epi64x(spec.frac_mask);
-        let halfv = _mm256_set1_epi64x(spec.half);
-        // Logical-shift count and the sign-fill mask for the emulated
-        // 64-bit arithmetic right shift (f ≥ 1 whenever MODE ≠ EXACT).
-        let fshift = _mm_cvtsi32_si128(spec.f as i32);
-        let himask = if MODE == MODE_EXACT {
-            zero
+        let c = Lanes::new(spec);
+        if batch.features() >= TILE {
+            rows_major::<MODE>(&c, batch, w, heads, dst, lanes);
         } else {
-            _mm256_set1_epi64x(-1i64 << (64 - spec.f as i64))
-        };
-
-        // v mod 2^wl, sign-extended: (v & mask) ^ 2^(wl-1) − 2^(wl-1).
-        #[inline(always)]
-        unsafe fn wrapv(v: __m256i, maskv: __m256i, halfmodv: __m256i) -> __m256i {
-            _mm256_sub_epi64(
-                _mm256_xor_si256(_mm256_and_si256(v, maskv), halfmodv),
-                halfmodv,
-            )
+            column_tiles::<MODE>(&c, batch, w, heads, dst, lanes);
         }
+    }
 
-        let mut r0 = 0usize;
+    /// Rows of `M ≥ 8` features, eight features per step read straight
+    /// from the batch words into one accumulator per row, then reduced
+    /// across lanes eight rows at a time. `⌊M/8⌋` chunks start at
+    /// multiples of 8; when `M` is not a multiple of 8, one more chunk
+    /// covers the last eight features, with the weights of the features
+    /// an earlier chunk already covered set to zero, so no step reads past
+    /// a row.
+    #[target_feature(enable = "avx2")]
+    unsafe fn rows_major<const MODE: u8>(
+        c: &Lanes,
+        batch: &QBatch<'_>,
+        w: &[i64],
+        heads: usize,
+        mut dst: GemmOut<'_>,
+        lanes: &mut Vec<i32>,
+    ) {
+        let (x, rows, features) = (batch.words(), batch.rows(), batch.features());
+        let full = features / TILE;
+        let chunks = features.div_ceil(TILE);
+        let offset = |k: usize| if k < full { k * TILE } else { features - TILE };
+        lanes.clear();
+        for wrow in w.chunks_exact(features) {
+            for k in 0..chunks {
+                lanes.extend(CHUNK_ORDER.iter().map(|&lane| {
+                    let j = offset(k) + lane;
+                    if k >= full && j < full * TILE {
+                        0
+                    } else {
+                        weight_lane(wrow[j])
+                    }
+                }));
+            }
+        }
+        let mut r0 = 0;
         while r0 < rows {
             let nr = TILE.min(rows - r0);
-            pack_tile(spec, x, features, r0, nr, pack);
             for h in 0..heads {
-                let wrow = &w[h * features..(h + 1) * features];
-                let mut acc = [zero; 2];
-                let mut wr = [zero; 2];
-                for (&wj, col) in wrow.iter().zip(pack.chunks_exact(TILE)) {
-                    let wv = _mm256_set1_epi64x(wj);
-                    for half_tile in 0..2 {
-                        let xv = _mm256_loadu_si256(col.as_ptr().add(half_tile * 4).cast());
-                        // Exact i64 product: both operands fit i32.
-                        let wide = _mm256_mul_epi32(wv, xv);
-                        let p_scaled = if MODE == MODE_EXACT {
-                            wide
-                        } else {
-                            let neg = _mm256_cmpgt_epi64(zero, wide);
-                            let q = _mm256_or_si256(
-                                _mm256_srl_epi64(wide, fshift),
-                                _mm256_and_si256(neg, himask),
-                            );
-                            let r = _mm256_and_si256(wide, fracv);
-                            let incr = match MODE {
-                                MODE_CEIL => _mm256_and_si256(_mm256_cmpgt_epi64(r, zero), one),
-                                MODE_TOWARD_ZERO => _mm256_and_si256(
-                                    _mm256_and_si256(neg, _mm256_cmpgt_epi64(r, zero)),
-                                    one,
-                                ),
-                                MODE_NEAREST_AWAY => _mm256_and_si256(
-                                    _mm256_or_si256(
-                                        _mm256_cmpgt_epi64(r, halfv),
-                                        _mm256_and_si256(
-                                            _mm256_cmpeq_epi64(r, halfv),
-                                            _mm256_cmpgt_epi64(wide, minus_one),
-                                        ),
-                                    ),
-                                    one,
-                                ),
-                                MODE_NEAREST_EVEN => _mm256_add_epi64(
-                                    _mm256_and_si256(_mm256_cmpgt_epi64(r, halfv), one),
-                                    _mm256_and_si256(
-                                        _mm256_and_si256(_mm256_cmpeq_epi64(r, halfv), q),
-                                        one,
-                                    ),
-                                ),
-                                // MODE_FLOOR
-                                _ => zero,
-                            };
-                            _mm256_add_epi64(q, incr)
-                        };
-                        let p = wrapv(p_scaled, maskv, halfmodv);
-                        let unbounded = _mm256_add_epi64(acc[half_tile], p);
-                        let next = wrapv(unbounded, maskv, halfmodv);
-                        let eq = _mm256_cmpeq_epi64(next, unbounded);
-                        // +1 per lane where next ≠ unbounded: subtract the
-                        // inverted (−1-where-wrapped) mask.
-                        wr[half_tile] = _mm256_sub_epi64(wr[half_tile], _mm256_xor_si256(eq, ones));
-                        acc[half_tile] = next;
+                let wh = lanes[h * chunks * TILE..(h + 1) * chunks * TILE].as_ptr();
+                let mut acc = [_mm256_setzero_si256(); TILE];
+                for (i, acc) in acc[..nr].iter_mut().enumerate() {
+                    let row = x[(r0 + i) * features..(r0 + i + 1) * features].as_ptr();
+                    for k in 0..chunks {
+                        let xv = load_wrap(load8_low32(row.add(offset(k))), c);
+                        let wv = _mm256_loadu_si256(wh.add(k * TILE).cast());
+                        *acc = _mm256_add_epi32(*acc, rounded_products::<MODE>(wv, xv, c));
                     }
                 }
-                let mut acc_lanes = [0i64; TILE];
-                let mut wrap_lanes = [0i64; TILE];
-                _mm256_storeu_si256(acc_lanes.as_mut_ptr().cast(), acc[0]);
-                _mm256_storeu_si256(acc_lanes.as_mut_ptr().add(4).cast(), acc[1]);
-                _mm256_storeu_si256(wrap_lanes.as_mut_ptr().cast(), wr[0]);
-                _mm256_storeu_si256(wrap_lanes.as_mut_ptr().add(4).cast(), wr[1]);
-                for lane in 0..nr {
-                    out[(r0 + lane) * heads + h] = acc_lanes[lane];
-                    wraps[(r0 + lane) * heads + h] = wrap_lanes[lane] as u32;
-                }
+                store_tile(reduce8(&acc), c, (r0, nr), (h, heads), &mut dst);
             }
             r0 += nr;
         }
     }
-}
 
-#[cfg(target_arch = "aarch64")]
-mod aarch64 {
-    use super::{
-        pack_tile, MacSpec, MODE_CEIL, MODE_EXACT, MODE_NEAREST_AWAY, MODE_NEAREST_EVEN,
-        MODE_TOWARD_ZERO, TILE,
-    };
-    use core::arch::aarch64::*;
-
-    /// NEON tile kernel: four 2-lane `i64` vectors per 8-row tile. NEON
-    /// has a true 64-bit arithmetic right shift (`SSHL` with a negative
-    /// count), so no sign-fill emulation is needed.
-    ///
-    /// # Safety
-    ///
-    /// Requires NEON (callers check `is_aarch64_feature_detected!`) and
-    /// the shape invariants documented on `gemm_simd`.
-    #[target_feature(enable = "neon")]
-    #[allow(clippy::too_many_arguments)]
-    pub(super) unsafe fn gemm_neon<const MODE: u8>(
-        spec: &MacSpec,
-        x: &[i64],
-        rows: usize,
-        features: usize,
+    /// Rows of fewer than eight features: tiles of eight rows packed
+    /// column-major (`lanes[j·8 + row]`: each word's low `wl` bits at the
+    /// top of the low 16-bit half, as [`load_wrap`] leaves them; missing
+    /// rows zero), one lane per row, so each lane sums one row.
+    #[target_feature(enable = "avx2")]
+    unsafe fn column_tiles<const MODE: u8>(
+        c: &Lanes,
+        batch: &QBatch<'_>,
         w: &[i64],
         heads: usize,
-        out: &mut [i64],
-        wraps: &mut [u32],
-        pack: &mut Vec<i64>,
+        mut dst: GemmOut<'_>,
+        lanes: &mut Vec<i32>,
     ) {
-        pack.clear();
-        pack.resize(features * TILE, 0);
-        let zero = vdupq_n_s64(0);
-        let ones = vdupq_n_s64(-1);
-        let one = vdupq_n_s64(1);
-        let maskv = vdupq_n_s64(spec.mask);
-        let halfmodv = vdupq_n_s64(spec.half_modulus);
-        let fracv = vdupq_n_s64(spec.frac_mask);
-        let halfv = vdupq_n_s64(spec.half);
-        let neg_f = vdupq_n_s64(-(spec.f as i64));
-
-        #[inline(always)]
-        unsafe fn wrapv(v: int64x2_t, maskv: int64x2_t, halfmodv: int64x2_t) -> int64x2_t {
-            vsubq_s64(veorq_s64(vandq_s64(v, maskv), halfmodv), halfmodv)
-        }
-
-        let mut r0 = 0usize;
+        let (x, rows, features) = (batch.words(), batch.rows(), batch.features());
+        let shift = 16 - batch.format().word_length();
+        lanes.clear();
+        lanes.resize(features * TILE, 0);
+        let mut r0 = 0;
         while r0 < rows {
             let nr = TILE.min(rows - r0);
-            pack_tile(spec, x, features, r0, nr, pack);
-            for h in 0..heads {
-                let wrow = &w[h * features..(h + 1) * features];
-                let mut acc = [zero; 4];
-                let mut wr = [zero; 4];
-                for (&wj, col) in wrow.iter().zip(pack.chunks_exact(TILE)) {
-                    let wv32 = vmovn_s64(vdupq_n_s64(wj));
-                    for quarter in 0..4 {
-                        let xv = vld1q_s64(col.as_ptr().add(quarter * 2));
-                        // Exact i64 product: both operands fit i32.
-                        let wide = vmull_s32(wv32, vmovn_s64(xv));
-                        let p_scaled = if MODE == MODE_EXACT {
-                            wide
-                        } else {
-                            let q = vshlq_s64(wide, neg_f);
-                            let r = vandq_s64(wide, fracv);
-                            let incr = match MODE {
-                                MODE_CEIL => {
-                                    vandq_s64(vreinterpretq_s64_u64(vcgtq_s64(r, zero)), one)
-                                }
-                                MODE_TOWARD_ZERO => vandq_s64(
-                                    vandq_s64(
-                                        vreinterpretq_s64_u64(vcgtq_s64(zero, wide)),
-                                        vreinterpretq_s64_u64(vcgtq_s64(r, zero)),
-                                    ),
-                                    one,
-                                ),
-                                MODE_NEAREST_AWAY => vandq_s64(
-                                    vorrq_s64(
-                                        vreinterpretq_s64_u64(vcgtq_s64(r, halfv)),
-                                        vandq_s64(
-                                            vreinterpretq_s64_u64(vceqq_s64(r, halfv)),
-                                            vreinterpretq_s64_u64(vcgtq_s64(wide, ones)),
-                                        ),
-                                    ),
-                                    one,
-                                ),
-                                MODE_NEAREST_EVEN => vaddq_s64(
-                                    vandq_s64(vreinterpretq_s64_u64(vcgtq_s64(r, halfv)), one),
-                                    vandq_s64(
-                                        vandq_s64(vreinterpretq_s64_u64(vceqq_s64(r, halfv)), q),
-                                        one,
-                                    ),
-                                ),
-                                // MODE_FLOOR
-                                _ => zero,
-                            };
-                            vaddq_s64(q, incr)
-                        };
-                        let p = wrapv(p_scaled, maskv, halfmodv);
-                        let unbounded = vaddq_s64(acc[quarter], p);
-                        let next = wrapv(unbounded, maskv, halfmodv);
-                        let eq = vreinterpretq_s64_u64(vceqq_s64(next, unbounded));
-                        wr[quarter] = vsubq_s64(wr[quarter], veorq_s64(eq, ones));
-                        acc[quarter] = next;
-                    }
+            for (j, col) in lanes.chunks_exact_mut(TILE).enumerate() {
+                for (lane, slot) in col.iter_mut().enumerate() {
+                    *slot = if lane < nr {
+                        (x[(r0 + lane) * features + j] as i32) << shift
+                    } else {
+                        0
+                    };
                 }
-                let mut acc_lanes = [0i64; TILE];
-                let mut wrap_lanes = [0i64; TILE];
-                for quarter in 0..4 {
-                    vst1q_s64(acc_lanes.as_mut_ptr().add(quarter * 2), acc[quarter]);
-                    vst1q_s64(wrap_lanes.as_mut_ptr().add(quarter * 2), wr[quarter]);
+            }
+            for (h, wrow) in w.chunks_exact(features).enumerate() {
+                let mut acc = _mm256_setzero_si256();
+                for (&wj, col) in wrow.iter().zip(lanes.chunks_exact(TILE)) {
+                    let xv = _mm256_loadu_si256(col.as_ptr().cast());
+                    let wv = _mm256_set1_epi32(weight_lane(wj));
+                    acc = _mm256_add_epi32(acc, rounded_products::<MODE>(wv, xv, c));
                 }
-                for lane in 0..nr {
-                    out[(r0 + lane) * heads + h] = acc_lanes[lane];
-                    wraps[(r0 + lane) * heads + h] = wrap_lanes[lane] as u32;
-                }
+                store_tile(acc, c, (r0, nr), (h, heads), &mut dst);
             }
             r0 += nr;
         }

@@ -5,7 +5,7 @@
 //! LDA. Every family implements [`FixedPointModel`]: quantized parameters
 //! living on a [`QFormat`] grid, an integer-only decision rule running on
 //! the same wrapping-MAC datapath as the serving engine, and explicit
-//! overflow accounting (accumulator wraps + saturated inputs) so that the
+//! overflow accounting (overflowed sums + saturated inputs) so that the
 //! explore engine can sweep `(family, K, F, rho, rounding)` uniformly.
 //!
 //! Two concrete families ship here:
@@ -150,7 +150,9 @@ pub struct Decision {
     /// complement, `F` fractional bits) — bit-exact, so serving can be
     /// verified against the in-process datapath.
     pub score_raw: i64,
-    /// Accumulator wrap-arounds observed while scoring this row.
+    /// Scores of this row whose exact sum left the format's range (each
+    /// MAC or table sum counts at most once; intermediate wraps are
+    /// harmless and not counted).
     pub accumulator_wraps: u64,
 }
 
@@ -159,7 +161,8 @@ pub struct Decision {
 pub struct BatchOutcome {
     /// Per-row decisions, in input order.
     pub decisions: Vec<Decision>,
-    /// Total accumulator wraps across the batch.
+    /// Overflowed sums across the batch (see
+    /// [`Decision::accumulator_wraps`]).
     pub accumulator_wraps: u64,
     /// Inputs that fell outside the format's representable range and
     /// were saturated during quantization.
@@ -175,9 +178,11 @@ pub struct BatchOutcome {
 ///    model's own [`QFormat`] and must perform only integer arithmetic —
 ///    wrapping adds/MACs on raw two's-complement words — so hardware and
 ///    the serving engine reproduce it bit-exactly.
-/// 2. Every wrap of the accumulator must be counted in
-///    [`Decision::accumulator_wraps`], even when the family's training
-///    guarantees the count is zero (the proof is checked, not assumed).
+/// 2. Every sum whose exact value leaves the format's range must be
+///    counted in [`Decision::accumulator_wraps`], even when the family's
+///    training guarantees the count is zero (the proof is checked, not
+///    assumed). Intermediate wraps do not change the final word and are
+///    not counted.
 /// 3. `classify` and `classify_batch` quantize floats with the model's
 ///    own rounding mode and count range saturations, mirroring the
 ///    serving engine's input path.
@@ -254,19 +259,17 @@ mod tests {
     }
 
     #[test]
-    fn kernel_acc_step_counts_exactly_the_out_of_range_sums() {
-        // The families accumulate through the serving kernels' WrapCtx;
-        // pin its semantics from this side of the crate boundary.
+    fn kernel_wrap_once_flags_exactly_the_out_of_range_sums() {
+        // The families finish their exact sums through the serving
+        // kernels' WrapCtx; pin its semantics from this side of the crate
+        // boundary.
         let q = QFormat::new(3, 0).unwrap(); // raw range [-4, 3]
         let ctx = ldafp_kernels::WrapCtx::new(q);
-        let (v, wrapped) = ctx.acc_step(3, 1); // 4 wraps to -4
-        assert_eq!(v, -4);
-        assert!(wrapped);
-        let (v, wrapped) = ctx.acc_step(2, 1);
-        assert_eq!(v, 3);
-        assert!(!wrapped);
-        let (v, wrapped) = ctx.acc_step(-4, -1); // -5 wraps to 3
-        assert_eq!(v, 3);
-        assert!(wrapped);
+        assert_eq!(ctx.wrap_once(4), (-4, true));
+        assert_eq!(ctx.wrap_once(3), (3, false));
+        assert_eq!(ctx.wrap_once(-4), (-4, false));
+        assert_eq!(ctx.wrap_once(-5), (3, true));
+        // 3 + 3 − 4 wraps twice step by step, but the exact sum is 2.
+        assert_eq!(ctx.wrap_once(3 + 3 - 4), (2, false));
     }
 }

@@ -11,7 +11,8 @@
 //! `rho` headroom and one quantization step of slack per summed term.
 //!
 //! Inference is pure integer: bucket each quantized feature by its high
-//! bits, accumulate the table words with wrapping adds, pick the argmax.
+//! bits, sum the table words exactly, wrap the sum once into the word
+//! length (flagging a sum outside the range), pick the argmax.
 
 use crate::{Decision, FixedPointModel, ModelError, ModelFamily, Result};
 use ldafp_datasets::{BinaryDataset, ClassLabel};
@@ -197,11 +198,13 @@ impl FixedPointModel for NaiveBayesModel {
             accumulator_wraps: 0,
         };
         let mut total_wraps = 0u64;
-        // One wrap context for the whole row — the same accumulator the
-        // batched GEMM kernels run, hoisted out of the scoring loops.
+        // One wrap context for the whole row — the same wrap-once finish
+        // the batched GEMM kernels run, hoisted out of the scoring loops.
         let ctx = ldafp_kernels::WrapCtx::new(self.format);
         for (c, class_table) in self.tables.iter().enumerate() {
-            let mut acc = self.priors[c];
+            // In-range words summed exactly: `i64` holds far more than
+            // any feature count's worth of them.
+            let mut sum = self.priors[c];
             for (j, x) in xq.iter().enumerate() {
                 if x.format() != self.format {
                     return Err(ModelError::FixedPoint(
@@ -211,11 +214,10 @@ impl FixedPointModel for NaiveBayesModel {
                         },
                     ));
                 }
-                let term = class_table[j][self.bucket_of(x.raw())];
-                let (next, wrapped) = ctx.acc_step(acc, term);
-                acc = next;
-                total_wraps += wrapped as u64;
+                sum += class_table[j][self.bucket_of(x.raw())];
             }
+            let (acc, overflowed) = ctx.wrap_once(sum);
+            total_wraps += u64::from(overflowed);
             // Strict `>` keeps ties on the lowest class index.
             if c == 0 || acc > best.score_raw {
                 best.class_index = c;

@@ -236,7 +236,7 @@ impl OsElmModel {
     }
 
     /// Quantized hidden representation of a quantized row, plus the
-    /// input-layer wrap count. The activation is a rectifier
+    /// number of hidden MACs whose exact sum overflowed. The activation is a rectifier
     /// (`max(y, 0)`) — one comparator in hardware, nonlinear, sign
     /// sensitive, and bounded by `max_raw`, which gives the output
     /// layer's wrap-free proof its hard input bound.

@@ -51,6 +51,9 @@
 //!
 //! The label table is the model's full class-label list, indexed by each
 //! row's class word — labels cross the wire once per reply, not per row.
+//! `wraps` is the engine's `BatchStats::accumulator_wraps`: the number of
+//! MACs whose exact sum left the format's range, not a count of
+//! intermediate accumulator wraps.
 //!
 //! Health/stats/reload/shutdown replies reuse the binary framing with a
 //! UTF-8 JSON body, so admin plumbing shares the JSON tier's vocabulary.
@@ -491,7 +494,8 @@ pub struct PredictReplyBin {
     pub classes: Vec<u32>,
     /// Advisory decision margin per row.
     pub scores: Vec<f64>,
-    /// Accumulator wrap events across the batch.
+    /// MACs whose exact sum left the format's range, across the batch
+    /// (`BatchStats::accumulator_wraps`).
     pub accumulator_wraps: u64,
     /// Out-of-range inputs clipped at quantization.
     pub saturated_inputs: u64,

@@ -43,7 +43,9 @@ pub struct NetMetrics {
     pub errors: Arc<obs::Counter>,
     /// Successful registry reloads.
     pub reloads: Arc<obs::Counter>,
-    /// Accumulator wrap events reported by the engine.
+    /// MACs whose exact sum left the format's range, as the engine
+    /// reports them (`BatchStats::accumulator_wraps`); intermediate wraps
+    /// are not counted.
     pub accumulator_wraps: Arc<obs::Counter>,
     /// Out-of-range inputs clipped at quantization.
     pub saturated_inputs: Arc<obs::Counter>,
@@ -84,7 +86,7 @@ pub struct NetSnapshot {
     pub errors: u64,
     /// Successful reloads.
     pub reloads: u64,
-    /// Accumulator wraps.
+    /// MACs whose exact sum overflowed (see the counter of that name).
     pub accumulator_wraps: u64,
     /// Saturated inputs.
     pub saturated_inputs: u64,

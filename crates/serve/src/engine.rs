@@ -12,10 +12,10 @@
 //! quantized once into a contiguous [`QBatchBuf`] (raw wire words are
 //! borrowed zero-copy as a [`QBatch`]) and every linear model — binary
 //! LDA and every one-vs-rest head — goes through one blocked/vectorized
-//! wrapping-MAC GEMM per batch. The kernels return per-(row, head) wrap
-//! counts, so the wrap/saturation counters and `predict_segmented`'s
-//! per-segment attribution are exactly what the row-at-a-time loop
-//! produced. Table-driven families (naive Bayes, OS-ELM) decide on their
+//! wrap-once MAC GEMM per batch. The kernels return a per-(row, head)
+//! overflow flag (the exact sum left the format's range), so the
+//! overflow/saturation counters and `predict_segmented`'s per-segment
+//! attribution are exactly what the row-at-a-time path produces. Table-driven families (naive Bayes, OS-ELM) decide on their
 //! own integer datapath, which rides the same kernel primitives inside
 //! `ldafp-models`.
 //!
@@ -141,9 +141,14 @@ pub struct Prediction {
 pub struct BatchStats {
     /// Rows classified.
     pub rows: usize,
-    /// Wrapping-accumulator overflow events across all MACs in the batch.
-    /// Nonzero wraps with correct decisions is the paper's expected regime;
-    /// a sudden spike flags inputs outside the training distribution.
+    /// MACs in the batch whose exact sum left the format's range: at
+    /// most one per (row, head), set when the served word differs from
+    /// the true sum of the rounded products — the overflow eq. 20 bounds
+    /// with confidence ρ, and the only one that can flip a decision.
+    /// Intermediate accumulator wraps are harmless (paper §3) and not
+    /// counted. A rate above `1 − ρ` flags inputs outside the training
+    /// distribution. The name predates this meaning; it is kept so the
+    /// field and both wire codecs stay unchanged.
     pub accumulator_wraps: u64,
     /// Inputs that fell outside the representable range `[min, max]` of the
     /// `QK.F` format *before* quantization clipped them.

@@ -1,8 +1,12 @@
 #!/usr/bin/env bash
-# CI gate: build, test (including the feature-gated fault-injection
-# suites), and lint with warnings promoted to errors.
+# CI gate: format check, build, test (including the feature-gated
+# fault-injection suites), and lint with warnings promoted to errors.
 set -euo pipefail
 cd "$(dirname "$0")/.."
+
+# Formatting gate: the root workspace is rustfmt-clean. (`benchmark/` is
+# a workspace of its own and is not checked here.)
+cargo fmt --all -- --check
 
 # Offline gate: every manifest names only path crates, so the workspace
 # builds and tests from an empty Cargo home with no network, and the
@@ -303,11 +307,13 @@ fi
 cargo test --release -q -p ldafp-bench --test net_gate
 
 # Kernel datapath (`ldafp-kernels`): unit tests + the bit-equivalence
-# proptests (every KernelKind vs the traced scalar mac_dot reference,
-# values and wrap counts, all rounding modes), the scalar-fallback build
-# (--no-default-features drops the intrinsic path and must still compile
-# under forbid(unsafe_code)), and the throughput gate, a release-mode test
-# that asserts every kernel bit-identical to mac_dot_counted and then fails
+# proptests (every KernelKind vs the traced scalar mac_dot reference, all
+# rounding modes: the served word, and the 0/1 overflow flag against the
+# traced exact sum of the rounded products leaving the word range), the
+# scalar-fallback build (--no-default-features drops the intrinsic path
+# and must still compile under forbid(unsafe_code)), and the throughput
+# gate, a release-mode test that asserts every kernel's words equal
+# mac_dot_counted's and its flags the traced reference's, then fails
 # unless the best kernel clears 2x one mac_dot_counted call per row at the
 # paper's F=42 / batch=256 shape. The cross-family serve/net
 # equivalence suite rides the ldafp-net loopback tests above.

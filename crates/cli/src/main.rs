@@ -2,9 +2,10 @@
 //!
 //! ```text
 //! ldafp train      --data train.csv --bits 6 [--family lda|naive-bayes|os-elm]
-//!                  [--k 4] [--rho 0.99]
+//!                  [--k 4] [--rho 0.99] [--rounding nearest-even]
 //!                  [--baseline] [--quick] [--budget-secs 30]
-//!                  [--max-solver-retries 3] [--out model.ldafp.json]
+//!                  [--max-solver-retries 3] [--solver-threads 1]
+//!                  [--out model.ldafp.json]
 //! ldafp eval       --model model.ldafp.json --data test.csv
 //! ldafp predict    --model model.ldafp.json --input rows.csv
 //! ldafp predict    --addr 127.0.0.1:7878 --input rows.csv [--name model]
@@ -24,8 +25,8 @@
 //! ldafp explore    [--data train.csv] [--holdout 0.25] [--min-bits 3] [--max-bits 8]
 //!                  [--k 2] [--rho 0.9,0.99] [--rounding nearest-even,floor]
 //!                  [--family lda,naive-bayes,os-elm]
-//!                  [--threads 4] [--budget-secs 30] [--cache-dir .ldafp-cache]
-//!                  [--no-cache] [--json report.json] [--quick]
+//!                  [--threads 4] [--solver-threads 1] [--budget-secs 30]
+//!                  [--max-solver-retries 3] [--cache-dir .ldafp-cache] [--no-cache] [--json report.json] [--quick]
 //!                  [--resume state-dir] [--checkpoint-nodes 256] [--pareto report.md]
 //! ldafp demo       [--bits 6]
 //! ldafp trace-check --input trace.ndjson
@@ -35,10 +36,12 @@
 //! artifact; `--out` writes it to disk. `eval`, `info` and `export-rtl`
 //! read binary LDA models from it, `predict`, `serve` and `reload` any kind.
 //!
-//! Every command also accepts the observability options `--trace <file>`
-//! (stream solver/server events as NDJSON while the command runs, closing
-//! with a `registry.dump` metrics snapshot) and `--metrics-summary`
-//! (print the metrics registry to stderr on exit).
+//! Every command also accepts `--out <file>` (write the output to a file)
+//! and the observability options `--trace <file>` (stream solver/server
+//! events as NDJSON while the command runs, closing with a
+//! `registry.dump` metrics snapshot) and `--metrics-summary` (print the
+//! metrics registry to stderr on exit). Any other option the command does
+//! not read is an error naming the command and the option.
 //!
 //! CSV format: one sample per line, comma-separated features, last column
 //! is the label (`A`/`B`, `0`/`1` or `-1`/`1`). `#` comments and a header
@@ -61,7 +64,7 @@ const USAGE: &str = "usage: ldafp <command> [options]
 
 commands:
   train       --data <csv> --bits <n> [--family lda|naive-bayes|os-elm]
-              [--k n] [--rho p] [--baseline] [--quick]
+              [--k n] [--rho p] [--rounding mode] [--baseline] [--quick]
               [--budget-secs n] [--max-solver-retries n] [--solver-threads n]
               [--out model.ldafp.json]
               (prints the model file, the serving artifact, for every
@@ -89,8 +92,8 @@ commands:
               [--solver-threads n] [--budget-secs n] [--max-solver-retries n]
   explore     [--data <csv>] [--holdout f] [--min-bits n] [--max-bits n] [--k n]
               [--rho p,...] [--rounding mode,...] [--family name,...]
-              [--threads n] [--solver-threads n]
-              [--budget-secs n] [--cache-dir dir] [--no-cache]
+              [--threads n] [--solver-threads n] [--budget-secs n]
+              [--max-solver-retries n] [--cache-dir dir] [--no-cache]
               [--json report.json] [--quick] [--resume dir]
               [--checkpoint-nodes n] [--pareto report.md]
               (^C interrupts cooperatively: checkpoints flush, exit code 4,
@@ -98,7 +101,8 @@ commands:
   demo        [--bits n]
   trace-check --input <trace.ndjson>
 
-observability (any command):
+any command (other options a command does not read are errors):
+  --out <file>       write the output to <file>
   --trace <file>     stream solver/server events as NDJSON while running
   --metrics-summary  print the metrics registry to stderr on exit
 
@@ -126,57 +130,8 @@ fn main() -> ExitCode {
 }
 
 fn run() -> ldafp_cli::Result<(String, u8)> {
-    let raw: Vec<String> = std::env::args().skip(1).collect();
-    let args = ParsedArgs::parse(
-        raw,
-        &[
-            "data",
-            "bits",
-            "k",
-            "rho",
-            "budget-secs",
-            "max-solver-retries",
-            "module",
-            "model",
-            "out",
-            "target",
-            "min-bits",
-            "max-bits",
-            "input",
-            "addr",
-            "threads",
-            "solver-threads",
-            "holdout",
-            "rounding",
-            "cache-dir",
-            "json",
-            "trace",
-            "resume",
-            "pareto",
-            "checkpoint-nodes",
-            "family",
-            "name",
-            "wire",
-            "models",
-            "batch-rows",
-            "batch-deadline-us",
-            "max-inflight",
-            "max-pending-rows",
-            "read-deadline-ms",
-        ],
-        &[
-            "baseline",
-            "quick",
-            "testbench",
-            "no-cache",
-            "metrics-summary",
-        ],
-    )?;
-    let command = args
-        .positional()
-        .first()
-        .map(String::as_str)
-        .unwrap_or("help");
+    let args = ParsedArgs::parse_command(std::env::args().skip(1))?;
+    let command = args.command();
 
     // --trace installs the NDJSON subscriber before any work runs, so the
     // stream captures every solver/server event of the command.
@@ -242,11 +197,6 @@ fn run() -> ldafp_cli::Result<(String, u8)> {
             let addr = args.get("addr").ok_or_else(|| {
                 CliError("serve needs --addr <host:port>\nusage: ldafp serve --model <model.ldafp.json> --addr <host:port>".to_string())
             })?;
-            if args.get("threads").is_some() {
-                return Err(CliError(
-                    "serve takes no --threads: the server is one event loop".to_string(),
-                ));
-            }
             let mut handle = commands::serve_evented_start(&args, &artifact, addr)?;
             // Stderr so scripts scraping stdout stay quiet; the handle's
             // resolved address matters when the user asked for port 0.

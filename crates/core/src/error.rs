@@ -105,8 +105,11 @@ mod tests {
 
     #[test]
     fn display_and_sources() {
-        let e = CoreError::from(ldafp_linalg::LinalgError::Singular { pivot: 0 });
-        assert!(e.to_string().contains("singular"));
+        let e = CoreError::from(ldafp_linalg::LinalgError::NotPositiveDefinite {
+            pivot: 0,
+            value: -1.0,
+        });
+        assert!(e.to_string().contains("not positive definite"));
         assert!(std::error::Error::source(&e).is_some());
         assert!(std::error::Error::source(&CoreError::NoFeasibleClassifier).is_none());
     }

@@ -5,6 +5,15 @@ use crate::{LinalgError, Matrix, Result};
 /// The factor is the bridge between covariance matrices and the solver's
 /// second-order-cone constraints: the paper's overflow constraint (eq. 20)
 /// `β·√(wᵀΣw) ≤ c − wᵀμ` is handled as `‖β·Lᵀw‖₂ ≤ c − wᵀμ` with `Σ = LLᵀ`.
+/// It also solves `S_W·w = d` for float LDA and the barrier solver's Newton
+/// systems.
+///
+/// One value serves both uses: [`Cholesky::new`] and
+/// [`Cholesky::new_with_ridge`] build a fresh factorization, while
+/// [`Cholesky::factorize`], [`Cholesky::factorize_with_ridge`] and
+/// [`Cholesky::solve_into`] refill an existing one, so a loop that
+/// factorizes one same-sized matrix per step (the Newton loop) allocates
+/// nothing in the steady state.
 ///
 /// # Example
 ///
@@ -24,11 +33,50 @@ pub struct Cholesky {
     l: Matrix,
 }
 
+impl Default for Cholesky {
+    /// An empty (0 × 0) factorization; the factor grows on first use.
+    fn default() -> Self {
+        Cholesky {
+            l: Matrix::zeros(0, 0),
+        }
+    }
+}
+
 impl Cholesky {
-    /// Factorizes a symmetric positive-definite matrix.
+    /// Factorizes a symmetric positive-definite matrix (see
+    /// [`Cholesky::factorize`]).
+    ///
+    /// # Errors
+    ///
+    /// Same failure modes as [`Cholesky::factorize`].
+    pub fn new(a: &Matrix) -> Result<Self> {
+        let mut chol = Cholesky::default();
+        chol.factorize(a)?;
+        Ok(chol)
+    }
+
+    /// Factorizes `A + λI` on the ridge ladder of
+    /// [`Cholesky::factorize_with_ridge`], returning the factorization
+    /// together with the absolute ridge that was finally applied.
+    ///
+    /// Within-class scatter matrices of small datasets are frequently
+    /// singular (more features than trials); the LDA-FP trainer uses this
+    /// entry point with a tiny relative ridge, exactly as noted in DESIGN.md.
+    ///
+    /// # Errors
+    ///
+    /// Same failure modes as [`Cholesky::factorize_with_ridge`].
+    pub fn new_with_ridge(a: &Matrix, rel_ridge: f64) -> Result<(Self, f64)> {
+        let mut chol = Cholesky::default();
+        let ridge = chol.factorize_with_ridge(a, rel_ridge, &mut Matrix::zeros(0, 0))?;
+        Ok((chol, ridge))
+    }
+
+    /// Factorizes `a` into this value's factor buffer, reusing the buffer
+    /// when the dimension is unchanged.
     ///
     /// Symmetry is validated up to a relative tolerance before factorizing;
-    /// the strictly lower triangle is then taken as authoritative.
+    /// the lower triangle is then taken as authoritative.
     ///
     /// # Errors
     ///
@@ -36,209 +84,9 @@ impl Cholesky {
     /// * [`LinalgError::NotSymmetric`] if `max |a_ij − a_ji|` exceeds
     ///   `1e-8 · max|A|`.
     /// * [`LinalgError::NotPositiveDefinite`] if a pivot is `≤ 0`.
-    pub fn new(a: &Matrix) -> Result<Self> {
-        if !a.is_square() {
-            return Err(LinalgError::NotSquare { dims: a.dims() });
-        }
-        let asym = a.max_asymmetry()?;
-        let tol = 1e-8 * a.max_abs().max(1.0);
-        if asym > tol {
-            return Err(LinalgError::NotSymmetric {
-                max_asymmetry: asym,
-            });
-        }
-        let n = a.rows();
-        let mut l = Matrix::zeros(n, n);
-        for i in 0..n {
-            for j in 0..=i {
-                let mut sum = a[(i, j)];
-                for k in 0..j {
-                    sum -= l[(i, k)] * l[(j, k)];
-                }
-                if i == j {
-                    if sum <= 0.0 || !sum.is_finite() {
-                        return Err(LinalgError::NotPositiveDefinite {
-                            pivot: i,
-                            value: sum,
-                        });
-                    }
-                    l[(i, j)] = sum.sqrt();
-                } else {
-                    l[(i, j)] = sum / l[(j, j)];
-                }
-            }
-        }
-        Ok(Cholesky { l })
-    }
-
-    /// Factorizes `A + λI` where `λ = rel_ridge · trace(A)/n`, retrying with
-    /// ×10 larger ridges (up to 8 times) until the shifted matrix is positive
-    /// definite.
     ///
-    /// Within-class scatter matrices of small datasets are frequently
-    /// singular (more features than trials); the LDA-FP trainer uses this
-    /// entry point with a tiny relative ridge, exactly as noted in DESIGN.md.
-    ///
-    /// Returns the factorization together with the absolute ridge that was
-    /// finally applied.
-    ///
-    /// # Errors
-    ///
-    /// Same failure modes as [`Cholesky::new`] when even the largest ridge
-    /// fails (e.g. a matrix with strongly negative eigenvalues).
-    pub fn new_with_ridge(a: &Matrix, rel_ridge: f64) -> Result<(Self, f64)> {
-        let n = a.rows().max(1);
-        let scale = (a.trace() / n as f64).abs().max(f64::MIN_POSITIVE);
-        let mut ridge = rel_ridge.max(0.0) * scale;
-        match Cholesky::new(a) {
-            Ok(c) if rel_ridge == 0.0 => return Ok((c, 0.0)),
-            _ => {}
-        }
-        if ridge == 0.0 {
-            ridge = 1e-12 * scale;
-        }
-        let mut last_err = LinalgError::NotPositiveDefinite {
-            pivot: 0,
-            value: 0.0,
-        };
-        for _ in 0..8 {
-            let mut shifted = a.clone();
-            shifted.add_ridge(ridge)?;
-            match Cholesky::new(&shifted) {
-                Ok(c) => return Ok((c, ridge)),
-                Err(e) => last_err = e,
-            }
-            ridge *= 10.0;
-        }
-        Err(last_err)
-    }
-
-    /// Borrow the lower-triangular factor `L`.
-    pub fn factor(&self) -> &Matrix {
-        &self.l
-    }
-
-    /// Consumes the factorization, returning `L`.
-    pub fn into_factor(self) -> Matrix {
-        self.l
-    }
-
-    /// Dimension of the factorized matrix.
-    pub fn dim(&self) -> usize {
-        self.l.rows()
-    }
-
-    /// Solves `A·x = b` via forward/backward substitution.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::DimensionMismatch`] if `b.len() != self.dim()`.
-    pub fn solve(&self, b: &[f64]) -> Result<Vec<f64>> {
-        let n = self.dim();
-        if b.len() != n {
-            return Err(LinalgError::DimensionMismatch {
-                op: "cholesky_solve",
-                left: (n, n),
-                right: (b.len(), 1),
-            });
-        }
-        // Forward: L·y = b
-        let mut y = vec![0.0; n];
-        for i in 0..n {
-            let mut sum = b[i];
-            for k in 0..i {
-                sum -= self.l[(i, k)] * y[k];
-            }
-            y[i] = sum / self.l[(i, i)];
-        }
-        // Backward: Lᵀ·x = y
-        let mut x = vec![0.0; n];
-        for i in (0..n).rev() {
-            let mut sum = y[i];
-            for k in (i + 1)..n {
-                sum -= self.l[(k, i)] * x[k];
-            }
-            x[i] = sum / self.l[(i, i)];
-        }
-        Ok(x)
-    }
-
-    /// Computes `Lᵀ·w` — the map that turns the covariance quadratic form
-    /// into a Euclidean norm (`‖Lᵀw‖₂² = wᵀAw`).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::DimensionMismatch`] if `w.len() != self.dim()`.
-    pub fn lt_mul_vec(&self, w: &[f64]) -> Result<Vec<f64>> {
-        let n = self.dim();
-        if w.len() != n {
-            return Err(LinalgError::DimensionMismatch {
-                op: "lt_mul_vec",
-                left: (n, n),
-                right: (w.len(), 1),
-            });
-        }
-        let mut out = vec![0.0; n];
-        for i in 0..n {
-            // (Lᵀw)_i = Σ_k L[k][i] w[k] for k ≥ i
-            let mut s = 0.0;
-            for k in i..n {
-                s += self.l[(k, i)] * w[k];
-            }
-            out[i] = s;
-        }
-        Ok(out)
-    }
-
-    /// Determinant of `A`, computed as `(∏ L_ii)²`.
-    pub fn det(&self) -> f64 {
-        let p: f64 = (0..self.dim()).map(|i| self.l[(i, i)]).product();
-        p * p
-    }
-
-    /// Log-determinant of `A` (numerically safer than `det().ln()`).
-    pub fn log_det(&self) -> f64 {
-        (0..self.dim()).map(|i| self.l[(i, i)].ln()).sum::<f64>() * 2.0
-    }
-}
-
-/// Reusable scratch for repeated Cholesky factorizations of same-sized
-/// matrices: the factor and the forward-substitution intermediate are kept
-/// between calls, so the steady state (the barrier solver's Newton loop,
-/// which factorizes one Hessian per step) allocates nothing.
-///
-/// Validation, pivot checks and arithmetic order are identical to
-/// [`Cholesky::new`] / [`Cholesky::solve`], so the results are bit-identical
-/// to the allocating API.
-#[derive(Debug, Clone)]
-pub struct CholeskyWorkspace {
-    l: Matrix,
-    y: Vec<f64>,
-}
-
-impl Default for CholeskyWorkspace {
-    fn default() -> Self {
-        CholeskyWorkspace::new()
-    }
-}
-
-impl CholeskyWorkspace {
-    /// An empty workspace; buffers grow on first use.
-    pub fn new() -> Self {
-        CholeskyWorkspace {
-            l: Matrix::zeros(0, 0),
-            y: Vec::new(),
-        }
-    }
-
-    /// Factorizes `a` into the reused factor buffer. After `Ok(())`, the
-    /// factor is available via [`CholeskyWorkspace::factor`] and
-    /// [`CholeskyWorkspace::solve_into`].
-    ///
-    /// # Errors
-    ///
-    /// Same failure modes as [`Cholesky::new`]. On error the stored factor
-    /// is invalid and must not be used until the next successful call.
+    /// On error the stored factor is invalid and must not be used until the
+    /// next successful call.
     pub fn factorize(&mut self, a: &Matrix) -> Result<()> {
         if !a.is_square() {
             return Err(LinalgError::NotSquare { dims: a.dims() });
@@ -256,8 +104,8 @@ impl CholeskyWorkspace {
         } else {
             self.l.as_mut_slice().fill(0.0);
         }
-        // Row-slice form of the textbook loop: the same products, subtracted
-        // in the same order, without per-element bounds checks.
+        // Row by row, `L_ij = (a_ij − Σ_{k<j} L_ik·L_jk) / L_jj` with the
+        // products subtracted in increasing `k`, on row slices.
         for i in 0..n {
             let a_row = a.row(i);
             let (done, rest) = self.l.as_mut_slice().split_at_mut(i * n);
@@ -285,14 +133,19 @@ impl CholeskyWorkspace {
         Ok(())
     }
 
-    /// The ridge-escalating twin of [`Cholesky::new_with_ridge`], reusing
-    /// this workspace's factor and a caller-owned `scratch` matrix for the
-    /// shifted copies. The ridge schedule, validation and arithmetic match
-    /// `new_with_ridge` exactly; returns the absolute ridge applied.
+    /// Factorizes `A + λI` where `λ = rel_ridge · trace(A)/n`, retrying with
+    /// ×10 larger ridges (up to 8 times) until the shifted matrix is positive
+    /// definite; `scratch` holds the shifted copies.
+    ///
+    /// Only `rel_ridge == 0` tries the unshifted matrix (a ridge of 0 when
+    /// it factors); its ladder then starts at `1e-12 · trace(A)/n`.
+    ///
+    /// Returns the absolute ridge that was finally applied.
     ///
     /// # Errors
     ///
-    /// Same failure modes as [`Cholesky::new_with_ridge`].
+    /// Same failure modes as [`Cholesky::factorize`] when even the largest
+    /// ridge fails (e.g. a matrix with strongly negative eigenvalues).
     pub fn factorize_with_ridge(
         &mut self,
         a: &Matrix,
@@ -301,11 +154,10 @@ impl CholeskyWorkspace {
     ) -> Result<f64> {
         let n = a.rows().max(1);
         let scale = (a.trace() / n as f64).abs().max(f64::MIN_POSITIVE);
-        let mut ridge = rel_ridge.max(0.0) * scale;
-        match self.factorize(a) {
-            Ok(()) if rel_ridge == 0.0 => return Ok(0.0),
-            _ => {}
+        if rel_ridge == 0.0 && self.factorize(a).is_ok() {
+            return Ok(0.0);
         }
+        let mut ridge = rel_ridge.max(0.0) * scale;
         if ridge == 0.0 {
             ridge = 1e-12 * scale;
         }
@@ -325,25 +177,35 @@ impl CholeskyWorkspace {
         Err(last_err)
     }
 
-    /// Borrow the lower-triangular factor of the last successful
-    /// factorization.
+    /// Borrow the lower-triangular factor `L`.
     pub fn factor(&self) -> &Matrix {
         &self.l
     }
 
-    /// Dimension of the last factorized matrix.
+    /// Dimension of the factorized matrix.
     pub fn dim(&self) -> usize {
         self.l.rows()
     }
 
-    /// Solves `A·x = b` into `x`, using the stored factor and the internal
-    /// forward-substitution buffer. Substitution order matches
-    /// [`Cholesky::solve`] exactly.
+    /// Solves `A·x = b` via forward/backward substitution (see
+    /// [`Cholesky::solve_into`]).
     ///
     /// # Errors
     ///
     /// Returns [`LinalgError::DimensionMismatch`] if `b.len() != self.dim()`.
-    pub fn solve_into(&mut self, b: &[f64], x: &mut Vec<f64>) -> Result<()> {
+    pub fn solve(&self, b: &[f64]) -> Result<Vec<f64>> {
+        let mut x = Vec::new();
+        self.solve_into(b, &mut x)?;
+        Ok(x)
+    }
+
+    /// Solves `A·x = b` into `x`: the forward pass `L·y = b` writes `y`
+    /// into `x`, then the backward pass `Lᵀ·x = y` runs in place.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`LinalgError::DimensionMismatch`] if `b.len() != self.dim()`.
+    pub fn solve_into(&self, b: &[f64], x: &mut Vec<f64>) -> Result<()> {
         let n = self.dim();
         if b.len() != n {
             return Err(LinalgError::DimensionMismatch {
@@ -352,25 +214,22 @@ impl CholeskyWorkspace {
                 right: (b.len(), 1),
             });
         }
-        // Forward: L·y = b
-        self.y.clear();
-        self.y.resize(n, 0.0);
-        for i in 0..n {
-            let mut sum = b[i];
-            for k in 0..i {
-                sum -= self.l[(i, k)] * self.y[k];
-            }
-            self.y[i] = sum / self.l[(i, i)];
-        }
-        // Backward: Lᵀ·x = y
+        let l = &self.l;
         x.clear();
-        x.resize(n, 0.0);
-        for i in (0..n).rev() {
-            let mut sum = self.y[i];
-            for k in (i + 1)..n {
-                sum -= self.l[(k, i)] * x[k];
+        x.extend_from_slice(b);
+        for i in 0..n {
+            let mut sum = x[i];
+            for k in 0..i {
+                sum -= l[(i, k)] * x[k];
             }
-            x[i] = sum / self.l[(i, i)];
+            x[i] = sum / l[(i, i)];
+        }
+        for i in (0..n).rev() {
+            let mut sum = x[i];
+            for k in (i + 1)..n {
+                sum -= l[(k, i)] * x[k];
+            }
+            x[i] = sum / l[(i, i)];
         }
         Ok(())
     }
@@ -454,96 +313,131 @@ mod tests {
     }
 
     #[test]
-    fn lt_mul_vec_norm_matches_quad_form() {
-        let a = spd3();
-        let c = a.cholesky().unwrap();
-        let w = [0.3, -1.2, 0.7];
-        let z = c.lt_mul_vec(&w).unwrap();
-        let qf = a.quad_form(&w).unwrap();
-        let nz: f64 = z.iter().map(|v| v * v).sum();
-        assert!((qf - nz).abs() < 1e-12);
-    }
-
-    #[test]
-    fn det_and_log_det_agree() {
-        let a = spd3();
-        let c = a.cholesky().unwrap();
-        assert!((c.det().ln() - c.log_det()).abs() < 1e-12);
-        // Compare against LU determinant.
-        let lu_det = a.lu().unwrap().det();
-        assert!((c.det() - lu_det).abs() < 1e-9);
-    }
-
-    #[test]
     fn solve_rejects_wrong_length() {
         let c = spd3().cholesky().unwrap();
         assert!(c.solve(&[1.0]).is_err());
-        assert!(c.lt_mul_vec(&[1.0]).is_err());
     }
 
     #[test]
     fn identity_factor_is_identity() {
         let c = Cholesky::new(&Matrix::identity(4)).unwrap();
         assert_eq!(c.factor(), &Matrix::identity(4));
-        assert_eq!(c.det(), 1.0);
     }
 
     #[test]
-    fn workspace_factor_and_solve_bit_match_allocating_api() {
-        let a = spd3();
-        let reference = Cholesky::new(&a).unwrap();
-        let mut ws = CholeskyWorkspace::new();
-        ws.factorize(&a).unwrap();
-        assert_eq!(ws.factor(), reference.factor());
-        let b = [1.0, -2.0, 0.5];
-        let expected = reference.solve(&b).unwrap();
+    fn reuses_across_dimension_changes() {
+        let mut chol = Cholesky::default();
+        chol.factorize(&Matrix::identity(2)).unwrap();
+        assert_eq!(chol.dim(), 2);
+        chol.factorize(&spd3()).unwrap();
+        assert_eq!(chol.dim(), 3);
         let mut x = Vec::new();
-        ws.solve_into(&b, &mut x).unwrap();
-        assert_eq!(x, expected, "solve must be bit-identical");
-    }
-
-    #[test]
-    fn workspace_reuses_across_dimension_changes() {
-        let mut ws = CholeskyWorkspace::new();
-        ws.factorize(&Matrix::identity(2)).unwrap();
-        assert_eq!(ws.dim(), 2);
-        ws.factorize(&spd3()).unwrap();
-        assert_eq!(ws.dim(), 3);
-        let mut x = Vec::new();
-        ws.solve_into(&[1.0, 0.0, 0.0], &mut x).unwrap();
+        chol.solve_into(&[1.0, 0.0, 0.0], &mut x).unwrap();
         assert_eq!(x.len(), 3);
         // Shrinking back also works: stale factor state must not leak.
-        ws.factorize(&Matrix::identity(2)).unwrap();
-        assert_eq!(ws.factor(), &Matrix::identity(2));
+        chol.factorize(&Matrix::identity(2)).unwrap();
+        assert_eq!(chol.factor(), &Matrix::identity(2));
     }
 
-    #[test]
-    fn workspace_rejects_what_cholesky_rejects() {
-        let mut ws = CholeskyWorkspace::new();
-        let indef = Matrix::from_rows(&[&[1.0, 2.0], &[2.0, 1.0]]).unwrap();
-        assert!(matches!(
-            ws.factorize(&indef),
-            Err(LinalgError::NotPositiveDefinite { .. })
-        ));
-        let asym = Matrix::from_rows(&[&[1.0, 2.0], &[0.0, 1.0]]).unwrap();
-        assert!(matches!(
-            ws.factorize(&asym),
-            Err(LinalgError::NotSymmetric { .. })
-        ));
-        assert!(matches!(
-            ws.factorize(&Matrix::zeros(2, 3)),
-            Err(LinalgError::NotSquare { .. })
-        ));
+    /// FNV-1a over the bit patterns of `values`, continuing from `h`.
+    fn digest(mut h: u64, values: &[f64]) -> u64 {
+        for v in values {
+            for byte in v.to_bits().to_le_bytes() {
+                h ^= u64::from(byte);
+                h = h.wrapping_mul(0x0100_0000_01b3);
+            }
+        }
+        h
     }
 
+    /// Seeded SplitMix64 draws mapped to `[-1, 1)`.
+    struct Draws(u64);
+
+    impl Draws {
+        fn next(&mut self) -> f64 {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^= z >> 31;
+            (z >> 11) as f64 / (1u64 << 52) as f64 - 1.0
+        }
+    }
+
+    /// `B·Bᵀ + shift·I` for an `n × rank` matrix `B` of seeded draws,
+    /// summed in a fixed order: SPD for `shift > 0`, singular PSD for
+    /// `rank < n` and `shift = 0`, slightly indefinite for `shift < 0`.
+    fn gram(draws: &mut Draws, n: usize, rank: usize, shift: f64) -> Matrix {
+        let b: Vec<f64> = (0..n * rank).map(|_| draws.next()).collect();
+        Matrix::from_fn(n, n, |i, j| {
+            let mut s = if i == j { shift } else { 0.0 };
+            for k in 0..rank {
+                s += b[i * rank + k] * b[j * rank + k];
+            }
+            s
+        })
+    }
+
+    /// Digests of the bits of `factor()`, of `solve` and of the returned
+    /// ridge, on seeded matrices up to the bci42 Newton size (n = 43) and
+    /// on rank-deficient and indefinite ones that climb the ridge ladder.
+    /// The pinned values were computed from the allocating and the
+    /// reusable factorizations before they were merged (the two agreed bit
+    /// for bit), so every factor, solution and ridge must stay identical.
+    /// Each case runs through a fresh value and through one value reused
+    /// across all cases.
     #[test]
-    fn workspace_ridge_matches_allocating_ridge() {
-        let a = Matrix::outer(&[1.0, 2.0], &[1.0, 2.0]); // singular PSD
-        let (reference, ridge_ref) = Cholesky::new_with_ridge(&a, 1e-9).unwrap();
-        let mut ws = CholeskyWorkspace::new();
+    fn factor_solve_and_ridge_bits_are_pinned() {
+        let mut draws = Draws(2014);
+        // (n, rank, shift, rel_ridge); `None` factorizes without a ridge.
+        let cases: [(usize, usize, f64, Option<f64>); 8] = [
+            (1, 1, 0.5, None),
+            (3, 3, 0.1, None),
+            (8, 8, 0.5, None),
+            (43, 43, 0.1, None),
+            (43, 43, 0.1, Some(1e-9)),
+            (43, 20, 0.0, Some(0.0)),
+            (12, 5, 0.0, Some(1e-10)),
+            (10, 4, -1e-7, Some(0.0)),
+        ];
+        let expected: [u64; 8] = [
+            0xd745_2689_adaf_5b7e,
+            0x4439_e41e_5dc7_fc9f,
+            0x1c07_9b51_4851_3b3e,
+            0x7b1f_1e5f_bcf0_8777,
+            0xd82e_f245_6e0c_a417,
+            0x61dd_dd5d_510b_bedd,
+            0xc520_dc30_fc12_0491,
+            0x98b0_205a_e0bb_199c,
+        ];
+        let mut reused = Cholesky::default();
         let mut scratch = Matrix::zeros(0, 0);
-        let ridge = ws.factorize_with_ridge(&a, 1e-9, &mut scratch).unwrap();
-        assert_eq!(ridge, ridge_ref);
-        assert_eq!(ws.factor(), reference.factor());
+        let mut x = Vec::new();
+        for (&(n, rank, shift, rel_ridge), &want) in cases.iter().zip(&expected) {
+            let a = gram(&mut draws, n, rank, shift);
+            let b: Vec<f64> = (0..n).map(|_| draws.next()).collect();
+            if rank < n {
+                assert!(Cholesky::new(&a).is_err(), "n = {n}: needs the ridge");
+            }
+            let (fresh, ridge) = match rel_ridge {
+                None => (Cholesky::new(&a).unwrap(), 0.0),
+                Some(rel) => Cholesky::new_with_ridge(&a, rel).unwrap(),
+            };
+            if rank < n {
+                assert!(ridge > 0.0, "n = {n}: ridge {ridge:e}");
+            }
+            let h = digest(0xcbf2_9ce4_8422_2325, fresh.factor().as_slice());
+            let h = digest(h, &fresh.solve(&b).unwrap());
+            assert_eq!(digest(h, &[ridge]), want, "n = {n}, fresh");
+
+            let ridge = match rel_ridge {
+                None => reused.factorize(&a).map(|()| 0.0),
+                Some(rel) => reused.factorize_with_ridge(&a, rel, &mut scratch),
+            }
+            .unwrap();
+            reused.solve_into(&b, &mut x).unwrap();
+            let h = digest(0xcbf2_9ce4_8422_2325, reused.factor().as_slice());
+            assert_eq!(digest(digest(h, &x), &[ridge]), want, "n = {n}, reused");
+        }
     }
 }

@@ -31,11 +31,6 @@ pub enum LinalgError {
         /// Value of the failing pivot.
         value: f64,
     },
-    /// LU factorization met an exactly (or numerically) singular matrix.
-    Singular {
-        /// Index of the failing pivot column.
-        pivot: usize,
-    },
     /// A matrix or vector was constructed from malformed data
     /// (e.g. ragged rows, zero dimension where forbidden, non-finite entry).
     InvalidInput {
@@ -65,9 +60,6 @@ impl fmt::Display for LinalgError {
                 f,
                 "matrix is not positive definite (pivot {pivot} = {value:e})"
             ),
-            LinalgError::Singular { pivot } => {
-                write!(f, "matrix is singular (pivot column {pivot})")
-            }
             LinalgError::InvalidInput { reason } => write!(f, "invalid input: {reason}"),
         }
     }
@@ -95,7 +87,7 @@ mod tests {
     #[test]
     fn error_trait_is_implemented() {
         fn takes_err(_e: &dyn std::error::Error) {}
-        takes_err(&LinalgError::Singular { pivot: 0 });
+        takes_err(&LinalgError::NotSquare { dims: (2, 3) });
     }
 
     #[test]

@@ -7,11 +7,8 @@
 //! * [`Matrix`] — a dense, row-major, `f64` matrix with the usual algebra.
 //! * [`vecops`] — slice-based vector kernels (dot products, norms, axpy, …).
 //! * [`Cholesky`] — factorization of symmetric positive-definite matrices,
-//!   with an optional relative ridge for nearly singular scatter matrices.
-//! * [`Lu`] — LU factorization with partial pivoting: solve, inverse,
-//!   determinant.
-//! * [`SymmetricEigen`] — cyclic Jacobi eigendecomposition of symmetric
-//!   matrices.
+//!   with an optional relative ridge for nearly singular scatter matrices,
+//!   reusable across same-sized factorizations.
 //! * [`moments`] — sample mean / covariance / scatter estimators used by the
 //!   LDA formulation (eqs. 1–6 of the paper).
 //!
@@ -36,17 +33,13 @@
 #![allow(clippy::needless_range_loop)]
 
 mod cholesky;
-mod eigen;
 mod error;
-mod lu;
 mod matrix;
 pub mod moments;
 pub mod vecops;
 
-pub use cholesky::{Cholesky, CholeskyWorkspace};
-pub use eigen::SymmetricEigen;
+pub use cholesky::Cholesky;
 pub use error::LinalgError;
-pub use lu::Lu;
 pub use matrix::Matrix;
 
 /// Convenience alias for results returned by this crate.

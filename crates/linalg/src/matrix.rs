@@ -1,4 +1,4 @@
-use crate::{Cholesky, LinalgError, Lu, Result, SymmetricEigen};
+use crate::{Cholesky, LinalgError, Result};
 use std::fmt;
 use std::ops::{Index, IndexMut};
 
@@ -161,11 +161,6 @@ impl Matrix {
     /// Mutably borrow the underlying row-major buffer.
     pub fn as_mut_slice(&mut self) -> &mut [f64] {
         &mut self.data
-    }
-
-    /// Consumes the matrix, returning the row-major buffer.
-    pub fn into_vec(self) -> Vec<f64> {
-        self.data
     }
 
     /// Borrow row `i` as a slice.
@@ -449,11 +444,6 @@ impl Matrix {
         Ok(())
     }
 
-    /// Frobenius norm.
-    pub fn frobenius_norm(&self) -> f64 {
-        self.data.iter().map(|x| x * x).sum::<f64>().sqrt()
-    }
-
     /// Maximum absolute entry.
     pub fn max_abs(&self) -> f64 {
         self.data.iter().fold(0.0f64, |m, &x| m.max(x.abs()))
@@ -472,34 +462,6 @@ impl Matrix {
     /// ([`LinalgError::NotPositiveDefinite`], [`LinalgError::NotSquare`]).
     pub fn cholesky(&self) -> Result<Cholesky> {
         Cholesky::new(self)
-    }
-
-    /// LU factorization with partial pivoting (see [`Lu::new`]).
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`LinalgError::Singular`] / [`LinalgError::NotSquare`].
-    pub fn lu(&self) -> Result<Lu> {
-        Lu::new(self)
-    }
-
-    /// Symmetric eigendecomposition by the cyclic Jacobi method
-    /// (see [`SymmetricEigen::new`]).
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`LinalgError::NotSymmetric`] / [`LinalgError::NotSquare`].
-    pub fn symmetric_eigen(&self) -> Result<SymmetricEigen> {
-        SymmetricEigen::new(self)
-    }
-
-    /// Inverse via LU factorization.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::Singular`] if the matrix has no inverse.
-    pub fn inverse(&self) -> Result<Matrix> {
-        self.lu()?.inverse()
     }
 }
 
@@ -650,11 +612,10 @@ mod tests {
     }
 
     #[test]
-    fn diag_trace_frobenius() {
+    fn diag_trace_max_abs() {
         let a = Matrix::from_diag(&[1.0, -2.0, 3.0]);
         assert_eq!(a.diag(), vec![1.0, -2.0, 3.0]);
         assert_eq!(a.trace(), 2.0);
-        assert!(approx(a.frobenius_norm(), (1.0f64 + 4.0 + 9.0).sqrt()));
         assert_eq!(a.max_abs(), 3.0);
     }
 

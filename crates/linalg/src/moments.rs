@@ -232,8 +232,9 @@ mod tests {
         let mu = row_mean(&a).unwrap();
         let cov = covariance(&a, &mu).unwrap();
         assert!(cov.max_asymmetry().unwrap() == 0.0);
-        let eig = cov.symmetric_eigen().unwrap();
-        assert!(eig.min_eigenvalue() >= -1e-12);
+        for w in [[1.0, 0.0], [0.0, 1.0], [1.0, -1.0], [-0.3, 2.0]] {
+            assert!(cov.quad_form(&w).unwrap() >= -1e-12);
+        }
     }
 
     #[test]

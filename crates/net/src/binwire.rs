@@ -58,8 +58,8 @@
 //! Health/stats/reload/shutdown replies reuse the binary framing with a
 //! UTF-8 JSON body, so admin plumbing shares the JSON tier's vocabulary.
 //!
-//! Every decoder in this module goes through the bounds-checked
-//! [`Reader`]; hostile input produces [`NetError::Protocol`], never a
+//! Every decoder in this module goes through one bounds-checked byte
+//! reader; hostile input produces [`NetError::Protocol`], never a
 //! panic (property-tested in the crate's test suite).
 
 use crate::error::{NetError, Result};

@@ -69,8 +69,8 @@ fn cone_argument(sc: &SocConstraint, x: &[f64], z: &mut Vec<f64>) {
 }
 
 /// Accumulates `∇φ` into `grad` and `∇²φ` into the lower triangle of
-/// `hess` (the triangle [`CholeskyWorkspace`](ldafp_linalg::CholeskyWorkspace)
-/// reads; [`mirror_lower`] completes the matrix).
+/// `hess` (the triangle [`Cholesky`](ldafp_linalg::Cholesky) reads;
+/// [`mirror_lower`] completes the matrix).
 ///
 /// Each linear row touches only its nonzero support and each cone row only
 /// its nonzero span. The products skipped are exact zeros, and every entry
@@ -209,23 +209,14 @@ fn center(
         // trouble (semidefinite Q with few constraints can leave H singular).
         ws.neg_grad.clear();
         ws.neg_grad.extend(ws.grad.iter().map(|g| -g));
-        match ws.chol.factorize(&ws.hess) {
-            Ok(()) => {}
-            Err(_) => {
-                ws.chol
-                    .factorize_with_ridge(&ws.hess, 1e-10, &mut ws.shifted)
-                    .map_err(|e| SolverError::NumericalFailure {
-                        reason: format!("Newton system factorization failed: {e}"),
-                    })?;
-            }
+        if ws.chol.factorize(&ws.hess).is_err() {
+            ws.chol
+                .factorize_with_ridge(&ws.hess, 1e-10, &mut ws.shifted)
+                .map_err(|e| SolverError::NumericalFailure {
+                    reason: format!("Newton system factorization failed: {e}"),
+                })?;
         }
-        let Workspace {
-            chol,
-            neg_grad,
-            delta,
-            ..
-        } = &mut *ws;
-        chol.solve_into(neg_grad, delta)?;
+        ws.chol.solve_into(&ws.neg_grad, &mut ws.delta)?;
         steps += 1;
 
         // Newton decrement: λ² = −gradᵀΔ.

@@ -14,12 +14,12 @@
 //!
 //! Soundness: every in-place operation used here is the bit-identical twin
 //! of the allocating call it replaces (`copy_scaled_from` vs `scaled`,
-//! `mul_vec_into` vs `mul_vec`, `CholeskyWorkspace` vs `Cholesky`), and
-//! every buffer is fully rewritten before it is read, so a solve's iterates
-//! do not depend on what an earlier solve left in the workspace — tested in
-//! `barrier.rs`.
+//! `mul_vec_into` vs `mul_vec`), the factor is one [`Cholesky`] refilled
+//! by `factorize` and read by `solve_into`, and every buffer is fully
+//! rewritten before it is read, so a solve's iterates do not depend on what
+//! an earlier solve left in the workspace — tested in `barrier.rs`.
 
-use ldafp_linalg::{CholeskyWorkspace, Matrix};
+use ldafp_linalg::{Cholesky, Matrix};
 
 /// Reusable buffers for one SOCP solve (phase I + phase II).
 #[derive(Debug)]
@@ -36,8 +36,8 @@ pub struct Workspace {
     pub(crate) hess: Matrix,
     /// Ridge-retry shifted-Hessian buffer.
     pub(crate) shifted: Matrix,
-    /// Factorization scratch (factor + substitution intermediate).
-    pub(crate) chol: CholeskyWorkspace,
+    /// The Newton system's factorization, refilled every step.
+    pub(crate) chol: Cholesky,
     /// Barrier-evaluation scratch.
     pub(crate) eval: EvalScratch,
     /// Newton steps served from already-sized buffers (no allocation).
@@ -74,7 +74,7 @@ impl Workspace {
             cand: Vec::new(),
             hess: Matrix::zeros(0, 0),
             shifted: Matrix::zeros(0, 0),
-            chol: CholeskyWorkspace::new(),
+            chol: Cholesky::default(),
             eval: EvalScratch::default(),
             newton_reuses: 0,
         }

@@ -62,8 +62,11 @@ mod tests {
 
     #[test]
     fn display_and_source() {
-        let e = StatsError::from(ldafp_linalg::LinalgError::Singular { pivot: 1 });
-        assert!(e.to_string().contains("singular"));
+        let e = StatsError::from(ldafp_linalg::LinalgError::NotPositiveDefinite {
+            pivot: 1,
+            value: -1.0,
+        });
+        assert!(e.to_string().contains("not positive definite"));
         assert!(std::error::Error::source(&e).is_some());
     }
 

@@ -33,9 +33,9 @@ pub struct MultivariateGaussian {
 impl MultivariateGaussian {
     /// Creates the distribution from a mean vector and covariance matrix.
     ///
-    /// A tiny relative ridge (`1e-12`) is applied automatically if the
-    /// covariance is PSD-but-singular, so rank-deficient simulated sensors
-    /// still sample correctly (within noise floor).
+    /// A PSD-but-singular covariance is factorized with a tiny ridge (from
+    /// `1e-12` of its mean diagonal, ×10 until it factors), so rank-deficient
+    /// simulated sensors still sample correctly (within noise floor).
     ///
     /// # Errors
     ///
@@ -57,11 +57,11 @@ impl MultivariateGaussian {
                 reason: "non-finite mean or covariance entries".to_string(),
             });
         }
-        let (chol, _ridge) = Cholesky::new_with_ridge(&covariance, 0.0)
-            .or_else(|_| Cholesky::new_with_ridge(&covariance, 1e-12))
-            .map_err(|e| StatsError::InvalidDistribution {
+        let (chol, _ridge) = Cholesky::new_with_ridge(&covariance, 0.0).map_err(|e| {
+            StatsError::InvalidDistribution {
                 reason: format!("covariance is not positive semi-definite: {e}"),
-            })?;
+            }
+        })?;
         Ok(MultivariateGaussian {
             mean,
             covariance,
@@ -108,20 +108,6 @@ impl MultivariateGaussian {
             data.extend(self.sample(rng));
         }
         Matrix::from_vec(n, m, data).expect("buffer sized by construction")
-    }
-
-    /// Log of the probability density at `x`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x.len() != self.dim()`.
-    pub fn log_pdf(&self, x: &[f64]) -> f64 {
-        assert_eq!(x.len(), self.dim(), "log_pdf: dimension mismatch");
-        let diff = ldafp_linalg::vecops::sub(x, &self.mean);
-        let solved = self.chol.solve(&diff).expect("dimension checked");
-        let mahalanobis_sq = ldafp_linalg::vecops::dot(&diff, &solved);
-        let d = self.dim() as f64;
-        -0.5 * (d * (2.0 * std::f64::consts::PI).ln() + self.chol.log_det() + mahalanobis_sq)
     }
 }
 
@@ -206,16 +192,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn log_pdf_peak_at_mean() {
-        let cov = Matrix::identity(2);
-        let mvn = MultivariateGaussian::new(vec![0.5, -0.5], cov).unwrap();
-        let at_mean = mvn.log_pdf(&[0.5, -0.5]);
-        // log pdf of standard 2-D normal at mean: -log(2π)
-        assert!((at_mean + (2.0 * std::f64::consts::PI).ln()).abs() < 1e-9);
-        assert!(mvn.log_pdf(&[1.5, -0.5]) < at_mean);
     }
 
     #[test]

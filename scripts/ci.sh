@@ -331,5 +331,9 @@ cargo clippy -p ldafp-kernels --all-targets -- -D warnings
 # registry).
 cargo test --release --offline --manifest-path benchmark/Cargo.toml
 
+# API docs, warnings promoted to errors, so a removed or private item
+# leaves no dangling intra-doc link.
+RUSTDOCFLAGS="-D warnings" cargo doc --offline --workspace --no-deps
+
 # Whole-workspace lint, warnings promoted to errors.
 cargo clippy --workspace --all-targets -- -D warnings

@@ -177,6 +177,27 @@ impl ParsedArgs {
         Ok(args)
     }
 
+    /// Refuses any of `names` that was given: options `command` reads in
+    /// another mode but not in the one `mode` describes (e.g. "with
+    /// --family os-elm"). The message names the command, the option and
+    /// the mode.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CliError`] naming the first such option given.
+    pub fn refuse_in_mode(&self, command: &str, mode: &str, names: &[&str]) -> Result<()> {
+        match names
+            .iter()
+            .find(|&&n| self.options.contains_key(n) || self.has_flag(n))
+        {
+            Some(name) => Err(CliError(format!(
+                "{command} does not read --{name} {mode}
+run `ldafp help` for each command's options"
+            ))),
+            None => Ok(()),
+        }
+    }
+
     /// The command: the first positional argument, `help` when there is
     /// none.
     pub fn command(&self) -> &str {

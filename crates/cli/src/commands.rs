@@ -46,6 +46,21 @@ pub fn train(
     args: &ParsedArgs,
     csv_text: &str,
 ) -> Result<(String, Option<TrainingOutcome>, Option<DegradationStats>)> {
+    let family = parse_family(args)?;
+    if family != ModelFamily::Lda {
+        // No search runs, and OS-ELM derives its own integer-bit split.
+        let mut unread = vec![BASELINE, "quick"];
+        unread.extend_from_slice(SEARCH_OPTIONS);
+        if family == ModelFamily::OsElm {
+            unread.push("k");
+        }
+        let mode = format!("with --family {}", family.name());
+        args.refuse_in_mode("train", &mode, &unread)?;
+    } else if args.has_flag(BASELINE) {
+        let mut unread = vec!["rho", "quick"];
+        unread.extend_from_slice(SEARCH_OPTIONS);
+        args.refuse_in_mode("train", "with --baseline", &unread)?;
+    }
     let data = csv::parse(csv_text)?;
     let bits: u32 = args.get_parsed("bits", 8)?;
     let max_k: u32 = args.get_parsed("k", 4)?;
@@ -55,34 +70,33 @@ pub fn train(
         return Err(CliError(format!("--bits must be in 1..=31, got {bits}")));
     }
 
-    let family = parse_family(args)?;
     let (mut artifact, training, outcome, degradation) = if family != ModelFamily::Lda {
         let (artifact, training) = train_family(family, args, &data, bits, max_k, rho)?;
         (artifact, training, None, None)
     } else {
-        let (algorithm, classifier, fisher_cost, outcome, degradation) =
-            if args.has_flag("baseline") {
-                let (clf, _format) = eval::quantized_lda_auto(&data, bits, max_k)?;
-                ("lda-rounded", clf, None, None, None)
+        let (algorithm, classifier, fisher_cost, outcome, degradation) = if args.has_flag(BASELINE)
+        {
+            let (clf, _format) = eval::quantized_lda_auto(&data, bits, max_k)?;
+            ("lda-rounded", clf, None, None, None)
+        } else {
+            let mut cfg = if args.has_flag("quick") {
+                LdaFpConfig::fast()
             } else {
-                let mut cfg = if args.has_flag("quick") {
-                    LdaFpConfig::fast()
-                } else {
-                    LdaFpConfig::default()
-                };
-                cfg.rho = rho;
-                cfg.bnb.time_budget = Some(Duration::from_secs(budget_secs));
-                apply_recovery_args(args, &mut cfg)?;
-                let trainer = LdaFpTrainer::new(cfg);
-                let (model, _format) = trainer.train_auto(&data, bits, max_k)?;
-                (
-                    "lda-fp",
-                    model.classifier().clone(),
-                    Some(model.fisher_cost()),
-                    Some(model.outcome().clone()),
-                    Some(model.stats().degradation.clone()),
-                )
+                LdaFpConfig::default()
             };
+            cfg.rho = rho;
+            cfg.bnb.time_budget = Some(Duration::from_secs(budget_secs));
+            apply_recovery_args(args, &mut cfg)?;
+            let trainer = LdaFpTrainer::new(cfg);
+            let (model, _format) = trainer.train_auto(&data, bits, max_k)?;
+            (
+                "lda-fp",
+                model.classifier().clone(),
+                Some(model.fisher_cost()),
+                Some(model.outcome().clone()),
+                Some(model.stats().degradation.clone()),
+            )
+        };
         let mut training = TrainingInfo {
             algorithm: Some(algorithm.to_string()),
             training_error: Some(eval::error_rate(&classifier, &data)),
@@ -102,6 +116,13 @@ pub fn train(
     artifact.training = training;
     Ok((artifact.to_json_string(), outcome, degradation))
 }
+
+/// The switch that makes `train` fit rounded float LDA instead of running
+/// the LDA-FP search.
+const BASELINE: &str = "baseline";
+
+/// The options only the LDA-FP search reads.
+const SEARCH_OPTIONS: &[&str] = &["budget-secs", "max-solver-retries", "solver-threads"];
 
 /// Parses `--family` into a [`ModelFamily`] (default `lda`).
 fn parse_family(args: &ParsedArgs) -> Result<ModelFamily> {

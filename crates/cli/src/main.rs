@@ -70,7 +70,10 @@ commands:
               (prints the model file, the serving artifact, for every
                family; non-LDA families exit 0 on success, 1 on error; LDA
                exits by training outcome: 0 certified, 2
-               budget-exhausted/degraded, 3 fallback-rounded)
+               budget-exhausted/degraded, 3 fallback-rounded; --baseline
+               and the non-LDA families run no search and refuse
+               --quick, --budget-secs, --max-solver-retries and
+               --solver-threads, and os-elm refuses --k)
   eval        --model <model.ldafp.json> --data <csv>
   predict     --model <model.ldafp.json> --input <csv>
               (remote: --addr <host:port> instead of --model, plus
@@ -177,6 +180,11 @@ fn run() -> ldafp_cli::Result<(String, u8)> {
             commands::eval_cmd(&model, &csv_text)?
         }
         "predict" => {
+            let (mode, unread): (&str, &[&str]) = match args.get("addr") {
+                Some(_) => ("with --addr", &["model"]),
+                None => ("without --addr", &["name", "wire"]),
+            };
+            args.refuse_in_mode("predict", mode, unread)?;
             let input_path = args.get("input").ok_or_else(|| {
                 CliError("predict needs --input <csv>\nusage: ldafp predict --model <model.ldafp.json> --input <csv>\n       ldafp predict --addr <host:port> --input <csv> [--name model] [--wire binary|json]".to_string())
             })?;

@@ -70,3 +70,69 @@ fn misdirected_options_name_command_and_option() {
         "serve does not read --threads",
     );
 }
+
+#[test]
+fn options_a_mode_ignores_name_command_option_and_mode() {
+    // `predict` refuses before it reads a file, so its paths need not
+    // exist; `train` refuses before it parses the data it read.
+    let data = std::env::temp_dir().join(format!("ldafp-unread-{}.csv", std::process::id()));
+    std::fs::write(&data, "0.1,0.2,A\n-0.1,-0.2,B\n").unwrap();
+    let data = data.to_str().unwrap();
+    assert_refused(
+        &[
+            "predict", "--model", "m.json", "--input", "x.csv", "--wire", "json",
+        ],
+        "predict does not read --wire without --addr",
+    );
+    assert_refused(
+        &[
+            "predict", "--model", "m.json", "--input", "x.csv", "--name", "m",
+        ],
+        "predict does not read --name without --addr",
+    );
+    assert_refused(
+        &[
+            "predict",
+            "--addr",
+            "127.0.0.1:1",
+            "--input",
+            "x.csv",
+            "--model",
+            "m.json",
+        ],
+        "predict does not read --model with --addr",
+    );
+    for family in ["naive-bayes", "os-elm"] {
+        for (option, value) in [
+            ("--baseline", None),
+            ("--quick", None),
+            ("--solver-threads", Some("9")),
+            ("--budget-secs", Some("5")),
+            ("--max-solver-retries", Some("0")),
+        ] {
+            let mut args = vec!["train", "--data", data, "--family", family, option];
+            args.extend(value);
+            assert_refused(
+                &args,
+                &format!("train does not read {option} with --family {family}"),
+            );
+        }
+    }
+    assert_refused(
+        &["train", "--data", data, "--family", "os-elm", "--k", "2"],
+        "train does not read --k with --family os-elm",
+    );
+    for (option, value) in [
+        ("--rho", Some("0.5")),
+        ("--quick", None),
+        ("--solver-threads", Some("9")),
+    ] {
+        let mut args = vec!["train", "--data", data, "--baseline", option];
+        args.extend(value);
+        assert_refused(
+            &args,
+            &format!("train does not read {option} with --baseline"),
+        );
+    }
+    std::fs::remove_file(data).unwrap();
+}

@@ -72,11 +72,13 @@ fn cone_argument(sc: &SocConstraint, x: &[f64], z: &mut Vec<f64>) {
 /// `hess` (the triangle [`Cholesky`](ldafp_linalg::Cholesky) reads;
 /// [`mirror_lower`] completes the matrix).
 ///
-/// Each linear row touches only its nonzero support and each cone row only
-/// its nonzero span. The products skipped are exact zeros, and every entry
-/// still receives its nonzero contributions in constraint order, so for
-/// finite `x` the result is bit-identical to a dense accumulation except,
-/// at most, for the sign of an entry that is exactly zero.
+/// Each linear row touches only its nonzero support, and each cone row's
+/// `z` and `Aᵀz` only its nonzero span. The cone Hessian's `AᵀA` term is
+/// `(2/ψ)·G` with `G` formed once per cone. The products skipped are exact
+/// zeros, and every entry still receives its nonzero contributions in
+/// constraint order, so for finite `x` the result is bit-identical to a
+/// dense accumulation except, at most, for the sign of an entry that is
+/// exactly zero.
 ///
 /// Caller guarantees strict feasibility (checked in debug builds).
 fn add_barrier_derivatives(
@@ -131,27 +133,20 @@ fn add_barrier_derivatives(
         for (g, &gp) in grad.iter_mut().zip(&s.grad_psi) {
             *g -= gp * inv_psi;
         }
-        // ∇²φ = ∇ψ∇ψᵀ/ψ² − ∇²ψ/ψ with ∇²ψ = 2ddᵀ − 2AᵀA.
-        // (AᵀA term): += 2·AᵀA/ψ ; (ddᵀ term): −= 2·ddᵀ/ψ.
-        for (r, &(lo, hi)) in sc.spans.iter().enumerate() {
-            let row = sc.a.row(r);
-            for i in lo..hi {
-                let ai = row[i];
-                if ai == 0.0 {
-                    continue;
-                }
-                let w = 2.0 * ai * inv_psi;
-                for (h, &aj) in hess.row_mut(i)[lo..=i].iter_mut().zip(&row[lo..=i]) {
-                    *h += w * aj;
-                }
-            }
-        }
+        // ∇²φ = ∇ψ∇ψᵀ/ψ² − ∇²ψ/ψ with ∇²ψ = 2ddᵀ − 2AᵀA: first
+        // += (2/ψ)·G with the cone's Gram matrix G = AᵀA, then the rest.
+        // One pass adds both, rounding after each as two passes would.
+        let two_inv_psi = 2.0 * inv_psi;
         for i in 0..n {
             let gpi = s.grad_psi[i];
             let two_di = 2.0 * sc.d[i];
-            let terms = s.grad_psi[..=i].iter().zip(&sc.d[..=i]);
-            for (h, (&gpj, &dj)) in hess.row_mut(i)[..=i].iter_mut().zip(terms) {
-                *h += gpi * gpj * inv_psi * inv_psi - two_di * dj * inv_psi;
+            let terms = sc.gram.row(i)[..=i]
+                .iter()
+                .zip(&s.grad_psi[..=i])
+                .zip(&sc.d[..=i]);
+            for (h, ((&g, &gpj), &dj)) in hess.row_mut(i)[..=i].iter_mut().zip(terms) {
+                *h = (*h + two_inv_psi * g)
+                    + (gpi * gpj * inv_psi * inv_psi - two_di * dj * inv_psi);
             }
         }
     }
@@ -191,6 +186,7 @@ fn center(
                 return Ok((x, steps));
             }
         }
+        ws.mark();
         if ws.ensure(x.len()) {
             ws.newton_reuses += 1;
         }
@@ -204,6 +200,7 @@ fn center(
         ws.hess.copy_scaled_from(p.q(), t);
         add_barrier_derivatives(p, &x, &mut ws.grad, &mut ws.hess, &mut ws.eval);
         mirror_lower(&mut ws.hess);
+        ws.lap(|s| &mut s.assembly);
 
         // Newton direction: solve H Δ = −grad, ridging on factorization
         // trouble (semidefinite Q with few constraints can leave H singular).
@@ -221,6 +218,7 @@ fn center(
 
         // Newton decrement: λ² = −gradᵀΔ.
         let lambda_sq = -vecops::dot(&ws.grad, &ws.delta);
+        ws.lap(|s| &mut s.factor);
         if !lambda_sq.is_finite() {
             return Err(SolverError::NumericalFailure {
                 reason: "non-finite Newton decrement".to_string(),
@@ -260,6 +258,7 @@ fn center(
             }
             alpha *= config.backtrack;
         }
+        ws.lap(|s| &mut s.line_search);
         if !accepted {
             // Step has shrunk below representable progress — we are at the
             // numerical floor of this centering problem; accept the point.

@@ -1,14 +1,20 @@
 //! Bit-identity oracle for the structure-aware barrier assembly.
 //!
-//! [`dense`] keeps the structure-blind evaluation the engine used before it
-//! learned constraint supports: every linear row is an `n`-long dot product
-//! and an `n × n` scan, every cone row a full row. Seeded problems mix box
-//! rows, single-nonzero rows, dense rows, upper-triangular (`β·Lᵀ`-shaped)
-//! and dense cones at several sizes, plus each problem's phase-I form, and
-//! the structure-aware functions must reproduce the reference bit for bit.
+//! [`dense`] is the same math without structure: every linear row is an
+//! `n`-long dot product and an `n × n` scan, every cone row a full row, and
+//! each cone's Gram matrix `AᵀA` is formed over full rows at every
+//! evaluation. Seeded problems mix box rows, single-nonzero rows, dense
+//! rows, upper-triangular (`β·Lᵀ`-shaped) and dense cones at several sizes,
+//! plus each problem's phase-I form, and the structure-aware functions must
+//! reproduce the reference bit for bit.
+//!
+//! [`dense::ConeTerm::PerRow`] keeps the cone Hessian term as it was
+//! accumulated before the Gram matrix, row by row as `(2·a_ri/ψ)·a_rj`;
+//! the Gram form must match it to rounding.
 
 use super::{add_barrier_derivatives, barrier_value, EvalScratch};
 use crate::{SocpProblem, SolverConfig};
+use dense::ConeTerm;
 use ldafp_linalg::{vecops, Matrix};
 use ldafp_stats::Rng;
 
@@ -16,6 +22,15 @@ use ldafp_stats::Rng;
 mod dense {
     use crate::SocpProblem;
     use ldafp_linalg::{vecops, Matrix};
+
+    /// How the cone Hessian's `2·AᵀA/ψ` term is accumulated.
+    #[derive(Clone, Copy)]
+    pub(super) enum ConeTerm {
+        /// `(2/ψ)·G` with `G = AᵀA` summed over full rows.
+        Gram,
+        /// `(2·a_ri/ψ)·a_rj`, row by row.
+        PerRow,
+    }
 
     pub(super) fn barrier_value(p: &SocpProblem, x: &[f64]) -> Option<f64> {
         let mut phi = 0.0;
@@ -46,6 +61,7 @@ mod dense {
         x: &[f64],
         grad: &mut [f64],
         hess: &mut Matrix,
+        cone_term: ConeTerm,
     ) {
         let n = x.len();
         for lc in p.linear_constraints() {
@@ -80,16 +96,36 @@ mod dense {
                 grad[i] -= grad_psi[i] * inv_psi;
             }
             let a = &sc.a;
-            for r in 0..a.rows() {
-                let row = a.row(r);
-                for i in 0..n {
-                    let ai = row[i];
-                    if ai == 0.0 {
-                        continue;
+            match cone_term {
+                ConeTerm::Gram => {
+                    let mut gram = Matrix::zeros(n, n);
+                    for r in 0..a.rows() {
+                        let row = a.row(r);
+                        for i in 0..n {
+                            for j in 0..n {
+                                gram[(i, j)] += row[i] * row[j];
+                            }
+                        }
                     }
-                    let w = 2.0 * ai * inv_psi;
-                    for j in 0..n {
-                        hess[(i, j)] += w * row[j];
+                    for i in 0..n {
+                        for j in 0..n {
+                            hess[(i, j)] += 2.0 * inv_psi * gram[(i, j)];
+                        }
+                    }
+                }
+                ConeTerm::PerRow => {
+                    for r in 0..a.rows() {
+                        let row = a.row(r);
+                        for i in 0..n {
+                            let ai = row[i];
+                            if ai == 0.0 {
+                                continue;
+                            }
+                            let w = 2.0 * ai * inv_psi;
+                            for j in 0..n {
+                                hess[(i, j)] += w * row[j];
+                            }
+                        }
                     }
                 }
             }
@@ -246,7 +282,7 @@ fn barrier_matches_dense_reference_bit_for_bit() {
             }
             let hess0 = p.q().scaled(t);
             let (mut g_ref, mut h_ref) = (grad0.clone(), hess0.clone());
-            dense::add_barrier_derivatives(&p, &x, &mut g_ref, &mut h_ref);
+            dense::add_barrier_derivatives(&p, &x, &mut g_ref, &mut h_ref, ConeTerm::Gram);
             let (mut g_new, mut h_new) = (grad0, hess0);
             add_barrier_derivatives(&p, &x, &mut g_new, &mut h_new, &mut scratch);
             for i in 0..n {
@@ -261,6 +297,48 @@ fn barrier_matches_dense_reference_bit_for_bit() {
     assert!(
         checked >= 48,
         "only {checked} feasible evaluations were compared"
+    );
+}
+
+#[test]
+fn gram_hessian_matches_per_row_accumulation_to_rounding() {
+    let mut rng = Rng::new(7);
+    let mut scratch = EvalScratch::default();
+    let mut worst = 0.0f64;
+    for (p, x0) in cases() {
+        let n = p.num_vars();
+        for k in 0..4 {
+            let x: Vec<f64> = x0
+                .iter()
+                .map(|v| v + rng.range_f64(-0.1..0.1) * k as f64)
+                .collect();
+            if barrier_value(&p, &x, &mut scratch.z).is_none() {
+                continue;
+            }
+            let mut g = vec![0.0; n];
+            let (mut h_row, mut h_new) = (Matrix::zeros(n, n), Matrix::zeros(n, n));
+            dense::add_barrier_derivatives(&p, &x, &mut g, &mut h_row, ConeTerm::PerRow);
+            add_barrier_derivatives(&p, &x, &mut vec![0.0; n], &mut h_new, &mut scratch);
+            // A barrier Hessian is positive definite, so |h_ij| is at most
+            // sqrt(h_ii·h_jj): the scale an entry's rounding is judged by.
+            for i in 0..n {
+                for j in 0..=i {
+                    let scale = (h_row[(i, i)] * h_row[(j, j)]).sqrt();
+                    let rel = (h_new[(i, j)] - h_row[(i, j)]).abs() / scale;
+                    assert!(
+                        rel <= 1e-12,
+                        "hessian ({i}, {j}) at n = {n}: {:e} vs per-row {:e}",
+                        h_new[(i, j)],
+                        h_row[(i, j)]
+                    );
+                    worst = worst.max(rel);
+                }
+            }
+        }
+    }
+    assert!(
+        worst > 0.0,
+        "the Gram form never moved a bit: nothing tested"
     );
 }
 

@@ -1,6 +1,8 @@
+use crate::workspace::StageTimes;
 use crate::{Result, SolverError};
 use ldafp_linalg::{vecops, Matrix};
 use ldafp_obs as obs;
+use std::time::Instant;
 
 /// A linear inequality `gᵀx ≤ h`.
 ///
@@ -41,8 +43,10 @@ impl LinearConstraint {
 /// `(d, e)` encoding the affine range bound.
 ///
 /// Like [`LinearConstraint`], cones are only built by [`SocpProblem`],
-/// which records each row's nonzero column span once; the upper-triangular
-/// `β·Lᵀ` rows of eq. 20 then cost half a dense row each.
+/// which records each row's nonzero column span once (the upper-triangular
+/// `β·Lᵀ` rows of eq. 20 then cost half a dense row each) and forms the
+/// Gram matrix `AᵀA` once, so the barrier Hessian's cone term is one
+/// `O(n²)` scaling per Newton step.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SocConstraint {
     /// Cone matrix `A` (`p × n`).
@@ -56,11 +60,13 @@ pub struct SocConstraint {
     /// Per row of `A`, the half-open column range from its first to its
     /// last nonzero entry (`lo == hi` for an all-zero row).
     pub(crate) spans: Vec<(usize, usize)>,
+    /// `G = AᵀA` (`n × n`), lower triangle only; the upper triangle is 0.
+    pub(crate) gram: Matrix,
 }
 
 impl SocConstraint {
     fn new(a: Matrix, b: Vec<f64>, d: Vec<f64>, e: f64) -> Self {
-        let spans = (0..a.rows())
+        let spans: Vec<(usize, usize)> = (0..a.rows())
             .map(|r| {
                 let row = a.row(r);
                 let lo = row.iter().position(|&v| v != 0.0).unwrap_or(0);
@@ -68,7 +74,15 @@ impl SocConstraint {
                 (lo, hi)
             })
             .collect();
-        SocConstraint { a, b, d, e, spans }
+        let gram = gram_lower(&a, &spans);
+        SocConstraint {
+            a,
+            b,
+            d,
+            e,
+            spans,
+            gram,
+        }
     }
 
     /// `u(x) = dᵀx + e`, the affine right-hand side.
@@ -89,6 +103,23 @@ impl SocConstraint {
     pub fn violation(&self, x: &[f64]) -> f64 {
         vecops::norm2(&self.z(x)) - self.u(x)
     }
+}
+
+/// The lower triangle of `AᵀA`, summed over the rows of `A` in order, each
+/// row over its `spans` entry. The products skipped outside a span are
+/// exact zeros, so any spans covering the nonzeros give the same bits.
+fn gram_lower(a: &Matrix, spans: &[(usize, usize)]) -> Matrix {
+    let mut gram = Matrix::zeros(a.cols(), a.cols());
+    for (r, &(lo, hi)) in spans.iter().enumerate() {
+        let row = a.row(r);
+        for i in lo..hi {
+            let ai = row[i];
+            for (g, &aj) in gram.row_mut(i)[lo..=i].iter_mut().zip(&row[lo..=i]) {
+                *g += ai * aj;
+            }
+        }
+    }
+    gram
 }
 
 /// Solver tolerances and barrier schedule.
@@ -344,7 +375,8 @@ impl SocpProblem {
     /// The phase-I problem over `(x, s)`: every constraint relaxed by the
     /// slack `s`, plus `s ≥ −1`, minimizing `s`. Supports and spans carry
     /// over from `self` (the slack adds index `n` to each linear support;
-    /// the cone matrices gain a zero column).
+    /// the cone matrices gain a zero column, so their Gram matrices gain a
+    /// zero row and column).
     pub(crate) fn phase1_problem(&self) -> SocpProblem {
         let n = self.n;
         let aux_n = n + 1;
@@ -374,6 +406,10 @@ impl SocpProblem {
                 for r in 0..sc.a.rows() {
                     a.row_mut(r)[..n].copy_from_slice(sc.a.row(r));
                 }
+                let mut gram = Matrix::zeros(aux_n, aux_n);
+                for i in 0..n {
+                    gram.row_mut(i)[..n].copy_from_slice(sc.gram.row(i));
+                }
                 let mut d = sc.d.clone();
                 d.push(1.0);
                 SocConstraint {
@@ -382,6 +418,7 @@ impl SocpProblem {
                     d,
                     e: sc.e,
                     spans: sc.spans.clone(),
+                    gram,
                 }
             })
             .collect();
@@ -404,6 +441,7 @@ impl SocpProblem {
         }
         for sc in &mut p.soc {
             sc.spans = vec![(0, self.n); sc.a.rows()];
+            sc.gram = gram_lower(&sc.a, &sc.spans);
         }
         p
     }
@@ -460,9 +498,37 @@ impl SocpProblem {
     ///
     /// Same failure modes as [`Self::solve`].
     pub fn solve_from(&self, x0: Option<&[f64]>, config: &SolverConfig) -> Result<Solution> {
+        self.solve_timed(x0, config, None)
+    }
+
+    /// [`Self::solve_from`], adding the wall time of its stages to `times`
+    /// when given, whether the solve succeeds or not. The iterates do not
+    /// depend on `times`.
+    pub(crate) fn solve_timed(
+        &self,
+        x0: Option<&[f64]>,
+        config: &SolverConfig,
+        times: Option<&mut StageTimes>,
+    ) -> Result<Solution> {
         // One workspace per solve, shared by phase I (n+1 vars) and phase II
         // (n vars); `ensure` handles the dimension switch.
         let mut ws = crate::Workspace::new();
+        if times.is_some() {
+            ws.timing = Some((Instant::now(), StageTimes::default()));
+        }
+        let solution = self.solve_in(x0, config, &mut ws);
+        if let (Some(acc), Some((_, t))) = (times, &ws.timing) {
+            acc.add(t);
+        }
+        solution
+    }
+
+    fn solve_in(
+        &self,
+        x0: Option<&[f64]>,
+        config: &SolverConfig,
+        ws: &mut crate::Workspace,
+    ) -> Result<Solution> {
         let mut phase1_steps = 0usize;
         let start = match x0 {
             Some(x)
@@ -472,14 +538,18 @@ impl SocpProblem {
             }
             _ => {
                 let warm = x0.filter(|x| x.len() == self.n).map(|x| x.to_vec());
-                let (x, steps) =
-                    crate::phase1::find_strictly_feasible(self, warm, config, &mut ws)?;
+                let started = ws.timing.is_some().then(Instant::now);
+                let found = crate::phase1::find_strictly_feasible(self, warm, config, ws);
+                if let (Some(started), Some((_, t))) = (started, &mut ws.timing) {
+                    t.phase1 += started.elapsed();
+                }
+                let (x, steps) = found?;
                 phase1_steps = steps;
                 x
             }
         };
         let (x, stages, steps, barrier_t) =
-            crate::barrier::barrier_minimize(self, start, config, &mut ws)?;
+            crate::barrier::barrier_minimize(self, start, config, ws)?;
         workspace_reuse_counter().add(ws.newton_reuses());
         let objective = self.objective(&x);
         Ok(Solution {

@@ -25,10 +25,11 @@
 //! The perturbation is deterministic (a hash of the attempt index), so a
 //! recovered search is exactly reproducible.
 
+use crate::workspace::StageTimes;
 use crate::{Result, SocpProblem, Solution, SolverConfig, SolverError};
 use ldafp_obs as obs;
 use std::sync::{Arc, OnceLock};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// A solution obtained through the recovering solve path, together with the
 /// escalation trail that produced it.
@@ -157,7 +158,9 @@ fn solve_metrics() -> &'static SolveMetrics {
 
 /// Per-SOCP-solve telemetry: counters always (a handful of relaxed atomic
 /// adds per solve), a `solver.solved` trace event only when tracing is on.
-fn record_solve(recovered: &RecoveredSolution, started: Instant) {
+/// `times` holds the stage split of every attempt when the solve was timed
+/// (tracing was on when it started).
+fn record_solve(recovered: &RecoveredSolution, started: Instant, times: Option<&StageTimes>) {
     let m = solve_metrics();
     m.solves.inc();
     if recovered.recovered() {
@@ -169,19 +172,26 @@ fn record_solve(recovered: &RecoveredSolution, started: Instant) {
     m.solve_us
         .record(u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX));
     if obs::enabled() {
-        obs::emit(
-            obs::Event::new("solver.solved")
-                .with("newton_steps", recovered.solution.newton_steps)
-                .with("stages", recovered.solution.stages)
-                .with("objective", recovered.solution.objective)
-                .with("duality_gap_bound", recovered.solution.duality_gap_bound)
-                .with("retries", recovered.attempts.len())
-                .with("lambda", recovered.lambda)
-                .with(
-                    "elapsed_us",
-                    u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX),
-                ),
-        );
+        let mut event = obs::Event::new("solver.solved")
+            .with("newton_steps", recovered.solution.newton_steps)
+            .with("stages", recovered.solution.stages)
+            .with("objective", recovered.solution.objective)
+            .with("duality_gap_bound", recovered.solution.duality_gap_bound)
+            .with("retries", recovered.attempts.len())
+            .with("lambda", recovered.lambda)
+            .with(
+                "elapsed_us",
+                u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX),
+            );
+        if let Some(t) = times {
+            let us = |d: Duration| d.as_secs_f64() * 1e6;
+            event = event
+                .with("assembly_us", us(t.assembly))
+                .with("factor_us", us(t.factor))
+                .with("line_search_us", us(t.line_search))
+                .with("phase1_us", us(t.phase1));
+        }
+        obs::emit(event);
     }
 }
 
@@ -232,14 +242,17 @@ pub fn solve_with_recovery_checked(
     mut inject: impl FnMut(usize) -> Option<SolverError>,
 ) -> Result<RecoveredSolution> {
     let started = Instant::now();
-    let run = |p: &SocpProblem,
-               start: Option<&[f64]>,
-               cfg: &SolverConfig,
-               attempt: usize,
-               inject: &mut dyn FnMut(usize) -> Option<SolverError>| {
+    // Stage times, summed over every attempt, are taken only for a solve
+    // that starts with tracing on.
+    let mut times = obs::enabled().then(StageTimes::default);
+    let mut run = |p: &SocpProblem,
+                   start: Option<&[f64]>,
+                   cfg: &SolverConfig,
+                   attempt: usize,
+                   inject: &mut dyn FnMut(usize) -> Option<SolverError>| {
         match inject(attempt) {
             Some(e) => Err(e),
-            None => p.solve_from(start, cfg),
+            None => p.solve_timed(start, cfg, times.as_mut()),
         }
     };
 
@@ -253,7 +266,7 @@ pub fn solve_with_recovery_checked(
                 lambda: 0.0,
                 tol: config.tol,
             };
-            record_solve(&recovered, started);
+            record_solve(&recovered, started, times.as_ref());
             return Ok(recovered);
         }
         Err(e) if !is_recoverable(&e) => {
@@ -318,7 +331,7 @@ pub fn solve_with_recovery_checked(
                     lambda,
                     tol: cfg.tol,
                 };
-                record_solve(&recovered, started);
+                record_solve(&recovered, started, times.as_ref());
                 return Ok(recovered);
             }
             Err(e) if !is_recoverable(&e) => {

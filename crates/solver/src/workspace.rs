@@ -20,6 +20,7 @@
 //! an earlier solve left in the workspace — tested in `barrier.rs`.
 
 use ldafp_linalg::{Cholesky, Matrix};
+use std::time::{Duration, Instant};
 
 /// Reusable buffers for one SOCP solve (phase I + phase II).
 #[derive(Debug)]
@@ -42,6 +43,32 @@ pub struct Workspace {
     pub(crate) eval: EvalScratch,
     /// Newton steps served from already-sized buffers (no allocation).
     pub(crate) newton_reuses: u64,
+    /// The stage clock's last mark and the times split so far; `None`
+    /// unless the solve is timed.
+    pub(crate) timing: Option<(Instant, StageTimes)>,
+}
+
+/// Wall time of a solve's Newton steps, split by stage and summed over
+/// phase I and phase II, plus the wall time of phase I as a whole.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct StageTimes {
+    /// Gradient and Hessian assembly.
+    pub(crate) assembly: Duration,
+    /// Cholesky factorization, the Newton solve and its decrement.
+    pub(crate) factor: Duration,
+    /// Backtracking line search.
+    pub(crate) line_search: Duration,
+    /// Phase I, from building the auxiliary problem to its verdict.
+    pub(crate) phase1: Duration,
+}
+
+impl StageTimes {
+    pub(crate) fn add(&mut self, other: &StageTimes) {
+        self.assembly += other.assembly;
+        self.factor += other.factor;
+        self.line_search += other.line_search;
+        self.phase1 += other.phase1;
+    }
 }
 
 /// Vectors one barrier evaluation writes before reading.
@@ -77,6 +104,24 @@ impl Workspace {
             chol: Cholesky::default(),
             eval: EvalScratch::default(),
             newton_reuses: 0,
+            timing: None,
+        }
+    }
+
+    /// Sets the stage clock's mark to now (a no-op for an untimed solve).
+    pub(crate) fn mark(&mut self) {
+        if let Some((mark, _)) = &mut self.timing {
+            *mark = Instant::now();
+        }
+    }
+
+    /// Adds the time since the last mark to `stage` and marks again (a
+    /// no-op for an untimed solve).
+    pub(crate) fn lap(&mut self, stage: fn(&mut StageTimes) -> &mut Duration) {
+        if let Some((mark, times)) = &mut self.timing {
+            let now = Instant::now();
+            *stage(times) += now - *mark;
+            *mark = now;
         }
     }
 

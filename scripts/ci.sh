@@ -91,6 +91,25 @@ for event in bnb.expand bnb.prune bnb.incumbent solver.solved registry.dump; do
     grep -q "\"event\":\"$event\"" "$obs_tmp/trace.ndjson" \
         || { echo "missing $event in trace" >&2; exit 1; }
 done
+# The solver's stage ledger closes: every traced solve carries its stage
+# fields, and over the trace the Newton-step stages (assembly, factor,
+# line search) add up to 0.85–1.15 of the solves' summed elapsed_us.
+awk '/"event":"solver.solved"/ {
+        solves++
+        for (k = 1; k <= 5; k++) {
+            f = (k == 1) ? "assembly_us" : (k == 2) ? "factor_us" : (k == 3) ? "line_search_us" : (k == 4) ? "phase1_us" : "elapsed_us"
+            if (!match($0, "\"" f "\":[-0-9.eE+]+")) { print "solver.solved without " f > "/dev/stderr"; bad = 1; exit 1 }
+            sum[k] += substr($0, RSTART + length(f) + 3, RLENGTH - length(f) - 3)
+        }
+    }
+    END {
+        if (bad) exit 1
+        if (solves == 0 || sum[5] <= 0) { print "no timed solver.solved events" > "/dev/stderr"; exit 1 }
+        ratio = (sum[1] + sum[2] + sum[3]) / sum[5]
+        if (ratio < 0.85 || ratio > 1.15) {
+            printf "solver stage sum is %.3f of elapsed_us over %d solves\n", ratio, solves > "/dev/stderr"; exit 1
+        }
+    }' "$obs_tmp/trace.ndjson"
 grep -q 'bnb.solves' "$obs_tmp/train.err" \
     || { echo "--metrics-summary printed no registry" >&2; exit 1; }
 cargo test --release -q -p ldafp-bench --test obs_gate
@@ -158,8 +177,11 @@ fam_tmp="$(mktemp -d)"
 trap 'rm -rf "$obs_tmp" "$chaos_tmp" "$fam_tmp"' EXIT
 for family in lda naive-bayes os-elm; do
     fam_status=0
+    # Only the LDA search reads --quick; the other families refuse it.
+    quick=()
+    [ "$family" = lda ] && quick=(--quick)
     cargo run --release -q -p ldafp-cli -- train --data "$obs_tmp/train.csv" \
-        --bits 8 --quick --family "$family" \
+        --bits 8 "${quick[@]}" --family "$family" \
         --out "$fam_tmp/$family.ldafp.json" > /dev/null || fam_status=$?
     case "$family:$fam_status" in
         lda:0|lda:2|lda:3|naive-bayes:0|os-elm:0) ;;

@@ -49,15 +49,15 @@ pub fn train(
     let family = parse_family(args)?;
     if family != ModelFamily::Lda {
         // No search runs, and OS-ELM derives its own integer-bit split.
-        let mut unread = vec![BASELINE, "quick"];
+        let mut unread = vec!["baseline"];
         unread.extend_from_slice(SEARCH_OPTIONS);
         if family == ModelFamily::OsElm {
             unread.push("k");
         }
         let mode = format!("with --family {}", family.name());
         args.refuse_in_mode("train", &mode, &unread)?;
-    } else if args.has_flag(BASELINE) {
-        let mut unread = vec!["rho", "quick"];
+    } else if args.has_flag("baseline") {
+        let mut unread = vec!["rho"];
         unread.extend_from_slice(SEARCH_OPTIONS);
         args.refuse_in_mode("train", "with --baseline", &unread)?;
     }
@@ -74,29 +74,29 @@ pub fn train(
         let (artifact, training) = train_family(family, args, &data, bits, max_k, rho)?;
         (artifact, training, None, None)
     } else {
-        let (algorithm, classifier, fisher_cost, outcome, degradation) = if args.has_flag(BASELINE)
-        {
-            let (clf, _format) = eval::quantized_lda_auto(&data, bits, max_k)?;
-            ("lda-rounded", clf, None, None, None)
-        } else {
-            let mut cfg = if args.has_flag("quick") {
-                LdaFpConfig::fast()
+        let (algorithm, classifier, fisher_cost, outcome, degradation) =
+            if args.has_flag("baseline") {
+                let (clf, _format) = eval::quantized_lda_auto(&data, bits, max_k)?;
+                ("lda-rounded", clf, None, None, None)
             } else {
-                LdaFpConfig::default()
+                let mut cfg = if args.has_flag("quick") {
+                    LdaFpConfig::fast()
+                } else {
+                    LdaFpConfig::default()
+                };
+                cfg.rho = rho;
+                cfg.bnb.time_budget = Some(Duration::from_secs(budget_secs));
+                apply_recovery_args(args, &mut cfg)?;
+                let trainer = LdaFpTrainer::new(cfg);
+                let (model, _format) = trainer.train_auto(&data, bits, max_k)?;
+                (
+                    "lda-fp",
+                    model.classifier().clone(),
+                    Some(model.fisher_cost()),
+                    Some(model.outcome().clone()),
+                    Some(model.stats().degradation.clone()),
+                )
             };
-            cfg.rho = rho;
-            cfg.bnb.time_budget = Some(Duration::from_secs(budget_secs));
-            apply_recovery_args(args, &mut cfg)?;
-            let trainer = LdaFpTrainer::new(cfg);
-            let (model, _format) = trainer.train_auto(&data, bits, max_k)?;
-            (
-                "lda-fp",
-                model.classifier().clone(),
-                Some(model.fisher_cost()),
-                Some(model.outcome().clone()),
-                Some(model.stats().degradation.clone()),
-            )
-        };
         let mut training = TrainingInfo {
             algorithm: Some(algorithm.to_string()),
             training_error: Some(eval::error_rate(&classifier, &data)),
@@ -117,12 +117,13 @@ pub fn train(
     Ok((artifact.to_json_string(), outcome, degradation))
 }
 
-/// The switch that makes `train` fit rounded float LDA instead of running
-/// the LDA-FP search.
-const BASELINE: &str = "baseline";
-
 /// The options only the LDA-FP search reads.
-const SEARCH_OPTIONS: &[&str] = &["budget-secs", "max-solver-retries", "solver-threads"];
+const SEARCH_OPTIONS: &[&str] = &[
+    "quick",
+    "budget-secs",
+    "max-solver-retries",
+    "solver-threads",
+];
 
 /// Parses `--family` into a [`ModelFamily`] (default `lda`).
 fn parse_family(args: &ParsedArgs) -> Result<ModelFamily> {

@@ -73,7 +73,8 @@ commands:
                budget-exhausted/degraded, 3 fallback-rounded; --baseline
                and the non-LDA families run no search and refuse
                --quick, --budget-secs, --max-solver-retries and
-               --solver-threads, and os-elm refuses --k)
+               --solver-threads; --baseline also refuses --rho, and
+               os-elm --k)
   eval        --model <model.ldafp.json> --data <csv>
   predict     --model <model.ldafp.json> --input <csv>
               (remote: --addr <host:port> instead of --model, plus

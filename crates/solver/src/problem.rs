@@ -513,16 +513,16 @@ impl SocpProblem {
         // One workspace per solve, shared by phase I (n+1 vars) and phase II
         // (n vars); `ensure` handles the dimension switch.
         let mut ws = crate::Workspace::new();
-        if times.is_some() {
-            ws.timing = Some((Instant::now(), StageTimes::default()));
-        }
+        ws.timing = times.as_deref().map(|t| (Instant::now(), *t));
         let solution = self.solve_in(x0, config, &mut ws);
-        if let (Some(acc), Some((_, t))) = (times, &ws.timing) {
-            acc.add(t);
+        if let (Some(acc), Some((_, t))) = (times, ws.timing) {
+            *acc = t;
         }
         solution
     }
 
+    /// Phase I when the start is not strictly feasible, then phase II,
+    /// all in `ws`.
     fn solve_in(
         &self,
         x0: Option<&[f64]>,
@@ -676,6 +676,27 @@ mod tests {
         let p = SocpProblem::new(Matrix::identity(1), vec![0.0]).unwrap();
         assert_eq!(p.max_violation(&[3.0]), f64::NEG_INFINITY);
         assert!(p.is_strictly_feasible(&[3.0], 1e-9));
+    }
+
+    #[test]
+    fn timed_solve_matches_untimed_and_splits_every_stage() {
+        // x₀ ≥ 0.5 leaves the origin infeasible, so phase I runs too.
+        let mut p = SocpProblem::new(Matrix::identity(2).scaled(2.0), vec![-6.0, 0.0]).unwrap();
+        p.add_soc(Matrix::identity(2), vec![0.0; 2], vec![0.0; 2], 1.0)
+            .unwrap();
+        p.add_linear(vec![-1.0, 0.0], -0.5).unwrap();
+        let config = SolverConfig::default();
+        let mut times = StageTimes::default();
+        let timed = p.solve_timed(None, &config, Some(&mut times)).unwrap();
+        assert_eq!(timed, p.solve_from(None, &config).unwrap());
+        for (stage, d) in [
+            ("assembly", times.assembly),
+            ("factor", times.factor),
+            ("line search", times.line_search),
+            ("phase I", times.phase1),
+        ] {
+            assert!(!d.is_zero(), "{stage} was not timed");
+        }
     }
 
     #[test]

@@ -62,15 +62,6 @@ pub(crate) struct StageTimes {
     pub(crate) phase1: Duration,
 }
 
-impl StageTimes {
-    pub(crate) fn add(&mut self, other: &StageTimes) {
-        self.assembly += other.assembly;
-        self.factor += other.factor;
-        self.line_search += other.line_search;
-        self.phase1 += other.phase1;
-    }
-}
-
 /// Vectors one barrier evaluation writes before reading.
 #[derive(Debug, Default)]
 pub(crate) struct EvalScratch {

@@ -9,8 +9,19 @@
 //!
 //! Both barriers are self-concordant, so damped Newton with backtracking
 //! converges globally from any strictly feasible start.
+//!
+//! Every iterate is evaluated directly once ([`PointEval`]: each slack,
+//! `u`, `z` and `ψ`). That evaluation is the iterate's strict-feasibility
+//! check and the input of the gradient and Hessian assembly. The line
+//! search never evaluates `t·f + φ` itself: it tests the Armijo condition
+//! on the *change* of `t·f + φ` along the Newton direction, a function of
+//! the step `α` whose coefficients ([`LineModel`]) are set up once per step
+//! from that evaluation. A trial costs one multiply per constraint and one
+//! `ln`; the candidate it accepts is evaluated directly before it becomes
+//! the next iterate, so strict feasibility is never inferred from the
+//! expanded form.
 
-use crate::workspace::EvalScratch;
+use crate::workspace::AssemblyScratch;
 use crate::{Result, SocConstraint, SocpProblem, SolverConfig, SolverError, Workspace};
 use ldafp_linalg::{vecops, Matrix};
 
@@ -18,28 +29,88 @@ use ldafp_linalg::{vecops, Matrix};
 /// feasible point for the original problem is witnessed.
 pub(crate) type EarlyStop<'a> = &'a dyn Fn(&[f64]) -> bool;
 
-/// Evaluates the barrier at `x`, or `None` when `x` is not strictly inside
-/// the feasible region (including the `u > 0` cone branch). `z` is scratch
-/// for the cone arguments.
-pub(crate) fn barrier_value(p: &SocpProblem, x: &[f64], z: &mut Vec<f64>) -> Option<f64> {
-    let mut phi = 0.0;
-    for lc in p.linear_constraints() {
-        let slack = lc.h - lc.dot(x);
-        if slack <= 0.0 {
-            return None;
+/// The constraint values at one point, computed directly from `x`.
+#[derive(Debug, Default)]
+pub(crate) struct PointEval {
+    /// Per linear row, the slack `h − gᵀx`.
+    slack: Vec<f64>,
+    /// Per cone, `u = dᵀx + e`.
+    u: Vec<f64>,
+    /// Per cone, `ψ = u² − zᵀz`.
+    psi: Vec<f64>,
+    /// Every cone's `z = Ax + b`, concatenated in cone order.
+    z: Vec<f64>,
+}
+
+impl PointEval {
+    /// Evaluates every constraint at `x` and reports whether `x` is
+    /// strictly feasible: each slack, `u` and `ψ` positive. On `false` the
+    /// contents are partial and must not be read.
+    pub(crate) fn evaluate(&mut self, p: &SocpProblem, x: &[f64]) -> bool {
+        self.slack.clear();
+        self.u.clear();
+        self.psi.clear();
+        self.z.clear();
+        for lc in p.linear_constraints() {
+            let slack = lc.h - lc.dot(x);
+            if !positive(slack) {
+                return false;
+            }
+            self.slack.push(slack);
         }
+        for sc in p.soc_constraints() {
+            let u = sc.u(x);
+            if !positive(u) {
+                return false;
+            }
+            let start = self.z.len();
+            push_cone_argument(sc, x, &mut self.z);
+            let z = &self.z[start..];
+            let psi = u * u - vecops::dot(z, z);
+            if !positive(psi) {
+                return false;
+            }
+            self.u.push(u);
+            self.psi.push(psi);
+        }
+        true
+    }
+
+    /// Per cone, its `u`, `ψ` and `z`, in cone order.
+    fn cones<'a>(
+        &'a self,
+        p: &'a SocpProblem,
+    ) -> impl Iterator<Item = (&'a SocConstraint, f64, f64, &'a [f64])> {
+        let mut rest = &self.z[..];
+        p.soc_constraints()
+            .iter()
+            .zip(self.u.iter().zip(&self.psi))
+            .map(move |(sc, (&u, &psi))| {
+                let (z, tail) = rest.split_at(sc.b.len());
+                rest = tail;
+                (sc, u, psi, z)
+            })
+    }
+}
+
+/// Whether `v` is a positive number (NaN is not).
+fn positive(v: f64) -> bool {
+    v > 0.0
+}
+
+/// The barrier `φ(x)` from a direct evaluation, or `None` when `x` is not
+/// strictly feasible: the reference the line search's change is checked
+/// against.
+#[cfg(test)]
+pub(crate) fn barrier_value(p: &SocpProblem, x: &[f64], pt: &mut PointEval) -> Option<f64> {
+    if !pt.evaluate(p, x) {
+        return None;
+    }
+    let mut phi = 0.0;
+    for &slack in &pt.slack {
         phi -= slack.ln();
     }
-    for sc in p.soc_constraints() {
-        let u = sc.u(x);
-        if u <= 0.0 {
-            return None;
-        }
-        cone_argument(sc, x, z);
-        let psi = u * u - vecops::dot(z, z);
-        if psi <= 0.0 {
-            return None;
-        }
+    for &psi in &pt.psi {
         phi -= psi.ln();
     }
     Some(phi)
@@ -48,17 +119,25 @@ pub(crate) fn barrier_value(p: &SocpProblem, x: &[f64], z: &mut Vec<f64>) -> Opt
 /// Barrier gradient `∇φ(x)`, or `None` when `x` is not strictly feasible.
 /// Used by the KKT diagnostics on [`crate::Solution`]s.
 pub(crate) fn barrier_gradient(p: &SocpProblem, x: &[f64]) -> Option<Vec<f64>> {
-    let mut scratch = EvalScratch::default();
-    barrier_value(p, x, &mut scratch.z)?;
+    let mut pt = PointEval::default();
+    if !pt.evaluate(p, x) {
+        return None;
+    }
     let mut grad = vec![0.0; x.len()];
     let mut hess = Matrix::zeros(x.len(), x.len());
-    add_barrier_derivatives(p, x, &mut grad, &mut hess, &mut scratch);
+    add_barrier_derivatives(
+        p,
+        &pt,
+        &mut grad,
+        &mut hess,
+        &mut AssemblyScratch::default(),
+    );
     Some(grad)
 }
 
-/// `z = A·x + b`, each row's product taken over its nonzero span only.
-fn cone_argument(sc: &SocConstraint, x: &[f64], z: &mut Vec<f64>) {
-    z.clear();
+/// Appends `z = A·x + b` to `z`, each row's product taken over its nonzero
+/// span only.
+fn push_cone_argument(sc: &SocConstraint, x: &[f64], z: &mut Vec<f64>) {
     z.extend(
         sc.spans
             .iter()
@@ -70,28 +149,24 @@ fn cone_argument(sc: &SocConstraint, x: &[f64], z: &mut Vec<f64>) {
 
 /// Accumulates `∇φ` into `grad` and `∇²φ` into the lower triangle of
 /// `hess` (the triangle [`Cholesky`](ldafp_linalg::Cholesky) reads;
-/// [`mirror_lower`] completes the matrix).
+/// [`mirror_lower`] completes the matrix), at the point `pt` evaluated.
 ///
 /// Each linear row touches only its nonzero support, and each cone row's
-/// `z` and `Aᵀz` only its nonzero span. The cone Hessian's `AᵀA` term is
+/// `Aᵀz` only its nonzero span. The cone Hessian's `AᵀA` term is
 /// `(2/ψ)·G` with `G` formed once per cone. The products skipped are exact
 /// zeros, and every entry still receives its nonzero contributions in
 /// constraint order, so for finite `x` the result is bit-identical to a
 /// dense accumulation except, at most, for the sign of an entry that is
 /// exactly zero.
-///
-/// Caller guarantees strict feasibility (checked in debug builds).
 fn add_barrier_derivatives(
     p: &SocpProblem,
-    x: &[f64],
+    pt: &PointEval,
     grad: &mut [f64],
     hess: &mut Matrix,
-    s: &mut EvalScratch,
+    s: &mut AssemblyScratch,
 ) {
-    let n = x.len();
-    for lc in p.linear_constraints() {
-        let slack = lc.h - lc.dot(x);
-        debug_assert!(slack > 0.0, "barrier derivatives at infeasible point");
+    let n = grad.len();
+    for (lc, &slack) in p.linear_constraints().iter().zip(&pt.slack) {
         let inv = 1.0 / slack;
         // ∇(−log slack) = g/slack ; ∇² = g gᵀ/slack².
         for (k, &i) in lc.support.iter().enumerate() {
@@ -104,16 +179,11 @@ fn add_barrier_derivatives(
             }
         }
     }
-    for sc in p.soc_constraints() {
-        let u = sc.u(x);
-        cone_argument(sc, x, &mut s.z);
-        let psi = u * u - vecops::dot(&s.z, &s.z);
-        debug_assert!(u > 0.0 && psi > 0.0, "cone barrier at infeasible point");
+    for (sc, u, psi, z) in pt.cones(p) {
         // Aᵀz, accumulated row by row as `Matrix::vec_mul` does.
         s.at_z.clear();
         s.at_z.resize(n, 0.0);
-        for (r, &(lo, hi)) in sc.spans.iter().enumerate() {
-            let zr = s.z[r];
+        for (r, (&(lo, hi), &zr)) in sc.spans.iter().zip(z).enumerate() {
             if zr == 0.0 {
                 continue;
             }
@@ -163,13 +233,214 @@ fn mirror_lower(m: &mut Matrix) {
     }
 }
 
-/// One centering stage: damped Newton on `t·f + φ` from strictly feasible
-/// `x`. Returns the centered point and the Newton-step count.
+/// A product of positive factors held as `m·2^e`: whenever a partial
+/// product would leave `[2⁻⁵⁰⁰, 2⁵⁰⁰]`, the binary exponents of `m` and
+/// the factor move into the integer `e`, so no partial product over- or
+/// underflows and the product's logarithm costs one `ln`. In the common
+/// case `e` stays 0 and the product is a plain one.
+#[derive(Debug, Clone, Copy)]
+struct ScaledProduct {
+    m: f64,
+    e: i64,
+}
+
+impl ScaledProduct {
+    /// The empty product.
+    const ONE: ScaledProduct = ScaledProduct { m: 1.0, e: 0 };
+
+    /// Multiplies by `f`, which must be a positive normal number.
+    fn mul(&mut self, f: f64) {
+        // 2⁻⁵⁰⁰ and 2⁵⁰⁰.
+        const TINY: f64 = f64::from_bits((1023 - 500) << 52);
+        const HUGE: f64 = f64::from_bits((1023 + 500) << 52);
+        debug_assert!(f.is_normal() && f > 0.0, "factor {f:e} out of range");
+        let p = self.m * f;
+        if (TINY..=HUGE).contains(&p) {
+            self.m = p;
+        } else {
+            let ((mm, me), (fm, fe)) = (split_exponent(self.m), split_exponent(f));
+            self.m = mm * fm;
+            self.e += me + fe;
+        }
+    }
+
+    /// The natural logarithm of the product.
+    fn ln(self) -> f64 {
+        self.m.ln() + self.e as f64 * std::f64::consts::LN_2
+    }
+}
+
+/// `v = m·2^e` with `m ∈ [½, 1)`, for a positive normal `v`.
+fn split_exponent(v: f64) -> (f64, i64) {
+    const MANTISSA: u64 = (1 << 52) - 1;
+    const HALF_EXPONENT: u64 = 1022 << 52;
+    let bits = v.to_bits();
+    (
+        f64::from_bits(bits & MANTISSA | HALF_EXPONENT),
+        (bits >> 52) as i64 - 1022,
+    )
+}
+
+/// One cone's terms in [`LineModel`].
+#[derive(Debug, Clone, Copy)]
+struct ConeLine {
+    /// `u` at the point.
+    u: f64,
+    /// `dᵀΔ`, the rate of `u` along Δ.
+    du: f64,
+    /// `2(u·dᵀΔ − zᵀAΔ)/ψ`.
+    b: f64,
+    /// `((dᵀΔ)² − ‖AΔ‖²)/ψ`.
+    c: f64,
+}
+
+/// The change of `t·f + φ` from an evaluated point `x` to `x + αΔ`, as a
+/// function of `α`, set up once per Newton step:
 ///
-/// All per-step buffers come from `ws`, so a step allocates nothing. The
-/// line search's accepted value `t·f + φ` is carried into the next step as
-/// its `f0`; it is the same expression on the same point, so only the
-/// stage's first step evaluates it afresh.
+/// * the objective changes by `t·(α·(Qx+c)ᵀΔ + ½α²·ΔᵀQΔ)`;
+/// * a linear row's slack scales by `1 − αρ`, with `ρ = gᵀΔ / slack`;
+/// * a cone's `u` becomes `u + α·dᵀΔ` and its `ψ` scales by
+///   `1 + α(b + αc)` (see [`ConeLine`]), since `ψ(α) = ψ + α·∇ψᵀΔ +
+///   α²·((dᵀΔ)² − ‖AΔ‖²)` and `∇ψᵀΔ = 2(u·dᵀΔ − zᵀAΔ)`.
+///
+/// The barrier changes by minus the logarithm of the product of those
+/// factors, kept as a [`ScaledProduct`].
+#[derive(Debug, Default)]
+pub(crate) struct LineModel {
+    /// The barrier weight.
+    t: f64,
+    /// `(Qx+c)ᵀΔ`.
+    f_slope: f64,
+    /// `ΔᵀQΔ`.
+    f_curvature: f64,
+    /// Per linear row, `ρ`.
+    rho: Vec<f64>,
+    /// Per cone, its terms.
+    cones: Vec<ConeLine>,
+}
+
+impl LineModel {
+    /// Sets the model up at the point `pt` evaluated, along `delta`, with
+    /// `obj_grad = Qx + c`. Returns `false` when a coefficient is not
+    /// finite (a slack so small that `gᵀΔ / slack` overflows).
+    pub(crate) fn set(
+        &mut self,
+        p: &SocpProblem,
+        t: f64,
+        pt: &PointEval,
+        obj_grad: &[f64],
+        delta: &[f64],
+    ) -> bool {
+        let q = p.q();
+        self.t = t;
+        self.f_slope = vecops::dot(obj_grad, delta);
+        self.f_curvature = delta
+            .iter()
+            .enumerate()
+            .map(|(i, &di)| di * vecops::dot(q.row(i), delta))
+            .sum();
+        self.rho.clear();
+        self.rho.extend(
+            p.linear_constraints()
+                .iter()
+                .zip(&pt.slack)
+                .map(|(lc, &slack)| lc.dot(delta) / slack),
+        );
+        self.cones.clear();
+        for (sc, u, psi, z) in pt.cones(p) {
+            // zᵀAΔ and ‖AΔ‖², each row of AΔ over its span.
+            let (mut z_ad, mut ad_sq) = (0.0, 0.0);
+            for (r, (&(lo, hi), &zr)) in sc.spans.iter().zip(z).enumerate() {
+                let ad = vecops::dot(&sc.a.row(r)[lo..hi], &delta[lo..hi]);
+                z_ad += zr * ad;
+                ad_sq += ad * ad;
+            }
+            let du = vecops::dot(&sc.d, delta);
+            self.cones.push(ConeLine {
+                u,
+                du,
+                b: 2.0 * (u * du - z_ad) / psi,
+                c: (du * du - ad_sq) / psi,
+            });
+        }
+        let finite = |v: &f64| v.is_finite();
+        finite(&self.f_slope)
+            && finite(&self.f_curvature)
+            && self.rho.iter().all(finite)
+            && self
+                .cones
+                .iter()
+                .all(|c| [c.du, c.b, c.c].iter().all(finite))
+    }
+
+    /// The change of `t·f + φ` at step `α`, or `None` when the expanded
+    /// form puts `x + αΔ` outside the feasible region. A `Some` does not
+    /// make the point strictly feasible: that is decided by evaluating it.
+    fn change(&self, alpha: f64) -> Option<f64> {
+        let mut prod = ScaledProduct::ONE;
+        for &rho in &self.rho {
+            let f = 1.0 - alpha * rho;
+            if !positive(f) {
+                return None;
+            }
+            prod.mul(f);
+        }
+        for c in &self.cones {
+            let f = 1.0 + alpha * (c.b + alpha * c.c);
+            if !(positive(c.u + alpha * c.du) && positive(f)) {
+                return None;
+            }
+            prod.mul(f);
+        }
+        Some(self.t * (alpha * (self.f_slope + 0.5 * alpha * self.f_curvature)) - prod.ln())
+    }
+}
+
+/// Backtracking line search from the evaluated `x` along `ws.delta`: the
+/// first `α` of `1, β, β², …` (60 rungs) whose change of `t·f + φ` meets
+/// the Armijo condition and whose candidate is strictly feasible by direct
+/// evaluation becomes the new `x`, its evaluation the new `ws.point`.
+/// Returns whether a step was taken.
+fn line_search(
+    p: &SocpProblem,
+    t: f64,
+    x: &mut [f64],
+    config: &SolverConfig,
+    ws: &mut Workspace,
+) -> Result<bool> {
+    if !ws.line.set(p, t, &ws.point, &ws.obj_grad, &ws.delta) {
+        return Err(SolverError::NumericalFailure {
+            reason: "non-finite line-search coefficients".to_string(),
+        });
+    }
+    let slope = vecops::dot(&ws.grad, &ws.delta); // negative
+    let mut alpha = 1.0;
+    for _ in 0..60 {
+        ws.line_search_trials += 1;
+        if ws
+            .line
+            .change(alpha)
+            .is_some_and(|change| change <= config.armijo * alpha * slope)
+        {
+            ws.cand.clear();
+            ws.cand.extend_from_slice(x);
+            vecops::axpy(alpha, &ws.delta, &mut ws.cand);
+            if ws.trial.evaluate(p, &ws.cand) {
+                x.copy_from_slice(&ws.cand);
+                std::mem::swap(&mut ws.point, &mut ws.trial);
+                return Ok(true);
+            }
+        }
+        alpha *= config.backtrack;
+    }
+    Ok(false)
+}
+
+/// One centering stage: damped Newton on `t·f + φ` from strictly feasible
+/// `x`, whose evaluation `ws.point` holds. Returns the centered point and
+/// the Newton-step count; `ws.point` then holds that point's evaluation.
+///
+/// All per-step buffers come from `ws`, so a step allocates nothing.
 fn center(
     p: &SocpProblem,
     t: f64,
@@ -179,7 +450,6 @@ fn center(
     ws: &mut Workspace,
 ) -> Result<(Vec<f64>, usize)> {
     let mut steps = 0usize;
-    let mut f_x: Option<f64> = None;
     for _ in 0..config.max_newton_per_stage {
         if let Some(stop) = early_stop {
             if stop(&x) {
@@ -190,15 +460,18 @@ fn center(
         if ws.ensure(x.len()) {
             ws.newton_reuses += 1;
         }
-        // Assemble gradient and Hessian of t·f + φ.
+        // Assemble gradient and Hessian of t·f + φ; the line search reads
+        // the objective's gradient Qx + c too.
         p.q()
-            .mul_vec_into(&x, &mut ws.grad)
+            .mul_vec_into(&x, &mut ws.obj_grad)
             .expect("validated dimensions");
-        for (gi, ci) in ws.grad.iter_mut().zip(p.c()) {
-            *gi = t * (*gi + ci);
+        for (gi, ci) in ws.obj_grad.iter_mut().zip(p.c()) {
+            *gi += ci;
         }
+        ws.grad.clear();
+        ws.grad.extend(ws.obj_grad.iter().map(|g| t * g));
         ws.hess.copy_scaled_from(p.q(), t);
-        add_barrier_derivatives(p, &x, &mut ws.grad, &mut ws.hess, &mut ws.eval);
+        add_barrier_derivatives(p, &ws.point, &mut ws.grad, &mut ws.hess, &mut ws.assembly);
         mirror_lower(&mut ws.hess);
         ws.lap(|s| &mut s.assembly);
 
@@ -228,38 +501,9 @@ fn center(
             return Ok((x, steps));
         }
 
-        // Backtracking line search on value + strict feasibility.
-        let f0 = match f_x {
-            Some(f) => f,
-            None => {
-                t * p.objective_with(&x, &mut ws.eval.qx)
-                    + barrier_value(p, &x, &mut ws.eval.z).ok_or_else(|| {
-                        SolverError::NumericalFailure {
-                            reason: "iterate left the feasible region".to_string(),
-                        }
-                    })?
-            }
-        };
-        let slope = vecops::dot(&ws.grad, &ws.delta); // negative
-        let mut alpha = 1.0;
-        let mut accepted = false;
-        for _ in 0..60 {
-            ws.cand.clear();
-            ws.cand.extend_from_slice(&x);
-            vecops::axpy(alpha, &ws.delta, &mut ws.cand);
-            if let Some(phi) = barrier_value(p, &ws.cand, &mut ws.eval.z) {
-                let fc = t * p.objective_with(&ws.cand, &mut ws.eval.qx) + phi;
-                if fc <= f0 + config.armijo * alpha * slope {
-                    x.copy_from_slice(&ws.cand);
-                    f_x = Some(fc);
-                    accepted = true;
-                    break;
-                }
-            }
-            alpha *= config.backtrack;
-        }
+        let stepped = line_search(p, t, &mut x, config, ws)?;
         ws.lap(|s| &mut s.line_search);
-        if !accepted {
+        if !stepped {
             // Step has shrunk below representable progress — we are at the
             // numerical floor of this centering problem; accept the point.
             return Ok((x, steps));
@@ -269,7 +513,7 @@ fn center(
 }
 
 /// Full barrier method from a strictly feasible start. Returns
-/// `(x, stages, newton_steps)`. The workspace is reused across every
+/// `(x, stages, newton_steps, t)`. The workspace is reused across every
 /// centering stage (and across phase I / phase II when the caller shares
 /// one per solve).
 pub(crate) fn barrier_minimize(
@@ -291,10 +535,16 @@ pub(crate) fn barrier_minimize_with_stop(
     early_stop: Option<EarlyStop<'_>>,
     ws: &mut Workspace,
 ) -> Result<(Vec<f64>, usize, usize, f64)> {
-    debug_assert!(
-        p.num_constraints() == 0 || barrier_value(p, &x0, &mut ws.eval.z).is_some(),
-        "barrier_minimize requires a strictly feasible start"
-    );
+    // Every stage starts from a point `ws.point` has evaluated; the
+    // evaluation is timed as assembly, the stage that reads it.
+    ws.mark();
+    let feasible = ws.point.evaluate(p, &x0);
+    ws.lap(|s| &mut s.assembly);
+    if !feasible {
+        return Err(SolverError::NumericalFailure {
+            reason: "barrier start is not strictly feasible".to_string(),
+        });
+    }
     let m = p.num_constraints() as f64;
     let mut x = x0;
     let mut steps_total = 0usize;
@@ -338,7 +588,7 @@ mod tests {
     }
 
     fn value(p: &SocpProblem, x: &[f64]) -> Option<f64> {
-        barrier_value(p, x, &mut Vec::new())
+        barrier_value(p, x, &mut PointEval::default())
     }
 
     #[test]

@@ -12,8 +12,11 @@
 //! accumulated before the Gram matrix, row by row as `(2·a_ri/ψ)·a_rj`;
 //! the Gram form must match it to rounding.
 
-use super::{add_barrier_derivatives, barrier_value, EvalScratch};
-use crate::{SocpProblem, SolverConfig};
+use super::{
+    add_barrier_derivatives, barrier_value, line_search, LineModel, PointEval, ScaledProduct,
+};
+use crate::workspace::AssemblyScratch;
+use crate::{SocpProblem, SolverConfig, Workspace};
 use dense::ConeTerm;
 use ldafp_linalg::{vecops, Matrix};
 use ldafp_stats::Rng;
@@ -248,7 +251,7 @@ fn assert_bits(what: &str, got: f64, want: f64) {
 #[test]
 fn barrier_matches_dense_reference_bit_for_bit() {
     let mut rng = Rng::new(42);
-    let mut scratch = EvalScratch::default();
+    let (mut pt, mut scratch) = (PointEval::default(), AssemblyScratch::default());
     let mut checked = 0;
     for (p, x0) in cases() {
         let n = p.num_vars();
@@ -262,7 +265,7 @@ fn barrier_matches_dense_reference_bit_for_bit() {
                     .collect()
             };
             let want = dense::barrier_value(&p, &x);
-            let got = barrier_value(&p, &x, &mut scratch.z);
+            let got = barrier_value(&p, &x, &mut pt);
             assert_eq!(
                 got.is_some(),
                 want.is_some(),
@@ -284,7 +287,7 @@ fn barrier_matches_dense_reference_bit_for_bit() {
             let (mut g_ref, mut h_ref) = (grad0.clone(), hess0.clone());
             dense::add_barrier_derivatives(&p, &x, &mut g_ref, &mut h_ref, ConeTerm::Gram);
             let (mut g_new, mut h_new) = (grad0, hess0);
-            add_barrier_derivatives(&p, &x, &mut g_new, &mut h_new, &mut scratch);
+            add_barrier_derivatives(&p, &pt, &mut g_new, &mut h_new, &mut scratch);
             for i in 0..n {
                 assert_bits("gradient", g_new[i], g_ref[i]);
                 for j in 0..=i {
@@ -303,7 +306,7 @@ fn barrier_matches_dense_reference_bit_for_bit() {
 #[test]
 fn gram_hessian_matches_per_row_accumulation_to_rounding() {
     let mut rng = Rng::new(7);
-    let mut scratch = EvalScratch::default();
+    let (mut pt, mut scratch) = (PointEval::default(), AssemblyScratch::default());
     let mut worst = 0.0f64;
     for (p, x0) in cases() {
         let n = p.num_vars();
@@ -312,13 +315,13 @@ fn gram_hessian_matches_per_row_accumulation_to_rounding() {
                 .iter()
                 .map(|v| v + rng.range_f64(-0.1..0.1) * k as f64)
                 .collect();
-            if barrier_value(&p, &x, &mut scratch.z).is_none() {
+            if barrier_value(&p, &x, &mut pt).is_none() {
                 continue;
             }
             let mut g = vec![0.0; n];
             let (mut h_row, mut h_new) = (Matrix::zeros(n, n), Matrix::zeros(n, n));
             dense::add_barrier_derivatives(&p, &x, &mut g, &mut h_row, ConeTerm::PerRow);
-            add_barrier_derivatives(&p, &x, &mut vec![0.0; n], &mut h_new, &mut scratch);
+            add_barrier_derivatives(&p, &pt, &mut vec![0.0; n], &mut h_new, &mut scratch);
             // A barrier Hessian is positive definite, so |h_ij| is at most
             // sqrt(h_ii·h_jj): the scale an entry's rounding is judged by.
             for i in 0..n {
@@ -369,5 +372,155 @@ fn solves_match_dense_support_bit_for_bit() {
                 (a, b) => assert_eq!(format!("{a:?}"), format!("{b:?}")),
             }
         }
+    }
+}
+
+/// The line search's ladder `1, β, β², …`, all 60 rungs.
+fn ladder(config: &SolverConfig) -> Vec<f64> {
+    std::iter::successors(Some(1.0), |a| Some(a * config.backtrack))
+        .take(60)
+        .collect()
+}
+
+/// `Σ |ln v|` over the slacks and `ψ`s of an evaluated point.
+fn log_magnitude(pt: &PointEval) -> f64 {
+    pt.slack.iter().chain(&pt.psi).map(|v| v.ln().abs()).sum()
+}
+
+#[test]
+fn line_change_matches_direct_difference_on_the_ladder() {
+    // The reference `t·(f(x+αΔ) − f(x)) + φ(x+αΔ) − φ(x)` subtracts two
+    // absolute values, each rounded to a few ulps of its terms, so the
+    // tolerance is 1e-12 of the summed magnitudes at both points,
+    // `S = 1 + t·|f(x)| + t·|f(x+αΔ)| + Σ|ln slack| + Σ|ln ψ|`.
+    let config = SolverConfig::default();
+    let mut rng = Rng::new(0x11e5);
+    let (mut pt, mut cand_pt) = (PointEval::default(), PointEval::default());
+    let mut line = LineModel::default();
+    let (mut feasible, mut infeasible, mut worst) = (0usize, 0usize, 0.0f64);
+    for (p, x) in cases() {
+        let n = p.num_vars();
+        for _ in 0..3 {
+            let t = 10f64.powf(rng.range_f64(0.0..10.0));
+            let scale = 10f64.powf(rng.range_f64(-2.0..1.0));
+            let delta: Vec<f64> = uniform_vec(&mut rng, n, -scale, scale);
+            let phi = barrier_value(&p, &x, &mut pt).expect("a strictly feasible case");
+            let f = p.objective(&x);
+            let mut obj_grad = p.q().mul_vec(&x).unwrap();
+            for (g, c) in obj_grad.iter_mut().zip(p.c()) {
+                *g += c;
+            }
+            assert!(line.set(&p, t, &pt, &obj_grad, &delta));
+            for alpha in ladder(&config) {
+                let mut cand = x.clone();
+                vecops::axpy(alpha, &delta, &mut cand);
+                let direct = barrier_value(&p, &cand, &mut cand_pt);
+                let expanded = line.change(alpha);
+                assert_eq!(
+                    expanded.is_some(),
+                    direct.is_some(),
+                    "feasibility verdicts differ at n = {n}, α = {alpha:e}"
+                );
+                let (Some(got), Some(phi_c)) = (expanded, direct) else {
+                    infeasible += 1;
+                    continue;
+                };
+                feasible += 1;
+                let f_c = p.objective(&cand);
+                let want = t * (f_c - f) + (phi_c - phi);
+                let s =
+                    1.0 + t * (f.abs() + f_c.abs()) + log_magnitude(&pt) + log_magnitude(&cand_pt);
+                let err = (got - want).abs() / s;
+                assert!(
+                    err <= 1e-12,
+                    "n = {n}, t = {t:e}, α = {alpha:e}: change {got:e} vs direct {want:e}"
+                );
+                worst = worst.max(err);
+            }
+        }
+    }
+    assert!(
+        feasible > 1000 && infeasible > 50,
+        "{feasible} feasible and {infeasible} infeasible trials compared"
+    );
+    assert!(worst > 0.0, "every change matched exactly: nothing tested");
+}
+
+#[test]
+fn accepted_step_is_strictly_feasible_by_direct_evaluation() {
+    // One row x ≤ 1e16 at x = 1e16 − 4 (slack 4), descending f = −1000·x
+    // along Δ = 3.5. At α = 1 the expanded slack is 4·(1 − 3.5/4) = 0.5 > 0,
+    // but x + Δ = 1e16 − 0.5 rounds to 1e16, where the direct slack is 0.
+    let config = SolverConfig::default();
+    let mut p = SocpProblem::new(Matrix::zeros(1, 1), vec![-1000.0]).unwrap();
+    p.add_linear(vec![1.0], 1e16).unwrap();
+    let x0 = 1e16 - 4.0;
+    let mut ws = Workspace::new();
+    assert!(ws.point.evaluate(&p, &[x0]));
+    ws.obj_grad = vec![-1000.0];
+    ws.delta = vec![3.5];
+    // t = 1: ∇(t·f + φ) = t·c + g/slack.
+    ws.grad = vec![-1000.0 + 1.0 / 4.0];
+    let slope = ws.grad[0] * ws.delta[0];
+    assert!(ws.line.set(&p, 1.0, &ws.point, &ws.obj_grad, &ws.delta));
+    assert!(
+        ws.line
+            .change(1.0)
+            .is_some_and(|d| d <= config.armijo * slope),
+        "the expanded form alone takes the full step"
+    );
+    assert_eq!(x0 + 3.5, 1e16, "the full step lands on the boundary");
+
+    let mut x = vec![x0];
+    assert!(line_search(&p, 1.0, &mut x, &config, &mut ws).unwrap());
+    assert!(
+        barrier_value(&p, &x, &mut PointEval::default()).is_some(),
+        "accepted x = {:e} is not strictly feasible",
+        x[0]
+    );
+    assert_eq!(x[0], 1e16 - 2.0, "the half step is taken");
+    assert_eq!(ws.point.slack, vec![2.0], "the evaluation follows x");
+}
+
+#[test]
+fn extreme_slack_ratios_keep_the_product_finite() {
+    // Along Δ = −1 from x = 0, rows x ≤ 1e-300 have ρ = −1e300 (their slack
+    // grows by up to 1e300 times) and rows x ≤ 1e300 have ρ = −1e-300. Four
+    // factors of 1e300 overflow a plain product.
+    let config = SolverConfig::default();
+    let mut p = SocpProblem::new(Matrix::zeros(1, 1), vec![0.0]).unwrap();
+    for _ in 0..4 {
+        p.add_linear(vec![1.0], 1e-300).unwrap();
+        p.add_linear(vec![1.0], 1e300).unwrap();
+    }
+    let (x, delta) = ([0.0], [-1.0]);
+    let mut pt = PointEval::default();
+    let phi = barrier_value(&p, &x, &mut pt).unwrap();
+    let mut line = LineModel::default();
+    assert!(line.set(&p, 1.0, &pt, &[0.0], &delta));
+    for want in [-1e300, -1e-300] {
+        assert!(line.rho.iter().any(|r| (r / want - 1.0).abs() < 1e-15));
+    }
+    for alpha in ladder(&config) {
+        let got = line.change(alpha).expect("every step is feasible");
+        let per_row: f64 = line.rho.iter().map(|r| -(1.0 - alpha * r).ln()).sum();
+        assert!(got.is_finite());
+        assert!(
+            (got - per_row).abs() <= 1e-14 * per_row.abs(),
+            "α = {alpha:e}: {got:e} vs per-row sum {per_row:e}"
+        );
+        let direct = barrier_value(&p, &[-alpha], &mut PointEval::default()).unwrap() - phi;
+        assert!((got - direct).abs() <= 1e-12 * direct.abs());
+    }
+
+    // The product itself, at factors near 1e±300 in both orders.
+    for factors in [[1e300, 1e300, 1e-300, 1e300], [1e-300, 1e-300, 3.0, 1e-300]] {
+        let mut prod = ScaledProduct::ONE;
+        for f in factors {
+            prod.mul(f);
+            assert!(prod.m.is_normal());
+        }
+        let per_row: f64 = factors.iter().map(|f| f.ln()).sum();
+        assert!((prod.ln() - per_row).abs() <= 1e-14 * per_row.abs());
     }
 }

@@ -174,6 +174,8 @@ pub struct Solution {
     pub duality_gap_bound: f64,
     /// Total Newton steps spent (phase I + phase II).
     pub newton_steps: usize,
+    /// The part of `newton_steps` spent in phase I.
+    pub phase1_steps: usize,
     /// Outer barrier stages executed in phase II.
     pub stages: usize,
     /// Final barrier weight `t` — the input to [`SocpProblem::kkt_report`].
@@ -452,14 +454,8 @@ impl SocpProblem {
     ///
     /// Panics if `x.len() != self.num_vars()`.
     pub fn objective(&self, x: &[f64]) -> f64 {
-        self.objective_with(x, &mut Vec::new())
-    }
-
-    /// [`Self::objective`] with `Q·x` written into a caller-owned buffer
-    /// (the same arithmetic as `quad_form`, without its allocation).
-    pub(crate) fn objective_with(&self, x: &[f64], qx: &mut Vec<f64>) -> f64 {
-        self.q.mul_vec_into(x, qx).expect("validated dimensions");
-        0.5 * vecops::dot(x, qx) + vecops::dot(&self.c, x)
+        let qx = self.q.mul_vec(x).expect("validated dimensions");
+        0.5 * vecops::dot(x, &qx) + vecops::dot(&self.c, x)
     }
 
     /// Largest signed constraint violation at `x` (`≤ 0` means feasible;
@@ -501,9 +497,9 @@ impl SocpProblem {
         self.solve_timed(x0, config, None)
     }
 
-    /// [`Self::solve_from`], adding the wall time of its stages to `times`
-    /// when given, whether the solve succeeds or not. The iterates do not
-    /// depend on `times`.
+    /// [`Self::solve_from`], adding the wall time of its stages and its
+    /// line-search trials to `times` when given, whether the solve succeeds
+    /// or not. The iterates do not depend on `times`.
     pub(crate) fn solve_timed(
         &self,
         x0: Option<&[f64]>,
@@ -516,7 +512,10 @@ impl SocpProblem {
         ws.timing = times.as_deref().map(|t| (Instant::now(), *t));
         let solution = self.solve_in(x0, config, &mut ws);
         if let (Some(acc), Some((_, t))) = (times, ws.timing) {
-            *acc = t;
+            *acc = StageTimes {
+                line_search_trials: t.line_search_trials + ws.line_search_trials,
+                ..t
+            };
         }
         solution
     }
@@ -561,6 +560,7 @@ impl SocpProblem {
             objective,
             x,
             newton_steps: steps + phase1_steps,
+            phase1_steps,
             stages,
             barrier_t,
         })
@@ -689,6 +689,11 @@ mod tests {
         let mut times = StageTimes::default();
         let timed = p.solve_timed(None, &config, Some(&mut times)).unwrap();
         assert_eq!(timed, p.solve_from(None, &config).unwrap());
+        assert!(0 < timed.phase1_steps && timed.phase1_steps < timed.newton_steps);
+        assert!(
+            times.line_search_trials > 0,
+            "line-search trials were not counted"
+        );
         for (stage, d) in [
             ("assembly", times.assembly),
             ("factor", times.factor),

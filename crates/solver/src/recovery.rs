@@ -174,6 +174,7 @@ fn record_solve(recovered: &RecoveredSolution, started: Instant, times: Option<&
     if obs::enabled() {
         let mut event = obs::Event::new("solver.solved")
             .with("newton_steps", recovered.solution.newton_steps)
+            .with("phase1_steps", recovered.solution.phase1_steps)
             .with("stages", recovered.solution.stages)
             .with("objective", recovered.solution.objective)
             .with("duality_gap_bound", recovered.solution.duality_gap_bound)
@@ -189,7 +190,8 @@ fn record_solve(recovered: &RecoveredSolution, started: Instant, times: Option<&
                 .with("assembly_us", us(t.assembly))
                 .with("factor_us", us(t.factor))
                 .with("line_search_us", us(t.line_search))
-                .with("phase1_us", us(t.phase1));
+                .with("phase1_us", us(t.phase1))
+                .with("line_search_trials", t.line_search_trials);
         }
         obs::emit(event);
     }

@@ -1,13 +1,13 @@
 //! Per-solve scratch for the barrier engine.
 //!
 //! Every Newton step of [`crate::barrier`] needs a gradient, a Hessian, a
-//! Cholesky factor and a line-search trial point, and every barrier
-//! evaluation needs the cone arguments `z = Ax + b`, `Aᵀz`, `∇ψ` and the
-//! objective's `Q·x`. A [`Workspace`] is created once per solve and
-//! threaded through phase I and phase II, so the steady state allocates
-//! nothing: for a branch-and-bound run that solves one or two SOCPs per
-//! node over thousands of nodes, per-step allocation used to be a
-//! measurable slice of the per-node cost.
+//! Cholesky factor, the direct evaluation of its iterate (every slack and
+//! every cone's `u`, `z` and `ψ`), the line search's per-step coefficients
+//! and a trial point with its own evaluation. A [`Workspace`] is created
+//! once per solve and threaded through phase I and phase II, so the steady
+//! state allocates nothing: for a branch-and-bound run that solves one or
+//! two SOCPs per node over thousands of nodes, per-step allocation used to
+//! be a measurable slice of the per-node cost.
 //!
 //! Buffers resize on demand: phase I works in `n + 1` variables (the slack
 //! augmentation), phase II in `n`, and `ensure` handles the switch.
@@ -16,9 +16,14 @@
 //! of the allocating call it replaces (`copy_scaled_from` vs `scaled`,
 //! `mul_vec_into` vs `mul_vec`), the factor is one [`Cholesky`] refilled
 //! by `factorize` and read by `solve_into`, and every buffer is fully
-//! rewritten before it is read, so a solve's iterates do not depend on what
-//! an earlier solve left in the workspace — tested in `barrier.rs`.
+//! rewritten before it is read. The one buffer read across steps, `point`,
+//! is written by evaluating the start of each barrier minimization and
+//! afterwards only by swapping in `trial` after it evaluated an accepted
+//! candidate as strictly feasible, so it always describes the current
+//! iterate. A solve's iterates therefore do not depend on what an earlier
+//! solve left in the workspace — tested in `barrier.rs`.
 
+use crate::barrier::{LineModel, PointEval};
 use ldafp_linalg::{Cholesky, Matrix};
 use std::time::{Duration, Instant};
 
@@ -27,6 +32,8 @@ use std::time::{Duration, Instant};
 pub struct Workspace {
     /// Gradient of `t·f + φ`.
     pub(crate) grad: Vec<f64>,
+    /// Gradient of the objective, `Qx + c`.
+    pub(crate) obj_grad: Vec<f64>,
     /// Negated gradient (the Newton right-hand side).
     pub(crate) neg_grad: Vec<f64>,
     /// Newton direction.
@@ -39,17 +46,26 @@ pub struct Workspace {
     pub(crate) shifted: Matrix,
     /// The Newton system's factorization, refilled every step.
     pub(crate) chol: Cholesky,
-    /// Barrier-evaluation scratch.
-    pub(crate) eval: EvalScratch,
+    /// The direct evaluation of the current iterate.
+    pub(crate) point: PointEval,
+    /// The direct evaluation of the line search's candidate.
+    pub(crate) trial: PointEval,
+    /// Gradient and Hessian assembly scratch.
+    pub(crate) assembly: AssemblyScratch,
+    /// The line search's coefficients for the current step.
+    pub(crate) line: LineModel,
     /// Newton steps served from already-sized buffers (no allocation).
     pub(crate) newton_reuses: u64,
+    /// Step lengths the line search has tried.
+    pub(crate) line_search_trials: u64,
     /// The stage clock's last mark and the times split so far; `None`
     /// unless the solve is timed.
     pub(crate) timing: Option<(Instant, StageTimes)>,
 }
 
 /// Wall time of a solve's Newton steps, split by stage and summed over
-/// phase I and phase II, plus the wall time of phase I as a whole.
+/// phase I and phase II, plus the wall time of phase I as a whole and the
+/// line search's trial count.
 #[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct StageTimes {
     /// Gradient and Hessian assembly.
@@ -60,19 +76,17 @@ pub(crate) struct StageTimes {
     pub(crate) line_search: Duration,
     /// Phase I, from building the auxiliary problem to its verdict.
     pub(crate) phase1: Duration,
+    /// Step lengths tried by the line search.
+    pub(crate) line_search_trials: u64,
 }
 
-/// Vectors one barrier evaluation writes before reading.
+/// Vectors the assembly of one cone's derivatives writes before reading.
 #[derive(Debug, Default)]
-pub(crate) struct EvalScratch {
-    /// Cone argument `z = Ax + b`.
-    pub(crate) z: Vec<f64>,
+pub(crate) struct AssemblyScratch {
     /// `Aᵀz`.
     pub(crate) at_z: Vec<f64>,
     /// Cone gradient `∇ψ = 2u·d − 2Aᵀz`.
     pub(crate) grad_psi: Vec<f64>,
-    /// Objective product `Q·x`.
-    pub(crate) qx: Vec<f64>,
 }
 
 impl Default for Workspace {
@@ -87,14 +101,19 @@ impl Workspace {
     pub fn new() -> Self {
         Workspace {
             grad: Vec::new(),
+            obj_grad: Vec::new(),
             neg_grad: Vec::new(),
             delta: Vec::new(),
             cand: Vec::new(),
             hess: Matrix::zeros(0, 0),
             shifted: Matrix::zeros(0, 0),
             chol: Cholesky::default(),
-            eval: EvalScratch::default(),
+            point: PointEval::default(),
+            trial: PointEval::default(),
+            assembly: AssemblyScratch::default(),
+            line: LineModel::default(),
             newton_reuses: 0,
+            line_search_trials: 0,
             timing: None,
         }
     }

@@ -92,12 +92,14 @@ for event in bnb.expand bnb.prune bnb.incumbent solver.solved registry.dump; do
         || { echo "missing $event in trace" >&2; exit 1; }
 done
 # The solver's stage ledger closes: every traced solve carries its stage
-# fields, and over the trace the Newton-step stages (assembly, factor,
-# line search) add up to 0.85–1.15 of the solves' summed elapsed_us.
-awk '/"event":"solver.solved"/ {
+# fields and its line-search trial and phase-I step counts, and over the
+# trace the Newton-step stages (assembly, factor, line search) add up to
+# 0.85–1.15 of the solves' summed elapsed_us.
+awk 'BEGIN { fields = split("assembly_us factor_us line_search_us phase1_us elapsed_us line_search_trials phase1_steps", field, " ") }
+    /"event":"solver.solved"/ {
         solves++
-        for (k = 1; k <= 5; k++) {
-            f = (k == 1) ? "assembly_us" : (k == 2) ? "factor_us" : (k == 3) ? "line_search_us" : (k == 4) ? "phase1_us" : "elapsed_us"
+        for (k = 1; k <= fields; k++) {
+            f = field[k]
             if (!match($0, "\"" f "\":[-0-9.eE+]+")) { print "solver.solved without " f > "/dev/stderr"; bad = 1; exit 1 }
             sum[k] += substr($0, RSTART + length(f) + 3, RLENGTH - length(f) - 3)
         }

@@ -1,5 +1,6 @@
 use crate::Result;
-use ldafp_fixedpoint::{mac_dot, Fx, QFormat, RoundingMode};
+use ldafp_fixedpoint::{Fx, QFormat, RoundingMode};
+use ldafp_kernels::mac_row_fx;
 
 /// A bit-exact fixed-point linear classifier — the artifact that would be
 /// burned into the ASIC.
@@ -7,8 +8,10 @@ use ldafp_fixedpoint::{mac_dot, Fx, QFormat, RoundingMode};
 /// Inference follows the paper's eq. 12 on the wrapping MAC datapath:
 ///
 /// 1. features are quantized to the classifier's `QK.F` format;
-/// 2. `y = wᵀx` is computed by [`mac_dot`] (same-width wrapping
-///    accumulator);
+/// 2. `y = wᵀx` is computed by [`mac_row_fx`], the serving kernels'
+///    scalar loop (same-width wrapping accumulator: the exact sum of the
+///    rounded products wrapped once, which is the per-step wrapping
+///    result);
 /// 3. `y` is compared against the quantized threshold by a plain
 ///    comparator — no subtraction, so the comparison itself cannot
 ///    overflow.
@@ -155,7 +158,9 @@ impl FixedPointClassifier {
             self.num_features()
         );
         let xq = self.format.quantize_slice(x, self.rounding);
-        mac_dot(&self.weights, &xq, self.rounding).expect("formats agree by construction")
+        // Weights and quantized features share `self.format` by construction.
+        let (word, _) = mac_row_fx(self.format, self.rounding, &self.weights, &xq);
+        self.format.from_raw(word)
     }
 
     /// Classifies a feature vector: `true` = class A (`y ≥ threshold`,
@@ -166,16 +171,6 @@ impl FixedPointClassifier {
     /// Panics if `x.len() != self.num_features()`.
     pub fn classify(&self, x: &[f64]) -> bool {
         self.project(x).raw() >= self.threshold.raw()
-    }
-
-    /// Classifies pre-quantized features (the pure-hardware path).
-    ///
-    /// # Errors
-    ///
-    /// Returns a fixed-point error on length or format mismatch.
-    pub fn classify_fx(&self, x: &[Fx]) -> Result<bool> {
-        let y = mac_dot(&self.weights, x, self.rounding)?;
-        Ok(y.raw() >= self.threshold.raw())
     }
 
     /// The float-reference decision (no quantization of features, exact
@@ -283,20 +278,38 @@ mod tests {
         assert!(clf.classify_float_reference(&[1.0, 1.0]));
     }
 
+    /// `project` serves the traced reference's word: across random
+    /// `QK.F` formats, every rounding mode, and weights and features
+    /// drawn over the whole range (so products round and sums wrap).
     #[test]
-    fn classify_fx_agrees_with_classify() {
-        let format = fmt(2, 5);
-        let clf = FixedPointClassifier::from_float(&[0.5, -0.25, 1.0], -0.125, format).unwrap();
-        let x = [0.3, 0.9, -0.4];
-        let xq = format.quantize_slice(&x, clf.rounding());
-        assert_eq!(clf.classify(&x), clf.classify_fx(&xq).unwrap());
-    }
-
-    #[test]
-    fn classify_fx_rejects_wrong_format() {
-        let clf = FixedPointClassifier::from_float(&[0.5], 0.0, fmt(2, 5)).unwrap();
-        let bad = fmt(3, 4).quantize_slice(&[0.5], RoundingMode::NearestEven);
-        assert!(clf.classify_fx(&bad).is_err());
+    fn project_matches_traced_reference_all_modes() {
+        use ldafp_fixedpoint::mac_dot_traced;
+        use ldafp_stats::Rng;
+        let mut rng = Rng::new(12);
+        let mut wrapped = 0usize;
+        for _ in 0..200 {
+            let format = fmt(rng.range_i64(1..=16) as u32, rng.range_i64(0..=14) as u32);
+            let features = 1 + rng.below(12);
+            let (lo, hi) = (format.min_raw(), format.max_raw());
+            let weights: Vec<i64> = (0..features).map(|_| rng.range_i64(lo..=hi)).collect();
+            let x: Vec<f64> = (0..features)
+                .map(|_| rng.range_f64(-1.2..1.2) * format.max_value())
+                .collect();
+            for mode in [
+                RoundingMode::NearestEven,
+                RoundingMode::NearestAway,
+                RoundingMode::Floor,
+                RoundingMode::Ceil,
+                RoundingMode::TowardZero,
+            ] {
+                let clf = FixedPointClassifier::from_raw_parts(format, &weights, 0, mode).unwrap();
+                let xq = format.quantize_slice(&x, mode);
+                let (want, trace) = mac_dot_traced(clf.weights(), &xq, mode).unwrap();
+                assert_eq!(clf.project(&x).raw(), want.raw(), "{format} {mode:?}");
+                wrapped += usize::from(trace.intermediate_overflows > 0);
+            }
+        }
+        assert!(wrapped > 100, "the sweep must exercise wraps ({wrapped})");
     }
 
     #[test]

@@ -4,7 +4,7 @@
 use crate::{FixedPointClassifier, LdaModel, Result};
 use ldafp_datasets::{BinaryDataset, ClassLabel};
 use ldafp_fixedpoint::{Fx, QFormat};
-use ldafp_kernels::{mac_gemv_into, GemmScratch, KernelKind, QBatchBuf};
+use ldafp_kernels::{mac_gemm_into, GemmScratch, KernelKind, QBatchBuf};
 use ldafp_stats::Rng;
 use ldafp_stats::StratifiedKFold;
 
@@ -16,9 +16,9 @@ const EVAL_CHUNK_ROWS: usize = 1024;
 /// bit-exact wrapping datapath (the numbers reported in Tables 1–2).
 ///
 /// Rows are quantized into an SoA batch and scored through the shared
-/// wrapping-MAC GEMV kernel in chunks — bit-identical to calling
-/// [`FixedPointClassifier::classify`] per row (the kernels are pinned to
-/// the traced `mac_dot` reference), but vectorizable, which is what makes
+/// wrapping-MAC kernel in chunks, one head — bit-identical to calling
+/// [`FixedPointClassifier::classify`] per row (both run the kernels' scalar
+/// loop or a path pinned to it), but vectorizable, which is what makes
 /// large exploration sweeps affordable.
 pub fn error_rate(clf: &FixedPointClassifier, data: &BinaryDataset) -> f64 {
     let format = clf.format();
@@ -33,10 +33,11 @@ pub fn error_rate(clf: &FixedPointClassifier, data: &BinaryDataset) -> f64 {
     let mut errors = 0usize;
     let mut total = 0usize;
     let mut flush = |batch: &mut QBatchBuf, is_a_chunk: &mut Vec<bool>, errors: &mut usize| {
-        mac_gemv_into(
+        mac_gemm_into(
             kernel,
             &batch.as_batch(),
             &weights,
+            1,
             rounding,
             &mut scratch,
             &mut out,

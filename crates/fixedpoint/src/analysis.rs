@@ -11,7 +11,7 @@
 //!   datapath's total error into *product rounding* and *final wrap*
 //!   contributions, against the exact real-valued dot product.
 
-use crate::{exact_dot_value, mac_dot, wide_dot, Fx, QFormat, Result, RoundingMode};
+use crate::{exact_dot_value, mac_dot_traced, wide_dot, Fx, QFormat, Result, RoundingMode};
 
 /// Empirical statistics of a quantization error stream.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -90,7 +90,7 @@ pub struct DotErrorReport {
 ///
 /// Propagates length/format mismatches from the underlying kernels.
 pub fn analyze_dot_error(w: &[Fx], x: &[Fx], mode: RoundingMode) -> Result<DotErrorReport> {
-    let mac = mac_dot(w, x, mode)?;
+    let (mac, _) = mac_dot_traced(w, x, mode)?;
     let wide = wide_dot(w, x, mode)?;
     let exact = exact_dot_value(w, x);
     let fmt = w[0].format();

@@ -4,16 +4,19 @@
 //! accumulator register of the *same* `QK.F` width (paper §1/§3). Two
 //! reference implementations are provided:
 //!
-//! * [`mac_dot`] — the hardware-faithful path: each product is rounded back
-//!   to `QK.F` and added into a **wrapping** `QK.F` accumulator.
+//! * [`mac_dot_traced`] — the hardware-faithful path: each product is
+//!   rounded back to `QK.F` and added into a **wrapping** `QK.F`
+//!   accumulator, step by step through the element-wise `Fx` operations,
+//!   with every step recorded. It is the oracle the serving kernels
+//!   (`ldafp-kernels`, which sum exactly and wrap once) are pinned to.
 //! * [`wide_dot`] — an idealized path with an unbounded (i128) accumulator
 //!   holding full `2F`-fraction products, rounded once at the end.
 //!
 //! The paper's correctness argument for not constraining intermediate sums
-//! (§3) is precisely that `mac_dot` with `RoundingMode::Floor`-free products
-//! (i.e. exact products, F-bit inputs) equals `wide_dot` whenever the true
-//! final sum is representable. The test suite checks this exhaustively for
-//! narrow formats.
+//! (§3) is that the wrapping accumulator ends on the exact sum of the
+//! rounded products wrapped once, so it is exact whenever that sum is
+//! representable. The test suite checks this for every rounding mode and
+//! exhaustively for narrow integer formats.
 
 use crate::{FixedPointError, Fx, QFormat, Result, RoundingMode};
 
@@ -34,8 +37,9 @@ pub struct MacTrace {
     pub exact_sum: i128,
 }
 
-/// Computes `wᵀx` on the hardware-faithful datapath: same-width multiplier
-/// output (rounded with `mode`) and a wrapping same-width accumulator.
+/// Computes `wᵀx` on the hardware-faithful datapath — same-width
+/// multiplier output (rounded with `mode`) and a wrapping same-width
+/// accumulator — and returns the full [`MacTrace`].
 ///
 /// # Errors
 ///
@@ -50,94 +54,18 @@ pub struct MacTrace {
 /// # Example
 ///
 /// ```
-/// use ldafp_fixedpoint::{mac_dot, QFormat, RoundingMode};
+/// use ldafp_fixedpoint::{mac_dot_traced, QFormat, RoundingMode};
 ///
 /// # fn main() -> Result<(), ldafp_fixedpoint::FixedPointError> {
 /// let q = QFormat::new(3, 4)?;
 /// let w = q.quantize_slice(&[0.5, -1.0], RoundingMode::NearestEven);
 /// let x = q.quantize_slice(&[2.0, 1.5], RoundingMode::NearestEven);
-/// let y = mac_dot(&w, &x, RoundingMode::NearestEven)?;
+/// let (y, trace) = mac_dot_traced(&w, &x, RoundingMode::NearestEven)?;
 /// assert_eq!(y.to_f64(), -0.5);
+/// assert_eq!(trace.intermediate_overflows, 0);
 /// # Ok(())
 /// # }
 /// ```
-pub fn mac_dot(w: &[Fx], x: &[Fx], mode: RoundingMode) -> Result<Fx> {
-    Ok(mac_dot_counted(w, x, mode)?.0)
-}
-
-/// Like [`mac_dot`] but also returns the number of steps where the running
-/// sum wrapped past the format's range, without allocating a full
-/// [`MacTrace`]. This is the serving hot path: inference engines want the
-/// overflow count for their per-batch counters at zero allocation cost.
-///
-/// # Errors
-///
-/// Same failure modes as [`mac_dot`].
-pub fn mac_dot_counted(w: &[Fx], x: &[Fx], mode: RoundingMode) -> Result<(Fx, usize)> {
-    let fmt = check_operands(w, x)?;
-    // Raw-integer inner loop. The element-wise `wrapping_mul` /
-    // `wrapping_add` path re-checks formats and reduces through
-    // `i128::rem_euclid` — a software division — on every step; with the
-    // formats validated once up front, every reduction here is a
-    // power-of-two wrap, so shifts and masks compute the identical result
-    // (the tests pin this loop to [`mac_dot_traced`] step for step).
-    // Magnitudes stay comfortably inside `i64`: `K+F ≤ 31` bounds raws by
-    // `2^30`, products by `2^60`, and accumulator sums by `2^31`.
-    let f = fmt.f();
-    let wl = fmt.word_length();
-    let modulus = 1i64 << wl;
-    let half_modulus = 1i64 << (wl - 1);
-    let wrap = |v: i64| -> i64 {
-        // Two's-complement wrap into `wl` bits: the mask is `v mod 2^wl`
-        // for any sign, exactly `QFormat::wrap_raw`.
-        let r = v & (modulus - 1);
-        if r >= half_modulus {
-            r - modulus
-        } else {
-            r
-        }
-    };
-    let frac_mask = if f == 0 { 0 } else { (1i64 << f) - 1 };
-    let half = if f == 0 { 0 } else { 1i64 << (f - 1) };
-    let mut acc = 0i64;
-    let mut overflows = 0usize;
-    for (wi, xi) in w.iter().zip(x) {
-        let wide = wi.raw() * xi.raw(); // 2F fractional bits
-        let p_scaled = if f == 0 {
-            wide
-        } else {
-            // `>> F` is floor division and `& frac_mask` the euclidean
-            // remainder, mirroring `Fx::mul_rounded_raw` mode for mode.
-            let q = wide >> f;
-            let r = wide & frac_mask;
-            q + match mode {
-                RoundingMode::Floor => 0,
-                RoundingMode::Ceil => i64::from(r > 0),
-                RoundingMode::TowardZero => i64::from(wide < 0 && r > 0),
-                RoundingMode::NearestAway => i64::from(r > half || (r == half && wide >= 0)),
-                RoundingMode::NearestEven => match r.cmp(&half) {
-                    std::cmp::Ordering::Greater => 1,
-                    std::cmp::Ordering::Less => 0,
-                    std::cmp::Ordering::Equal => q & 1, // odd quotient rounds up
-                },
-            }
-        };
-        let p = wrap(p_scaled);
-        let unbounded = acc + p;
-        let next = wrap(unbounded);
-        if next != unbounded {
-            overflows += 1;
-        }
-        acc = next;
-    }
-    Ok((fmt.from_raw(acc), overflows))
-}
-
-/// Like [`mac_dot`] but also returns the full [`MacTrace`].
-///
-/// # Errors
-///
-/// Same failure modes as [`mac_dot`].
 pub fn mac_dot_traced(w: &[Fx], x: &[Fx], mode: RoundingMode) -> Result<(Fx, MacTrace)> {
     let fmt = check_operands(w, x)?;
     let mut acc = fmt.zero();
@@ -173,13 +101,13 @@ pub fn mac_dot_traced(w: &[Fx], x: &[Fx], mode: RoundingMode) -> Result<(Fx, Mac
 /// products (with `2F` fractional bits) are summed in `i128`, and the total
 /// is rounded to `F` bits and wrapped once at the end.
 ///
-/// This is the mathematical reference that [`mac_dot`] is measured against;
+/// This is the mathematical reference that [`mac_dot_traced`] is measured against;
 /// the two agree whenever no *product rounding* differs and the final value
 /// is representable.
 ///
 /// # Errors
 ///
-/// Same failure modes as [`mac_dot`].
+/// Same failure modes as [`mac_dot_traced`].
 pub fn wide_dot(w: &[Fx], x: &[Fx], mode: RoundingMode) -> Result<Fx> {
     let fmt = check_operands(w, x)?;
     let mut acc: i128 = 0; // 2F fractional bits
@@ -250,15 +178,16 @@ mod tests {
     }
 
     #[test]
-    fn fast_counted_loop_matches_traced_reference() {
-        // `mac_dot_counted` runs a shift/mask integer loop;
-        // `mac_dot_traced` still goes through the element-wise
-        // `wrapping_mul`/`wrapping_add` ops. They must agree on the final
-        // value AND the overflow count for every format shape (wide words,
-        // integer-only, fraction-heavy) and every rounding mode, on inputs
-        // spanning the full raw range so wraps and ties both occur.
+    fn exact_sum_wrapped_once_is_the_traced_word() {
+        // The paper's §3 claim: the per-step wrapping accumulator ends on
+        // the exact sum of the rounded products wrapped once, so
+        // intermediate wraps cannot corrupt an in-range result. Checked
+        // for every format shape (wide words, integer-only,
+        // fraction-heavy) and every rounding mode, on inputs spanning the
+        // full raw range so wraps and ties both occur.
         use ldafp_stats::Rng;
         let mut rng = ldafp_stats::Rng::new(2014);
+        let mut wrapped_steps = 0usize;
         for (k, f) in [
             (3u32, 0u32),
             (2, 6),
@@ -285,18 +214,17 @@ mod tests {
                     };
                     let w = gen(&mut rng);
                     let x = gen(&mut rng);
-                    let (fast, fast_overflows) = mac_dot_counted(&w, &x, mode).unwrap();
-                    let (slow, trace) = mac_dot_traced(&w, &x, mode).unwrap();
+                    let (y, trace) = mac_dot_traced(&w, &x, mode).unwrap();
                     assert_eq!(
-                        (fast.raw(), fast_overflows),
-                        (slow.raw(), trace.intermediate_overflows),
+                        fmt.wrap_raw(trace.exact_sum),
+                        y.raw(),
                         "Q{k}.{f} {mode:?} len={len} w={w:?} x={x:?}"
                     );
-                    // Wrapping once at the end lands on the same word.
-                    assert_eq!(fmt.wrap_raw(trace.exact_sum), slow.raw());
+                    wrapped_steps += trace.intermediate_overflows;
                 }
             }
         }
+        assert!(wrapped_steps > 0, "the sweep must exercise wraps");
     }
 
     #[test]
@@ -304,7 +232,7 @@ mod tests {
         let fmt = q(4, 4);
         let w = fmt.quantize_slice(&[1.0, 2.0, -0.5], RoundingMode::NearestEven);
         let x = fmt.quantize_slice(&[0.5, 0.25, 4.0], RoundingMode::NearestEven);
-        let y = mac_dot(&w, &x, RoundingMode::NearestEven).unwrap();
+        let (y, _) = mac_dot_traced(&w, &x, RoundingMode::NearestEven).unwrap();
         assert_eq!(y.to_f64(), 0.5 + 0.5 - 2.0);
     }
 
@@ -326,38 +254,42 @@ mod tests {
 
     #[test]
     fn wrapping_mac_equals_wide_when_final_in_range() {
-        // Exhaustive over a small format and fixed length-3 vectors built
-        // from the format's extreme and middle values.
+        // Exhaustive over a small format and fixed length-3 vectors. Under
+        // Floor, the MAC floors each product and the wide path floors the
+        // sum once; a sum of M floors is at most the floor of the sum and
+        // falls short of it by less than M, so on the raw grid
+        // `0 ≤ wide − exact_sum ≤ M − 1`. The wide result also never
+        // exceeds the exact value it floors.
         let fmt = q(2, 1);
         let vals: Vec<Fx> = fmt.enumerate().collect();
+        let x = [vals[7], vals[2], vals[5]]; // arbitrary fixed features
+        let m = x.len() as i128;
+        let mut checked = 0usize;
         for &a in &vals {
             for &b in &vals {
                 for &c in &vals {
                     let w = [a, b, c];
-                    let x = [vals[7], vals[2], vals[5]]; // arbitrary fixed features
-                                                         // Products of F-bit values are exact in 2F bits; with
-                                                         // Floor rounding, per-step rounding == final rounding
-                                                         // iff each product is on the F grid. Use F such that
-                                                         // products stay exact: choose integers only.
                     let exact = exact_dot_value(&w, &x);
                     if exact >= fmt.min_value() && exact <= fmt.max_value() {
                         let wide = wide_dot(&w, &x, RoundingMode::Floor).unwrap();
-                        let mac = mac_dot(&w, &x, RoundingMode::Floor).unwrap();
-                        // When each product is representable after rounding
-                        // identically, MAC == wide. With Floor both paths
-                        // floor per product vs at end — these can differ by
-                        // accumulated rounding, so compare wide to exact:
+                        let (_, trace) = mac_dot_traced(&w, &x, RoundingMode::Floor).unwrap();
+                        let gap = i128::from(wide.raw()) - trace.exact_sum;
+                        assert!((0..m).contains(&gap), "w={w:?}: wide − exact_sum = {gap}");
                         assert!(
-                            wide.to_f64() <= exact + 1e-9,
+                            wide.to_f64() <= exact,
                             "wide={} exact={}",
                             wide.to_f64(),
                             exact
                         );
-                        let _ = mac;
+                        checked += 1;
                     }
                 }
             }
         }
+        assert!(
+            checked > 100,
+            "exhaustive sweep actually ran ({checked} cases)"
+        );
     }
 
     #[test]
@@ -375,7 +307,7 @@ mod tests {
                     let ones = fmt.quantize_slice(&[1.0, 1.0, 1.0], RoundingMode::Floor);
                     let exact = exact_dot_value(&w, &ones);
                     if exact >= fmt.min_value() && exact <= fmt.max_value() {
-                        let mac = mac_dot(&w, &ones, RoundingMode::Floor).unwrap();
+                        let (mac, _) = mac_dot_traced(&w, &ones, RoundingMode::Floor).unwrap();
                         assert_eq!(mac.to_f64(), exact, "w = {:?}", [a, b, c]);
                         checked += 1;
                     }
@@ -400,7 +332,7 @@ mod tests {
         let wide = wide_dot(&w, &x, RoundingMode::NearestAway).unwrap();
         assert_eq!(wide.to_f64(), 1.0);
         // MAC path: each product 0.25 rounds (NearestAway) to 0.5; sum 1.5.
-        let mac = mac_dot(&w, &x, RoundingMode::NearestAway).unwrap();
+        let (mac, _) = mac_dot_traced(&w, &x, RoundingMode::NearestAway).unwrap();
         assert_eq!(mac.to_f64(), 1.5);
         // Per-step rounding error accumulation is visible — exactly why the
         // trainer must model the datapath it targets.
@@ -412,36 +344,18 @@ mod tests {
         let w = fmt.quantize_slice(&[0.5], RoundingMode::Floor);
         let x = fmt.quantize_slice(&[0.5, 0.25], RoundingMode::Floor);
         assert!(matches!(
-            mac_dot(&w, &x, RoundingMode::Floor),
+            mac_dot_traced(&w, &x, RoundingMode::Floor),
             Err(FixedPointError::LengthMismatch { .. })
         ));
-        assert!(mac_dot(&[], &[], RoundingMode::Floor).is_err());
+        assert!(mac_dot_traced(&[], &[], RoundingMode::Floor).is_err());
 
         let other = q(3, 1).zero();
         let mixed = [w[0], other];
         let xs = fmt.quantize_slice(&[0.5, 0.5], RoundingMode::Floor);
         assert!(matches!(
-            mac_dot(&mixed, &xs, RoundingMode::Floor),
+            mac_dot_traced(&mixed, &xs, RoundingMode::Floor),
             Err(FixedPointError::FormatMismatch { .. })
         ));
-    }
-
-    #[test]
-    fn counted_agrees_with_traced_exhaustively() {
-        let fmt = q(2, 1);
-        let vals: Vec<Fx> = fmt.enumerate().collect();
-        let x = [vals[7], vals[2], vals[5]];
-        for &a in &vals {
-            for &b in &vals {
-                for &c in &vals {
-                    let w = [a, b, c];
-                    let (y_t, trace) = mac_dot_traced(&w, &x, RoundingMode::Floor).unwrap();
-                    let (y_c, n) = mac_dot_counted(&w, &x, RoundingMode::Floor).unwrap();
-                    assert_eq!(y_t, y_c);
-                    assert_eq!(trace.intermediate_overflows, n);
-                }
-            }
-        }
     }
 
     #[test]

@@ -5,9 +5,10 @@
 //! `F` fractional bits, stored in two's complement, with **wrapping**
 //! overflow semantics by default.
 //!
-//! The centerpiece is [`mac_dot`], a multiply-accumulate dot product whose
-//! accumulator has the *same* word length as the operands and wraps on every
-//! step. The paper's §3 observes that intermediate wrap-around is harmless as
+//! The centerpiece is [`mac_dot_traced`], a multiply-accumulate dot product
+//! whose accumulator has the *same* word length as the operands and wraps on
+//! every step; it is the oracle the serving kernels in `ldafp-kernels` are
+//! pinned to. The paper's §3 observes that intermediate wrap-around is harmless as
 //! long as the *final* sum is representable — a property this crate's test
 //! suite verifies exhaustively for small formats and probabilistically for
 //! large ones.
@@ -38,7 +39,7 @@ mod format;
 mod quantize;
 mod value;
 
-pub use dot::{exact_dot_value, mac_dot, mac_dot_counted, mac_dot_traced, wide_dot, MacTrace};
+pub use dot::{exact_dot_value, mac_dot_traced, wide_dot, MacTrace};
 pub use error::FixedPointError;
 pub use format::{QFormat, RoundingMode};
 pub use quantize::InputScale;

@@ -271,8 +271,8 @@ impl MacDatapath {
 
     /// Runs `y = wᵀx` at the gate level and returns the total switching
     /// activity. Products are truncated back to `width` bits (floor), and
-    /// the accumulator wraps — matching `ldafp_fixedpoint::mac_dot` with
-    /// `RoundingMode::Floor`.
+    /// the accumulator wraps — matching `ldafp_fixedpoint::mac_dot_traced`
+    /// and `ldafp_kernels::mac_row_fx` with `RoundingMode::Floor`.
     ///
     /// # Panics
     ///
@@ -310,7 +310,7 @@ impl MacDatapath {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ldafp_fixedpoint::{mac_dot, QFormat, RoundingMode};
+    use ldafp_fixedpoint::{mac_dot_traced, QFormat, RoundingMode};
 
     #[test]
     fn bitword_roundtrip() {
@@ -373,7 +373,7 @@ mod tests {
         let w = fmt.quantize_slice(&[1.5, -2.25, 0.875, 3.0], RoundingMode::NearestEven);
         let x = fmt.quantize_slice(&[0.5, 1.125, -1.0, 2.5], RoundingMode::NearestEven);
         let (raw, stats) = datapath.simulate_fx_dot(&w, &x);
-        let reference = mac_dot(&w, &x, RoundingMode::Floor).unwrap();
+        let (reference, _) = mac_dot_traced(&w, &x, RoundingMode::Floor).unwrap();
         assert_eq!(raw, reference.raw());
         assert!(stats.net_toggles > 0);
         assert!(stats.cycles > 0);
@@ -389,7 +389,7 @@ mod tests {
                 let w = [a, b];
                 let x = [vals[5], vals[11]];
                 let (raw, _) = datapath.simulate_fx_dot(&w, &x);
-                let reference = mac_dot(&w, &x, RoundingMode::Floor).unwrap();
+                let (reference, _) = mac_dot_traced(&w, &x, RoundingMode::Floor).unwrap();
                 assert_eq!(raw, reference.raw(), "w = {a},{b}");
             }
         }

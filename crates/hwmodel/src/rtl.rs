@@ -6,7 +6,8 @@
 //! plus a matching testbench, so a trained classifier can be dropped into a
 //! synthesis flow (or simulated with any HDL simulator) directly.
 //!
-//! The generated datapath matches `ldafp_fixedpoint::mac_dot` with
+//! The generated datapath matches `ldafp_fixedpoint::mac_dot_traced` (and
+//! the serving kernels' `mac_row_fx`) with
 //! [`RoundingMode::Floor`](ldafp_fixedpoint::RoundingMode::Floor) products
 //! (hardware truncation) and a wrapping accumulator — the semantics whose
 //! harmlessness the paper proves for in-range final sums.

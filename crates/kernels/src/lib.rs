@@ -13,24 +13,25 @@
 //!   buffer plus a single [`QFormat`] tag, converted once at the
 //!   boundary (floats are quantized on append; raw wire words are
 //!   borrowed **zero-copy** and wrapped on load by their low bits).
-//! * [`mac_gemm_into`] / [`mac_gemv_into`] — the batch kernels,
-//!   monomorphized per rounding mode: a row-at-a-time reference, a
-//!   cache-blocked scalar tile kernel, and an optional x86_64 AVX2 path
-//!   (behind runtime detection and the `simd` cargo feature) in 32-bit
-//!   lanes, used when they are exact. Each returns per-(row, head) words
-//!   and a 0/1 overflow flag in the `wraps` output — 1 when that exact
-//!   sum left the word range — so the serving engine's counters and
+//! * [`mac_gemm_into`] — the batch kernel, monomorphized per rounding
+//!   mode: the scalar loop run row at a time, or an optional x86_64 AVX2
+//!   path (behind runtime detection and the `simd` cargo feature) in
+//!   32-bit lanes, used when they are exact. It returns per-(row, head)
+//!   words and a 0/1 overflow flag in the `wraps` output — 1 when that
+//!   exact sum left the word range — so the serving engine's counters and
 //!   `predict_segmented` attribution count rows whose sum overflowed.
-//! * [`mac_row`] / [`mac_row_fx`] and [`WrapCtx`] — the scalar twin of
-//!   the same contract for row-at-a-time callers (`ldafp-models`'
-//!   families), so every tier serves the same words and flags.
+//! * [`mac_row`] / [`mac_row_fx`] and [`WrapCtx`] — the same scalar loop
+//!   for row-at-a-time callers (`ldafp-models`' families and the core
+//!   classifier's `project`), so every tier serves the same words and
+//!   flags.
 //!
 //! Bit-identity is the crate's contract: every kernel's word equals
-//! `ldafp_fixedpoint::mac_dot_counted`'s, and its flag equals "the traced
-//! reference's `exact_sum` lies outside the range". The exhaustive tests
-//! and the proptests in `tests/proptests.rs` enforce both for every
-//! rounding mode; the scalar fallback is therefore always a safe drop-in
-//! when no SIMD path is compiled, detected or exact.
+//! `ldafp_fixedpoint::mac_dot_traced`'s per-step wrapping result, and its
+//! flag equals "the traced reference's `exact_sum` lies outside the
+//! range". The exhaustive tests and the proptests in `tests/proptests.rs`
+//! enforce both for every rounding mode; the scalar loop is therefore
+//! always a safe drop-in when no SIMD path is compiled, detected or
+//! exact.
 
 #![cfg_attr(not(feature = "simd"), forbid(unsafe_code))]
 #![deny(unsafe_code)]
@@ -112,22 +113,20 @@ impl std::error::Error for KernelError {}
 /// Convenience alias for results returned by this crate.
 pub type Result<T> = std::result::Result<T, KernelError>;
 
-/// Which kernel implementation to run. All variants are bit-identical —
+/// Which kernel implementation to run. Both variants are bit-identical —
 /// served word and overflow flag — and differ only in speed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum KernelKind {
-    /// One exact sum per (row, head), feature by feature, in `i64` (or
-    /// `i128` where `i64` could overflow).
+    /// The scalar loop behind [`mac_row`], one exact sum per (row, head),
+    /// feature by feature, in `i64` (or `i128` where `i64` could
+    /// overflow). Always available; pure safe code.
     /// The ≥2x throughput gate (`crates/bench/tests/kernels_gate.rs`)
-    /// times every kind, this one included, against one
-    /// `mac_dot_counted` call per row, not against this kind.
+    /// times every kind, this one included, against a per-step wrapping
+    /// loop called once per row, not against this kind.
     Reference,
-    /// Cache-blocked scalar tiles (8 rows, column-major packed scratch,
-    /// eight exact-sum chains). Always available; pure safe code.
-    Blocked,
     /// The x86_64 AVX2 kernel in 32-bit lanes: row-major for rows of at
     /// least 8 features, an 8-row column tile for narrower ones. Runs
-    /// [`KernelKind::Blocked`] instead — silently, because the outputs
+    /// [`KernelKind::Reference`] instead — silently, because the outputs
     /// are bit-identical — when the `simd` feature is off, the CPU lacks
     /// AVX2 (aarch64 has no intrinsic path), or 32-bit lanes are not
     /// exact for the format and row width (word length above 16 bits,
@@ -141,7 +140,7 @@ impl KernelKind {
         if Self::simd_available() {
             KernelKind::Simd
         } else {
-            KernelKind::Blocked
+            KernelKind::Reference
         }
     }
 
@@ -161,40 +160,38 @@ impl KernelKind {
     /// Every kernel that will actually run as itself (not fall back) on
     /// this build and CPU, for differential tests and benches.
     pub fn available() -> Vec<KernelKind> {
-        let mut kinds = vec![KernelKind::Reference, KernelKind::Blocked];
+        let mut kinds = vec![KernelKind::Reference];
         if Self::simd_available() {
             kinds.push(KernelKind::Simd);
         }
         kinds
     }
 
-    /// Stable display name (`"reference"`, `"blocked"`, `"simd"`).
+    /// Stable display name (`"reference"`, `"simd"`).
     pub fn name(self) -> &'static str {
         match self {
             KernelKind::Reference => "reference",
-            KernelKind::Blocked => "blocked",
             KernelKind::Simd => "simd",
         }
     }
 }
 
-/// Reusable packing scratch for the tile kernels. One per engine (or per
-/// thread); reusing it removes the only allocation in the kernel path.
+/// Reusable scratch for the AVX2 kernel's 32-bit weight chunks or column
+/// tile. One per engine (or per thread); reusing it removes the only
+/// allocation in the kernel path. Empty without the `simd` feature.
 #[derive(Debug, Default, Clone)]
 pub struct GemmScratch {
-    /// The blocked kernel's column-major tile.
-    pack: Vec<i64>,
-    /// The AVX2 kernel's 32-bit weight chunks or column tile.
     #[cfg(feature = "simd")]
     lanes: Vec<i32>,
 }
 
 /// Multi-head wrap-once MAC GEMM: `out[r·H + h]` is the served word of
 /// `w_h · x_r` — the rounded products summed exactly and wrapped once into
-/// the word length, which equals [`ldafp_fixedpoint::mac_dot_counted`]'s
+/// the word length, which equals [`ldafp_fixedpoint::mac_dot_traced`]'s
 /// per-step wrapping result — and `wraps[r·H + h]` is 1 when that exact
 /// sum left `[min, max]`, 0 otherwise (the overflow eq. 20 bounds with
 /// confidence ρ; intermediate wraps are harmless and not counted).
+/// Single-head callers pass `heads = 1`.
 ///
 /// `weights` is row-major `heads × features` raw words on the batch's
 /// grid (model parameters, i.e. `Fx::raw` values — in range by
@@ -230,63 +227,32 @@ pub fn mac_gemm_into(
     wraps.resize(rows * heads, 0);
     let spec = MacSpec::new(batch.format());
     let code = mode_code(mode, batch.format().f());
-    let fits_i64 = spec.sum_fits(features, 64);
     let dst = GemmOut { out, wraps };
+    #[cfg(not(feature = "simd"))]
+    let _ = scratch;
     match kernel {
         #[cfg(feature = "simd")]
         KernelKind::Simd if simd::detected() && simd::lanes32_exact(&spec, features) => {
             simd::gemm_simd(&spec, code, batch, weights, heads, dst, &mut scratch.lanes)
         }
-        KernelKind::Reference => {
+        KernelKind::Reference | KernelKind::Simd => {
             macro_rules! run {
                 ($m:expr, $s:ty) => {
                     scalar::gemm_reference::<{ $m }, $s>(&spec, batch, weights, heads, dst)
                 };
             }
-            scalar::dispatch!(code, fits_i64, run)
-        }
-        KernelKind::Blocked | KernelKind::Simd => {
-            macro_rules! run {
-                ($m:expr, $s:ty) => {
-                    scalar::gemm_blocked::<{ $m }, $s>(
-                        &spec,
-                        batch,
-                        weights,
-                        heads,
-                        dst,
-                        &mut scratch.pack,
-                    )
-                };
-            }
-            scalar::dispatch!(code, fits_i64, run)
+            scalar::dispatch!(code, spec.sum_fits(features, 64), run)
         }
     }
     Ok(())
 }
 
-/// Single-head convenience wrapper over [`mac_gemm_into`].
-///
-/// # Errors
-///
-/// Same conditions as [`mac_gemm_into`].
-pub fn mac_gemv_into(
-    kernel: KernelKind,
-    batch: &QBatch<'_>,
-    weights: &[i64],
-    mode: RoundingMode,
-    scratch: &mut GemmScratch,
-    out: &mut Vec<i64>,
-    wraps: &mut Vec<u32>,
-) -> Result<()> {
-    mac_gemm_into(kernel, batch, weights, 1, mode, scratch, out, wraps)
-}
-
-/// Single-row wrap-once MAC dot product over raw words: the scalar twin
-/// of [`mac_gemm_into`]'s contract. `x` words are wrapped into range on
-/// load; `w` holds in-range grid words. Returns the served word (equal to
-/// [`ldafp_fixedpoint::mac_dot_counted`]'s) and a 0/1 flag: 1 when the
-/// exact sum of the rounded products left `[min, max]`. The sum is exact
-/// in `i64`, or in `i128` where `i64` could overflow.
+/// Single-row wrap-once MAC dot product over raw words: the scalar loop
+/// [`KernelKind::Reference`] runs per (row, head). `x` words are wrapped
+/// into range on load; `w` holds in-range grid words. Returns the served
+/// word (equal to [`ldafp_fixedpoint::mac_dot_traced`]'s) and a 0/1
+/// flag: 1 when the exact sum of the rounded products left `[min, max]`.
+/// The sum is exact in `i64`, or in `i128` where `i64` could overflow.
 ///
 /// # Panics
 ///
@@ -306,8 +272,9 @@ pub fn mac_row(format: QFormat, mode: RoundingMode, w: &[i64], x: &[i64]) -> (i6
 
 /// [`mac_row`] over `Fx` slices whose formats the caller has already
 /// validated against `format` (the models crate validates per its own
-/// error taxonomy before dispatching here). Zero-allocation: the raws
-/// stream straight into the same scalar loop.
+/// error taxonomy before dispatching here; the core classifier holds
+/// weights and quantized features on one format by construction).
+/// Zero-allocation: the raws stream straight into the same scalar loop.
 ///
 /// # Panics
 ///
@@ -360,7 +327,7 @@ impl WrapCtx {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ldafp_fixedpoint::{mac_dot_counted, mac_dot_traced, InputScale};
+    use ldafp_fixedpoint::{mac_dot_traced, InputScale};
     use ldafp_stats::Rng;
 
     const ALL_MODES: [RoundingMode; 5] = [
@@ -434,7 +401,6 @@ mod tests {
         let mut rng = Rng::new(2014);
         let kinds = KernelKind::available();
         assert!(kinds.contains(&KernelKind::Reference));
-        assert!(kinds.contains(&KernelKind::Blocked));
         let formats = [
             (1u32, 5u32), // bci42's Q1.5
             (2, 6),
@@ -513,8 +479,8 @@ mod tests {
     }
 
     /// Exhaustive small-format sweep: every (w, x) pair of a Q2.2 grid
-    /// through every kernel and mode serves `mac_dot_counted`'s word, and
-    /// flags exactly the sums the traced reference puts out of range.
+    /// through every kernel and mode serves the traced reference's word,
+    /// and flags exactly the sums it puts out of range.
     #[test]
     fn exhaustive_small_format_all_pairs() {
         let format = q(2, 2);
@@ -528,16 +494,16 @@ mod tests {
                 let xfx: Vec<Fx> = words.iter().map(|&v| format.from_raw(v)).collect();
                 let batch = QBatch::from_words(format, 3, &words).unwrap();
                 for mode in ALL_MODES {
-                    let (want, _) = mac_dot_counted(&wfx, &xfx, mode).unwrap();
-                    let (_, trace) = mac_dot_traced(&wfx, &xfx, mode).unwrap();
+                    let (want, trace) = mac_dot_traced(&wfx, &xfx, mode).unwrap();
                     let want = (want.raw(), overflow_flag(format, trace.exact_sum));
                     for &kind in &kinds {
                         let mut scratch = GemmScratch::default();
                         let (mut out, mut flags) = (Vec::new(), Vec::new());
-                        mac_gemv_into(
+                        mac_gemm_into(
                             kind,
                             &batch,
                             &weights,
+                            1,
                             mode,
                             &mut scratch,
                             &mut out,
@@ -577,10 +543,11 @@ mod tests {
             for kind in KernelKind::available() {
                 let mut scratch = GemmScratch::default();
                 let (mut out, mut flags) = (Vec::new(), Vec::new());
-                mac_gemv_into(
+                mac_gemm_into(
                     kind,
                     &batch,
                     &weights,
+                    1,
                     RoundingMode::NearestEven,
                     &mut scratch,
                     &mut out,
@@ -616,20 +583,22 @@ mod tests {
             let raw_batch = QBatch::from_words(format, features, &words).unwrap();
             let pre_batch = QBatch::from_words(format, features, &wrapped).unwrap();
             let mode = RoundingMode::NearestEven;
-            mac_gemv_into(
+            mac_gemm_into(
                 kind,
                 &raw_batch,
                 &weights,
+                1,
                 mode,
                 &mut scratch,
                 &mut out_a,
                 &mut wraps_a,
             )
             .unwrap();
-            mac_gemv_into(
+            mac_gemm_into(
                 kind,
                 &pre_batch,
                 &weights,
+                1,
                 mode,
                 &mut scratch,
                 &mut out_b,
@@ -667,7 +636,7 @@ mod tests {
         let (mut out, mut wraps) = (Vec::new(), Vec::new());
         assert_eq!(
             mac_gemm_into(
-                KernelKind::Blocked,
+                KernelKind::Reference,
                 &batch,
                 &[1, 2, 3],
                 2,
@@ -694,10 +663,11 @@ mod tests {
         let mut out = vec![99];
         let mut wraps = vec![99];
         for kind in KernelKind::available() {
-            mac_gemv_into(
+            mac_gemm_into(
                 kind,
                 &batch,
                 &[1, 2, 3],
+                1,
                 RoundingMode::Floor,
                 &mut scratch,
                 &mut out,
@@ -821,7 +791,7 @@ mod tests {
     }
 
     /// The `Simd` kind is always safe to request: when no intrinsic path
-    /// is compiled or detected it silently runs the blocked kernel, and
+    /// is compiled or detected it silently runs the reference kernel, and
     /// the outputs are identical either way.
     #[test]
     fn simd_kind_is_safe_everywhere() {
@@ -845,7 +815,7 @@ mod tests {
         )
         .unwrap();
         mac_gemm_into(
-            KernelKind::Blocked,
+            KernelKind::Reference,
             &batch,
             &weights,
             2,
@@ -861,7 +831,7 @@ mod tests {
             if KernelKind::simd_available() {
                 "simd"
             } else {
-                "blocked"
+                "reference"
             }
         );
     }

@@ -1,11 +1,11 @@
-//! The scalar wrap-once MAC kernels: the row-at-a-time reference and the
-//! cache-blocked tile kernel.
+//! The scalar wrap-once MAC loop: [`dot`], run per (row, head) by the
+//! reference kernel and per row by `mac_row` / `mac_row_fx`.
 //!
 //! Two's-complement wrapping is arithmetic mod `2^wl`, so the served word
 //! `wrap(Σ wrap(pᵢ))` equals `wrap(Σ pᵢ)` over the rounded products `pᵢ`
-//! (paper §3). Both kernels therefore sum the rounded products exactly —
-//! in `i64`, or in `i128` when the format and row width could overflow
-//! `i64` — and wrap once per (row, head). The overflow flag they return is
+//! (paper §3). The loop therefore sums the rounded products exactly — in
+//! `i64`, or in `i128` when the format and row width could overflow
+//! `i64` — and wraps once per (row, head). The overflow flag it returns is
 //! 1 exactly when that sum lies outside the word range: the event eq. 20
 //! bounds with confidence ρ, and the only one that can change a decision.
 //! The rounding mode is monomorphized via a `const MODE: u8` parameter so
@@ -16,11 +16,6 @@
 use crate::QBatch;
 use ldafp_fixedpoint::{QFormat, RoundingMode};
 use std::ops::Add;
-
-/// Rows per tile in the blocked kernels: eight independent accumulator
-/// chains hide the add latency on scalar cores and fill one 8×32-bit
-/// AVX2 vector.
-pub(crate) const TILE: usize = 8;
 
 /// Expands `$run!(MODE, S)` for a rounding code and an exact-sum width:
 /// `S = i64` when `$fits_i64`, `i128` otherwise.
@@ -184,9 +179,9 @@ pub(crate) struct GemmOut<'a> {
     pub(crate) wraps: &'a mut [u32],
 }
 
-/// One dot product over `(w, x)` pairs: the scalar twin of every kernel,
-/// and the loop the reference kernel runs per (row, head). `x` words are
-/// wrapped on load.
+/// One dot product over `(w, x)` pairs: the crate's only scalar MAC loop,
+/// which the reference kernel runs per (row, head). `x` words are wrapped
+/// on load.
 #[inline(always)]
 fn dot<const MODE: u8, S: ExactSum, I>(spec: &MacSpec, pairs: I) -> (i64, u32)
 where
@@ -218,62 +213,6 @@ pub(crate) fn gemm_reference<const MODE: u8, S: ExactSum>(
             dst.out[r * heads + h] = word;
             dst.wraps[r * heads + h] = flag;
         }
-    }
-}
-
-/// Packs one tile of ≤ [`TILE`] rows into a column-major scratch buffer
-/// (`pack[j·TILE + lane]`), wrapping each word into range on load —
-/// identity for grid words, the hardware register wrap for raw wire
-/// words. Missing lanes are zero-padded: a zero word yields an exactly
-/// zero product under every rounding mode, so padded lanes are inert and
-/// simply not stored.
-fn pack_tile(spec: &MacSpec, x: &[i64], features: usize, r0: usize, nr: usize, pack: &mut [i64]) {
-    for (j, col) in pack.chunks_exact_mut(TILE).enumerate() {
-        for (lane, slot) in col.iter_mut().enumerate() {
-            *slot = if lane < nr {
-                spec.wrap(x[(r0 + lane) * features + j])
-            } else {
-                0
-            };
-        }
-    }
-}
-
-/// The cache-blocked scalar kernel: tiles of [`TILE`] rows are packed
-/// column-major into an L1-resident scratch, then each head streams its
-/// weight row once across the tile with eight independent exact-sum
-/// chains. Bit-identical to [`gemm_reference`]; the tests and proptests
-/// pin both to the traced reference.
-pub(crate) fn gemm_blocked<const MODE: u8, S: ExactSum>(
-    spec: &MacSpec,
-    batch: &QBatch<'_>,
-    w: &[i64],
-    heads: usize,
-    dst: GemmOut<'_>,
-    pack: &mut Vec<i64>,
-) {
-    let (x, rows, features) = (batch.words(), batch.rows(), batch.features());
-    pack.clear();
-    pack.resize(features * TILE, 0);
-    let mut r0 = 0;
-    while r0 < rows {
-        let nr = TILE.min(rows - r0);
-        pack_tile(spec, x, features, r0, nr, pack);
-        for h in 0..heads {
-            let wrow = &w[h * features..(h + 1) * features];
-            let mut acc = [S::default(); TILE];
-            for (&wj, col) in wrow.iter().zip(pack.chunks_exact(TILE)) {
-                for lane in 0..TILE {
-                    acc[lane] = acc[lane] + S::from(rounded_product::<MODE>(spec, wj, col[lane]));
-                }
-            }
-            for (lane, &sum) in acc[..nr].iter().enumerate() {
-                let (word, flag) = finish(spec, sum);
-                dst.out[(r0 + lane) * heads + h] = word;
-                dst.wraps[(r0 + lane) * heads + h] = flag;
-            }
-        }
-        r0 += nr;
     }
 }
 

@@ -1,15 +1,15 @@
 //! `core::arch` intrinsic kernels behind runtime feature detection.
 //!
 //! The AVX2 kernels compute the same wrap-once contract as the scalar
-//! kernels — rounded products summed exactly, wrapped once per (row,
+//! loop — rounded products summed exactly, wrapped once per (row,
 //! head), a 0/1 overflow flag — in eight 32-bit lanes. The lanes are
 //! exact only when [`lanes32_exact`] holds (every product and every
-//! partial sum fits `i32`); `mac_gemm_into` runs the blocked scalar
+//! partial sum fits `i32`); `mac_gemm_into` runs the scalar reference
 //! kernel for any other format. Because the sum no longer depends on
 //! order, rows of at least [`TILE`] features are read row-major straight
 //! from the batch words, eight features per step with no packing; only
 //! narrower rows are packed into an 8-row column tile. Bit-identity with
-//! the scalar kernels — word and flag — is pinned by the crate's
+//! the scalar loop — word and flag — is pinned by the crate's
 //! exhaustive tests and proptests.
 //!
 //! Raw words wrap on load by their low bits, exactly as
@@ -18,11 +18,15 @@
 //! that half exactly (see `Lanes`), so no copy of the words is made.
 //!
 //! Only x86_64 has an intrinsic path. On aarch64 the `Simd` kind runs the
-//! blocked kernel until a wrap-once NEON port can be checked on an
+//! reference kernel until a wrap-once NEON port can be checked on an
 //! aarch64 host.
 
-use crate::scalar::{GemmOut, MacSpec, TILE};
+use crate::scalar::{GemmOut, MacSpec};
 use crate::QBatch;
+
+/// Rows per column tile and 32-bit lanes per AVX2 vector: eight
+/// independent accumulator chains fill one 8×32-bit register.
+const TILE: usize = 8;
 
 /// Whether a SIMD kernel is compiled in *and* supported by this CPU.
 pub(crate) fn detected() -> bool {

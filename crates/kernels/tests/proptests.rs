@@ -1,7 +1,7 @@
 //! Property tests for the crate's bit-identity contract: every kernel
-//! variant that runs on this build/CPU — row-at-a-time reference, blocked
-//! scalar tiles, and the intrinsic path when detected — reproduces the
-//! element-wise traced `mac_dot` reference exactly: its served word, and
+//! variant that runs on this build/CPU — the row-at-a-time scalar
+//! reference and the intrinsic path when detected — reproduces the
+//! element-wise `mac_dot_traced` reference exactly: its served word, and
 //! as the overflow flag whether its exact rounded-product sum left the
 //! word range, for random formats, rounding modes, shapes crossing tile
 //! and chunk boundaries, and raw words spanning (and exceeding) the

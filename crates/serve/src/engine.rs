@@ -11,8 +11,9 @@
 //! Batch paths run on the `ldafp-kernels` SoA datapath: rows are
 //! quantized once into a contiguous [`QBatchBuf`] (raw wire words are
 //! borrowed zero-copy as a [`QBatch`]) and every linear model — binary
-//! LDA and every one-vs-rest head — goes through one blocked/vectorized
-//! wrap-once MAC GEMM per batch. The kernels return a per-(row, head)
+//! LDA and every one-vs-rest head — goes through one wrap-once MAC GEMM
+//! per batch (AVX2 where detected and exact, else the scalar loop the
+//! row path also runs). The kernels return a per-(row, head)
 //! overflow flag (the exact sum left the format's range), so the
 //! overflow/saturation counters and `predict_segmented`'s per-segment
 //! attribution are exactly what the row-at-a-time path produces. Table-driven families (naive Bayes, OS-ELM) decide on their

@@ -9,9 +9,10 @@
 
 use lda_fp::core::{LdaFpConfig, LdaFpTrainer};
 use lda_fp::datasets::synthetic::{generate, SyntheticConfig};
-use lda_fp::fixedpoint::{mac_dot, QFormat, RoundingMode};
+use lda_fp::fixedpoint::{QFormat, RoundingMode};
 use lda_fp::hwmodel::gates::MacDatapath;
 use lda_fp::hwmodel::power::MacPowerModel;
+use lda_fp::kernels::mac_row_fx;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut rng = ldafp_stats::Rng::new(5);
@@ -46,9 +47,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             let (raw, stats) = datapath.simulate_fx_dot(clf.weights(), &xq);
             toggles += stats.net_toggles;
             trials += 1;
-            // Cross-check against the behavioral model.
-            let reference = mac_dot(clf.weights(), &xq, RoundingMode::Floor)?;
-            assert_eq!(raw, reference.raw(), "gate-level vs behavioral mismatch");
+            // Cross-check against the serving kernels' scalar loop.
+            let (reference, _) = mac_row_fx(format, RoundingMode::Floor, clf.weights(), &xq);
+            assert_eq!(raw, reference, "gate-level vs behavioral mismatch");
             let exact: f64 = clf
                 .weights()
                 .iter()

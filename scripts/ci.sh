@@ -331,19 +331,22 @@ fi
 cargo test --release -q -p ldafp-bench --test net_gate
 
 # Kernel datapath (`ldafp-kernels`): unit tests + the bit-equivalence
-# proptests (every KernelKind vs the traced scalar mac_dot reference, all
+# proptests (every KernelKind vs the traced mac_dot_traced reference, all
 # rounding modes: the served word, and the 0/1 overflow flag against the
 # traced exact sum of the rounded products leaving the word range), the
-# scalar-fallback build (--no-default-features drops the intrinsic path
-# and must still compile under forbid(unsafe_code)), and the throughput
-# gate, a release-mode test that asserts every kernel's words equal
-# mac_dot_counted's and its flags the traced reference's, then fails
-# unless the best kernel clears 2x one mac_dot_counted call per row at the
-# paper's F=42 / batch=256 shape. The cross-family serve/net
-# equivalence suite rides the ldafp-net loopback tests above.
+# scalar-fallback build and its tests (--no-default-features drops the
+# intrinsic path, must still compile under forbid(unsafe_code), and is
+# where KernelKind::best() resolves to the reference kernel), and the
+# throughput gate, a release-mode test that asserts every kernel's words
+# and flags equal the traced reference's, then fails unless the best
+# kernel clears 2x one call per row of the per-step wrapping loop the gate
+# keeps as its baseline, at the paper's F=42 / batch=256 shape. The
+# cross-family serve/net equivalence suite rides the ldafp-net loopback
+# tests above.
 cargo test -q -p ldafp-kernels
 cargo test -q -p ldafp-kernels --test proptests
 cargo build -q -p ldafp-kernels --no-default-features
+cargo test -q -p ldafp-kernels --no-default-features
 cargo test --release -q -p ldafp-bench --test kernels_gate
 # The fused slice quantizer every f64 row takes into the kernels lives
 # in `ldafp-fixedpoint`; lint it beside them.

@@ -4,8 +4,9 @@
 
 use lda_fp::core::{LdaFpConfig, LdaFpTrainer, LdaModel, TrainingProblem};
 use lda_fp::datasets::BinaryDataset;
-use lda_fp::fixedpoint::{mac_dot, QFormat, RoundingMode};
+use lda_fp::fixedpoint::{QFormat, RoundingMode};
 use lda_fp::hwmodel::gates::MacDatapath;
+use lda_fp::kernels::mac_row_fx;
 use lda_fp::linalg::Matrix;
 use lda_fp::stats::rng::check;
 use lda_fp::stats::Rng;
@@ -118,8 +119,8 @@ fn gate_level_equals_behavioral() {
             let x: Vec<_> = x_raw[..n].iter().map(|&r| format.from_raw(r)).collect();
             let datapath = MacDatapath::new(format.word_length() as usize);
             let (raw, stats) = datapath.simulate_fx_dot(&w, &x);
-            let behavioral = mac_dot(&w, &x, RoundingMode::Floor).expect("formats agree");
-            assert_eq!(raw, behavioral.raw());
+            let (behavioral, _) = mac_row_fx(*format, RoundingMode::Floor, &w, &x);
+            assert_eq!(raw, behavioral);
             assert!(stats.cycles >= n as u64);
         },
     );

@@ -124,9 +124,9 @@ fn gate_level_datapath_agrees_with_behavioral_model_on_trained_classifier() {
     for (x, _) in test.iter_labeled().take(50) {
         let xq = format.quantize_slice(x, RoundingMode::NearestEven);
         let (raw, _) = datapath.simulate_fx_dot(clf.weights(), &xq);
-        let behavioral =
-            lda_fp::fixedpoint::mac_dot(clf.weights(), &xq, RoundingMode::Floor).unwrap();
-        assert_eq!(raw, behavioral.raw(), "gate-level/behavioral divergence");
+        let (behavioral, _) =
+            lda_fp::kernels::mac_row_fx(format, RoundingMode::Floor, clf.weights(), &xq);
+        assert_eq!(raw, behavioral, "gate-level/behavioral divergence");
     }
 }
 

@@ -1,21 +1,29 @@
-//! MAC-kernel throughput gate: the best available `KernelKind` must run
-//! at least 2× the rows/s of one per-step wrapping MAC call per row
-//! ([`mac_dot_counted`] below), on the same words, at the paper's
-//! 42-feature / 256-row serving shape.
+//! Serving-datapath throughput gates, at the paper's 42-feature /
+//! 256-row serving shape:
+//!
+//! * MAC kernels: the best available `KernelKind` must run at least 2×
+//!   the rows/s of one per-step wrapping MAC call per row
+//!   ([`mac_dot_counted`] below), on the same words.
+//! * Quantizer: `QBatchBuf::push_rows_scaled`, one call per batch, must
+//!   run at least 1.5× the rows/s of one `QBatchBuf::push_row_f64` call
+//!   per row, on 20,000 heap-allocated rows visited in shuffled order,
+//!   as the benchmark serves them.
 //!
 //! ```text
 //! cargo test --release -p ldafp-bench --test kernels_gate -- --nocapture
 //! ```
 //!
-//! (`--nocapture` shows each kernel's speedup.)
+//! (`--nocapture` shows each speedup.)
 //!
 //! Bit-identity is asserted before anything is timed, so a speedup can
 //! never come from a diverged datapath: on every row, every kernel's word
 //! equals the traced reference's, and its overflow flag is 1 exactly when
-//! the traced reference's exact rounded-product sum left the word range.
+//! the traced reference's exact rounded-product sum left the word range;
+//! the batch quantizer's words and saturated counts equal the per-row
+//! path's and `quantize_raw`'s.
 
-use ldafp_fixedpoint::{mac_dot_traced, FixedPointError, Fx, QFormat, RoundingMode};
-use ldafp_kernels::{mac_gemm_into, GemmScratch, KernelKind, QBatch};
+use ldafp_fixedpoint::{mac_dot_traced, FixedPointError, Fx, InputScale, QFormat, RoundingMode};
+use ldafp_kernels::{mac_gemm_into, GemmScratch, KernelKind, QBatch, QBatchBuf};
 use ldafp_stats::Rng;
 use std::time::Instant;
 
@@ -148,6 +156,102 @@ fn best_kernel_at_least_doubles_mac_dot_counted() {
         "best kernel ({}) is {speedup:.2}x mac_dot_counted, gate is {GATE_SPEEDUP}x \
          (simd available: {})",
         best_kind.name(),
+        KernelKind::simd_available()
+    );
+}
+
+/// Rows in the quantizer check's pool: 6.7 MB of 42-feature rows, more
+/// than a core's L2 on the hosts this was sized on.
+const POOL_ROWS: usize = 20_000;
+/// Passes over the pool per timed quantizer sample.
+const POOL_PASSES: usize = 3;
+/// Minimum batch-quantizer over per-row `push_row_f64` rows/s.
+const QUANTIZE_GATE_SPEEDUP: f64 = 1.5;
+
+#[test]
+#[cfg_attr(debug_assertions, ignore = "timing gate: run with --release")]
+fn batch_quantizer_beats_per_row_push() {
+    let mode = RoundingMode::NearestEven;
+    let format = QFormat::new(2, 6).expect("static format");
+    // One heap row each, drawn across 1.25× the range so some saturate,
+    // then shuffled: consecutive rows of a batch lie far apart.
+    let mut rng = Rng::new(29);
+    let mut rows: Vec<Vec<f64>> = (0..POOL_ROWS)
+        .map(|_| (0..FEATURES).map(|_| rng.range_f64(-2.5..2.5)).collect())
+        .collect();
+    rng.shuffle(&mut rows);
+    let batches: Vec<&[Vec<f64>]> = rows.chunks_exact(BATCH_ROWS).collect();
+
+    let mut per_row = QBatchBuf::new(format, FEATURES);
+    let mut batched = QBatchBuf::new(format, FEATURES);
+    for batch in &batches {
+        per_row.clear();
+        let mut want_saturated = 0;
+        for row in *batch {
+            want_saturated += per_row.push_row_f64(row, mode).expect("row width");
+        }
+        batched.clear();
+        let saturated = batched
+            .push_rows_scaled(batch, InputScale::Identity, mode)
+            .expect("row widths");
+        assert_eq!(saturated, want_saturated, "saturated counts differ");
+        assert_eq!(batched.as_batch().words(), per_row.as_batch().words());
+        let reference: Vec<i64> = batch
+            .iter()
+            .flatten()
+            .map(|&x| format.quantize_raw(x, mode))
+            .collect();
+        assert_eq!(batched.as_batch().words(), reference.as_slice());
+    }
+
+    let mut pass_per_row = || {
+        for batch in &batches {
+            per_row.clear();
+            for row in *batch {
+                std::hint::black_box(per_row.push_row_f64(row, mode).ok());
+            }
+        }
+    };
+    let mut pass_batched = || {
+        for batch in &batches {
+            batched.clear();
+            std::hint::black_box(
+                batched
+                    .push_rows_scaled(batch, InputScale::Identity, mode)
+                    .ok(),
+            );
+        }
+    };
+    let mut best = [f64::INFINITY; 2];
+    pass_per_row();
+    pass_batched();
+    for _ in 0..REPEATS {
+        let t = Instant::now();
+        for _ in 0..POOL_PASSES {
+            pass_per_row();
+        }
+        best[0] = best[0].min(t.elapsed().as_secs_f64());
+        let t = Instant::now();
+        for _ in 0..POOL_PASSES {
+            pass_batched();
+        }
+        best[1] = best[1].min(t.elapsed().as_secs_f64());
+    }
+
+    let rows_timed = (POOL_PASSES * batches.len() * BATCH_ROWS) as f64;
+    let speedup = best[0] / best[1];
+    // Shown with `-- --nocapture`.
+    eprintln!(
+        "quantize: push_row_f64 {:.1} ns/row, push_rows_scaled {:.1} ns/row, {speedup:.2}x \
+         (simd available: {})",
+        best[0] / rows_timed * 1e9,
+        best[1] / rows_timed * 1e9,
+        KernelKind::simd_available()
+    );
+    assert!(
+        speedup >= QUANTIZE_GATE_SPEEDUP,
+        "push_rows_scaled is {speedup:.2}x per-row push_row_f64, gate is \
+         {QUANTIZE_GATE_SPEEDUP}x (simd available: {})",
         KernelKind::simd_available()
     );
 }

@@ -23,6 +23,15 @@
 //! ±inf included. [`QFormat::quantize_raw`] remains the scalar
 //! reference; the differential tests hold this loop to it word for word
 //! and count for count.
+//!
+//! [`QFormat::quantize_rows_into`] runs the loop over a whole batch of
+//! rows: the grid constants, the rounding-mode dispatch and the scale
+//! dispatch are set up once per batch, and a caller-supplied hook runs
+//! before each row (the serving kernels prefetch rows ahead from it).
+//! It is `#[inline(always)]`, so a caller can compile the same loop for
+//! a wider instruction set by calling it from a `#[target_feature]`
+//! function. [`QFormat::quantize_into`] is its one-row form: there is one
+//! element loop.
 
 use crate::{QFormat, RoundingMode};
 
@@ -62,11 +71,23 @@ const FLOOR: u8 = 2;
 const CEIL: u8 = 3;
 const TOWARD_ZERO: u8 = 4;
 
-/// The per-format constants, computed once per slice.
+/// The per-format constants, computed once per batch.
 struct Grid {
     pow: f64,
     lo: f64,
     hi: f64,
+}
+
+impl Grid {
+    #[inline(always)]
+    fn of(format: &QFormat) -> Grid {
+        Grid {
+            // `2^F` from its exponent bits: exact, without a `powi` call.
+            pow: f64::from_bits(u64::from(1023 + format.f()) << 52),
+            lo: format.min_raw() as f64,
+            hi: format.max_raw() as f64,
+        }
+    }
 }
 
 /// One element: the raw word and whether `c` lay outside the range.
@@ -97,7 +118,7 @@ fn quantize_one<const MODE: u8>(grid: &Grid, y: f64) -> (i64, u64) {
     (n, saturated)
 }
 
-/// The quantization loop: `xs[i]·scale(i)` onto the grid into `out[i]`,
+/// The element loop: `xs[i]·scale(i)` onto the grid into `out[i]`,
 /// returning the saturated count.
 #[inline(always)]
 fn run<const MODE: u8>(
@@ -115,24 +136,60 @@ fn run<const MODE: u8>(
     saturated
 }
 
-fn run_scaled<const MODE: u8>(
+/// Chooses the scale closure once per batch.
+#[inline(always)]
+fn rows_scaled<const MODE: u8, R: AsRef<[f64]>>(
     grid: &Grid,
-    xs: &[f64],
+    rows: &[R],
     scale: InputScale<'_>,
     out: &mut [i64],
+    before_row: impl FnMut(usize),
 ) -> u64 {
     match scale {
-        InputScale::Identity => run::<MODE>(grid, xs, |_| 1.0, out),
-        InputScale::Uniform(s) => run::<MODE>(grid, xs, |_| s, out),
-        InputScale::PerFeature(scales) => {
+        InputScale::Identity => each_row::<MODE, R>(grid, rows, |_| 1.0, None, out, before_row),
+        InputScale::Uniform(s) => each_row::<MODE, R>(grid, rows, |_| s, None, out, before_row),
+        InputScale::PerFeature(scales) => each_row::<MODE, R>(
+            grid,
+            rows,
+            |i| scales[i],
+            Some(scales.len()),
+            out,
+            before_row,
+        ),
+    }
+}
+
+/// Runs the element loop on each row in turn, writing the rows one after
+/// another into `out`. `scale_len` is the per-feature scale's length,
+/// checked against every row.
+#[inline(always)]
+fn each_row<const MODE: u8, R: AsRef<[f64]>>(
+    grid: &Grid,
+    rows: &[R],
+    scale: impl Fn(usize) -> f64 + Copy,
+    scale_len: Option<usize>,
+    out: &mut [i64],
+    mut before_row: impl FnMut(usize),
+) -> u64 {
+    let total: usize = rows.iter().map(|row| row.as_ref().len()).sum();
+    assert_eq!(out.len(), total, "output length differs from the rows");
+    let mut saturated = 0;
+    let mut start = 0;
+    for (r, row) in rows.iter().enumerate() {
+        before_row(r);
+        let xs = row.as_ref();
+        if let Some(len) = scale_len {
             assert_eq!(
-                scales.len(),
+                len,
                 xs.len(),
                 "per-feature scale length differs from the row"
             );
-            run::<MODE>(grid, xs, |i| scales[i], out)
         }
+        let end = start + xs.len();
+        saturated += run::<MODE>(grid, xs, scale, &mut out[start..end]);
+        start = end;
     }
+    saturated
 }
 
 impl QFormat {
@@ -142,7 +199,7 @@ impl QFormat {
     ///
     /// Word for word the same as [`Self::quantize_raw`] of `x·s` (NaN to
     /// 0, saturating), in one branch-free pass; see the module notes for
-    /// why it is exact.
+    /// why it is exact. It is [`Self::quantize_rows_into`] of one row.
     ///
     /// # Panics
     ///
@@ -155,19 +212,45 @@ impl QFormat {
         mode: RoundingMode,
         out: &mut [i64],
     ) -> u64 {
-        assert_eq!(out.len(), xs.len(), "output length differs from the row");
-        let grid = Grid {
-            // `2^F` from its exponent bits: exact, without a `powi` call.
-            pow: f64::from_bits(u64::from(1023 + self.f()) << 52),
-            lo: self.min_raw() as f64,
-            hi: self.max_raw() as f64,
-        };
+        self.quantize_rows_into(&[xs], scale, mode, out, |_| {})
+    }
+
+    /// [`Self::quantize_into`] of a batch: quantizes each row of `rows`,
+    /// scaled by `scale`, into consecutive words of `out` (row `r` lands
+    /// right after row `r − 1`), returning the batch's saturated count.
+    /// `before_row(r)` runs just before row `r` is read.
+    ///
+    /// The words and the count are those of one [`Self::quantize_into`]
+    /// call per row; only the set-up is paid once per batch. Inlined
+    /// into its caller, so a `#[target_feature]` caller compiles the loop
+    /// for its instruction set.
+    ///
+    /// # Panics
+    ///
+    /// When `out` differs in length from the rows' total, or a
+    /// [`InputScale::PerFeature`] scale differs in length from a row.
+    #[inline(always)]
+    pub fn quantize_rows_into<R: AsRef<[f64]>>(
+        &self,
+        rows: &[R],
+        scale: InputScale<'_>,
+        mode: RoundingMode,
+        out: &mut [i64],
+        before_row: impl FnMut(usize),
+    ) -> u64 {
+        let grid = Grid::of(self);
         match mode {
-            RoundingMode::NearestEven => run_scaled::<NEAREST_EVEN>(&grid, xs, scale, out),
-            RoundingMode::NearestAway => run_scaled::<NEAREST_AWAY>(&grid, xs, scale, out),
-            RoundingMode::Floor => run_scaled::<FLOOR>(&grid, xs, scale, out),
-            RoundingMode::Ceil => run_scaled::<CEIL>(&grid, xs, scale, out),
-            RoundingMode::TowardZero => run_scaled::<TOWARD_ZERO>(&grid, xs, scale, out),
+            RoundingMode::NearestEven => {
+                rows_scaled::<NEAREST_EVEN, R>(&grid, rows, scale, out, before_row)
+            }
+            RoundingMode::NearestAway => {
+                rows_scaled::<NEAREST_AWAY, R>(&grid, rows, scale, out, before_row)
+            }
+            RoundingMode::Floor => rows_scaled::<FLOOR, R>(&grid, rows, scale, out, before_row),
+            RoundingMode::Ceil => rows_scaled::<CEIL, R>(&grid, rows, scale, out, before_row),
+            RoundingMode::TowardZero => {
+                rows_scaled::<TOWARD_ZERO, R>(&grid, rows, scale, out, before_row)
+            }
         }
     }
 }

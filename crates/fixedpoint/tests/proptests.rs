@@ -422,6 +422,69 @@ fn fused_quantizer_matches_scalar_reference_per_feature_scale() {
     check_fused_quantizer(ScaleKind::PerFeature);
 }
 
+/// The batch entry is the one-row loop run row after row: rows of any
+/// lengths land back to back, words and count equal one `quantize_into`
+/// per row, and the hook sees each row index once, in order.
+#[test]
+fn rows_entry_matches_one_call_per_row() {
+    check(
+        CASES,
+        |rng| {
+            let fmt = any_format(rng);
+            let rows: Vec<Vec<f64>> = (0..rng.below(6))
+                .map(|_| {
+                    let mut xs = adversarial_inputs(rng, fmt);
+                    xs.truncate(rng.below(xs.len() + 1));
+                    xs
+                })
+                .collect();
+            (fmt, mode(rng), scale_factor(rng), rows)
+        },
+        |(fmt, mode, s, rows)| {
+            let scale = InputScale::Uniform(*s);
+            let (mut want, mut want_saturated) = (Vec::new(), 0);
+            for row in rows {
+                let mut out = vec![0; row.len()];
+                want_saturated += fmt.quantize_into(row, scale, *mode, &mut out);
+                want.extend(out);
+            }
+            let mut out = vec![i64::MIN; want.len()];
+            let mut seen = Vec::new();
+            let saturated = fmt.quantize_rows_into(rows, scale, *mode, &mut out, |r| seen.push(r));
+            assert_eq!((out, saturated), (want, want_saturated), "{fmt} {mode:?}");
+            assert_eq!(seen, (0..rows.len()).collect::<Vec<_>>());
+        },
+    );
+}
+
+#[test]
+#[should_panic(expected = "output length differs from the rows")]
+fn rows_entry_rejects_a_short_output() {
+    let fmt = QFormat::new(2, 6).unwrap();
+    let mut out = [0; 3];
+    fmt.quantize_rows_into(
+        &[[0.5, 0.25], [1.0, -1.0]],
+        InputScale::Identity,
+        RoundingMode::Floor,
+        &mut out,
+        |_| {},
+    );
+}
+
+#[test]
+#[should_panic(expected = "per-feature scale length differs from the row")]
+fn rows_entry_rejects_a_per_feature_scale_of_another_width() {
+    let fmt = QFormat::new(2, 6).unwrap();
+    let mut out = [0; 4];
+    fmt.quantize_rows_into(
+        &[[0.5, 0.25], [1.0, -1.0]],
+        InputScale::PerFeature(&[1.0; 3]),
+        RoundingMode::Floor,
+        &mut out,
+        |_| {},
+    );
+}
+
 #[test]
 fn input_scale_reads_the_artifact_convention() {
     assert_eq!(InputScale::from_slice(&[1.0]), InputScale::Identity);

@@ -5,6 +5,15 @@
 //! stores the raw `i64` words contiguously (row-major) and the
 //! `QFormat` once, so kernels stream 8-byte elements and validate the
 //! format exactly once at the boundary.
+//!
+//! Float rows enter through one of two doors. [`QBatchBuf::push_rows_scaled`]
+//! quantizes a whole batch in one call: the buffer grows once and the
+//! fused loop of `QFormat::quantize_rows_into` runs over every row, in its
+//! AVX2 build with the rows four ahead prefetched where the `simd`
+//! feature is on and the CPU has AVX2 (`simd.rs`), else in the portable
+//! build. The words are the same either way, since both builds are the one
+//! element loop compiled twice. [`QBatchBuf::push_row_f64`] appends one
+//! row through the portable `QFormat::quantize_into`.
 
 use crate::KernelError;
 use ldafp_fixedpoint::{Fx, InputScale, QFormat, RoundingMode};
@@ -125,12 +134,6 @@ impl QBatchBuf {
         self.len / self.features.max(1)
     }
 
-    /// Reserves capacity for `rows` additional rows.
-    pub fn reserve_rows(&mut self, rows: usize) {
-        let need = self.len + rows * self.features;
-        self.words.reserve(need.saturating_sub(self.words.len()));
-    }
-
     /// The next row's slot, growing the backing buffer only past its
     /// high-water length.
     fn next_row(&mut self) -> &mut [i64] {
@@ -145,36 +148,37 @@ impl QBatchBuf {
 
     /// Quantizes one float row (saturating, the format's grid) and
     /// appends it, returning how many inputs fell outside the
-    /// representable range and were saturated — the serving engine's
-    /// `saturated_inputs` counter, attributed per row.
+    /// representable range and were saturated.
     ///
     /// # Errors
     ///
     /// [`KernelError::ShapeMismatch`] on a row of the wrong width.
     pub fn push_row_f64(&mut self, row: &[f64], mode: RoundingMode) -> Result<u64, KernelError> {
-        self.push_row_scaled(row, InputScale::Identity, mode)
+        self.check_width(row.len())?;
+        let format = self.format;
+        Ok(format.quantize_into(row, InputScale::Identity, mode, self.next_row()))
     }
 
-    /// [`Self::push_row_f64`] of the row scaled by `scale`, in the same
-    /// single pass: each input enters the grid as `(x·s)·2^F`, and the
-    /// saturation count is taken after scaling.
+    /// Quantizes a batch of float rows, each scaled by `scale` (each input
+    /// enters the grid as `(x·s)·2^F`), and appends them in order,
+    /// returning how many inputs lay outside the representable range after
+    /// scaling and were saturated — the serving engine's
+    /// `saturated_inputs` counter. The buffer grows once for the whole
+    /// batch. The words and the count are those of
+    /// `QFormat::quantize_into` run on each row in turn.
     ///
     /// # Errors
     ///
     /// [`KernelError::ShapeMismatch`] on a row of the wrong width or a
-    /// per-feature scale of the wrong length.
-    pub fn push_row_scaled(
+    /// per-feature scale of the wrong length; nothing is appended then.
+    pub fn push_rows_scaled<R: AsRef<[f64]>>(
         &mut self,
-        row: &[f64],
+        rows: &[R],
         scale: InputScale<'_>,
         mode: RoundingMode,
     ) -> Result<u64, KernelError> {
-        if row.len() != self.features {
-            return Err(KernelError::ShapeMismatch {
-                context: "row length",
-                expected: self.features,
-                got: row.len(),
-            });
+        for row in rows {
+            self.check_width(row.as_ref().len())?;
         }
         if let InputScale::PerFeature(s) = scale {
             if s.len() != self.features {
@@ -185,8 +189,31 @@ impl QBatchBuf {
                 });
             }
         }
-        let format = self.format;
-        Ok(format.quantize_into(row, scale, mode, self.next_row()))
+        let start = self.len;
+        let end = start + rows.len() * self.features;
+        if self.words.len() < end {
+            self.words.resize(end, 0);
+        }
+        self.len = end;
+        Ok(quantize_rows(
+            self.format,
+            rows,
+            scale,
+            mode,
+            &mut self.words[start..end],
+        ))
+    }
+
+    fn check_width(&self, got: usize) -> Result<(), KernelError> {
+        if got == self.features {
+            Ok(())
+        } else {
+            Err(KernelError::ShapeMismatch {
+                context: "row length",
+                expected: self.features,
+                got,
+            })
+        }
     }
 
     /// Appends an already-quantized row, checking each element's format.
@@ -197,13 +224,7 @@ impl QBatchBuf {
     /// [`KernelError::FormatMismatch`] when an element is on a different
     /// grid.
     pub fn push_row_fx(&mut self, row: &[Fx]) -> Result<(), KernelError> {
-        if row.len() != self.features {
-            return Err(KernelError::ShapeMismatch {
-                context: "row length",
-                expected: self.features,
-                got: row.len(),
-            });
-        }
+        self.check_width(row.len())?;
         for v in row {
             if v.format() != self.format {
                 return Err(KernelError::FormatMismatch {
@@ -227,4 +248,32 @@ impl QBatchBuf {
             words: &self.words[..self.len],
         }
     }
+}
+
+/// The batch quantizer: the AVX2 build where it is compiled in and the
+/// CPU has AVX2, else the portable build.
+fn quantize_rows<R: AsRef<[f64]>>(
+    format: QFormat,
+    rows: &[R],
+    scale: InputScale<'_>,
+    mode: RoundingMode,
+    out: &mut [i64],
+) -> u64 {
+    #[cfg(feature = "simd")]
+    if crate::simd::detected() {
+        return crate::simd::quantize_rows_avx2(format, rows, scale, mode, out);
+    }
+    quantize_rows_portable(format, rows, scale, mode, out)
+}
+
+/// The portable build of the batch quantizer: no prefetch, the baseline
+/// instruction set.
+pub(crate) fn quantize_rows_portable<R: AsRef<[f64]>>(
+    format: QFormat,
+    rows: &[R],
+    scale: InputScale<'_>,
+    mode: RoundingMode,
+    out: &mut [i64],
+) -> u64 {
+    format.quantize_rows_into(rows, scale, mode, out, |_| {})
 }

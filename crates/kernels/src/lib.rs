@@ -11,8 +11,10 @@
 //!
 //! * [`QBatch`] / [`QBatchBuf`] — one contiguous row-major `i64` word
 //!   buffer plus a single [`QFormat`] tag, converted once at the
-//!   boundary (floats are quantized on append; raw wire words are
-//!   borrowed **zero-copy** and wrapped on load by their low bits).
+//!   boundary (floats are quantized on append, a whole batch per
+//!   [`QBatchBuf::push_rows_scaled`] call, in an AVX2 build with row
+//!   prefetch where available; raw wire words are borrowed **zero-copy**
+//!   and wrapped on load by their low bits).
 //! * [`mac_gemm_into`] — the batch kernel, monomorphized per rounding
 //!   mode: the scalar loop run row at a time, or an optional x86_64 AVX2
 //!   path (behind runtime detection and the `simd` cargo feature) in
@@ -719,6 +721,121 @@ mod tests {
         assert_eq!(buf.as_batch().words(), &[32, -16, 127, 0]);
     }
 
+    /// A scaled input `y` aimed at the quantizer's edges: NaN, ±inf, ±0,
+    /// exact half-ties, grid points, one ulp outside either range end, the
+    /// ends themselves, and plain draws across twice the range.
+    fn edge_value(format: QFormat, rng: &mut Rng) -> f64 {
+        let n = rng.range_i64(format.min_raw()..=format.max_raw()) as f64;
+        let res = format.resolution();
+        match rng.below(13) {
+            0 => f64::NAN,
+            1 => f64::INFINITY,
+            2 => f64::NEG_INFINITY,
+            3 => 0.0,
+            4 => -0.0,
+            5 => (n + 0.5) * res,
+            6 => -(n + 0.5) * res,
+            7 => n * res,
+            8 => format.min_value().next_down(),
+            9 => format.max_value().next_up(),
+            10 => format.min_value(),
+            11 => format.max_value(),
+            _ => rng.range_f64(2.0 * format.min_value()..2.0 * format.max_value()),
+        }
+    }
+
+    /// The batch quantizer's AVX2 build, where it is compiled in and this
+    /// CPU has AVX2.
+    fn quantize_rows_avx2(
+        format: QFormat,
+        rows: &[Vec<f64>],
+        scale: InputScale<'_>,
+        mode: RoundingMode,
+        out: &mut [i64],
+    ) -> Option<u64> {
+        #[cfg(feature = "simd")]
+        if simd::detected() {
+            return Some(simd::quantize_rows_avx2(format, rows, scale, mode, out));
+        }
+        let _ = (format, rows, scale, mode, out);
+        None
+    }
+
+    /// Both builds of the batch quantizer, each called directly — the
+    /// AVX2 build with row prefetch wherever this CPU has AVX2, and the
+    /// portable build — and the dispatching `QBatchBuf::push_rows_scaled`
+    /// write `quantize_raw(x·s)` for every element and count exactly the
+    /// scaled inputs outside `[min, max]`. Cases cover every rounding
+    /// mode with every scale kind (identity, uniform, per-feature) and row
+    /// count (0, 1, 255, 256, 257), at every width from 1 to 64, so every
+    /// vector remainder occurs. Inputs are drawn as scaled values on the
+    /// quantizer's edges and divided by power-of-two scales (exactly), or
+    /// by others now and then.
+    #[test]
+    fn batch_quantizer_builds_match_quantize_raw() {
+        const ROWS: [usize; 5] = [0, 1, 255, 256, 257];
+        const SCALES: [f64; 7] = [0.5, 2.0, 0.25, 4.0, 1.0, 0.1, 3.0];
+        let mut rng = Rng::new(29);
+        let mut avx2_cases = 0;
+        for width in 1..=64usize {
+            for (m, mode) in ALL_MODES.into_iter().enumerate() {
+                let rows = ROWS[(width + m) % ROWS.len()];
+                let format = q(1 + rng.below(16) as u32, rng.below(16) as u32);
+                let factors: Vec<f64> = match (width + 2 * m) % 3 {
+                    0 => vec![1.0],
+                    1 => vec![SCALES[rng.below(SCALES.len())]],
+                    _ => (0..width)
+                        .map(|_| SCALES[rng.below(SCALES.len())])
+                        .collect(),
+                };
+                let scale = match factors.len() {
+                    1 if factors[0] == 1.0 => InputScale::Identity,
+                    1 => InputScale::Uniform(factors[0]),
+                    _ => InputScale::PerFeature(&factors),
+                };
+                let factor = |i: usize| factors[i % factors.len()];
+                let xs: Vec<Vec<f64>> = (0..rows)
+                    .map(|_| {
+                        (0..width)
+                            .map(|i| edge_value(format, &mut rng) / factor(i))
+                            .collect()
+                    })
+                    .collect();
+                let mut want = Vec::with_capacity(rows * width);
+                let mut want_saturated = 0u64;
+                for row in &xs {
+                    for (i, &x) in row.iter().enumerate() {
+                        let y = x * factor(i);
+                        want.push(format.quantize_raw(y, mode));
+                        want_saturated +=
+                            u64::from(y < format.min_value() || y > format.max_value());
+                    }
+                }
+                let case = format!("{format} {mode:?} {scale:?} rows={rows} m={width}");
+                let mut out = vec![i64::MIN; rows * width];
+                let saturated = batch::quantize_rows_portable(format, &xs, scale, mode, &mut out);
+                assert_eq!(
+                    (&out, saturated),
+                    (&want, want_saturated),
+                    "portable {case}"
+                );
+                out.fill(i64::MIN);
+                if let Some(saturated) = quantize_rows_avx2(format, &xs, scale, mode, &mut out) {
+                    assert_eq!((&out, saturated), (&want, want_saturated), "avx2 {case}");
+                    avx2_cases += 1;
+                }
+                let mut buf = QBatchBuf::new(format, width);
+                let saturated = buf.push_rows_scaled(&xs, scale, mode).unwrap();
+                assert_eq!(
+                    (buf.as_batch().words(), saturated),
+                    (want.as_slice(), want_saturated),
+                    "push_rows_scaled {case}"
+                );
+            }
+        }
+        assert_eq!(avx2_cases > 0, KernelKind::simd_available());
+    }
+
     #[test]
     fn batch_buf_rejects_bad_rows() {
         let format = q(2, 6);
@@ -733,8 +850,26 @@ mod tests {
             }
         );
         assert_eq!(
-            buf.push_row_scaled(
-                &[0.0; 3],
+            buf.push_rows_scaled(&[[0.0; 3]], InputScale::Identity, RoundingMode::Floor)
+                .unwrap(),
+            0
+        );
+        assert_eq!(
+            buf.push_rows_scaled(
+                &[vec![0.0; 3], vec![0.0; 2]],
+                InputScale::Identity,
+                RoundingMode::Floor
+            )
+            .unwrap_err(),
+            KernelError::ShapeMismatch {
+                context: "row length",
+                expected: 3,
+                got: 2
+            }
+        );
+        assert_eq!(
+            buf.push_rows_scaled(
+                &[[0.0; 3]],
                 InputScale::PerFeature(&[1.0; 2]),
                 RoundingMode::Floor
             )
@@ -761,8 +896,9 @@ mod tests {
                 got: (3, 1)
             }
         );
+        // Only the good batch and this row were appended.
         buf.push_row_fx(&[format.zero(); 3]).unwrap();
-        assert_eq!(buf.rows(), 1);
+        assert_eq!(buf.rows(), 2);
         buf.clear();
         assert_eq!(buf.rows(), 0);
     }

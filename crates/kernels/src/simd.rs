@@ -20,13 +20,29 @@
 //! Only x86_64 has an intrinsic path. On aarch64 the `Simd` kind runs the
 //! reference kernel until a wrap-once NEON port can be checked on an
 //! aarch64 host.
+//!
+//! The batch quantizer's AVX2 build holds no quantize intrinsics: it is
+//! `QFormat::quantize_rows_into`'s loop, inlined into a function compiled
+//! with AVX2 enabled, so the compiler vectorizes it four `f64` lanes
+//! wide. Only `avx2` is enabled, never `fma`: the loop's multiplies and
+//! adds stay separately rounded, so its words are IEEE-identical to the
+//! portable build's. Its per-row hook prefetches every cache line of the
+//! row [`PREFETCH_ROWS_AHEAD`] ahead, the one intrinsic it uses; serving
+//! batches hold rows scattered over the heap, which the hardware
+//! prefetcher cannot predict.
 
 use crate::scalar::{GemmOut, MacSpec};
 use crate::QBatch;
+use ldafp_fixedpoint::{InputScale, QFormat, RoundingMode};
 
 /// Rows per column tile and 32-bit lanes per AVX2 vector: eight
 /// independent accumulator chains fill one 8×32-bit register.
 const TILE: usize = 8;
+
+/// How many rows ahead the AVX2 quantizer prefetches: four rows of 42
+/// features keep enough lines in flight to hide a miss; eight measured no
+/// better.
+const PREFETCH_ROWS_AHEAD: usize = 4;
 
 /// Whether a SIMD kernel is compiled in *and* supported by this CPU.
 pub(crate) fn detected() -> bool {
@@ -80,11 +96,94 @@ pub(crate) fn gemm_simd(
     }
 }
 
+/// The batch quantizer's AVX2 build with row prefetch; same words and
+/// count as `batch::quantize_rows_portable`.
+///
+/// # Panics
+///
+/// When the CPU lacks AVX2 ([`detected`] is false), or on the shapes
+/// `QFormat::quantize_rows_into` rejects.
+pub(crate) fn quantize_rows_avx2<R: AsRef<[f64]>>(
+    format: QFormat,
+    rows: &[R],
+    scale: InputScale<'_>,
+    mode: RoundingMode,
+    out: &mut [i64],
+) -> u64 {
+    assert!(detected(), "the AVX2 quantizer needs an AVX2 CPU");
+    #[cfg(target_arch = "x86_64")]
+    {
+        // SAFETY: AVX2 was detected just above.
+        unsafe { x86::quantize_rows(format, rows, scale, mode, out) }
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        let _ = (format, rows, scale, mode, out);
+        unreachable!("AVX2 detected off x86_64");
+    }
+}
+
 #[cfg(target_arch = "x86_64")]
 mod x86 {
-    use super::{GemmOut, MacSpec, QBatch, TILE};
+    use super::{
+        GemmOut, InputScale, MacSpec, QBatch, QFormat, RoundingMode, PREFETCH_ROWS_AHEAD, TILE,
+    };
     use crate::scalar::{MODE_CEIL, MODE_EXACT, MODE_FLOOR, MODE_NEAREST_AWAY, MODE_TOWARD_ZERO};
     use core::arch::x86_64::*;
+
+    /// `QFormat::quantize_rows_into` compiled with AVX2, prefetching the
+    /// row [`PREFETCH_ROWS_AHEAD`] ahead before each row.
+    ///
+    /// # Safety
+    ///
+    /// Requires AVX2.
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn quantize_rows<R: AsRef<[f64]>>(
+        format: QFormat,
+        rows: &[R],
+        scale: InputScale<'_>,
+        mode: RoundingMode,
+        out: &mut [i64],
+    ) -> u64 {
+        format.quantize_rows_into(rows, scale, mode, out, |r| {
+            if let Some(ahead) = rows.get(r + PREFETCH_ROWS_AHEAD) {
+                prefetch_lines(ahead.as_ref());
+            }
+        })
+    }
+
+    /// Prefetches every cache line `xs` touches (see
+    /// [`each_prefetch_offset`]).
+    #[inline(always)]
+    fn prefetch_lines(xs: &[f64]) {
+        let first = xs.as_ptr().cast::<i8>();
+        each_prefetch_offset(std::mem::size_of_val(xs), |offset| {
+            // SAFETY: a prefetch only hints the cache; it never faults and
+            // reads no value, so any address is sound.
+            unsafe { _mm_prefetch::<_MM_HINT_T0>(first.wrapping_add(offset)) }
+        });
+    }
+
+    /// Cache line size in bytes.
+    const LINE: usize = 64;
+
+    /// Calls `f` with byte offsets into a span of `bytes` bytes that hit
+    /// every cache line the span touches, from the line of its first
+    /// byte to the line of its last, whatever its alignment: one offset
+    /// every [`LINE`] bytes from the first byte, then the last byte. The
+    /// steps alone miss the last line of a span that starts late in its
+    /// line. Their count depends only on `bytes`, so rows of one width
+    /// take the same branches every row, where a loop over the lines
+    /// themselves would run once or twice by a short row's alignment.
+    #[inline(always)]
+    pub(super) fn each_prefetch_offset(bytes: usize, mut f: impl FnMut(usize)) {
+        for k in 0..bytes.div_ceil(LINE) {
+            f(k * LINE);
+        }
+        if bytes > 0 {
+            f(bytes - 1);
+        }
+    }
 
     /// Per-format vector constants.
     ///
@@ -362,6 +461,33 @@ mod x86 {
                 store_tile(acc, c, (r0, nr), (h, heads), &mut dst);
             }
             r0 += nr;
+        }
+    }
+}
+
+#[cfg(all(test, target_arch = "x86_64"))]
+mod tests {
+    use super::x86::each_prefetch_offset;
+
+    /// The prefetched lines are exactly those from the line of a row's
+    /// first byte to the line of its last, at every alignment and length.
+    #[test]
+    fn prefetch_covers_the_first_and_last_byte_of_every_row() {
+        for addr in (4096..4096 + 128).step_by(8) {
+            for bytes in (0..=600).step_by(8) {
+                let mut lines = Vec::new();
+                each_prefetch_offset(bytes, |offset| {
+                    assert!(offset < bytes, "addr={addr} bytes={bytes}");
+                    lines.push((addr + offset) / 64);
+                });
+                lines.dedup();
+                let want: Vec<usize> = if bytes == 0 {
+                    Vec::new()
+                } else {
+                    (addr / 64..=(addr + bytes - 1) / 64).collect()
+                };
+                assert_eq!(lines, want, "addr={addr} bytes={bytes}");
+            }
         }
     }
 }

@@ -46,12 +46,7 @@ use std::time::Duration;
 /// words equal the float path's.
 pub fn quantize_rows(format: QFormat, rounding: RoundingMode, rows: &[Vec<f64>]) -> Vec<i64> {
     let mut words = vec![0; rows.iter().map(Vec::len).sum()];
-    let mut start = 0;
-    for row in rows {
-        let end = start + row.len();
-        format.quantize_into(row, InputScale::Identity, rounding, &mut words[start..end]);
-        start = end;
-    }
+    format.quantize_rows_into(rows, InputScale::Identity, rounding, &mut words, |_| {});
     words
 }
 

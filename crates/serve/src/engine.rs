@@ -8,17 +8,22 @@
 //! [`FixedPointClassifier::classify`] / [`OneVsRestClassifier::classify`]
 //! on the in-memory model — the property tests assert it.
 //!
-//! Batch paths run on the `ldafp-kernels` SoA datapath: rows are
-//! quantized once into a contiguous [`QBatchBuf`] (raw wire words are
-//! borrowed zero-copy as a [`QBatch`]) and every linear model — binary
-//! LDA and every one-vs-rest head — goes through one wrap-once MAC GEMM
-//! per batch (AVX2 where detected and exact, else the scalar loop the
-//! row path also runs). The kernels return a per-(row, head)
-//! overflow flag (the exact sum left the format's range), so the
-//! overflow/saturation counters and `predict_segmented`'s per-segment
-//! attribution are exactly what the row-at-a-time path produces. Table-driven families (naive Bayes, OS-ELM) decide on their
-//! own integer datapath, which rides the same kernel primitives inside
-//! `ldafp-models`.
+//! Batch paths run on the `ldafp-kernels` SoA datapath. A float batch
+//! (or each segment of one) has every row's width checked, then is
+//! quantized into a contiguous [`QBatchBuf`] in one
+//! [`QBatchBuf::push_rows_scaled`] call: the AVX2 build of the fused
+//! quantizer, with row prefetch, where the kernels' `simd` feature is on
+//! and the CPU has AVX2, else the portable build, with the same words
+//! either way. Raw wire words are borrowed zero-copy as a [`QBatch`].
+//! Every linear model — binary LDA and every one-vs-rest head — then goes
+//! through one wrap-once MAC GEMM per batch (AVX2 where detected and
+//! exact, else the scalar loop the row path also runs). The kernels
+//! return a per-(row, head) overflow flag (the exact sum left the
+//! format's range), so the overflow/saturation counters and
+//! `predict_segmented`'s per-segment attribution are exactly what the
+//! row-at-a-time path produces. Table-driven families (naive Bayes,
+//! OS-ELM) decide on their own integer datapath, which rides the same
+//! kernel primitives inside `ldafp-models`.
 //!
 //! Floats appear in exactly two advisory places, never in a decision:
 //! the reported `score` (a human-readable margin) and the one-vs-rest
@@ -265,9 +270,9 @@ impl InferenceEngine {
         self.with_scratch(|scratch| self.predict_batch_in(&ctx, rows, scratch))
     }
 
-    /// The float batch hot path: validate every row, then scale, quantize
-    /// and count its saturated inputs into the SoA buffer in one pass,
-    /// then decide the whole batch.
+    /// The float batch hot path: validate every row's width, then scale,
+    /// quantize and count the saturated inputs of the whole batch into
+    /// the SoA buffer in one call, then decide the whole batch.
     fn predict_batch_in(
         &self,
         ctx: &RowContext<'_>,
@@ -281,21 +286,17 @@ impl InferenceEngine {
             out,
             wraps,
         } = scratch;
-        batch.clear();
-        batch.reserve_rows(rows.len());
-        let mut saturated_inputs = 0;
-        for (i, row) in rows.iter().enumerate() {
-            if row.len() != ctx.num_features {
-                return Err(ServeError::FeatureMismatch {
-                    expected: ctx.num_features,
-                    got: row.len(),
-                    row: i,
-                });
-            }
-            saturated_inputs += batch
-                .push_row_scaled(row, ctx.scale, ctx.rounding)
-                .expect("row width and scale length validated");
+        if let Some(i) = rows.iter().position(|r| r.len() != ctx.num_features) {
+            return Err(ServeError::FeatureMismatch {
+                expected: ctx.num_features,
+                got: rows[i].len(),
+                row: i,
+            });
         }
+        batch.clear();
+        let saturated_inputs = batch
+            .push_rows_scaled(rows, ctx.scale, ctx.rounding)
+            .expect("row widths and scale length validated");
         Ok(self.decide_rows(
             ctx,
             &batch.as_batch(),
@@ -656,6 +657,53 @@ mod tests {
                 assert_eq!((expected, got, row), (4, 5, 73));
             }
             other => panic!("expected FeatureMismatch, got {other:?}"),
+        }
+    }
+
+    /// At 0, 1, 255, 256 and 257 rows, under an identity, a uniform and
+    /// a per-feature input scale, the batch path (one quantizer call per
+    /// batch) answers every row exactly as `predict_row` does, and its
+    /// counters are the rows' sums. A torn row at index `k`, longer or
+    /// shorter, is still reported as row `k`.
+    #[test]
+    fn batch_equals_rows_at_every_batch_size() {
+        let (_, clf) = binary_engine();
+        let edges = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -0.0, 2.0, -2.0];
+        for input_scale in [vec![1.0], vec![0.5], vec![0.5, 2.0, 1.0, 0.25]] {
+            let mut artifact = ModelArtifact::binary(clf.clone());
+            artifact.input_scale = input_scale;
+            let engine = InferenceEngine::new(artifact).unwrap();
+            for n in [0usize, 1, 255, 256, 257] {
+                let mut rows = random_rows(n, 4, 40 + n as u64, 3.0);
+                for (r, row) in rows.iter_mut().enumerate().step_by(5) {
+                    row[r % 4] = edges[r % edges.len()];
+                }
+                let batch = engine.predict_batch(&rows).unwrap();
+                let mut want = BatchStats::default();
+                for (row, p) in rows.iter().zip(&batch.predictions) {
+                    let (single, stats) = engine.predict_row(row).unwrap();
+                    assert_eq!(*p, single, "n={n} row {row:?}");
+                    want.rows += 1;
+                    want.accumulator_wraps += stats.accumulator_wraps;
+                    want.saturated_inputs += stats.saturated_inputs;
+                }
+                assert_eq!(batch.stats, want, "n={n}");
+                for k in [0, n / 2, n.saturating_sub(1)]
+                    .into_iter()
+                    .filter(|_| n > 0)
+                {
+                    for width in [3, 5] {
+                        let mut torn = rows.clone();
+                        torn[k].resize(width, 0.0);
+                        match engine.predict_batch(&torn) {
+                            Err(ServeError::FeatureMismatch { expected, got, row }) => {
+                                assert_eq!((expected, got, row), (4, width, k));
+                            }
+                            other => panic!("expected FeatureMismatch, got {other:?}"),
+                        }
+                    }
+                }
+            }
         }
     }
 

@@ -27,6 +27,17 @@ cargo test -q -p ldafp-core --features fault-injection
 # plus the CLI train→save→serve→TCP round-trip, then lint the crate
 # explicitly.
 cargo build --release -p ldafp-serve
+# This runs the engine's tests once on the scalar build. No library crate
+# turns on `ldafp-kernels/simd`, so `ldafp-serve` built alone gets the
+# portable quantizer and the reference MAC kernel; the workspace run above
+# tested the same engine with the AVX2 paths, which the CLI and the
+# umbrella crate turn on. The tree check fails when a dependency starts
+# turning the feature on again.
+serve_kernel_features="$(cargo tree -q --offline -p ldafp-serve -i ldafp-kernels --depth 0 -f '{f}')"
+if [ -n "$serve_kernel_features" ]; then
+    echo "ldafp-serve alone builds ldafp-kernels with features: $serve_kernel_features" >&2
+    exit 1
+fi
 cargo test -q -p ldafp-serve
 cargo test -q -p ldafp-cli --test serve_roundtrip
 cargo clippy -p ldafp-serve --all-targets -- -D warnings
@@ -340,7 +351,10 @@ cargo test --release -q -p ldafp-bench --test net_gate
 # throughput gate, a release-mode test that asserts every kernel's words
 # and flags equal the traced reference's, then fails unless the best
 # kernel clears 2x one call per row of the per-step wrapping loop the gate
-# keeps as its baseline, at the paper's F=42 / batch=256 shape. The
+# keeps as its baseline, at the paper's F=42 / batch=256 shape, and unless
+# the batch quantizer (push_rows_scaled, words and saturated counts first
+# checked against the per-row path) clears 1.5x one push_row_f64 call per
+# row on 20,000 shuffled 42-feature rows. The
 # cross-family serve/net equivalence suite rides the ldafp-net loopback
 # tests above.
 cargo test -q -p ldafp-kernels

@@ -18,7 +18,7 @@
 //! before the speedup is judged: speed at unequal certified objectives
 //! would be meaningless.
 
-use ldafp_bnb::{solve_parallel, BnbConfig, BnbOutcome, BoxNode, NodeAssessment};
+use ldafp_bnb::{solve, BnbConfig, BnbOutcome, BoundingProblem, BoxNode, NodeAssessment};
 use std::time::{Duration, Instant};
 
 /// Minimum serial over 4-thread wall-time ratio.
@@ -46,8 +46,8 @@ impl SimProblem {
     }
 }
 
-impl ldafp_bnb::SharedBoundingProblem for SimProblem {
-    fn assess_node(&self, node: &BoxNode, _index: usize) -> NodeAssessment {
+impl BoundingProblem for SimProblem {
+    fn assess(&self, node: &BoxNode, _index: usize) -> NodeAssessment {
         std::thread::sleep(self.latency);
         let mut bound = 0.0;
         let mut cand = Vec::with_capacity(self.center.len());
@@ -88,7 +88,7 @@ fn assert_same_outcome(reference: &BnbOutcome, out: &BnbOutcome, threads: usize)
 fn four_threads_search_at_least_one_and_a_half_times_faster() {
     let problem = SimProblem::new(4, Duration::from_micros(2_000));
     let bnb = BnbConfig::default();
-    let reference = solve_parallel(&problem, problem.root(), &bnb, 1);
+    let reference = solve(&problem, problem.root(), &bnb, None, 1, None);
     assert!(reference.certified, "sim problem must certify");
 
     // Best of three per thread count; every run checked against the
@@ -97,7 +97,7 @@ fn four_threads_search_at_least_one_and_a_half_times_faster() {
         let mut best = f64::INFINITY;
         for _ in 0..3 {
             let t = Instant::now();
-            let out = solve_parallel(&problem, problem.root(), &bnb, threads);
+            let out = solve(&problem, problem.root(), &bnb, None, threads, None);
             best = best.min(t.elapsed().as_secs_f64());
             assert_same_outcome(&reference, &out, threads);
         }

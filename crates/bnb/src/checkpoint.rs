@@ -34,7 +34,7 @@
 //! checksum mismatch, malformed payload — degrades to a clean cold start
 //! (with a `resume.cold_start` event), never a panic.
 
-use crate::search::SearchOrder;
+use crate::search::{SearchOrder, SearchStart};
 use crate::{BnbStats, BoxNode, DegradationStats};
 use ldafp_obs as obs;
 use ldafp_stats::{fnv1a64, FNV1A64_OFFSET};
@@ -47,10 +47,10 @@ use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 /// Magic prefix of every snapshot file.
-pub const SNAPSHOT_MAGIC: [u8; 8] = *b"LDFPSNAP";
+pub(crate) const SNAPSHOT_MAGIC: [u8; 8] = *b"LDFPSNAP";
 
 /// Current snapshot format version. Readers reject anything newer.
-pub const SNAPSHOT_VERSION: u16 = 1;
+pub(crate) const SNAPSHOT_VERSION: u16 = 1;
 
 /// Hashes an arbitrary identity string into a snapshot fingerprint.
 ///
@@ -65,7 +65,7 @@ pub fn snapshot_fingerprint(identity: &[u8]) -> u64 {
 
 /// One open box on the serialized frontier.
 #[derive(Debug, Clone, PartialEq)]
-pub struct FrontierEntry {
+pub(crate) struct FrontierEntry {
     /// The box's sanitized lower bound.
     pub lower_bound: f64,
     /// Heap push sequence number — the total-order tie-break that makes
@@ -77,7 +77,7 @@ pub struct FrontierEntry {
 
 /// Complete coordinator-loop state at a loop boundary.
 #[derive(Debug, Clone, PartialEq)]
-pub struct SearchSnapshot {
+pub(crate) struct SearchSnapshot {
     /// Node-expansion order the search was configured with. A resume
     /// under a different order is rejected (cold start) — the frontier's
     /// heap invariants would not transfer.
@@ -99,7 +99,7 @@ pub struct SearchSnapshot {
 
 /// Why a snapshot load fell back to a cold start.
 #[derive(Debug, Clone, PartialEq)]
-pub enum LoadOutcome {
+pub(crate) enum LoadOutcome {
     /// A valid snapshot was read.
     Loaded(SearchSnapshot),
     /// No snapshot file exists (the normal first run).
@@ -196,7 +196,7 @@ fn encode_payload(snapshot: &SearchSnapshot) -> Vec<u8> {
 /// Serializes `snapshot` into the full file image (header + payload +
 /// checksum).
 #[must_use]
-pub fn encode_snapshot(snapshot: &SearchSnapshot, fingerprint: u64) -> Vec<u8> {
+pub(crate) fn encode_snapshot(snapshot: &SearchSnapshot, fingerprint: u64) -> Vec<u8> {
     let payload = encode_payload(snapshot);
     let mut out = Vec::with_capacity(26 + payload.len() + 8);
     out.extend_from_slice(&SNAPSHOT_MAGIC);
@@ -348,7 +348,7 @@ fn decode_payload(bytes: &[u8]) -> Result<SearchSnapshot, String> {
 ///
 /// A stable reason label (`"magic"`, `"version"`, `"fingerprint"`,
 /// `"checksum"`, `"payload"`) with detail, on any defect.
-pub fn decode_snapshot(bytes: &[u8], fingerprint: u64) -> Result<SearchSnapshot, String> {
+pub(crate) fn decode_snapshot(bytes: &[u8], fingerprint: u64) -> Result<SearchSnapshot, String> {
     if bytes.len() < 34 {
         return Err("payload: file shorter than header".to_string());
     }
@@ -388,7 +388,7 @@ pub fn decode_snapshot(bytes: &[u8], fingerprint: u64) -> Result<SearchSnapshot,
 /// # Errors
 ///
 /// Propagates I/O failures; the previous snapshot (if any) is untouched.
-pub fn write_snapshot(
+pub(crate) fn write_snapshot(
     path: &Path,
     snapshot: &SearchSnapshot,
     fingerprint: u64,
@@ -418,7 +418,7 @@ pub fn write_snapshot(
 /// [`LoadOutcome::Missing`]) so callers can always fall back to a cold
 /// start.
 #[must_use]
-pub fn load_snapshot(path: &Path, fingerprint: u64) -> LoadOutcome {
+pub(crate) fn load_snapshot(path: &Path, fingerprint: u64) -> LoadOutcome {
     let bytes = match fs::read(path) {
         Ok(b) => b,
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => return LoadOutcome::Missing,
@@ -511,26 +511,39 @@ fn checkpoint_metrics() -> &'static CheckpointMetrics {
     })
 }
 
-/// Records that a search adopted `snapshot` instead of cold-starting.
-pub(crate) fn note_resume(snapshot: &SearchSnapshot) {
-    checkpoint_metrics().resumed.inc();
-    if obs::enabled() {
-        let mut e = obs::Event::new("resume.loaded")
-            .with("nodes_assessed", snapshot.stats.nodes_assessed)
-            .with("frontier", snapshot.frontier.len());
-        if let Some((_, cost)) = &snapshot.incumbent {
-            e = e.with("incumbent_cost", *cost);
+/// Where a checkpointed search begins: the snapshot at `policy.path` when
+/// one loads cleanly under the configured search order, else `root`. A
+/// resume is counted and traced as `resume.loaded`; a rejected or
+/// foreign-order snapshot as `resume.cold_start` with its reason.
+pub(crate) fn resume_or_cold_start(
+    policy: &CheckpointPolicy,
+    order: SearchOrder,
+    root: BoxNode,
+) -> SearchStart {
+    let m = checkpoint_metrics();
+    let reason = match load_snapshot(&policy.path, policy.fingerprint) {
+        LoadOutcome::Loaded(snapshot) if snapshot.order == order => {
+            m.resumed.inc();
+            if obs::enabled() {
+                let mut e = obs::Event::new("resume.loaded")
+                    .with("nodes_assessed", snapshot.stats.nodes_assessed)
+                    .with("frontier", snapshot.frontier.len());
+                if let Some((_, cost)) = &snapshot.incumbent {
+                    e = e.with("incumbent_cost", *cost);
+                }
+                obs::emit(e);
+            }
+            return SearchStart::Resumed(snapshot);
         }
-        obs::emit(e);
-    }
-}
-
-/// Records a cold start forced by a rejected snapshot.
-pub(crate) fn note_cold_start(reason: &str) {
-    checkpoint_metrics().cold_starts.inc();
+        LoadOutcome::Loaded(_) => "search-order-mismatch".to_string(),
+        LoadOutcome::Missing => return SearchStart::Root(root),
+        LoadOutcome::Rejected(reason) => reason,
+    };
+    m.cold_starts.inc();
     if obs::enabled() {
-        obs::emit(obs::Event::new("resume.cold_start").with("reason", reason.to_string()));
+        obs::emit(obs::Event::new("resume.cold_start").with("reason", reason));
     }
+    SearchStart::Root(root)
 }
 
 /// Chaos hook: `LDAFP_CRASH_AFTER_CHECKPOINTS=<n>` aborts the process

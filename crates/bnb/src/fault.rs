@@ -16,6 +16,7 @@
 
 use crate::{BoundingProblem, BoxNode, NodeAssessment, NodeDegradation};
 use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Duration;
 
 /// The kind of failure injected into one node assessment.
@@ -147,13 +148,20 @@ fn splitmix64(mut z: u64) -> u64 {
 /// Candidates always come from the inner problem: candidate generation
 /// needs no solver, which is exactly why a faulted search still finds the
 /// true incumbent.
+///
+/// The plan is keyed on the *passed* serial index, not on a call counter
+/// (concurrent callers have no usable call order), and the wrapper reports
+/// [`BoundingProblem::exact_indexing`], so the parallel search disables
+/// speculation and hands every assessment its true serial index. That is
+/// what makes an `N`-thread faulted run inject the exact fault set — and
+/// therefore produce the exact [`crate::DegradationStats`] — of the
+/// 1-thread run.
 #[derive(Debug)]
 pub struct FaultyProblem<P> {
     inner: P,
     plan: FaultPlan,
     trivial_bound: f64,
-    next_index: usize,
-    injected: usize,
+    injected: AtomicUsize,
 }
 
 impl<P> FaultyProblem<P> {
@@ -163,157 +171,52 @@ impl<P> FaultyProblem<P> {
             inner,
             plan,
             trivial_bound,
-            next_index: 0,
-            injected: 0,
+            injected: AtomicUsize::new(0),
         }
-    }
-
-    /// Number of assessments performed so far.
-    pub fn assessed(&self) -> usize {
-        self.next_index
     }
 
     /// Number of assessments that were hit by an injected fault.
     pub fn injected(&self) -> usize {
-        self.injected
-    }
-
-    /// Unwraps the inner problem.
-    pub fn into_inner(self) -> P {
-        self.inner
+        self.injected.load(Ordering::Relaxed)
     }
 }
 
 impl<P: BoundingProblem> BoundingProblem for FaultyProblem<P> {
-    fn assess(&mut self, node: &BoxNode) -> NodeAssessment {
-        let index = self.next_index;
-        self.next_index += 1;
-        let a = self.inner.assess(node);
-        match self.plan.fault_for(index) {
-            None => a,
-            Some(FaultKind::Slow(d)) => {
-                self.injected += 1;
-                // Latency is injected by sleeping the assessing thread.
-                // Under the serial search that inflates wall-clock time
-                // one-for-one; under the parallel search (where a
-                // `SharedFaultyProblem` routes each sleep onto whichever
-                // pool thread executes the assessment) concurrent sleeps
-                // overlap, so total injected latency scales down by the
-                // effective parallelism — the same way real slow solves
-                // would. Time-budget tests must therefore calibrate
-                // against the thread count they run with.
+    fn assess(&self, node: &BoxNode, index: usize) -> NodeAssessment {
+        let a = self.inner.assess(node, index);
+        let Some(kind) = self.plan.fault_for(index) else {
+            return a;
+        };
+        self.injected.fetch_add(1, Ordering::Relaxed);
+        match kind {
+            FaultKind::Slow(d) => {
+                // Latency is injected by sleeping the assessing thread. At
+                // one thread that inflates wall-clock time one-for-one; on a
+                // pool, concurrent sleeps overlap, so total injected latency
+                // scales down by the effective parallelism — the same way
+                // real slow solves would. Time-budget tests must therefore
+                // calibrate against the thread count they run with.
                 std::thread::sleep(d);
                 a
             }
-            Some(FaultKind::Numerical) => {
-                self.injected += 1;
-                // The bound solve died: no bound, no infeasibility proof.
-                // Keep the node alive with the trivial bound; candidates
-                // survive because they do not need the solver.
-                NodeAssessment {
-                    lower_bound: Some(self.trivial_bound),
-                    candidate: a.candidate,
-                    degradation: Some(NodeDegradation::TrivialBound {
-                        error_kind: "numerical-failure".to_string(),
-                    }),
-                }
-            }
-            Some(FaultKind::Infeasible) => {
-                self.injected += 1;
-                // A spurious infeasibility claim. Pruning on it could
-                // discard the optimum, so the sound response is to distrust
-                // the claim and keep searching under the trivial bound.
-                NodeAssessment {
-                    lower_bound: Some(self.trivial_bound),
-                    candidate: a.candidate,
-                    degradation: Some(NodeDegradation::SuspectInfeasible),
-                }
-            }
-        }
-    }
-
-    fn is_terminal(&self, node: &BoxNode) -> bool {
-        self.inner.is_terminal(node)
-    }
-
-    fn branch(&self, node: &BoxNode) -> Option<(usize, f64)> {
-        self.inner.branch(node)
-    }
-}
-
-/// Thread-shareable counterpart of [`FaultyProblem`]: wraps a
-/// [`crate::SharedBoundingProblem`] and applies the plan keyed on the
-/// *passed* serial index instead of an internal call counter (concurrent
-/// callers have no usable call order).
-///
-/// Reports [`crate::SharedBoundingProblem::exact_indexing`] so the parallel
-/// search disables speculation and hands every assessment its true serial
-/// index — which is what makes an `N`-thread faulted run inject the exact
-/// fault set (and therefore produce the exact [`crate::DegradationStats`])
-/// of the serial run.
-#[derive(Debug)]
-pub struct SharedFaultyProblem<P> {
-    inner: P,
-    plan: FaultPlan,
-    trivial_bound: f64,
-    injected: std::sync::atomic::AtomicUsize,
-}
-
-impl<P> SharedFaultyProblem<P> {
-    /// Wraps `inner` with the given plan and fallback bound.
-    pub fn new(inner: P, plan: FaultPlan, trivial_bound: f64) -> Self {
-        SharedFaultyProblem {
-            inner,
-            plan,
-            trivial_bound,
-            injected: std::sync::atomic::AtomicUsize::new(0),
-        }
-    }
-
-    /// Number of assessments that were hit by an injected fault.
-    pub fn injected(&self) -> usize {
-        self.injected.load(std::sync::atomic::Ordering::Relaxed)
-    }
-
-    /// Unwraps the inner problem.
-    pub fn into_inner(self) -> P {
-        self.inner
-    }
-}
-
-impl<P: crate::SharedBoundingProblem> crate::SharedBoundingProblem for SharedFaultyProblem<P> {
-    fn assess_node(&self, node: &BoxNode, index: usize) -> NodeAssessment {
-        let a = self.inner.assess_node(node, index);
-        match self.plan.fault_for(index) {
-            None => a,
-            Some(FaultKind::Slow(d)) => {
-                self.injected
-                    .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                // See the note in `FaultyProblem::assess`: sleeps on pool
-                // threads overlap, modeling genuinely slow solves.
-                std::thread::sleep(d);
-                a
-            }
-            Some(FaultKind::Numerical) => {
-                self.injected
-                    .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                NodeAssessment {
-                    lower_bound: Some(self.trivial_bound),
-                    candidate: a.candidate,
-                    degradation: Some(NodeDegradation::TrivialBound {
-                        error_kind: "numerical-failure".to_string(),
-                    }),
-                }
-            }
-            Some(FaultKind::Infeasible) => {
-                self.injected
-                    .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                NodeAssessment {
-                    lower_bound: Some(self.trivial_bound),
-                    candidate: a.candidate,
-                    degradation: Some(NodeDegradation::SuspectInfeasible),
-                }
-            }
+            // The bound solve died: no bound, no infeasibility proof. Keep
+            // the node alive with the trivial bound; candidates survive
+            // because they do not need the solver.
+            FaultKind::Numerical => NodeAssessment {
+                lower_bound: Some(self.trivial_bound),
+                candidate: a.candidate,
+                degradation: Some(NodeDegradation::TrivialBound {
+                    error_kind: "numerical-failure".to_string(),
+                }),
+            },
+            // A spurious infeasibility claim. Pruning on it could discard
+            // the optimum, so the sound response is to distrust the claim
+            // and keep searching under the trivial bound.
+            FaultKind::Infeasible => NodeAssessment {
+                lower_bound: Some(self.trivial_bound),
+                candidate: a.candidate,
+                degradation: Some(NodeDegradation::SuspectInfeasible),
+            },
         }
     }
 

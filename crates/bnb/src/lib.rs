@@ -4,7 +4,8 @@
 //! knowing anything about LDA: a [`BoundingProblem`] supplies lower bounds,
 //! incumbent candidates, the branching rule and the terminal test, and
 //! [`solve`] runs the classic best-first loop with pruning, budgets and
-//! statistics.
+//! statistics — on the calling thread or on a worker pool, optionally
+//! checkpointed to disk, with bit-identical outcomes either way.
 //!
 //! The division of labor mirrors the paper exactly:
 //!
@@ -23,7 +24,7 @@
 //!
 //! struct Quad;
 //! impl BoundingProblem for Quad {
-//!     fn assess(&mut self, node: &BoxNode) -> NodeAssessment {
+//!     fn assess(&self, node: &BoxNode, _index: usize) -> NodeAssessment {
 //!         // Convex relaxation: distance from 0.3 to the interval, squared.
 //!         let (lo, hi) = (node.lower[0], node.upper[0]);
 //!         let proj = 0.3f64.clamp(lo, hi);
@@ -38,7 +39,8 @@
 //! }
 //!
 //! let root = BoxNode::new(vec![-4.0], vec![4.0]).unwrap();
-//! let out = solve(&mut Quad, root, &BnbConfig::default());
+//! // No seed incumbent, one thread, no checkpoint.
+//! let out = solve(&Quad, root, &BnbConfig::default(), None, 1, None);
 //! let (best, cost) = out.incumbent.unwrap();
 //! assert_eq!(best, vec![0.0]);
 //! assert!((cost - 0.09).abs() < 1e-12);
@@ -55,18 +57,11 @@ mod node;
 mod parallel;
 mod search;
 
-pub use checkpoint::{
-    decode_snapshot, encode_snapshot, load_snapshot, snapshot_fingerprint, write_snapshot,
-    CheckpointPolicy, FrontierEntry, LoadOutcome, SearchSnapshot, SNAPSHOT_MAGIC, SNAPSHOT_VERSION,
-};
+pub use checkpoint::{snapshot_fingerprint, CheckpointPolicy};
 #[cfg(feature = "fault-injection")]
-pub use fault::{FaultKind, FaultPlan, FaultyProblem, SharedFaultyProblem};
+pub use fault::{FaultKind, FaultPlan, FaultyProblem};
 pub use node::BoxNode;
-pub use parallel::{
-    solve_parallel, solve_parallel_checkpointed, solve_parallel_with_incumbent, AtomicIncumbent,
-    SharedBoundingProblem,
-};
 pub use search::{
-    solve, solve_with_incumbent, BnbConfig, BnbOutcome, BnbStats, BoundingProblem,
-    DegradationStats, NodeAssessment, NodeDegradation, SearchOrder,
+    solve, BnbConfig, BnbOutcome, BnbStats, BoundingProblem, DegradationStats, NodeAssessment,
+    NodeDegradation, SearchOrder,
 };

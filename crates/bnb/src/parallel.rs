@@ -38,84 +38,18 @@
 //! # Fault injection: exact indexing
 //!
 //! Fault plans key off the serial assessment index. When a problem reports
-//! [`SharedBoundingProblem::exact_indexing`], speculation is disabled
+//! [`BoundingProblem::exact_indexing`], speculation is disabled
 //! entirely and every demand task carries the true serial index, so
 //! `fault_for(index)` lookups — and therefore the injected degradations —
 //! match the serial run one-for-one.
 
-use crate::checkpoint::{self, CheckpointPolicy, LoadOutcome};
-use crate::search::{
-    run_search, run_search_from, AssessmentSource, HeapNode, SearchStart, SerialSource,
-};
-use crate::{BnbConfig, BnbOutcome, BoundingProblem, BoxNode, NodeAssessment};
+use crate::search::{AssessmentSource, HeapNode};
+use crate::{BnbOutcome, BoundingProblem, BoxNode, NodeAssessment};
 use ldafp_obs as obs;
 use std::cmp::Ordering as CmpOrdering;
 use std::collections::{BinaryHeap, HashMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Condvar, Mutex};
-
-/// The thread-shareable half of branch-and-bound: like
-/// [`BoundingProblem`], but assessments take `&self` (workers call them
-/// concurrently) and receive the node's serial assessment index explicitly
-/// instead of the problem counting calls internally.
-///
-/// # Contract
-///
-/// `assess_node` must be a pure function of `(node, index)` — two calls with
-/// the same arguments must return bit-identical assessments regardless of
-/// thread or call order. When the result does not depend on `index` at all
-/// (the common case), leave [`Self::exact_indexing`] at `false` and the
-/// search may speculate freely; when it does (fault injection), return
-/// `true` and the search falls back to demand-only parallelism with true
-/// serial indices.
-pub trait SharedBoundingProblem: Sync {
-    /// Assesses a box. `index` is the position this assessment holds in the
-    /// serial decision order (root = 0) when [`Self::exact_indexing`] is
-    /// `true`; otherwise it is advisory and must not affect the result.
-    fn assess_node(&self, node: &BoxNode, index: usize) -> NodeAssessment;
-
-    /// See [`BoundingProblem::is_terminal`].
-    fn is_terminal(&self, node: &BoxNode) -> bool;
-
-    /// See [`BoundingProblem::branch`].
-    fn branch(&self, node: &BoxNode) -> Option<(usize, f64)> {
-        let d = node.widest_dim();
-        let mid = node.midpoint(d);
-        if mid > node.lower[d] && mid < node.upper[d] {
-            Some((d, mid))
-        } else {
-            None
-        }
-    }
-
-    /// `true` when `assess_node` genuinely depends on `index` (fault
-    /// injection), which disables speculative assessment.
-    fn exact_indexing(&self) -> bool {
-        false
-    }
-}
-
-/// Drives a [`SharedBoundingProblem`] through the serial [`BoundingProblem`]
-/// interface, counting assessments to supply serial indices. The 1-thread
-/// code path of [`solve_parallel`] — no pool, no atomics, no queues.
-struct SerialAdapter<'a, P: SharedBoundingProblem> {
-    problem: &'a P,
-    next_index: usize,
-}
-
-impl<P: SharedBoundingProblem> BoundingProblem for SerialAdapter<'_, P> {
-    fn assess(&mut self, node: &BoxNode) -> NodeAssessment {
-        let index = self.next_index;
-        self.next_index += 1;
-        self.problem.assess_node(node, index)
-    }
-    fn is_terminal(&self, node: &BoxNode) -> bool {
-        self.problem.is_terminal(node)
-    }
-    fn branch(&self, node: &BoxNode) -> Option<(usize, f64)> {
-        self.problem.branch(node)
-    }
-}
 
 /// Best-known incumbent cost shared across threads as the f64 bit pattern
 /// in an `AtomicU64`, updated by a compare-and-swap minimum loop.
@@ -124,30 +58,23 @@ impl<P: SharedBoundingProblem> BoundingProblem for SerialAdapter<'_, P> {
 /// speculative tasks that are already dominated. It never feeds back into
 /// search decisions, which is why publication latency (or a lost race) is
 /// harmless. NaN costs are never published; the initial value is `+∞`.
-pub struct AtomicIncumbent(AtomicU64);
-
-impl Default for AtomicIncumbent {
-    fn default() -> Self {
-        AtomicIncumbent::new()
-    }
-}
+pub(crate) struct AtomicIncumbent(AtomicU64);
 
 impl AtomicIncumbent {
     /// A fresh incumbent at `+∞` (nothing found yet).
-    #[must_use]
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         AtomicIncumbent(AtomicU64::new(f64::INFINITY.to_bits()))
     }
 
     /// Current best cost (`+∞` when nothing has been published).
-    pub fn get(&self) -> f64 {
+    pub(crate) fn get(&self) -> f64 {
         f64::from_bits(self.0.load(Ordering::Acquire))
     }
 
     /// Publishes `cost` if it strictly improves on the stored value;
     /// returns whether it did. NaN is ignored. Safe to race: the CAS loop
     /// guarantees the stored value only ever decreases.
-    pub fn record(&self, cost: f64) -> bool {
+    pub(crate) fn record(&self, cost: f64) -> bool {
         if cost.is_nan() {
             return false;
         }
@@ -249,7 +176,7 @@ impl Pool {
 
 /// Worker thread body: drain demand first, then speculation (with the
 /// incumbent skip filter), park when both queues are empty.
-fn worker_loop<P: SharedBoundingProblem>(pool: &Pool, problem: &P, worker_id: usize) {
+fn worker_loop<P: BoundingProblem>(pool: &Pool, problem: &P, worker_id: usize) {
     let mut span = obs::Span::enter("bnb.worker");
     let mut demand_done = 0u64;
     let mut spec_done = 0u64;
@@ -285,7 +212,7 @@ fn worker_loop<P: SharedBoundingProblem>(pool: &Pool, problem: &P, worker_id: us
         guard.in_flight.insert(task.key.clone());
         drop(guard);
 
-        let assessment = problem.assess_node(&task.node, task.index);
+        let assessment = problem.assess(&task.node, task.index);
         if task.demand {
             demand_done += 1;
         } else {
@@ -303,7 +230,7 @@ fn worker_loop<P: SharedBoundingProblem>(pool: &Pool, problem: &P, worker_id: us
 /// the pool's `done` cache, steals queued tasks to compute inline, helps
 /// drain the demand queue while waiting, and refills speculation from the
 /// frontier after every expansion.
-struct ParallelSource<'a, P: SharedBoundingProblem> {
+pub(crate) struct ParallelSource<'a, P: BoundingProblem> {
     problem: &'a P,
     pool: &'a Pool,
     /// Serial position of the next `assess_next` call (root = 0).
@@ -316,7 +243,7 @@ struct ParallelSource<'a, P: SharedBoundingProblem> {
     spec_seen: HashSet<NodeKey>,
 }
 
-impl<P: SharedBoundingProblem> AssessmentSource for ParallelSource<'_, P> {
+impl<P: BoundingProblem> AssessmentSource for ParallelSource<'_, P> {
     fn assess_next(&mut self, node: &BoxNode) -> (NodeAssessment, Option<usize>) {
         let index = self.next_index;
         self.next_index += 1;
@@ -333,12 +260,12 @@ impl<P: SharedBoundingProblem> AssessmentSource for ParallelSource<'_, P> {
             if let Some(pos) = guard.demand.iter().position(|t| t.key == key) {
                 let task = guard.demand.remove(pos).expect("position just found");
                 drop(guard);
-                return (self.problem.assess_node(&task.node, task.index), None);
+                return (self.problem.assess(&task.node, task.index), None);
             }
             if let Some(pos) = guard.spec.iter().position(|t| t.key == key) {
                 guard.spec.remove(pos);
                 drop(guard);
-                return (self.problem.assess_node(node, index), None);
+                return (self.problem.assess(node, index), None);
             }
             if guard.in_flight.contains(&key) {
                 // A worker is computing it. Help with other demand work
@@ -346,7 +273,7 @@ impl<P: SharedBoundingProblem> AssessmentSource for ParallelSource<'_, P> {
                 if let Some(task) = guard.demand.pop_front() {
                     guard.in_flight.insert(task.key.clone());
                     drop(guard);
-                    let assessment = self.problem.assess_node(&task.node, task.index);
+                    let assessment = self.problem.assess(&task.node, task.index);
                     guard = self.pool.state.lock().expect("pool lock poisoned");
                     guard.in_flight.remove(&task.key);
                     guard.done.insert(task.key, (assessment, None));
@@ -358,7 +285,7 @@ impl<P: SharedBoundingProblem> AssessmentSource for ParallelSource<'_, P> {
             }
             // Nobody has it queued, claimed or finished: compute it here.
             drop(guard);
-            return (self.problem.assess_node(node, index), None);
+            return (self.problem.assess(node, index), None);
         }
     }
 
@@ -471,51 +398,19 @@ impl<P: SharedBoundingProblem> AssessmentSource for ParallelSource<'_, P> {
     }
 }
 
-/// Multi-threaded [`crate::solve`]: identical results, `threads`-way
-/// parallel assessment.
-///
-/// `threads` counts the coordinator: `threads = 4` runs the decision loop
-/// plus three assessment workers, with the coordinator also assessing
-/// whenever it would otherwise wait. `threads <= 1` runs the exact serial
-/// code path (no pool, no atomics).
-pub fn solve_parallel<P: SharedBoundingProblem>(
+/// Runs `search` as the coordinator of a pool of `threads − 1` assessment
+/// workers, handing it the pool's [`AssessmentSource`]. `next_index` is
+/// the serial index of the first assessment `search` asks for (the resume
+/// index of a checkpointed search). The workers are joined before this
+/// returns.
+pub(crate) fn with_pool<P: BoundingProblem>(
     problem: &P,
-    root: BoxNode,
-    config: &BnbConfig,
     threads: usize,
+    next_index: usize,
+    absolute_gap: f64,
+    search: impl FnOnce(&mut ParallelSource<'_, P>) -> BnbOutcome,
 ) -> BnbOutcome {
-    solve_parallel_with_incumbent(problem, root, config, None, threads)
-}
-
-/// Like [`solve_parallel`], but seeded with an externally-found incumbent —
-/// the parallel counterpart of [`crate::solve_with_incumbent`].
-///
-/// # Guarantees
-///
-/// For any `threads`, the outcome (incumbent vector and cost, certified
-/// flag, lower bound, statistics including [`crate::DegradationStats`]) is
-/// bit-identical to the serial search. Only wall-clock time and the
-/// *attribution* of trace events (`worker` fields, `bnb.worker` spans)
-/// differ.
-pub fn solve_parallel_with_incumbent<P: SharedBoundingProblem>(
-    problem: &P,
-    root: BoxNode,
-    config: &BnbConfig,
-    seed: Option<(Vec<f64>, f64)>,
-    threads: usize,
-) -> BnbOutcome {
-    let threads = threads.max(1);
-    if threads == 1 {
-        let mut adapter = SerialAdapter {
-            problem,
-            next_index: 0,
-        };
-        return crate::search::solve_with_incumbent(&mut adapter, root, config, seed);
-    }
-
-    let pool = Pool::new(config.absolute_gap);
-    let spec_enabled = !problem.exact_indexing();
-    let mut outcome = None;
+    let pool = Pool::new(absolute_gap);
     std::thread::scope(|scope| {
         for worker_id in 0..threads - 1 {
             let pool = &pool;
@@ -524,129 +419,31 @@ pub fn solve_parallel_with_incumbent<P: SharedBoundingProblem>(
         let mut source = ParallelSource {
             problem,
             pool: &pool,
-            next_index: 0,
-            spec_enabled,
+            next_index,
+            spec_enabled: !problem.exact_indexing(),
             spec_width: 2 * threads,
             spec_seen: HashSet::new(),
         };
-        let result = run_search(&mut source, root, config, seed);
+        let outcome = search(&mut source);
         pool.state.lock().expect("pool lock poisoned").shutdown = true;
         pool.work_ready.notify_all();
-        outcome = Some(result);
-    });
-    outcome.expect("coordinator ran to completion")
-}
-
-/// Crash-safe [`solve_parallel_with_incumbent`]: periodically snapshots the
-/// search per `policy`, resumes from a valid snapshot at `policy.path` when
-/// one exists, and honors the policy's cooperative interrupt flag.
-///
-/// # Guarantees
-///
-/// Resuming from *any* snapshot this function wrote — after a crash, a
-/// `SIGKILL`, or a cooperative interrupt — and running to completion yields
-/// a [`BnbOutcome`] bit-identical (incumbent vector and cost bits, bound
-/// bits, certificate, all statistics) to the uninterrupted run, for every
-/// `threads` value on either side of the interruption. A rejected snapshot
-/// (newer version, bad checksum, foreign fingerprint) degrades to a clean
-/// cold start with a `resume.cold_start` event — never a panic, and a cold
-/// start replays to the identical outcome anyway.
-///
-/// On non-interrupted completion the snapshot file is removed, so a later
-/// call with the same path starts fresh rather than replaying a finished
-/// search. When the outcome reports `interrupted = true`, the final
-/// flushed snapshot stays on disk for the next call to resume.
-pub fn solve_parallel_checkpointed<P: SharedBoundingProblem>(
-    problem: &P,
-    root: BoxNode,
-    config: &BnbConfig,
-    seed: Option<(Vec<f64>, f64)>,
-    threads: usize,
-    policy: &CheckpointPolicy,
-) -> BnbOutcome {
-    let start = match checkpoint::load_snapshot(&policy.path, policy.fingerprint) {
-        LoadOutcome::Loaded(snapshot) if snapshot.order == config.search_order => {
-            checkpoint::note_resume(&snapshot);
-            SearchStart::Resumed(snapshot)
-        }
-        LoadOutcome::Loaded(_) => {
-            checkpoint::note_cold_start("search-order-mismatch");
-            SearchStart::Root(root)
-        }
-        LoadOutcome::Missing => SearchStart::Root(root),
-        LoadOutcome::Rejected(reason) => {
-            checkpoint::note_cold_start(&reason);
-            SearchStart::Root(root)
-        }
-    };
-    // The serial-index invariant: at every loop boundary the next
-    // assessment index equals `stats.nodes_assessed`, so a resumed source
-    // — serial adapter or parallel pool — picks up exact indexing (fault
-    // plans included) by starting its counter there.
-    let resume_index = match &start {
-        SearchStart::Resumed(s) => s.stats.nodes_assessed,
-        SearchStart::Root(_) => 0,
-    };
-
-    let threads = threads.max(1);
-    let outcome = if threads == 1 {
-        let mut adapter = SerialAdapter {
-            problem,
-            next_index: resume_index,
-        };
-        run_search_from(
-            &mut SerialSource(&mut adapter),
-            start,
-            config,
-            seed,
-            Some(policy),
-        )
-    } else {
-        let pool = Pool::new(config.absolute_gap);
-        let spec_enabled = !problem.exact_indexing();
-        let mut outcome = None;
-        std::thread::scope(|scope| {
-            for worker_id in 0..threads - 1 {
-                let pool = &pool;
-                scope.spawn(move || worker_loop(pool, problem, worker_id));
-            }
-            let mut source = ParallelSource {
-                problem,
-                pool: &pool,
-                next_index: resume_index,
-                spec_enabled,
-                spec_width: 2 * threads,
-                spec_seen: HashSet::new(),
-            };
-            let result = run_search_from(&mut source, start, config, seed, Some(policy));
-            pool.state.lock().expect("pool lock poisoned").shutdown = true;
-            pool.work_ready.notify_all();
-            outcome = Some(result);
-        });
-        outcome.expect("coordinator ran to completion")
-    };
-
-    if !outcome.interrupted {
-        // Finished (certified or budget-exhausted): drop the snapshot so a
-        // later call with this path starts fresh.
-        let _ = std::fs::remove_file(&policy.path);
-    }
-    outcome
+        outcome
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{solve, SearchOrder};
+    use crate::{solve, BnbConfig, SearchOrder};
     use std::time::Duration;
 
-    /// Shared version of the search tests' grid quadratic: minimize
-    /// Σ (xᵢ − cᵢ)² over the integer grid inside a box.
-    struct SharedGridQuadratic {
+    /// The search tests' grid quadratic: minimize Σ (xᵢ − cᵢ)² over the
+    /// integer grid inside a box.
+    struct GridQuadratic {
         target: Vec<f64>,
     }
 
-    impl SharedGridQuadratic {
+    impl GridQuadratic {
         fn round_into(&self, node: &BoxNode) -> Option<Vec<f64>> {
             let mut out = Vec::with_capacity(node.dim());
             for d in 0..node.dim() {
@@ -668,8 +465,8 @@ mod tests {
         }
     }
 
-    impl SharedBoundingProblem for SharedGridQuadratic {
-        fn assess_node(&self, node: &BoxNode, _index: usize) -> NodeAssessment {
+    impl BoundingProblem for GridQuadratic {
+        fn assess(&self, node: &BoxNode, _index: usize) -> NodeAssessment {
             let proj: Vec<f64> = self
                 .target
                 .iter()
@@ -689,17 +486,6 @@ mod tests {
 
         fn is_terminal(&self, node: &BoxNode) -> bool {
             node.max_width() <= 1.0
-        }
-    }
-
-    /// The serial `BoundingProblem` twin, for baseline outcomes.
-    struct SerialGrid(SharedGridQuadratic);
-    impl BoundingProblem for SerialGrid {
-        fn assess(&mut self, node: &BoxNode) -> NodeAssessment {
-            self.0.assess_node(node, 0)
-        }
-        fn is_terminal(&self, node: &BoxNode) -> bool {
-            self.0.is_terminal(node)
         }
     }
 
@@ -727,13 +513,12 @@ mod tests {
     #[test]
     fn parallel_matches_serial_bit_for_bit() {
         for threads in [1usize, 2, 3, 4] {
-            let p = SharedGridQuadratic {
+            let p = GridQuadratic {
                 target: vec![2.7, -1.4],
             };
             let root = BoxNode::new(vec![-16.0; 2], vec![16.0; 2]).unwrap();
-            let par = solve_parallel(&p, root.clone(), &BnbConfig::default(), threads);
-            let mut serial = SerialGrid(p);
-            let ser = solve(&mut serial, root, &BnbConfig::default());
+            let par = solve(&p, root.clone(), &BnbConfig::default(), None, threads, None);
+            let ser = solve(&p, root, &BnbConfig::default(), None, 1, None);
             assert_outcomes_identical(&par, &ser);
         }
     }
@@ -745,13 +530,12 @@ mod tests {
             max_nodes: 17,
             ..BnbConfig::default()
         };
-        let p = SharedGridQuadratic {
+        let p = GridQuadratic {
             target: vec![0.3; 4],
         };
         let root = BoxNode::new(vec![-50.0; 4], vec![50.0; 4]).unwrap();
-        let par = solve_parallel(&p, root.clone(), &cfg, 4);
-        let mut serial = SerialGrid(p);
-        let ser = solve(&mut serial, root, &cfg);
+        let par = solve(&p, root.clone(), &cfg, None, 4, None);
+        let ser = solve(&p, root, &cfg, None, 1, None);
         assert_outcomes_identical(&par, &ser);
         assert!(!par.certified);
     }
@@ -762,35 +546,39 @@ mod tests {
             search_order: SearchOrder::DepthFirst,
             ..BnbConfig::default()
         };
-        let p = SharedGridQuadratic {
+        let p = GridQuadratic {
             target: vec![5.2, -7.9],
         };
         let root = BoxNode::new(vec![-16.0; 2], vec![16.0; 2]).unwrap();
-        let par = solve_parallel(&p, root.clone(), &cfg, 3);
-        let mut serial = SerialGrid(p);
-        let ser = solve(&mut serial, root, &cfg);
+        let par = solve(&p, root.clone(), &cfg, None, 3, None);
+        let ser = solve(&p, root, &cfg, None, 1, None);
         assert_outcomes_identical(&par, &ser);
     }
 
     #[test]
     fn parallel_with_seed_matches_serial_with_seed() {
         let seed = Some((vec![3.0, -1.0], 0.25f64));
-        let p = SharedGridQuadratic {
+        let p = GridQuadratic {
             target: vec![2.7, -1.4],
         };
         let root = BoxNode::new(vec![-16.0; 2], vec![16.0; 2]).unwrap();
-        let par =
-            solve_parallel_with_incumbent(&p, root.clone(), &BnbConfig::default(), seed.clone(), 4);
-        let mut serial = SerialGrid(p);
-        let ser = crate::solve_with_incumbent(&mut serial, root, &BnbConfig::default(), seed);
+        let par = solve(
+            &p,
+            root.clone(),
+            &BnbConfig::default(),
+            seed.clone(),
+            4,
+            None,
+        );
+        let ser = solve(&p, root, &BnbConfig::default(), seed, 1, None);
         assert_outcomes_identical(&par, &ser);
     }
 
     #[test]
     fn zero_threads_clamps_to_one() {
-        let p = SharedGridQuadratic { target: vec![2.7] };
+        let p = GridQuadratic { target: vec![2.7] };
         let root = BoxNode::new(vec![-10.0], vec![10.0]).unwrap();
-        let out = solve_parallel(&p, root, &BnbConfig::default(), 0);
+        let out = solve(&p, root, &BnbConfig::default(), None, 0, None);
         let (x, _) = out.incumbent.unwrap();
         assert_eq!(x, vec![3.0]);
         assert!(out.certified);
@@ -799,8 +587,8 @@ mod tests {
     #[test]
     fn infeasible_root_parallel() {
         struct AlwaysInfeasible;
-        impl SharedBoundingProblem for AlwaysInfeasible {
-            fn assess_node(&self, _node: &BoxNode, _index: usize) -> NodeAssessment {
+        impl BoundingProblem for AlwaysInfeasible {
+            fn assess(&self, _node: &BoxNode, _index: usize) -> NodeAssessment {
                 NodeAssessment::infeasible()
             }
             fn is_terminal(&self, _node: &BoxNode) -> bool {
@@ -808,7 +596,14 @@ mod tests {
             }
         }
         let root = BoxNode::new(vec![0.0], vec![1.0]).unwrap();
-        let out = solve_parallel(&AlwaysInfeasible, root, &BnbConfig::default(), 4);
+        let out = solve(
+            &AlwaysInfeasible,
+            root,
+            &BnbConfig::default(),
+            None,
+            4,
+            None,
+        );
         assert!(out.incumbent.is_none());
         assert!(out.certified);
         assert_eq!(out.stats.pruned_infeasible, 1);
@@ -820,11 +615,11 @@ mod tests {
             time_budget: Some(Duration::ZERO),
             ..BnbConfig::default()
         };
-        let p = SharedGridQuadratic {
+        let p = GridQuadratic {
             target: vec![0.5; 4],
         };
         let root = BoxNode::new(vec![-1000.0; 4], vec![1000.0; 4]).unwrap();
-        let out = solve_parallel(&p, root, &cfg, 4);
+        let out = solve(&p, root, &cfg, None, 4, None);
         assert!(!out.certified);
         assert!(out.incumbent.is_some());
     }

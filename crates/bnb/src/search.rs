@@ -1,5 +1,5 @@
-use crate::checkpoint::{CheckpointDriver, CheckpointPolicy, FrontierEntry, SearchSnapshot};
-use crate::BoxNode;
+use crate::checkpoint::{self, CheckpointDriver, CheckpointPolicy, FrontierEntry, SearchSnapshot};
+use crate::{parallel, BoxNode};
 use ldafp_obs as obs;
 use std::cmp::Ordering;
 use std::collections::{BTreeMap, BinaryHeap};
@@ -146,10 +146,24 @@ impl NodeAssessment {
 /// The problem-specific half of branch-and-bound: bounds, branching and
 /// termination. `ldafp-core` implements this with the paper's SOCP
 /// relaxation; the tests here implement it with toy convex problems.
-pub trait BoundingProblem {
+///
+/// # Contract
+///
+/// Assessments take `&self` because pool workers call them concurrently
+/// (see `crate::parallel`). `assess` must be a pure function of
+/// `(node, index)`: two calls with the same arguments return bit-identical
+/// assessments whatever the thread or call order. When the result does
+/// not depend on `index` (the common case), leave [`Self::exact_indexing`]
+/// at `false` and the search may assess boxes speculatively; when it does
+/// (fault injection), return `true` and every assessment gets its true
+/// serial index.
+pub trait BoundingProblem: Sync {
     /// Assesses a box: lower bound (eq. 25–26) and, optionally, a rounded
-    /// feasible candidate with its exact discrete cost (eq. 27).
-    fn assess(&mut self, node: &BoxNode) -> NodeAssessment;
+    /// feasible candidate with its exact discrete cost (eq. 27). `index`
+    /// is the position this assessment holds in the serial decision order
+    /// (root = 0) when [`Self::exact_indexing`] is `true`; otherwise it is
+    /// advisory and must not affect the result.
+    fn assess(&self, node: &BoxNode, index: usize) -> NodeAssessment;
 
     /// Whether the box is small enough to stop splitting (Algorithm 1
     /// step 6). Terminal boxes are resolved by their candidate alone.
@@ -168,6 +182,12 @@ pub trait BoundingProblem {
         } else {
             None
         }
+    }
+
+    /// `true` when `assess` genuinely depends on `index` (fault
+    /// injection), which disables speculative assessment.
+    fn exact_indexing(&self) -> bool {
+        false
     }
 }
 
@@ -403,24 +423,81 @@ fn publish_outcome(outcome: BnbOutcome) -> BnbOutcome {
 ///
 /// Budget exhaustion (`max_nodes`, `time_budget`) returns the best incumbent
 /// with `certified = false` — the solver is *anytime*.
-pub fn solve<P: BoundingProblem>(problem: &mut P, root: BoxNode, config: &BnbConfig) -> BnbOutcome {
-    solve_with_incumbent(problem, root, config, None)
-}
-
-/// Like [`solve`], but seeded with an externally-found incumbent (point and
-/// exact cost). Heuristic warm starts — the paper's undisclosed "additional
-/// heuristics" slot — can prune most of the tree before it is built.
 ///
-/// The seed point lives in the *candidate* space (whatever the problem's
+/// `seed` is an externally-found incumbent (point and exact cost).
+/// Heuristic warm starts — the paper's undisclosed "additional heuristics"
+/// slot — can prune most of the tree before it is built. The seed point
+/// lives in the *candidate* space (whatever the problem's
 /// [`NodeAssessment::candidate`] vectors mean); the framework never
 /// interprets it geometrically.
-pub fn solve_with_incumbent<P: BoundingProblem>(
-    problem: &mut P,
+///
+/// `threads` counts the calling thread: `threads = 4` runs the decision
+/// loop plus three assessment workers, with the caller also assessing
+/// whenever it would otherwise wait. `threads <= 1` assesses every box
+/// inline on the calling thread (no pool, no atomics, no threads).
+///
+/// With a `checkpoint` policy the search snapshots itself per the policy,
+/// resumes from a valid snapshot at `policy.path` when one exists, and
+/// honors the policy's cooperative interrupt flag. A rejected snapshot
+/// (newer version, bad checksum, foreign fingerprint) degrades to a clean
+/// cold start with a `resume.cold_start` event, never a panic. On
+/// non-interrupted completion the snapshot file is removed, so a later
+/// call with the same path starts fresh; when the outcome reports
+/// `interrupted = true`, the final flushed snapshot stays on disk for the
+/// next call to resume.
+///
+/// # Guarantees
+///
+/// For any `threads`, with or without a checkpoint, and after resuming
+/// from *any* snapshot this function wrote (with any thread count on
+/// either side of the interruption), the outcome — incumbent vector and
+/// cost bits, bound bits, certificate, all statistics including
+/// [`DegradationStats`] — is bit-identical to the uninterrupted 1-thread
+/// search. Only wall-clock time and the *attribution* of trace events
+/// (`worker` fields, `bnb.worker` spans) differ.
+pub fn solve<P: BoundingProblem>(
+    problem: &P,
     root: BoxNode,
     config: &BnbConfig,
     seed: Option<(Vec<f64>, f64)>,
+    threads: usize,
+    checkpoint: Option<&CheckpointPolicy>,
 ) -> BnbOutcome {
-    run_search(&mut SerialSource(problem), root, config, seed)
+    let start = match checkpoint {
+        Some(policy) => checkpoint::resume_or_cold_start(policy, config.search_order, root),
+        None => SearchStart::Root(root),
+    };
+    // The serial-index invariant: at every loop boundary the next
+    // assessment index equals `stats.nodes_assessed`, so a resumed source
+    // keeps exact indexing (fault plans included) by starting its counter
+    // there.
+    let next_index = match &start {
+        SearchStart::Resumed(s) => s.stats.nodes_assessed,
+        SearchStart::Root(_) => 0,
+    };
+    let outcome = if threads <= 1 {
+        let mut source = SerialSource {
+            problem,
+            next_index,
+        };
+        run_search(&mut source, start, config, seed, checkpoint)
+    } else {
+        parallel::with_pool(
+            problem,
+            threads,
+            next_index,
+            config.absolute_gap,
+            |source| run_search(source, start, config, seed, checkpoint),
+        )
+    };
+    if let Some(policy) = checkpoint {
+        if !outcome.interrupted {
+            // Finished (certified or budget-exhausted): drop the snapshot so
+            // a later call with this path starts fresh.
+            let _ = std::fs::remove_file(&policy.path);
+        }
+    }
+    outcome
 }
 
 /// Where the search obtains node assessments.
@@ -460,18 +537,25 @@ pub(crate) trait AssessmentSource {
 }
 
 /// The serial assessment source: compute every assessment inline, in the
-/// decision loop's own thread. This is the exact historical code path.
-pub(crate) struct SerialSource<'a, P: BoundingProblem>(pub(crate) &'a mut P);
+/// decision loop's own thread, numbering them in serial order from
+/// `next_index` (0 on a cold start, the snapshot's `nodes_assessed` on a
+/// resume).
+struct SerialSource<'a, P: BoundingProblem> {
+    problem: &'a P,
+    next_index: usize,
+}
 
 impl<P: BoundingProblem> AssessmentSource for SerialSource<'_, P> {
     fn assess_next(&mut self, node: &BoxNode) -> (NodeAssessment, Option<usize>) {
-        (self.0.assess(node), None)
+        let index = self.next_index;
+        self.next_index += 1;
+        (self.problem.assess(node, index), None)
     }
     fn is_terminal(&self, node: &BoxNode) -> bool {
-        self.0.is_terminal(node)
+        self.problem.is_terminal(node)
     }
     fn branch(&self, node: &BoxNode) -> Option<(usize, f64)> {
-        self.0.branch(node)
+        self.problem.branch(node)
     }
 }
 
@@ -527,22 +611,11 @@ fn snapshot_state(
 ///
 /// Every statement that touches `heap`, `stats` or `incumbent` is identical
 /// for all sources; a source only changes *where* assessments are computed,
-/// never *what* the loop does with them.
+/// never *what* the loop does with them. Checkpoints (and the cooperative
+/// interrupt check) happen only at loop boundaries — between expansions —
+/// which is exactly where the deterministic-replay state is consistent for
+/// serial and parallel sources alike.
 pub(crate) fn run_search<S: AssessmentSource>(
-    source: &mut S,
-    root: BoxNode,
-    config: &BnbConfig,
-    seed: Option<(Vec<f64>, f64)>,
-) -> BnbOutcome {
-    run_search_from(source, SearchStart::Root(root), config, seed, None)
-}
-
-/// [`run_search`] with an explicit start state and an optional checkpoint
-/// policy. Checkpoints (and the cooperative interrupt check) happen only
-/// at loop boundaries — between expansions — which is exactly where the
-/// deterministic-replay state is consistent for serial and parallel
-/// sources alike.
-pub(crate) fn run_search_from<S: AssessmentSource>(
     source: &mut S,
     start_state: SearchStart,
     config: &BnbConfig,
@@ -920,7 +993,7 @@ mod tests {
     }
 
     impl BoundingProblem for GridQuadratic {
-        fn assess(&mut self, node: &BoxNode) -> NodeAssessment {
+        fn assess(&self, node: &BoxNode, _index: usize) -> NodeAssessment {
             // Convex lower bound: distance from target to the box.
             let proj: Vec<f64> = self
                 .target
@@ -947,9 +1020,9 @@ mod tests {
 
     #[test]
     fn finds_global_optimum_1d() {
-        let mut p = GridQuadratic { target: vec![2.7] };
+        let p = GridQuadratic { target: vec![2.7] };
         let root = BoxNode::new(vec![-10.0], vec![10.0]).unwrap();
-        let out = solve(&mut p, root, &BnbConfig::default());
+        let out = solve(&p, root, &BnbConfig::default(), None, 1, None);
         let (x, cost) = out.incumbent.unwrap();
         assert_eq!(x, vec![3.0]);
         assert!((cost - 0.09).abs() < 1e-12);
@@ -958,11 +1031,11 @@ mod tests {
 
     #[test]
     fn finds_global_optimum_3d() {
-        let mut p = GridQuadratic {
+        let p = GridQuadratic {
             target: vec![1.2, -3.8, 0.49],
         };
         let root = BoxNode::new(vec![-8.0; 3], vec![8.0; 3]).unwrap();
-        let out = solve(&mut p, root, &BnbConfig::default());
+        let out = solve(&p, root, &BnbConfig::default(), None, 1, None);
         let (x, _) = out.incumbent.unwrap();
         assert_eq!(x, vec![1.0, -4.0, 0.0]);
         assert!(out.certified);
@@ -970,18 +1043,18 @@ mod tests {
 
     #[test]
     fn incumbent_cost_never_below_final_lower_bound() {
-        let mut p = GridQuadratic {
+        let p = GridQuadratic {
             target: vec![0.3, 0.7],
         };
         let root = BoxNode::new(vec![-4.0; 2], vec![4.0; 2]).unwrap();
-        let out = solve(&mut p, root, &BnbConfig::default());
+        let out = solve(&p, root, &BnbConfig::default(), None, 1, None);
         let (_, cost) = out.incumbent.unwrap();
         assert!(out.best_lower_bound <= cost + 1e-12);
     }
 
     #[test]
     fn node_budget_returns_uncertified() {
-        let mut p = GridQuadratic {
+        let p = GridQuadratic {
             target: vec![0.3; 6],
         };
         let root = BoxNode::new(vec![-100.0; 6], vec![100.0; 6]).unwrap();
@@ -989,7 +1062,7 @@ mod tests {
             max_nodes: 3,
             ..BnbConfig::default()
         };
-        let out = solve(&mut p, root, &cfg);
+        let out = solve(&p, root, &cfg, None, 1, None);
         assert!(!out.certified);
         // Anytime behavior: an incumbent is still returned.
         assert!(out.incumbent.is_some());
@@ -997,7 +1070,7 @@ mod tests {
 
     #[test]
     fn time_budget_respected() {
-        let mut p = GridQuadratic {
+        let p = GridQuadratic {
             target: vec![0.5; 4],
         };
         let root = BoxNode::new(vec![-1000.0; 4], vec![1000.0; 4]).unwrap();
@@ -1005,14 +1078,14 @@ mod tests {
             time_budget: Some(Duration::ZERO),
             ..BnbConfig::default()
         };
-        let out = solve(&mut p, root, &cfg);
+        let out = solve(&p, root, &cfg, None, 1, None);
         assert!(!out.certified);
     }
 
     /// A problem whose every box is infeasible.
     struct Infeasible;
     impl BoundingProblem for Infeasible {
-        fn assess(&mut self, _node: &BoxNode) -> NodeAssessment {
+        fn assess(&self, _node: &BoxNode, _index: usize) -> NodeAssessment {
             NodeAssessment::infeasible()
         }
         fn is_terminal(&self, _node: &BoxNode) -> bool {
@@ -1023,7 +1096,7 @@ mod tests {
     #[test]
     fn infeasible_root_certified_empty() {
         let root = BoxNode::new(vec![0.0], vec![1.0]).unwrap();
-        let out = solve(&mut Infeasible, root, &BnbConfig::default());
+        let out = solve(&Infeasible, root, &BnbConfig::default(), None, 1, None);
         assert!(out.incumbent.is_none());
         assert!(out.certified);
         assert_eq!(out.best_lower_bound, f64::INFINITY);
@@ -1032,11 +1105,11 @@ mod tests {
 
     #[test]
     fn stats_are_populated() {
-        let mut p = GridQuadratic {
+        let p = GridQuadratic {
             target: vec![2.7, -1.1],
         };
         let root = BoxNode::new(vec![-16.0; 2], vec![16.0; 2]).unwrap();
-        let out = solve(&mut p, root, &BnbConfig::default());
+        let out = solve(&p, root, &BnbConfig::default(), None, 1, None);
         assert!(out.stats.nodes_assessed > 1);
         assert!(out.stats.incumbent_updates >= 1);
         assert!(out.stats.max_depth >= 1);
@@ -1046,11 +1119,11 @@ mod tests {
     fn pruning_reduces_explored_nodes_vs_exhaustive() {
         // 2-D grid of 33x33 integer points: exhaustive would assess ~1089
         // leaf boxes; pruning should resolve far fewer nodes.
-        let mut p = GridQuadratic {
+        let p = GridQuadratic {
             target: vec![5.2, -7.9],
         };
         let root = BoxNode::new(vec![-16.0; 2], vec![16.0; 2]).unwrap();
-        let out = solve(&mut p, root, &BnbConfig::default());
+        let out = solve(&p, root, &BnbConfig::default(), None, 1, None);
         assert!(out.certified);
         assert!(
             out.stats.nodes_assessed < 200,
@@ -1061,7 +1134,7 @@ mod tests {
 
     #[test]
     fn depth_first_finds_optimum_too() {
-        let mut p = GridQuadratic {
+        let p = GridQuadratic {
             target: vec![2.7, -1.4],
         };
         let root = BoxNode::new(vec![-16.0; 2], vec![16.0; 2]).unwrap();
@@ -1069,7 +1142,7 @@ mod tests {
             search_order: SearchOrder::DepthFirst,
             ..BnbConfig::default()
         };
-        let out = solve(&mut p, root, &cfg);
+        let out = solve(&p, root, &cfg, None, 1, None);
         assert!(out.certified);
         let (x, _) = out.incumbent.unwrap();
         assert_eq!(x, vec![3.0, -1.0]);
@@ -1084,20 +1157,20 @@ mod tests {
             max_nodes: 40,
             ..BnbConfig::default()
         };
-        let mut p1 = GridQuadratic {
+        let p = GridQuadratic {
             target: vec![101.3, -77.8],
         };
-        let best = solve(&mut p1, root.clone(), &budget);
-        let mut p2 = GridQuadratic {
-            target: vec![101.3, -77.8],
-        };
+        let best = solve(&p, root.clone(), &budget, None, 1, None);
         let dfs = solve(
-            &mut p2,
+            &p,
             root,
             &BnbConfig {
                 search_order: SearchOrder::DepthFirst,
                 ..budget
             },
+            None,
+            1,
+            None,
         );
         assert!(
             dfs.stats.max_depth >= best.stats.max_depth,
@@ -1109,7 +1182,7 @@ mod tests {
 
     #[test]
     fn relative_gap_terminates_early() {
-        let mut p = GridQuadratic {
+        let p = GridQuadratic {
             target: vec![2.5001],
         };
         let root = BoxNode::new(vec![-1000.0], vec![1000.0]).unwrap();
@@ -1117,7 +1190,7 @@ mod tests {
             relative_gap: 0.5,
             ..BnbConfig::default()
         };
-        let out = solve(&mut p, root, &cfg);
+        let out = solve(&p, root, &cfg, None, 1, None);
         assert!(out.certified);
         let (_, cost) = out.incumbent.unwrap();
         // Accepts either integer neighbour of 2.5001 under the loose gap.

@@ -13,8 +13,8 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use ldafp_bnb::{
-    snapshot_fingerprint, solve_parallel, solve_parallel_checkpointed, BnbConfig, BnbOutcome,
-    BoxNode, CheckpointPolicy, NodeAssessment, SharedBoundingProblem,
+    snapshot_fingerprint, solve, BnbConfig, BnbOutcome, BoundingProblem, BoxNode, CheckpointPolicy,
+    NodeAssessment,
 };
 use ldafp_stats::Rng;
 
@@ -63,8 +63,8 @@ impl GridQuadratic {
     }
 }
 
-impl SharedBoundingProblem for GridQuadratic {
-    fn assess_node(&self, node: &BoxNode, _index: usize) -> NodeAssessment {
+impl BoundingProblem for GridQuadratic {
+    fn assess(&self, node: &BoxNode, _index: usize) -> NodeAssessment {
         self.assess_box(node)
     }
 
@@ -82,13 +82,13 @@ struct InterruptAfter {
     flag: Arc<AtomicBool>,
 }
 
-impl SharedBoundingProblem for InterruptAfter {
-    fn assess_node(&self, node: &BoxNode, index: usize) -> NodeAssessment {
+impl BoundingProblem for InterruptAfter {
+    fn assess(&self, node: &BoxNode, index: usize) -> NodeAssessment {
         let n = self.calls.fetch_add(1, Ordering::SeqCst) + 1;
         if n >= self.limit {
             self.flag.store(true, Ordering::SeqCst);
         }
-        self.inner.assess_node(node, index)
+        self.inner.assess(node, index)
     }
 
     fn is_terminal(&self, node: &BoxNode) -> bool {
@@ -158,7 +158,14 @@ fn resume_is_bit_identical_across_interrupts_and_threads() {
         let mut rng = Rng::new(0xC0FFEE ^ case);
         let (problem, root, config) = random_problem(&mut rng);
         let baseline_threads = 1 + rng.below(3);
-        let baseline = solve_parallel(&problem, root.clone(), &config, baseline_threads);
+        let baseline = solve(
+            &problem,
+            root.clone(),
+            &config,
+            None,
+            baseline_threads,
+            None,
+        );
         let total_nodes = baseline.stats.nodes_assessed.max(1);
 
         let path = scratch_path("prop");
@@ -186,13 +193,13 @@ fn resume_is_bit_identical_across_interrupts_and_threads() {
                 policy = policy.with_interrupt(flag.clone());
             }
             let threads = 1 + rng.below(3);
-            let outcome = solve_parallel_checkpointed(
+            let outcome = solve(
                 &wrapped,
                 root.clone(),
                 &config,
                 None,
                 threads,
-                &policy,
+                Some(&policy),
             );
             if last {
                 finished = Some(outcome);
@@ -226,12 +233,12 @@ fn resume_is_bit_identical_across_interrupts_and_threads() {
 fn corrupt_or_foreign_snapshots_cold_start_identically() {
     let mut rng = Rng::new(0xBAD5EED);
     let (problem, root, config) = random_problem(&mut rng);
-    let baseline = solve_parallel(&problem, root.clone(), &config, 2);
+    let baseline = solve(&problem, root.clone(), &config, None, 2, None);
     let fingerprint = snapshot_fingerprint(b"cold-start-case");
 
     let run = |path: &PathBuf| {
         let policy = CheckpointPolicy::every_nodes(path.clone(), 4, fingerprint);
-        solve_parallel_checkpointed(&problem, root.clone(), &config, None, 2, &policy)
+        solve(&problem, root.clone(), &config, None, 2, Some(&policy))
     };
 
     // Garbage bytes in place of a snapshot.
@@ -249,8 +256,7 @@ fn corrupt_or_foreign_snapshots_cold_start_identically() {
         flag: flag.clone(),
     };
     let policy = CheckpointPolicy::every_nodes(path2.clone(), 1, fingerprint).with_interrupt(flag);
-    let interrupted =
-        solve_parallel_checkpointed(&wrapped, root.clone(), &config, None, 1, &policy);
+    let interrupted = solve(&wrapped, root.clone(), &config, None, 1, Some(&policy));
     assert!(
         interrupted.interrupted,
         "setup: expected an interrupted run"
@@ -270,8 +276,7 @@ fn corrupt_or_foreign_snapshots_cold_start_identically() {
     };
     let other_fp = snapshot_fingerprint(b"some-other-problem");
     let policy = CheckpointPolicy::every_nodes(path3.clone(), 1, other_fp).with_interrupt(flag);
-    let interrupted =
-        solve_parallel_checkpointed(&wrapped, root.clone(), &config, None, 1, &policy);
+    let interrupted = solve(&wrapped, root.clone(), &config, None, 1, Some(&policy));
     assert!(
         interrupted.interrupted,
         "setup: expected an interrupted run"
@@ -290,7 +295,7 @@ fn snapshots_are_portable_across_thread_counts() {
     for (a, b) in [(1usize, 3usize), (3, 1), (2, 2)] {
         let mut rng = Rng::new(0x5EED ^ ((a as u64) << 8) ^ b as u64);
         let (problem, root, config) = random_problem(&mut rng);
-        let baseline = solve_parallel(&problem, root.clone(), &config, 1);
+        let baseline = solve(&problem, root.clone(), &config, None, 1, None);
         let total = baseline.stats.nodes_assessed.max(2);
 
         let path = scratch_path("portable");
@@ -304,15 +309,70 @@ fn snapshots_are_portable_across_thread_counts() {
         };
         let policy =
             CheckpointPolicy::every_nodes(path.clone(), 2, fingerprint).with_interrupt(flag);
-        let first = solve_parallel_checkpointed(&wrapped, root.clone(), &config, None, a, &policy);
+        let first = solve(&wrapped, root.clone(), &config, None, a, Some(&policy));
 
         let resumed = if first.interrupted {
             let policy = CheckpointPolicy::every_nodes(path.clone(), 2, fingerprint);
-            solve_parallel_checkpointed(&problem, root.clone(), &config, None, b, &policy)
+            solve(&problem, root.clone(), &config, None, b, Some(&policy))
         } else {
             first
         };
         assert_bit_identical(&baseline, &resumed, &format!("threads {a}->{b}"));
         let _ = std::fs::remove_dir_all(path.parent().unwrap());
+    }
+}
+
+/// A seeded incumbent together with a checkpoint policy — the call the
+/// LDA-FP trainer makes — resumes to the seeded uninterrupted solve bit for
+/// bit, on the calling thread and on a pool.
+#[test]
+fn seeded_resume_matches_seeded_solve() {
+    for case in 0..6u64 {
+        let mut rng = Rng::new(0x5EEDED ^ case);
+        let (problem, root, config) = random_problem(&mut rng);
+        let origin = vec![0.0; problem.target.len()];
+        let seed = Some((origin.clone(), problem.cost(&origin)));
+        for threads in [1, 3] {
+            let label = format!("case {case}, {threads} threads");
+            let baseline = solve(&problem, root.clone(), &config, seed.clone(), threads, None);
+
+            let path = scratch_path("seeded");
+            let every = 1 + rng.below(4);
+            let policy =
+                CheckpointPolicy::every_nodes(path.clone(), every, snapshot_fingerprint(b"seeded"));
+            let flag = Arc::new(AtomicBool::new(false));
+            let wrapped = InterruptAfter {
+                inner: problem.clone(),
+                calls: AtomicUsize::new(0),
+                limit: 1 + rng.below(baseline.stats.nodes_assessed.max(1)),
+                flag: flag.clone(),
+            };
+            let interrupting = policy.clone().with_interrupt(flag);
+            let first = solve(
+                &wrapped,
+                root.clone(),
+                &config,
+                seed.clone(),
+                threads,
+                Some(&interrupting),
+            );
+            assert!(first.interrupted, "{label}: expected an interrupted run");
+            assert!(path.exists(), "{label}: interrupted run left no snapshot");
+
+            let resumed = solve(
+                &problem,
+                root.clone(),
+                &config,
+                seed.clone(),
+                threads,
+                Some(&policy),
+            );
+            assert_bit_identical(&baseline, &resumed, &label);
+            assert!(
+                !path.exists(),
+                "{label}: completed solve must remove its snapshot"
+            );
+            let _ = std::fs::remove_dir_all(path.parent().unwrap());
+        }
     }
 }

@@ -5,7 +5,7 @@
 //! Single test function: the obs subscriber is process-global, so the two
 //! phases must run sequentially in one binary.
 
-use ldafp_bnb::{solve_parallel, BnbConfig, BoxNode, NodeAssessment, SharedBoundingProblem};
+use ldafp_bnb::{solve, BnbConfig, BoundingProblem, BoxNode, NodeAssessment};
 use ldafp_obs as obs;
 use std::sync::{Arc, Mutex};
 
@@ -24,8 +24,8 @@ impl obs::Subscriber for Collector {
 
 struct Quad;
 
-impl SharedBoundingProblem for Quad {
-    fn assess_node(&self, node: &BoxNode, _index: usize) -> NodeAssessment {
+impl BoundingProblem for Quad {
+    fn assess(&self, node: &BoxNode, _index: usize) -> NodeAssessment {
         let target = [0.3f64, -1.7, 2.4];
         let proj: Vec<f64> = target
             .iter()
@@ -61,7 +61,7 @@ fn run_and_collect(threads: usize) -> Vec<(String, Vec<String>)> {
     });
     obs::set_subscriber(collector.clone());
     let root = BoxNode::new(vec![-4.0; 3], vec![4.0; 3]).unwrap();
-    let out = solve_parallel(&Quad, root, &BnbConfig::default(), threads);
+    let out = solve(&Quad, root, &BnbConfig::default(), None, threads, None);
     obs::clear_subscriber();
     assert!(out.certified, "tiny quadratic must certify");
     let events = collector.events.lock().unwrap().clone();

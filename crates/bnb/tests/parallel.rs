@@ -1,16 +1,15 @@
 //! Bit-identity of the parallel search: for every thread count, the
 //! certified objective, final weight vector, statistics and anytime
-//! behavior must match the serial search exactly — not approximately.
+//! behavior must match the 1-thread search exactly — not approximately.
 
 use ldafp_bnb::{
-    solve, solve_parallel, solve_parallel_with_incumbent, solve_with_incumbent, BnbConfig,
-    BnbOutcome, BoundingProblem, BoxNode, NodeAssessment, SearchOrder, SharedBoundingProblem,
+    solve, BnbConfig, BnbOutcome, BoundingProblem, BoxNode, NodeAssessment, SearchOrder,
 };
 use ldafp_stats::rng::check;
 use ldafp_stats::Rng;
 
 /// Minimize Σ (xᵢ − cᵢ)² over integer grid points inside the box — the
-/// property-test oracle problem, here in shared (parallel-capable) form.
+/// property-test oracle problem.
 #[derive(Clone)]
 struct GridQuadratic {
     target: Vec<f64>,
@@ -50,23 +49,9 @@ impl GridQuadratic {
     }
 }
 
-impl SharedBoundingProblem for GridQuadratic {
-    fn assess_node(&self, node: &BoxNode, _index: usize) -> NodeAssessment {
+impl BoundingProblem for GridQuadratic {
+    fn assess(&self, node: &BoxNode, _index: usize) -> NodeAssessment {
         self.assess_box(node)
-    }
-
-    fn is_terminal(&self, node: &BoxNode) -> bool {
-        node.max_width() <= 1.0
-    }
-}
-
-/// The same problem through the serial trait, so `solve` itself is the
-/// reference implementation the parallel runs are held to.
-struct SerialGrid(GridQuadratic);
-
-impl BoundingProblem for SerialGrid {
-    fn assess(&mut self, node: &BoxNode) -> NodeAssessment {
-        self.0.assess_box(node)
     }
 
     fn is_terminal(&self, node: &BoxNode) -> bool {
@@ -108,7 +93,7 @@ fn target(rng: &mut Rng, min_len: usize, max_len: usize) -> Vec<f64> {
     (0..len).map(|_| rng.range_f64(-7.5..7.5)).collect()
 }
 
-/// Full-outcome equality of 1/2/3/4-thread searches with `solve`.
+/// Full-outcome equality of 2/3/4-thread searches with the 1-thread one.
 #[test]
 fn every_thread_count_matches_serial() {
     check(
@@ -119,13 +104,9 @@ fn every_thread_count_matches_serial() {
                 target: target.clone(),
             };
             let config = BnbConfig::default();
-            let serial = solve(
-                &mut SerialGrid(p.clone()),
-                root_for(p.target.len()),
-                &config,
-            );
-            for threads in 1..=4 {
-                let out = solve_parallel(&p, root_for(p.target.len()), &config, threads);
+            let serial = solve(&p, root_for(p.target.len()), &config, None, 1, None);
+            for threads in 2..=4 {
+                let out = solve(&p, root_for(p.target.len()), &config, None, threads, None);
                 assert_outcomes_identical(&serial, &out, &format!("{threads} thread(s)"));
             }
         },
@@ -147,13 +128,9 @@ fn node_budget_parity() {
                 max_nodes: *max_nodes,
                 ..BnbConfig::default()
             };
-            let serial = solve(
-                &mut SerialGrid(p.clone()),
-                root_for(p.target.len()),
-                &config,
-            );
+            let serial = solve(&p, root_for(p.target.len()), &config, None, 1, None);
             for threads in [2, 4] {
-                let out = solve_parallel(&p, root_for(p.target.len()), &config, threads);
+                let out = solve(&p, root_for(p.target.len()), &config, None, threads, None);
                 let label = format!("budget {max_nodes}, {threads} threads");
                 assert_outcomes_identical(&serial, &out, &label);
             }
@@ -174,22 +151,9 @@ fn seeded_incumbent_parity() {
             let dim = p.target.len();
             let seed = Some((vec![0.0; dim], *seed_cost));
             let config = BnbConfig::default();
-            let serial = solve_with_incumbent(
-                &mut SerialGrid(p.clone()),
-                root_for(dim),
-                &config,
-                seed.clone(),
-            );
-            for threads in [1, 3] {
-                let out = solve_parallel_with_incumbent(
-                    &p,
-                    root_for(dim),
-                    &config,
-                    seed.clone(),
-                    threads,
-                );
-                assert_outcomes_identical(&serial, &out, &format!("seeded, {threads} threads"));
-            }
+            let serial = solve(&p, root_for(dim), &config, seed.clone(), 1, None);
+            let out = solve(&p, root_for(dim), &config, seed.clone(), 3, None);
+            assert_outcomes_identical(&serial, &out, "seeded, 3 threads");
         },
     );
 }
@@ -208,28 +172,24 @@ fn depth_first_parity() {
                 search_order: SearchOrder::DepthFirst,
                 ..BnbConfig::default()
             };
-            let serial = solve(
-                &mut SerialGrid(p.clone()),
-                root_for(p.target.len()),
-                &config,
-            );
-            let out = solve_parallel(&p, root_for(p.target.len()), &config, 4);
+            let serial = solve(&p, root_for(p.target.len()), &config, None, 1, None);
+            let out = solve(&p, root_for(p.target.len()), &config, None, 4, None);
             assert_outcomes_identical(&serial, &out, "depth-first, 4 threads");
         },
     );
 }
 
-/// A 1-thread pool must take the exact serial code path: same outcome as
-/// `solve` on a problem whose assessment *panics* if ever called from a
-/// spawned thread — proof no pool was constructed.
+/// A 1-thread search must stay on the calling thread: the same outcome as
+/// the plain problem's, from a wrapper whose assessment *panics* if ever
+/// called from a spawned thread — proof no pool was constructed.
 #[test]
 fn one_thread_pool_is_the_serial_code_path() {
     struct MainThreadOnly {
         inner: GridQuadratic,
         main: std::thread::ThreadId,
     }
-    impl SharedBoundingProblem for MainThreadOnly {
-        fn assess_node(&self, node: &BoxNode, _index: usize) -> NodeAssessment {
+    impl BoundingProblem for MainThreadOnly {
+        fn assess(&self, node: &BoxNode, _index: usize) -> NodeAssessment {
             assert_eq!(
                 std::thread::current().id(),
                 self.main,
@@ -249,7 +209,7 @@ fn one_thread_pool_is_the_serial_code_path() {
         main: std::thread::current().id(),
     };
     let config = BnbConfig::default();
-    let serial = solve(&mut SerialGrid(inner), root_for(3), &config);
-    let out = solve_parallel(&p, root_for(3), &config, 1);
+    let serial = solve(&inner, root_for(3), &config, None, 1, None);
+    let out = solve(&p, root_for(3), &config, None, 1, None);
     assert_outcomes_identical(&serial, &out, "1-thread pool");
 }

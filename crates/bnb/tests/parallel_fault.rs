@@ -1,13 +1,13 @@
 //! Fault-injected parallel searches: an `N`-thread run under a
-//! [`FaultPlan`] must inject the exact fault set of the serial run and
+//! [`FaultPlan`] must inject the exact fault set of the 1-thread run and
 //! therefore report identical [`DegradationStats`] — the merge across
 //! workers loses nothing and invents nothing.
 
 #![cfg(feature = "fault-injection")]
 
 use ldafp_bnb::{
-    solve, solve_parallel, BnbConfig, BnbOutcome, BoundingProblem, BoxNode, FaultKind, FaultPlan,
-    FaultyProblem, NodeAssessment, SharedBoundingProblem, SharedFaultyProblem,
+    solve, BnbConfig, BnbOutcome, BoundingProblem, BoxNode, FaultKind, FaultPlan, FaultyProblem,
+    NodeAssessment,
 };
 use ldafp_stats::rng::check;
 use ldafp_stats::Rng;
@@ -49,21 +49,9 @@ impl GridQuadratic {
     }
 }
 
-impl SharedBoundingProblem for GridQuadratic {
-    fn assess_node(&self, node: &BoxNode, _index: usize) -> NodeAssessment {
+impl BoundingProblem for GridQuadratic {
+    fn assess(&self, node: &BoxNode, _index: usize) -> NodeAssessment {
         self.assess_box(node)
-    }
-
-    fn is_terminal(&self, node: &BoxNode) -> bool {
-        node.max_width() <= 1.0
-    }
-}
-
-struct SerialGrid(GridQuadratic);
-
-impl BoundingProblem for SerialGrid {
-    fn assess(&mut self, node: &BoxNode) -> NodeAssessment {
-        self.0.assess_box(node)
     }
 
     fn is_terminal(&self, node: &BoxNode) -> bool {
@@ -118,13 +106,13 @@ fn faulted_runs_degrade_identically_at_every_thread_count() {
         let root = || BoxNode::new(vec![-8.0; dim], vec![8.0; dim]).unwrap();
         let config = BnbConfig::default();
 
-        let mut serial_problem = FaultyProblem::new(SerialGrid(inner.clone()), plan.clone(), 0.0);
-        let serial = solve(&mut serial_problem, root(), &config);
+        let serial_problem = FaultyProblem::new(inner.clone(), plan.clone(), 0.0);
+        let serial = solve(&serial_problem, root(), &config, None, 1, None);
         let serial_injected = serial_problem.injected();
 
         for threads in [2, 4] {
-            let shared = SharedFaultyProblem::new(inner.clone(), plan.clone(), 0.0);
-            let out = solve_parallel(&shared, root(), &config, threads);
+            let shared = FaultyProblem::new(inner.clone(), plan.clone(), 0.0);
+            let out = solve(&shared, root(), &config, None, threads, None);
             assert_outcomes_identical(&serial, &out, &format!("{threads} threads"));
             assert_eq!(
                 shared.injected(),
@@ -150,15 +138,15 @@ fn forced_fault_indices_hit_identically() {
     let root = || BoxNode::new(vec![-8.0; 2], vec![8.0; 2]).unwrap();
     let config = BnbConfig::default();
 
-    let mut serial_problem = FaultyProblem::new(SerialGrid(inner.clone()), plan.clone(), 0.0);
-    let serial = solve(&mut serial_problem, root(), &config);
+    let serial_problem = FaultyProblem::new(inner.clone(), plan.clone(), 0.0);
+    let serial = solve(&serial_problem, root(), &config, None, 1, None);
     assert!(
         serial.stats.degradation.trivial_bounds > 0,
         "forced numerical fault must degrade a node"
     );
 
-    let shared = SharedFaultyProblem::new(inner, plan, 0.0);
-    let out = solve_parallel(&shared, root(), &config, 3);
+    let shared = FaultyProblem::new(inner, plan, 0.0);
+    let out = solve(&shared, root(), &config, None, 3, None);
     assert_outcomes_identical(&serial, &out, "forced faults, 3 threads");
     assert_eq!(shared.injected(), serial_problem.injected());
 }

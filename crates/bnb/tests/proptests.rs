@@ -1,7 +1,7 @@
 //! Property-based tests for the branch-and-bound framework, using a
 //! discrete quadratic with a known closed-form optimum as the oracle.
 
-use ldafp_bnb::{solve, solve_with_incumbent, BnbConfig, BoundingProblem, BoxNode, NodeAssessment};
+use ldafp_bnb::{solve, BnbConfig, BoundingProblem, BoxNode, NodeAssessment};
 use ldafp_stats::rng::check;
 use ldafp_stats::Rng;
 
@@ -34,7 +34,7 @@ impl GridQuadratic {
 }
 
 impl BoundingProblem for GridQuadratic {
-    fn assess(&mut self, node: &BoxNode) -> NodeAssessment {
+    fn assess(&self, node: &BoxNode, _index: usize) -> NodeAssessment {
         let proj: Vec<f64> = self
             .target
             .iter()
@@ -77,13 +77,13 @@ fn certified_optimum_is_exact() {
         |target| {
             let dim = target.len();
             let root = BoxNode::new(vec![-8.0; dim], vec![8.0; dim]).unwrap();
-            let mut p = GridQuadratic {
+            let p = GridQuadratic {
                 target: target.clone(),
             };
             let expected = p
                 .best_integer_in(&vec![-8.0; dim], &vec![8.0; dim])
                 .unwrap();
-            let out = solve(&mut p, root, &BnbConfig::default());
+            let out = solve(&p, root, &BnbConfig::default(), None, 1, None);
             assert!(out.certified);
             let (_, cost) = out.incumbent.expect("feasible problem");
             assert!(
@@ -104,14 +104,14 @@ fn lower_bound_below_incumbent() {
         |(target, max_nodes)| {
             let dim = target.len();
             let root = BoxNode::new(vec![-8.0; dim], vec![8.0; dim]).unwrap();
-            let mut p = GridQuadratic {
+            let p = GridQuadratic {
                 target: target.clone(),
             };
             let cfg = BnbConfig {
                 max_nodes: *max_nodes,
                 ..BnbConfig::default()
             };
-            let out = solve(&mut p, root, &cfg);
+            let out = solve(&p, root, &cfg, None, 1, None);
             if let Some((_, cost)) = out.incumbent {
                 assert!(
                     out.best_lower_bound <= cost + 1e-9,
@@ -134,14 +134,14 @@ fn incumbent_seed_respected() {
         |target| {
             let dim = target.len();
             let root = BoxNode::new(vec![-8.0; dim], vec![8.0; dim]).unwrap();
-            let mut p = GridQuadratic {
+            let p = GridQuadratic {
                 target: target.clone(),
             };
             let seed = p
                 .best_integer_in(&vec![-8.0; dim], &vec![8.0; dim])
                 .unwrap();
             let seed_cost = seed.1;
-            let out = solve_with_incumbent(&mut p, root, &BnbConfig::default(), Some(seed));
+            let out = solve(&p, root, &BnbConfig::default(), Some(seed), 1, None);
             let (_, cost) = out.incumbent.expect("seeded");
             assert!(cost <= seed_cost + 1e-12);
         },

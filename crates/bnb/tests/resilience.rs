@@ -37,7 +37,7 @@ impl GridQuadratic {
 }
 
 impl BoundingProblem for GridQuadratic {
-    fn assess(&mut self, node: &BoxNode) -> NodeAssessment {
+    fn assess(&self, node: &BoxNode, _index: usize) -> NodeAssessment {
         let proj: Vec<f64> = self
             .target
             .iter()
@@ -68,7 +68,7 @@ impl BoundingProblem for GridQuadratic {
 
 #[test]
 fn node_budget_binds_before_generous_time_budget() {
-    let mut p = GridQuadratic {
+    let p = GridQuadratic {
         target: vec![0.3; 5],
     };
     let root = BoxNode::new(vec![-64.0; 5], vec![64.0; 5]).unwrap();
@@ -77,7 +77,7 @@ fn node_budget_binds_before_generous_time_budget() {
         time_budget: Some(Duration::from_secs(3600)),
         ..BnbConfig::default()
     };
-    let out = solve(&mut p, root, &cfg);
+    let out = solve(&p, root, &cfg, None, 1, None);
     assert!(!out.certified);
     assert!(
         out.incumbent.is_some(),
@@ -91,7 +91,7 @@ fn node_budget_binds_before_generous_time_budget() {
 
 #[test]
 fn time_budget_binds_before_generous_node_budget() {
-    let mut p = GridQuadratic {
+    let p = GridQuadratic {
         target: vec![0.5; 4],
     };
     let root = BoxNode::new(vec![-1000.0; 4], vec![1000.0; 4]).unwrap();
@@ -100,14 +100,14 @@ fn time_budget_binds_before_generous_node_budget() {
         time_budget: Some(Duration::ZERO),
         ..BnbConfig::default()
     };
-    let out = solve(&mut p, root, &cfg);
+    let out = solve(&p, root, &cfg, None, 1, None);
     assert!(!out.certified);
     assert!(out.incumbent.is_some());
 }
 
 #[test]
 fn both_budgets_generous_still_certifies() {
-    let mut p = GridQuadratic {
+    let p = GridQuadratic {
         target: vec![2.7, -1.1],
     };
     let root = BoxNode::new(vec![-16.0; 2], vec![16.0; 2]).unwrap();
@@ -116,7 +116,7 @@ fn both_budgets_generous_still_certifies() {
         time_budget: Some(Duration::from_secs(3600)),
         ..BnbConfig::default()
     };
-    let out = solve(&mut p, root, &cfg);
+    let out = solve(&p, root, &cfg, None, 1, None);
     assert!(out.certified);
     let (x, _) = out.incumbent.unwrap();
     assert_eq!(x, vec![3.0, -1.0]);
@@ -124,7 +124,7 @@ fn both_budgets_generous_still_certifies() {
 
 #[test]
 fn budget_exhaustion_keeps_valid_global_bound() {
-    let mut p = GridQuadratic {
+    let p = GridQuadratic {
         target: vec![0.3, 0.7, -0.2],
     };
     let root = BoxNode::new(vec![-32.0; 3], vec![32.0; 3]).unwrap();
@@ -133,7 +133,7 @@ fn budget_exhaustion_keeps_valid_global_bound() {
         time_budget: Some(Duration::from_secs(3600)),
         ..BnbConfig::default()
     };
-    let out = solve(&mut p, root, &cfg);
+    let out = solve(&p, root, &cfg, None, 1, None);
     let (_, cost) = out.incumbent.expect("feasible");
     assert!(out.best_lower_bound <= cost + 1e-9);
 }
@@ -142,24 +142,26 @@ fn budget_exhaustion_keeps_valid_global_bound() {
 // Non-finite guards: NaN bounds and candidates must never corrupt search.
 // ---------------------------------------------------------------------------
 
-/// Delegates to GridQuadratic but corrupts some assessments with NaN.
+/// Delegates to GridQuadratic but corrupts some assessments with NaN: the
+/// `n`-th assessment (1-based, `n = index + 1`) gets a NaN bound when `n`
+/// is a multiple of `nan_bound_every`, a NaN candidate cost when it is a
+/// multiple of `nan_candidate_every`.
 struct NanBounds {
     inner: GridQuadratic,
-    count: usize,
     nan_bound_every: usize,
     nan_candidate_every: usize,
 }
 
 impl BoundingProblem for NanBounds {
-    fn assess(&mut self, node: &BoxNode) -> NodeAssessment {
-        self.count += 1;
-        let mut a = self.inner.assess(node);
-        if self.nan_bound_every > 0 && self.count.is_multiple_of(self.nan_bound_every) {
+    fn assess(&self, node: &BoxNode, index: usize) -> NodeAssessment {
+        let count = index + 1;
+        let mut a = self.inner.assess(node, index);
+        if self.nan_bound_every > 0 && count.is_multiple_of(self.nan_bound_every) {
             if let Some(lb) = a.lower_bound.as_mut() {
                 *lb = f64::NAN;
             }
         }
-        if self.nan_candidate_every > 0 && self.count.is_multiple_of(self.nan_candidate_every) {
+        if self.nan_candidate_every > 0 && count.is_multiple_of(self.nan_candidate_every) {
             if let Some((_, cost)) = a.candidate.as_mut() {
                 *cost = f64::NAN;
             }
@@ -174,16 +176,15 @@ impl BoundingProblem for NanBounds {
 
 #[test]
 fn nan_bounds_are_sanitized_not_heaped() {
-    let mut p = NanBounds {
+    let p = NanBounds {
         inner: GridQuadratic {
             target: vec![2.7, -1.4],
         },
-        count: 0,
         nan_bound_every: 3,
         nan_candidate_every: 0,
     };
     let root = BoxNode::new(vec![-16.0; 2], vec![16.0; 2]).unwrap();
-    let out = solve(&mut p, root, &BnbConfig::default());
+    let out = solve(&p, root, &BnbConfig::default(), None, 1, None);
     // A NaN bound becomes −∞ (never prunes), so the true optimum survives.
     let (x, _) = out.incumbent.expect("feasible");
     assert_eq!(x, vec![3.0, -1.0]);
@@ -196,14 +197,13 @@ fn nan_bounds_are_sanitized_not_heaped() {
 
 #[test]
 fn nan_candidates_are_dropped_not_adopted() {
-    let mut p = NanBounds {
+    let p = NanBounds {
         inner: GridQuadratic { target: vec![1.2] },
-        count: 0,
         nan_bound_every: 0,
         nan_candidate_every: 1, // every candidate cost is NaN
     };
     let root = BoxNode::new(vec![-8.0], vec![8.0]).unwrap();
-    let out = solve(&mut p, root, &BnbConfig::default());
+    let out = solve(&p, root, &BnbConfig::default(), None, 1, None);
     // All candidates rejected → no incumbent, but also no NaN adoption.
     assert!(out.incumbent.is_none());
     assert!(out.stats.degradation.rejected_candidates > 0);
@@ -212,11 +212,10 @@ fn nan_candidates_are_dropped_not_adopted() {
 
 #[test]
 fn nan_bounds_under_depth_first_stay_sound() {
-    let mut p = NanBounds {
+    let p = NanBounds {
         inner: GridQuadratic {
             target: vec![2.7, -1.4],
         },
-        count: 0,
         nan_bound_every: 2,
         nan_candidate_every: 0,
     };
@@ -225,7 +224,7 @@ fn nan_bounds_under_depth_first_stay_sound() {
         search_order: SearchOrder::DepthFirst,
         ..BnbConfig::default()
     };
-    let out = solve(&mut p, root, &cfg);
+    let out = solve(&p, root, &cfg, None, 1, None);
     let (x, _) = out.incumbent.expect("feasible");
     assert_eq!(x, vec![3.0, -1.0]);
 }
@@ -238,9 +237,9 @@ fn nan_bounds_under_depth_first_stay_sound() {
 struct AlwaysRecovered(GridQuadratic);
 
 impl BoundingProblem for AlwaysRecovered {
-    fn assess(&mut self, node: &BoxNode) -> NodeAssessment {
+    fn assess(&self, node: &BoxNode, index: usize) -> NodeAssessment {
         self.0
-            .assess(node)
+            .assess(node, index)
             .with_degradation(NodeDegradation::Recovered {
                 attempts: 2,
                 error_kind: "numerical-failure".to_string(),
@@ -253,9 +252,9 @@ impl BoundingProblem for AlwaysRecovered {
 
 #[test]
 fn recovered_solves_are_counted_and_downgrade_certification() {
-    let mut p = AlwaysRecovered(GridQuadratic { target: vec![2.7] });
+    let p = AlwaysRecovered(GridQuadratic { target: vec![2.7] });
     let root = BoxNode::new(vec![-8.0], vec![8.0]).unwrap();
-    let out = solve(&mut p, root, &BnbConfig::default());
+    let out = solve(&p, root, &BnbConfig::default(), None, 1, None);
     // Recovered bounds are still valid → the right answer is found…
     let (x, _) = out.incumbent.unwrap();
     assert_eq!(x, vec![3.0]);
@@ -302,9 +301,9 @@ mod faulted {
         let inner = GridQuadratic {
             target: target.clone(),
         };
-        let mut p = FaultyProblem::new(inner, plan, 0.0);
+        let p = FaultyProblem::new(inner, plan, 0.0);
         let root = BoxNode::new(vec![-8.0; 2], vec![8.0; 2]).unwrap();
-        let out = solve(&mut p, root, &BnbConfig::default());
+        let out = solve(&p, root, &BnbConfig::default(), None, 1, None);
         let (x, _) = out.incumbent.expect("optimum must survive");
         assert_eq!(x, vec![3.0, -1.0]);
         assert!(out.stats.degradation.suspect_infeasible >= 2);
@@ -328,10 +327,10 @@ mod faulted {
             let root = BoxNode::new(vec![-8.0; dim], vec![8.0; dim]).unwrap();
 
             // Fault-free reference run.
-            let mut clean = GridQuadratic {
+            let clean = GridQuadratic {
                 target: target.clone(),
             };
-            let reference = solve(&mut clean, root.clone(), &BnbConfig::default());
+            let reference = solve(&clean, root.clone(), &BnbConfig::default(), None, 1, None);
             let (_, ref_cost) = reference.incumbent.clone().expect("feasible");
             assert!(reference.certified);
 
@@ -342,8 +341,8 @@ mod faulted {
             let inner = GridQuadratic {
                 target: target.clone(),
             };
-            let mut faulty = FaultyProblem::new(inner, plan, 0.0);
-            let out = solve(&mut faulty, root, &BnbConfig::default());
+            let faulty = FaultyProblem::new(inner, plan, 0.0);
+            let out = solve(&faulty, root, &BnbConfig::default(), None, 1, None);
 
             // Soundness: the incumbent cost matches the fault-free optimum
             // exactly — the optimum was never pruned.

@@ -1,7 +1,7 @@
 use crate::{CoreError, FixedPointClassifier, LdaModel, Result, TrainingProblem};
 use ldafp_bnb::{
-    BnbConfig, BnbStats, BoxNode, CheckpointPolicy, NodeAssessment, NodeDegradation,
-    SharedBoundingProblem,
+    BnbConfig, BnbStats, BoundingProblem, BoxNode, CheckpointPolicy, NodeAssessment,
+    NodeDegradation,
 };
 #[cfg(feature = "fault-injection")]
 use ldafp_bnb::{FaultKind, FaultPlan};
@@ -431,23 +431,14 @@ impl LdaFpTrainer {
             #[cfg(feature = "fault-injection")]
             fault: self.fault.clone(),
         };
-        let outcome = match ckpt {
-            Some(policy) => ldafp_bnb::solve_parallel_checkpointed(
-                &node_problem,
-                root,
-                &self.config.bnb,
-                best.clone(),
-                self.config.resolved_solver_threads(),
-                policy,
-            ),
-            None => ldafp_bnb::solve_parallel_with_incumbent(
-                &node_problem,
-                root,
-                &self.config.bnb,
-                best.clone(),
-                self.config.resolved_solver_threads(),
-            ),
-        };
+        let outcome = ldafp_bnb::solve(
+            &node_problem,
+            root,
+            &self.config.bnb,
+            best.clone(),
+            self.config.resolved_solver_threads(),
+            ckpt,
+        );
         if outcome.interrupted {
             // The final snapshot is already on disk (flushed before the
             // search loop exited); surface the interruption instead of a
@@ -1033,7 +1024,7 @@ impl NodeProblem<'_> {
     /// `skip_thin`, a thin box (see [`Self::is_thin`]) goes straight to
     /// [`Self::infeasibility_claim`] without a solve; the search passes
     /// `true`, and the tests compare it against the always-solve path.
-    fn assess(&self, node: &BoxNode, index: usize, skip_thin: bool) -> NodeAssessment {
+    fn assess_box(&self, node: &BoxNode, index: usize, skip_thin: bool) -> NodeAssessment {
         // Deterministic fault injection (test harness): the search loop
         // hands us the serial node index, so the fate of each node is
         // stable across thread counts.
@@ -1142,7 +1133,7 @@ impl NodeProblem<'_> {
     }
 }
 
-impl SharedBoundingProblem for NodeProblem<'_> {
+impl BoundingProblem for NodeProblem<'_> {
     #[cfg(feature = "fault-injection")]
     fn exact_indexing(&self) -> bool {
         // Fault plans key on the serial node index, so speculative
@@ -1150,8 +1141,8 @@ impl SharedBoundingProblem for NodeProblem<'_> {
         self.fault.is_some()
     }
 
-    fn assess_node(&self, node: &BoxNode, index: usize) -> NodeAssessment {
-        self.assess(node, index, true)
+    fn assess(&self, node: &BoxNode, index: usize) -> NodeAssessment {
+        self.assess_box(node, index, true)
     }
 
     fn is_terminal(&self, node: &BoxNode) -> bool {
@@ -1354,8 +1345,8 @@ mod tests {
                     matches!(solved, Err(SolverError::Infeasible { .. })),
                     "{name}: box {index} solved to {solved:?}"
                 );
-                let fast = np.assess(&node, index, true);
-                let slow = np.assess(&node, index, false);
+                let fast = np.assess_box(&node, index, true);
+                let slow = np.assess_box(&node, index, false);
                 assert_same_assessment(&fast, &slow);
                 settled += 1;
                 kept += usize::from(fast.lower_bound.is_some());
@@ -1385,7 +1376,7 @@ mod tests {
         let config = LdaFpConfig::default();
         let (tp, node) = thin_box_problem(&config);
         let before = counted();
-        node_problem(&tp, &config).assess(&node, 0, true);
+        node_problem(&tp, &config).assess_box(&node, 0, true);
         assert!(counted() > before, "a thin box was not counted");
     }
 
@@ -1403,7 +1394,7 @@ mod tests {
             fault: Some(plan),
         };
         // Node 0 has a planned fault: the recovering solve runs and fails.
-        let faulted = np.assess(&node, 0, true);
+        let faulted = np.assess_box(&node, 0, true);
         assert!(
             matches!(
                 faulted.degradation,
@@ -1412,7 +1403,7 @@ mod tests {
             "{faulted:?}"
         );
         // Node 1 has none: the thin box is settled by the grid probe.
-        assert_eq!(np.assess(&node, 1, true).degradation, None);
+        assert_eq!(np.assess_box(&node, 1, true).degradation, None);
     }
 
     #[test]

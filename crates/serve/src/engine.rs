@@ -49,30 +49,28 @@ struct RowScratch {
 }
 
 /// Engine-owned working memory for the batch paths, reused across
-/// batches (not just across the rows of one batch): the SoA word buffer,
-/// the kernel tile scratch, and the output/wrap vectors all keep their
-/// allocations between calls. Shared across engine clones behind one
-/// lock, so clones serialize their batch calls: a batch on one thread
-/// waits while a clone on another thread holds the scratch.
+/// batches (not just across the rows of one batch): the float path's SoA
+/// word buffer and the decide step's buffers all keep their allocations
+/// between calls. Shared across engine clones behind one lock, so clones
+/// serialize their batch calls: a batch on one thread waits while a clone
+/// on another thread holds the scratch.
 #[derive(Debug)]
 struct EngineScratch {
-    quantized: Vec<Fx>,
+    /// The float path's quantized batch; the raw-word path decides the
+    /// wire buffer in place instead.
     batch: QBatchBuf,
+    decide: DecideScratch,
+}
+
+/// The buffers [`InferenceEngine::decide_rows`] writes: the table-driven
+/// families' `Fx` row, the kernel tile scratch, and the GEMM's output
+/// words and wrap flags.
+#[derive(Debug, Default)]
+struct DecideScratch {
+    quantized: Vec<Fx>,
     gemm: GemmScratch,
     out: Vec<i64>,
     wraps: Vec<u32>,
-}
-
-impl EngineScratch {
-    fn new(format: QFormat, features: usize) -> Self {
-        EngineScratch {
-            quantized: Vec::new(),
-            batch: QBatchBuf::new(format, features),
-            gemm: GemmScratch::default(),
-            out: Vec::new(),
-            wraps: Vec::new(),
-        }
-    }
 }
 
 /// How batches of the served model are decided, fixed at construction.
@@ -197,10 +195,10 @@ impl InferenceEngine {
     pub fn new(artifact: ModelArtifact) -> Result<Self> {
         artifact.validate()?;
         let plan = Arc::new(KernelPlan::of(&artifact.model));
-        let scratch = Arc::new(Mutex::new(EngineScratch::new(
-            artifact.model.format(),
-            artifact.num_features(),
-        )));
+        let scratch = Arc::new(Mutex::new(EngineScratch {
+            batch: QBatchBuf::new(artifact.model.format(), artifact.num_features()),
+            decide: DecideScratch::default(),
+        }));
         Ok(InferenceEngine {
             artifact: Arc::new(artifact),
             plan,
@@ -279,13 +277,7 @@ impl InferenceEngine {
         rows: &[Vec<f64>],
         scratch: &mut EngineScratch,
     ) -> Result<BatchOutput> {
-        let EngineScratch {
-            quantized,
-            batch,
-            gemm,
-            out,
-            wraps,
-        } = scratch;
+        let EngineScratch { batch, decide } = scratch;
         if let Some(i) = rows.iter().position(|r| r.len() != ctx.num_features) {
             return Err(ServeError::FeatureMismatch {
                 expected: ctx.num_features,
@@ -297,15 +289,7 @@ impl InferenceEngine {
         let saturated_inputs = batch
             .push_rows_scaled(rows, ctx.scale, ctx.rounding)
             .expect("row widths and scale length validated");
-        Ok(self.decide_rows(
-            ctx,
-            &batch.as_batch(),
-            saturated_inputs,
-            quantized,
-            gemm,
-            out,
-            wraps,
-        ))
+        Ok(self.decide_rows(ctx, &batch.as_batch(), saturated_inputs, decide))
     }
 
     /// Decides every row of an SoA batch per the kernel plan. Linear
@@ -313,17 +297,19 @@ impl InferenceEngine {
     /// decide row-at-a-time on their own integer datapath. Shared by the
     /// float path (after scale + quantize) and the raw-word path
     /// (zero-copy over the wire buffer).
-    #[allow(clippy::too_many_arguments)]
     fn decide_rows(
         &self,
         ctx: &RowContext<'_>,
         batch: &QBatch<'_>,
         saturated_inputs: u64,
-        quantized: &mut Vec<Fx>,
-        gemm: &mut GemmScratch,
-        out: &mut Vec<i64>,
-        wraps: &mut Vec<u32>,
+        work: &mut DecideScratch,
     ) -> BatchOutput {
+        let DecideScratch {
+            quantized,
+            gemm,
+            out,
+            wraps,
+        } = work;
         let n = batch.rows();
         let mut predictions = Vec::with_capacity(n);
         let mut accumulator_wraps = 0u64;
@@ -538,14 +524,7 @@ impl InferenceEngine {
             });
         }
         let batch = QBatch::from_words(ctx.format, m, words).expect("whole rows validated above");
-        let EngineScratch {
-            quantized,
-            gemm,
-            out,
-            wraps,
-            ..
-        } = scratch;
-        Ok(self.decide_rows(ctx, &batch, 0, quantized, gemm, out, wraps))
+        Ok(self.decide_rows(ctx, &batch, 0, &mut scratch.decide))
     }
 }
 

@@ -21,6 +21,9 @@ if grep -q '^source = "registry+' Cargo.lock; then
 fi
 
 cargo test -q -p ldafp-bnb --features fault-injection
+# The workspace clippy steps build without the feature, so lint the
+# fault-injection code (`FaultyProblem`, the faulted test suites) here.
+cargo clippy -p ldafp-bnb --all-targets --features fault-injection -- -D warnings
 cargo test -q -p ldafp-core --features fault-injection
 
 # Serving layer: artifact/engine/wire units and the corruption suite,
@@ -127,13 +130,14 @@ grep -q 'bnb.solves' "$obs_tmp/train.err" \
     || { echo "--metrics-summary printed no registry" >&2; exit 1; }
 cargo test --release -q -p ldafp-bench --test obs_gate
 
-# Parallel search layer: bit-identity proptests, worker-span obs contract
-# and fault-injected degradation parity run as part of the suites above;
-# here the whole workspace test suite is repeated once with a 4-thread
-# solver pool (results must be bit-identical, so everything still passes),
-# then the speedup gate, a release-mode test that fails when any timed
-# outcome differs from serial or the 4-thread latency-sim search fails to
-# reach 1.5x over serial.
+# Parallel search layer: `ldafp_bnb::solve` takes the thread count, and
+# its bit-identity proptests (1 thread against N), worker-span obs
+# contract and fault-injected degradation parity run as part of the suites
+# above; here the whole workspace test suite is repeated once with a
+# 4-thread solver pool (results must be bit-identical, so everything still
+# passes), then the speedup gate, a release-mode test that fails when any
+# timed outcome differs from the 1-thread one or the 4-thread latency-sim
+# search fails to reach 1.5x over 1 thread.
 LDAFP_SOLVER_THREADS=4 cargo test -q --workspace
 cargo test --release -q -p ldafp-bench --test bnb_par_gate
 

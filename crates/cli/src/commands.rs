@@ -284,11 +284,11 @@ pub fn trace_check(text: &str) -> Result<String> {
         }
         total += 1;
         let lineno = idx + 1;
-        match ldafp_serve::json::parse(line) {
+        match ldafp_obs::json::parse(line) {
             Err(e) => bad.push(format!("line {lineno}: {e}")),
             Ok(value) => {
                 let name = value.get("event").and_then(|v| v.as_str());
-                let has_time = value.get("t_us").and_then(ldafp_serve::json::Value::as_f64);
+                let has_time = value.get("t_us").and_then(ldafp_obs::json::Value::as_f64);
                 match (name, has_time) {
                     (Some(name), Some(_)) => {
                         let unknown_family_member = (name.starts_with("checkpoint.")
@@ -797,9 +797,9 @@ pub fn wordlength(args: &ParsedArgs, csv_text: &str) -> Result<String> {
 /// Without `--data` the sweep runs on the deterministic demo2d
 /// rounding-sensitive workload, so `ldafp explore` works out of the box.
 ///
-/// `--resume <dir>` makes the sweep crash-safe: the directory holds a
-/// durable journal, per-point branch-and-bound checkpoints (snapshotted
-/// every `--checkpoint-nodes` nodes, default 256), and — unless
+/// `--resume <dir>` makes the sweep crash-safe: the directory holds
+/// per-point branch-and-bound checkpoints in `<dir>/ckpt` (snapshotted
+/// every `--checkpoint-nodes` nodes, default 256) and — unless
 /// `--cache-dir` overrides it — the result cache at `<dir>/cache`.
 /// Re-running the identical command after a crash or ^C skips completed
 /// points via the cache and continues in-flight solves from their
@@ -1386,7 +1386,7 @@ mod tests {
         assert!(report.contains("design-space exploration"), "{report}");
         assert!(cache.is_dir(), "cache directory must be created");
         let json_text = std::fs::read_to_string(&json_path).unwrap();
-        let parsed_json = ldafp_serve::json::parse(&json_text).unwrap();
+        let parsed_json = ldafp_obs::json::parse(&json_text).unwrap();
         assert_eq!(
             parsed_json.get("report").and_then(|v| v.as_str()),
             Some("ldafp-explore")
@@ -1396,7 +1396,7 @@ mod tests {
         let (report2, _) = explore(&parsed(&args), None, None).unwrap();
         let points = parsed_json
             .get("points")
-            .and_then(ldafp_serve::json::Value::as_i64)
+            .and_then(ldafp_obs::json::Value::as_i64)
             .unwrap();
         assert!(
             report2.contains(&format!("{points} cache hit(s)")),
@@ -1449,8 +1449,8 @@ mod tests {
         let (_, code) = explore(&parsed(&args_a), Some(&easy_csv()), None).unwrap();
         assert!(code == 0 || code == 2, "unexpected exit code {code}");
         assert!(
-            state.join(ldafp_explore::JOURNAL_FILE).is_file(),
-            "resume dir must hold the sweep journal"
+            state.join("ckpt").is_dir(),
+            "resume dir must hold the checkpoint directory"
         );
         assert!(
             state.join("cache").is_dir(),

@@ -155,6 +155,54 @@ fn sigkill_mid_sweep_then_resume_reproduces_the_baseline_pareto_byte_for_byte() 
     );
 }
 
+/// The number of trace lines for `event`, and the final registry dump's
+/// `explore.resumed_sweeps` counter (absent reads as 0).
+fn trace_tally(trace: &Path, event: &str) -> (usize, u64) {
+    let text = std::fs::read_to_string(trace).unwrap();
+    let needle = format!("\"event\":\"{event}\"");
+    let count = text.lines().filter(|l| l.contains(&needle)).count();
+    let dump = text
+        .lines()
+        .rfind(|l| l.contains("\"event\":\"registry.dump\""))
+        .expect("the trace ends with a registry dump");
+    let resumed = ldafp_obs::json::parse(dump)
+        .unwrap()
+        .get("registry")
+        .and_then(|r| r.get("counters"))
+        .and_then(|c| c.get("explore.resumed_sweeps"))
+        .and_then(ldafp_obs::json::Value::as_i64)
+        .unwrap_or(0);
+    (count, u64::try_from(resumed).unwrap())
+}
+
+#[test]
+fn fresh_state_is_not_a_resume_and_a_rerun_skips_every_point() {
+    let dir = TempDir::new("detect");
+    let state = dir.path("state");
+    let (pareto_a, pareto_b) = (dir.path("a.md"), dir.path("b.md"));
+    let (trace_a, trace_b) = (dir.path("a.ndjson"), dir.path("b.ndjson"));
+
+    run_ok(explore_cmd(&state, &pareto_a).args(["--trace", trace_a.to_str().unwrap()]));
+    let (skipped, resumed) = trace_tally(&trace_a, "resume.skipped");
+    assert_eq!(skipped, 0, "a fresh state directory skips nothing");
+    assert_eq!(resumed, 0, "a fresh state directory is not a resume");
+
+    run_ok(explore_cmd(&state, &pareto_b).args(["--trace", trace_b.to_str().unwrap()]));
+    let (skipped, resumed) = trace_tally(&trace_b, "resume.skipped");
+    let (points, _) = trace_tally(&trace_b, "explore.point");
+    assert!(points > 0, "the rerun traced no points");
+    assert_eq!(
+        skipped, points,
+        "every point of the rerun reads resume.skipped"
+    );
+    assert_eq!(resumed, 1, "the rerun over the same state is a resume");
+    assert_eq!(
+        std::fs::read(&pareto_a).unwrap(),
+        std::fs::read(&pareto_b).unwrap(),
+        "the Pareto report is byte-identical across resume"
+    );
+}
+
 #[cfg(unix)]
 #[test]
 fn sigint_exits_resumable_and_a_rerun_finishes_the_sweep() {

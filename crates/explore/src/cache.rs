@@ -28,8 +28,8 @@ use crate::grid::DesignPoint;
 use crate::Result;
 use ldafp_core::LdaFpConfig;
 use ldafp_datasets::BinaryDataset;
+use ldafp_obs::json::{self, Value};
 use ldafp_serve::artifact::checksum_of;
-use ldafp_serve::json::{self, Value};
 use ldafp_stats::{fnv1a64, FNV1A64_OFFSET};
 use std::fs;
 use std::path::{Path, PathBuf};

@@ -24,7 +24,6 @@
 use crate::cache::{config_digest, dataset_digest, problem_key, ResultCache};
 use crate::error::ExploreError;
 use crate::grid::{DesignPoint, ExploreGrid};
-use crate::journal::SweepJournal;
 use crate::pareto::pareto_frontier;
 use crate::Result;
 use ldafp_core::{
@@ -35,7 +34,7 @@ use ldafp_fixedpoint::RoundingMode;
 use ldafp_hwmodel::power::MacPowerModel;
 use ldafp_models::{ModelFamily, NaiveBayesTrainer, OsElmTrainer};
 use ldafp_obs as obs;
-use ldafp_serve::json::Value;
+use ldafp_obs::json::Value;
 use std::collections::VecDeque;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -50,9 +49,9 @@ pub struct ExploreConfig {
     pub threads: usize,
     /// Persistent result cache directory (`None` = no caching).
     pub cache_dir: Option<PathBuf>,
-    /// Durable sweep state directory — the fsync'd journal plus per-point
-    /// branch-and-bound checkpoints live here. `None` disables
-    /// checkpointing and resume.
+    /// Durable sweep state directory — per-point branch-and-bound
+    /// checkpoints live in its `ckpt/`. `None` disables checkpointing and
+    /// resume.
     pub state_dir: Option<PathBuf>,
     /// Snapshot an in-flight search every this many assessed nodes (only
     /// meaningful with `state_dir`; `0` keeps just the final flush that a
@@ -353,24 +352,13 @@ fn clamp_solver_threads(requested: usize, intra_budget: usize) -> usize {
     }
 }
 
-/// Durable state of a checkpointed sweep: the shared journal plus the
-/// directory holding per-point branch-and-bound snapshots.
+/// Durable state of a checkpointed sweep: the directory holding
+/// per-point branch-and-bound snapshots.
 struct SweepState {
-    journal: Mutex<SweepJournal>,
     ckpt_dir: PathBuf,
-    /// The journal predates this run — completed points will be served by
+    /// `ckpt_dir` predates this run — completed points will be served by
     /// the cache and counted as `resume.skipped`.
     resumed: bool,
-}
-
-impl SweepState {
-    /// Journal appends are advisory: a failed append costs visibility,
-    /// never correctness (resume rides on the cache and the checkpoints).
-    fn record(&self, event: &Value) {
-        if let Ok(mut journal) = self.journal.lock() {
-            let _ = journal.record(event);
-        }
-    }
 }
 
 /// Shared state visible to every worker during a sweep.
@@ -448,24 +436,18 @@ impl Explorer {
         };
         let state = match &self.config.state_dir {
             Some(dir) => {
-                let state_err = |e: std::io::Error| ExploreError::Cache {
+                let ckpt_dir = dir.join("ckpt");
+                let resumed = ckpt_dir.is_dir();
+                std::fs::create_dir_all(&ckpt_dir).map_err(|e| ExploreError::Cache {
                     path: dir.clone(),
                     detail: e.to_string(),
-                };
-                let journal = SweepJournal::open(dir).map_err(state_err)?;
-                let ckpt_dir = dir.join("ckpt");
-                std::fs::create_dir_all(&ckpt_dir).map_err(state_err)?;
-                let resumed = journal.resumed();
+                })?;
                 if resumed {
                     obs::Registry::global()
                         .counter("explore.resumed_sweeps")
                         .inc();
                 }
-                Some(SweepState {
-                    journal: Mutex::new(journal),
-                    ckpt_dir,
-                    resumed,
-                })
+                Some(SweepState { ckpt_dir, resumed })
             }
             None => None,
         };
@@ -493,15 +475,6 @@ impl Explorer {
                 .lock()
                 .unwrap_or_else(|e| e.into_inner())
                 .push_back(i);
-        }
-
-        if let Some(state) = &state {
-            state.record(&Value::object([
-                ("event", Value::from("sweep.start")),
-                ("points", Value::from(points.len())),
-                ("threads", Value::from(threads)),
-                ("resumed", Value::from(state.resumed)),
-            ]));
         }
 
         let worker = |me: usize| {
@@ -546,27 +519,12 @@ impl Explorer {
             .into_inner()
             .unwrap_or_else(|e| e.into_inner());
         if results.iter().any(Option::is_none) {
-            if let Some(state) = &state {
-                state.record(&Value::object([
-                    ("event", Value::from("sweep.interrupt")),
-                    (
-                        "completed",
-                        Value::from(results.iter().filter(|r| r.is_some()).count()),
-                    ),
-                ]));
-            }
             return Err(ExploreError::Interrupted);
         }
         let outcomes: Vec<DesignOutcome> = results
             .into_iter()
             .map(|slot| slot.expect("checked above"))
             .collect();
-        if let Some(state) = &state {
-            state.record(&Value::object([
-                ("event", Value::from("sweep.finish")),
-                ("points", Value::from(outcomes.len())),
-            ]));
-        }
         let pareto = pareto_frontier(&outcomes);
         let total_nodes = outcomes.iter().map(|o| o.nodes_assessed).sum();
         let cache_hits = outcomes.iter().filter(|o| o.from_cache).count();
@@ -657,21 +615,6 @@ impl Explorer {
         }
 
         let started = Instant::now();
-        if let Some(state) = state {
-            state.record(&Value::object([
-                ("event", Value::from("point.start")),
-                ("family", Value::from(point.family.name())),
-                ("k", Value::from(point.k)),
-                ("f", Value::from(point.f)),
-                ("key", Value::from(key.as_str())),
-                (
-                    "ckpt",
-                    ckpt_path
-                        .as_ref()
-                        .map_or(Value::Null, |p| Value::from(p.display().to_string())),
-                ),
-            ]));
-        }
         let outcome = if point.family == ModelFamily::Lda {
             let trainer = LdaFpTrainer::new(trainer_config);
             let policy = ckpt_path.as_ref().map(|path| {
@@ -732,15 +675,6 @@ impl Explorer {
         if let Some(cache) = cache {
             // A failed store costs a future re-solve, nothing else.
             let _ = cache.store(&key, &outcome.to_value());
-        }
-        if let Some(state) = state {
-            state.record(&Value::object([
-                ("event", Value::from("point.finish")),
-                ("k", Value::from(point.k)),
-                ("f", Value::from(point.f)),
-                ("key", Value::from(key.as_str())),
-                ("trained", Value::from(outcome.metrics.is_some())),
-            ]));
         }
         record_point(&outcome);
         Some(outcome)

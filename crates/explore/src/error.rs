@@ -31,9 +31,8 @@ pub enum ExploreError {
         detail: String,
     },
     /// The sweep was cooperatively interrupted. Every in-flight solve
-    /// flushed its branch-and-bound checkpoint and the journal records
-    /// where the sweep stopped, so a re-run with the same state directory
-    /// resumes losslessly.
+    /// flushed its branch-and-bound checkpoint, so a re-run with the same
+    /// state directory resumes losslessly.
     Interrupted,
 }
 

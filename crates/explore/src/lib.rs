@@ -29,7 +29,6 @@ pub mod cache;
 pub mod engine;
 pub mod error;
 pub mod grid;
-pub mod journal;
 pub mod pareto;
 pub mod report;
 
@@ -39,7 +38,6 @@ pub use engine::{
 };
 pub use error::ExploreError;
 pub use grid::{DesignPoint, ExploreGrid};
-pub use journal::{read_journal, SweepJournal, JOURNAL_FILE};
 pub use pareto::pareto_frontier;
 pub use report::{json_report, markdown_report, pareto_report};
 

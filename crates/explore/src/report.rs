@@ -3,7 +3,7 @@
 //! presentation.
 
 use crate::engine::ExploreSummary;
-use ldafp_serve::json::Value;
+use ldafp_obs::json::Value;
 use std::fmt::Write as _;
 
 /// Formats power in engineering units (the raw model output is watts).
@@ -268,7 +268,7 @@ mod tests {
     fn json_report_parses_back_and_counts_match() {
         let value = json_report(&summary());
         let text = value.to_pretty_string();
-        let parsed = ldafp_serve::json::parse(&text).unwrap();
+        let parsed = ldafp_obs::json::parse(&text).unwrap();
         assert_eq!(parsed.get("points").and_then(Value::as_i64), Some(2));
         assert_eq!(parsed.get("trained").and_then(Value::as_i64), Some(1));
         assert_eq!(

@@ -7,7 +7,7 @@ use ldafp_explore::{
     holdout_split, json_report, markdown_report, ExploreConfig, ExploreGrid, Explorer,
 };
 use ldafp_fixedpoint::RoundingMode;
-use ldafp_serve::json::Value;
+use ldafp_obs::json::Value;
 use ldafp_stats::Rng;
 
 fn demo_data() -> (ldafp_datasets::BinaryDataset, ldafp_datasets::BinaryDataset) {
@@ -82,7 +82,7 @@ fn reports_render_from_a_real_sweep() {
     assert!(md.contains("Pareto frontier"));
 
     let json_text = json_report(&summary).to_pretty_string();
-    let parsed = ldafp_serve::json::parse(&json_text).expect("report is valid JSON");
+    let parsed = ldafp_obs::json::parse(&json_text).expect("report is valid JSON");
     assert_eq!(
         parsed.get("points").and_then(Value::as_i64),
         Some(summary.outcomes.len() as i64)

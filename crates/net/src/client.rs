@@ -26,7 +26,7 @@ use crate::binwire::{
 use crate::error::{NetError, Result};
 use ldafp_fixedpoint::{InputScale, QFormat, RoundingMode};
 use ldafp_obs as obs;
-use ldafp_serve::json::{self, Value};
+use ldafp_obs::json::{self, Value};
 use ldafp_serve::wire::{self, Request, DEFAULT_MAX_FRAME};
 use ldafp_serve::ServeError;
 use ldafp_stats::{fnv1a64, FNV1A64_OFFSET};

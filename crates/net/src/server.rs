@@ -67,7 +67,7 @@ use crate::error::{NetError, Result};
 use crate::metrics::{micros, NetMetrics};
 use crate::sys::{self, Epoll, EpollEvent, EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT, EPOLLRDHUP};
 use ldafp_obs as obs;
-use ldafp_serve::json::Value;
+use ldafp_obs::json::Value;
 use ldafp_serve::wire::{self, predict_response, Request};
 use ldafp_serve::{BatchOutput, InferenceEngine, ModelRegistry, ServeError};
 use std::collections::{HashMap, VecDeque};
@@ -554,7 +554,7 @@ impl EventLoop {
     fn dispatch_json(&mut self, token: u64, body: &[u8]) {
         let parsed = std::str::from_utf8(body)
             .map_err(|e| ServeError::Protocol(format!("frame body is not UTF-8: {e}")))
-            .and_then(|text| ldafp_serve::json::parse(text).map_err(ServeError::from))
+            .and_then(|text| ldafp_obs::json::parse(text).map_err(ServeError::from))
             .and_then(|v| Request::from_json(&v));
         let request = match parsed {
             Ok(r) => r,

@@ -1,7 +1,11 @@
-//! Exporters: hand-rolled JSON (no runtime serde, matching the
-//! `serve::json` convention), a human-readable text dump, and the
-//! [`NdjsonWriter`] subscriber behind the CLI's `--trace`.
+//! Exporters: trace lines and the registry dump as JSON, written
+//! through [`crate::json`]'s string and number writers, a human-readable
+//! text dump, and the [`NdjsonWriter`] subscriber behind the CLI's
+//! `--trace`. Integer fields are written as exact integer text, never
+//! through a JSON [`Value`](crate::json::Value), whose `f64` would round a
+//! `u64` above 2⁵³.
 
+use crate::json::{write_number, write_string};
 use crate::metrics::{HistogramSnapshot, MetricValue, Registry};
 use crate::trace::{Event, FieldValue, Subscriber};
 use std::fmt::Write as _;
@@ -9,25 +13,6 @@ use std::io::{BufWriter, Write};
 use std::path::Path;
 use std::sync::Mutex;
 use std::time::Instant;
-
-/// Appends `s` to `out` as a JSON string literal.
-fn push_json_str(out: &mut String, s: &str) {
-    out.push('"');
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
 
 /// Appends `v` as a JSON value. Non-finite floats become `null` — NDJSON
 /// consumers get a parseable stream even if an instrumented site reports
@@ -40,11 +25,8 @@ fn push_field_value(out: &mut String, v: &FieldValue) {
         FieldValue::U64(u) => {
             let _ = write!(out, "{u}");
         }
-        FieldValue::F64(f) if f.is_finite() => {
-            let _ = write!(out, "{f}");
-        }
-        FieldValue::F64(_) => out.push_str("null"),
-        FieldValue::Str(s) => push_json_str(out, s),
+        FieldValue::F64(f) => write_number(*f, out),
+        FieldValue::Str(s) => write_string(s, out),
         FieldValue::Bool(b) => {
             let _ = write!(out, "{b}");
         }
@@ -58,11 +40,11 @@ fn push_field_value(out: &mut String, v: &FieldValue) {
 pub fn event_to_json(event: &Event, t_us: u64) -> String {
     let mut out = String::with_capacity(64 + event.fields.len() * 24);
     out.push_str("{\"event\":");
-    push_json_str(&mut out, event.name);
+    write_string(event.name, &mut out);
     let _ = write!(out, ",\"t_us\":{t_us}");
     for (key, value) in &event.fields {
         out.push(',');
-        push_json_str(&mut out, key);
+        write_string(key, &mut out);
         out.push(':');
         push_field_value(&mut out, value);
     }
@@ -71,15 +53,12 @@ pub fn event_to_json(event: &Event, t_us: u64) -> String {
 }
 
 fn push_histogram_json(out: &mut String, h: &HistogramSnapshot) {
+    let _ = write!(out, "{{\"count\":{},\"sum\":{},\"mean\":", h.count, h.sum);
+    write_number(if h.mean.is_finite() { h.mean } else { 0.0 }, out);
     let _ = write!(
         out,
-        "{{\"count\":{},\"sum\":{},\"mean\":{},\"p50\":{},\"p90\":{},\"p99\":{},\"buckets\":[",
-        h.count,
-        h.sum,
-        if h.mean.is_finite() { h.mean } else { 0.0 },
-        h.p50,
-        h.p90,
-        h.p99
+        ",\"p50\":{},\"p90\":{},\"p99\":{},\"buckets\":[",
+        h.p50, h.p90, h.p99
     );
     for (i, b) in h.buckets.iter().enumerate() {
         if i > 0 {
@@ -116,7 +95,7 @@ impl Registry {
             if !section.is_empty() {
                 section.push(',');
             }
-            push_json_str(section, &m.name);
+            write_string(&m.name, section);
             section.push(':');
             match &m.value {
                 MetricValue::Counter(v) => {
@@ -262,6 +241,35 @@ mod tests {
             "{\"event\":\"bnb.prune\",\"t_us\":42,\"reason\":\"bound\\\"quote\",\
              \"depth\":3,\"gap\":0.5,\"bad\":null,\"neg\":-2,\"ok\":true}"
         );
+    }
+
+    #[test]
+    fn event_json_parses_for_every_field_kind() {
+        use crate::json::{parse, Value};
+        let text = "quote\" back\\slash \n\r\t\u{1}\u{1f} héllo — ∑ 中文";
+        let e = Event::new("kinds")
+            .with("i64", i64::MIN)
+            .with("u64", u64::MAX)
+            .with("f64", 0.1f64)
+            .with("tiny", 1e-7f64)
+            .with("nan", f64::NAN)
+            .with("inf", f64::INFINITY)
+            .with("neg_inf", f64::NEG_INFINITY)
+            .with("text", text)
+            .with("bool", false);
+        let json = event_to_json(&e, 7);
+        assert!(json.contains("\"u64\":18446744073709551615,"), "{json}");
+        assert!(json.contains("\"i64\":-9223372036854775808,"), "{json}");
+        let v = parse(&json).unwrap_or_else(|err| panic!("{err}: {json}"));
+        assert_eq!(v.get("event").and_then(Value::as_str), Some("kinds"));
+        assert_eq!(v.get("t_us").and_then(Value::as_i64), Some(7));
+        assert_eq!(v.get("f64").and_then(Value::as_f64), Some(0.1));
+        assert_eq!(v.get("tiny").and_then(Value::as_f64), Some(1e-7));
+        for key in ["nan", "inf", "neg_inf"] {
+            assert!(v.get(key).is_some_and(Value::is_null), "{key}: {json}");
+        }
+        assert_eq!(v.get("text").and_then(Value::as_str), Some(text));
+        assert_eq!(v.get("bool").and_then(Value::as_bool), Some(false));
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //! write → parse cycle reproduces values bit-identically.
 
 use std::collections::BTreeMap;
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 /// A parsed JSON document node.
 #[derive(Debug, Clone, PartialEq)]
@@ -258,22 +258,27 @@ fn newline_indent(indent: Option<usize>, depth: usize, out: &mut String) {
     }
 }
 
-fn write_number(n: f64, out: &mut String) {
+/// Appends `n` as a JSON number: integral values inside the 2⁵³ exact
+/// range as integers, others in Rust's shortest round-trip form, and
+/// non-finite values as `null`.
+pub(crate) fn write_number(n: f64, out: &mut String) {
     // Non-finite numbers have no JSON spelling; the serving layer never
     // produces them, but a total writer must not emit invalid documents.
     if !n.is_finite() {
         out.push_str("null");
         return;
     }
+    // Writing into a `String` cannot fail.
     if n.fract() == 0.0 && n.abs() < 9_007_199_254_740_992.0 {
-        out.push_str(&format!("{}", n as i64));
+        let _ = write!(out, "{}", n as i64);
     } else {
         // `{:?}` is Rust's shortest representation that round-trips exactly.
-        out.push_str(&format!("{n:?}"));
+        let _ = write!(out, "{n:?}");
     }
 }
 
-fn write_string(s: &str, out: &mut String) {
+/// Appends `s` as a JSON string literal.
+pub(crate) fn write_string(s: &str, out: &mut String) {
     out.push('"');
     for c in s.chars() {
         match c {
@@ -282,7 +287,9 @@ fn write_string(s: &str, out: &mut String) {
             '\n' => out.push_str("\\n"),
             '\r' => out.push_str("\\r"),
             '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
             c => out.push(c),
         }
     }

@@ -13,15 +13,19 @@
 //!   (the default) every emission site reduces to one relaxed atomic load
 //!   and a predictable branch — cheap enough for the branch-and-bound
 //!   hot loop.
-//! * [`export`] — hand-rolled JSON/text exporters (same no-runtime-serde
-//!   convention as `serve::json`) and [`NdjsonWriter`], a subscriber that
-//!   streams one JSON object per line to a file (the CLI's `--trace`).
+//! * [`export`] — JSON/text exporters and [`NdjsonWriter`], a subscriber
+//!   that streams one JSON object per line to a file (the CLI's `--trace`).
+//!
+//! Beside them sits [`json`], the workspace's one JSON reader and writer:
+//! the serving artifact, the wire protocol, the explore cache and reports,
+//! and the trace lines all go through it.
 //!
 //! The crate deliberately has **zero dependencies** so every other crate
-//! in the workspace can instrument itself without widening its own
-//! dependency tree.
+//! in the workspace can instrument itself, and read and write JSON,
+//! without widening its own dependency tree.
 
 pub mod export;
+pub mod json;
 pub mod metrics;
 pub mod trace;
 

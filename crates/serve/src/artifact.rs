@@ -51,11 +51,11 @@
 //! family/kind mismatch is rejected rather than guessed around.
 
 use crate::error::{Result, ServeError};
-use crate::json::{self, Value};
 use ldafp_core::multiclass::OneVsRestClassifier;
 use ldafp_core::{FixedPointClassifier, TrainingOutcome};
 use ldafp_fixedpoint::{QFormat, RoundingMode};
 use ldafp_models::{FixedPointModel, ModelError, ModelFamily, NaiveBayesModel, OsElmModel};
+use ldafp_obs::json::{self, Value};
 use ldafp_stats::{fnv1a64, FNV1A64_OFFSET};
 use std::path::Path;
 

@@ -1,6 +1,6 @@
 //! Error taxonomy for the serving layer.
 
-use crate::json::JsonError;
+use ldafp_obs::json::JsonError;
 use std::fmt;
 
 /// Everything that can go wrong between a model artifact on disk and a

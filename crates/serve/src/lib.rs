@@ -21,9 +21,9 @@
 //!    hot-reloadable [`registry`]; its `NetClient` is the client for
 //!    both codecs.
 //!
-//! JSON is hand-rolled in [`json`] (object-key-sorted, shortest-roundtrip
-//! floats) so the serving stack has zero dependencies beyond the
-//! workspace's own crates.
+//! JSON is hand-rolled in `ldafp_obs::json` (object-key-sorted,
+//! shortest-roundtrip floats) so the serving stack has zero dependencies
+//! beyond the workspace's own crates.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -31,11 +31,11 @@
 pub mod artifact;
 pub mod engine;
 pub mod error;
-pub mod json;
 pub mod registry;
 pub mod wire;
 
 pub use artifact::{ModelArtifact, ServedModel, TrainingInfo, FORMAT_VERSION};
 pub use engine::{BatchOutput, BatchStats, InferenceEngine, Prediction};
 pub use error::{Result, ServeError};
+pub use ldafp_obs::json;
 pub use registry::{ModelRegistry, ReloadOutcome, DEFAULT_MODEL_NAME};

@@ -18,7 +18,7 @@
 
 use crate::engine::BatchOutput;
 use crate::error::{Result, ServeError};
-use crate::json::{self, Value};
+use ldafp_obs::json::{self, Value};
 use std::io::{Read, Write};
 
 /// Default bound on a single frame body (16 MiB).

@@ -4,7 +4,7 @@
 use ldafp_core::multiclass::OneVsRestClassifier;
 use ldafp_core::FixedPointClassifier;
 use ldafp_fixedpoint::QFormat;
-use ldafp_serve::json::Value;
+use ldafp_obs::json::Value;
 use ldafp_serve::wire::predict_response;
 use ldafp_serve::{InferenceEngine, ModelArtifact, Prediction};
 

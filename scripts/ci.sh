@@ -86,6 +86,14 @@ cargo run --release -q -p ldafp-bench --bin ablation -- --quick > /dev/null
 cargo test -q -p ldafp-obs
 cargo test -q -p ldafp-core --test obs_soundness
 cargo clippy -p ldafp-obs --all-targets -- -D warnings
+# `ldafp-obs` also holds the workspace's one JSON module, which every
+# layer uses; the crate stays a leaf, so its normal dependency tree is
+# the crate alone.
+obs_tree="$(cargo tree -q --offline -p ldafp-obs -e normal --prefix none)"
+if grep -qv '^ldafp-obs ' <<< "$obs_tree"; then
+    printf 'ldafp-obs must stay a leaf crate; its tree lists:\n%s\n' "$obs_tree" >&2
+    exit 1
+fi
 obs_tmp="$(mktemp -d)"
 trap 'rm -rf "$obs_tmp"' EXIT
 for i in $(seq 0 19); do

@@ -409,16 +409,17 @@ impl LdaFpTrainer {
         }
 
         // ---- Branch-and-bound (Algorithm 1) -----------------------------
-        let (lo, hi) = tp.value_range();
-        let m = tp.num_features();
+        // The root weight box is eq. 18's, the value range clipped to the
+        // grid values each weight may take alone; every child box stays
+        // inside it, so no relaxation needs eq. 18 rows.
         let (t_lo, t_hi) = tp.initial_t_interval();
         let t_lo = if self.config.restrict_t_positive {
             t_lo.max(0.0)
         } else {
             t_lo
         };
-        let mut lower = vec![lo; m];
-        let mut upper = vec![hi; m];
+        let (lower, upper) = tp.elementwise_box();
+        let (mut lower, mut upper) = (lower.to_vec(), upper.to_vec());
         lower.push(t_lo);
         upper.push(t_hi);
         let root = BoxNode::new(lower, upper).ok_or_else(|| CoreError::InvalidTrainingData {
@@ -875,7 +876,10 @@ impl NodeProblem<'_> {
     }
 
     /// Builds the relaxation (eq. 25) for the given box and `η`, returning
-    /// the problem plus the box-center warm start.
+    /// the problem plus the box-center warm start: the box rows, the two
+    /// `t`-slab rows and the four eq. 20 cones. The search's boxes lie
+    /// inside [`TrainingProblem::elementwise_box`], so the box rows carry
+    /// eq. 18.
     fn build_relaxation(
         &self,
         lo: &[f64],
@@ -890,11 +894,6 @@ impl NodeProblem<'_> {
         p.add_box(lo, hi)?;
         p.add_linear(d.clone(), t_hi)?;
         p.add_linear(d.iter().map(|v| -v).collect(), -t_lo)?;
-        self.tp
-            .add_elementwise_constraints(&mut p)
-            .map_err(|_| SolverError::InvalidProblem {
-                reason: "element-wise constraint construction failed".to_string(),
-            })?;
         self.tp
             .add_projection_constraints(&mut p)
             .map_err(|_| SolverError::InvalidProblem {
@@ -1404,6 +1403,23 @@ mod tests {
         );
         // Node 1 has none: the thin box is settled by the grid probe.
         assert_eq!(np.assess_box(&node, 1, true).degradation, None);
+    }
+
+    #[test]
+    fn relaxation_rows_are_the_box_the_t_slab_and_four_cones() {
+        // Eq. 18 rides on the box rows: a relaxation over eq. 18's box has
+        // 2·M box rows, the 2 `t`-slab rows and the 4 eq. 20 cones.
+        let config = LdaFpConfig::default();
+        let format = QFormat::new(2, 4).unwrap();
+        let tp = TrainingProblem::from_dataset(&easy_data(), format, config.rho, config.rounding)
+            .unwrap();
+        let (lo, hi) = tp.elementwise_box();
+        let (_, t_hi) = tp.initial_t_interval();
+        let (p, _) = node_problem(&tp, &config)
+            .build_relaxation(lo, hi, 0.0, t_hi, t_hi * t_hi)
+            .unwrap();
+        assert_eq!(p.linear_constraints().len(), 2 * 2 + 2);
+        assert_eq!(p.soc_constraints().len(), 4);
     }
 
     #[test]

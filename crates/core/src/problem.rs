@@ -8,7 +8,9 @@ use ldafp_solver::SocpProblem;
 /// The statistical core of the LDA-FP formulation (eq. 21): class moments
 /// estimated from **quantized** training data, the confidence multiplier
 /// `β`, and machinery to express / check the overflow constraints
-/// (eqs. 18 and 20).
+/// (eqs. 18 and 20). Eq. 18 involves one weight per constraint, so it is
+/// held as one grid interval per weight (`elementwise_box`), the
+/// search's root box; eq. 20 becomes four cones.
 ///
 /// Everything the branch-and-bound solver needs about one training run is
 /// derived from this object.
@@ -22,6 +24,8 @@ pub struct TrainingProblem {
     cone_a: Matrix,
     /// `β·L_Bᵀ` for class B.
     cone_b: Matrix,
+    /// Eq. 18 per weight: the lowest and highest grid values accepted.
+    elementwise_box: (Vec<f64>, Vec<f64>),
 }
 
 impl TrainingProblem {
@@ -62,14 +66,47 @@ impl TrainingProblem {
         let (chol_b, _) = Cholesky::new_with_ridge(&moments.sigma_b, 1e-9)?;
         let cone_a = chol_a.factor().transpose().scaled(beta);
         let cone_b = chol_b.factor().transpose().scaled(beta);
-        Ok(TrainingProblem {
+        let mut tp = TrainingProblem {
             moments,
             format,
             rho,
             beta,
             cone_a,
             cone_b,
-        })
+            elementwise_box: Default::default(),
+        };
+        tp.elementwise_box = (0..tp.num_features()).map(|m| tp.grid_interval(m)).unzip();
+        Ok(tp)
+    }
+
+    /// The grid values `[L_m, U_m]` that eq. 18 accepts for weight `m`.
+    ///
+    /// Per class, `w_m·μ + β|w_m|·σ ≤ U` bounds a convex function and
+    /// `w_m·μ − β|w_m|·σ ≥ L` a concave one, both piecewise linear with the
+    /// break at 0, so each accepts an interval around 0 and so do all four
+    /// together. A bisection over the raw words on each side of 0 finds its
+    /// ends: exactly the grid values [`Self::satisfies_elementwise`]
+    /// accepts in coordinate `m`, with the tolerance it applies.
+    fn grid_interval(&self, m: usize) -> (f64, f64) {
+        let q = self.format.resolution();
+        let accepts = |raw: i64| self.accepts_elementwise(m, raw as f64 * q);
+        // The last accepted raw word from 0 towards `end` (0 is accepted:
+        // its products are 0, inside every range).
+        let last_accepted = |end: i64| {
+            let (mut good, mut bad) = (0i64, end + end.signum());
+            while (bad - good).abs() > 1 {
+                let mid = good + (bad - good) / 2;
+                if accepts(mid) {
+                    good = mid;
+                } else {
+                    bad = mid;
+                }
+            }
+            good
+        };
+        let lo = last_accepted(self.format.min_raw());
+        let hi = last_accepted(self.format.max_raw());
+        (lo as f64 * q, hi as f64 * q)
     }
 
     /// The class moments (estimated from quantized data).
@@ -102,6 +139,15 @@ impl TrainingProblem {
         (self.format.min_value(), self.format.max_value())
     }
 
+    /// Eq. 18 as a box: per weight, the lowest and highest grid values
+    /// `[L_m, U_m]` that [`Self::satisfies_elementwise`] accepts with every
+    /// other weight at 0. The check is separable, so a grid point meets
+    /// eq. 18 exactly when it lies in this box. Every interval contains 0
+    /// and lies inside [`Self::value_range`].
+    pub(crate) fn elementwise_box(&self) -> (&[f64], &[f64]) {
+        (&self.elementwise_box.0, &self.elementwise_box.1)
+    }
+
     /// The initial `t` interval of eq. 29:
     /// `[−2^(K−1)·‖d‖₁, (2^(K−1) − 2^(−F))·‖d‖₁]`.
     pub fn initial_t_interval(&self) -> (f64, f64) {
@@ -121,29 +167,32 @@ impl TrainingProblem {
             .expect("feature counts agree by construction")
     }
 
-    /// Exact check of the per-feature overflow constraints (eq. 18) —
-    /// evaluated with `|w_m|` directly, not the linearized split.
+    /// Exact check of the per-feature overflow constraints (eq. 18),
+    /// evaluated with `|w_m|` directly. On the grid it accepts exactly the
+    /// points of `elementwise_box`.
     pub fn satisfies_elementwise(&self, w: &[f64]) -> bool {
+        (0..self.num_features()).all(|m| self.accepts_elementwise(m, w[m]))
+    }
+
+    /// Eq. 18 for weight `m` alone: `w_m·μ ± β|w_m|·σ` inside the range for
+    /// both classes.
+    fn accepts_elementwise(&self, m: usize, wm: f64) -> bool {
         let (lo, hi) = self.value_range();
-        for m in 0..self.num_features() {
-            let wm = w[m];
-            for (mu, sigma) in [
-                (
-                    self.moments.mu_a[m],
-                    self.moments.sigma_a[(m, m)].max(0.0).sqrt(),
-                ),
-                (
-                    self.moments.mu_b[m],
-                    self.moments.sigma_b[(m, m)].max(0.0).sqrt(),
-                ),
-            ] {
-                let spread = self.beta * wm.abs() * sigma;
-                if wm * mu - spread < lo - FEAS_EPS || wm * mu + spread > hi + FEAS_EPS {
-                    return false;
-                }
-            }
-        }
-        true
+        ![
+            (
+                self.moments.mu_a[m],
+                self.moments.sigma_a[(m, m)].max(0.0).sqrt(),
+            ),
+            (
+                self.moments.mu_b[m],
+                self.moments.sigma_b[(m, m)].max(0.0).sqrt(),
+            ),
+        ]
+        .into_iter()
+        .any(|(mu, sigma)| {
+            let spread = self.beta * wm.abs() * sigma;
+            wm * mu - spread < lo - FEAS_EPS || wm * mu + spread > hi + FEAS_EPS
+        })
     }
 
     /// Exact check of the projection overflow constraints (eq. 20).
@@ -211,48 +260,6 @@ impl TrainingProblem {
         } else {
             None
         }
-    }
-
-    /// Adds the linearized per-feature overflow constraints (eq. 18) to a
-    /// convex subproblem. Each `|w_m|` constraint splits into two linear
-    /// half-planes (the split is exact, not a relaxation, because
-    /// `w·μ ± β|w|·σ` is piecewise linear in `w` with breakpoint 0).
-    ///
-    /// # Errors
-    ///
-    /// Propagates solver validation failures (cannot occur for dimensions
-    /// produced by this object).
-    pub fn add_elementwise_constraints(&self, p: &mut SocpProblem) -> Result<()> {
-        let n = self.num_features();
-        let (lo, hi) = self.value_range();
-        for m in 0..n {
-            for (mu, sigma) in [
-                (
-                    self.moments.mu_a[m],
-                    self.moments.sigma_a[(m, m)].max(0.0).sqrt(),
-                ),
-                (
-                    self.moments.mu_b[m],
-                    self.moments.sigma_b[(m, m)].max(0.0).sqrt(),
-                ),
-            ] {
-                let plus = mu + self.beta * sigma;
-                let minus = mu - self.beta * sigma;
-                // Upper: w·plus ≤ hi and w·minus ≤ hi.
-                for coeff in [plus, minus] {
-                    let mut g = vec![0.0; n];
-                    g[m] = coeff;
-                    p.add_linear(g, hi)?;
-                }
-                // Lower: w·plus ≥ lo and w·minus ≥ lo.
-                for coeff in [plus, minus] {
-                    let mut g = vec![0.0; n];
-                    g[m] = -coeff;
-                    p.add_linear(g, -lo)?;
-                }
-            }
-        }
-        Ok(())
     }
 
     /// Adds the projection overflow cones (eq. 20) to a convex subproblem:
@@ -372,20 +379,63 @@ mod tests {
     }
 
     #[test]
-    fn linearized_halfplanes_match_exact_elementwise() {
-        // For many probe vectors, the 8M half-planes must accept exactly the
-        // same set as the |w|-based element-wise check.
-        let p = problem(2, 3);
-        let mut socp = SocpProblem::new(Matrix::identity(2), vec![0.0; 2]).unwrap();
-        p.add_elementwise_constraints(&mut socp).unwrap();
-        for i in -20i32..=20 {
-            for j in -20i32..=20 {
-                let w = [i as f64 * 0.1, j as f64 * 0.1];
-                let exact = p.satisfies_elementwise(&w);
-                let lin = socp.max_violation(&w) <= FEAS_EPS;
-                assert_eq!(exact, lin, "w = {w:?}");
+    fn elementwise_box_is_exactly_the_accepted_grid_values() {
+        // Every format with K + F ≤ 8 (Q1.0's maximum is 0), on seeded
+        // 3-feature classes at scales where eq. 18 leaves the range whole
+        // and where it cuts either end. For each feature and grid value,
+        // the box must hold it iff the exact check accepts it with 0
+        // elsewhere, so an end one grid step off fails.
+        let mut rng = ldafp_stats::Rng::new(0x0E18);
+        let (mut problems, mut cut_lo, mut cut_hi, mut whole) = (0, 0, 0, 0);
+        for k in 1..=8u32 {
+            for f in 0..=8 - k {
+                let format = QFormat::new(k, f).unwrap();
+                let (min, max) = (format.min_value(), format.max_value());
+                for scale in [0.02, 0.2, 0.6, 1.5] {
+                    let mut class = |offset: f64| {
+                        let centre: Vec<f64> =
+                            (0..3).map(|_| offset + rng.range_f64(-0.5..0.5)).collect();
+                        Matrix::from_fn(6, 3, |_, j| {
+                            -min * scale * (centre[j] + rng.range_f64(-0.4..0.4))
+                        })
+                    };
+                    let data = BinaryDataset::new(class(0.3), class(-0.3)).unwrap();
+                    let Ok(tp) = TrainingProblem::from_dataset(
+                        &data,
+                        format,
+                        0.99,
+                        RoundingMode::NearestEven,
+                    ) else {
+                        continue; // quantization erased the class separation
+                    };
+                    problems += 1;
+                    let (lo, hi) = tp.elementwise_box();
+                    for m in 0..3 {
+                        assert!(lo[m] >= min && lo[m] <= 0.0 && hi[m] >= 0.0 && hi[m] <= max);
+                        cut_lo += usize::from(lo[m] > min);
+                        cut_hi += usize::from(hi[m] < max);
+                        whole += usize::from(lo[m] == min && hi[m] == max);
+                        for v in format.enumerate() {
+                            let v = v.to_f64();
+                            let mut w = [0.0; 3];
+                            w[m] = v;
+                            assert_eq!(
+                                lo[m] <= v && v <= hi[m],
+                                tp.satisfies_elementwise(&w),
+                                "{format}, scale {scale}, feature {m}, value {v}: box [{}, {}]",
+                                lo[m],
+                                hi[m]
+                            );
+                        }
+                    }
+                }
             }
         }
+        assert!(problems >= 100, "only {problems} problems built");
+        assert!(
+            cut_lo >= 20 && cut_hi >= 20 && whole >= 20,
+            "cut below {cut_lo}, cut above {cut_hi}, whole {whole}"
+        );
     }
 
     #[test]
@@ -414,19 +464,19 @@ mod tests {
 
     #[test]
     fn relaxation_solves_and_bounds_discrete_cost() {
-        // Build the node relaxation at the root box and check that its
-        // optimum lower-bounds the cost of every feasible grid point.
+        // Build the node relaxation at the root box (eq. 18 as the box)
+        // and check that its optimum lower-bounds the cost of every
+        // feasible grid point.
         let p = problem(2, 2);
-        let (lo, hi) = p.value_range();
         let (t_lo, t_hi) = p.initial_t_interval();
         let eta = t_lo.abs().max(t_hi.abs()).powi(2);
         let mut socp = SocpProblem::new(p.moments().s_w.scaled(2.0 / eta), vec![0.0; 2]).unwrap();
-        socp.add_box(&[lo, lo], &[hi, hi]).unwrap();
+        let (box_lo, box_hi) = p.elementwise_box();
+        socp.add_box(box_lo, box_hi).unwrap();
         socp.add_linear(p.moments().mean_diff.clone(), t_hi)
             .unwrap();
         socp.add_linear(p.moments().mean_diff.iter().map(|v| -v).collect(), -t_lo)
             .unwrap();
-        p.add_elementwise_constraints(&mut socp).unwrap();
         p.add_projection_constraints(&mut socp).unwrap();
         let sol = socp.solve(&SolverConfig::default()).unwrap();
         let lb = sol.objective;

@@ -42,14 +42,29 @@ impl Default for Cholesky {
     }
 }
 
+/// Fails unless `a` is square and `max |a_ij − a_ji| ≤ 1e-8 · max|A|`.
+fn check_symmetric(a: &Matrix) -> Result<()> {
+    let asym = a.max_asymmetry()?;
+    let tol = 1e-8 * a.max_abs().max(1.0);
+    if asym > tol {
+        return Err(LinalgError::NotSymmetric {
+            max_asymmetry: asym,
+        });
+    }
+    Ok(())
+}
+
 impl Cholesky {
     /// Factorizes a symmetric positive-definite matrix (see
-    /// [`Cholesky::factorize`]).
+    /// [`Cholesky::factorize`]) after checking that it is symmetric.
     ///
     /// # Errors
     ///
-    /// Same failure modes as [`Cholesky::factorize`].
+    /// * [`LinalgError::NotSymmetric`] if `max |a_ij − a_ji|` exceeds
+    ///   `1e-8 · max|A|`.
+    /// * Otherwise the failure modes of [`Cholesky::factorize`].
     pub fn new(a: &Matrix) -> Result<Self> {
+        check_symmetric(a)?;
         let mut chol = Cholesky::default();
         chol.factorize(a)?;
         Ok(chol)
@@ -62,27 +77,29 @@ impl Cholesky {
     /// Within-class scatter matrices of small datasets are frequently
     /// singular (more features than trials); the LDA-FP trainer uses this
     /// entry point with a tiny relative ridge, exactly as noted in DESIGN.md.
+    /// The matrix is checked for symmetry first, as in [`Cholesky::new`].
     ///
     /// # Errors
     ///
-    /// Same failure modes as [`Cholesky::factorize_with_ridge`].
+    /// * [`LinalgError::NotSymmetric`] as for [`Cholesky::new`].
+    /// * Otherwise the failure modes of [`Cholesky::factorize_with_ridge`].
     pub fn new_with_ridge(a: &Matrix, rel_ridge: f64) -> Result<(Self, f64)> {
+        check_symmetric(a)?;
         let mut chol = Cholesky::default();
         let ridge = chol.factorize_with_ridge(a, rel_ridge, &mut Matrix::zeros(0, 0))?;
         Ok((chol, ridge))
     }
 
-    /// Factorizes `a` into this value's factor buffer, reusing the buffer
-    /// when the dimension is unchanged.
-    ///
-    /// Symmetry is validated up to a relative tolerance before factorizing;
-    /// the lower triangle is then taken as authoritative.
+    /// Factorizes the symmetric matrix whose lower triangle (diagonal
+    /// included) is `a`'s into this value's factor buffer, reusing the
+    /// buffer when the dimension is unchanged. The upper triangle is never
+    /// read, so a caller that assembles only the lower triangle passes its
+    /// matrix as it is; symmetry is checked by [`Cholesky::new`] and
+    /// [`Cholesky::new_with_ridge`], not here.
     ///
     /// # Errors
     ///
     /// * [`LinalgError::NotSquare`] for non-square input.
-    /// * [`LinalgError::NotSymmetric`] if `max |a_ij − a_ji|` exceeds
-    ///   `1e-8 · max|A|`.
     /// * [`LinalgError::NotPositiveDefinite`] if a pivot is `≤ 0`.
     ///
     /// On error the stored factor is invalid and must not be used until the
@@ -90,13 +107,6 @@ impl Cholesky {
     pub fn factorize(&mut self, a: &Matrix) -> Result<()> {
         if !a.is_square() {
             return Err(LinalgError::NotSquare { dims: a.dims() });
-        }
-        let asym = a.max_asymmetry()?;
-        let tol = 1e-8 * a.max_abs().max(1.0);
-        if asym > tol {
-            return Err(LinalgError::NotSymmetric {
-                max_asymmetry: asym,
-            });
         }
         let n = a.rows();
         if self.l.dims() != (n, n) {
@@ -135,7 +145,8 @@ impl Cholesky {
 
     /// Factorizes `A + λI` where `λ = rel_ridge · trace(A)/n`, retrying with
     /// ×10 larger ridges (up to 8 times) until the shifted matrix is positive
-    /// definite; `scratch` holds the shifted copies.
+    /// definite; `scratch` holds the shifted copies. Like
+    /// [`Cholesky::factorize`], it reads only `a`'s lower triangle.
     ///
     /// Only `rel_ridge == 0` tries the unshifted matrix (a ridge of 0 when
     /// it factors); its ladder then starts at `1e-12 · trace(A)/n`.

@@ -459,7 +459,8 @@ impl Matrix {
     /// # Errors
     ///
     /// Propagates the factorization's failure modes
-    /// ([`LinalgError::NotPositiveDefinite`], [`LinalgError::NotSquare`]).
+    /// ([`LinalgError::NotPositiveDefinite`], [`LinalgError::NotSquare`],
+    /// [`LinalgError::NotSymmetric`]).
     pub fn cholesky(&self) -> Result<Cholesky> {
         Cholesky::new(self)
     }

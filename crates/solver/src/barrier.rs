@@ -148,8 +148,8 @@ fn push_cone_argument(sc: &SocConstraint, x: &[f64], z: &mut Vec<f64>) {
 }
 
 /// Accumulates `∇φ` into `grad` and `∇²φ` into the lower triangle of
-/// `hess` (the triangle [`Cholesky`](ldafp_linalg::Cholesky) reads;
-/// [`mirror_lower`] completes the matrix), at the point `pt` evaluated.
+/// `hess` (the only triangle [`Cholesky`](ldafp_linalg::Cholesky)
+/// reads), at the point `pt` evaluated.
 ///
 /// Each linear row touches only its nonzero support, and each cone row's
 /// `Aᵀz` only its nonzero span. The cone Hessian's `AᵀA` term is
@@ -218,17 +218,6 @@ fn add_barrier_derivatives(
                 *h = (*h + two_inv_psi * g)
                     + (gpi * gpj * inv_psi * inv_psi - two_di * dj * inv_psi);
             }
-        }
-    }
-}
-
-/// Copies the lower triangle of the square `m` onto its upper triangle.
-fn mirror_lower(m: &mut Matrix) {
-    let n = m.rows();
-    let data = m.as_mut_slice();
-    for i in 1..n {
-        for j in 0..i {
-            data[j * n + i] = data[i * n + j];
         }
     }
 }
@@ -472,7 +461,6 @@ fn center(
         ws.grad.extend(ws.obj_grad.iter().map(|g| t * g));
         ws.hess.copy_scaled_from(p.q(), t);
         add_barrier_derivatives(p, &ws.point, &mut ws.grad, &mut ws.hess, &mut ws.assembly);
-        mirror_lower(&mut ws.hess);
         ws.lap(|s| &mut s.assembly);
 
         // Newton direction: solve H Δ = −grad, ridging on factorization

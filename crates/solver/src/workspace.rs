@@ -40,7 +40,8 @@ pub struct Workspace {
     pub(crate) delta: Vec<f64>,
     /// Line-search trial point.
     pub(crate) cand: Vec<f64>,
-    /// Hessian assembly buffer (lower triangle assembled, then mirrored).
+    /// Hessian assembly buffer (only the lower triangle is assembled and
+    /// read; the upper holds `t·Q`).
     pub(crate) hess: Matrix,
     /// Ridge-retry shifted-Hessian buffer.
     pub(crate) shifted: Matrix,

@@ -43,6 +43,9 @@ if [ -n "$serve_kernel_features" ]; then
 fi
 cargo test -q -p ldafp-serve
 cargo test -q -p ldafp-cli --test serve_roundtrip
+# The dense linear algebra and the barrier solver, linted on their own so
+# that a lint in a crate linted later does not hide theirs.
+cargo clippy -p ldafp-linalg -p ldafp-solver --all-targets -- -D warnings
 cargo clippy -p ldafp-serve --all-targets -- -D warnings
 
 # Exploration layer: engine/cache/pareto units and the end-to-end sweep

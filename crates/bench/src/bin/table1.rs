@@ -30,6 +30,7 @@ fn main() {
                 r.lda_format.clone(),
                 r.ldafp_format.clone(),
                 if r.certified { "yes" } else { "no" }.to_string(),
+                table::gap(r.search_gap),
             ]
         })
         .collect();
@@ -44,6 +45,7 @@ fn main() {
                 "LDA QK.F",
                 "LDA-FP QK.F",
                 "certified",
+                "search gap",
             ],
             &cells,
         )

@@ -29,6 +29,8 @@ fn main() {
                 table::pct(r.lda_error),
                 table::pct(r.ldafp_error),
                 table::secs(r.ldafp_runtime),
+                format!("{}/{}", r.certified_folds, config.folds),
+                table::gap(r.search_gap),
             ]
         })
         .collect();
@@ -40,6 +42,8 @@ fn main() {
                 "LDA Error",
                 "LDA-FP Error",
                 "LDA-FP Runtime (Sec)",
+                "certified",
+                "search gap",
             ],
             &cells,
         )

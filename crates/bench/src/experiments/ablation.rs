@@ -100,11 +100,6 @@ pub fn run_ablation(config: &AblationConfig) -> Vec<AblationRow> {
             c.bnb.max_nodes = 1;
             c
         }),
-        ("t unrestricted".to_string(), {
-            let mut c = base.clone();
-            c.restrict_t_positive = false;
-            c
-        }),
         ("rho = 0.90".to_string(), {
             let mut c = base.clone();
             c.rho = 0.90;
@@ -155,12 +150,12 @@ mod tests {
             ..AblationConfig::default()
         };
         let rows = run_ablation(&cfg);
-        assert_eq!(rows.len(), 7);
+        assert_eq!(rows.len(), 6);
         let full_cost = rows[0].fisher_cost;
         assert!(full_cost.is_finite());
         // The full configuration is never beaten by the pure-subtraction
         // variants on Fisher cost (same ρ; ρ-variants change the problem).
-        for row in &rows[1..5] {
+        for row in &rows[1..4] {
             if row.fisher_cost.is_finite() {
                 assert!(
                     full_cost <= row.fisher_cost + 1e-9,

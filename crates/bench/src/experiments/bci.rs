@@ -77,6 +77,11 @@ pub struct Table2Row {
     pub ldafp_error: f64,
     /// Total LDA-FP training seconds across all folds (Table 2's runtime).
     pub ldafp_runtime: f64,
+    /// Folds whose LDA-FP training certified its optimum.
+    pub certified_folds: usize,
+    /// The largest final relative search gap over the folds
+    /// (`LdaFpModel::search_gap`; NaN if no fold trained).
+    pub search_gap: f64,
 }
 
 /// Runs the Table 2 sweep.
@@ -99,8 +104,11 @@ pub fn run_table2(config: &Table2Config) -> Vec<Table2Row> {
         .unwrap_or(0.5);
 
         let start = Instant::now();
+        let (mut certified_folds, mut search_gap) = (0, f64::NAN);
         let ldafp_error = eval::cross_validate(&data, config.folds, &mut fold_rng_b, |train| {
             let (model, _) = trainer.train_auto(train, w, config.max_k)?;
+            certified_folds += usize::from(model.certified());
+            search_gap = search_gap.max(model.search_gap());
             Ok(model.classifier().clone())
         })
         .map(|r| r.mean_error)
@@ -112,6 +120,8 @@ pub fn run_table2(config: &Table2Config) -> Vec<Table2Row> {
             lda_error,
             ldafp_error,
             ldafp_runtime,
+            certified_folds,
+            search_gap,
         });
     }
     rows

@@ -72,8 +72,13 @@ pub struct SyntheticSweepRow {
     pub ldafp_format: String,
     /// LDA-FP weight values (Figure 4's series; `None` if training failed).
     pub ldafp_weights: Option<Vec<f64>>,
-    /// Whether branch-and-bound certified optimality within its budget.
+    /// Whether branch-and-bound certified optimality within its budget
+    /// (an empirical deployment rescale voids it, see
+    /// `LdaFpConfig::empirical_scale_selection`).
     pub certified: bool,
+    /// The search's final relative gap (`LdaFpModel::search_gap`; NaN if
+    /// training failed).
+    pub search_gap: f64,
 }
 
 /// Runs the sweep. Word lengths where LDA-FP cannot produce any feasible
@@ -112,15 +117,16 @@ pub fn run_synthetic_sweep(config: &SyntheticSweepConfig) -> Vec<SyntheticSweepR
 
         // LDA-FP.
         let start = Instant::now();
-        let (ldafp_error, ldafp_format, ldafp_weights, certified) =
+        let (ldafp_error, ldafp_format, ldafp_weights, certified, search_gap) =
             match trainer.train_auto(&train, w, config.max_k) {
                 Ok((model, format)) => (
                     eval::error_rate(model.classifier(), &test),
                     format.to_string(),
                     Some(model.weights().to_vec()),
                     model.certified(),
+                    model.search_gap(),
                 ),
-                Err(_) => (0.5, "-".to_string(), None, false),
+                Err(_) => (0.5, "-".to_string(), None, false, f64::NAN),
             };
         let ldafp_runtime = start.elapsed().as_secs_f64();
 
@@ -133,6 +139,7 @@ pub fn run_synthetic_sweep(config: &SyntheticSweepConfig) -> Vec<SyntheticSweepR
             ldafp_format,
             ldafp_weights,
             certified,
+            search_gap,
         });
     }
     rows

@@ -51,6 +51,18 @@ pub fn pct(x: f64) -> String {
     format!("{:.2}%", 100.0 * x)
 }
 
+/// Formats a search's final relative gap: `0` when closed, else two
+/// significant digits (`0.00131 → "1.3e-3"`); `-` when there was no search.
+pub fn gap(x: f64) -> String {
+    if x.is_nan() {
+        "-".to_string()
+    } else if x == 0.0 {
+        "0".to_string()
+    } else {
+        format!("{x:.1e}")
+    }
+}
+
 /// Formats seconds with adaptive precision.
 pub fn secs(s: f64) -> String {
     if s < 0.01 {

@@ -512,9 +512,10 @@ fn checkpoint_metrics() -> &'static CheckpointMetrics {
 }
 
 /// Where a checkpointed search begins: the snapshot at `policy.path` when
-/// one loads cleanly under the configured search order, else `root`. A
-/// resume is counted and traced as `resume.loaded`; a rejected or
-/// foreign-order snapshot as `resume.cold_start` with its reason.
+/// one loads cleanly under the configured search order and every frontier
+/// box has the root's dimension, else `root`. A resume is counted and
+/// traced as `resume.loaded`; a rejected, foreign-order or
+/// foreign-dimension snapshot as `resume.cold_start` with its reason.
 pub(crate) fn resume_or_cold_start(
     policy: &CheckpointPolicy,
     order: SearchOrder,
@@ -522,7 +523,18 @@ pub(crate) fn resume_or_cold_start(
 ) -> SearchStart {
     let m = checkpoint_metrics();
     let reason = match load_snapshot(&policy.path, policy.fingerprint) {
-        LoadOutcome::Loaded(snapshot) if snapshot.order == order => {
+        LoadOutcome::Loaded(snapshot) if snapshot.order != order => {
+            "search-order-mismatch".to_string()
+        }
+        LoadOutcome::Loaded(snapshot)
+            if snapshot
+                .frontier
+                .iter()
+                .any(|entry| entry.node.dim() != root.dim()) =>
+        {
+            "dimension-mismatch".to_string()
+        }
+        LoadOutcome::Loaded(snapshot) => {
             m.resumed.inc();
             if obs::enabled() {
                 let mut e = obs::Event::new("resume.loaded")
@@ -535,7 +547,6 @@ pub(crate) fn resume_or_cold_start(
             }
             return SearchStart::Resumed(snapshot);
         }
-        LoadOutcome::Loaded(_) => "search-order-mismatch".to_string(),
         LoadOutcome::Missing => return SearchStart::Root(root),
         LoadOutcome::Rejected(reason) => reason,
     };

@@ -10,12 +10,13 @@
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use ldafp_bnb::{
     snapshot_fingerprint, solve, BnbConfig, BnbOutcome, BoundingProblem, BoxNode, CheckpointPolicy,
     NodeAssessment,
 };
+use ldafp_obs as obs;
 use ldafp_stats::Rng;
 
 /// Uniform-ish in `[-3, 3]` with plenty of non-representable values.
@@ -375,4 +376,71 @@ fn seeded_resume_matches_seeded_solve() {
             let _ = std::fs::remove_dir_all(path.parent().unwrap());
         }
     }
+}
+
+/// Records the reasons of `resume.cold_start` events.
+struct ColdStarts(Mutex<Vec<String>>);
+
+impl obs::Subscriber for ColdStarts {
+    fn event(&self, event: &obs::Event) {
+        if event.name == "resume.cold_start" {
+            for (key, value) in &event.fields {
+                if *key == "reason" {
+                    self.0.lock().unwrap().push(format!("{value:?}"));
+                }
+            }
+        }
+    }
+}
+
+/// A snapshot whose frontier boxes have one dimension more or one fewer
+/// than the root — a search over a different space, such as one written
+/// before the trainer dropped a dimension — is a cold start with its own
+/// reason, never a resume of foreign boxes.
+#[test]
+fn snapshots_of_another_dimension_cold_start() {
+    let cold_starts = Arc::new(ColdStarts(Mutex::new(Vec::new())));
+    obs::set_subscriber(cold_starts.clone());
+    for (case, other) in [(0u64, 3usize), (1, 1)] {
+        let dim = 2;
+        let mut rng = Rng::new(0xD1A ^ case);
+        let problem = GridQuadratic {
+            target: (0..dim).map(|_| coord(&mut rng)).collect(),
+        };
+        let root = BoxNode::new(vec![-4.0; dim], vec![4.0; dim]).unwrap();
+        let config = BnbConfig::default();
+        let baseline = solve(&problem, root.clone(), &config, None, 1, None);
+
+        // Interrupt a search over `other` dimensions under the same
+        // fingerprint, leaving its snapshot behind.
+        let path = scratch_path("dimension");
+        let fingerprint = snapshot_fingerprint(b"dimension-case");
+        let foreign = GridQuadratic {
+            target: (0..other).map(|_| coord(&mut rng)).collect(),
+        };
+        let flag = Arc::new(AtomicBool::new(false));
+        let wrapped = InterruptAfter {
+            inner: foreign,
+            calls: AtomicUsize::new(0),
+            limit: 2,
+            flag: flag.clone(),
+        };
+        let policy =
+            CheckpointPolicy::every_nodes(path.clone(), 1, fingerprint).with_interrupt(flag);
+        let foreign_root = BoxNode::new(vec![-4.0; other], vec![4.0; other]).unwrap();
+        let interrupted = solve(&wrapped, foreign_root, &config, None, 1, Some(&policy));
+        assert!(
+            interrupted.interrupted,
+            "setup: expected an interrupted run"
+        );
+
+        let policy = CheckpointPolicy::every_nodes(path.clone(), 4, fingerprint);
+        let resumed = solve(&problem, root, &config, None, 1, Some(&policy));
+        assert_bit_identical(&baseline, &resumed, &format!("{other}-D snapshot"));
+        let _ = std::fs::remove_dir_all(path.parent().unwrap());
+    }
+    obs::clear_subscriber();
+    let reasons = cold_starts.0.lock().unwrap().clone();
+    let mismatches = reasons.iter().filter(|r| r.contains("dimension-mismatch"));
+    assert_eq!(mismatches.count(), 2, "cold-start reasons: {reasons:?}");
 }

@@ -7,7 +7,7 @@ use ldafp_bnb::{
 use ldafp_bnb::{FaultKind, FaultPlan};
 use ldafp_datasets::BinaryDataset;
 use ldafp_fixedpoint::{QFormat, RoundingMode};
-use ldafp_linalg::vecops;
+use ldafp_linalg::{vecops, Matrix};
 use ldafp_obs as obs;
 use ldafp_solver::{
     error_kind, solve_with_recovery_checked, RecoveryConfig, SocpProblem, SolverConfig, SolverError,
@@ -42,12 +42,6 @@ pub struct LdaFpConfig {
     pub polish_radius: i64,
     /// Maximum coordinate-polish passes.
     pub polish_max_rounds: usize,
-    /// Restrict the search to `t ≥ 0`. Deployable classifiers need `t > 0`
-    /// (see `TrainingProblem::canonicalize_orientation`), and every usable
-    /// `t < 0` candidate has a `t > 0` grid twin, so the restriction is
-    /// lossless for deployment and halves the search space. Disable only to
-    /// study the raw formulation (29).
-    pub restrict_t_positive: bool,
     /// After the search, re-select the deployed scale of the incumbent by
     /// **bit-exact training error** over its rounded scalings `round(λ·w)`.
     ///
@@ -105,7 +99,6 @@ impl Default for LdaFpConfig {
             coordinate_polish: true,
             polish_radius: 2,
             polish_max_rounds: 8,
-            restrict_t_positive: true,
             empirical_scale_selection: true,
             empirical_threshold_selection: false,
             solver_threads: default_solver_threads(),
@@ -245,6 +238,7 @@ pub struct LdaFpModel {
     fisher_cost: f64,
     search_weights: Vec<f64>,
     search_fisher_cost: f64,
+    search_gap: f64,
     outcome: TrainingOutcome,
     stats: BnbStats,
     elapsed: Duration,
@@ -279,6 +273,14 @@ impl LdaFpModel {
     /// empirical rescale moved the deployed point.
     pub fn search_fisher_cost(&self) -> f64 {
         self.search_fisher_cost
+    }
+
+    /// The search's final relative gap: how far [`Self::search_fisher_cost`]
+    /// may lie above the best lower bound left over the unexplored boxes,
+    /// `(J − bound)/J`, at least 0. A budget-exhausted search reports the
+    /// gap it stopped at; a certified one is within the configured gaps.
+    pub fn search_gap(&self) -> f64 {
+        self.search_gap
     }
 
     /// Whether branch-and-bound proved global optimality (within the
@@ -409,28 +411,20 @@ impl LdaFpTrainer {
         }
 
         // ---- Branch-and-bound (Algorithm 1) -----------------------------
-        // The root weight box is eq. 18's, the value range clipped to the
-        // grid values each weight may take alone; every child box stays
-        // inside it, so no relaxation needs eq. 18 rows.
-        let (t_lo, t_hi) = tp.initial_t_interval();
-        let t_lo = if self.config.restrict_t_positive {
-            t_lo.max(0.0)
-        } else {
-            t_lo
-        };
+        // The root box is eq. 18's, the value range clipped to the grid
+        // values each weight may take alone; every child box stays inside
+        // it, so no relaxation needs eq. 18 rows.
         let (lower, upper) = tp.elementwise_box();
-        let (mut lower, mut upper) = (lower.to_vec(), upper.to_vec());
-        lower.push(t_lo);
-        upper.push(t_hi);
-        let root = BoxNode::new(lower, upper).ok_or_else(|| CoreError::InvalidTrainingData {
-            reason: "degenerate search box (non-finite scatter statistics)".to_string(),
+        let root = BoxNode::new(lower.to_vec(), upper.to_vec()).ok_or_else(|| {
+            CoreError::InvalidTrainingData {
+                reason: "degenerate search box (non-finite scatter statistics)".to_string(),
+            }
         })?;
 
         let node_problem = NodeProblem {
-            tp: &tp,
-            config: &self.config,
             #[cfg(feature = "fault-injection")]
             fault: self.fault.clone(),
+            ..NodeProblem::new(&tp, &self.config)
         };
         let outcome = ldafp_bnb::solve(
             &node_problem,
@@ -477,6 +471,8 @@ impl LdaFpTrainer {
         let (weights, fisher_cost) = best.ok_or(CoreError::NoFeasibleClassifier)?;
         let search_weights = weights.clone();
         let search_optimum_cost = fisher_cost;
+        let search_gap =
+            ((search_optimum_cost - outcome.best_lower_bound) / search_optimum_cost).max(0.0);
         let (weights, fisher_cost) = if self.config.empirical_scale_selection {
             self.select_scale_by_training_error(&tp, data, weights, fisher_cost)?
         } else {
@@ -531,6 +527,7 @@ impl LdaFpTrainer {
             fisher_cost,
             search_weights,
             search_fisher_cost: search_optimum_cost,
+            search_gap,
             outcome: training_outcome,
             stats: outcome.stats,
             elapsed: start.elapsed(),
@@ -825,16 +822,137 @@ enum Witness {
     None,
 }
 
-/// The per-node bounding problem: the paper's eqs. 25–27 over one
-/// `(w, t)` box. Dimensions `0..M` are the weights, dimension `M` is `t`.
+/// `dᵀv = 1` solved for the pivot `k`, the coordinate with the largest
+/// `|d_k|`: `v = v₀ + P·u` with `v₀ = e_k/d_k`, where `u` holds the other
+/// `M − 1` coordinates of `v` and `v_k = 1/d_k − Σ_{j≠k} (d_j/d_k)·u_j`.
+/// None of it depends on the box, so it is built once per training.
+struct Pivot {
+    /// The pivot coordinate `k`.
+    k: usize,
+    /// `d_k`.
+    dk: f64,
+    /// The coordinates of `u`: `0..M` without `k`.
+    free: Vec<usize>,
+    /// `−d_j/d_k` per coordinate, 0 at `k`: row `k` of `P`.
+    r: Vec<f64>,
+    /// `2·PᵀS_W·P`: the objective `vᵀS_W v` is `½uᵀQu + cᵀu + constant`.
+    q: Matrix,
+    /// `2·PᵀS_W·v₀`.
+    c: Vec<f64>,
+    /// `v₀ᵀS_W v₀ = S_kk/d_k²`.
+    constant: f64,
+    /// Each eq. 20 cone `‖A·v‖ ≤ gᵀv + e·λ` of
+    /// [`TrainingProblem::projection_cones`] over `(u, λ)`:
+    /// `(A·P | 0, A·v₀, (Pᵀg, e), gᵀv₀)`.
+    cones: Vec<(Matrix, Vec<f64>, Vec<f64>, f64)>,
+}
+
+impl Pivot {
+    fn new(tp: &TrainingProblem) -> Pivot {
+        let d = &tp.moments().mean_diff;
+        let m = d.len();
+        let k = (0..m).fold(0, |k, j| if d[j].abs() > d[k].abs() { j } else { k });
+        let mut pivot = Pivot {
+            k,
+            dk: d[k],
+            free: (0..m).filter(|&j| j != k).collect(),
+            r: (0..m)
+                .map(|j| if j == k { 0.0 } else { -d[j] / d[k] })
+                .collect(),
+            q: Matrix::zeros(0, 0),
+            c: Vec::new(),
+            constant: 0.0,
+            cones: Vec::new(),
+        };
+        let (sp, sv0) = pivot.reduce_cols(&tp.moments().s_w);
+        pivot.q = Matrix::from_fn(m - 1, m - 1, |a, b| {
+            let i = pivot.free[a];
+            2.0 * (sp[(i, b)] + pivot.r[i] * sp[(k, b)])
+        });
+        pivot.c = pivot.reduce(&sv0).0.iter().map(|v| 2.0 * v).collect();
+        pivot.constant = sv0[k] / pivot.dk;
+        pivot.cones = tp
+            .projection_cones()
+            .into_iter()
+            .map(|(a, g, e)| {
+                let (ap, av0) = pivot.reduce_cols(a);
+                let a = Matrix::from_fn(m, m, |i, j| if j + 1 < m { ap[(i, j)] } else { 0.0 });
+                let (mut pg, gv0) = pivot.reduce(&g);
+                pg.push(e);
+                (a, av0, pg, gv0)
+            })
+            .collect();
+        pivot
+    }
+
+    /// `(Pᵀg, gᵀv₀)`: the linear form `gᵀv` is `(Pᵀg)ᵀu + gᵀv₀`.
+    fn reduce(&self, g: &[f64]) -> (Vec<f64>, f64) {
+        let pg = self
+            .free
+            .iter()
+            .map(|&j| g[j] + self.r[j] * g[self.k])
+            .collect();
+        (pg, g[self.k] / self.dk)
+    }
+
+    /// `(A·P, A·v₀)`: `A·v` is `A·P·u + A·v₀`.
+    fn reduce_cols(&self, a: &Matrix) -> (Matrix, Vec<f64>) {
+        let ap = Matrix::from_fn(a.rows(), self.free.len(), |i, b| {
+            let j = self.free[b];
+            a[(i, j)] + self.r[j] * a[(i, self.k)]
+        });
+        let av0 = (0..a.rows()).map(|i| a[(i, self.k)] / self.dk).collect();
+        (ap, av0)
+    }
+
+    /// `v` from `u`.
+    fn direction(&self, u: &[f64]) -> Vec<f64> {
+        let mut v = vec![0.0; self.r.len()];
+        v[self.k] = 1.0 / self.dk;
+        for (&j, &x) in self.free.iter().zip(u) {
+            v[j] = x;
+            v[self.k] += self.r[j] * x;
+        }
+        v
+    }
+}
+
+/// One box's relaxation of formulation (21) in the Charnes–Cooper
+/// variables `v = w/(dᵀw)`, `λ = 1/(dᵀw)` (DESIGN.md §5): minimize
+/// `vᵀS_W v` subject to `dᵀv = 1`, `λ·lo ≤ v ≤ λ·hi` and the eq. 20 cones
+/// made homogeneous in `(v, λ)`, over the variables `(u, λ)` of [`Pivot`].
+///
+/// A box that contains `w = 0` drops `λ` and the cones: its relaxation is
+/// the cone of the box, with `v_i ≥ 0` where `lo_i = 0` and `v_i ≤ 0`
+/// where `hi_i = 0`, over `u` alone. (With `λ` kept it would be unbounded
+/// in `λ`, and centering would not converge.)
+struct Relaxation {
+    problem: SocpProblem,
+    /// Whether `λ` is a variable: the box excludes `w = 0`.
+    homogeneous: bool,
+}
+
+/// The per-node bounding problem over one weight box (dimensions `0..M`):
+/// one [`Relaxation`] solve per box gives the bound and the candidate.
 struct NodeProblem<'a> {
     tp: &'a TrainingProblem,
     config: &'a LdaFpConfig,
+    pivot: Pivot,
     #[cfg(feature = "fault-injection")]
     fault: Option<FaultPlan>,
 }
 
-impl NodeProblem<'_> {
+impl<'a> NodeProblem<'a> {
+    fn new(tp: &'a TrainingProblem, config: &'a LdaFpConfig) -> Self {
+        NodeProblem {
+            tp,
+            config,
+            pivot: Pivot::new(tp),
+            #[cfg(feature = "fault-injection")]
+            fault: None,
+        }
+    }
+
     /// Grid-snapped weight box, or `None` when the box contains no grid
     /// point in some dimension.
     fn snapped_bounds(&self, node: &BoxNode) -> Option<(Vec<f64>, Vec<f64>)> {
@@ -854,53 +972,105 @@ impl NodeProblem<'_> {
         Some((lo, hi))
     }
 
-    /// Tightened `t` interval: node bounds intersected with the interval
-    /// arithmetic of `t = dᵀw` over the weight box.
-    fn tightened_t(&self, node: &BoxNode, lo: &[f64], hi: &[f64]) -> Option<(f64, f64)> {
-        let m = self.tp.num_features();
+    /// Whether some point of the box has `dᵀw > 0`, the orientation a
+    /// deployable classifier needs: `max dᵀw` over the box, by interval
+    /// arithmetic.
+    fn deploys(&self, lo: &[f64], hi: &[f64]) -> bool {
         let d = &self.tp.moments().mean_diff;
-        let mut ia_lo = 0.0;
-        let mut ia_hi = 0.0;
-        for i in 0..m {
-            let (a, b) = (d[i] * lo[i], d[i] * hi[i]);
-            ia_lo += a.min(b);
-            ia_hi += a.max(b);
-        }
-        let t_lo = node.lower[m].max(ia_lo);
-        let t_hi = node.upper[m].min(ia_hi);
-        if t_lo > t_hi {
-            None
-        } else {
-            Some((t_lo, t_hi))
-        }
+        let t_max: f64 = (0..d.len()).map(|i| (d[i] * lo[i]).max(d[i] * hi[i])).sum();
+        t_max > 0.0
     }
 
-    /// Builds the relaxation (eq. 25) for the given box and `η`, returning
-    /// the problem plus the box-center warm start: the box rows, the two
-    /// `t`-slab rows and the four eq. 20 cones. The search's boxes lie
-    /// inside [`TrainingProblem::elementwise_box`], so the box rows carry
-    /// eq. 18.
+    /// Builds the box's [`Relaxation`].
     fn build_relaxation(
         &self,
         lo: &[f64],
         hi: &[f64],
-        t_lo: f64,
-        t_hi: f64,
-        eta: f64,
-    ) -> std::result::Result<(SocpProblem, Vec<f64>), SolverError> {
-        let m = self.tp.num_features();
-        let d = &self.tp.moments().mean_diff;
-        let mut p = SocpProblem::new(self.tp.moments().s_w.scaled(2.0 / eta), vec![0.0; m])?;
-        p.add_box(lo, hi)?;
-        p.add_linear(d.clone(), t_hi)?;
-        p.add_linear(d.iter().map(|v| -v).collect(), -t_lo)?;
-        self.tp
-            .add_projection_constraints(&mut p)
-            .map_err(|_| SolverError::InvalidProblem {
-                reason: "projection constraint construction failed".to_string(),
-            })?;
-        let center: Vec<f64> = lo.iter().zip(hi).map(|(&l, &h)| 0.5 * (l + h)).collect();
-        Ok((p, center))
+    ) -> std::result::Result<Relaxation, SolverError> {
+        let m = lo.len();
+        let homogeneous = lo.iter().zip(hi).any(|(&l, &h)| l > 0.0 || h < 0.0);
+        let n = m - 1 + usize::from(homogeneous);
+        let pivot = &self.pivot;
+        let q = Matrix::from_fn(n, n, |a, b| {
+            if a + 1 < m && b + 1 < m {
+                pivot.q[(a, b)]
+            } else {
+                0.0
+            }
+        });
+        let mut c = pivot.c.clone();
+        c.resize(n, 0.0);
+        let mut p = SocpProblem::new(q, c)?;
+        for i in 0..m {
+            let mut unit = vec![0.0; m];
+            unit[i] = 1.0;
+            let (pe, v0) = pivot.reduce(&unit);
+            // `sign·(v_i − λ·end) ≤ 0`; without `λ`, only a zero end stays.
+            for (sign, end) in [(1.0, hi[i]), (-1.0, lo[i])] {
+                if homogeneous || end == 0.0 {
+                    let mut g: Vec<f64> = pe.iter().map(|v| sign * v).collect();
+                    if homogeneous {
+                        g.push(-sign * end);
+                    }
+                    p.add_linear(g, -sign * v0)?;
+                }
+            }
+        }
+        if homogeneous {
+            for (a, b, g, e) in &pivot.cones {
+                p.add_soc(a.clone(), b.clone(), g.clone(), *e)?;
+            }
+        }
+        Ok(Relaxation {
+            problem: p,
+            homogeneous,
+        })
+    }
+
+    /// The relaxation's variables at the weights `w` — `u`, then `λ` when
+    /// the relaxation is `homogeneous` — with `dᵀw`; `None` unless
+    /// `dᵀw > 0`, the only orientation the relaxation holds.
+    fn to_vars(&self, w: &[f64], homogeneous: bool) -> Option<(Vec<f64>, f64)> {
+        let t = vecops::dot(&self.tp.moments().mean_diff, w);
+        (t > 0.0).then(|| {
+            let mut x: Vec<f64> = self.pivot.free.iter().map(|&j| w[j] / t).collect();
+            if homogeneous {
+                x.push(1.0 / t);
+            }
+            (x, t)
+        })
+    }
+
+    /// The candidate of a relaxation point `(v, λ)`: `round(v/λ)`, or
+    /// without `λ` `round(s·v)` at the largest `s` that keeps `s·v` in the
+    /// box and the eq. 20 cones — the point of the ray `v` that the full
+    /// relaxation admits with the least `λ = 1/s`.
+    fn relaxed_candidate(
+        &self,
+        v: &[f64],
+        lambda: Option<f64>,
+        lo: &[f64],
+        hi: &[f64],
+    ) -> Option<(Vec<f64>, f64)> {
+        if let Some(lambda) = lambda {
+            return self.rounded_candidate(&vecops::scale(v, 1.0 / lambda));
+        }
+        let mut s = f64::INFINITY;
+        for ((&vi, &l), &h) in v.iter().zip(lo).zip(hi) {
+            if vi > 0.0 {
+                s = s.min(h / vi);
+            } else if vi < 0.0 {
+                s = s.min(l / vi);
+            }
+        }
+        for (a, g, e) in self.tp.projection_cones() {
+            let av = a.mul_vec(v).expect("square by construction");
+            let slope = vecops::norm2(&av) - vecops::dot(&g, v);
+            if slope > 0.0 {
+                s = s.min(e / slope);
+            }
+        }
+        self.rounded_candidate(&vecops::scale(v, s))
     }
 
     /// The trivial-bound degraded assessment used when the bound solve is
@@ -923,8 +1093,8 @@ impl NodeProblem<'_> {
     /// certified by phase I, or known in advance for a thin box. The claim
     /// prunes unconditionally, so it is only honored when no grid probe in
     /// the box contradicts it.
-    fn infeasibility_claim(&self, p: &SocpProblem, lo: &[f64], hi: &[f64]) -> NodeAssessment {
-        match self.feasibility_witness(p, lo, hi) {
+    fn infeasibility_claim(&self, r: &Relaxation, lo: &[f64], hi: &[f64]) -> NodeAssessment {
+        match self.feasibility_witness(r, lo, hi) {
             Witness::None => NodeAssessment::infeasible(),
             // "No strict interior" is consistent with a feasible boundary
             // grid point, so the claim is honored as far as the
@@ -943,28 +1113,31 @@ impl NodeProblem<'_> {
         }
     }
 
-    /// Whether some weight dimension of the box is narrower than twice the
-    /// phase-I margin. Every point of such a box then violates one of that
-    /// dimension's two box rows by more than `−margin` (their violations
-    /// sum to `lo − hi > −2·margin`), so the relaxation has no strictly
-    /// feasible point and phase I can only end in `Infeasible`.
-    fn is_thin(&self, lo: &[f64], hi: &[f64]) -> bool {
-        let width = 2.0 * self.config.solver.feasibility_margin;
-        lo.iter().zip(hi).any(|(&l, &h)| h - l < width)
+    /// Whether some weight dimension of the box has zero width. Its two
+    /// rows `±(v_i − λ·w_i) ≤ 0` (or, without `λ`, `±v_i ≤ 0`) sum to 0,
+    /// so one of them is violated by at least 0 at every point: the
+    /// relaxation has no strictly feasible point and phase I can only end
+    /// in `Infeasible`.
+    fn is_thin(lo: &[f64], hi: &[f64]) -> bool {
+        lo.iter().zip(hi).any(|(l, h)| l == h)
     }
 
     /// Distrust-but-verify probe for infeasibility claims: checks the
     /// snapped box center and (for `M ≤ 6`) every box corner — all grid
     /// points, since `lo`/`hi` are grid-snapped — against the relaxation's
-    /// own constraints.
+    /// own constraints, in its variables. A probe with `dᵀw ≤ 0` has no
+    /// image there and witnesses nothing.
     ///
     /// The solver's `Infeasible` asserts "no *strictly* feasible point
     /// within the phase-I margin", so the two tiers mean different things:
     /// a strictly interior probe point refutes the claim outright
     /// ([`Witness::Interior`]); a boundary-feasible point is consistent
     /// with it (thin boxes legitimately have no interior) but must not be
-    /// silently discarded by the prune ([`Witness::Boundary`]).
-    fn feasibility_witness(&self, p: &SocpProblem, lo: &[f64], hi: &[f64]) -> Witness {
+    /// silently discarded by the prune ([`Witness::Boundary`]). The
+    /// boundary tolerance is taken in the units of `w`: the constraints
+    /// are homogeneous, so a violation at `(v, λ)` is `1/(dᵀw)` times the
+    /// one at `w`.
+    fn feasibility_witness(&self, r: &Relaxation, lo: &[f64], hi: &[f64]) -> Witness {
         let format = self.tp.format();
         let m = lo.len();
         let center: Vec<f64> = lo.iter().zip(hi).map(|(&l, &h)| 0.5 * (l + h)).collect();
@@ -987,11 +1160,14 @@ impl NodeProblem<'_> {
         let margin = self.config.solver.feasibility_margin;
         let mut boundary = None;
         for w in probes {
-            let violation = p.max_violation(&w);
+            let Some((x, t)) = self.to_vars(&w, r.homogeneous) else {
+                continue;
+            };
+            let violation = r.problem.max_violation(&x);
             if violation < -margin {
                 return Witness::Interior(w);
             }
-            if violation <= 1e-9 && boundary.is_none() {
+            if violation * t <= 1e-9 && boundary.is_none() {
                 boundary = Some(w);
             }
         }
@@ -1002,7 +1178,7 @@ impl NodeProblem<'_> {
     }
 
     /// Rounds a relaxation solution to the grid and returns it (oriented
-    /// for deployment, `t > 0`) with its exact cost when feasible and
+    /// for deployment, `dᵀw > 0`) with its exact cost when feasible and
     /// finite (eq. 27's rounding step).
     fn rounded_candidate(&self, w: &[f64]) -> Option<(Vec<f64>, f64)> {
         let rounded = self
@@ -1018,11 +1194,12 @@ impl NodeProblem<'_> {
         }
     }
 
-    /// The paper's per-node step (eqs. 25–27): one SOCP solve yields the
-    /// lower bound, and its rounded minimizer is the node's candidate. With
-    /// `skip_thin`, a thin box (see [`Self::is_thin`]) goes straight to
-    /// [`Self::infeasibility_claim`] without a solve; the search passes
-    /// `true`, and the tests compare it against the always-solve path.
+    /// The per-node step: one SOCP solve of the box's [`Relaxation`]
+    /// yields the lower bound, and its rounded minimizer is the node's
+    /// candidate. With `skip_thin`, a thin box (see [`Self::is_thin`])
+    /// goes straight to [`Self::infeasibility_claim`] without a solve; the
+    /// search passes `true`, and the tests compare it against the
+    /// always-solve path.
     fn assess_box(&self, node: &BoxNode, index: usize, skip_thin: bool) -> NodeAssessment {
         // Deterministic fault injection (test harness): the search loop
         // hands us the serial node index, so the fate of each node is
@@ -1038,17 +1215,18 @@ impl NodeProblem<'_> {
         let Some((lo, hi)) = self.snapped_bounds(node) else {
             return NodeAssessment::infeasible();
         };
-        let Some((t_lo, t_hi)) = self.tightened_t(node, &lo, &hi) else {
-            return NodeAssessment::infeasible();
-        };
-        // η = sup t² over the interval (eq. 26).
-        let eta = t_lo.abs().max(t_hi.abs()).powi(2);
-        if eta == 0.0 {
-            // Only t = 0 remains: infinite cost, never optimal.
+        if !self.deploys(&lo, &hi) {
             return NodeAssessment::infeasible();
         }
+        if lo.len() == 1 && lo[0] <= 0.0 && hi[0] >= 0.0 {
+            // One weight: `dᵀv = 1` leaves no free coordinate, and a box
+            // that keeps 0 relaxes to the single point `v₀`.
+            let v = self.pivot.direction(&[]);
+            let candidate = self.relaxed_candidate(&v, None, &lo, &hi);
+            return NodeAssessment::feasible(self.pivot.constant, candidate);
+        }
 
-        let (p, center) = match self.build_relaxation(&lo, &hi, t_lo, t_hi, eta) {
+        let relaxation = match self.build_relaxation(&lo, &hi) {
             Ok(built) => built,
             Err(e) => return self.degraded_assessment(&lo, &hi, &e),
         };
@@ -1057,13 +1235,13 @@ impl NodeProblem<'_> {
         // which is where the fault is injected.
         #[cfg(feature = "fault-injection")]
         let skip_thin = skip_thin && fault.is_none();
-        if skip_thin && self.is_thin(&lo, &hi) {
+        if skip_thin && Self::is_thin(&lo, &hi) {
             static THIN_BOXES: std::sync::OnceLock<std::sync::Arc<obs::Counter>> =
                 std::sync::OnceLock::new();
             THIN_BOXES
                 .get_or_init(|| obs::Registry::global().counter("core.thin_boxes"))
                 .inc();
-            return self.infeasibility_claim(&p, &lo, &hi);
+            return self.infeasibility_claim(&relaxation, &lo, &hi);
         }
 
         #[cfg(feature = "fault-injection")]
@@ -1089,29 +1267,29 @@ impl NodeProblem<'_> {
         #[cfg(not(feature = "fault-injection"))]
         let inject = |_: usize| -> Option<SolverError> { None };
 
+        // Warm start: the box center, when it has an image.
+        let center: Vec<f64> = lo.iter().zip(&hi).map(|(&l, &h)| 0.5 * (l + h)).collect();
+        let start = self.to_vars(&center, relaxation.homogeneous);
         match solve_with_recovery_checked(
-            &p,
-            Some(&center),
+            &relaxation.problem,
+            start.as_ref().map(|(x, _)| &x[..]),
             &self.config.solver,
             &self.config.recovery,
             inject,
         ) {
             Ok(rec) => {
-                // A clean solve's objective is the bound as before. A
-                // recovered solve ran with loosened tolerances and possibly
-                // a Tikhonov term `½λ‖w‖²`, both of which can only *raise*
-                // the reported objective — correct the bound down by the
-                // duality-gap bound and the largest possible regularization
-                // contribution over the box so it stays a true lower bound.
-                let mut bound = rec.solution.objective;
-                if rec.recovered() {
-                    bound -= rec.solution.duality_gap_bound;
-                    if rec.lambda > 0.0 {
-                        let max_norm_sq: f64 =
-                            lo.iter().zip(&hi).map(|(&l, &h)| (l * l).max(h * h)).sum();
-                        bound -= 0.5 * rec.lambda * max_norm_sq;
-                    }
-                }
+                // The objective at the final centered point lies within the
+                // duality-gap bound above the relaxation's minimum, so the
+                // bound subtracts it. A solve that needed the Tikhonov term
+                // `½μ‖x‖²` keeps only the trivial bound `J ≥ 0`: no box
+                // bounds `‖(u, λ)‖`, so the term's largest value over the
+                // feasible set, which the correction would subtract, is not
+                // finite.
+                let bound = if rec.lambda > 0.0 {
+                    0.0
+                } else {
+                    rec.solution.objective - rec.solution.duality_gap_bound + self.pivot.constant
+                };
                 let degradation = rec.recovered().then(|| NodeDegradation::Recovered {
                     attempts: rec.attempts.len().saturating_sub(1),
                     error_kind: rec
@@ -1120,13 +1298,15 @@ impl NodeProblem<'_> {
                         .find_map(|a| a.error_kind.clone())
                         .unwrap_or_else(|| "numerical-failure".to_string()),
                 });
+                let (u, lambda) = rec.solution.x.split_at(lo.len() - 1);
+                let v = self.pivot.direction(u);
                 NodeAssessment {
                     lower_bound: Some(bound.max(0.0)),
-                    candidate: self.rounded_candidate(&rec.solution.x),
+                    candidate: self.relaxed_candidate(&v, lambda.first().copied(), &lo, &hi),
                     degradation,
                 }
             }
-            Err(SolverError::Infeasible { .. }) => self.infeasibility_claim(&p, &lo, &hi),
+            Err(SolverError::Infeasible { .. }) => self.infeasibility_claim(&relaxation, &lo, &hi),
             Err(e) => self.degraded_assessment(&lo, &hi, &e),
         }
     }
@@ -1145,36 +1325,24 @@ impl BoundingProblem for NodeProblem<'_> {
     }
 
     fn is_terminal(&self, node: &BoxNode) -> bool {
-        // Terminal when every weight dimension pins a single grid point
-        // (then t is determined by interval arithmetic too).
+        // Terminal when every weight dimension pins a single grid point.
         let q = self.tp.format().resolution();
         (0..self.tp.num_features()).all(|d| node.width(d) < q - 1e-12)
     }
 
     fn branch(&self, node: &BoxNode) -> Option<(usize, f64)> {
-        let m = self.tp.num_features();
+        // Split the dimension with the most grid points.
         let format = self.tp.format();
         let q = format.resolution();
-        // Score each weight dimension by its grid-point count, t by its
-        // width in "t quanta".
-        let d1 = vecops::norm1(&self.tp.moments().mean_diff).max(f64::MIN_POSITIVE);
-        let t_quantum = q * d1;
         let mut best_dim = None;
-        let mut best_score = 1.0; // only split dims with > 1 unit of width
-        for dim in 0..m {
+        let mut best_score = 1.0; // only split dims with > 1 grid point
+        for dim in 0..self.tp.num_features() {
             let lo = format.ceil_to_grid(node.lower[dim]);
             let hi = format.floor_to_grid(node.upper[dim]);
             let pts = ((hi - lo) / q).round() + 1.0;
             if pts >= 2.0 && pts > best_score {
                 best_score = pts;
                 best_dim = Some(dim);
-            }
-        }
-        let t_score = node.width(m) / t_quantum;
-        if t_score > best_score {
-            let mid = node.midpoint(m);
-            if mid > node.lower[m] && mid < node.upper[m] {
-                return Some((m, mid));
             }
         }
         let dim = best_dim?;
@@ -1237,20 +1405,14 @@ mod tests {
         }
     }
 
-    fn node_problem<'a>(tp: &'a TrainingProblem, config: &'a LdaFpConfig) -> NodeProblem<'a> {
-        NodeProblem {
-            tp,
-            config,
-            #[cfg(feature = "fault-injection")]
-            fault: None,
-        }
-    }
-
-    /// A seeded `(w, t)` box on `tp`'s grid. Dimension `d` spans
-    /// `widths[d]` quanta (`None`: a random width). `t` runs over the
-    /// root's `t ≥ 0` interval or, every other box, a random sub-interval
-    /// starting above zero.
-    fn seeded_box(rng: &mut Rng, tp: &TrainingProblem, widths: &[Option<i64>]) -> BoxNode {
+    /// A seeded box on `tp`'s grid. Dimension `d` spans `widths[d]` quanta
+    /// (`None`: a random width); `Some(0)` with `at_zero` pins it to 0.
+    fn seeded_box(
+        rng: &mut Rng,
+        tp: &TrainingProblem,
+        widths: &[Option<i64>],
+        at_zero: bool,
+    ) -> BoxNode {
         let format = tp.format();
         let q = format.resolution();
         let (min_raw, max_raw) = (format.min_raw(), format.max_raw());
@@ -1258,19 +1420,13 @@ mod tests {
         let mut upper = Vec::new();
         for width in widths {
             let width = width.unwrap_or_else(|| rng.range_i64(1..=(max_raw - min_raw) / 2));
-            let lo = rng.range_i64(min_raw..=max_raw - width);
+            let lo = if at_zero && width == 0 {
+                0
+            } else {
+                rng.range_i64(min_raw..=max_raw - width)
+            };
             lower.push(lo as f64 * q);
             upper.push((lo + width) as f64 * q);
-        }
-        let (_, t_hi) = tp.initial_t_interval();
-        if rng.next_u64() & 1 == 0 {
-            lower.push(0.0);
-            upper.push(t_hi);
-        } else {
-            let a = t_hi * (rng.below(1000) + 1) as f64 / 1000.0;
-            let b = t_hi * (rng.below(1000) + 1) as f64 / 1000.0;
-            lower.push(a.min(b) * 0.999);
-            upper.push(a.max(b));
         }
         BoxNode::new(lower, upper).unwrap()
     }
@@ -1294,49 +1450,45 @@ mod tests {
 
     #[test]
     fn thin_boxes_settle_as_the_solver_would() {
-        // Each scenario: a training problem and a per-dimension width rule
-        // (`Some(0)` zero width, `Some(1)` one quantum, `None` random).
-        // At Q1.30 one quantum is 2⁻³⁰ < 2·1e-9, the default margin.
+        // Each scenario: a per-dimension width rule (`Some(0)` zero width,
+        // `None` random) and whether a zero-width dimension sits at 0, which
+        // keeps `w = 0` in the box when the others straddle it (the
+        // `λ`-free form).
         let data = easy_data();
-        let q24 = QFormat::new(2, 4).unwrap();
-        let q130 = QFormat::new(1, 30).unwrap();
+        let format = QFormat::new(2, 4).unwrap();
         type WidthRule = fn(&mut Rng) -> Vec<Option<i64>>;
-        let scenarios: [(&str, QFormat, WidthRule); 3] = [
-            ("one zero dimension", q24, |s| {
-                let d = s.below(2);
-                (0..2).map(|i| (i == d).then_some(0)).collect()
-            }),
-            ("all dimensions zero", q24, |_| vec![Some(0); 2]),
-            ("one quantum at Q1.30", q130, |s| {
-                let d = s.below(2);
-                (0..2).map(|i| (i == d).then_some(1)).collect()
-            }),
+        let one_zero: WidthRule = |s| {
+            let d = s.below(2);
+            (0..2).map(|i| (i == d).then_some(0)).collect()
+        };
+        let scenarios: [(&str, WidthRule, bool); 3] = [
+            ("one zero dimension", one_zero, false),
+            ("all dimensions zero", |_| vec![Some(0); 2], false),
+            ("one dimension pinned to 0", one_zero, true),
         ];
         let config = LdaFpConfig::default();
-        for (name, format, widths) in scenarios {
-            let tp =
-                TrainingProblem::from_dataset(&data, format, config.rho, config.rounding).unwrap();
-            let np = node_problem(&tp, &config);
-            let mut rng = Rng::new(0x7EA5 ^ u64::from(format.f()));
-            let (mut settled, mut kept) = (0, 0);
+        let tp = TrainingProblem::from_dataset(&data, format, config.rho, config.rounding).unwrap();
+        let np = NodeProblem::new(&tp, &config);
+        let mut rng = Rng::new(0x7EA5);
+        for (name, widths, at_zero) in scenarios {
+            let (mut settled, mut kept, mut homogeneous) = (0, 0, 0);
             for index in 0..120 {
                 let widths = widths(&mut rng);
-                let node = seeded_box(&mut rng, &tp, &widths);
+                let node = seeded_box(&mut rng, &tp, &widths, at_zero);
                 let Some((lo, hi)) = np.snapped_bounds(&node) else {
                     continue;
                 };
-                let Some((t_lo, t_hi)) = np.tightened_t(&node, &lo, &hi) else {
-                    continue;
-                };
-                let eta = t_lo.abs().max(t_hi.abs()).powi(2);
-                if eta == 0.0 {
+                if !np.deploys(&lo, &hi) {
                     continue;
                 }
-                assert!(np.is_thin(&lo, &hi), "{name}: box {index} is not thin");
-                let (p, center) = np.build_relaxation(&lo, &hi, t_lo, t_hi, eta).unwrap();
+                assert!(
+                    NodeProblem::is_thin(&lo, &hi),
+                    "{name}: box {index} is not thin"
+                );
+                let r = np.build_relaxation(&lo, &hi).unwrap();
                 let solved = ldafp_solver::solve_with_recovery(
-                    &p,
-                    Some(&center),
+                    &r.problem,
+                    None,
                     &config.solver,
                     &config.recovery,
                 );
@@ -1349,12 +1501,18 @@ mod tests {
                 assert_same_assessment(&fast, &slow);
                 settled += 1;
                 kept += usize::from(fast.lower_bound.is_some());
+                homogeneous += usize::from(r.homogeneous);
             }
             assert!(
                 settled >= 40,
                 "{name}: only {settled} boxes reached the solver"
             );
             assert!(kept > 0, "{name}: all {settled} boxes were pruned");
+            if at_zero {
+                assert!(homogeneous < settled, "{name}: no box kept w = 0");
+            } else {
+                assert!(homogeneous > 0, "{name}: every box kept w = 0");
+            }
         }
     }
 
@@ -1363,8 +1521,7 @@ mod tests {
         let format = QFormat::new(2, 4).unwrap();
         let tp = TrainingProblem::from_dataset(&easy_data(), format, config.rho, config.rounding)
             .unwrap();
-        let (_, t_hi) = tp.initial_t_interval();
-        let node = BoxNode::new(vec![-0.5, -0.25, 0.0], vec![-0.5, 0.25, t_hi]).unwrap();
+        let node = BoxNode::new(vec![-0.5, -0.25], vec![-0.5, 0.25]).unwrap();
         (tp, node)
     }
 
@@ -1375,104 +1532,132 @@ mod tests {
         let config = LdaFpConfig::default();
         let (tp, node) = thin_box_problem(&config);
         let before = counted();
-        node_problem(&tp, &config).assess_box(&node, 0, true);
+        NodeProblem::new(&tp, &config).assess_box(&node, 0, true);
         assert!(counted() > before, "a thin box was not counted");
     }
 
     #[cfg(feature = "fault-injection")]
     #[test]
-    fn planned_faults_reach_the_solver_on_thin_boxes() {
+    fn planned_faults_reach_the_solver_on_thin_boxes_and_the_root() {
         let config = LdaFpConfig::default();
         let (tp, node) = thin_box_problem(&config);
+        let (lo, hi) = tp.elementwise_box();
+        let root = BoxNode::new(lo.to_vec(), hi.to_vec()).unwrap();
         let plan = FaultPlan::new(1)
             .with_forced(0, FaultKind::Numerical)
             .with_persist_attempts(usize::MAX);
         let np = NodeProblem {
-            tp: &tp,
-            config: &config,
             fault: Some(plan),
+            ..NodeProblem::new(&tp, &config)
         };
-        // Node 0 has a planned fault: the recovering solve runs and fails.
-        let faulted = np.assess_box(&node, 0, true);
-        assert!(
-            matches!(
-                faulted.degradation,
-                Some(NodeDegradation::TrivialBound { .. })
-            ),
-            "{faulted:?}"
-        );
-        // Node 1 has none: the thin box is settled by the grid probe.
+        // Node 0 has a planned fault: the recovering solve runs and fails,
+        // on the thin box and on the root's `λ`-free relaxation alike.
+        for node in [&node, &root] {
+            let faulted = np.assess_box(node, 0, true);
+            assert!(
+                matches!(
+                    faulted.degradation,
+                    Some(NodeDegradation::TrivialBound { .. })
+                ),
+                "{faulted:?}"
+            );
+        }
+        // Node 1 has none: the thin box is settled by the grid probe, and
+        // the root solves cleanly.
         assert_eq!(np.assess_box(&node, 1, true).degradation, None);
+        assert_eq!(np.assess_box(&root, 1, true).degradation, None);
     }
 
     #[test]
-    fn relaxation_rows_are_the_box_the_t_slab_and_four_cones() {
-        // Eq. 18 rides on the box rows: a relaxation over eq. 18's box has
-        // 2·M box rows, the 2 `t`-slab rows and the 4 eq. 20 cones.
+    fn relaxation_rows_are_the_box_and_four_cones_or_the_box_cone() {
+        // A box that excludes 0 relaxes over `(u, λ)` with the 2·M box rows
+        // and the 4 eq. 20 cones; one that keeps 0 over `u` alone, with a
+        // sign row per zero end. Eq. 18 rides on the box.
         let config = LdaFpConfig::default();
         let format = QFormat::new(2, 4).unwrap();
         let tp = TrainingProblem::from_dataset(&easy_data(), format, config.rho, config.rounding)
             .unwrap();
+        let np = NodeProblem::new(&tp, &config);
+        let rows = |lo: &[f64], hi: &[f64]| {
+            let r = np.build_relaxation(lo, hi).unwrap();
+            (
+                r.problem.num_vars(),
+                r.problem.linear_constraints().len(),
+                r.problem.soc_constraints().len(),
+            )
+        };
         let (lo, hi) = tp.elementwise_box();
-        let (_, t_hi) = tp.initial_t_interval();
-        let (p, _) = node_problem(&tp, &config)
-            .build_relaxation(lo, hi, 0.0, t_hi, t_hi * t_hi)
-            .unwrap();
-        assert_eq!(p.linear_constraints().len(), 2 * 2 + 2);
-        assert_eq!(p.soc_constraints().len(), 4);
+        assert!(lo.iter().all(|&l| l < 0.0) && hi.iter().all(|&h| h > 0.0));
+        assert_eq!(rows(lo, hi), (1, 0, 0));
+        assert_eq!(rows(&[0.0, lo[1]], &[hi[0], 0.0]), (1, 2, 0));
+        assert_eq!(rows(&[0.0, 0.0], &[0.0, hi[1]]), (1, 3, 0));
+        assert_eq!(rows(&[0.25, lo[1]], &[hi[0], hi[1]]), (2, 2 * 2, 4));
     }
 
     #[test]
-    fn inf_eta_relaxation_is_the_bound_relaxation_rescaled() {
-        // Eq. 27's `η = inf t²` program differs from the `η = sup t²` bound
-        // program only in `Q = 2·S_W/η`: same rows, objective scaled by
-        // `η/η_inf > 0`, hence the same minimizer and the same rounding.
-        let data = easy_data();
-        let config = LdaFpConfig::default();
-        let format = QFormat::new(2, 4).unwrap();
-        let tp = TrainingProblem::from_dataset(&data, format, config.rho, config.rounding).unwrap();
-        let np = node_problem(&tp, &config);
-        let mut rng = Rng::new(0x0E27);
-        let mut compared = 0;
-        for index in 0..80 {
-            let node = seeded_box(&mut rng, &tp, &[None, None]);
-            let Some((lo, hi)) = np.snapped_bounds(&node) else {
-                continue;
-            };
-            let Some((t_lo, t_hi)) = np.tightened_t(&node, &lo, &hi) else {
-                continue;
-            };
-            let eta = t_lo.abs().max(t_hi.abs()).powi(2);
-            let eta_inf = if t_lo <= 0.0 { 0.0 } else { t_lo.powi(2) };
-            if eta_inf <= 0.0 || eta_inf >= eta {
-                continue;
-            }
-            let (sup, center) = np.build_relaxation(&lo, &hi, t_lo, t_hi, eta).unwrap();
-            let (inf, _) = np.build_relaxation(&lo, &hi, t_lo, t_hi, eta_inf).unwrap();
-            assert_eq!(sup.linear_constraints(), inf.linear_constraints());
-            assert_eq!(sup.soc_constraints(), inf.soc_constraints());
-            assert_eq!(sup.c(), inf.c());
-            let ratio = eta / eta_inf;
-            for (&a, &b) in sup.q().as_slice().iter().zip(inf.q().as_slice()) {
-                assert!(
-                    (b - a * ratio).abs() <= 4.0 * f64::EPSILON * b.abs(),
-                    "box {index}: Q entries {a} and {b} are not in ratio {ratio}"
-                );
-            }
-            let (Ok(x_sup), Ok(x_inf)) = (
-                sup.solve_from(Some(&center), &config.solver),
-                inf.solve_from(Some(&center), &config.solver),
-            ) else {
-                continue;
-            };
-            assert_eq!(
-                format.round_slice_to_grid(&x_sup.x, config.rounding),
-                format.round_slice_to_grid(&x_inf.x, config.rounding),
-                "box {index}: the two minimizers round apart"
+    fn root_bound_is_the_float_lda_floor_and_bounds_the_grid() {
+        // The root keeps `w = 0` with no zero end, so its relaxation is
+        // `min vᵀS_W v` over `dᵀv = 1`: `1/(dᵀS_W⁻¹d)`, float LDA's cost.
+        for (k, f) in [(2, 2), (1, 3), (2, 4)] {
+            let config = LdaFpConfig::default();
+            let format = QFormat::new(k, f).unwrap();
+            let tp =
+                TrainingProblem::from_dataset(&easy_data(), format, config.rho, config.rounding)
+                    .unwrap();
+            let (lo, hi) = tp.elementwise_box();
+            let root = BoxNode::new(lo.to_vec(), hi.to_vec()).unwrap();
+            let a = NodeProblem::new(&tp, &config).assess_box(&root, 0, true);
+            let bound = a.lower_bound.unwrap();
+            let lda = LdaModel::from_moments(tp.moments()).unwrap();
+            let floor = tp.fisher_cost(lda.weights());
+            assert!(
+                (bound - floor).abs() <= 1e-6 * floor && bound <= floor,
+                "{format}: root bound {bound}, float LDA {floor}"
             );
-            compared += 1;
+            let d = &tp.moments().mean_diff;
+            for a in format.enumerate() {
+                for b in format.enumerate() {
+                    let w = [a.to_f64(), b.to_f64()];
+                    if vecops::dot(d, &w) > 0.0 && tp.is_feasible(&w) {
+                        let cost = tp.fisher_cost(&w);
+                        assert!(
+                            bound <= cost * (1.0 + 1e-12),
+                            "{format}: {w:?} costs {cost}, under the bound {bound}"
+                        );
+                    }
+                }
+            }
         }
-        assert!(compared >= 20, "only {compared} boxes compared");
+    }
+
+    #[test]
+    fn relaxation_holds_the_feasible_grid_points_of_its_box() {
+        // Mapped into `(u, λ)`, a grid point of a box that excludes 0 meets
+        // the relaxation's rows exactly when it meets eq. 20 (up to the
+        // ridged Cholesky of the cones, a hair from their boundary).
+        let config = LdaFpConfig::default();
+        let format = QFormat::new(2, 3).unwrap();
+        let tp = TrainingProblem::from_dataset(&easy_data(), format, config.rho, config.rounding)
+            .unwrap();
+        let np = NodeProblem::new(&tp, &config);
+        // `d₀ < 0` on this data: the box keeps the deployable half.
+        let (lo, hi) = ([-2.0, -2.0], [-0.125, 1.875]);
+        let r = np.build_relaxation(&lo, &hi).unwrap();
+        assert!(r.homogeneous);
+        let (mut checked, mut disagreements) = (0, 0);
+        for a in format.enumerate().filter(|a| a.to_f64() <= hi[0]) {
+            for b in format.enumerate() {
+                let w = [a.to_f64(), b.to_f64()];
+                let Some((x, t)) = np.to_vars(&w, true) else {
+                    continue;
+                };
+                checked += 1;
+                let held = r.problem.max_violation(&x) * t <= 1e-9;
+                disagreements += usize::from(held != tp.satisfies_projection(&w));
+            }
+        }
+        assert!(checked > 100, "only {checked} grid points checked");
+        assert!(disagreements <= 3, "{disagreements} disagreements");
     }
 
     #[test]
@@ -1504,37 +1689,6 @@ mod tests {
     }
 
     #[test]
-    fn certified_on_tiny_grid_matches_exhaustive() {
-        // 2 features × Q2.1 (8 values each): exhaustive search is 64 points.
-        let data = easy_data();
-        let format = QFormat::new(2, 1).unwrap();
-        let mut cfg = LdaFpConfig::default();
-        cfg.bnb.max_nodes = 100_000;
-        cfg.bnb.relative_gap = 1e-9;
-        let trainer = LdaFpTrainer::new(cfg);
-        let model = trainer.train(&data, format).unwrap();
-
-        let tp =
-            TrainingProblem::from_dataset(&data, format, 0.99, RoundingMode::NearestEven).unwrap();
-        let mut best = f64::INFINITY;
-        for a in format.enumerate() {
-            for b in format.enumerate() {
-                let w = [a.to_f64(), b.to_f64()];
-                let c = tp.fisher_cost(&w);
-                if c.is_finite() && tp.is_feasible(&w) && c < best {
-                    best = c;
-                }
-            }
-        }
-        assert!(
-            (model.fisher_cost() - best).abs() <= 1e-6 * best.max(1e-12),
-            "bnb found {}, exhaustive found {}",
-            model.fisher_cost(),
-            best
-        );
-    }
-
-    #[test]
     fn auto_format_picks_some_split() {
         let trainer = LdaFpTrainer::new(LdaFpConfig::fast());
         let (model, format) = trainer.train_auto(&easy_data(), 6, 4).unwrap();
@@ -1556,15 +1710,14 @@ mod tests {
 
     #[test]
     fn incumbents_are_deployment_oriented() {
-        // Regression: B&B can find t < 0 candidates whose Fisher cost ties
-        // the optimum but whose decision rule is inverted. With seeding
-        // disabled, every incumbent comes from node rounding — all must be
-        // canonicalized to t > 0.
+        // Regression: a rounded node point can have t = dᵀw < 0, a Fisher
+        // cost that ties its mirror's and an inverted decision rule. With
+        // seeding disabled, every incumbent comes from node rounding — all
+        // must be canonicalized to t > 0.
         let data = easy_data();
         let cfg = LdaFpConfig {
             scaled_rounding: false,
             coordinate_polish: false,
-            restrict_t_positive: false, // search both halves deliberately
             ..LdaFpConfig::default()
         };
         let trainer = LdaFpTrainer::new(cfg);

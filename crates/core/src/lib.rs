@@ -14,8 +14,10 @@
 //!   matrices from *quantized* training data plus the overflow constraints
 //!   (eqs. 18 and 20) for a confidence level `ρ`;
 //! * [`LdaFpTrainer`] — the paper's Algorithm 1: branch-and-bound over
-//!   `(w, t)` boxes with SOCP lower bounds (eqs. 25–26), rounded upper
-//!   bounds (eq. 27) and the incumbent heuristics documented in DESIGN.md;
+//!   weight boxes, each bounded by its exact relaxation (one SOCP in the
+//!   Charnes–Cooper variables `v = w/(dᵀw)`, `λ = 1/(dᵀw)`, in place of
+//!   eqs. 25–26), with rounded upper bounds (eq. 27) and the incumbent
+//!   heuristics documented in DESIGN.md;
 //! * [`eval`] — fixed-point error rates and the 5-fold cross-validation
 //!   protocol of Table 2.
 //!

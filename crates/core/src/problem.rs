@@ -3,7 +3,6 @@ use ldafp_datasets::BinaryDataset;
 use ldafp_fixedpoint::{QFormat, RoundingMode};
 use ldafp_linalg::moments::BinaryClassMoments;
 use ldafp_linalg::{vecops, Cholesky, Matrix};
-use ldafp_solver::SocpProblem;
 
 /// The statistical core of the LDA-FP formulation (eq. 21): class moments
 /// estimated from **quantized** training data, the confidence multiplier
@@ -148,13 +147,6 @@ impl TrainingProblem {
         (&self.elementwise_box.0, &self.elementwise_box.1)
     }
 
-    /// The initial `t` interval of eq. 29:
-    /// `[−2^(K−1)·‖d‖₁, (2^(K−1) − 2^(−F))·‖d‖₁]`.
-    pub fn initial_t_interval(&self) -> (f64, f64) {
-        let d1 = vecops::norm1(&self.moments.mean_diff);
-        (self.format.min_value() * d1, self.format.max_value() * d1)
-    }
-
     /// Fisher cost `J(w)` of formulation (21) — numerator from quantized
     /// moments, denominator `(dᵀw)²`; infinite when `dᵀw = 0`.
     ///
@@ -262,31 +254,20 @@ impl TrainingProblem {
         }
     }
 
-    /// Adds the projection overflow cones (eq. 20) to a convex subproblem:
-    /// for each class, `‖β·Lᵀw‖ ≤ hi − wᵀμ` and `‖β·Lᵀw‖ ≤ wᵀμ − lo`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates solver validation failures (cannot occur for dimensions
-    /// produced by this object).
-    pub fn add_projection_constraints(&self, p: &mut SocpProblem) -> Result<()> {
-        let n = self.num_features();
+    /// The four projection overflow cones (eq. 20) as `(A, g, e)`, each
+    /// `‖A·w‖ ≤ gᵀw + e`: per class, `‖β·Lᵀw‖ ≤ U − μᵀw` and
+    /// `‖β·Lᵀw‖ ≤ μᵀw − L`. Dividing by `dᵀw > 0` makes them homogeneous
+    /// in `(v, λ) = (w, 1)/(dᵀw)`: `‖A·v‖ ≤ gᵀv + e·λ`.
+    pub(crate) fn projection_cones(&self) -> [(&Matrix, Vec<f64>, f64); 4] {
         let (lo, hi) = self.value_range();
-        for (cone, mu) in [
-            (&self.cone_a, &self.moments.mu_a),
-            (&self.cone_b, &self.moments.mu_b),
-        ] {
-            // Upper: ‖cone·w‖ ≤ hi − μᵀw.
-            p.add_soc(
-                cone.clone(),
-                vec![0.0; n],
-                mu.iter().map(|v| -v).collect(),
-                hi,
-            )?;
-            // Lower: ‖cone·w‖ ≤ μᵀw − lo.
-            p.add_soc(cone.clone(), vec![0.0; n], mu.clone(), -lo)?;
-        }
-        Ok(())
+        let (mu_a, mu_b) = (&self.moments.mu_a, &self.moments.mu_b);
+        let neg = |mu: &[f64]| mu.iter().map(|v| -v).collect();
+        [
+            (&self.cone_a, neg(mu_a), hi),
+            (&self.cone_a, mu_a.clone(), -lo),
+            (&self.cone_b, neg(mu_b), hi),
+            (&self.cone_b, mu_b.clone(), -lo),
+        ]
     }
 }
 
@@ -297,7 +278,7 @@ const FEAS_EPS: f64 = 1e-9;
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ldafp_solver::SolverConfig;
+    use ldafp_solver::SocpProblem;
 
     fn toy_data() -> BinaryDataset {
         // Two comfortably-scaled 2-D classes.
@@ -440,9 +421,12 @@ mod tests {
 
     #[test]
     fn cones_match_exact_projection() {
+        // At `λ = 1` the homogeneous cones are eq. 20 over `w`.
         let p = problem(2, 3);
         let mut socp = SocpProblem::new(Matrix::identity(2), vec![0.0; 2]).unwrap();
-        p.add_projection_constraints(&mut socp).unwrap();
+        for (a, g, e) in p.projection_cones() {
+            socp.add_soc(a.clone(), vec![0.0; 2], g, e).unwrap();
+        }
         let mut disagreements = 0;
         for i in -15i32..=15 {
             for j in -15i32..=15 {
@@ -460,49 +444,6 @@ mod tests {
             disagreements <= 3,
             "{disagreements} cone/exact disagreements"
         );
-    }
-
-    #[test]
-    fn relaxation_solves_and_bounds_discrete_cost() {
-        // Build the node relaxation at the root box (eq. 18 as the box)
-        // and check that its optimum lower-bounds the cost of every
-        // feasible grid point.
-        let p = problem(2, 2);
-        let (t_lo, t_hi) = p.initial_t_interval();
-        let eta = t_lo.abs().max(t_hi.abs()).powi(2);
-        let mut socp = SocpProblem::new(p.moments().s_w.scaled(2.0 / eta), vec![0.0; 2]).unwrap();
-        let (box_lo, box_hi) = p.elementwise_box();
-        socp.add_box(box_lo, box_hi).unwrap();
-        socp.add_linear(p.moments().mean_diff.clone(), t_hi)
-            .unwrap();
-        socp.add_linear(p.moments().mean_diff.iter().map(|v| -v).collect(), -t_lo)
-            .unwrap();
-        p.add_projection_constraints(&mut socp).unwrap();
-        let sol = socp.solve(&SolverConfig::default()).unwrap();
-        let lb = sol.objective;
-        // Enumerate the Q2.2 grid (16 values per dim).
-        let fmt = p.format();
-        for a in fmt.enumerate() {
-            for b in fmt.enumerate() {
-                let w = [a.to_f64(), b.to_f64()];
-                if p.is_feasible(&w) {
-                    let j = p.fisher_cost(&w);
-                    assert!(
-                        lb <= j + 1e-6,
-                        "lower bound {lb} exceeds feasible grid cost {j} at {w:?}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn initial_t_interval_uses_l1_norm() {
-        let p = problem(3, 2);
-        let d1 = vecops::norm1(&p.moments().mean_diff);
-        let (lo, hi) = p.initial_t_interval();
-        assert!((lo + 4.0 * d1).abs() < 1e-12);
-        assert!((hi - (4.0 - 0.25) * d1).abs() < 1e-12);
     }
 
     #[test]

@@ -34,6 +34,13 @@ fn easy_data() -> BinaryDataset {
     .unwrap()
 }
 
+/// The grid of every test here. At Q2.1 and Q2.2 the root's relaxation
+/// already certifies its own candidate, so the search has one node and a
+/// fault plan may miss it; at Q2.3 the fault-free search branches (5 nodes).
+fn searched_format() -> QFormat {
+    QFormat::new(2, 3).unwrap()
+}
+
 /// A configuration where the B&B search is the *only* source of the
 /// incumbent: all seeding heuristics off, generous node budget, so the
 /// faulted and fault-free runs are compared on the search itself.
@@ -52,7 +59,7 @@ fn search_only_config() -> LdaFpConfig {
 #[test]
 fn faulted_training_matches_fault_free_incumbent() {
     let data = easy_data();
-    let format = QFormat::new(2, 1).unwrap();
+    let format = searched_format();
     let cfg = search_only_config();
 
     let clean = LdaFpTrainer::new(cfg.clone()).train(&data, format).unwrap();
@@ -98,7 +105,7 @@ fn faulted_training_matches_fault_free_incumbent() {
 #[test]
 fn transient_faults_are_recovered_and_reported() {
     let data = easy_data();
-    let format = QFormat::new(2, 1).unwrap();
+    let format = searched_format();
     let cfg = search_only_config();
     let clean = LdaFpTrainer::new(cfg.clone()).train(&data, format).unwrap();
 
@@ -132,7 +139,7 @@ fn transient_faults_are_recovered_and_reported() {
 #[test]
 fn forced_root_infeasibility_cannot_kill_training() {
     let data = easy_data();
-    let format = QFormat::new(2, 1).unwrap();
+    let format = searched_format();
     let cfg = search_only_config();
     let clean = LdaFpTrainer::new(cfg.clone()).train(&data, format).unwrap();
 

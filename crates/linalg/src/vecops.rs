@@ -29,12 +29,6 @@ pub fn norm2(x: &[f64]) -> f64 {
     dot(x, x).sqrt()
 }
 
-/// L1 norm (sum of absolute values) — used by the paper's initial
-/// `t`-interval estimate, eq. 29.
-pub fn norm1(x: &[f64]) -> f64 {
-    x.iter().map(|v| v.abs()).sum()
-}
-
 /// L∞ norm (maximum absolute value).
 pub fn norm_inf(x: &[f64]) -> f64 {
     x.iter().fold(0.0f64, |m, &v| m.max(v.abs()))
@@ -140,7 +134,6 @@ mod tests {
     fn norms() {
         let x = [3.0, -4.0];
         assert_eq!(norm2(&x), 5.0);
-        assert_eq!(norm1(&x), 7.0);
         assert_eq!(norm_inf(&x), 4.0);
         assert_eq!(norm_inf(&[]), 0.0);
     }

@@ -1,19 +1,21 @@
 //! Primal log-barrier interior-point solver for convex quadratic programs
 //! with linear-inequality and second-order-cone constraints.
 //!
-//! This is the convex engine behind the paper's branch-and-bound bounds:
-//! the relaxation (eq. 25) is exactly
+//! This is the convex engine behind the branch-and-bound bounds. Each box's
+//! relaxation is
 //!
 //! ```text
-//! minimize    ½·wᵀQw + cᵀw
-//! subject to  gᵢᵀw ≤ hᵢ                       (linear half-planes)
-//!             ‖Aⱼw + bⱼ‖₂ ≤ dⱼᵀw + eⱼ        (second-order cones)
+//! minimize    ½·xᵀQx + cᵀx
+//! subject to  gᵢᵀx ≤ hᵢ                       (linear half-planes)
+//!             ‖Aⱼx + bⱼ‖₂ ≤ dⱼᵀx + eⱼ        (second-order cones)
 //! ```
 //!
-//! with `Q = 2·S_W/η`, half-planes from the per-feature overflow constraints
-//! (eq. 18 — each `|w_m|` constraint splits into two linear ones), the node
-//! box and the `t`-interval, and cones from the projection overflow
-//! constraints (eq. 20) via the Cholesky factor of each class covariance.
+//! over `x = (u, λ)`, the Charnes–Cooper variables `v = w/(dᵀw)`,
+//! `λ = 1/(dᵀw)` with `dᵀv = 1` solved for one coordinate of `v`: `Q` and
+//! `c` carry `vᵀS_W v`, the half-planes are the node box `λ·lo ≤ v ≤ λ·hi`
+//! (eq. 18 is folded into it), and the cones are the projection overflow
+//! constraints (eq. 20) via the Cholesky factor of each class covariance,
+//! made homogeneous in `(v, λ)`. See `ldafp-core`'s DESIGN.md §5.
 //!
 //! # Method
 //!

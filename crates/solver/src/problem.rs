@@ -189,7 +189,7 @@ pub struct Solution {
 /// subject to  gᵢᵀx ≤ hᵢ,    ‖Aⱼx + bⱼ‖ ≤ dⱼᵀx + eⱼ
 /// ```
 ///
-/// See the crate docs for the mapping from the paper's relaxation (eq. 25).
+/// See the crate docs for the mapping from a search box's relaxation.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SocpProblem {
     n: usize,

@@ -1,8 +1,8 @@
 //! Solve-path recovery: escalating retries for transient numerical failure.
 //!
 //! The barrier method can stall on extremely ill-conditioned relaxations
-//! (nearly singular scatter matrices, boxes squeezed to a sliver, `η` close
-//! to zero). Branch-and-bound used to paper over such failures with a
+//! (nearly singular scatter matrices, boxes squeezed to a sliver).
+//! Branch-and-bound used to paper over such failures with a
 //! trivial lower bound, silently weakening the optimality certificate. This
 //! module instead retries the solve with an **escalating schedule** before
 //! giving up:

@@ -80,8 +80,8 @@ fn infeasible_box_reported() {
 
 #[test]
 fn equality_like_thin_slab() {
-    // Approximate the equality t = w via two tight inequalities, as the
-    // LDA-FP node relaxation does for the t-interval.
+    // Approximate the equality t = w via two tight inequalities (a thin
+    // slab of half-planes).
     let eps = 1e-6;
     // minimize (w − 2)² over w with t := 1·w restricted to [1−eps, 1+eps].
     let mut p = SocpProblem::new(Matrix::identity(1).scaled(2.0), vec![-4.0]).unwrap();
@@ -99,7 +99,7 @@ fn lda_fp_shaped_relaxation_solves() {
     let mut p = SocpProblem::new(s_w.scaled(2.0), vec![0.0; 3]).unwrap();
     p.add_box(&[-2.0, -2.0, -2.0], &[1.875, 1.875, 1.875])
         .unwrap();
-    // t-interval: d = (1, 0.5, −0.25), 0.05 ≤ t ≤ 3.
+    // A slab: d = (1, 0.5, −0.25), 0.05 ≤ dᵀw ≤ 3.
     let d = [1.0, 0.5, -0.25];
     p.add_linear(d.to_vec(), 3.0).unwrap();
     p.add_linear(d.iter().map(|x| -x).collect(), -0.05).unwrap();

@@ -79,6 +79,8 @@ rm -rf "$det_tmp"
 
 # Ablation harness: every trainer variant it lists still builds and trains.
 cargo run --release -q -p ldafp-bench --bin ablation -- --quick > /dev/null
+# Table 1 harness, certificate and search-gap columns included.
+cargo run --release -q -p ldafp-bench --bin table1 -- --quick > /dev/null
 
 # Observability layer: facade units + histogram edge cases, the
 # tracing-soundness test (subscriber must not change training results),

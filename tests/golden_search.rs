@@ -3,8 +3,8 @@
 //! (Newton-step counts and bound bits may drift) must leave the search
 //! itself where it was: the same node, prune and incumbent counts, the
 //! same certificate, and the same weights and Fisher cost to the bit.
-//! The pinned values were computed before the cone Hessian switched to a
-//! precomputed Gram matrix.
+//! The pinned values are those of the search over weight boxes alone, each
+//! relaxed exactly in the Charnes–Cooper variables (DESIGN.md §5).
 
 use lda_fp::core::{LdaFpConfig, LdaFpModel, LdaFpTrainer};
 use lda_fp::datasets::synthetic::{generate, SyntheticConfig};
@@ -56,7 +56,7 @@ fn synth3_shaped_search_is_pinned() {
     );
     assert_eq!(
         search_digest(&model),
-        ((2001, 95, 431, 0, false), 0x928b_e61b_c0bb_ea74)
+        ((313, 68, 0, 0, false), 0x928b_e61b_c0bb_ea74)
     );
 }
 
@@ -68,6 +68,6 @@ fn bci_shaped_search_is_pinned() {
     let model = train(config, &data, QFormat::new(1, 5).expect("Q1.5 is valid"));
     assert_eq!(
         search_digest(&model),
-        ((11, 0, 0, 0, false), 0x5cfb_bdd4_d87d_504e)
+        ((11, 3, 0, 1, false), 0x0927_67b4_682e_f677)
     );
 }

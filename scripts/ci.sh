@@ -105,8 +105,15 @@ for i in $(seq 0 19); do
     printf '%s,%s,A\n' "-0.4$i" "0.0$i"
     printf '%s,%s,B\n' "0.4$i" "-0.0$i"
 done > "$obs_tmp/train.csv"
+# The traced training needs a search that branches, so that expansions and
+# prunes reach the trace: on the set above the root's bound (float LDA's
+# cost) already certifies the root's candidate at every word length.
+for i in $(seq 0 19); do
+    printf '%s,%s,A\n' "-0.4$i" "0.$(( (i * 7) % 10 ))"
+    printf '%s,%s,B\n' "0.4$i" "-0.$(( (i * 3) % 10 ))"
+done > "$obs_tmp/search.csv"
 train_status=0
-cargo run --release -q -p ldafp-cli -- train --data "$obs_tmp/train.csv" \
+cargo run --release -q -p ldafp-cli -- train --data "$obs_tmp/search.csv" \
     --bits 6 --quick --trace "$obs_tmp/trace.ndjson" --metrics-summary \
     > /dev/null 2> "$obs_tmp/train.err" || train_status=$?
 case "$train_status" in

@@ -48,7 +48,9 @@ impl Default for AblationConfig {
 pub struct AblationRow {
     /// Variant name.
     pub variant: String,
-    /// Discrete Fisher cost achieved (lower is better; NaN if infeasible).
+    /// Discrete Fisher cost of the search optimum, before the deployed
+    /// weights are rescaled by training error (lower is better; NaN if
+    /// infeasible).
     pub fisher_cost: f64,
     /// Test error of the trained classifier.
     pub test_error: f64,
@@ -90,11 +92,6 @@ pub fn run_ablation(config: &AblationConfig) -> Vec<AblationRow> {
             c.scaled_rounding = false;
             c
         }),
-        ("no coordinate polish".to_string(), {
-            let mut c = base.clone();
-            c.coordinate_polish = false;
-            c
-        }),
         ("no b&b (seeds only)".to_string(), {
             let mut c = base.clone();
             c.bnb.max_nodes = 1;
@@ -120,7 +117,7 @@ pub fn run_ablation(config: &AblationConfig) -> Vec<AblationRow> {
             match trainer.train(&train, format) {
                 Ok(model) => AblationRow {
                     variant,
-                    fisher_cost: model.fisher_cost(),
+                    fisher_cost: model.search_fisher_cost(),
                     test_error: eval::error_rate(model.classifier(), &test),
                     runtime: start.elapsed().as_secs_f64(),
                     nodes: model.stats().nodes_assessed,
@@ -150,12 +147,12 @@ mod tests {
             ..AblationConfig::default()
         };
         let rows = run_ablation(&cfg);
-        assert_eq!(rows.len(), 6);
+        assert_eq!(rows.len(), 5);
         let full_cost = rows[0].fisher_cost;
         assert!(full_cost.is_finite());
         // The full configuration is never beaten by the pure-subtraction
         // variants on Fisher cost (same ρ; ρ-variants change the problem).
-        for row in &rows[1..4] {
+        for row in &rows[1..3] {
             if row.fisher_cost.is_finite() {
                 assert!(
                     full_cost <= row.fisher_cost + 1e-9,

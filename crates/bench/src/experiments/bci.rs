@@ -61,7 +61,6 @@ impl Table2Config {
         cfg.trainer.bnb.max_nodes = 25;
         cfg.trainer.bnb.time_budget = Some(Duration::from_secs(4));
         cfg.trainer.scaled_rounding_steps = 60;
-        cfg.trainer.polish_max_rounds = 2;
         cfg
     }
 }

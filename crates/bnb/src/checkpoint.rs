@@ -22,7 +22,9 @@
 //! version      u16 LE    SNAPSHOT_VERSION
 //! fingerprint  u64 LE    caller-supplied problem identity
 //! payload_len  u64 LE
-//! payload      bytes     SearchSnapshot fields, f64s as raw bit patterns
+//! payload      bytes     SearchSnapshot fields, f64s as raw bit patterns:
+//!                        next_seq, elapsed_us, incumbent, stats,
+//!                        frontier (version 1 led with a search-order byte)
 //! checksum     u64 LE    FNV-1a/64 over everything above
 //! ```
 //!
@@ -30,11 +32,12 @@
 //! `sync_all`'d before the rename, and the parent directory is fsynced
 //! after; a crash at any point leaves either the previous snapshot or
 //! none, never a torn file. Loads are *tolerant*: any defect — missing
-//! file, short read, wrong magic, newer version, fingerprint mismatch,
+//! file, short read, wrong magic, any version other than
+//! [`SNAPSHOT_VERSION`], fingerprint mismatch,
 //! checksum mismatch, malformed payload — degrades to a clean cold start
 //! (with a `resume.cold_start` event), never a panic.
 
-use crate::search::{SearchOrder, SearchStart};
+use crate::search::SearchStart;
 use crate::{BnbStats, BoxNode, DegradationStats};
 use ldafp_obs as obs;
 use ldafp_stats::{fnv1a64, FNV1A64_OFFSET};
@@ -49,8 +52,9 @@ use std::time::{Duration, Instant};
 /// Magic prefix of every snapshot file.
 pub(crate) const SNAPSHOT_MAGIC: [u8; 8] = *b"LDFPSNAP";
 
-/// Current snapshot format version. Readers reject anything newer.
-pub(crate) const SNAPSHOT_VERSION: u16 = 1;
+/// Current snapshot format version. Readers reject every other version:
+/// an older image has a different payload layout, a newer one is unknown.
+pub(crate) const SNAPSHOT_VERSION: u16 = 2;
 
 /// Hashes an arbitrary identity string into a snapshot fingerprint.
 ///
@@ -78,10 +82,6 @@ pub(crate) struct FrontierEntry {
 /// Complete coordinator-loop state at a loop boundary.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct SearchSnapshot {
-    /// Node-expansion order the search was configured with. A resume
-    /// under a different order is rejected (cold start) — the frontier's
-    /// heap invariants would not transfer.
-    pub order: SearchOrder,
     /// Next heap push sequence number.
     pub next_seq: u64,
     /// Wall-clock already spent before the snapshot, in microseconds —
@@ -134,10 +134,6 @@ impl Enc {
 
 fn encode_payload(snapshot: &SearchSnapshot) -> Vec<u8> {
     let mut e = Enc(Vec::new());
-    e.u8(match snapshot.order {
-        SearchOrder::BestFirst => 0,
-        SearchOrder::DepthFirst => 1,
-    });
     e.u64(snapshot.next_seq);
     e.u64(snapshot.elapsed_us);
     match &snapshot.incumbent {
@@ -267,11 +263,6 @@ impl<'a> Dec<'a> {
 
 fn decode_payload(bytes: &[u8]) -> Result<SearchSnapshot, String> {
     let mut d = Dec { bytes, at: 0 };
-    let order = match d.u8()? {
-        0 => SearchOrder::BestFirst,
-        1 => SearchOrder::DepthFirst,
-        other => return Err(format!("unknown search order {other}")),
-    };
     let next_seq = d.u64()?;
     let elapsed_us = d.u64()?;
     let incumbent = match d.u8()? {
@@ -332,7 +323,6 @@ fn decode_payload(bytes: &[u8]) -> Result<SearchSnapshot, String> {
         return Err("trailing bytes after payload".to_string());
     }
     Ok(SearchSnapshot {
-        order,
         next_seq,
         elapsed_us,
         incumbent,
@@ -356,9 +346,9 @@ pub(crate) fn decode_snapshot(bytes: &[u8], fingerprint: u64) -> Result<SearchSn
         return Err("magic: not a snapshot file".to_string());
     }
     let version = u16::from_le_bytes(bytes[8..10].try_into().expect("2 bytes"));
-    if version > SNAPSHOT_VERSION {
+    if version != SNAPSHOT_VERSION {
         return Err(format!(
-            "version: snapshot v{version} is newer than supported v{SNAPSHOT_VERSION}"
+            "version: snapshot v{version}, this build reads only v{SNAPSHOT_VERSION}"
         ));
     }
     let stored_fp = u64::from_le_bytes(bytes[10..18].try_into().expect("8 bytes"));
@@ -512,20 +502,12 @@ fn checkpoint_metrics() -> &'static CheckpointMetrics {
 }
 
 /// Where a checkpointed search begins: the snapshot at `policy.path` when
-/// one loads cleanly under the configured search order and every frontier
-/// box has the root's dimension, else `root`. A resume is counted and
-/// traced as `resume.loaded`; a rejected, foreign-order or
+/// one loads cleanly and every frontier box has the root's dimension, else
+/// `root`. A resume is counted and traced as `resume.loaded`; a rejected or
 /// foreign-dimension snapshot as `resume.cold_start` with its reason.
-pub(crate) fn resume_or_cold_start(
-    policy: &CheckpointPolicy,
-    order: SearchOrder,
-    root: BoxNode,
-) -> SearchStart {
+pub(crate) fn resume_or_cold_start(policy: &CheckpointPolicy, root: BoxNode) -> SearchStart {
     let m = checkpoint_metrics();
     let reason = match load_snapshot(&policy.path, policy.fingerprint) {
-        LoadOutcome::Loaded(snapshot) if snapshot.order != order => {
-            "search-order-mismatch".to_string()
-        }
         LoadOutcome::Loaded(snapshot)
             if snapshot
                 .frontier
@@ -664,7 +646,6 @@ mod tests {
             .solver_errors
             .insert("max-iterations".to_string(), 2);
         SearchSnapshot {
-            order: SearchOrder::BestFirst,
             next_seq: 9,
             elapsed_us: 1234,
             incumbent: Some((vec![1.5, -2.25], 0.125)),
@@ -725,6 +706,40 @@ mod tests {
         bytes[body_len..].copy_from_slice(&sum.to_le_bytes());
         let err = decode_snapshot(&bytes, 1).unwrap_err();
         assert!(err.starts_with("version:"), "{err}");
+    }
+
+    /// A sealed version-1 image: the current payload behind v1's
+    /// search-order byte (0, best-first).
+    fn version_one_image(snapshot: &SearchSnapshot, fingerprint: u64) -> Vec<u8> {
+        let mut payload = vec![0u8];
+        payload.extend_from_slice(&encode_payload(snapshot));
+        let mut out = SNAPSHOT_MAGIC.to_vec();
+        out.extend_from_slice(&1u16.to_le_bytes());
+        out.extend_from_slice(&fingerprint.to_le_bytes());
+        out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+        out.extend_from_slice(&payload);
+        let checksum = fnv1a64(&out, FNV1A64_OFFSET);
+        out.extend_from_slice(&checksum.to_le_bytes());
+        out
+    }
+
+    #[test]
+    fn version_one_image_cold_starts_undecoded() {
+        let bytes = version_one_image(&sample_snapshot(), 1);
+        let dir = std::env::temp_dir().join(format!("ldafp-ckpt-v1-{}", std::process::id()));
+        fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("solve.ckpt");
+        fs::write(&path, &bytes).unwrap();
+        assert!(
+            matches!(load_snapshot(&path, 1), LoadOutcome::Rejected(r) if r.starts_with("version:"))
+        );
+        let root = BoxNode::new(vec![-1.0, -1.0], vec![1.0, 1.0]).unwrap();
+        let policy = CheckpointPolicy::every_nodes(path, 1, 1);
+        assert!(matches!(
+            resume_or_cold_start(&policy, root.clone()),
+            SearchStart::Root(r) if r == root
+        ));
+        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -63,5 +63,5 @@ pub use fault::{FaultKind, FaultPlan, FaultyProblem};
 pub use node::BoxNode;
 pub use search::{
     solve, BnbConfig, BnbOutcome, BnbStats, BoundingProblem, DegradationStats, NodeAssessment,
-    NodeDegradation, SearchOrder,
+    NodeDegradation,
 };

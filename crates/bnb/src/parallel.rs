@@ -434,7 +434,7 @@ pub(crate) fn with_pool<P: BoundingProblem>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{solve, BnbConfig, SearchOrder};
+    use crate::{solve, BnbConfig};
     use std::time::Duration;
 
     /// The search tests' grid quadratic: minimize Σ (xᵢ − cᵢ)² over the
@@ -538,21 +538,6 @@ mod tests {
         let ser = solve(&p, root, &cfg, None, 1, None);
         assert_outcomes_identical(&par, &ser);
         assert!(!par.certified);
-    }
-
-    #[test]
-    fn parallel_matches_serial_depth_first() {
-        let cfg = BnbConfig {
-            search_order: SearchOrder::DepthFirst,
-            ..BnbConfig::default()
-        };
-        let p = GridQuadratic {
-            target: vec![5.2, -7.9],
-        };
-        let root = BoxNode::new(vec![-16.0; 2], vec![16.0; 2]).unwrap();
-        let par = solve(&p, root.clone(), &cfg, None, 3, None);
-        let ser = solve(&p, root, &cfg, None, 1, None);
-        assert_outcomes_identical(&par, &ser);
     }
 
     #[test]

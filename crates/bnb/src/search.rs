@@ -191,19 +191,6 @@ pub trait BoundingProblem: Sync {
     }
 }
 
-/// Which box the search expands next.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SearchOrder {
-    /// Expand the box with the smallest lower bound (classic best-first:
-    /// strongest global-bound progress; the paper's Algorithm 1).
-    #[default]
-    BestFirst,
-    /// Expand the deepest box first (ties: smaller lower bound). Reaches
-    /// leaf-sized boxes — and therefore strong incumbents — much sooner,
-    /// which matters under tight node budgets (anytime mode).
-    DepthFirst,
-}
-
 /// Budgets and tolerances for the search.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BnbConfig {
@@ -216,8 +203,6 @@ pub struct BnbConfig {
     pub absolute_gap: f64,
     /// Stop when the gap is below `relative_gap · |incumbent|`.
     pub relative_gap: f64,
-    /// Node-expansion order.
-    pub search_order: SearchOrder,
 }
 
 impl Default for BnbConfig {
@@ -227,7 +212,6 @@ impl Default for BnbConfig {
             time_budget: None,
             absolute_gap: 1e-12,
             relative_gap: 1e-9,
-            search_order: SearchOrder::BestFirst,
         }
     }
 }
@@ -279,13 +263,13 @@ pub struct BnbOutcome {
     pub interrupted: bool,
 }
 
-/// Heap entry whose ordering realizes the configured [`SearchOrder`].
-/// `pub(crate)` so the parallel frontier (`crate::parallel`) can inspect the
-/// open boxes when choosing speculation targets.
+/// Heap entry ordered best-first: the box with the smallest lower bound
+/// pops first (the paper's Algorithm 1). `pub(crate)` so the parallel
+/// frontier (`crate::parallel`) can inspect the open boxes when choosing
+/// speculation targets.
 pub(crate) struct HeapNode {
     pub(crate) lower_bound: f64,
     pub(crate) node: BoxNode,
-    pub(crate) order: SearchOrder,
     /// Push sequence number: a strictly increasing tie-break that makes
     /// the heap order *total*. Without it, pop order among equal keys
     /// would depend on the heap's internal array layout — fine for one
@@ -312,22 +296,11 @@ impl Ord for HeapNode {
         // the maximum. Bounds are NaN-free by construction: `sanitize`
         // rewrites NaN to −∞ before any node reaches the heap, so the
         // `unwrap_or` below is a belt-and-braces default, not a live path.
-        let by_bound = || {
-            other
-                .lower_bound
-                .partial_cmp(&self.lower_bound)
-                .unwrap_or(Ordering::Equal)
-        };
-        let by_seq = || other.seq.cmp(&self.seq);
-        match self.order {
-            SearchOrder::BestFirst => by_bound().then_with(by_seq),
-            SearchOrder::DepthFirst => self
-                .node
-                .depth
-                .cmp(&other.node.depth)
-                .then_with(by_bound)
-                .then_with(by_seq),
-        }
+        other
+            .lower_bound
+            .partial_cmp(&self.lower_bound)
+            .unwrap_or(Ordering::Equal)
+            .then_with(|| other.seq.cmp(&self.seq))
     }
 }
 
@@ -464,7 +437,7 @@ pub fn solve<P: BoundingProblem>(
     checkpoint: Option<&CheckpointPolicy>,
 ) -> BnbOutcome {
     let start = match checkpoint {
-        Some(policy) => checkpoint::resume_or_cold_start(policy, config.search_order, root),
+        Some(policy) => checkpoint::resume_or_cold_start(policy, root),
         None => SearchStart::Root(root),
     };
     // The serial-index invariant: at every loop boundary the next
@@ -588,10 +561,8 @@ fn snapshot_state(
     incumbent: &Option<(Vec<f64>, f64)>,
     next_seq: u64,
     elapsed: Duration,
-    order: SearchOrder,
 ) -> SearchSnapshot {
     SearchSnapshot {
-        order,
         next_seq,
         elapsed_us: u64::try_from(elapsed.as_micros()).unwrap_or(u64::MAX),
         incumbent: incumbent.clone(),
@@ -686,7 +657,6 @@ pub(crate) fn run_search<S: AssessmentSource>(
                     heap.push(HeapNode {
                         lower_bound: lb,
                         node: root,
-                        order: config.search_order,
                         seq,
                     });
                 }
@@ -701,7 +671,6 @@ pub(crate) fn run_search<S: AssessmentSource>(
                 heap.push(HeapNode {
                     lower_bound: entry.lower_bound,
                     node: entry.node,
-                    order: config.search_order,
                     seq: entry.seq,
                 });
             }
@@ -724,7 +693,6 @@ pub(crate) fn run_search<S: AssessmentSource>(
                     &incumbent,
                     next_seq,
                     start.elapsed() + elapsed_offset,
-                    config.search_order,
                 );
                 driver.write(&snapshot);
                 certified = false;
@@ -738,7 +706,6 @@ pub(crate) fn run_search<S: AssessmentSource>(
                     &incumbent,
                     next_seq,
                     start.elapsed() + elapsed_offset,
-                    config.search_order,
                 );
                 driver.write(&snapshot);
             }
@@ -752,24 +719,15 @@ pub(crate) fn run_search<S: AssessmentSource>(
         else {
             break;
         };
-        // Global optimality test against the incumbent. Under best-first
-        // ordering the popped bound is the global minimum over open boxes;
-        // under depth-first it is not, so the gap is checked against the
-        // minimum over the whole frontier.
-        let frontier_bound = match config.search_order {
-            SearchOrder::BestFirst => lower_bound,
-            SearchOrder::DepthFirst => heap
-                .iter()
-                .map(|h| h.lower_bound)
-                .fold(lower_bound, f64::min),
-        };
+        // Global optimality test against the incumbent: under best-first
+        // order the popped bound is the minimum over all open boxes.
         if let Some((_, inc_cost)) = &incumbent {
-            let gap = inc_cost - frontier_bound;
+            let gap = inc_cost - lower_bound;
             if gap <= config.absolute_gap || gap <= config.relative_gap * inc_cost.abs() {
                 let certified = stats.degradation.is_clean();
                 return publish_outcome(BnbOutcome {
                     incumbent,
-                    best_lower_bound: frontier_bound,
+                    best_lower_bound: lower_bound,
                     certified,
                     stats,
                     elapsed: start.elapsed() + elapsed_offset,
@@ -784,7 +742,6 @@ pub(crate) fn run_search<S: AssessmentSource>(
             heap.push(HeapNode {
                 lower_bound,
                 node,
-                order: config.search_order,
                 seq,
             });
             break;
@@ -795,7 +752,6 @@ pub(crate) fn run_search<S: AssessmentSource>(
                 heap.push(HeapNode {
                     lower_bound,
                     node,
-                    order: config.search_order,
                     seq,
                 });
                 break;
@@ -810,12 +766,11 @@ pub(crate) fn run_search<S: AssessmentSource>(
             let mut e = obs::Event::new("bnb.expand")
                 .with("depth", node.depth)
                 .with("lower_bound", lower_bound)
-                .with("frontier_bound", frontier_bound)
                 .with("nodes_assessed", stats.nodes_assessed);
             if let Some((_, inc_cost)) = &incumbent {
                 e = e
                     .with("incumbent_cost", *inc_cost)
-                    .with("gap", inc_cost - frontier_bound);
+                    .with("gap", inc_cost - lower_bound);
             }
             obs::emit(e);
         }
@@ -877,7 +832,6 @@ pub(crate) fn run_search<S: AssessmentSource>(
                         heap.push(HeapNode {
                             lower_bound: lb,
                             node: child,
-                            order: config.search_order,
                             seq: child_seq,
                         });
                     }
@@ -1129,54 +1083,6 @@ mod tests {
             out.stats.nodes_assessed < 200,
             "pruning ineffective: {} nodes",
             out.stats.nodes_assessed
-        );
-    }
-
-    #[test]
-    fn depth_first_finds_optimum_too() {
-        let p = GridQuadratic {
-            target: vec![2.7, -1.4],
-        };
-        let root = BoxNode::new(vec![-16.0; 2], vec![16.0; 2]).unwrap();
-        let cfg = BnbConfig {
-            search_order: SearchOrder::DepthFirst,
-            ..BnbConfig::default()
-        };
-        let out = solve(&p, root, &cfg, None, 1, None);
-        assert!(out.certified);
-        let (x, _) = out.incumbent.unwrap();
-        assert_eq!(x, vec![3.0, -1.0]);
-    }
-
-    #[test]
-    fn depth_first_reaches_depth_sooner() {
-        // Under a small node budget, depth-first should have explored a
-        // strictly deeper node than best-first on a wide search space.
-        let root = BoxNode::new(vec![-512.0; 2], vec![512.0; 2]).unwrap();
-        let budget = BnbConfig {
-            max_nodes: 40,
-            ..BnbConfig::default()
-        };
-        let p = GridQuadratic {
-            target: vec![101.3, -77.8],
-        };
-        let best = solve(&p, root.clone(), &budget, None, 1, None);
-        let dfs = solve(
-            &p,
-            root,
-            &BnbConfig {
-                search_order: SearchOrder::DepthFirst,
-                ..budget
-            },
-            None,
-            1,
-            None,
-        );
-        assert!(
-            dfs.stats.max_depth >= best.stats.max_depth,
-            "dfs depth {} < best-first depth {}",
-            dfs.stats.max_depth,
-            best.stats.max_depth
         );
     }
 

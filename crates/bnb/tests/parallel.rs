@@ -2,9 +2,7 @@
 //! certified objective, final weight vector, statistics and anytime
 //! behavior must match the 1-thread search exactly — not approximately.
 
-use ldafp_bnb::{
-    solve, BnbConfig, BnbOutcome, BoundingProblem, BoxNode, NodeAssessment, SearchOrder,
-};
+use ldafp_bnb::{solve, BnbConfig, BnbOutcome, BoundingProblem, BoxNode, NodeAssessment};
 use ldafp_stats::rng::check;
 use ldafp_stats::Rng;
 
@@ -154,27 +152,6 @@ fn seeded_incumbent_parity() {
             let serial = solve(&p, root_for(dim), &config, seed.clone(), 1, None);
             let out = solve(&p, root_for(dim), &config, seed.clone(), 3, None);
             assert_outcomes_identical(&serial, &out, "seeded, 3 threads");
-        },
-    );
-}
-
-/// Depth-first ordering survives parallel execution bit-for-bit.
-#[test]
-fn depth_first_parity() {
-    check(
-        CASES,
-        |rng| target(rng, 1, 3),
-        |target| {
-            let p = GridQuadratic {
-                target: target.clone(),
-            };
-            let config = BnbConfig {
-                search_order: SearchOrder::DepthFirst,
-                ..BnbConfig::default()
-            };
-            let serial = solve(&p, root_for(p.target.len()), &config, None, 1, None);
-            let out = solve(&p, root_for(p.target.len()), &config, None, 4, None);
-            assert_outcomes_identical(&serial, &out, "depth-first, 4 threads");
         },
     );
 }

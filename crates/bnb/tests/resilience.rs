@@ -2,9 +2,7 @@
 //! data guards, and (with the `fault-injection` feature) seeded
 //! fault-injection soundness properties.
 
-use ldafp_bnb::{
-    solve, BnbConfig, BoundingProblem, BoxNode, NodeAssessment, NodeDegradation, SearchOrder,
-};
+use ldafp_bnb::{solve, BnbConfig, BoundingProblem, BoxNode, NodeAssessment, NodeDegradation};
 use std::time::Duration;
 
 /// Minimize Σ (xᵢ − cᵢ)² over integer grid points inside the box — the
@@ -208,25 +206,6 @@ fn nan_candidates_are_dropped_not_adopted() {
     assert!(out.incumbent.is_none());
     assert!(out.stats.degradation.rejected_candidates > 0);
     assert!(!out.certified);
-}
-
-#[test]
-fn nan_bounds_under_depth_first_stay_sound() {
-    let p = NanBounds {
-        inner: GridQuadratic {
-            target: vec![2.7, -1.4],
-        },
-        nan_bound_every: 2,
-        nan_candidate_every: 0,
-    };
-    let root = BoxNode::new(vec![-16.0; 2], vec![16.0; 2]).unwrap();
-    let cfg = BnbConfig {
-        search_order: SearchOrder::DepthFirst,
-        ..BnbConfig::default()
-    };
-    let out = solve(&p, root, &cfg, None, 1, None);
-    let (x, _) = out.incumbent.expect("feasible");
-    assert_eq!(x, vec![3.0, -1.0]);
 }
 
 // ---------------------------------------------------------------------------

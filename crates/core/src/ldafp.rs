@@ -36,12 +36,6 @@ pub struct LdaFpConfig {
     pub scaled_rounding: bool,
     /// Number of geometric scale steps in the sweep.
     pub scaled_rounding_steps: usize,
-    /// Run discrete coordinate descent around incumbents.
-    pub coordinate_polish: bool,
-    /// Coordinate-polish search radius in grid quanta.
-    pub polish_radius: i64,
-    /// Maximum coordinate-polish passes.
-    pub polish_max_rounds: usize,
     /// After the search, re-select the deployed scale of the incumbent by
     /// **bit-exact training error** over its rounded scalings `round(λ·w)`.
     ///
@@ -87,7 +81,6 @@ impl Default for LdaFpConfig {
                 time_budget: None,
                 absolute_gap: 1e-9,
                 relative_gap: 1e-4,
-                ..BnbConfig::default()
             },
             solver: SolverConfig {
                 tol: 1e-7,
@@ -96,9 +89,6 @@ impl Default for LdaFpConfig {
             recovery: RecoveryConfig::default(),
             scaled_rounding: true,
             scaled_rounding_steps: 160,
-            coordinate_polish: true,
-            polish_radius: 2,
-            polish_max_rounds: 8,
             empirical_scale_selection: true,
             empirical_threshold_selection: false,
             solver_threads: default_solver_threads(),
@@ -108,7 +98,7 @@ impl Default for LdaFpConfig {
 
 impl LdaFpConfig {
     /// A reduced-budget configuration for tests and examples: ~10× fewer
-    /// nodes, a looser relative gap and shorter seeding and polish.
+    /// nodes, a looser relative gap and a shorter seeding sweep.
     pub fn fast() -> Self {
         LdaFpConfig {
             bnb: BnbConfig {
@@ -116,10 +106,8 @@ impl LdaFpConfig {
                 time_budget: None,
                 absolute_gap: 1e-9,
                 relative_gap: 1e-3,
-                ..BnbConfig::default()
             },
             scaled_rounding_steps: 60,
-            polish_max_rounds: 4,
             ..LdaFpConfig::default()
         }
     }
@@ -401,13 +389,8 @@ impl LdaFpTrainer {
             &mut best,
         );
         if self.config.scaled_rounding {
-            self.scaled_rounding_sweep(&tp, lda.weights(), &mut best);
-        }
-        if self.config.coordinate_polish {
-            if let Some((w, _)) = best.clone() {
-                let polished = self.polish(&tp, w);
-                self.consider(&tp, &polished, &mut best);
-            }
+            let steps = self.config.scaled_rounding_steps;
+            self.scaled_rounding_sweep(&tp, lda.weights(), steps, &mut best);
         }
 
         // ---- Branch-and-bound (Algorithm 1) -----------------------------
@@ -444,27 +427,15 @@ impl LdaFpTrainer {
             self.consider(&tp, &w, &mut best);
         }
 
-        // ---- Final polish ------------------------------------------------
-        if self.config.coordinate_polish {
-            if let Some((w, _)) = best.clone() {
-                let polished = self.polish(&tp, w);
-                self.consider(&tp, &polished, &mut best);
-            }
-        }
-
         // ---- Last-resort fallback ---------------------------------------
         // The search and seeding found nothing. Before giving up, run a
-        // dense scaled-rounding sweep of the float-LDA direction (plus a
-        // polish pass): if *any* feasible grid point exists along that ray,
-        // training returns it — labeled `FallbackRounded`, never unlabeled.
+        // dense scaled-rounding sweep of the float-LDA direction: if *any*
+        // feasible grid point exists along that ray, training returns it —
+        // labeled `FallbackRounded`, never unlabeled.
         let mut fellback = false;
         if best.is_none() {
             let steps = self.config.scaled_rounding_steps.max(320);
-            self.scaled_rounding_sweep_with_steps(&tp, lda.weights(), steps, &mut best);
-            if let Some((w, _)) = best.clone() {
-                let polished = self.polish(&tp, w);
-                self.consider(&tp, &polished, &mut best);
-            }
+            self.scaled_rounding_sweep(&tp, lda.weights(), steps, &mut best);
             fellback = best.is_some();
         }
 
@@ -596,19 +567,11 @@ impl LdaFpTrainer {
         }
     }
 
-    /// Scaled rounding: sweep `λ` geometrically and round `λ·ŵ` to the grid.
+    /// Scaled rounding: sweep `λ` over `steps` geometric steps and round
+    /// `±λ·ŵ` to the grid. A rounded point equal to the last one of its
+    /// sign is skipped: `consider` keeps only strict improvements, so a
+    /// repeat can never be adopted.
     fn scaled_rounding_sweep(
-        &self,
-        tp: &TrainingProblem,
-        unit_w: &[f64],
-        best: &mut Option<(Vec<f64>, f64)>,
-    ) {
-        self.scaled_rounding_sweep_with_steps(tp, unit_w, self.config.scaled_rounding_steps, best);
-    }
-
-    /// [`Self::scaled_rounding_sweep`] with an explicit step count (the
-    /// fallback path sweeps denser than the configured seeding).
-    fn scaled_rounding_sweep_with_steps(
         &self,
         tp: &TrainingProblem,
         unit_w: &[f64],
@@ -628,60 +591,18 @@ impl LdaFpTrainer {
         let steps = steps.max(2);
         let ratio = (lambda_max / lambda_min).powf(1.0 / (steps - 1) as f64);
         let mut lambda = lambda_min;
-        let mut prev: Option<Vec<f64>> = None;
+        let mut last: [Option<Vec<f64>>; 2] = [None, None];
         for _ in 0..steps {
-            for sign in [1.0, -1.0] {
+            for (sign, last) in [1.0, -1.0].into_iter().zip(&mut last) {
                 let scaled = vecops::scale(unit_w, sign * lambda);
                 let w = format.round_slice_to_grid(&scaled, self.config.rounding);
-                if prev.as_deref() != Some(&w[..]) {
+                if last.as_deref() != Some(&w[..]) {
                     self.consider(tp, &w, best);
-                    prev = Some(w);
+                    *last = Some(w);
                 }
             }
             lambda *= ratio;
         }
-    }
-
-    /// Discrete coordinate descent on the grid (best-improvement passes).
-    fn polish(&self, tp: &TrainingProblem, mut w: Vec<f64>) -> Vec<f64> {
-        let format = tp.format();
-        let q = format.resolution();
-        let (lo, hi) = tp.value_range();
-        let mut cost = tp.fisher_cost(&w);
-        if !cost.is_finite() {
-            return w;
-        }
-        for _ in 0..self.config.polish_max_rounds {
-            let mut improved = false;
-            for m in 0..w.len() {
-                let original = w[m];
-                let mut best_val = original;
-                let mut best_cost = cost;
-                for k in 1..=self.config.polish_radius {
-                    for sign in [1.0, -1.0] {
-                        let cand = original + sign * k as f64 * q;
-                        if cand < lo - 1e-12 || cand > hi + 1e-12 {
-                            continue;
-                        }
-                        w[m] = cand;
-                        let c = tp.fisher_cost(&w);
-                        if c.is_finite() && c < best_cost - 1e-15 && tp.is_feasible(&w) {
-                            best_cost = c;
-                            best_val = cand;
-                        }
-                    }
-                }
-                w[m] = best_val;
-                if best_val != original {
-                    cost = best_cost;
-                    improved = true;
-                }
-            }
-            if !improved {
-                break;
-            }
-        }
-        w
     }
 }
 
@@ -1717,7 +1638,6 @@ mod tests {
         let data = easy_data();
         let cfg = LdaFpConfig {
             scaled_rounding: false,
-            coordinate_polish: false,
             ..LdaFpConfig::default()
         };
         let trainer = LdaFpTrainer::new(cfg);

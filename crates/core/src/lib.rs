@@ -65,12 +65,10 @@ pub use classifier::FixedPointClassifier;
 pub use error::CoreError;
 // `LdaFpConfig.bnb` is part of this crate's public configuration surface;
 // re-export its types so downstream crates (explore, bench, CLI) can set
-// search order and budgets without a direct `ldafp-bnb` dependency.
+// budgets without a direct `ldafp-bnb` dependency.
 pub use lda::LdaModel;
 pub use ldafp::{LdaFpConfig, LdaFpModel, LdaFpTrainer, TrainingOutcome};
-pub use ldafp_bnb::{
-    snapshot_fingerprint, BnbConfig, CheckpointPolicy, DegradationStats, SearchOrder,
-};
+pub use ldafp_bnb::{snapshot_fingerprint, BnbConfig, CheckpointPolicy, DegradationStats};
 pub use problem::TrainingProblem;
 
 /// Convenience alias for results returned by this crate.

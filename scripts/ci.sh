@@ -81,6 +81,8 @@ rm -rf "$det_tmp"
 cargo run --release -q -p ldafp-bench --bin ablation -- --quick > /dev/null
 # Table 1 harness, certificate and search-gap columns included.
 cargo run --release -q -p ldafp-bench --bin table1 -- --quick > /dev/null
+# Table 2 harness on its reduced trainer config (about 1 s).
+cargo run --release -q -p ldafp-bench --bin table2 -- --quick > /dev/null
 
 # Observability layer: facade units + histogram edge cases, the
 # tracing-soundness test (subscriber must not change training results),

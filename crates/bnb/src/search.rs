@@ -12,8 +12,9 @@ use std::time::{Duration, Instant};
 #[derive(Debug, Clone, PartialEq)]
 pub enum NodeDegradation {
     /// The bound solve failed at least once but a retry under escalated
-    /// settings succeeded. The bound is valid (the problem corrected it for
-    /// any regularization), but it was not obtained at nominal tolerances.
+    /// settings succeeded. The bound is valid (the problem subtracted the
+    /// retry's duality-gap bound), but it was not obtained at nominal
+    /// tolerances.
     Recovered {
         /// Number of failed attempts before the successful one.
         attempts: usize,

@@ -502,7 +502,7 @@ pub fn predict_remote(args: &ParsedArgs, csv_text: &str, addr: &str) -> Result<S
 /// immediately) and `--solver-threads` into the B&B search (`0` = one per
 /// core, `1` = serial; results are bit-identical either way).
 fn apply_recovery_args(args: &ParsedArgs, cfg: &mut LdaFpConfig) -> Result<()> {
-    cfg.recovery.max_retries = args.get_parsed("max-solver-retries", cfg.recovery.max_retries)?;
+    cfg.max_solver_retries = args.get_parsed("max-solver-retries", cfg.max_solver_retries)?;
     cfg.solver_threads = args.get_parsed("solver-threads", cfg.solver_threads)?;
     Ok(())
 }

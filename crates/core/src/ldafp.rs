@@ -10,7 +10,8 @@ use ldafp_fixedpoint::{QFormat, RoundingMode};
 use ldafp_linalg::{vecops, Matrix};
 use ldafp_obs as obs;
 use ldafp_solver::{
-    error_kind, solve_with_recovery_checked, RecoveryConfig, SocpProblem, SolverConfig, SolverError,
+    error_kind, solve_with_recovery_checked, SocpProblem, SolverConfig, SolverError,
+    FEASIBILITY_MARGIN,
 };
 use std::time::{Duration, Instant};
 
@@ -24,13 +25,12 @@ pub struct LdaFpConfig {
     pub rounding: RoundingMode,
     /// Branch-and-bound budgets and gaps.
     pub bnb: BnbConfig,
-    /// Interior-point solver tolerances for the node relaxations.
-    pub solver: SolverConfig,
-    /// Retry schedule for node relaxations that fail numerically (Tikhonov
-    /// regularization, loosened tolerances, perturbed starts). Replaces the
-    /// old silent zero-bound fallback: failures are retried, recorded, and
-    /// surfaced in the [`TrainingOutcome`].
-    pub recovery: RecoveryConfig,
+    /// Retries of a node relaxation that fails numerically, each at
+    /// tolerances loosened by 100× more and from a warm start perturbed a
+    /// little more (`ldafp_solver::solve_with_recovery_checked`); `0`
+    /// disables them. Failures are retried, recorded, and surfaced in the
+    /// [`TrainingOutcome`] instead of silently taking the trivial bound.
+    pub max_solver_retries: usize,
     /// Seed the incumbent with a scaled-rounding sweep of the float LDA
     /// direction before searching.
     pub scaled_rounding: bool,
@@ -82,11 +82,7 @@ impl Default for LdaFpConfig {
                 absolute_gap: 1e-9,
                 relative_gap: 1e-4,
             },
-            solver: SolverConfig {
-                tol: 1e-7,
-                ..SolverConfig::default()
-            },
-            recovery: RecoveryConfig::default(),
+            max_solver_retries: 3,
             scaled_rounding: true,
             scaled_rounding_steps: 160,
             empirical_scale_selection: true,
@@ -853,6 +849,15 @@ struct Relaxation {
     homogeneous: bool,
 }
 
+/// Solver tolerances of every node relaxation: the solver's defaults with
+/// the barrier stopping at a duality-gap bound of `1e-7`.
+fn node_solver_config() -> SolverConfig {
+    SolverConfig {
+        tol: 1e-7,
+        ..SolverConfig::default()
+    }
+}
+
 /// The per-node bounding problem over one weight box (dimensions `0..M`):
 /// one [`Relaxation`] solve per box gives the bound and the candidate.
 struct NodeProblem<'a> {
@@ -1078,14 +1083,13 @@ impl<'a> NodeProblem<'a> {
                 );
             }
         }
-        let margin = self.config.solver.feasibility_margin;
         let mut boundary = None;
         for w in probes {
             let Some((x, t)) = self.to_vars(&w, r.homogeneous) else {
                 continue;
             };
             let violation = r.problem.max_violation(&x);
-            if violation < -margin {
+            if violation < -FEASIBILITY_MARGIN {
                 return Witness::Interior(w);
             }
             if violation * t <= 1e-9 && boundary.is_none() {
@@ -1194,23 +1198,16 @@ impl<'a> NodeProblem<'a> {
         match solve_with_recovery_checked(
             &relaxation.problem,
             start.as_ref().map(|(x, _)| &x[..]),
-            &self.config.solver,
-            &self.config.recovery,
+            &node_solver_config(),
+            self.config.max_solver_retries,
             inject,
         ) {
             Ok(rec) => {
                 // The objective at the final centered point lies within the
                 // duality-gap bound above the relaxation's minimum, so the
-                // bound subtracts it. A solve that needed the Tikhonov term
-                // `½μ‖x‖²` keeps only the trivial bound `J ≥ 0`: no box
-                // bounds `‖(u, λ)‖`, so the term's largest value over the
-                // feasible set, which the correction would subtract, is not
-                // finite.
-                let bound = if rec.lambda > 0.0 {
-                    0.0
-                } else {
-                    rec.solution.objective - rec.solution.duality_gap_bound + self.pivot.constant
-                };
+                // bound subtracts it.
+                let bound =
+                    rec.solution.objective - rec.solution.duality_gap_bound + self.pivot.constant;
                 let degradation = rec.recovered().then(|| NodeDegradation::Recovered {
                     attempts: rec.attempts.len().saturating_sub(1),
                     error_kind: rec
@@ -1407,11 +1404,12 @@ mod tests {
                     "{name}: box {index} is not thin"
                 );
                 let r = np.build_relaxation(&lo, &hi).unwrap();
-                let solved = ldafp_solver::solve_with_recovery(
+                let solved = solve_with_recovery_checked(
                     &r.problem,
                     None,
-                    &config.solver,
-                    &config.recovery,
+                    &node_solver_config(),
+                    config.max_solver_retries,
+                    |_| None,
                 );
                 assert!(
                     matches!(solved, Err(SolverError::Infeasible { .. })),
@@ -1487,6 +1485,69 @@ mod tests {
         // the root solves cleanly.
         assert_eq!(np.assess_box(&node, 1, true).degradation, None);
         assert_eq!(np.assess_box(&root, 1, true).degradation, None);
+    }
+
+    #[cfg(feature = "fault-injection")]
+    #[test]
+    fn a_solve_recovered_at_attempt_two_keeps_its_bound() {
+        let config = LdaFpConfig::default();
+        let format = QFormat::new(2, 4).unwrap();
+        let tp = TrainingProblem::from_dataset(&easy_data(), format, config.rho, config.rounding)
+            .unwrap();
+        // A box that excludes `w = 0`: box rows and cones over `(u, λ)`.
+        let (lo, hi) = tp.elementwise_box();
+        let node = BoxNode::new(lo.to_vec(), vec![-0.25, hi[1]]).unwrap();
+        let plan = FaultPlan::new(1)
+            .with_forced(0, FaultKind::Numerical)
+            .with_persist_attempts(2);
+        let np = NodeProblem {
+            fault: Some(plan),
+            ..NodeProblem::new(&tp, &config)
+        };
+        // Attempts 0 and 1 fail; attempt 2 solves at tolerances loosened
+        // by 100².
+        let faulted = np.assess_box(&node, 0, true);
+        assert!(
+            matches!(
+                faulted.degradation,
+                Some(NodeDegradation::Recovered { attempts: 2, .. })
+            ),
+            "{faulted:?}"
+        );
+        let bound = faulted.lower_bound.unwrap();
+        let clean = np.assess_box(&node, 1, true);
+        assert_eq!(clean.degradation, None);
+        let clean_bound = clean.lower_bound.unwrap();
+
+        // Attempt 2's duality-gap bound: the same recovering solve, outside
+        // the search.
+        let (lo, hi) = np.snapped_bounds(&node).unwrap();
+        let r = np.build_relaxation(&lo, &hi).unwrap();
+        assert!(r.homogeneous);
+        let center: Vec<f64> = lo.iter().zip(&hi).map(|(&l, &h)| 0.5 * (l + h)).collect();
+        let start = np.to_vars(&center, true).unwrap().0;
+        let rec = solve_with_recovery_checked(
+            &r.problem,
+            Some(&start),
+            &node_solver_config(),
+            config.max_solver_retries,
+            |attempt| {
+                (attempt < 2).then(|| SolverError::NumericalFailure {
+                    reason: "injected".to_string(),
+                })
+            },
+        )
+        .unwrap();
+        assert_eq!(rec.attempts.len(), 3);
+        let gap = rec.solution.duality_gap_bound;
+        assert_eq!(
+            bound.to_bits(),
+            (rec.solution.objective - gap + np.pivot.constant).to_bits()
+        );
+        assert!(
+            bound > 0.0 && (bound - clean_bound).abs() <= gap,
+            "recovered bound {bound}, clean bound {clean_bound}, attempt-2 gap {gap}"
+        );
     }
 
     #[test]

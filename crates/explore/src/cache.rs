@@ -61,9 +61,9 @@ pub fn dataset_digest(data: &BinaryDataset) -> u64 {
 /// FNV-1a/64 digest of the trainer configuration.
 ///
 /// Hashes the `Debug` rendering, which covers every field (including the
-/// nested B&B/solver/recovery configs). The rendering is deterministic
-/// within a build; if a future field rename changes it, old entries simply
-/// become unreachable misses — never false hits.
+/// nested B&B config and the solver retry budget). The rendering is
+/// deterministic within a build; if a future field rename changes it, old
+/// entries simply become unreachable misses — never false hits.
 ///
 /// `solver_threads` is normalized to `1` before hashing: the parallel
 /// search is bit-identical to the serial one, so the thread count must
@@ -234,6 +234,13 @@ mod tests {
         let mut c = a.clone();
         c.rho = a.rho + 0.001;
         assert_ne!(config_digest(&a), config_digest(&c));
+        let mut d = a.clone();
+        d.max_solver_retries = a.max_solver_retries + 1;
+        assert_ne!(
+            config_digest(&a),
+            config_digest(&d),
+            "the retry budget can change a search, so it must key the cache"
+        );
     }
 
     #[test]

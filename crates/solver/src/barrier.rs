@@ -25,6 +25,19 @@ use crate::workspace::AssemblyScratch;
 use crate::{Result, SocConstraint, SocpProblem, SolverConfig, SolverError, Workspace};
 use ldafp_linalg::{vecops, Matrix};
 
+/// Initial barrier weight `t`.
+const T_INIT: f64 = 1.0;
+/// Geometric growth factor of `t` per outer stage.
+const MU: f64 = 20.0;
+/// Maximum Newton steps per centering stage.
+const MAX_NEWTON_PER_STAGE: usize = 60;
+/// Maximum outer stages (safety valve; never reached in practice).
+const MAX_STAGES: usize = 64;
+/// Armijo slope fraction for the backtracking line search.
+const ARMIJO: f64 = 0.01;
+/// Backtracking shrink factor.
+const BACKTRACK: f64 = 0.5;
+
 /// Early-stop predicate used by phase I to bail out as soon as a strictly
 /// feasible point for the original problem is witnessed.
 pub(crate) type EarlyStop<'a> = &'a dyn Fn(&[f64]) -> bool;
@@ -390,13 +403,7 @@ impl LineModel {
 /// the Armijo condition and whose candidate is strictly feasible by direct
 /// evaluation becomes the new `x`, its evaluation the new `ws.point`.
 /// Returns whether a step was taken.
-fn line_search(
-    p: &SocpProblem,
-    t: f64,
-    x: &mut [f64],
-    config: &SolverConfig,
-    ws: &mut Workspace,
-) -> Result<bool> {
+fn line_search(p: &SocpProblem, t: f64, x: &mut [f64], ws: &mut Workspace) -> Result<bool> {
     if !ws.line.set(p, t, &ws.point, &ws.obj_grad, &ws.delta) {
         return Err(SolverError::NumericalFailure {
             reason: "non-finite line-search coefficients".to_string(),
@@ -409,7 +416,7 @@ fn line_search(
         if ws
             .line
             .change(alpha)
-            .is_some_and(|change| change <= config.armijo * alpha * slope)
+            .is_some_and(|change| change <= ARMIJO * alpha * slope)
         {
             ws.cand.clear();
             ws.cand.extend_from_slice(x);
@@ -420,7 +427,7 @@ fn line_search(
                 return Ok(true);
             }
         }
-        alpha *= config.backtrack;
+        alpha *= BACKTRACK;
     }
     Ok(false)
 }
@@ -439,7 +446,7 @@ fn center(
     ws: &mut Workspace,
 ) -> Result<(Vec<f64>, usize)> {
     let mut steps = 0usize;
-    for _ in 0..config.max_newton_per_stage {
+    for _ in 0..MAX_NEWTON_PER_STAGE {
         if let Some(stop) = early_stop {
             if stop(&x) {
                 return Ok((x, steps));
@@ -489,7 +496,7 @@ fn center(
             return Ok((x, steps));
         }
 
-        let stepped = line_search(p, t, &mut x, config, ws)?;
+        let stepped = line_search(p, t, &mut x, ws)?;
         ws.lap(|s| &mut s.line_search);
         if !stepped {
             // Step has shrunk below representable progress — we are at the
@@ -545,8 +552,8 @@ pub(crate) fn barrier_minimize_with_stop(
         return Ok((xx, 1, steps, 1.0));
     }
 
-    let mut t = config.t_init;
-    for _ in 0..config.max_stages {
+    let mut t = T_INIT;
+    for _ in 0..MAX_STAGES {
         stages += 1;
         let (xx, steps) = center(p, t, x, config, early_stop, ws)?;
         x = xx;
@@ -559,7 +566,7 @@ pub(crate) fn barrier_minimize_with_stop(
         if m / t < config.tol {
             return Ok((x, stages, steps_total, t));
         }
-        t *= config.mu;
+        t *= MU;
     }
     Ok((x, stages, steps_total, t))
 }

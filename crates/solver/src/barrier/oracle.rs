@@ -14,6 +14,7 @@
 
 use super::{
     add_barrier_derivatives, barrier_value, line_search, LineModel, PointEval, ScaledProduct,
+    ARMIJO, BACKTRACK,
 };
 use crate::workspace::AssemblyScratch;
 use crate::{SocpProblem, SolverConfig, Workspace};
@@ -376,8 +377,8 @@ fn solves_match_dense_support_bit_for_bit() {
 }
 
 /// The line search's ladder `1, β, β², …`, all 60 rungs.
-fn ladder(config: &SolverConfig) -> Vec<f64> {
-    std::iter::successors(Some(1.0), |a| Some(a * config.backtrack))
+fn ladder() -> Vec<f64> {
+    std::iter::successors(Some(1.0), |a| Some(a * BACKTRACK))
         .take(60)
         .collect()
 }
@@ -393,7 +394,6 @@ fn line_change_matches_direct_difference_on_the_ladder() {
     // absolute values, each rounded to a few ulps of its terms, so the
     // tolerance is 1e-12 of the summed magnitudes at both points,
     // `S = 1 + t·|f(x)| + t·|f(x+αΔ)| + Σ|ln slack| + Σ|ln ψ|`.
-    let config = SolverConfig::default();
     let mut rng = Rng::new(0x11e5);
     let (mut pt, mut cand_pt) = (PointEval::default(), PointEval::default());
     let mut line = LineModel::default();
@@ -411,7 +411,7 @@ fn line_change_matches_direct_difference_on_the_ladder() {
                 *g += c;
             }
             assert!(line.set(&p, t, &pt, &obj_grad, &delta));
-            for alpha in ladder(&config) {
+            for alpha in ladder() {
                 let mut cand = x.clone();
                 vecops::axpy(alpha, &delta, &mut cand);
                 let direct = barrier_value(&p, &cand, &mut cand_pt);
@@ -451,7 +451,6 @@ fn accepted_step_is_strictly_feasible_by_direct_evaluation() {
     // One row x ≤ 1e16 at x = 1e16 − 4 (slack 4), descending f = −1000·x
     // along Δ = 3.5. At α = 1 the expanded slack is 4·(1 − 3.5/4) = 0.5 > 0,
     // but x + Δ = 1e16 − 0.5 rounds to 1e16, where the direct slack is 0.
-    let config = SolverConfig::default();
     let mut p = SocpProblem::new(Matrix::zeros(1, 1), vec![-1000.0]).unwrap();
     p.add_linear(vec![1.0], 1e16).unwrap();
     let x0 = 1e16 - 4.0;
@@ -464,15 +463,13 @@ fn accepted_step_is_strictly_feasible_by_direct_evaluation() {
     let slope = ws.grad[0] * ws.delta[0];
     assert!(ws.line.set(&p, 1.0, &ws.point, &ws.obj_grad, &ws.delta));
     assert!(
-        ws.line
-            .change(1.0)
-            .is_some_and(|d| d <= config.armijo * slope),
+        ws.line.change(1.0).is_some_and(|d| d <= ARMIJO * slope),
         "the expanded form alone takes the full step"
     );
     assert_eq!(x0 + 3.5, 1e16, "the full step lands on the boundary");
 
     let mut x = vec![x0];
-    assert!(line_search(&p, 1.0, &mut x, &config, &mut ws).unwrap());
+    assert!(line_search(&p, 1.0, &mut x, &mut ws).unwrap());
     assert!(
         barrier_value(&p, &x, &mut PointEval::default()).is_some(),
         "accepted x = {:e} is not strictly feasible",
@@ -487,7 +484,6 @@ fn extreme_slack_ratios_keep_the_product_finite() {
     // Along Δ = −1 from x = 0, rows x ≤ 1e-300 have ρ = −1e300 (their slack
     // grows by up to 1e300 times) and rows x ≤ 1e300 have ρ = −1e-300. Four
     // factors of 1e300 overflow a plain product.
-    let config = SolverConfig::default();
     let mut p = SocpProblem::new(Matrix::zeros(1, 1), vec![0.0]).unwrap();
     for _ in 0..4 {
         p.add_linear(vec![1.0], 1e-300).unwrap();
@@ -501,7 +497,7 @@ fn extreme_slack_ratios_keep_the_product_finite() {
     for want in [-1e300, -1e-300] {
         assert!(line.rho.iter().any(|r| (r / want - 1.0).abs() < 1e-15));
     }
-    for alpha in ladder(&config) {
+    for alpha in ladder() {
         let got = line.change(alpha).expect("every step is feasible");
         let per_row: f64 = line.rho.iter().map(|r| -(1.0 - alpha * r).ln()).sum();
         assert!(got.is_finite());

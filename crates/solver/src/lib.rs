@@ -30,6 +30,14 @@
 //!    bound is `θ/t` with `θ` the barrier degree, which counts each cone
 //!    twice.
 //!
+//! Only the two tolerances are settings ([`SolverConfig`]); the barrier
+//! schedule, the line search and phase I's [`FEASIBILITY_MARGIN`] are
+//! constants.
+//!
+//! [`solve_with_recovery_checked`] retries a solve that fails numerically
+//! on one fixed schedule: retry `i` solves the same problem at tolerances
+//! loosened by `100^i`, from a warm start perturbed by a relative `1e-3·i`.
+//!
 //! # Example
 //!
 //! ```
@@ -60,12 +68,10 @@ mod workspace;
 pub use error::SolverError;
 pub use problem::{
     KktReport, LinearConstraint, SocConstraint, SocpProblem, Solution, SolverConfig,
+    FEASIBILITY_MARGIN,
 };
-pub use recovery::{
-    error_kind, is_recoverable, solve_with_recovery, solve_with_recovery_checked,
-    RecoveredSolution, RecoveryAttempt, RecoveryConfig,
-};
-pub use workspace::Workspace;
+pub use recovery::{error_kind, solve_with_recovery_checked, RecoveredSolution, RecoveryAttempt};
+pub(crate) use workspace::Workspace;
 
 /// Convenience alias for results returned by this crate.
 pub type Result<T> = std::result::Result<T, SolverError>;

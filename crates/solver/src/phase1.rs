@@ -16,7 +16,7 @@
 //! minimization stops early as soon as `s < −margin` is witnessed: the `x`
 //! part is then a strictly feasible start for phase II.
 
-use crate::{Result, SocpProblem, SolverConfig, SolverError, Workspace};
+use crate::{Result, SocpProblem, SolverConfig, SolverError, Workspace, FEASIBILITY_MARGIN};
 
 /// Finds a strictly feasible point for `p`, optionally warm-starting the
 /// search at `x0`.
@@ -26,7 +26,7 @@ use crate::{Result, SocpProblem, SolverConfig, SolverError, Workspace};
 /// # Errors
 ///
 /// * [`SolverError::Infeasible`] when the minimized worst violation stays
-///   above `−config.feasibility_margin`.
+///   above `−FEASIBILITY_MARGIN`.
 /// * Propagates numerical failures from the barrier engine.
 pub(crate) fn find_strictly_feasible(
     p: &SocpProblem,
@@ -40,7 +40,7 @@ pub(crate) fn find_strictly_feasible(
     if p.num_constraints() == 0 {
         return Ok((x0, 0));
     }
-    if p.is_strictly_feasible(&x0, config.feasibility_margin) {
+    if p.is_strictly_feasible(&x0, FEASIBILITY_MARGIN) {
         return Ok((x0, 0));
     }
 
@@ -54,12 +54,11 @@ pub(crate) fn find_strictly_feasible(
     debug_assert!(aux.is_strictly_feasible(&start, 0.0));
 
     // Early exit once the x-part is strictly feasible with real margin.
-    let margin = config.feasibility_margin;
-    let stop = move |xs: &[f64]| xs[xs.len() - 1] < -10.0 * margin;
+    let stop = |xs: &[f64]| xs[xs.len() - 1] < -10.0 * FEASIBILITY_MARGIN;
     let phase1_cfg = SolverConfig {
         // Phase I only needs a qualitative answer; loose gap, same Newton
         // hygiene.
-        tol: margin.max(1e-10),
+        tol: FEASIBILITY_MARGIN.max(1e-10),
         ..config.clone()
     };
     let (xs, _stages, steps, _t) =
@@ -67,7 +66,7 @@ pub(crate) fn find_strictly_feasible(
 
     let s = xs[n];
     let x: Vec<f64> = xs[..n].to_vec();
-    if p.is_strictly_feasible(&x, margin) {
+    if p.is_strictly_feasible(&x, FEASIBILITY_MARGIN) {
         return Ok((x, steps));
     }
     Err(SolverError::Infeasible {

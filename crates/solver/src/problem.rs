@@ -122,42 +122,26 @@ fn gram_lower(a: &Matrix, spans: &[(usize, usize)]) -> Matrix {
     gram
 }
 
-/// Solver tolerances and barrier schedule.
+/// Phase I accepts a start point when its max violation is below
+/// `−FEASIBILITY_MARGIN`; otherwise the problem is declared infeasible.
+pub const FEASIBILITY_MARGIN: f64 = 1e-9;
+
+/// Solver tolerances: the two values that phase I and the recovery retries
+/// change. The barrier schedule and line search are fixed (see
+/// `barrier.rs`).
 #[derive(Debug, Clone, PartialEq)]
 pub struct SolverConfig {
     /// Target duality-gap bound `m/t` at which the outer loop stops.
     pub tol: f64,
-    /// Initial barrier weight `t`.
-    pub t_init: f64,
-    /// Geometric growth factor of `t` per outer stage.
-    pub mu: f64,
     /// Newton-decrement threshold (`λ²/2`) for each centering stage.
     pub newton_tol: f64,
-    /// Maximum Newton steps per centering stage.
-    pub max_newton_per_stage: usize,
-    /// Maximum outer stages (safety valve; never reached in practice).
-    pub max_stages: usize,
-    /// Armijo slope fraction for the backtracking line search.
-    pub armijo: f64,
-    /// Backtracking shrink factor.
-    pub backtrack: f64,
-    /// Phase I accepts a start point when its max violation is below
-    /// `−feasibility_margin`; otherwise the problem is declared infeasible.
-    pub feasibility_margin: f64,
 }
 
 impl Default for SolverConfig {
     fn default() -> Self {
         SolverConfig {
             tol: 1e-8,
-            t_init: 1.0,
-            mu: 20.0,
             newton_tol: 1e-10,
-            max_newton_per_stage: 60,
-            max_stages: 64,
-            armijo: 0.01,
-            backtrack: 0.5,
-            feasibility_margin: 1e-9,
         }
     }
 }
@@ -240,24 +224,6 @@ impl SocpProblem {
     /// Number of optimization variables.
     pub fn num_vars(&self) -> usize {
         self.n
-    }
-
-    /// A copy of the problem with `Q + λI` as its quadratic term — the
-    /// Tikhonov-regularized problem used by the recovering solve path.
-    /// The regularized objective dominates the original by exactly
-    /// `½·λ·‖x‖²`, which callers deriving lower bounds must subtract.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `lambda` is negative or non-finite.
-    pub fn regularized(&self, lambda: f64) -> SocpProblem {
-        assert!(
-            lambda.is_finite() && lambda >= 0.0,
-            "Tikhonov weight must be finite and non-negative, got {lambda}"
-        );
-        let mut p = self.clone();
-        p.q.add_ridge(lambda).expect("square by construction");
-        p
     }
 
     /// Number of constraints (linear + cone).
@@ -530,9 +496,7 @@ impl SocpProblem {
     ) -> Result<Solution> {
         let mut phase1_steps = 0usize;
         let start = match x0 {
-            Some(x)
-                if x.len() == self.n && self.is_strictly_feasible(x, config.feasibility_margin) =>
-            {
+            Some(x) if x.len() == self.n && self.is_strictly_feasible(x, FEASIBILITY_MARGIN) => {
                 x.to_vec()
             }
             _ => {

@@ -4,23 +4,18 @@
 //! (nearly singular scatter matrices, boxes squeezed to a sliver).
 //! Branch-and-bound used to paper over such failures with a
 //! trivial lower bound, silently weakening the optimality certificate. This
-//! module instead retries the solve with an **escalating schedule** before
-//! giving up:
+//! module instead retries the solve on one fixed **escalating schedule**
+//! before giving up. Retry `i` (1-based):
 //!
-//! 1. loosen the barrier tolerance (a coarse center is enough for a bound);
-//! 2. perturb the warm-start point (escapes starts that sit on a constraint
-//!    boundary where phase I stalls);
-//! 3. Tikhonov-regularize the objective (`Q + λI`) so the Newton systems
-//!    are well-conditioned.
+//! 1. loosens the barrier and Newton tolerances by `100^i` (a coarse center
+//!    is enough for a bound);
+//! 2. perturbs the warm-start point by a relative `1e-3·i` (escapes starts
+//!    that sit on a constraint boundary where phase I stalls).
 //!
+//! Each retry solves the unmodified problem, so a successful one reports
+//! the objective and duality-gap bound of the problem the caller posed.
 //! Every attempt is recorded in a [`RecoveryAttempt`] so callers can feed
-//! degradation accounting, and the λ of the successful attempt is reported
-//! so callers can *correct the bound*: the regularized objective satisfies
-//! `f_reg(x) = f(x) + ½λ‖x‖²`, hence over any region `X`
-//!
-//! ```text
-//! min_X f  ≥  min_X f_reg − ½·λ·max_X ‖x‖².
-//! ```
+//! degradation accounting.
 //!
 //! The perturbation is deterministic (a hash of the attempt index), so a
 //! recovered search is exactly reproducible.
@@ -31,20 +26,19 @@ use ldafp_obs as obs;
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
+/// Per-retry multiplier of the barrier and Newton tolerances.
+const TOL_RELAX: f64 = 100.0;
+/// Per-retry relative magnitude of the warm-start perturbation.
+const PERTURB_SCALE: f64 = 1e-3;
+
 /// A solution obtained through the recovering solve path, together with the
 /// escalation trail that produced it.
 #[derive(Debug, Clone)]
 pub struct RecoveredSolution {
-    /// The solution of the (possibly regularized, loosened) solve.
+    /// The solution of the (possibly loosened) solve.
     pub solution: Solution,
     /// Every attempt made, in order. Empty when the first solve succeeded.
     pub attempts: Vec<RecoveryAttempt>,
-    /// Tikhonov weight of the successful attempt (0 = unregularized). When
-    /// nonzero, lower bounds derived from `solution.objective` must be
-    /// corrected downward by `½·λ·max_X ‖x‖²` over the region `X`.
-    pub lambda: f64,
-    /// Barrier tolerance of the successful attempt.
-    pub tol: f64,
 }
 
 impl RecoveredSolution {
@@ -55,68 +49,23 @@ impl RecoveredSolution {
     }
 }
 
-/// Tuning knobs for [`solve_with_recovery`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct RecoveryConfig {
-    /// Retry attempts after the initial solve (0 disables recovery).
-    pub max_retries: usize,
-    /// Barrier-tolerance multiplier applied per attempt (`tolᵢ = tol·rᶦ`).
-    pub tol_relax: f64,
-    /// Base Tikhonov weight, relative to the mean diagonal of `Q`.
-    /// Regularization starts at the second retry; the first retry only
-    /// loosens tolerances and perturbs the start.
-    pub tikhonov_base: f64,
-    /// Per-attempt growth of the Tikhonov weight.
-    pub tikhonov_growth: f64,
-    /// Relative magnitude of the deterministic warm-start perturbation.
-    pub perturb_scale: f64,
+/// The escalation of retry `attempt` (1-based): `(tol_factor,
+/// perturbation)`.
+fn schedule(attempt: usize) -> (f64, f64) {
+    (
+        TOL_RELAX.powi(attempt as i32),
+        PERTURB_SCALE * attempt as f64,
+    )
 }
 
-impl Default for RecoveryConfig {
-    fn default() -> Self {
-        RecoveryConfig {
-            max_retries: 3,
-            tol_relax: 100.0,
-            tikhonov_base: 1e-8,
-            tikhonov_growth: 1e3,
-            perturb_scale: 1e-3,
-        }
-    }
-}
-
-impl RecoveryConfig {
-    /// A configuration with recovery disabled (fail on the first error).
-    pub fn disabled() -> Self {
-        RecoveryConfig {
-            max_retries: 0,
-            ..RecoveryConfig::default()
-        }
-    }
-
-    /// The escalation parameters of retry `attempt` (1-based) for a problem
-    /// whose `Q` has mean diagonal `q_scale`: `(tol_factor, lambda,
-    /// perturbation)`.
-    pub fn schedule(&self, attempt: usize, q_scale: f64) -> (f64, f64, f64) {
-        let tol_factor = self.tol_relax.powi(attempt as i32);
-        let lambda = if attempt >= 2 {
-            self.tikhonov_base * q_scale.max(1e-300) * self.tikhonov_growth.powi(attempt as i32 - 2)
-        } else {
-            0.0
-        };
-        let perturb = self.perturb_scale * attempt as f64;
-        (tol_factor, lambda, perturb)
-    }
-}
-
-/// One recovery attempt: what was escalated and how it ended.
+/// One attempt of the recovering solve: what was escalated and how it
+/// ended.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RecoveryAttempt {
-    /// 1-based retry index.
+    /// Attempt index: 0 is the initial solve, `i ≥ 1` the `i`-th retry.
     pub attempt: usize,
     /// Barrier tolerance used.
     pub tol: f64,
-    /// Tikhonov weight added to the diagonal of `Q` (0 = none).
-    pub lambda: f64,
     /// Relative warm-start perturbation applied (0 = none).
     pub perturbation: f64,
     /// Error message of the attempt, or `None` when it succeeded.
@@ -179,7 +128,6 @@ fn record_solve(recovered: &RecoveredSolution, started: Instant, times: Option<&
             .with("objective", recovered.solution.objective)
             .with("duality_gap_bound", recovered.solution.duality_gap_bound)
             .with("retries", recovered.attempts.len())
-            .with("lambda", recovered.lambda)
             .with(
                 "elapsed_us",
                 u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX),
@@ -207,66 +155,46 @@ fn record_failure(started: Instant) {
         .record(u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX));
 }
 
-/// Solves `problem`, retrying per `recovery` on non-`Infeasible` failures.
+/// Solves `problem`, retrying up to `max_retries` times on the fixed
+/// schedule (see the module docs) after non-`Infeasible` failures.
 ///
 /// Infeasibility is *not* retried: it is a phase-I certificate, not a
 /// numerical accident, and branch-and-bound must see it to prune.
+///
+/// `inject(attempt)` may return an error that replaces the real solve of
+/// that attempt (attempt 0 is the initial solve). Production callers pass
+/// a hook that always returns `None`; the fault-injection harness forces
+/// `NumericalFailure`/`Infeasible` at chosen attempts to exercise the
+/// schedule.
 ///
 /// # Errors
 ///
 /// Returns the **last** attempt's error when the schedule is exhausted, or
 /// the original error for non-recoverable kinds ([`SolverError::Infeasible`],
 /// [`SolverError::InvalidProblem`]).
-pub fn solve_with_recovery(
-    problem: &SocpProblem,
-    x0: Option<&[f64]>,
-    config: &SolverConfig,
-    recovery: &RecoveryConfig,
-) -> Result<RecoveredSolution> {
-    solve_with_recovery_checked(problem, x0, config, recovery, |_| None)
-}
-
-/// Like [`solve_with_recovery`], with a fault hook for deterministic fault
-/// injection: `inject(attempt)` may return an error that replaces the real
-/// solve of that attempt (attempt 0 is the initial solve). Production
-/// callers pass a hook that always returns `None`; the fault-injection
-/// harness forces `NumericalFailure`/`Infeasible` at chosen attempts to
-/// exercise the schedule.
-///
-/// # Errors
-///
-/// Same contract as [`solve_with_recovery`].
 pub fn solve_with_recovery_checked(
     problem: &SocpProblem,
     x0: Option<&[f64]>,
     config: &SolverConfig,
-    recovery: &RecoveryConfig,
+    max_retries: usize,
     mut inject: impl FnMut(usize) -> Option<SolverError>,
 ) -> Result<RecoveredSolution> {
     let started = Instant::now();
     // Stage times, summed over every attempt, are taken only for a solve
     // that starts with tracing on.
     let mut times = obs::enabled().then(StageTimes::default);
-    let mut run = |p: &SocpProblem,
-                   start: Option<&[f64]>,
-                   cfg: &SolverConfig,
-                   attempt: usize,
-                   inject: &mut dyn FnMut(usize) -> Option<SolverError>| {
-        match inject(attempt) {
-            Some(e) => Err(e),
-            None => p.solve_timed(start, cfg, times.as_mut()),
-        }
+    let mut run = |start: Option<&[f64]>, cfg: &SolverConfig, attempt: usize| match inject(attempt)
+    {
+        Some(e) => Err(e),
+        None => problem.solve_timed(start, cfg, times.as_mut()),
     };
 
-    // Attempt 0: the unmodified problem.
-    let first = run(problem, x0, config, 0, &mut inject);
-    let first_err = match first {
+    // Attempt 0: the initial solve.
+    let first_err = match run(x0, config, 0) {
         Ok(solution) => {
             let recovered = RecoveredSolution {
                 solution,
                 attempts: Vec::new(),
-                lambda: 0.0,
-                tol: config.tol,
             };
             record_solve(&recovered, started, times.as_ref());
             return Ok(recovered);
@@ -278,19 +206,17 @@ pub fn solve_with_recovery_checked(
         Err(e) => e,
     };
 
-    let q_scale = mean_diagonal(problem);
     let mut attempts: Vec<RecoveryAttempt> = vec![RecoveryAttempt {
         attempt: 0,
         tol: config.tol,
-        lambda: 0.0,
         perturbation: 0.0,
         error: Some(first_err.to_string()),
         error_kind: Some(error_kind(&first_err).to_string()),
     }];
     let mut last_err = first_err;
 
-    for attempt in 1..=recovery.max_retries {
-        let (tol_factor, lambda, perturbation) = recovery.schedule(attempt, q_scale);
+    for attempt in 1..=max_retries {
+        let (tol_factor, perturbation) = schedule(attempt);
         solve_metrics().retries.inc();
         if obs::enabled() {
             // Retry-escalation trail: what failed and what is escalated.
@@ -299,40 +225,25 @@ pub fn solve_with_recovery_checked(
                     .with("attempt", attempt)
                     .with("prior_error_kind", error_kind(&last_err))
                     .with("tol_factor", tol_factor)
-                    .with("lambda", lambda)
                     .with("perturbation", perturbation),
             );
         }
         let cfg = SolverConfig {
             tol: config.tol * tol_factor,
             newton_tol: config.newton_tol * tol_factor,
-            ..config.clone()
-        };
-        let regularized;
-        let p = if lambda > 0.0 {
-            regularized = problem.regularized(lambda);
-            &regularized
-        } else {
-            problem
         };
         let perturbed = x0.map(|x| perturb_start(x, perturbation, attempt));
-        let result = run(p, perturbed.as_deref(), &cfg, attempt, &mut inject);
-        match result {
+        let trail = |error: Option<&SolverError>| RecoveryAttempt {
+            attempt,
+            tol: cfg.tol,
+            perturbation,
+            error: error.map(ToString::to_string),
+            error_kind: error.map(|e| error_kind(e).to_string()),
+        };
+        match run(perturbed.as_deref(), &cfg, attempt) {
             Ok(solution) => {
-                attempts.push(RecoveryAttempt {
-                    attempt,
-                    tol: cfg.tol,
-                    lambda,
-                    perturbation,
-                    error: None,
-                    error_kind: None,
-                });
-                let recovered = RecoveredSolution {
-                    solution,
-                    attempts,
-                    lambda,
-                    tol: cfg.tol,
-                };
+                attempts.push(trail(None));
+                let recovered = RecoveredSolution { solution, attempts };
                 record_solve(&recovered, started, times.as_ref());
                 return Ok(recovered);
             }
@@ -341,14 +252,7 @@ pub fn solve_with_recovery_checked(
                 return Err(e);
             }
             Err(e) => {
-                attempts.push(RecoveryAttempt {
-                    attempt,
-                    tol: cfg.tol,
-                    lambda,
-                    perturbation,
-                    error: Some(e.to_string()),
-                    error_kind: Some(error_kind(&e).to_string()),
-                });
+                attempts.push(trail(Some(&e)));
                 last_err = e;
             }
         }
@@ -357,7 +261,7 @@ pub fn solve_with_recovery_checked(
     if obs::enabled() {
         obs::emit(
             obs::Event::new("solver.exhausted")
-                .with("attempts", recovery.max_retries + 1)
+                .with("attempts", max_retries + 1)
                 .with("error_kind", error_kind(&last_err)),
         );
     }
@@ -366,7 +270,7 @@ pub fn solve_with_recovery_checked(
 
 /// Whether an error is worth retrying: numerical stalls and linear-algebra
 /// failures are; infeasibility certificates and malformed problems are not.
-pub fn is_recoverable(e: &SolverError) -> bool {
+pub(crate) fn is_recoverable(e: &SolverError) -> bool {
     matches!(
         e,
         SolverError::NumericalFailure { .. } | SolverError::Linalg(_)
@@ -382,12 +286,6 @@ pub fn error_kind(e: &SolverError) -> &'static str {
         SolverError::NumericalFailure { .. } => "numerical-failure",
         SolverError::Linalg(_) => "linalg",
     }
-}
-
-fn mean_diagonal(p: &SocpProblem) -> f64 {
-    let q = p.q();
-    let n = q.rows().max(1);
-    q.diag().iter().map(|d| d.abs()).sum::<f64>() / n as f64
 }
 
 /// Deterministic warm-start perturbation: each coordinate moves by
@@ -420,6 +318,9 @@ mod tests {
     use super::*;
     use ldafp_linalg::Matrix;
 
+    /// The trainer's default retry budget.
+    const MAX_RETRIES: usize = 3;
+
     /// minimize (x−2)² + (y−2)² s.t. x + y ≤ 2 → optimum (1, 1).
     fn toy_problem() -> SocpProblem {
         let mut p = SocpProblem::new(Matrix::identity(2).scaled(2.0), vec![-4.0, -4.0]).unwrap();
@@ -430,16 +331,11 @@ mod tests {
     #[test]
     fn clean_solve_records_no_attempts() {
         let p = toy_problem();
-        let r = solve_with_recovery(
-            &p,
-            None,
-            &SolverConfig::default(),
-            &RecoveryConfig::default(),
-        )
-        .unwrap();
+        let r =
+            solve_with_recovery_checked(&p, None, &SolverConfig::default(), MAX_RETRIES, |_| None)
+                .unwrap();
         assert!(r.attempts.is_empty());
         assert!(!r.recovered());
-        assert_eq!(r.lambda, 0.0);
         assert!((r.solution.x[0] - 1.0).abs() < 1e-5);
     }
 
@@ -451,7 +347,7 @@ mod tests {
             &p,
             Some(&[0.0, 0.0]),
             &SolverConfig::default(),
-            &RecoveryConfig::default(),
+            MAX_RETRIES,
             |attempt| {
                 (attempt < 2).then(|| SolverError::NumericalFailure {
                     reason: "injected".to_string(),
@@ -465,10 +361,11 @@ mod tests {
         assert!(r.attempts[0].error.is_some());
         assert!(r.attempts[1].error.is_some());
         assert!(r.attempts[2].error.is_none());
-        // Attempt 2 engages Tikhonov regularization.
-        assert!(r.lambda > 0.0);
-        assert_eq!(r.attempts[2].lambda, r.lambda);
-        // λ is tiny relative to Q, so the solution barely moves.
+        // Attempt 2 runs at tolerances loosened by 100² from a start
+        // perturbed by 2e-3; the loose tolerance barely moves the solution.
+        let config = SolverConfig::default();
+        assert_eq!(r.attempts[2].tol, config.tol * 1e4);
+        assert_eq!(r.attempts[2].perturbation, 2e-3);
         assert!((r.solution.x[0] - 1.0).abs() < 1e-3);
         assert!((r.solution.x[1] - 1.0).abs() < 1e-3);
     }
@@ -476,20 +373,15 @@ mod tests {
     #[test]
     fn exhausted_schedule_returns_last_error() {
         let p = toy_problem();
-        let recovery = RecoveryConfig {
-            max_retries: 2,
-            ..RecoveryConfig::default()
-        };
         let timed = failed_solves_timed();
         let mut calls = 0usize;
-        let err =
-            solve_with_recovery_checked(&p, None, &SolverConfig::default(), &recovery, |_| {
-                calls += 1;
-                Some(SolverError::NumericalFailure {
-                    reason: format!("injected #{calls}"),
-                })
+        let err = solve_with_recovery_checked(&p, None, &SolverConfig::default(), 2, |_| {
+            calls += 1;
+            Some(SolverError::NumericalFailure {
+                reason: format!("injected #{calls}"),
             })
-            .unwrap_err();
+        })
+        .unwrap_err();
         // Initial attempt + 2 retries, all injected.
         assert_eq!(calls, 3);
         assert!(matches!(err, SolverError::NumericalFailure { .. }));
@@ -511,17 +403,12 @@ mod tests {
         let p = toy_problem();
         let timed = failed_solves_timed();
         let mut calls = 0usize;
-        let err = solve_with_recovery_checked(
-            &p,
-            None,
-            &SolverConfig::default(),
-            &RecoveryConfig::default(),
-            |_| {
+        let err =
+            solve_with_recovery_checked(&p, None, &SolverConfig::default(), MAX_RETRIES, |_| {
                 calls += 1;
                 Some(SolverError::Infeasible { max_violation: 0.1 })
-            },
-        )
-        .unwrap_err();
+            })
+            .unwrap_err();
         assert_eq!(calls, 1);
         assert!(matches!(err, SolverError::Infeasible { .. }));
         assert!(
@@ -534,18 +421,12 @@ mod tests {
     fn zero_retries_disables_recovery() {
         let p = toy_problem();
         let mut calls = 0usize;
-        let err = solve_with_recovery_checked(
-            &p,
-            None,
-            &SolverConfig::default(),
-            &RecoveryConfig::disabled(),
-            |_| {
-                calls += 1;
-                Some(SolverError::NumericalFailure {
-                    reason: "injected".to_string(),
-                })
-            },
-        )
+        let err = solve_with_recovery_checked(&p, None, &SolverConfig::default(), 0, |_| {
+            calls += 1;
+            Some(SolverError::NumericalFailure {
+                reason: "injected".to_string(),
+            })
+        })
         .unwrap_err();
         assert_eq!(calls, 1);
         assert!(is_recoverable(&err));
@@ -553,21 +434,18 @@ mod tests {
 
     #[test]
     fn schedule_escalates_monotonically() {
-        let rc = RecoveryConfig::default();
-        let q_scale = 2.0;
         let mut prev_tol = 0.0;
-        let mut prev_lambda = -1.0;
+        let mut prev_perturb = 0.0;
         for attempt in 1..=4 {
-            let (tol_factor, lambda, perturb) = rc.schedule(attempt, q_scale);
+            let (tol_factor, perturb) = schedule(attempt);
             assert!(tol_factor > prev_tol, "tol must escalate");
-            assert!(lambda >= prev_lambda, "lambda must not shrink");
-            assert!(perturb > 0.0);
+            assert!(perturb > prev_perturb, "perturbation must escalate");
             prev_tol = tol_factor;
-            prev_lambda = lambda;
+            prev_perturb = perturb;
         }
-        // Regularization engages from the second retry.
-        assert_eq!(rc.schedule(1, q_scale).1, 0.0);
-        assert!(rc.schedule(2, q_scale).1 > 0.0);
+        // Retry i loosens by 100^i and perturbs by 1e-3·i.
+        assert_eq!(schedule(1), (100.0, 1e-3));
+        assert_eq!(schedule(2), (1e4, 2e-3));
     }
 
     #[test]

@@ -29,7 +29,7 @@ use std::time::{Duration, Instant};
 
 /// Reusable buffers for one SOCP solve (phase I + phase II).
 #[derive(Debug)]
-pub struct Workspace {
+pub(crate) struct Workspace {
     /// Gradient of `t·f + φ`.
     pub(crate) grad: Vec<f64>,
     /// Gradient of the objective, `Qx + c`.

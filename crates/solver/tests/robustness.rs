@@ -135,10 +135,7 @@ fn unbounded_direction_with_linear_objective_terminates() {
     let mut p = SocpProblem::new(Matrix::zeros(1, 1), vec![1.0]).unwrap();
     p.add_linear(vec![1.0], 1.0).unwrap();
     // Either a (very negative) iterate comes back or a structured error.
-    match p.solve(&SolverConfig {
-        max_stages: 8,
-        ..cfg()
-    }) {
+    match p.solve(&cfg()) {
         Ok(sol) => assert!(sol.x[0] <= 1.0),
         Err(SolverError::NumericalFailure { .. }) => {}
         Err(other) => panic!("unexpected failure mode: {other}"),

@@ -28,7 +28,8 @@ pub enum FaultKind {
     /// The solver falsely claims the box infeasible: a sound consumer
     /// refuses to prune and degrades to a trivial bound.
     Infeasible,
-    /// The assessment is artificially slowed (exercises time budgets).
+    /// The assessment is artificially slowed (exercises time budgets;
+    /// forced at an index with [`FaultPlan::with_forced`]).
     Slow(Duration),
 }
 
@@ -43,8 +44,6 @@ pub struct FaultPlan {
     seed: u64,
     numerical_rate: f64,
     infeasible_rate: f64,
-    slow_rate: f64,
-    slow_duration: Duration,
     persist_attempts: usize,
     forced: BTreeMap<usize, FaultKind>,
 }
@@ -57,8 +56,6 @@ impl FaultPlan {
             seed,
             numerical_rate: 0.0,
             infeasible_rate: 0.0,
-            slow_rate: 0.0,
-            slow_duration: Duration::from_millis(1),
             persist_attempts: usize::MAX,
             forced: BTreeMap::new(),
         }
@@ -77,15 +74,6 @@ impl FaultPlan {
     pub fn with_infeasible_rate(mut self, rate: f64) -> Self {
         assert!((0.0..=1.0).contains(&rate), "rate must be in [0, 1]");
         self.infeasible_rate = rate;
-        self
-    }
-
-    /// Fraction of assessments artificially delayed by `duration`.
-    #[must_use]
-    pub fn with_slow_rate(mut self, rate: f64, duration: Duration) -> Self {
-        assert!((0.0..=1.0).contains(&rate), "rate must be in [0, 1]");
-        self.slow_rate = rate;
-        self.slow_duration = duration;
         self
     }
 
@@ -124,8 +112,6 @@ impl FaultPlan {
             Some(FaultKind::Numerical)
         } else if u < self.numerical_rate + self.infeasible_rate {
             Some(FaultKind::Infeasible)
-        } else if u < self.numerical_rate + self.infeasible_rate + self.slow_rate {
-            Some(FaultKind::Slow(self.slow_duration))
         } else {
             None
         }

@@ -88,19 +88,6 @@ impl DegradationStats {
             }
         }
     }
-
-    /// Merges another set of counters into this one (used when a training
-    /// run aggregates several searches).
-    pub fn absorb(&mut self, other: &DegradationStats) {
-        self.recovered_solves += other.recovered_solves;
-        self.trivial_bounds += other.trivial_bounds;
-        self.suspect_infeasible += other.suspect_infeasible;
-        self.rejected_bounds += other.rejected_bounds;
-        self.rejected_candidates += other.rejected_candidates;
-        for (k, v) in &other.solver_errors {
-            *self.solver_errors.entry(k.clone()).or_insert(0) += v;
-        }
-    }
 }
 
 /// What a [`BoundingProblem`] learned about one box.

@@ -1,9 +1,10 @@
 //! The workspace's blocking client, for both wire codecs.
 //!
 //! [`NetClient`] keeps one connection alive and speaks the [`Codec`]
-//! fixed at connect: the compact frames of [`crate::binwire`] or
-//! `ldafp-serve`'s length-prefixed JSON. Only two private steps know the
-//! codec, request encoding and reply decoding; the JSON vocabulary has no
+//! fixed at connect: the compact frames of [`crate::binwire`] or the
+//! length-prefixed JSON of [`crate::jsonwire`]. Only two private steps
+//! know the codec, request encoding and reply decoding; the JSON
+//! vocabulary has no
 //! raw-word predict and no routed health probe, so those two requests are
 //! refused with [`NetError::Protocol`] before anything is sent.
 //!
@@ -24,10 +25,10 @@ use crate::binwire::{
     self, BinRequest, PredictReplyBin, RowsPayload, STATUS_ERROR, STATUS_OK, STATUS_OVERLOADED,
 };
 use crate::error::{NetError, Result};
+use crate::jsonwire::{self, DEFAULT_MAX_FRAME};
 use ldafp_fixedpoint::{InputScale, QFormat, RoundingMode};
 use ldafp_obs as obs;
 use ldafp_obs::json::{self, Value};
-use ldafp_serve::wire::{self, Request, DEFAULT_MAX_FRAME};
 use ldafp_serve::ServeError;
 use ldafp_stats::{fnv1a64, FNV1A64_OFFSET};
 use std::io::{ErrorKind, Read, Write};
@@ -50,12 +51,13 @@ pub fn quantize_rows(format: QFormat, rounding: RoundingMode, rows: &[Vec<f64>])
     words
 }
 
-/// The wire codec a [`NetClient`] speaks, fixed at connect.
+/// A wire codec: the one a [`NetClient`] speaks, fixed at connect, and
+/// the one the server answers a request in.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Codec {
     /// The compact frames of [`crate::binwire`].
     Binary,
-    /// `ldafp-serve`'s length-prefixed JSON frames.
+    /// The length-prefixed JSON frames of [`crate::jsonwire`].
     Json,
 }
 
@@ -345,45 +347,49 @@ impl NetClient {
     /// Codec step one: a request as one complete frame. Requests the JSON
     /// vocabulary cannot express are refused here, before any I/O.
     fn encode(&self, request: &BinRequest) -> Result<Vec<u8>> {
+        let op = |name: &str| ("op", Value::from(name));
         let json_request = match (self.codec, request) {
             (Codec::Binary, _) => return Ok(binwire::encode_request(request)),
-            (Codec::Json, BinRequest::Predict { model, payload }) => match payload {
-                RowsPayload::F64 { features, values } => Request::Predict {
-                    rows: values
-                        .chunks((*features).max(1))
-                        .map(<[f64]>::to_vec)
-                        .collect(),
-                    model: (!model.is_empty()).then(|| model.clone()),
-                },
-                RowsPayload::Raw { .. } => {
+            (Codec::Json, BinRequest::Predict { model, payload }) => {
+                let RowsPayload::F64 { features, values } = payload else {
                     return Err(NetError::Protocol(
                         "the JSON codec has no raw-word predict".to_string(),
-                    ))
+                    ));
+                };
+                let rows = values
+                    .chunks((*features).max(1))
+                    .map(|row| Value::from(row.to_vec()))
+                    .collect();
+                let mut fields = vec![op("predict"), ("rows", Value::Array(rows))];
+                if !model.is_empty() {
+                    fields.push(("model", Value::from(model.as_str())));
                 }
-            },
+                Value::object(fields)
+            }
             (Codec::Json, BinRequest::Health { model }) if !model.is_empty() => {
                 return Err(NetError::Protocol(
                     "the JSON codec has no routed health probe".to_string(),
                 ))
             }
-            (Codec::Json, BinRequest::Health { .. }) => Request::Health,
-            (Codec::Json, BinRequest::Stats) => Request::Stats,
-            (Codec::Json, BinRequest::Shutdown) => Request::Shutdown,
+            (Codec::Json, BinRequest::Health { .. }) => Value::object([op("health")]),
+            (Codec::Json, BinRequest::Stats) => Value::object([op("stats")]),
+            (Codec::Json, BinRequest::Shutdown) => Value::object([op("shutdown")]),
             (
                 Codec::Json,
                 BinRequest::Reload {
                     name,
                     artifact_json,
                 },
-            ) => Request::Reload {
-                name: name.clone(),
-                artifact: json::parse(artifact_json).map_err(ServeError::from)?,
-            },
+            ) => Value::object([
+                op("reload"),
+                ("name", Value::from(name.as_str())),
+                (
+                    "artifact",
+                    json::parse(artifact_json).map_err(ServeError::from)?,
+                ),
+            ]),
         };
-        let mut frame = Vec::new();
-        wire::write_frame(&mut frame, &json_request.to_json())
-            .map_err(|e| NetError::Protocol(format!("cannot frame the request: {e}")))?;
-        Ok(frame)
+        jsonwire::encode_frame(&json_request)
     }
 
     /// Codec step two: one reply frame, with error statuses mapped to
@@ -397,40 +403,30 @@ impl NetClient {
         reply
     }
 
+    /// Reads one frame of either codec: its prefix (the binary header or
+    /// the JSON length), a body bounded by `max_frame`, then the status.
     fn read_frame(&mut self) -> Result<Reply> {
         let max_frame = self.max_frame;
         let codec = self.codec;
         let (stream, addr) = self.stream_mut()?;
-        if codec == Codec::Json {
-            let reply = wire::read_frame(stream, max_frame)
-                .map_err(|e| match e {
-                    ServeError::Io { source, .. } => NetError::io(addr, source),
-                    other => NetError::Protocol(other.to_string()),
-                })?
-                .ok_or_else(|| closed_before_reply(addr))?;
-            if reply.get("overloaded").and_then(Value::as_bool) == Some(true) {
-                return Err(NetError::Overloaded);
-            }
-            if reply.get("ok").and_then(Value::as_bool) != Some(true) {
-                let message = reply
-                    .get("error")
-                    .and_then(Value::as_str)
-                    .unwrap_or("server reported failure without a message");
-                return Err(NetError::Server(message.to_string()));
-            }
-            return Ok(Reply::Json(reply));
-        }
-        let mut hdr = [0u8; binwire::HEADER_LEN];
-        if !read_full(stream, &mut hdr, addr)? {
+        let mut header = [0u8; binwire::HEADER_LEN];
+        let prefix = match codec {
+            Codec::Binary => &mut header[..],
+            Codec::Json => &mut header[..4],
+        };
+        if !read_full(stream, prefix, addr)? {
             return Err(closed_before_reply(addr));
         }
-        if hdr[0] != binwire::MAGIC {
-            return Err(NetError::Protocol(format!(
-                "reply does not start with the binary magic byte (got {:#04x})",
-                hdr[0]
-            )));
-        }
-        let len = u32::from_le_bytes([hdr[4], hdr[5], hdr[6], hdr[7]]) as usize;
+        let len = match codec {
+            Codec::Binary if header[0] != binwire::MAGIC => {
+                return Err(NetError::Protocol(format!(
+                    "reply does not start with the binary magic byte (got {:#04x})",
+                    header[0]
+                )))
+            }
+            Codec::Binary => u32::from_le_bytes([header[4], header[5], header[6], header[7]]),
+            Codec::Json => u32::from_be_bytes([header[0], header[1], header[2], header[3]]),
+        } as usize;
         if len > max_frame {
             return Err(NetError::Protocol(format!(
                 "reply body of {len} bytes exceeds the {max_frame}-byte limit"
@@ -442,23 +438,33 @@ impl NetClient {
                 "server closed the connection inside a reply body".to_string(),
             ));
         }
-        match hdr[3] {
-            STATUS_OK => Ok(Reply::Binary(body)),
-            STATUS_OVERLOADED => Err(NetError::Overloaded),
-            STATUS_ERROR => Err(NetError::Server(
-                String::from_utf8_lossy(&body).into_owned(),
-            )),
-            other => Err(NetError::Protocol(format!("unknown reply status {other}"))),
+        if codec == Codec::Binary {
+            return match header[3] {
+                STATUS_OK => Ok(Reply::Binary(body)),
+                STATUS_OVERLOADED => Err(NetError::Overloaded),
+                STATUS_ERROR => Err(NetError::Server(
+                    String::from_utf8_lossy(&body).into_owned(),
+                )),
+                other => Err(NetError::Protocol(format!("unknown reply status {other}"))),
+            };
         }
+        let reply = parse_json_body(&body)?;
+        if reply.get("overloaded").and_then(Value::as_bool) == Some(true) {
+            return Err(NetError::Overloaded);
+        }
+        if reply.get("ok").and_then(Value::as_bool) != Some(true) {
+            let message = reply
+                .get("error")
+                .and_then(Value::as_str)
+                .unwrap_or("server reported failure without a message");
+            return Err(NetError::Server(message.to_string()));
+        }
+        Ok(Reply::Json(reply))
     }
 
     fn read_value(&mut self) -> Result<Value> {
         match self.read_reply()? {
-            Reply::Binary(body) => {
-                let text = std::str::from_utf8(&body)
-                    .map_err(|e| NetError::Protocol(format!("reply body is not UTF-8: {e}")))?;
-                json::parse(text).map_err(|e| NetError::Protocol(format!("reply is not JSON: {e}")))
-            }
+            Reply::Binary(body) => parse_json_body(&body),
             Reply::Json(reply) => Ok(reply),
         }
     }
@@ -570,6 +576,14 @@ fn json_predict_reply(reply: &Value) -> Result<PredictReplyBin> {
         accumulator_wraps: counter("accumulator_wraps")?,
         saturated_inputs: counter("saturated_inputs")?,
     })
+}
+
+/// Parses a reply body that holds JSON text (every JSON reply, and the
+/// binary codec's admin replies).
+fn parse_json_body(body: &[u8]) -> Result<Value> {
+    let text = std::str::from_utf8(body)
+        .map_err(|e| NetError::Protocol(format!("reply body is not UTF-8: {e}")))?;
+    json::parse(text).map_err(|e| NetError::Protocol(format!("reply is not JSON: {e}")))
 }
 
 /// Fills `buf` from `stream`. `Ok(false)` is a clean EOF before the
@@ -718,6 +732,10 @@ mod tests {
         Some(codec)
     }
 
+    fn write_json(stream: &mut TcpStream, v: &Value) -> std::io::Result<()> {
+        stream.write_all(&jsonwire::encode_frame(v).unwrap())
+    }
+
     /// Answers a predict in `codec`: an empty batch when `ok`, else the
     /// typed rejection "nope".
     fn answer(stream: &mut TcpStream, codec: Codec, ok: bool) -> std::io::Result<()> {
@@ -737,7 +755,7 @@ mod tests {
             (Codec::Binary, false) => {
                 stream.write_all(&binwire::encode_error_reply(binwire::OP_PREDICT, "nope"))
             }
-            (Codec::Json, true) => wire::write_frame(
+            (Codec::Json, true) => write_json(
                 stream,
                 &Value::object([
                     ("ok", Value::from(true)),
@@ -746,7 +764,7 @@ mod tests {
                     ("saturated_inputs", Value::from(0u64)),
                 ]),
             ),
-            (Codec::Json, false) => wire::write_frame(
+            (Codec::Json, false) => write_json(
                 stream,
                 &Value::object([("ok", Value::from(false)), ("error", Value::from("nope"))]),
             ),
@@ -1013,7 +1031,7 @@ mod tests {
             let (mut stream, _) = listener.accept().unwrap();
             for text in replies {
                 assert_eq!(read_request(&mut stream), Some(Codec::Json));
-                wire::write_frame(&mut stream, &json::parse(&text).unwrap()).unwrap();
+                write_json(&mut stream, &json::parse(&text).unwrap()).unwrap();
             }
         });
         let mut client = connect(addr, Codec::Json, &RetryPolicy::default());
@@ -1030,5 +1048,45 @@ mod tests {
         assert_eq!(reply.scores, [0.5, -1.25, 2.0]);
         assert_eq!((reply.label(0), reply.label(1)), ("c", "a"));
         assert_eq!((reply.accumulator_wraps, reply.saturated_inputs), (3, 1));
+    }
+
+    /// The framing checks of the JSON reply reader: a clean EOF where a
+    /// reply should start is a replayable transport failure; a torn
+    /// prefix or body and an oversized length are protocol errors, the
+    /// last raised from the prefix alone.
+    #[test]
+    fn json_reply_framing_errors_are_typed() {
+        let oversized = ((DEFAULT_MAX_FRAME + 1) as u32).to_be_bytes().to_vec();
+        let mut torn_body = 10u32.to_be_bytes().to_vec();
+        torn_body.extend_from_slice(b"{\"ok\"");
+        let cases: [(Vec<u8>, &str); 4] = [
+            (vec![], "connection closed before a reply arrived"),
+            (vec![0, 0], "2 bytes into a reply"),
+            (torn_body, "5 bytes into a reply"),
+            (oversized, "exceeds the 16777216-byte limit"),
+        ];
+        for (bytes, expected) in cases {
+            let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+            let addr = listener.local_addr().unwrap();
+            let server = std::thread::spawn(move || {
+                let (mut stream, _) = listener.accept().unwrap();
+                stream.write_all(&bytes).unwrap();
+            });
+            let mut client = connect(addr, Codec::Json, &RetryPolicy::default());
+            server.join().unwrap();
+            let err = client.recv_predict().unwrap_err();
+            assert!(
+                matches!(
+                    (&err, expected.starts_with("connection")),
+                    (NetError::Io { .. }, true) | (NetError::Protocol(_), false)
+                ),
+                "{expected}: {err}"
+            );
+            assert!(err.to_string().contains(expected), "{expected}: {err}");
+            assert!(
+                client.stream.is_none(),
+                "a framing failure drops the socket"
+            );
+        }
     }
 }

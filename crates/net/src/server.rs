@@ -6,15 +6,22 @@
 //! ```text
 //!            epoll (sys.rs)                  ModelRegistry
 //!                 │                               │
-//!   sockets ──► read → scan_frame ─┬─► admin ops (answered inline)
-//!                                  └─► predict → shed? → pending queue
-//!                                                          │
-//!  read pass done (+ batch_deadline) / batch_max_rows ─────┤
-//!                                                          ▼
-//!                     one predict_[raw_]segmented() per engine-run
-//!                                                          │
-//!   sockets ◄── write ◄─ per-request replies (codec of the request) ◄┘
+//!   sockets ──► read → scan_frame → decode → dispatch ─┬─► admin ops (answered inline)
+//!                                                      └─► predict → shed? → pending queue
+//!                                                                              │
+//!  read pass done (+ batch_deadline) / batch_max_rows ─────────────────────────┤
+//!                                                                              ▼
+//!                                         one predict_[raw_]segmented() per engine-run
+//!                                                                              │
+//!   sockets ◄── write ◄─ reply (in the codec of the request) ◄─────────────────┘
 //! ```
+//!
+//! Only two steps know the codec. Each frame is decoded into one private
+//! request type, whatever its codec (`decode_binary`, `decode_json`), and
+//! every answer leaves through one reply step (`EventLoop::reply`),
+//! which encodes a JSON value, a predict output or an error in the codec
+//! the request arrived on. Routing, admission, shedding and batching in
+//! between see one request vocabulary.
 //!
 //! Requests decoded from *different* sockets land in one FIFO queue.
 //! Batching is *natural* by default: each `epoll_wait` pass reads every
@@ -62,13 +69,14 @@
 //! their old `Arc<InferenceEngine>` to completion — a reload never
 //! changes the model of an admitted request.
 
-use crate::binwire::{self, BinRequest, RowsPayload};
+use crate::binwire::{self, BinRequest, RowsPayload, ScanOutcome};
 use crate::error::{NetError, Result};
+use crate::jsonwire;
 use crate::metrics::{micros, NetMetrics};
 use crate::sys::{self, Epoll, EpollEvent, EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT, EPOLLRDHUP};
+use crate::Codec;
 use ldafp_obs as obs;
-use ldafp_obs::json::Value;
-use ldafp_serve::wire::{self, predict_response, Request};
+use ldafp_obs::json::{self, Value};
 use ldafp_serve::{BatchOutput, InferenceEngine, ModelRegistry, ServeError};
 use std::collections::{HashMap, VecDeque};
 use std::io::{Read, Write};
@@ -108,7 +116,7 @@ pub struct EventedConfig {
 impl Default for EventedConfig {
     fn default() -> Self {
         EventedConfig {
-            max_frame: wire::DEFAULT_MAX_FRAME,
+            max_frame: jsonwire::DEFAULT_MAX_FRAME,
             batch_max_rows: 256,
             batch_deadline: Duration::ZERO,
             max_inflight_per_conn: 32,
@@ -251,15 +259,26 @@ const READ_CHUNK: usize = 64 * 1024;
 /// Idle epoll timeout; also the slowloris sweep cadence upper bound.
 const IDLE_TIMEOUT_MS: i32 = 250;
 
-/// Which codec a request arrived on — its reply must match.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum ReplyCodec {
-    Json,
-    Binary,
+/// One decoded request, whatever its codec: the only shape `dispatch`
+/// sees.
+#[derive(Debug, PartialEq)]
+enum Request {
+    /// Classify rows; `None` routes to the default model.
+    Predict { model: Option<String>, rows: Rows },
+    /// Liveness and model identity; `None` probes the default model (the
+    /// JSON vocabulary has no route).
+    Health { model: Option<String> },
+    /// Rolling metrics snapshot.
+    Stats,
+    /// Install the artifact document (JSON text) under `name`.
+    Reload { name: String, artifact: String },
+    /// Drain and stop.
+    Shutdown,
 }
 
-/// Queued rows, in a form the engine can consume directly.
-enum PendingRows {
+/// A predict's rows, in a form the engine can consume directly.
+#[derive(Debug, PartialEq)]
+enum Rows {
     /// Nested float rows (JSON bodies, and binary `ENC_F64` after
     /// chunking) — grouped runs go through `predict_segmented`.
     Nested(Vec<Vec<f64>>),
@@ -270,20 +289,160 @@ enum PendingRows {
     Raw { features: usize, words: Vec<i64> },
 }
 
-impl PendingRows {
-    fn kind(&self) -> u8 {
+impl Rows {
+    fn count(&self) -> usize {
         match self {
-            PendingRows::Nested(_) => 0,
-            PendingRows::Raw { .. } => 1,
+            Rows::Nested(rows) => rows.len(),
+            Rows::Raw { features, words } => words.len() / (*features).max(1),
+        }
+    }
+
+    /// Rejects rows whose width is not the model's `m`, naming the first
+    /// offending row. Raw words carry one claimed width for all their
+    /// rows, so a mismatch names row 0, as on the float path; the words
+    /// must not be silently re-chunked into a different row count.
+    fn check_width(&self, m: usize) -> Result<()> {
+        let bad = match self {
+            Rows::Nested(rows) => rows
+                .iter()
+                .position(|r| r.len() != m)
+                .map(|i| (i, rows[i].len())),
+            Rows::Raw { features, .. } => (*features != m).then_some((0, *features)),
+        };
+        match bad {
+            Some((row, got)) => Err(ServeError::FeatureMismatch {
+                expected: m,
+                got,
+                row,
+            }
+            .into()),
+            None => Ok(()),
         }
     }
 }
 
+/// What a reply carries before `EventLoop::reply` encodes it.
+enum Reply<'a> {
+    /// An admin op's JSON body (health, stats, reload, shutdown).
+    Value(Value),
+    /// A classified batch and the model's class-label table.
+    Predict(&'a BatchOutput, &'a [String]),
+    /// A failed request; [`NetError::Overloaded`] is the shedder's typed
+    /// refusal.
+    Error(NetError),
+}
+
+/// Decodes a binary frame body into a [`Request`].
+fn decode_binary(header: binwire::Header, body: &[u8]) -> Result<Request> {
+    let route = |model: String| (!model.is_empty()).then_some(model);
+    Ok(match binwire::decode_request(header, body)? {
+        BinRequest::Predict { model, payload } => {
+            let rows = match payload {
+                RowsPayload::F64 { features: 0, .. } | RowsPayload::Raw { features: 0, .. } => {
+                    return Err(NetError::Protocol("zero-feature predict".to_string()))
+                }
+                RowsPayload::F64 { features, values } => {
+                    Rows::Nested(values.chunks(features).map(<[f64]>::to_vec).collect())
+                }
+                RowsPayload::Raw { features, words } => Rows::Raw { features, words },
+            };
+            Request::Predict {
+                model: route(model),
+                rows,
+            }
+        }
+        BinRequest::Health { model } => Request::Health {
+            model: route(model),
+        },
+        BinRequest::Stats => Request::Stats,
+        BinRequest::Reload {
+            name,
+            artifact_json,
+        } => Request::Reload {
+            name,
+            artifact: artifact_json,
+        },
+        BinRequest::Shutdown => Request::Shutdown,
+    })
+}
+
+/// Decodes a JSON frame body into a [`Request`]. A malformed field is a
+/// [`ServeError::Schema`] naming its position (`rows[i][j]`).
+fn decode_json(body: &[u8]) -> Result<Request> {
+    let text = std::str::from_utf8(body)
+        .map_err(|e| NetError::Protocol(format!("frame body is not UTF-8: {e}")))?;
+    let v = json::parse(text).map_err(ServeError::from)?;
+    let op = v
+        .get("op")
+        .and_then(Value::as_str)
+        .ok_or_else(|| schema("op", "expected a string naming the operation"))?;
+    Ok(match op {
+        "predict" => {
+            let rows = v
+                .get("rows")
+                .and_then(Value::as_array)
+                .ok_or_else(|| schema("rows", "predict requires an array of rows"))?
+                .iter()
+                .enumerate()
+                .map(|(i, row)| {
+                    row.as_array()
+                        .ok_or_else(|| {
+                            schema(format!("rows[{i}]"), "expected an array of numbers")
+                        })?
+                        .iter()
+                        .enumerate()
+                        .map(|(j, x)| {
+                            x.as_f64().ok_or_else(|| {
+                                schema(format!("rows[{i}][{j}]"), "expected a number")
+                            })
+                        })
+                        .collect()
+                })
+                .collect::<Result<Vec<Vec<f64>>>>()?;
+            let model = v
+                .get("model")
+                .map(|m| {
+                    m.as_str()
+                        .map(str::to_string)
+                        .ok_or_else(|| schema("model", "expected a string model name"))
+                })
+                .transpose()?;
+            Request::Predict {
+                model,
+                rows: Rows::Nested(rows),
+            }
+        }
+        "health" => Request::Health { model: None },
+        "stats" => Request::Stats,
+        "reload" => Request::Reload {
+            name: v
+                .get("name")
+                .and_then(Value::as_str)
+                .ok_or_else(|| schema("name", "reload requires a string model name"))?
+                .to_string(),
+            artifact: v
+                .get("artifact")
+                .ok_or_else(|| schema("artifact", "reload requires an embedded artifact document"))?
+                .to_compact_string(),
+        },
+        "shutdown" => Request::Shutdown,
+        other => return Err(schema("op", format!("unknown operation '{other}'"))),
+    })
+}
+
+fn schema(context: impl Into<String>, message: impl Into<String>) -> NetError {
+    ServeError::Schema {
+        context: context.into(),
+        message: message.into(),
+    }
+    .into()
+}
+
 struct PendingPredict {
     token: u64,
-    codec: ReplyCodec,
+    codec: Codec,
     engine: Arc<InferenceEngine>,
-    rows: PendingRows,
+    rows: Rows,
     nrows: usize,
     enqueued: Instant,
 }
@@ -480,69 +639,53 @@ impl EventLoop {
         }
     }
 
-    /// Parses and dispatches every complete frame at the front of the
+    /// Decodes and dispatches every complete frame at the front of the
     /// read buffer. Returns `false` when the connection was closed.
     fn process_frames(&mut self, token: u64) -> bool {
         loop {
-            let scan = {
-                let Some(conn) = self.conns.get_mut(&token) else {
-                    return false;
-                };
-                binwire::scan_frame(&conn.rbuf, self.config.max_frame)
+            let Some(conn) = self.conns.get_mut(&token) else {
+                return false;
             };
-            match scan {
-                Ok(binwire::ScanOutcome::NeedMore) => {
-                    let Some(conn) = self.conns.get_mut(&token) else {
-                        return false;
-                    };
-                    if conn.rbuf.is_empty() {
-                        conn.partial_since = None;
-                    } else if conn.partial_since.is_none() {
-                        conn.partial_since = Some(Instant::now());
+            let (codec, opcode, request) =
+                match binwire::scan_frame(&conn.rbuf, self.config.max_frame) {
+                    Ok(ScanOutcome::NeedMore) => {
+                        if conn.rbuf.is_empty() {
+                            conn.partial_since = None;
+                        } else if conn.partial_since.is_none() {
+                            conn.partial_since = Some(Instant::now());
+                        }
+                        return true;
                     }
-                    return true;
-                }
-                Ok(binwire::ScanOutcome::Binary { header, frame_len }) => {
-                    let body = {
-                        let Some(conn) = self.conns.get_mut(&token) else {
-                            return false;
-                        };
-                        let body = conn.rbuf[binwire::HEADER_LEN..frame_len].to_vec();
+                    Ok(ScanOutcome::Binary { header, frame_len }) => {
+                        let request =
+                            decode_binary(header, &conn.rbuf[binwire::HEADER_LEN..frame_len]);
                         conn.rbuf.drain(..frame_len);
-                        conn.partial_since = None;
-                        body
-                    };
-                    self.metrics.frames_in.inc();
-                    self.dispatch_binary(token, header, &body);
-                }
-                Ok(binwire::ScanOutcome::Json { frame_len }) => {
-                    let body = {
-                        let Some(conn) = self.conns.get_mut(&token) else {
-                            return false;
-                        };
-                        let body = conn.rbuf[4..frame_len].to_vec();
+                        (Codec::Binary, header.opcode, request)
+                    }
+                    Ok(ScanOutcome::Json { frame_len }) => {
+                        let request = decode_json(&conn.rbuf[4..frame_len]);
                         conn.rbuf.drain(..frame_len);
-                        conn.partial_since = None;
-                        body
-                    };
-                    self.metrics.frames_in.inc();
-                    self.dispatch_json(token, &body);
-                }
-                Err(e) => {
-                    // Length-bound violation: the stream position is no
-                    // longer trustworthy. Best-effort typed reply in the
-                    // codec the offending frame announced, then close.
-                    self.metrics.errors.inc();
-                    let codec = match self.conns.get(&token) {
-                        Some(c) if c.rbuf.first() == Some(&binwire::MAGIC) => ReplyCodec::Binary,
-                        _ => ReplyCodec::Json,
-                    };
-                    self.queue_error(token, codec, binwire::OP_PREDICT, &e);
-                    self.flush_conn_write(token);
-                    self.close_conn(token);
-                    return false;
-                }
-            }
+                        // JSON frames carry no opcode.
+                        (Codec::Json, 0, request)
+                    }
+                    Err(e) => {
+                        // Length-bound violation: the stream position is no
+                        // longer trustworthy. Best-effort typed reply in the
+                        // codec, and under the opcode, the offending frame
+                        // announced, then close.
+                        let (codec, opcode) = match conn.rbuf[..] {
+                            [binwire::MAGIC, opcode, ..] => (Codec::Binary, opcode),
+                            _ => (Codec::Json, 0),
+                        };
+                        self.reply(token, codec, opcode, Reply::Error(e));
+                        self.flush_conn_write(token);
+                        self.close_conn(token);
+                        return false;
+                    }
+                };
+            conn.partial_since = None;
+            self.metrics.frames_in.inc();
+            self.dispatch(token, codec, opcode, request);
             if !self.conns.contains_key(&token) {
                 return false;
             }
@@ -551,235 +694,51 @@ impl EventLoop {
 
     // ---- dispatch ------------------------------------------------------
 
-    fn dispatch_json(&mut self, token: u64, body: &[u8]) {
-        let parsed = std::str::from_utf8(body)
-            .map_err(|e| ServeError::Protocol(format!("frame body is not UTF-8: {e}")))
-            .and_then(|text| ldafp_obs::json::parse(text).map_err(ServeError::from))
-            .and_then(|v| Request::from_json(&v));
-        let request = match parsed {
-            Ok(r) => r,
-            Err(e) => {
-                self.metrics.errors.inc();
-                self.queue_json(token, &wire::error_response(&e));
-                return;
+    /// Answers one decoded request: predicts go through admission, admin
+    /// ops are answered inline.
+    fn dispatch(&mut self, token: u64, codec: Codec, opcode: u8, request: Result<Request>) {
+        let outcome = match request {
+            Err(e) => Err(e),
+            Ok(Request::Predict { model, rows }) => {
+                return self.admit_predict(token, codec, model.as_deref(), rows)
             }
-        };
-        match request {
-            Request::Predict { rows, model } => {
-                let nrows = rows.len();
-                self.admit_predict(
-                    token,
-                    ReplyCodec::Json,
-                    model.as_deref(),
-                    PendingRows::Nested(rows),
-                    nrows,
-                );
-            }
-            Request::Health => match self.registry.route(None) {
-                Ok(engine) => {
-                    let v = self.health_value(&engine);
-                    self.queue_json(token, &v);
-                }
-                Err(e) => {
-                    self.metrics.errors.inc();
-                    self.queue_json(token, &wire::error_response(&e));
-                }
-            },
-            Request::Stats => {
-                let v = self.stats_value();
-                self.queue_json(token, &v);
-            }
-            Request::Reload { name, artifact } => {
-                let v = match self.do_reload(&name, &artifact.to_compact_string()) {
-                    Ok(v) => v,
-                    Err(e) => {
-                        self.metrics.errors.inc();
-                        wire::error_response(&e)
-                    }
-                };
-                self.queue_json(token, &v);
-            }
-            Request::Shutdown => {
-                let ack = Value::object([
+            Ok(Request::Health { model }) => self
+                .registry
+                .route(model.as_deref())
+                .map(|engine| self.health_value(&engine))
+                .map_err(NetError::from),
+            Ok(Request::Stats) => Ok(self.stats_value()),
+            Ok(Request::Reload { name, artifact }) => self.do_reload(&name, &artifact),
+            Ok(Request::Shutdown) => {
+                self.shutdown.store(true, Ordering::SeqCst);
+                Ok(Value::object([
                     ("ok", Value::from(true)),
                     ("shutting_down", Value::from(true)),
-                ]);
-                self.queue_json(token, &ack);
-                self.shutdown.store(true, Ordering::SeqCst);
-            }
-        }
-    }
-
-    fn dispatch_binary(&mut self, token: u64, header: binwire::Header, body: &[u8]) {
-        let request = match binwire::decode_request(header, body) {
-            Ok(r) => r,
-            Err(e) => {
-                // The frame boundary was sound (scan_frame vouched for
-                // it), only the body was malformed: typed error, the
-                // connection stays usable.
-                self.metrics.errors.inc();
-                self.queue_error(token, ReplyCodec::Binary, header.opcode, &e);
-                return;
+                ]))
             }
         };
-        match request {
-            BinRequest::Predict { model, payload } => {
-                let model = (!model.is_empty()).then_some(model);
-                let nrows = payload.rows();
-                let rows = match payload {
-                    RowsPayload::F64 { features, values } => {
-                        if features == 0 {
-                            self.metrics.errors.inc();
-                            self.queue_error(
-                                token,
-                                ReplyCodec::Binary,
-                                binwire::OP_PREDICT,
-                                &NetError::Protocol("zero-feature predict".to_string()),
-                            );
-                            return;
-                        }
-                        PendingRows::Nested(values.chunks(features).map(<[f64]>::to_vec).collect())
-                    }
-                    RowsPayload::Raw { features, words } => {
-                        if features == 0 {
-                            self.metrics.errors.inc();
-                            self.queue_error(
-                                token,
-                                ReplyCodec::Binary,
-                                binwire::OP_PREDICT,
-                                &NetError::Protocol("zero-feature predict".to_string()),
-                            );
-                            return;
-                        }
-                        PendingRows::Raw { features, words }
-                    }
-                };
-                self.admit_predict(token, ReplyCodec::Binary, model.as_deref(), rows, nrows);
-            }
-            BinRequest::Health { model } => {
-                let model = (!model.is_empty()).then_some(model);
-                match self.registry.route(model.as_deref()) {
-                    Ok(engine) => {
-                        let v = self.health_value(&engine);
-                        self.queue_binary(
-                            token,
-                            binwire::encode_json_reply(binwire::OP_HEALTH, &v.to_compact_string()),
-                        );
-                    }
-                    Err(e) => {
-                        self.metrics.errors.inc();
-                        self.queue_error(
-                            token,
-                            ReplyCodec::Binary,
-                            binwire::OP_HEALTH,
-                            &NetError::from(e),
-                        );
-                    }
-                }
-            }
-            BinRequest::Stats => {
-                let v = self.stats_value();
-                self.queue_binary(
-                    token,
-                    binwire::encode_json_reply(binwire::OP_STATS, &v.to_compact_string()),
-                );
-            }
-            BinRequest::Reload {
-                name,
-                artifact_json,
-            } => match self.do_reload(&name, &artifact_json) {
-                Ok(v) => self.queue_binary(
-                    token,
-                    binwire::encode_json_reply(binwire::OP_RELOAD, &v.to_compact_string()),
-                ),
-                Err(e) => {
-                    self.metrics.errors.inc();
-                    self.queue_error(
-                        token,
-                        ReplyCodec::Binary,
-                        binwire::OP_RELOAD,
-                        &NetError::from(e),
-                    );
-                }
-            },
-            BinRequest::Shutdown => {
-                let ack = Value::object([
-                    ("ok", Value::from(true)),
-                    ("shutting_down", Value::from(true)),
-                ]);
-                self.queue_binary(
-                    token,
-                    binwire::encode_json_reply(binwire::OP_SHUTDOWN, &ack.to_compact_string()),
-                );
-                self.shutdown.store(true, Ordering::SeqCst);
-            }
-        }
+        let reply = match outcome {
+            Ok(v) => Reply::Value(v),
+            Err(e) => Reply::Error(e),
+        };
+        self.reply(token, codec, opcode, reply);
     }
 
     /// Routes, shape-checks and either queues or sheds one predict.
     ///
     /// Validation happens **here**, at admission, so a formed batch can
     /// never fail on one member's bad shape mid-dispatch.
-    fn admit_predict(
-        &mut self,
-        token: u64,
-        codec: ReplyCodec,
-        model: Option<&str>,
-        rows: PendingRows,
-        nrows: usize,
-    ) {
-        let engine = match self.registry.route(model) {
-            Ok(e) => e,
-            Err(e) => {
-                self.metrics.errors.inc();
-                match codec {
-                    ReplyCodec::Json => self.queue_json(token, &wire::error_response(&e)),
-                    ReplyCodec::Binary => self.queue_error(
-                        token,
-                        ReplyCodec::Binary,
-                        binwire::OP_PREDICT,
-                        &NetError::from(e),
-                    ),
-                }
-                return;
-            }
+    fn admit_predict(&mut self, token: u64, codec: Codec, model: Option<&str>, rows: Rows) {
+        let admitted = self
+            .registry
+            .route(model)
+            .map_err(NetError::from)
+            .and_then(|engine| rows.check_width(engine.num_features()).map(|()| engine));
+        let engine = match admitted {
+            Ok(engine) => engine,
+            Err(e) => return self.reply(token, codec, binwire::OP_PREDICT, Reply::Error(e)),
         };
-        let m = engine.num_features();
-        let shape_err = match &rows {
-            PendingRows::Nested(rs) => {
-                rs.iter()
-                    .enumerate()
-                    .find(|(_, r)| r.len() != m)
-                    .map(|(i, r)| ServeError::FeatureMismatch {
-                        expected: m,
-                        got: r.len(),
-                        row: i,
-                    })
-            }
-            // The decoder guaranteed `words.len() = rows × features`; a
-            // claimed width differing from the model's must not be
-            // silently re-chunked into a different row count.
-            PendingRows::Raw { features, words } => {
-                (*features != m).then(|| ServeError::FeatureMismatch {
-                    expected: m,
-                    got: *features,
-                    row: words.len() / features.max(&1),
-                })
-            }
-        };
-        if let Some(e) = shape_err {
-            self.metrics.errors.inc();
-            match codec {
-                ReplyCodec::Json => self.queue_json(token, &wire::error_response(&e)),
-                ReplyCodec::Binary => self.queue_error(
-                    token,
-                    ReplyCodec::Binary,
-                    binwire::OP_PREDICT,
-                    &NetError::from(e),
-                ),
-            }
-            return;
-        }
+        let nrows = rows.count();
         let inflight = self.conns.get(&token).map_or(0, |c| c.inflight);
         let shed_reason = if inflight >= self.config.max_inflight_per_conn {
             Some("inflight")
@@ -798,23 +757,8 @@ impl EventLoop {
                         .with("rows", nrows as u64),
                 );
             }
-            match codec {
-                ReplyCodec::Json => {
-                    let v = Value::object([
-                        ("ok", Value::from(false)),
-                        ("overloaded", Value::from(true)),
-                        (
-                            "error",
-                            Value::from("server overloaded: request shed, retry later"),
-                        ),
-                    ]);
-                    self.queue_json(token, &v);
-                }
-                ReplyCodec::Binary => {
-                    self.queue_binary(token, binwire::encode_overloaded_reply(binwire::OP_PREDICT))
-                }
-            }
-            return;
+            let refusal = Reply::Error(NetError::Overloaded);
+            return self.reply(token, codec, binwire::OP_PREDICT, refusal);
         }
         if let Some(conn) = self.conns.get_mut(&token) {
             conn.inflight += 1;
@@ -856,7 +800,7 @@ impl EventLoop {
             while let Some(next) = self.pending.front() {
                 if batch_rows >= self.config.batch_max_rows
                     || !Arc::ptr_eq(&next.engine, &group[0].engine)
-                    || next.rows.kind() != group[0].rows.kind()
+                    || std::mem::discriminant(&next.rows) != std::mem::discriminant(&group[0].rows)
                 {
                     break;
                 }
@@ -888,31 +832,26 @@ impl EventLoop {
                     .with("queue_wait_us", micros(oldest)),
             );
         }
-        let outputs: Vec<std::result::Result<BatchOutput, ServeError>> = match group[0].rows {
-            PendingRows::Nested(_) => {
-                let segments = group.iter().map(|p| match &p.rows {
-                    PendingRows::Nested(rs) => rs.as_slice(),
-                    PendingRows::Raw { .. } => unreachable!("kind-homogeneous group"),
-                });
-                match engine.predict_segmented(segments) {
-                    Ok(outs) => outs.into_iter().map(Ok).collect(),
-                    // Admission validated shapes, so this is defensive:
-                    // fail every member rather than none.
-                    Err(e) => group.iter().map(|_| Err(clone_err(&e))).collect(),
-                }
-            }
-            PendingRows::Raw { .. } => {
-                let segments = group.iter().map(|p| match &p.rows {
-                    PendingRows::Raw { words, .. } => words.as_slice(),
-                    PendingRows::Nested(_) => unreachable!("kind-homogeneous group"),
-                });
-                match engine.predict_raw_segmented(segments) {
-                    Ok(outs) => outs.into_iter().map(Ok).collect(),
-                    // Admission validated row boundaries, so this is
-                    // defensive: fail every member rather than none.
-                    Err(e) => group.iter().map(|_| Err(clone_err(&e))).collect(),
-                }
-            }
+        let result = match group[0].rows {
+            Rows::Nested(_) => engine.predict_segmented(group.iter().map(|p| match &p.rows {
+                Rows::Nested(rows) => rows.as_slice(),
+                Rows::Raw { .. } => unreachable!("kind-homogeneous group"),
+            })),
+            Rows::Raw { .. } => engine.predict_raw_segmented(group.iter().map(|p| match &p.rows {
+                Rows::Raw { words, .. } => words.as_slice(),
+                Rows::Nested(_) => unreachable!("kind-homogeneous group"),
+            })),
+        };
+        // Admission validated shapes and row boundaries, so a batch-level
+        // failure is defensive: fail every member rather than none.
+        // `ServeError` is not `Clone` (it owns `io::Error`), so each member
+        // gets its `Display` form.
+        let outputs: Vec<Result<BatchOutput>> = match result {
+            Ok(outs) => outs.into_iter().map(Ok).collect(),
+            Err(e) => group
+                .iter()
+                .map(|_| Err(NetError::Protocol(e.to_string())))
+                .collect(),
         };
         let labels = &engine.artifact().class_labels;
         for (req, out) in group.iter().zip(outputs) {
@@ -927,31 +866,10 @@ impl EventLoop {
                         out.stats.saturated_inputs,
                         req.enqueued.elapsed(),
                     );
-                    match req.codec {
-                        ReplyCodec::Json => {
-                            let v = predict_response(&out, labels);
-                            self.queue_json(req.token, &v);
-                        }
-                        ReplyCodec::Binary => {
-                            self.queue_binary(
-                                req.token,
-                                binwire::encode_predict_reply(&out, labels),
-                            );
-                        }
-                    }
+                    let reply = Reply::Predict(&out, labels);
+                    self.reply(req.token, req.codec, binwire::OP_PREDICT, reply);
                 }
-                Err(e) => {
-                    self.metrics.errors.inc();
-                    match req.codec {
-                        ReplyCodec::Json => self.queue_json(req.token, &wire::error_response(&e)),
-                        ReplyCodec::Binary => self.queue_error(
-                            req.token,
-                            ReplyCodec::Binary,
-                            binwire::OP_PREDICT,
-                            &NetError::from(e),
-                        ),
-                    }
-                }
+                Err(e) => self.reply(req.token, req.codec, binwire::OP_PREDICT, Reply::Error(e)),
             }
             self.maybe_finish_close(req.token);
         }
@@ -1018,7 +936,7 @@ impl EventLoop {
         ])
     }
 
-    fn do_reload(&self, name: &str, artifact_json: &str) -> ldafp_serve::Result<Value> {
+    fn do_reload(&self, name: &str, artifact_json: &str) -> Result<Value> {
         let outcome = self.registry.reload(name, artifact_json)?;
         self.metrics.reloads.inc();
         if obs::enabled() {
@@ -1041,34 +959,34 @@ impl EventLoop {
 
     // ---- write path ----------------------------------------------------
 
-    fn queue_json(&mut self, token: u64, v: &Value) {
-        let body = v.to_compact_string();
-        let mut frame = Vec::with_capacity(4 + body.len());
-        frame.extend_from_slice(&(body.len() as u32).to_be_bytes());
-        frame.extend_from_slice(body.as_bytes());
-        self.queue_bytes(token, frame);
-    }
-
-    fn queue_binary(&mut self, token: u64, frame: Vec<u8>) {
-        self.queue_bytes(token, frame);
-    }
-
-    fn queue_error(&mut self, token: u64, codec: ReplyCodec, opcode: u8, e: &NetError) {
-        match codec {
-            ReplyCodec::Binary => {
-                self.queue_bytes(token, binwire::encode_error_reply(opcode, &e.to_string()));
-            }
-            ReplyCodec::Json => {
-                let v = Value::object([
-                    ("ok", Value::from(false)),
-                    ("error", Value::from(e.to_string())),
-                ]);
-                self.queue_json(token, &v);
-            }
+    /// The one step that encodes a reply, in the codec its request arrived
+    /// on, and queues it on the connection. `opcode` names a binary
+    /// reply's operation; JSON replies carry none. Every error reply is
+    /// counted on `net.errors` here, except the shedder's refusal, which
+    /// `net.shed` counts.
+    fn reply(&mut self, token: u64, codec: Codec, opcode: u8, reply: Reply<'_>) {
+        if matches!(&reply, Reply::Error(e) if !matches!(e, NetError::Overloaded)) {
+            self.metrics.errors.inc();
         }
-    }
-
-    fn queue_bytes(&mut self, token: u64, frame: Vec<u8>) {
+        let frame = match codec {
+            Codec::Binary => match reply {
+                Reply::Value(v) => binwire::encode_json_reply(opcode, &v.to_compact_string()),
+                Reply::Predict(out, labels) => binwire::encode_predict_reply(out, labels),
+                Reply::Error(NetError::Overloaded) => binwire::encode_overloaded_reply(opcode),
+                Reply::Error(e) => binwire::encode_error_reply(opcode, &e.to_string()),
+            },
+            Codec::Json => {
+                let v = match reply {
+                    Reply::Value(v) => v,
+                    Reply::Predict(out, labels) => jsonwire::predict_response(out, labels),
+                    Reply::Error(e) => jsonwire::error_response(&e),
+                };
+                match jsonwire::encode_frame(&v) {
+                    Ok(frame) => frame,
+                    Err(e) => return self.reply(token, codec, opcode, Reply::Error(e)),
+                }
+            }
+        };
         let Some(conn) = self.conns.get_mut(&token) else {
             return; // connection died while its request was queued
         };
@@ -1201,15 +1119,102 @@ fn ceil_ms(left: Duration) -> i32 {
     i32::try_from(left.as_nanos().div_ceil(1_000_000)).unwrap_or(i32::MAX)
 }
 
-/// `ServeError` is not `Clone` (it owns `io::Error`); batch-level
-/// failures are re-rendered per member through its `Display` form.
-fn clone_err(e: &ServeError) -> ServeError {
-    ServeError::Protocol(e.to_string())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The JSON decode checks that moved here with the decoder: the
+    /// unknown op, positioned row errors, routes and reload bodies.
+    #[test]
+    fn json_bodies_decode_into_the_request_type() {
+        let context = |body: &str| match decode_json(body.as_bytes()) {
+            Err(NetError::Serve(ServeError::Schema { context, .. })) => context,
+            other => panic!("{body}: expected a schema error, got {other:?}"),
+        };
+        assert_eq!(context(r#"{"op":"teleport"}"#), "op");
+        assert_eq!(
+            context(r#"{"op":"predict","rows":[[1.0,"x"]]}"#),
+            "rows[0][1]"
+        );
+        assert_eq!(context(r#"{"op":"predict","rows":[[1.0],5]}"#), "rows[1]");
+        assert_eq!(context(r#"{"op":"reload","name":"x"}"#), "artifact");
+        assert_eq!(
+            decode_json(br#"{"op":"predict","rows":[[1.0]],"model":"canary"}"#).unwrap(),
+            Request::Predict {
+                model: Some("canary".to_string()),
+                rows: Rows::Nested(vec![vec![1.0]]),
+            }
+        );
+        assert_eq!(
+            decode_json(br#"{"op":"reload","name":"canary","artifact":{"b":1, "a":[]}}"#).unwrap(),
+            Request::Reload {
+                name: "canary".to_string(),
+                artifact: r#"{"a":[],"b":1}"#.to_string(),
+            }
+        );
+        assert!(matches!(
+            decode_json(&[0xFF]),
+            Err(NetError::Protocol(msg)) if msg.contains("not UTF-8")
+        ));
+    }
+
+    #[test]
+    fn binary_bodies_decode_into_the_request_type() {
+        let decode = |req: &BinRequest| {
+            let frame = binwire::encode_request(req);
+            match binwire::scan_frame(&frame, jsonwire::DEFAULT_MAX_FRAME).unwrap() {
+                ScanOutcome::Binary { header, frame_len } => {
+                    decode_binary(header, &frame[binwire::HEADER_LEN..frame_len])
+                }
+                other => panic!("expected a binary frame, got {other:?}"),
+            }
+        };
+        let predict = |features: usize, values: Vec<f64>| BinRequest::Predict {
+            model: String::new(),
+            payload: RowsPayload::F64 { features, values },
+        };
+        assert_eq!(
+            decode(&predict(2, vec![1.0, 2.0, 3.0, 4.0])).unwrap(),
+            Request::Predict {
+                model: None,
+                rows: Rows::Nested(vec![vec![1.0, 2.0], vec![3.0, 4.0]]),
+            }
+        );
+        assert!(matches!(
+            decode(&predict(0, vec![])),
+            Err(NetError::Protocol(msg)) if msg == "zero-feature predict"
+        ));
+        let health = BinRequest::Health {
+            model: "canary".to_string(),
+        };
+        assert_eq!(
+            decode(&health).unwrap(),
+            Request::Health {
+                model: Some("canary".to_string())
+            }
+        );
+    }
+
+    /// Raw words carry one claimed width, so a mismatch names row 0.
+    #[test]
+    fn width_mismatch_names_the_first_bad_row() {
+        let raw = Rows::Raw {
+            features: 2,
+            words: vec![1, 2, 3, 4],
+        };
+        let nested = Rows::Nested(vec![vec![1.0; 3], vec![1.0; 2]]);
+        for (rows, row, got) in [(raw, 0, 2), (nested, 1, 2)] {
+            match rows.check_width(3) {
+                Err(NetError::Serve(ServeError::FeatureMismatch {
+                    expected: 3,
+                    got: g,
+                    row: r,
+                })) => assert_eq!((r, g), (row, got)),
+                other => panic!("expected a feature mismatch, got {other:?}"),
+            }
+        }
+        assert!(Rows::Nested(vec![vec![0.0; 3]]).check_width(3).is_ok());
+    }
 
     #[test]
     fn ceil_ms_rounds_up_to_whole_milliseconds() {

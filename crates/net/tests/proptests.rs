@@ -5,7 +5,7 @@
 //! went in.
 
 use ldafp_net::binwire::{self, BinRequest, RowsPayload, ScanOutcome, HEADER_LEN, MAGIC};
-use ldafp_serve::wire::DEFAULT_MAX_FRAME;
+use ldafp_net::jsonwire::DEFAULT_MAX_FRAME;
 use ldafp_stats::rng::{check, CASES};
 use ldafp_stats::Rng;
 

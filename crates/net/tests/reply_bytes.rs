@@ -178,7 +178,9 @@ fn predict_errors() {
             r#"B 1 0 1 invalid artifact field 'model': unknown model 'nosuch' (registered: default)"#,
             r#"J {"error":"invalid artifact field 'model': unknown model 'nosuch' (registered: default)","ok":false}"#,
             r#"B 1 0 1 row 0 has 2 features but the model expects 3"#,
-            r#"B 1 0 1 row 2 has 2 features but the model expects 3"#,
+            // Raw words claim one width for all rows: the first row is
+            // named, as on the float path.
+            r#"B 1 0 1 row 0 has 2 features but the model expects 3"#,
             r#"J {"error":"row 0 has 2 features but the model expects 3","ok":false}"#,
             r#"B 1 0 1 protocol error: zero-feature predict"#,
             r#"B 1 0 1 protocol error: zero-feature predict"#,
@@ -289,7 +291,8 @@ fn oversized_frames() {
     pin(
         &got,
         &[
-            r#"B 1 0 1 protocol error: binary frame body of 65 bytes exceeds the 64-byte limit"#,
+            // Answered under the refused frame's own opcode (health).
+            r#"B 2 0 1 protocol error: binary frame body of 65 bytes exceeds the 64-byte limit"#,
             r#"J {"error":"protocol error: JSON frame body of 65 bytes exceeds the 64-byte limit","ok":false}"#,
         ],
     );

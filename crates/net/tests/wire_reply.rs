@@ -4,8 +4,8 @@
 use ldafp_core::multiclass::OneVsRestClassifier;
 use ldafp_core::FixedPointClassifier;
 use ldafp_fixedpoint::QFormat;
+use ldafp_net::jsonwire::predict_response;
 use ldafp_obs::json::Value;
-use ldafp_serve::wire::predict_response;
 use ldafp_serve::{InferenceEngine, ModelArtifact, Prediction};
 
 #[test]

@@ -8,7 +8,7 @@ use std::fmt;
 #[derive(Debug)]
 #[non_exhaustive]
 pub enum ServeError {
-    /// The artifact (or a wire frame) is not syntactically valid JSON.
+    /// The artifact (or a JSON request body) is not syntactically valid JSON.
     /// Carries the line/column/byte-offset of the first offending byte, so
     /// truncation and corruption are diagnosable from the message alone.
     Json(JsonError),
@@ -60,15 +60,6 @@ pub enum ServeError {
         /// Index of the offending row within the request.
         row: usize,
     },
-    /// A wire frame exceeded the configured size bound.
-    FrameTooLarge {
-        /// Declared frame length.
-        length: usize,
-        /// Configured maximum.
-        max: usize,
-    },
-    /// The peer closed or violated the framing protocol mid-message.
-    Protocol(String),
 }
 
 impl fmt::Display for ServeError {
@@ -97,11 +88,6 @@ impl fmt::Display for ServeError {
                 f,
                 "row {row} has {got} features but the model expects {expected}"
             ),
-            ServeError::FrameTooLarge { length, max } => write!(
-                f,
-                "frame of {length} bytes exceeds the {max}-byte request bound"
-            ),
-            ServeError::Protocol(msg) => write!(f, "protocol error: {msg}"),
         }
     }
 }

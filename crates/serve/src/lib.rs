@@ -1,5 +1,5 @@
 //! `ldafp-serve` — model artifacts, an integer-only inference runtime and
-//! the JSON wire protocol for LDA-FP classifiers.
+//! a hot-reload model registry for LDA-FP classifiers.
 //!
 //! The paper trains classifiers whose deployed form is a handful of `QK.F`
 //! integers and a wrapping MAC. This crate is the deployment half of that
@@ -14,12 +14,13 @@
 //!    which runs the same wrapping-MAC datapath training uses, with
 //!    per-batch overflow/saturation counters and deterministic
 //!    input-order results.
-//! 3. **[`wire`]** — the vocabulary and framing of a minimal
-//!    length-prefixed JSON-over-TCP protocol, with bounded frames. The
-//!    server is the evented loop in `ldafp-net`, which speaks this
-//!    protocol beside its binary codec and hosts engines in a
-//!    hot-reloadable [`registry`]; its `NetClient` is the client for
-//!    both codecs.
+//! 3. **[`registry`]** — named engines behind one process, swapped
+//!    atomically by a hot reload.
+//!
+//! The crate knows no wire format. The server is the evented loop in
+//! `ldafp-net`, which hosts a registry and speaks both wire codecs (its
+//! `binwire` and `jsonwire` modules); its `NetClient` is the client for
+//! both.
 //!
 //! JSON is hand-rolled in `ldafp_obs::json` (object-key-sorted,
 //! shortest-roundtrip floats) so the serving stack has zero dependencies
@@ -32,7 +33,6 @@ pub mod artifact;
 pub mod engine;
 pub mod error;
 pub mod registry;
-pub mod wire;
 
 pub use artifact::{ModelArtifact, ServedModel, TrainingInfo, FORMAT_VERSION};
 pub use engine::{BatchOutput, BatchStats, InferenceEngine, Prediction};

@@ -340,6 +340,17 @@ done
     --input "$obs_tmp/train.csv" > "$net_tmp/reloaded.evented"
 "$ldafp" predict --addr "localhost:${eaddr#*:}" --wire json --name reloaded \
     --input "$obs_tmp/train.csv" > "$net_tmp/reloaded.evented.json"
+# An unknown route fails on both codecs, with the same error line.
+for wire in binary json; do
+    if "$ldafp" predict --addr "$eaddr" --wire "$wire" --name nosuch \
+        --input "$obs_tmp/train.csv" > /dev/null 2> "$net_tmp/nosuch.$wire"; then
+        echo "predict --name nosuch over $wire exited 0" >&2; exit 1
+    fi
+done
+grep -q "unknown model 'nosuch'" "$net_tmp/nosuch.binary" \
+    || { echo "predict --name nosuch did not name the route" >&2; exit 1; }
+cmp "$net_tmp/nosuch.binary" "$net_tmp/nosuch.json" \
+    || { echo "the unknown-route error differs between codecs" >&2; exit 1; }
 printf '\x00\x00\x00\x12{"op": "shutdown"}' > "/dev/tcp/${eaddr%:*}/${eaddr#*:}"
 wait "$evented_pid"
 for family in lda naive-bayes os-elm; do

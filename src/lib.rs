@@ -13,10 +13,11 @@
 //! * [`datasets`] — evaluation workload generators.
 //! * [`hwmodel`] — power/area/energy models and gate-level datapath
 //!   simulation.
-//! * [`serve`] — model artifacts, integer-only batched inference, the
-//!   hot-reload model registry and the JSON wire vocabulary.
-//! * [`net`] — the server (epoll loop, binary wire codec, micro-batching)
-//!   and `NetClient`, the one client for both codecs.
+//! * [`serve`] — model artifacts, integer-only batched inference and the
+//!   hot-reload model registry; no wire format.
+//! * [`net`] — both wire codecs (binary and JSON), the server (epoll
+//!   loop, one request path, micro-batching) and `NetClient`, the one
+//!   client for both codecs.
 //! * [`models`] — pluggable fixed-point model families (naive Bayes,
 //!   OS-ELM) on the wrapping-MAC datapath.
 //! * [`explore`] — parallel design-space exploration (one search per

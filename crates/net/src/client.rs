@@ -4,9 +4,9 @@
 //! fixed at connect: the compact frames of [`crate::binwire`] or the
 //! length-prefixed JSON of [`crate::jsonwire`]. Only two private steps
 //! know the codec, request encoding and reply decoding; the JSON
-//! vocabulary has no
-//! raw-word predict and no routed health probe, so those two requests are
-//! refused with [`NetError::Protocol`] before anything is sent.
+//! vocabulary has no raw-word predict and no routed health probe, so
+//! those two requests are refused with [`NetError::Protocol`] before
+//! anything is sent.
 //!
 //! The transport is shared: a dial that tries every resolved address,
 //! [`RetryPolicy`]'s jittered backoff (`client.retry` counter and event),

@@ -85,28 +85,3 @@ pub fn error_response(e: &NetError) -> Value {
     }
     Value::object(fields)
 }
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn frame_is_a_big_endian_length_then_the_compact_body() {
-        let v = Value::object([("op", Value::from("stats"))]);
-        let frame = encode_frame(&v).unwrap();
-        assert_eq!(&frame[..4], &14u32.to_be_bytes());
-        assert_eq!(&frame[4..], br#"{"op":"stats"}"#);
-    }
-
-    #[test]
-    fn only_a_shed_request_is_flagged_overloaded() {
-        assert_eq!(
-            error_response(&NetError::Overloaded).to_compact_string(),
-            r#"{"error":"server overloaded: request shed, retry later","ok":false,"overloaded":true}"#
-        );
-        assert_eq!(
-            error_response(&NetError::Protocol("x".to_string())).to_compact_string(),
-            r#"{"error":"protocol error: x","ok":false}"#
-        );
-    }
-}

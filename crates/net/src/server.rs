@@ -1159,64 +1159,6 @@ mod tests {
     }
 
     #[test]
-    fn binary_bodies_decode_into_the_request_type() {
-        let decode = |req: &BinRequest| {
-            let frame = binwire::encode_request(req);
-            match binwire::scan_frame(&frame, jsonwire::DEFAULT_MAX_FRAME).unwrap() {
-                ScanOutcome::Binary { header, frame_len } => {
-                    decode_binary(header, &frame[binwire::HEADER_LEN..frame_len])
-                }
-                other => panic!("expected a binary frame, got {other:?}"),
-            }
-        };
-        let predict = |features: usize, values: Vec<f64>| BinRequest::Predict {
-            model: String::new(),
-            payload: RowsPayload::F64 { features, values },
-        };
-        assert_eq!(
-            decode(&predict(2, vec![1.0, 2.0, 3.0, 4.0])).unwrap(),
-            Request::Predict {
-                model: None,
-                rows: Rows::Nested(vec![vec![1.0, 2.0], vec![3.0, 4.0]]),
-            }
-        );
-        assert!(matches!(
-            decode(&predict(0, vec![])),
-            Err(NetError::Protocol(msg)) if msg == "zero-feature predict"
-        ));
-        let health = BinRequest::Health {
-            model: "canary".to_string(),
-        };
-        assert_eq!(
-            decode(&health).unwrap(),
-            Request::Health {
-                model: Some("canary".to_string())
-            }
-        );
-    }
-
-    /// Raw words carry one claimed width, so a mismatch names row 0.
-    #[test]
-    fn width_mismatch_names_the_first_bad_row() {
-        let raw = Rows::Raw {
-            features: 2,
-            words: vec![1, 2, 3, 4],
-        };
-        let nested = Rows::Nested(vec![vec![1.0; 3], vec![1.0; 2]]);
-        for (rows, row, got) in [(raw, 0, 2), (nested, 1, 2)] {
-            match rows.check_width(3) {
-                Err(NetError::Serve(ServeError::FeatureMismatch {
-                    expected: 3,
-                    got: g,
-                    row: r,
-                })) => assert_eq!((r, g), (row, got)),
-                other => panic!("expected a feature mismatch, got {other:?}"),
-            }
-        }
-        assert!(Rows::Nested(vec![vec![0.0; 3]]).check_width(3).is_ok());
-    }
-
-    #[test]
     fn ceil_ms_rounds_up_to_whole_milliseconds() {
         assert_eq!(ceil_ms(Duration::ZERO), 0);
         assert_eq!(ceil_ms(Duration::from_micros(1)), 1);

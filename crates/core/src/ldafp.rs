@@ -927,6 +927,7 @@ impl<'a> NodeProblem<'a> {
         let mut c = pivot.c.clone();
         c.resize(n, 0.0);
         let mut p = SocpProblem::new(q, c)?;
+        p.set_objective_constant(pivot.constant);
         for i in 0..m {
             let mut unit = vec![0.0; m];
             unit[i] = 1.0;
@@ -1203,11 +1204,7 @@ impl<'a> NodeProblem<'a> {
             inject,
         ) {
             Ok(rec) => {
-                // The objective at the final centered point lies within the
-                // duality-gap bound above the relaxation's minimum, so the
-                // bound subtracts it.
-                let bound =
-                    rec.solution.objective - rec.solution.duality_gap_bound + self.pivot.constant;
+                let bound = relaxation.problem.lower_bound(&rec.solution);
                 let degradation = rec.recovered().then(|| NodeDegradation::Recovered {
                     attempts: rec.attempts.len().saturating_sub(1),
                     error_kind: rec

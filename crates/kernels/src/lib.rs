@@ -22,8 +22,14 @@
 //!   words and a 0/1 overflow flag in the `wraps` output — 1 when that
 //!   exact sum left the word range — so the serving engine's counters and
 //!   `predict_segmented` attribution count rows whose sum overflowed.
-//! * [`mac_row`] / [`mac_row_fx`] and [`WrapCtx`] — the same scalar loop
-//!   for row-at-a-time callers (`ldafp-models`' families and the core
+//! * [`PackedWeights`] / [`mac_row_packed`] — the one-row entry the
+//!   serving engine's `predict_row` runs per head: a linear model's
+//!   weights packed once into the AVX2 kernel's chunk lanes, then one
+//!   8-lane accumulator per row and one wrap-once, with no allocation.
+//!   It runs the scalar loop wherever `Simd` would run `Reference`, and
+//!   for rows narrower than 8 features.
+//! * [`mac_row`] / [`mac_row_fx`] and [`WrapCtx`] — the scalar loop for
+//!   row-at-a-time callers (`ldafp-models`' families and the core
 //!   classifier's `project`), so every tier serves the same words and
 //!   flags.
 //!
@@ -293,6 +299,121 @@ pub fn mac_row_fx(format: QFormat, mode: RoundingMode, w: &[Fx], x: &[Fx]) -> (i
     )
 }
 
+/// A linear model's raw weights, `heads × features` row-major words on
+/// one `QK.F` grid, packed once for [`mac_row_packed`]. Where the AVX2
+/// one-row path runs — the [`KernelKind::Simd`] conditions hold and rows
+/// have at least 8 features — the weights are also laid out in the
+/// kernel's 32-bit chunk lanes, the layout the batch kernel builds per
+/// call; elsewhere only the words are kept and the scalar loop runs.
+#[derive(Debug, Clone)]
+pub struct PackedWeights {
+    spec: MacSpec,
+    features: usize,
+    heads: usize,
+    words: Vec<i64>,
+    /// `heads · ⌈M/8⌉ · 8` chunk lanes; empty where the scalar loop runs.
+    #[cfg(feature = "simd")]
+    lanes: Vec<i32>,
+}
+
+impl PackedWeights {
+    /// Packs `words` (`heads × features`, in range on `format`'s grid —
+    /// model parameters) for `kernel` on this build and CPU.
+    ///
+    /// # Errors
+    ///
+    /// [`KernelError::ShapeMismatch`] when `words.len() ≠ heads × features`.
+    pub fn new(
+        kernel: KernelKind,
+        format: QFormat,
+        features: usize,
+        heads: usize,
+        words: Vec<i64>,
+    ) -> Result<Self> {
+        if words.len() != heads * features {
+            return Err(KernelError::ShapeMismatch {
+                context: "weights",
+                expected: heads * features,
+                got: words.len(),
+            });
+        }
+        let spec = MacSpec::new(format);
+        #[cfg(not(feature = "simd"))]
+        let _ = kernel;
+        #[cfg(feature = "simd")]
+        let lanes = {
+            let mut lanes = Vec::new();
+            if kernel == KernelKind::Simd
+                && simd::detected()
+                && features >= 8
+                && simd::lanes32_exact(&spec, features)
+            {
+                simd::pack_chunks(&words, features, &mut lanes);
+            }
+            lanes
+        };
+        Ok(PackedWeights {
+            spec,
+            features,
+            heads,
+            words,
+            #[cfg(feature = "simd")]
+            lanes,
+        })
+    }
+
+    /// The raw weight words, `heads × features` row-major, as
+    /// [`mac_gemm_into`] takes them.
+    pub fn words(&self) -> &[i64] {
+        &self.words
+    }
+
+    /// Number of heads.
+    pub fn heads(&self) -> usize {
+        self.heads
+    }
+
+    /// The kernel [`mac_row_packed`] runs: [`KernelKind::Simd`] where the
+    /// chunk lanes were packed, [`KernelKind::Reference`] elsewhere.
+    pub fn kernel(&self) -> KernelKind {
+        #[cfg(feature = "simd")]
+        if !self.lanes.is_empty() {
+            return KernelKind::Simd;
+        }
+        KernelKind::Reference
+    }
+}
+
+/// One row's wrap-once MAC against head `head` of packed weights: the
+/// same served word and 0/1 overflow flag as [`mac_row`] on that head's
+/// words, computed in one 8-lane accumulator over the row's chunks where
+/// [`PackedWeights::kernel`] is [`KernelKind::Simd`], by the scalar loop
+/// elsewhere. `x` words are wrapped into range on load. Allocates
+/// nothing.
+///
+/// # Panics
+///
+/// When `x.len()` differs from the packed feature count or `head` is out
+/// of range (callers validate shapes; this is a hot path).
+pub fn mac_row_packed(
+    packed: &PackedWeights,
+    head: usize,
+    mode: RoundingMode,
+    x: &[i64],
+) -> (i64, u32) {
+    let (spec, m) = (&packed.spec, packed.features);
+    assert_eq!(x.len(), m, "mac_row_packed row length differs");
+    let code = mode_code(mode, spec.f);
+    #[cfg(feature = "simd")]
+    if !packed.lanes.is_empty() {
+        let per_head = m.div_ceil(8) * 8;
+        let lanes = &packed.lanes[head * per_head..(head + 1) * per_head];
+        return simd::row_simd(spec, code, lanes, x);
+    }
+    let w = &packed.words[head * m..(head + 1) * m];
+    scalar::mac_row_pairs(spec, code, m, w.iter().copied().zip(x.iter().copied()))
+}
+
 /// The branchless two's-complement wrap shared with the table-driven
 /// families: naive Bayes gathers table words instead of computing
 /// products, sums them exactly, and wraps and flags once like the MAC
@@ -519,6 +640,73 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// The one-row entry serves `mac_row`'s word and flag, head by head,
+    /// for every rounding mode and every kernel on this build/CPU, at
+    /// widths on both sides of 8 and of its multiples. On Q2.2 every
+    /// (w, x) pair sits at every feature position, the other features
+    /// drawn in range or (for words) up to ±2^40, wrapped on load; Q1.5
+    /// (bci42's format) takes random rows. Q9.8 (`wl = 17`) packs no
+    /// lanes, so it runs the scalar loop under either kernel.
+    #[test]
+    fn packed_row_matches_mac_row_all_pairs() {
+        let mut rng = Rng::new(38);
+        let mut seen = [0usize; 2];
+        for (k, f) in [(2u32, 2u32), (1, 5), (9, 8)] {
+            let format = q(k, f);
+            let grid: Vec<i64> = (format.min_raw()..=format.max_raw()).collect();
+            for m in [1usize, 3, 7, 8, 9, 15, 16, 17, 42] {
+                let draw_x = |rng: &mut Rng| {
+                    if rng.below(8) == 0 {
+                        rng.range_i64(-(1i64 << 40)..=(1i64 << 40))
+                    } else {
+                        random_words(format, 1, rng)[0]
+                    }
+                };
+                let mut cases: Vec<(Vec<i64>, Vec<i64>)> = Vec::new();
+                if grid.len() <= 16 {
+                    for pos in 0..m {
+                        for &a in &grid {
+                            for &b in &grid {
+                                let mut w = random_words(format, 2 * m, &mut rng);
+                                let mut x: Vec<i64> = (0..m).map(|_| draw_x(&mut rng)).collect();
+                                (w[pos], x[pos]) = (a, b);
+                                cases.push((w, x));
+                            }
+                        }
+                    }
+                } else {
+                    for _ in 0..200 {
+                        let w = random_words(format, 2 * m, &mut rng);
+                        cases.push((w, (0..m).map(|_| draw_x(&mut rng)).collect()));
+                    }
+                }
+                for kind in KernelKind::available() {
+                    for (w, x) in &cases {
+                        let packed = PackedWeights::new(kind, format, m, 2, w.clone()).unwrap();
+                        let simd = kind == KernelKind::Simd && m >= 8 && format.word_length() <= 16;
+                        assert_eq!(packed.kernel() == KernelKind::Simd, simd, "Q{k}.{f} m={m}");
+                        for mode in ALL_MODES {
+                            for h in 0..2 {
+                                let want = mac_row(format, mode, &w[h * m..(h + 1) * m], x);
+                                seen[want.1 as usize] += 1;
+                                assert_eq!(
+                                    mac_row_packed(&packed, h, mode, x),
+                                    want,
+                                    "kernel={} Q{k}.{f} {mode:?} m={m} head {h} w={w:?} x={x:?}",
+                                    kind.name()
+                                );
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        assert!(
+            seen[0] > 1000 && seen[1] > 1000,
+            "both flag values occur: {seen:?}"
+        );
     }
 
     /// An exact sum can need more than 64 bits: in Q31.0 sixteen products

@@ -8,9 +8,11 @@
 //! kernel for any other format. Because the sum no longer depends on
 //! order, rows of at least [`TILE`] features are read row-major straight
 //! from the batch words, eight features per step with no packing; only
-//! narrower rows are packed into an 8-row column tile. Bit-identity with
-//! the scalar loop — word and flag — is pinned by the crate's
-//! exhaustive tests and proptests.
+//! narrower rows are packed into an 8-row column tile. The one-row entry
+//! (`row_simd`, behind `mac_row_packed`) runs the same chunks for a
+//! single row into one accumulator, on weight lanes packed once by
+//! [`pack_chunks`]. Bit-identity with the scalar loop — word and flag —
+//! is pinned by the crate's exhaustive tests and proptests.
 //!
 //! Raw words wrap on load by their low bits, exactly as
 //! `QFormat::from_raw` does: the low `wl` bits of each `i64` word are
@@ -63,6 +65,53 @@ pub(crate) fn lanes32_exact(spec: &MacSpec, features: usize) -> bool {
     spec.wl <= 16 && spec.sum_fits(features, 32)
 }
 
+/// Source feature of each lane of a chunk as the AVX2 kernels load it:
+/// the low 32 bits of eight consecutive words, one in-lane shuffle apart
+/// (see `load8_low32`).
+const CHUNK_ORDER: [usize; TILE] = [0, 1, 4, 5, 2, 3, 6, 7];
+
+/// A weight lane for `vpmaddwd`: the word in the low 16-bit half, 0 in
+/// the high half.
+fn weight_lane(w: i64) -> i32 {
+    (w as i32) & 0xFFFF
+}
+
+/// First feature of chunk `k` of a row of `features ≥ 8` features:
+/// `⌊M/8⌋` chunks start at multiples of 8, and when `M` is not a
+/// multiple of 8 one more chunk covers the last eight features, so no
+/// step reads past a row.
+#[inline(always)]
+fn chunk_offset(k: usize, features: usize) -> usize {
+    if k < features / TILE {
+        k * TILE
+    } else {
+        features - TILE
+    }
+}
+
+/// Packs row-major `heads × features` weight words (`features ≥ 8`) into
+/// the chunk lanes the row-major kernels read: per head, `⌈M/8⌉` chunks
+/// of eight [`weight_lane`]s in [`CHUNK_ORDER`]. In the overlapping last
+/// chunk the weights of the features an earlier chunk already covered
+/// are zero, so each feature's product is summed once. The batch kernel
+/// packs per call into its scratch; [`crate::PackedWeights`] packs once.
+pub(crate) fn pack_chunks(w: &[i64], features: usize, lanes: &mut Vec<i32>) {
+    let full = features / TILE;
+    lanes.clear();
+    for wrow in w.chunks_exact(features) {
+        for k in 0..features.div_ceil(TILE) {
+            lanes.extend(CHUNK_ORDER.iter().map(|&lane| {
+                let j = chunk_offset(k, features) + lane;
+                if k >= full && j < full * TILE {
+                    0
+                } else {
+                    weight_lane(wrow[j])
+                }
+            }));
+        }
+    }
+}
+
 /// Runs the detected intrinsic kernel. Callers guarantee [`detected`]
 /// and [`lanes32_exact`] returned `true`; shapes are validated by
 /// `mac_gemm_into`.
@@ -96,6 +145,29 @@ pub(crate) fn gemm_simd(
     }
 }
 
+/// One row's wrap-once MAC against one head's chunk lanes, packed by
+/// [`pack_chunks`]: the served word and the 0/1 overflow flag, as the
+/// scalar loop returns them. Callers guarantee [`detected`],
+/// [`lanes32_exact`], `x.len() ≥ 8` and `lanes.len() = ⌈M/8⌉·8`.
+pub(crate) fn row_simd(spec: &MacSpec, code: u8, lanes: &[i32], x: &[i64]) -> (i64, u32) {
+    #[cfg(target_arch = "x86_64")]
+    {
+        macro_rules! run {
+            ($m:expr, $s:ty) => {
+                // SAFETY: the caller checked `detected()` (AVX2),
+                // `lanes32_exact` and the shapes above.
+                unsafe { x86::row_avx2::<{ $m }>(spec, lanes, x) }
+            };
+        }
+        crate::scalar::dispatch!(code, true, run)
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        let _ = (spec, code, lanes, x);
+        unreachable!("row_simd called without a compiled intrinsic path");
+    }
+}
+
 /// The batch quantizer's AVX2 build with row prefetch; same words and
 /// count as `batch::quantize_rows_portable`.
 ///
@@ -126,7 +198,8 @@ pub(crate) fn quantize_rows_avx2<R: AsRef<[f64]>>(
 #[cfg(target_arch = "x86_64")]
 mod x86 {
     use super::{
-        GemmOut, InputScale, MacSpec, QBatch, QFormat, RoundingMode, PREFETCH_ROWS_AHEAD, TILE,
+        chunk_offset, pack_chunks, weight_lane, GemmOut, InputScale, MacSpec, QBatch, QFormat,
+        RoundingMode, PREFETCH_ROWS_AHEAD, TILE,
     };
     use crate::scalar::{MODE_CEIL, MODE_EXACT, MODE_FLOOR, MODE_NEAREST_AWAY, MODE_TOWARD_ZERO};
     use core::arch::x86_64::*;
@@ -235,12 +308,6 @@ mod x86 {
         }
     }
 
-    /// A weight lane for `vpmaddwd`: the word in the low 16-bit half, 0
-    /// in the high half.
-    fn weight_lane(w: i64) -> i32 {
-        (w as i32) & 0xFFFF
-    }
-
     /// The input lanes' low `wl` bits, wrapped and scaled by `2^s` in the
     /// low 16-bit halves (see [`Lanes`]).
     #[target_feature(enable = "avx2")]
@@ -289,9 +356,6 @@ mod x86 {
         let b = _mm256_castsi256_ps(_mm256_loadu_si256(p.add(4).cast()));
         _mm256_castps_si256(_mm256_shuffle_ps::<0b10_00_10_00>(a, b))
     }
-
-    /// Source feature of each lane of a [`load8_low32`] chunk.
-    const CHUNK_ORDER: [usize; TILE] = [0, 1, 4, 5, 2, 3, 6, 7];
 
     /// Lane `i` of the result is the sum of the eight lanes of `acc[i]`.
     #[target_feature(enable = "avx2")]
@@ -371,11 +435,8 @@ mod x86 {
 
     /// Rows of `M ≥ 8` features, eight features per step read straight
     /// from the batch words into one accumulator per row, then reduced
-    /// across lanes eight rows at a time. `⌊M/8⌋` chunks start at
-    /// multiples of 8; when `M` is not a multiple of 8, one more chunk
-    /// covers the last eight features, with the weights of the features
-    /// an earlier chunk already covered set to zero, so no step reads past
-    /// a row.
+    /// across lanes eight rows at a time. The weights are packed into
+    /// chunk lanes per call (see [`pack_chunks`] and [`chunk_offset`]).
     #[target_feature(enable = "avx2")]
     unsafe fn rows_major<const MODE: u8>(
         c: &Lanes,
@@ -386,22 +447,8 @@ mod x86 {
         lanes: &mut Vec<i32>,
     ) {
         let (x, rows, features) = (batch.words(), batch.rows(), batch.features());
-        let full = features / TILE;
         let chunks = features.div_ceil(TILE);
-        let offset = |k: usize| if k < full { k * TILE } else { features - TILE };
-        lanes.clear();
-        for wrow in w.chunks_exact(features) {
-            for k in 0..chunks {
-                lanes.extend(CHUNK_ORDER.iter().map(|&lane| {
-                    let j = offset(k) + lane;
-                    if k >= full && j < full * TILE {
-                        0
-                    } else {
-                        weight_lane(wrow[j])
-                    }
-                }));
-            }
-        }
+        pack_chunks(w, features, lanes);
         let mut r0 = 0;
         while r0 < rows {
             let nr = TILE.min(rows - r0);
@@ -411,7 +458,7 @@ mod x86 {
                 for (i, acc) in acc[..nr].iter_mut().enumerate() {
                     let row = x[(r0 + i) * features..(r0 + i + 1) * features].as_ptr();
                     for k in 0..chunks {
-                        let xv = load_wrap(load8_low32(row.add(offset(k))), c);
+                        let xv = load_wrap(load8_low32(row.add(chunk_offset(k, features))), c);
                         let wv = _mm256_loadu_si256(wh.add(k * TILE).cast());
                         *acc = _mm256_add_epi32(*acc, rounded_products::<MODE>(wv, xv, c));
                     }
@@ -420,6 +467,41 @@ mod x86 {
             }
             r0 += nr;
         }
+    }
+
+    /// One row of `M ≥ 8` features against one head's packed chunk
+    /// lanes: the chunks of [`rows_major`] summed into one accumulator,
+    /// one horizontal add, and one wrap-once of the exact sum.
+    ///
+    /// # Safety
+    ///
+    /// Requires AVX2, `lanes32_exact(spec, x.len())`, `x.len() ≥ 8` and
+    /// `w.len() = ⌈M/8⌉·8`.
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn row_avx2<const MODE: u8>(
+        spec: &MacSpec,
+        w: &[i32],
+        x: &[i64],
+    ) -> (i64, u32) {
+        let c = Lanes::new(spec);
+        let features = x.len();
+        let (row, wh) = (x.as_ptr(), w.as_ptr());
+        let mut acc = _mm256_setzero_si256();
+        for k in 0..features.div_ceil(TILE) {
+            let xv = load_wrap(load8_low32(row.add(chunk_offset(k, features))), &c);
+            let wv = _mm256_loadu_si256(wh.add(k * TILE).cast());
+            acc = _mm256_add_epi32(acc, rounded_products::<MODE>(wv, xv, &c));
+        }
+        let s = _mm_add_epi32(
+            _mm256_castsi256_si128(acc),
+            _mm256_extracti128_si256::<1>(acc),
+        );
+        let s = _mm_add_epi32(s, _mm_shuffle_epi32::<0b01_00_11_10>(s));
+        let s = _mm_add_epi32(s, _mm_shuffle_epi32::<0b10_11_00_01>(s));
+        // The lanes are exact, so this is the exact sum.
+        let sum = i64::from(_mm_cvtsi128_si32(s));
+        let word = spec.wrap(sum);
+        (word, u32::from(word != sum))
     }
 
     /// Rows of fewer than eight features: tiles of eight rows packed

@@ -367,7 +367,7 @@ fn decode_binary(header: binwire::Header, body: &[u8]) -> Result<Request> {
 }
 
 /// Decodes a JSON frame body into a [`Request`]. A malformed field is a
-/// [`ServeError::Schema`] naming its position (`rows[i][j]`).
+/// [`ServeError::Request`] naming its position (`rows[i][j]`).
 fn decode_json(body: &[u8]) -> Result<Request> {
     let text = std::str::from_utf8(body)
         .map_err(|e| NetError::Protocol(format!("frame body is not UTF-8: {e}")))?;
@@ -375,25 +375,25 @@ fn decode_json(body: &[u8]) -> Result<Request> {
     let op = v
         .get("op")
         .and_then(Value::as_str)
-        .ok_or_else(|| schema("op", "expected a string naming the operation"))?;
+        .ok_or_else(|| request("op", "expected a string naming the operation"))?;
     Ok(match op {
         "predict" => {
             let rows = v
                 .get("rows")
                 .and_then(Value::as_array)
-                .ok_or_else(|| schema("rows", "predict requires an array of rows"))?
+                .ok_or_else(|| request("rows", "predict requires an array of rows"))?
                 .iter()
                 .enumerate()
                 .map(|(i, row)| {
                     row.as_array()
                         .ok_or_else(|| {
-                            schema(format!("rows[{i}]"), "expected an array of numbers")
+                            request(format!("rows[{i}]"), "expected an array of numbers")
                         })?
                         .iter()
                         .enumerate()
                         .map(|(j, x)| {
                             x.as_f64().ok_or_else(|| {
-                                schema(format!("rows[{i}][{j}]"), "expected a number")
+                                request(format!("rows[{i}][{j}]"), "expected a number")
                             })
                         })
                         .collect()
@@ -404,7 +404,7 @@ fn decode_json(body: &[u8]) -> Result<Request> {
                 .map(|m| {
                     m.as_str()
                         .map(str::to_string)
-                        .ok_or_else(|| schema("model", "expected a string model name"))
+                        .ok_or_else(|| request("model", "expected a string model name"))
                 })
                 .transpose()?;
             Request::Predict {
@@ -418,20 +418,22 @@ fn decode_json(body: &[u8]) -> Result<Request> {
             name: v
                 .get("name")
                 .and_then(Value::as_str)
-                .ok_or_else(|| schema("name", "reload requires a string model name"))?
+                .ok_or_else(|| request("name", "reload requires a string model name"))?
                 .to_string(),
             artifact: v
                 .get("artifact")
-                .ok_or_else(|| schema("artifact", "reload requires an embedded artifact document"))?
+                .ok_or_else(|| {
+                    request("artifact", "reload requires an embedded artifact document")
+                })?
                 .to_compact_string(),
         },
         "shutdown" => Request::Shutdown,
-        other => return Err(schema("op", format!("unknown operation '{other}'"))),
+        other => return Err(request("op", format!("unknown operation '{other}'"))),
     })
 }
 
-fn schema(context: impl Into<String>, message: impl Into<String>) -> NetError {
-    ServeError::Schema {
+fn request(context: impl Into<String>, message: impl Into<String>) -> NetError {
+    ServeError::Request {
         context: context.into(),
         message: message.into(),
     }
@@ -1128,8 +1130,8 @@ mod tests {
     #[test]
     fn json_bodies_decode_into_the_request_type() {
         let context = |body: &str| match decode_json(body.as_bytes()) {
-            Err(NetError::Serve(ServeError::Schema { context, .. })) => context,
-            other => panic!("{body}: expected a schema error, got {other:?}"),
+            Err(NetError::Serve(ServeError::Request { context, .. })) => context,
+            other => panic!("{body}: expected a request error, got {other:?}"),
         };
         assert_eq!(context(r#"{"op":"teleport"}"#), "op");
         assert_eq!(

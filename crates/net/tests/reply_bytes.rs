@@ -175,8 +175,8 @@ fn predict_errors() {
     pin(
         &got,
         &[
-            r#"B 1 0 1 invalid artifact field 'model': unknown model 'nosuch' (registered: default)"#,
-            r#"J {"error":"invalid artifact field 'model': unknown model 'nosuch' (registered: default)","ok":false}"#,
+            r#"B 1 0 1 invalid request field 'model': unknown model 'nosuch' (registered: default)"#,
+            r#"J {"error":"invalid request field 'model': unknown model 'nosuch' (registered: default)","ok":false}"#,
             r#"B 1 0 1 row 0 has 2 features but the model expects 3"#,
             // Raw words claim one width for all rows: the first row is
             // named, as on the float path.
@@ -207,11 +207,11 @@ fn undecodable_bodies() {
             r#"B 9 0 1 protocol error: unknown opcode 9"#,
             r#"J {"error":"protocol error: frame body is not UTF-8: invalid utf-8 sequence of 1 bytes from index 0","ok":false}"#,
             r#"J {"error":"invalid JSON: unexpected end of input (document truncated?) at line 1, column 7 (byte offset 6)","ok":false}"#,
-            r#"J {"error":"invalid artifact field 'op': unknown operation 'teleport'","ok":false}"#,
-            r#"J {"error":"invalid artifact field 'rows[0][1]': expected a number","ok":false}"#,
-            r#"J {"error":"invalid artifact field 'rows[0]': expected an array of numbers","ok":false}"#,
-            r#"J {"error":"invalid artifact field 'rows': predict requires an array of rows","ok":false}"#,
-            r#"J {"error":"invalid artifact field 'model': expected a string model name","ok":false}"#,
+            r#"J {"error":"invalid request field 'op': unknown operation 'teleport'","ok":false}"#,
+            r#"J {"error":"invalid request field 'rows[0][1]': expected a number","ok":false}"#,
+            r#"J {"error":"invalid request field 'rows[0]': expected an array of numbers","ok":false}"#,
+            r#"J {"error":"invalid request field 'rows': predict requires an array of rows","ok":false}"#,
+            r#"J {"error":"invalid request field 'model': expected a string model name","ok":false}"#,
         ],
     );
 }
@@ -234,7 +234,7 @@ fn health_replies() {
             r#"B 2 0 0 {"default":"default","evented":true,"generation":1,"model":{"classes":2,"family":"lda","features":3,"kind":"binary","qformat":"Q3.8"},"models":["default"],"ok":true,"status":"healthy"}"#,
             r#"J {"default":"default","evented":true,"generation":1,"model":{"classes":2,"family":"lda","features":3,"kind":"binary","qformat":"Q3.8"},"models":["default"],"ok":true,"status":"healthy"}"#,
             r#"B 2 0 0 {"default":"default","evented":true,"generation":1,"model":{"classes":2,"family":"lda","features":3,"kind":"binary","qformat":"Q3.8"},"models":["default"],"ok":true,"status":"healthy"}"#,
-            r#"B 2 0 1 invalid artifact field 'model': unknown model 'nosuch' (registered: default)"#,
+            r#"B 2 0 1 invalid request field 'model': unknown model 'nosuch' (registered: default)"#,
         ],
     );
 }
@@ -266,7 +266,7 @@ fn reload_replies() {
         &[
             r#"B 5 0 1 not an ldafp model artifact (format field is '"nope"')"#,
             r#"J {"error":"not an ldafp model artifact (format field is '\"nope\"')","ok":false}"#,
-            r#"J {"error":"invalid artifact field 'artifact': reload requires an embedded artifact document","ok":false}"#,
+            r#"J {"error":"invalid request field 'artifact': reload requires an embedded artifact document","ok":false}"#,
             r#"B 5 0 0 {"family":"lda","generation":2,"model":"canary","ok":true,"replaced":false}"#,
             r#"J {"family":"lda","generation":2,"model":"canary","ok":true,"replaced":false}"#,
         ],

@@ -17,8 +17,10 @@
 //! either way. Raw wire words are borrowed zero-copy as a [`QBatch`].
 //! Every linear model — binary LDA and every one-vs-rest head — then goes
 //! through one wrap-once MAC GEMM per batch (AVX2 where detected and
-//! exact, else the scalar loop the row path also runs). The kernels
-//! return a per-(row, head) overflow flag (the exact sum left the
+//! exact, else the scalar loop). A single row takes the kernels' one-row
+//! entry instead, once per head, on weights packed once at construction:
+//! the same AVX2 chunks in one accumulator, or the same scalar loop. The
+//! kernels return a per-(row, head) overflow flag (the exact sum left the
 //! format's range), so the overflow/saturation counters and
 //! `predict_segmented`'s per-segment attribution are exactly what the
 //! row-at-a-time path produces. Table-driven families (naive Bayes,
@@ -34,18 +36,31 @@
 
 use crate::artifact::{ModelArtifact, ServedModel};
 use crate::error::{Result, ServeError};
+use ldafp_core::FixedPointClassifier;
 use ldafp_fixedpoint::{Fx, InputScale, QFormat, RoundingMode};
-use ldafp_kernels::{mac_gemm_into, mac_row, GemmScratch, KernelKind, QBatch, QBatchBuf};
+use ldafp_kernels::{
+    mac_gemm_into, mac_row_packed, GemmScratch, KernelKind, PackedWeights, QBatch, QBatchBuf,
+};
 use ldafp_models::FixedPointModel;
+use std::cell::RefCell;
 use std::sync::{Arc, Mutex};
 
-/// Working buffers for the single-row path: the row's raw words and the
-/// `Fx` view the table-driven families take. The batch paths use the
-/// engine-owned [`EngineScratch`] instead.
-#[derive(Debug, Default)]
+/// Per-thread working buffers for row-at-a-time work: the single-row
+/// path's raw words, and the `Fx` row the table-driven families take on
+/// both paths. They keep their allocations between calls, so a warm
+/// `predict_row` allocates nothing and takes no lock.
 struct RowScratch {
     words: Vec<i64>,
     quantized: Vec<Fx>,
+}
+
+thread_local! {
+    static ROW_SCRATCH: RefCell<RowScratch> = const {
+        RefCell::new(RowScratch {
+            words: Vec::new(),
+            quantized: Vec::new(),
+        })
+    };
 }
 
 /// Engine-owned working memory for the batch paths, reused across
@@ -62,12 +77,10 @@ struct EngineScratch {
     decide: DecideScratch,
 }
 
-/// The buffers [`InferenceEngine::decide_rows`] writes: the table-driven
-/// families' `Fx` row, the kernel tile scratch, and the GEMM's output
-/// words and wrap flags.
+/// The buffers [`InferenceEngine::decide_rows`] writes: the kernel tile
+/// scratch, and the GEMM's output words and wrap flags.
 #[derive(Debug, Default)]
 struct DecideScratch {
-    quantized: Vec<Fx>,
     gemm: GemmScratch,
     out: Vec<i64>,
     wraps: Vec<u32>,
@@ -77,16 +90,16 @@ struct DecideScratch {
 #[derive(Debug)]
 enum KernelPlan {
     /// Linear heads (binary LDA = one head; one-vs-rest = one per class):
-    /// the whole batch runs through a single wrapping-MAC GEMM over these
-    /// flattened `heads × features` raw weight words.
+    /// a batch runs through a single wrapping-MAC GEMM over the flattened
+    /// `heads × features` raw weight words, and a single row through the
+    /// one-row MAC per head on the same weights, packed once here.
     Linear {
-        weights: Vec<i64>,
+        weights: PackedWeights,
         /// Per-head decision threshold raws.
         thresholds: Vec<i64>,
         /// One-vs-rest margin calibration; `None` for binary, whose score
         /// is the raw margin in value units.
         scales: Option<Vec<f64>>,
-        heads: usize,
     },
     /// Table-driven families decide row-at-a-time on their own integer
     /// datapath (`classify_quantized`, itself on the kernels primitives).
@@ -94,23 +107,25 @@ enum KernelPlan {
 }
 
 impl KernelPlan {
-    fn of(model: &ServedModel) -> KernelPlan {
+    fn of(model: &ServedModel, kernel: KernelKind, features: usize) -> KernelPlan {
+        let pack = |heads: &[FixedPointClassifier]| {
+            let words = heads
+                .iter()
+                .flat_map(|h| h.weights().iter().map(Fx::raw))
+                .collect();
+            PackedWeights::new(kernel, model.format(), features, heads.len(), words)
+                .expect("validated artifact heads have one weight per feature")
+        };
         match model {
             ServedModel::Binary(clf) => KernelPlan::Linear {
-                weights: clf.weights().iter().map(Fx::raw).collect(),
+                weights: pack(std::slice::from_ref(clf)),
                 thresholds: vec![clf.threshold().raw()],
                 scales: None,
-                heads: 1,
             },
             ServedModel::OneVsRest(clf) => KernelPlan::Linear {
-                weights: clf
-                    .heads()
-                    .iter()
-                    .flat_map(|h| h.weights().iter().map(Fx::raw))
-                    .collect(),
+                weights: pack(clf.heads()),
                 thresholds: clf.heads().iter().map(|h| h.threshold().raw()).collect(),
                 scales: Some(clf.margin_scales().to_vec()),
-                heads: clf.heads().len(),
             },
             ServedModel::NaiveBayes(_) | ServedModel::OsElm(_) => KernelPlan::Family,
         }
@@ -172,13 +187,15 @@ pub struct BatchOutput {
 ///
 /// Cheap to clone (the artifact is behind an `Arc`), `Send + Sync`, and
 /// stateless between calls. Clones share one batch scratch, so their
-/// batch calls serialize; single-row calls never touch it. Predictions
+/// batch calls serialize. Single-row calls never touch it: they run on a
+/// per-thread scratch and the one-row MAC, so a warm
+/// [`Self::predict_row`] allocates nothing and takes no lock. Predictions
 /// name classes by index; the label text stays in the artifact's
 /// `class_labels`, read once per reply.
 #[derive(Debug, Clone)]
 pub struct InferenceEngine {
     artifact: Arc<ModelArtifact>,
-    /// Flattened linear weights (or the family marker), built once.
+    /// Packed linear weights (or the family marker), built once.
     plan: Arc<KernelPlan>,
     /// The fastest bit-identical kernel on this build/CPU, probed once.
     kernel: KernelKind,
@@ -194,7 +211,12 @@ impl InferenceEngine {
     /// Propagates [`ModelArtifact::validate`] failures.
     pub fn new(artifact: ModelArtifact) -> Result<Self> {
         artifact.validate()?;
-        let plan = Arc::new(KernelPlan::of(&artifact.model));
+        let kernel = KernelKind::best();
+        let plan = Arc::new(KernelPlan::of(
+            &artifact.model,
+            kernel,
+            artifact.num_features(),
+        ));
         let scratch = Arc::new(Mutex::new(EngineScratch {
             batch: QBatchBuf::new(artifact.model.format(), artifact.num_features()),
             decide: DecideScratch::default(),
@@ -202,7 +224,7 @@ impl InferenceEngine {
         Ok(InferenceEngine {
             artifact: Arc::new(artifact),
             plan,
-            kernel: KernelKind::best(),
+            kernel,
             scratch,
         })
     }
@@ -243,14 +265,27 @@ impl InferenceEngine {
         }
     }
 
-    /// Classifies one row.
+    /// Classifies one row: quantized into a per-thread scratch, then one
+    /// one-row MAC per linear head ([`mac_row_packed`], on the weights
+    /// packed at construction) or the family's own datapath, then the
+    /// batch path's epilogue. Bit-identical to the row's answer in
+    /// [`Self::predict_batch`]; allocates nothing once the thread's
+    /// scratch has grown to the row width.
     ///
     /// # Errors
     ///
     /// [`ServeError::FeatureMismatch`] when the row length disagrees with
     /// the model.
     pub fn predict_row(&self, row: &[f64]) -> Result<(Prediction, BatchStats)> {
-        self.predict_row_at(row, 0)
+        let ctx = self.row_context();
+        if row.len() != ctx.num_features {
+            return Err(ServeError::FeatureMismatch {
+                expected: ctx.num_features,
+                got: row.len(),
+                row: 0,
+            });
+        }
+        Ok(ROW_SCRATCH.with_borrow_mut(|scratch| self.predict_row_with(&ctx, row, scratch)))
     }
 
     /// Classifies a batch sequentially, preserving input order.
@@ -304,12 +339,7 @@ impl InferenceEngine {
         saturated_inputs: u64,
         work: &mut DecideScratch,
     ) -> BatchOutput {
-        let DecideScratch {
-            quantized,
-            gemm,
-            out,
-            wraps,
-        } = work;
+        let DecideScratch { gemm, out, wraps } = work;
         let n = batch.rows();
         let mut predictions = Vec::with_capacity(n);
         let mut accumulator_wraps = 0u64;
@@ -318,13 +348,13 @@ impl InferenceEngine {
                 weights,
                 thresholds,
                 scales,
-                heads,
             } => {
+                let heads = weights.heads();
                 mac_gemm_into(
                     self.kernel,
                     batch,
-                    weights,
-                    *heads,
+                    weights.words(),
+                    heads,
                     ctx.rounding,
                     gemm,
                     out,
@@ -346,15 +376,14 @@ impl InferenceEngine {
                     predictions.push(Prediction { class_index, score });
                 }
             }
-            KernelPlan::Family => {
+            KernelPlan::Family => ROW_SCRATCH.with_borrow_mut(|scratch| {
                 for r in 0..n {
-                    quantized.clear();
-                    quantized.extend(batch.row(r).iter().map(|&w| ctx.format.from_raw(w)));
-                    let (class_index, score, w) = family_decision(ctx.model, quantized);
+                    let (class_index, score, w) =
+                        family_decision(ctx, batch.row(r), &mut scratch.quantized);
                     accumulator_wraps += w;
                     predictions.push(Prediction { class_index, score });
                 }
-            }
+            }),
         }
         BatchOutput {
             predictions,
@@ -364,10 +393,6 @@ impl InferenceEngine {
                 saturated_inputs,
             },
         }
-    }
-
-    fn predict_row_at(&self, row: &[f64], index: usize) -> Result<(Prediction, BatchStats)> {
-        self.predict_row_with(&self.row_context(), row, index, &mut RowScratch::default())
     }
 
     /// Snapshots everything row-invariant — format, rounding mode, input
@@ -384,20 +409,14 @@ impl InferenceEngine {
         }
     }
 
+    /// The single-row path after the width check: quantize into the
+    /// thread's scratch, then decide per the kernel plan.
     fn predict_row_with(
         &self,
         ctx: &RowContext<'_>,
         row: &[f64],
-        index: usize,
         scratch: &mut RowScratch,
-    ) -> Result<(Prediction, BatchStats)> {
-        if row.len() != ctx.num_features {
-            return Err(ServeError::FeatureMismatch {
-                expected: ctx.num_features,
-                got: row.len(),
-                row: index,
-            });
-        }
+    ) -> (Prediction, BatchStats) {
         let RowScratch { words, quantized } = scratch;
         words.resize(ctx.num_features, 0);
         let saturated_inputs = ctx
@@ -408,11 +427,10 @@ impl InferenceEngine {
                 weights,
                 thresholds,
                 scales,
-                ..
             } => {
                 let mut wraps = 0u64;
-                let acc = weights.chunks_exact(ctx.num_features).map(|w| {
-                    let (y, w) = mac_row(ctx.format, ctx.rounding, w, words);
+                let acc = (0..weights.heads()).map(|h| {
+                    let (y, w) = mac_row_packed(weights, h, ctx.rounding, words);
                     wraps += u64::from(w);
                     y
                 });
@@ -420,11 +438,7 @@ impl InferenceEngine {
                     linear_decision(acc, thresholds, scales.as_deref(), ctx.format.resolution());
                 (class_index, score, wraps)
             }
-            KernelPlan::Family => {
-                quantized.clear();
-                quantized.extend(words.iter().map(|&w| ctx.format.from_raw(w)));
-                family_decision(ctx.model, quantized)
-            }
+            KernelPlan::Family => family_decision(ctx, words, quantized),
         };
         let prediction = Prediction { class_index, score };
         let stats = BatchStats {
@@ -432,7 +446,7 @@ impl InferenceEngine {
             accumulator_wraps: wraps,
             saturated_inputs,
         };
-        Ok((prediction, stats))
+        (prediction, stats)
     }
 
     /// Classifies several row batches ("segments") in one pass over the
@@ -563,11 +577,19 @@ fn linear_decision(
     }
 }
 
-/// Decision for a table-driven family over an already-quantized row.
-/// The model's own integer datapath decides; the advisory score is the
-/// winning class's raw score converted to value units.
-fn family_decision(model: &ServedModel, xq: &[Fx]) -> (usize, f64, u64) {
-    let d = match model {
+/// Decision for a table-driven family over one row of raw words, viewed
+/// as `Fx` in `quantized` (the thread's scratch). The model's own integer
+/// datapath decides; the advisory score is the winning class's raw score
+/// converted to value units.
+fn family_decision(
+    ctx: &RowContext<'_>,
+    words: &[i64],
+    quantized: &mut Vec<Fx>,
+) -> (usize, f64, u64) {
+    quantized.clear();
+    quantized.extend(words.iter().map(|&w| ctx.format.from_raw(w)));
+    let xq = &quantized[..];
+    let d = match ctx.model {
         ServedModel::NaiveBayes(m) => m.classify_quantized(xq),
         ServedModel::OsElm(m) => m.classify_quantized(xq),
         ServedModel::Binary(_) | ServedModel::OneVsRest(_) => {
@@ -577,7 +599,7 @@ fn family_decision(model: &ServedModel, xq: &[Fx]) -> (usize, f64, u64) {
     .expect("row length and format are validated by the engine");
     (
         d.class_index,
-        d.score_raw as f64 * model.format().resolution(),
+        d.score_raw as f64 * ctx.format.resolution(),
         d.accumulator_wraps,
     )
 }
@@ -585,7 +607,6 @@ fn family_decision(model: &ServedModel, xq: &[Fx]) -> (usize, f64, u64) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ldafp_core::FixedPointClassifier;
     use ldafp_fixedpoint::QFormat;
     use ldafp_stats::Rng;
 

@@ -12,10 +12,19 @@ pub enum ServeError {
     /// Carries the line/column/byte-offset of the first offending byte, so
     /// truncation and corruption are diagnosable from the message alone.
     Json(JsonError),
-    /// The document parsed but a required field is missing or has the wrong
-    /// shape. `context` names the field path.
+    /// The artifact parsed but a required field is missing or has the
+    /// wrong shape. `context` names the field path.
     Schema {
         /// Dotted path of the offending field (e.g. `payload.binary.weights`).
+        context: String,
+        /// What was wrong with it.
+        message: String,
+    },
+    /// A request field is missing, has the wrong shape, or names an
+    /// operation or model that does not exist. `context` names the field
+    /// (`op`, `rows[i][j]`, `model`, …).
+    Request {
+        /// Path of the offending request field.
         context: String,
         /// What was wrong with it.
         message: String,
@@ -68,6 +77,9 @@ impl fmt::Display for ServeError {
             ServeError::Json(e) => write!(f, "invalid JSON: {e}"),
             ServeError::Schema { context, message } => {
                 write!(f, "invalid artifact field '{context}': {message}")
+            }
+            ServeError::Request { context, message } => {
+                write!(f, "invalid request field '{context}': {message}")
             }
             ServeError::UnsupportedVersion { found, supported } => write!(
                 f,

@@ -175,10 +175,10 @@ impl ModelRegistry {
     ///
     /// # Errors
     ///
-    /// [`ServeError::Schema`] naming the unknown model and the registered
+    /// [`ServeError::Request`] naming the unknown model and the registered
     /// alternatives — the typed reply a client can act on.
     pub fn route(&self, name: Option<&str>) -> Result<Arc<InferenceEngine>> {
-        self.get(name).ok_or_else(|| ServeError::Schema {
+        self.get(name).ok_or_else(|| ServeError::Request {
             context: "model".to_string(),
             message: format!(
                 "unknown model '{}' (registered: {})",

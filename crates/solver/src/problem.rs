@@ -179,6 +179,9 @@ pub struct SocpProblem {
     n: usize,
     q: Matrix,
     c: Vec<f64>,
+    /// A constant term of the caller's objective: never minimized, only
+    /// added by [`SocpProblem::lower_bound`].
+    constant: f64,
     linear: Vec<LinearConstraint>,
     soc: Vec<SocConstraint>,
 }
@@ -216,9 +219,26 @@ impl SocpProblem {
             n: c.len(),
             q,
             c,
+            constant: 0.0,
             linear: Vec::new(),
             soc: Vec::new(),
         })
+    }
+
+    /// Sets the constant term of the caller's objective `½ xᵀQx + cᵀx +
+    /// constant` (0 by default). The solver minimizes without it; it
+    /// enters only [`Self::lower_bound`], and through it the traced
+    /// `solver.solved` event's `bound`.
+    pub fn set_objective_constant(&mut self, constant: f64) {
+        self.constant = constant;
+    }
+
+    /// A lower bound on the minimum of `½ xᵀQx + cᵀx + constant` from a
+    /// solve of this problem: the objective at the final centered point
+    /// lies within the duality-gap bound above the minimum, so the bound
+    /// subtracts it, then adds the constant.
+    pub fn lower_bound(&self, solution: &Solution) -> f64 {
+        solution.objective - solution.duality_gap_bound + self.constant
     }
 
     /// Number of optimization variables.
@@ -394,6 +414,7 @@ impl SocpProblem {
             n: aux_n,
             q: Matrix::zeros(aux_n, aux_n),
             c,
+            constant: 0.0,
             linear,
             soc,
         }

@@ -108,8 +108,15 @@ fn solve_metrics() -> &'static SolveMetrics {
 /// Per-SOCP-solve telemetry: counters always (a handful of relaxed atomic
 /// adds per solve), a `solver.solved` trace event only when tracing is on.
 /// `times` holds the stage split of every attempt when the solve was timed
-/// (tracing was on when it started).
-fn record_solve(recovered: &RecoveredSolution, started: Instant, times: Option<&StageTimes>) {
+/// (tracing was on when it started). The event's `bound` is
+/// [`SocpProblem::lower_bound`]: the bound a branch-and-bound node takes
+/// from this solve, its objective constant included.
+fn record_solve(
+    problem: &SocpProblem,
+    recovered: &RecoveredSolution,
+    started: Instant,
+    times: Option<&StageTimes>,
+) {
     let m = solve_metrics();
     m.solves.inc();
     if recovered.recovered() {
@@ -127,6 +134,7 @@ fn record_solve(recovered: &RecoveredSolution, started: Instant, times: Option<&
             .with("stages", recovered.solution.stages)
             .with("objective", recovered.solution.objective)
             .with("duality_gap_bound", recovered.solution.duality_gap_bound)
+            .with("bound", problem.lower_bound(&recovered.solution))
             .with("retries", recovered.attempts.len())
             .with(
                 "elapsed_us",
@@ -196,7 +204,7 @@ pub fn solve_with_recovery_checked(
                 solution,
                 attempts: Vec::new(),
             };
-            record_solve(&recovered, started, times.as_ref());
+            record_solve(problem, &recovered, started, times.as_ref());
             return Ok(recovered);
         }
         Err(e) if !is_recoverable(&e) => {
@@ -244,7 +252,7 @@ pub fn solve_with_recovery_checked(
             Ok(solution) => {
                 attempts.push(trail(None));
                 let recovered = RecoveredSolution { solution, attempts };
-                record_solve(&recovered, started, times.as_ref());
+                record_solve(problem, &recovered, started, times.as_ref());
                 return Ok(recovered);
             }
             Err(e) if !is_recoverable(&e) => {

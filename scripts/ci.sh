@@ -128,11 +128,14 @@ for event in bnb.expand bnb.prune bnb.incumbent solver.solved registry.dump; do
         || { echo "missing $event in trace" >&2; exit 1; }
 done
 # The solver's stage ledger closes: every traced solve carries its stage
-# fields, its line-search trial and phase-I step counts, and the objective,
+# fields, its line-search trial and phase-I step counts, the objective,
 # duality-gap bound and retry count that a node's bound and `Recovered`
-# label come from; over the trace the Newton-step stages (assembly, factor,
-# line search) add up to 0.85–1.15 of the solves' summed elapsed_us.
-awk 'BEGIN { fields = split("assembly_us factor_us line_search_us phase1_us elapsed_us line_search_trials phase1_steps objective duality_gap_bound retries", field, " ") }
+# label come from, and that bound itself (`bound`, objective constant
+# included; a non-finite number is written as null, so the numeric match
+# also requires it finite); over the trace the Newton-step stages
+# (assembly, factor, line search) add up to 0.85–1.15 of the solves'
+# summed elapsed_us.
+awk 'BEGIN { fields = split("assembly_us factor_us line_search_us phase1_us elapsed_us line_search_trials phase1_steps objective duality_gap_bound retries bound", field, " ") }
     /"event":"solver.solved"/ {
         solves++
         for (k = 1; k <= fields; k++) {
